@@ -5,16 +5,19 @@ every singularity at finite x solves, together with the defining equation,
 
     sin(w) cos(w) + w = 0 .
 
-Writing 2w = u + i v with u, v real and eliminating v yields a single real
-equation
+`find_branch_point` solves this by complex Newton iteration from the
+large-n approximation of `asymptotic_branch_point`.  Writing
+2w = u + i v with u, v real and eliminating v gives the equivalent single
+real equation
 
     tan(u) * arccosh(-u / sin u) = sqrt(u^2 - sin^2 u)
 
 with exactly one root u_n in each interval [(2n-1)*pi, (2n-1/2)*pi],
-n = 1, 2, ...; then cosh(v) = -u/sin(u) recovers v.  The stored
-representative takes v > 0 (upper half-plane w), which puts x_n = w_n*tan(w_n)
-in the upper half-plane as well; the conjugate point is implied.  The trivial
-root w = 0 corresponds to the branch point at x = 0 and is not indexed here.
+n = 1, 2, ..., and cosh(v) = -u/sin(u); the solver checks that its root
+lies in that interval.  The stored representative takes v > 0 (upper
+half-plane w), which puts x_n = w_n*tan(w_n) in the upper half-plane as
+well; the conjugate point is implied.  The trivial root w = 0 corresponds
+to the branch point at x = 0 and is not indexed here.
 
 Near any x_n the function behaves like a square root,
 
@@ -31,9 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from scipy.optimize import brentq
-
-from .errors import BracketFailure, ContinuationFailure
+from .errors import BracketFailure, ContinuationFailure, NoConvergence
 
 __all__ = [
     "BranchPoint",
@@ -70,41 +71,43 @@ class BranchPoint:
         return self.y.conjugate()
 
 
-def _u_equation(u: float) -> float:
-    s = math.sin(u)
-    return math.tan(u) * math.acosh(-u / s) - math.sqrt(u * u - s * s)
-
-
 def find_branch_point(n: int) -> BranchPoint:
-    """Locate the n-th branch point (n >= 1) by bracketed root finding.
+    """Locate the n-th branch point (n >= 1) by complex Newton iteration.
 
-    The bracket [(2n-1)*pi, (2n-1/2)*pi] is shrunk by a relative 1e-9 at
-    both ends: the defining expressions are singular exactly at the
-    endpoints (sin u = 0 on the left, cos u = 0 on the right), but the sign
-    change survives the shrink because the root sits at distance
-    ~ln(2*b_n)/b_n from the right endpoint.
+    Newton runs on h(w) = sin(w)cos(w) + w, h'(w) = cos(2w) + 1, from the
+    seed `asymptotic_branch_point(n).y_approx` and stops once a step falls
+    below one ulp of |w|.
+
+    Raises
+    ------
+    NoConvergence
+        If the steps do not settle within 50 iterations.
+    BracketFailure
+        If the root found has u = 2 Re w outside [(2n-1)*pi, (2n-1/2)*pi]
+        or v = 2 Im w <= 0, i.e. it is not the n-th branch point (or n is
+        so large that float64 no longer separates the interval's endpoint
+        from the root).
     """
     if n < 1:
         raise ValueError("branch point index must be >= 1")
-    lo = (2 * n - 1) * math.pi
-    hi = (2 * n - 0.5) * math.pi
-    shrink = 1e-9 * hi
-    lo, hi = lo + shrink, hi - shrink
-    flo, fhi = _u_equation(lo), _u_equation(hi)
-    if not (flo < 0.0 < fhi):
-        raise BracketFailure(
-            f"no sign change on the shrunk interval for n={n}: "
-            f"F({lo})={flo}, F({hi})={fhi}"
+    y = asymptotic_branch_point(n).y_approx
+    for _ in range(50):
+        step = (cmath.sin(y) * cmath.cos(y) + y) / (cmath.cos(2 * y) + 1.0)
+        y -= step
+        if abs(step) <= 2.220446049250313e-16 * abs(y):
+            break
+    else:
+        raise NoConvergence(
+            f"Newton for branch point {n} did not settle in 50 steps "
+            f"(last step {abs(step):.3e} at w={y!r})"
         )
-    u = brentq(_u_equation, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    v = math.acosh(-u / math.sin(u))
-    y = complex(0.5 * u, 0.5 * v)
-    # one complex Newton step on h(w) = sin(w)cos(w) + w cleans the rounding
-    # of the (u, v) assembly; h'(w) = cos(2w) + 1
-    h = cmath.sin(y) * cmath.cos(y) + y
-    y = y - h / (cmath.cos(2 * y) + 1.0)
-    x = y * cmath.tan(y)
-    return BranchPoint(n=n, u=2 * y.real, v=2 * y.imag, y=y, x=x,
+    u, v = 2 * y.real, 2 * y.imag
+    if not ((2 * n - 1) * math.pi <= u <= (2 * n - 0.5) * math.pi and v > 0.0):
+        raise BracketFailure(
+            f"Newton for branch point {n} settled at u={u!r}, v={v!r}, outside "
+            f"u in [{(2 * n - 1) * math.pi}, {(2 * n - 0.5) * math.pi}], v > 0"
+        )
+    return BranchPoint(n=n, u=u, v=v, y=y, x=y * cmath.tan(y),
                        b=(2 * n - 0.5) * math.pi)
 
 
@@ -123,8 +126,9 @@ def asymptotic_branch_point(n: int) -> AsymptoticBranchPoint:
         y ~ b/2 + (i/2) ln(2b)
         x ~ -(1/2) ln(2b) - 1/2 + (i/2) b
 
-    each with an O(ln n / n) error.  Crude at n = 1 but bracket-compatible,
-    so it doubles as a seed check for the exact solver.
+    each with an O(ln n / n) error.  y is the seed of the Newton iteration
+    in `find_branch_point`.  The approximation is crude at n = 1, but even
+    there u lies inside [pi, 3*pi/2].
     """
     if n < 1:
         raise ValueError("branch point index must be >= 1")

@@ -243,6 +243,8 @@ def cmd_integrals(args) -> int:
     lo, hi = args.range
     lnsin = definite_lnsin()
     catalan = definite_catalan()
+    r_log = check_indefinite_log(lo, hi)
+    r_logsin = check_indefinite_logsin(lo, hi)
     records = [
         {"name": "definite_lnsin", "value": lnsin,
          "reference": LOG_SIN_TOTAL, "abs_error": abs(lnsin - LOG_SIN_TOTAL)},
@@ -250,11 +252,9 @@ def cmd_integrals(args) -> int:
          "reference": CATALAN_COMBINATION,
          "abs_error": abs(catalan - CATALAN_COMBINATION)},
         {"name": "indefinite_log_residual",
-         "value": check_indefinite_log(lo, hi), "reference": 0.0,
-         "abs_error": check_indefinite_log(lo, hi)},
+         "value": r_log, "reference": 0.0, "abs_error": r_log},
         {"name": "indefinite_logsin_residual",
-         "value": check_indefinite_logsin(lo, hi), "reference": 0.0,
-         "abs_error": check_indefinite_logsin(lo, hi)},
+         "value": r_logsin, "reference": 0.0, "abs_error": r_logsin},
     ]
     _emit(records, ["name", "value", "reference", "abs_error"], args)
     return 0
@@ -393,9 +393,8 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    import sys as _sys
     ap = build_parser()
-    raw = list(argv) if argv is not None else _sys.argv[1:]
+    raw = list(argv) if argv is not None else sys.argv[1:]
     args = ap.parse_args(_merge_negative_values(raw))
     try:
         return args.func(args)

@@ -674,9 +674,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int,
     for slot, i in enumerate(order):
         z_hi = pts1[slot]
         y_lo = _walk_segment(z_hi, vals1[slot], complex(z_hi.real, e2), atlas)
-        # linear eps -> 0 extrapolation of the imaginary part
-        v1, v2 = vals1[slot].imag, y_lo.imag
-        d0[i] = v2 + (v2 - v1) * e2 / (e1 - e2)
+        d0[i] = _extrapolate_to_zero(offsets, (vals1[slot], y_lo)).imag
 
     # vertical-cut table: nodes v = b - t^2, marched downward from near x_1.
     # Anchor each side by descending well clear of the cut (|Re - a| = 0.3)
@@ -704,8 +702,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int,
     for slot, i in enumerate(order_v):
         r1, r2 = side_vals[+1.0][0][slot], side_vals[+1.0][1][slot]
         l1, l2 = side_vals[-1.0][0][slot], side_vals[-1.0][1][slot]
-        jump1, jump2 = 0.5 * (r1 - l1), 0.5 * (r2 - l2)
-        d1[i] = jump2 + (jump2 - jump1) * e2 / (e1 - e2)
+        d1[i] = _extrapolate_to_zero(offsets, (0.5 * (r1 - l1), 0.5 * (r2 - l2)))
 
     tables = (us, 2.0 * s_nodes * s_wts, d0, vs, 2.0 * t_nodes * t_wts, d1)
     atlas._disp_tables[key] = tables

@@ -99,7 +99,6 @@ class SolverConfig:
 
     tol: float = 1e-13
     max_iter: int = 60
-    bracket_fallback: bool = True
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -145,7 +144,7 @@ def _seed_branch1_positive(x: float) -> float:
 
 
 def _solve_shifted(C: float, s: int, absx: float, tol: float, max_iter: int,
-                   bracket: bool, t0: float) -> float:
+                   t0: float) -> float:
     """Root of G(t) = (C + s*t)*tan(t) - absx for t in (0, pi/2).
 
     The window is shifted so that w = C + s*t; both G(0) = -absx and
@@ -177,11 +176,6 @@ def _solve_shifted(C: float, s: int, absx: float, tol: float, max_iter: int,
             t_new = t - 2.0 * G * Gp / denom
             step_ok = math.isfinite(t_new) and lo < t_new < hi
         if not step_ok:
-            if not bracket:
-                raise NoConvergence(
-                    f"Halley iterate left the branch window at t={t!r} "
-                    "and bracket_fallback is disabled"
-                )
             t_new = 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(hi):
             return best_t
@@ -236,11 +230,11 @@ def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
     if x > 0.0:
         C = (n - 1) * math.pi
         t0 = _seed_branch1_positive(x) if n == 1 else math.atan(x / C)
-        t = _solve_shifted(C, +1, x, cfg.tol, cfg.max_iter, cfg.bracket_fallback, t0)
+        t = _solve_shifted(C, +1, x, cfg.tol, cfg.max_iter, t0)
         return C + t
     C = n * math.pi
     t0 = math.atan(-x / C)
-    t = _solve_shifted(C, -1, -x, cfg.tol, cfg.max_iter, cfg.bracket_fallback, t0)
+    t = _solve_shifted(C, -1, -x, cfg.tol, cfg.max_iter, t0)
     return C - t
 
 

@@ -31,7 +31,7 @@ class AtBranchPoint(WtanError):
 
 
 class BracketFailure(WtanError):
-    """A guaranteed sign change was not found in the search interval."""
+    """A root was not found in the interval known to contain it."""
 
 
 class PrecisionExhausted(WtanError):

@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import mpmath as mp
-from scipy.integrate import quad
 
+from .complex_plane import _panel_nodes
 from .core import SolverConfig, eval_real
 from .errors import QuadratureFailure
 from .series import large_x_coeffs
@@ -64,14 +64,49 @@ class QuadratureConfig:
 DEFAULT_QUADRATURE = QuadratureConfig()
 
 
+_QUAD_NODES = 10  # Gauss-Legendre nodes per panel in _quad
+
+
 def _quad(f, lo, hi, cfg: QuadratureConfig):
-    val, err = quad(f, lo, hi, epsabs=cfg.abs_tol * 1e-3,
-                    epsrel=cfg.rel_tol, limit=cfg.max_subdivisions)
+    """Adaptive bisection over Gauss-Legendre panels.
+
+    Each interval carries a fine value (two panels) and an error estimate,
+    the fine-vs-coarse difference, as in `DispersionConfig`; the coarse
+    value is one panel over the whole interval.  The interval with the
+    largest estimate is bisected, its halves taking the parent's panels as
+    their coarse values, until the summed estimate meets
+    max(abs_tol*1e-3, rel_tol*|value|), capped at abs_tol (an estimate above
+    it fails), or max_subdivisions intervals exist.
+    """
+    k = _QUAD_NODES
+    xs1, ws1 = (a.tolist() for a in _panel_nodes(1.0, 1, k))
+    xs2, ws2 = (a.tolist() for a in _panel_nodes(1.0, 2, k))
+
+    def interval(a, b, coarse):
+        vals = [f(a + (b - a) * x) for x in xs2]
+        left = (b - a) * math.fsum(w * v for w, v in zip(ws2[:k], vals[:k]))
+        right = (b - a) * math.fsum(w * v for w, v in zip(ws2[k:], vals[k:]))
+        return abs(left + right - coarse), a, b, left, right
+
+    coarse = (hi - lo) * math.fsum(w * f(lo + (hi - lo) * x)
+                                   for x, w in zip(xs1, ws1))
+    parts = [interval(lo, hi, coarse)]
+    while True:
+        value = math.fsum(p[3] + p[4] for p in parts)
+        err = math.fsum(p[0] for p in parts)
+        target = min(max(cfg.abs_tol * 1e-3, cfg.rel_tol * abs(value)), cfg.abs_tol)
+        if err <= target or len(parts) >= cfg.max_subdivisions:
+            break
+        worst = max(parts, key=lambda p: p[0])
+        parts.remove(worst)
+        _, a, b, left, right = worst
+        mid = 0.5 * (a + b)
+        parts += [interval(a, mid, left), interval(mid, b, right)]
     if err > cfg.abs_tol:
         raise QuadratureFailure(
             f"estimated error {err:.3e} above {cfg.abs_tol:g} on [{lo}, {hi}]"
         )
-    return val
+    return value
 
 
 def check_indefinite_log(x_lo: float, x_hi: float,

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import pytest
 
 from wtan.branch_points import (
@@ -53,6 +54,33 @@ class TestFindBranchPoint:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             find_branch_point(0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_paper_u_equation(self, n):
+        # tan(u) arccosh(-u/sin u) = sqrt(u^2 - sin^2 u), the single-variable
+        # form of sin w cos w + w = 0 with 2w = u + iv: the left-minus-right
+        # side changes sign within 1e-12 relative of the returned u, and
+        # cosh(v) = -u/sin(u) recovers v
+        def F(u):
+            s = math.sin(u)
+            return math.tan(u) * math.acosh(-u / s) - math.sqrt(u * u - s * s)
+
+        bp = find_branch_point(n)
+        assert F(bp.u * (1.0 - 1e-12)) < 0.0 < F(bp.u * (1.0 + 1e-12))
+        assert math.acosh(-bp.u / math.sin(bp.u)) == pytest.approx(bp.v, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [17659, 10 ** 5, 10 ** 6])
+    def test_large_index_against_findroot(self, n):
+        bp = find_branch_point(n)
+        with mp.workdps(40):
+            ref = mp.findroot(lambda w: mp.sin(w) * mp.cos(w) + w,
+                              mp.mpc(bp.y.real, bp.y.imag))
+            ref = complex(ref)
+        assert abs(bp.y - ref) <= 4e-16 * abs(ref)
+        assert (2 * n - 1) * math.pi <= bp.u <= (2 * n - 0.5) * math.pi
+        assert bp.v > 0.0
+        assert abs(cmath.sin(bp.y) * cmath.cos(bp.y) + bp.y) <= 1e-9 * abs(bp.y)
+        assert abs(bp.y * cmath.tan(bp.y) - bp.x) <= 1e-9 * abs(bp.x)
 
 
 class TestAsymptotics:

@@ -183,3 +183,13 @@ class TestIntegralsCommand:
         by_name = {r["name"]: r for r in recs}
         assert abs(by_name["definite_lnsin"]["abs_error"]) < 1e-6
         assert abs(by_name["definite_catalan"]["abs_error"]) < 1e-6
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        cp = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wtan; print('scipy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.strip() == "False"
