@@ -22,7 +22,6 @@ from .complex_plane import (
     DispersionConfig,
     SheetAtlas,
     Side,
-    StepControl,
     boundary_value,
     discontinuity_delta0,
     discontinuity_delta1,

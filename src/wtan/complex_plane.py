@@ -24,6 +24,12 @@ Steps shrink in proportion to the distance from the nearest branch point:
 near x_j the two local solution sheets differ by O(sqrt(distance)), so
 uncontrolled steps can silently hop between them.
 
+A cut only labels the sheet; the continuation itself never looks at it.
+`boundary_value` therefore continues to a point just off the cut on the
+requested side and then steps onto the cut point itself: the germ it
+carries there is the one-sided limit, polished to a root like any other
+continued value.
+
 Dispersion reconstruction
 -------------------------
 Sheet 1 can be rebuilt from its cut discontinuities alone.  With
@@ -38,7 +44,9 @@ a Cauchy integral around the two cuts gives
 The minus sign of the vertical-cut term follows from the counterclockwise
 Cauchy contour with D1 defined as the right-minus-left jump; closure against
 direct continuation fixes the convention unambiguously (and is enforced in
-the test suite to ~1e-9).
+the test suite to 1e-12).  D0 and D1 are sampled by marching the boundary
+germs along the cut lines themselves, node by node, so the tables hold
+polished roots on the cuts.
 """
 
 from __future__ import annotations
@@ -46,7 +54,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +85,6 @@ from .errors import (
 __all__ = [
     "CutKind",
     "Cut",
-    "StepControl",
     "ContinuationPath",
     "SheetAtlas",
     "Side",
@@ -92,6 +99,18 @@ __all__ = [
 
 CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
+SIDE_OFFSET = 1e-4         # boundary values step onto a cut from this far off it
+
+# Continuation step policy.  Steps never exceed MAX_STEP, shrink by
+# STEP_SHRINK whenever the Halley correction exceeds MAX_DY (or fails), and
+# are additionally capped at BP_FACTOR times the distance to the nearest
+# branch point, which is what prevents hopping onto the wrong local sheet
+# near x_n.
+MAX_STEP = 0.5
+STEP_SHRINK = 0.5
+MAX_DY = 0.2
+MIN_STEP = 1e-9
+BP_FACTOR = 0.5
 
 
 class CutKind(enum.Enum):
@@ -153,29 +172,8 @@ class Cut:
 
 
 @dataclass(frozen=True)
-class StepControl:
-    """Adaptive step-size policy for path continuation.
-
-    Steps never exceed max_step, shrink by `shrink` whenever the Halley
-    correction exceeds dy_max (or fails), and are additionally capped at
-    bp_factor times the distance to the nearest branch point, which is what
-    prevents hopping onto the wrong local sheet near x_n.
-    """
-
-    max_step: float = 0.5
-    shrink: float = 0.5
-    dy_max: float = 0.2
-    min_step: float = 1e-9
-    bp_factor: float = 0.5
-
-
-DEFAULT_STEP_CONTROL = StepControl()
-
-
-@dataclass(frozen=True)
 class ContinuationPath:
     waypoints: tuple[complex, ...]
-    step_control: StepControl = DEFAULT_STEP_CONTROL
 
     def __post_init__(self):
         if len(self.waypoints) < 2:
@@ -195,11 +193,9 @@ class SheetAtlas:
     and the step control of every continuation.
     """
 
-    def __init__(self, branch_points: Sequence[BranchPoint],
-                 scheme: CutScheme = CutScheme.FINITE_CUTS):
-        if scheme is CutScheme.REAL_AXIS:
-            raise ValueError("the real-axis convention has no complex atlas")
-        self.scheme = scheme
+    scheme = CutScheme.FINITE_CUTS
+
+    def __init__(self, branch_points: Sequence[BranchPoint]):
         self.branch_points = list(branch_points)
         self.max_sheet = len(self.branch_points)
         self.origin = 0j
@@ -211,11 +207,10 @@ class SheetAtlas:
         self._disp_tables: dict[tuple, tuple] = {}
 
     @classmethod
-    def build(cls, max_sheet: int = 4,
-              scheme: CutScheme = CutScheme.FINITE_CUTS) -> "SheetAtlas":
+    def build(cls, max_sheet: int = 4) -> "SheetAtlas":
         if max_sheet < 1:
             raise ValueError("max_sheet must be >= 1")
-        return cls([find_branch_point(j) for j in range(1, max_sheet + 1)], scheme)
+        return cls([find_branch_point(j) for j in range(1, max_sheet + 1)])
 
     # -- geometry ----------------------------------------------------------
 
@@ -230,12 +225,7 @@ class SheetAtlas:
 
     def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
         """The cuts of sheet n in the finite-cuts convention."""
-        validate_branch(n)
-        if self.scheme is not CutScheme.FINITE_CUTS:
-            raise ValueError(
-                "the cuts-to-minus-infinity atlas is held for documentation "
-                "and limit tables only; continuation targets finite cuts"
-            )
+        n = validate_branch(n)
         if abs(n) > self.max_sheet:
             raise ValueError(
                 f"sheet {n} needs branch point {abs(n)}; atlas holds {self.max_sheet}"
@@ -270,7 +260,7 @@ class SheetAtlas:
     @staticmethod
     def sheet_limits(n: BranchIndex, scheme: CutScheme) -> dict:
         """Documented limit values labeling sheet n in each convention."""
-        validate_branch(n)
+        n = validate_branch(n)
         sgn = 1.0 if n > 0 else -1.0
         at_inf = sgn * (abs(n) - 0.5) * math.pi
         if scheme is CutScheme.FINITE_CUTS:
@@ -282,8 +272,7 @@ class SheetAtlas:
 
     # -- continuation ------------------------------------------------------
 
-    def build_waypoints(self, z: complex, n: BranchIndex,
-                        anchor_radius: float | None = None) -> tuple[complex, ...]:
+    def build_waypoints(self, z: complex, n: BranchIndex) -> tuple[complex, ...]:
         """Cut-avoiding route from the real anchor to z on sheet n.
 
         Straight if the direct segment is clear; otherwise detour over (or
@@ -292,7 +281,7 @@ class SheetAtlas:
         within 1e-6 of a branch point the final approach is horizontal from
         the right instead.
         """
-        R = anchor_radius or 10.0 * (1.0 + abs(z))
+        R = 10.0 * (1.0 + abs(z))
         start = complex(R, 0.0)
         cuts = self.cuts_for(n)
         if not any(c.crossing(start, z) for c in cuts):
@@ -317,12 +306,11 @@ class SheetAtlas:
         return (start, complex(R, s), complex(off, s), complex(off, z.imag), z)
 
     def continue_from_anchor(self, z: complex, n: BranchIndex,
-                             ctrl: StepControl = DEFAULT_STEP_CONTROL,
                              cfg: SolverConfig = DEFAULT_CONFIG) -> complex:
         """Continued value of sheet n at z; no proximity guards applied."""
-        validate_branch(n)
+        n = validate_branch(n)
         if n < 0:
-            return -self.continue_from_anchor(z, -n, ctrl, cfg)
+            return -self.continue_from_anchor(z, -n, cfg)
         waypoints = self.build_waypoints(z, n)
         R = waypoints[0]
         # anchor at the real-axis value, within ~(n-1/2)*pi^2/(2R) of the
@@ -331,7 +319,7 @@ class SheetAtlas:
         h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
         cur = R
         for target in waypoints[1:]:
-            y = _walk_segment(cur, y, target, self, ctrl, h_base=h_base)
+            y = _walk_segment(cur, y, target, self, h_base=h_base)
             cur = target
         return y
 
@@ -340,15 +328,14 @@ class SheetAtlas:
 # low-level continuation
 # ---------------------------------------------------------------------------
 
-def _refine(x: complex, y: complex, cfg: SolverConfig = DEFAULT_CONFIG,
-            iters: int = 16) -> complex:
+def _refine(x: complex, y: complex) -> complex:
     """Polish y toward the root of w*tan(w) = x by Halley iteration."""
-    for _ in range(iters):
+    for _ in range(16):
         y_new = halley_step(x, y)
         if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
             return y_new
         y = y_new
-    if defining_residual(x, y) <= cfg.tol * (1.0 + abs(x)):
+    if defining_residual(x, y) <= DEFAULT_CONFIG.tol * (1.0 + abs(x)):
         return y
     raise NoConvergence(f"Halley polish stalled at x={x!r}")
 
@@ -362,7 +349,6 @@ def _predict(z: complex, y: complex, dz: complex) -> complex:
 
 
 def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
-                  ctrl: StepControl = DEFAULT_STEP_CONTROL,
                   h_base: float | None = None,
                   step_filter: Callable[[complex, complex], bool] | None = None,
                   on_step: Callable[[complex, complex, complex], None] | None = None,
@@ -371,30 +357,30 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 
     `step_filter` may veto a proposed sub-step (forcing it to shrink);
     `on_step` observes each accepted sub-step.  Raises StepTooLarge when the
-    step would have to fall below ctrl.min_step.
+    step would have to fall below MIN_STEP.
     """
     z, y = z0, y0
-    h_cap = h_base if h_base is not None else ctrl.max_step
+    h_cap = h_base if h_base is not None else MAX_STEP
     while z != z1:
         rem = z1 - z
         dist = atlas.nearest_branch_distance(z)
-        allowed = min(h_cap, ctrl.bp_factor * dist if dist > 0.0 else ctrl.min_step)
-        take = min(abs(rem), max(allowed, ctrl.min_step))
+        allowed = min(h_cap, BP_FACTOR * dist if dist > 0.0 else MIN_STEP)
+        take = min(abs(rem), max(allowed, MIN_STEP))
         while True:
             z_new = z1 if take >= abs(rem) else z + rem / abs(rem) * take
             ok = step_filter is None or step_filter(z, z_new)
             if ok:
                 try:
                     y_new = _refine(z_new, _predict(z, y, z_new - z))
-                    ok = abs(y_new - y) <= ctrl.dy_max
+                    ok = abs(y_new - y) <= MAX_DY
                 except (PoleProximity, NoConvergence):
                     ok = False
             if ok:
                 break
-            take *= ctrl.shrink
-            if take < ctrl.min_step:
+            take *= STEP_SHRINK
+            if take < MIN_STEP:
                 raise StepTooLarge(
-                    f"continuation step fell below {ctrl.min_step:g} near z={z!r}"
+                    f"continuation step fell below {MIN_STEP:g} near z={z!r}"
                 )
         if on_step is not None:
             on_step(z, z_new, y_new)
@@ -420,15 +406,11 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas,
         the sheet's branch points (where continuation accuracy degrades; use
         `boundary_value` / `trace_path` for on-cut and near-point work).
     """
-    validate_branch(n)
+    n = validate_branch(n)
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteArgument(f"z must be finite, got {z!r}")
-    if n < 0:
-        inner = eval_complex(z, -n, atlas, cfg)
-        return BranchedValue(x=z, y=-inner.y, branch=n, scheme=atlas.scheme,
-                             residual=inner.residual)
     if atlas.distance_to_cuts(z, n) < CUT_GUARD:
         raise OnCut(f"z={z!r} lies on a cut of sheet {n}")
     m = abs(n)
@@ -461,10 +443,9 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     cut's `connects` pair.  Returns the accepted steps as
     (point, value, sheet) records, starting with the initial point.
     """
-    validate_branch(start_sheet)
-    ctrl = path.step_control
+    start_sheet = validate_branch(start_sheet)
     z0 = path.waypoints[0]
-    y0 = atlas.continue_from_anchor(z0, start_sheet, ctrl)
+    y0 = atlas.continue_from_anchor(z0, start_sheet)
     records = [(z0, y0, start_sheet)]
     state = {"sheet": start_sheet}
 
@@ -489,7 +470,7 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
 
     z, y = z0, y0
     for target in path.waypoints[1:]:
-        y = _walk_segment(z, y, target, atlas, ctrl,
+        y = _walk_segment(z, y, target, atlas,
                           step_filter=step_filter, on_step=on_step)
         z = target
     return records
@@ -526,51 +507,28 @@ def _locate_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
     raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
 
 
-_SIDE_OFFSETS = {
+_SIDE_DIRECTIONS = {
     Side.UPPER: 1j,
     Side.LOWER: -1j,
     Side.LEFT: -1.0,
     Side.RIGHT: 1.0,
 }
 
-BOUNDARY_EPSILONS = (1e-4, 1e-5, 1e-6)
-
-
-def _extrapolate_to_zero(eps: Sequence[float], vals: Sequence[complex]) -> complex:
-    """Polynomial (Lagrange) extrapolation of vals(eps) to eps = 0."""
-    total = 0j
-    for i, (ei, vi) in enumerate(zip(eps, vals)):
-        w = 1.0
-        for j, ej in enumerate(eps):
-            if j != i:
-                w *= ej / (ej - ei)
-        total += w * vi
-    return total
-
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
-                   atlas: SheetAtlas, eps: Sequence[float] = BOUNDARY_EPSILONS,
-                   ) -> complex:
+                   atlas: SheetAtlas) -> complex:
     """One-sided limit of sheet n on a cut.
 
-    Continues to the point offset by each epsilon toward the requested side
-    (largest epsilon from the anchor, smaller ones by short local walks that
-    stay on that side) and extrapolates epsilon -> 0 through the samples.
+    Continues to the point offset by SIDE_OFFSET toward the requested side,
+    then steps onto the cut point itself.  The result is a root of
+    w*tan(w) = point polished to working precision; at a branch point, where
+    the root is double, it is accurate to about the square root of that.
     """
-    validate_branch(n)
+    n = validate_branch(n)
     point = complex(point)
     _locate_cut(point, n, atlas, side=side)
-    direction = _SIDE_OFFSETS[side]
-    eps = sorted(eps, reverse=True)
-    z = point + direction * eps[0]
-    y = atlas.continue_from_anchor(z, n)
-    vals = [y]
-    for e in eps[1:]:
-        z_next = point + direction * e
-        y = _walk_segment(z, y, z_next, atlas)
-        vals.append(y)
-        z = z_next
-    return _extrapolate_to_zero(eps, vals)
+    z = point + _SIDE_DIRECTIONS[side] * SIDE_OFFSET
+    return _walk_segment(z, atlas.continue_from_anchor(z, n), point, atlas)
 
 
 def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
@@ -623,7 +581,6 @@ class DispersionConfig:
     coarse_panels: int = 3
     coarse_nodes: int = 16
     abs_tol: float = 1e-6
-    offsets: tuple[float, float] = (1e-6, 5e-7)
 
 
 DEFAULT_DISPERSION = DispersionConfig()
@@ -640,11 +597,10 @@ def _panel_nodes(length: float, panels: int, nodes: int):
     return np.concatenate(pts), np.concatenate(wts)
 
 
-def _march_values(points: list[complex], anchor_y: complex, anchor_z: complex,
-                  atlas: SheetAtlas) -> list[complex]:
-    """Continue an anchored value through a list of nearby points in order."""
+def _march(points: list[complex], z: complex, y: complex,
+           atlas: SheetAtlas) -> list[complex]:
+    """Continue the value y at z through the points in order; their values."""
     out = []
-    z, y = anchor_z, anchor_y
     for target in points:
         y = _walk_segment(z, y, target, atlas)
         out.append(y)
@@ -652,57 +608,39 @@ def _march_values(points: list[complex], anchor_y: complex, anchor_z: complex,
     return out
 
 
-def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int,
-                  offsets: tuple[float, float]):
-    key = (panels, nodes, offsets)
+def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
+    key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
     bp = atlas.branch_points[0]
     a, b = bp.x.real, bp.x.imag
-    e1, e2 = offsets
 
-    # real-cut table: nodes u = -s^2, marched from near the origin toward a
+    # real-cut table: nodes u = -s^2, marched along the cut itself from near
+    # the origin toward a, after stepping onto it from the upper side
     s_nodes, s_wts = _panel_nodes(math.sqrt(-a), panels, nodes)
     us = -s_nodes ** 2
     order = np.argsort(us)[::-1]                      # u descending: 0- -> a
-    pts1 = [complex(us[i], e1) for i in order]
-    z0 = pts1[0]
-    y0 = atlas.continue_from_anchor(z0, 1)
-    vals1 = _march_values(pts1[1:], y0, z0, atlas)
-    vals1.insert(0, y0)
+    start = complex(us[order[0]], SIDE_OFFSET)
+    upper = _march([complex(us[i], 0.0) for i in order], start,
+                   atlas.continue_from_anchor(start, 1), atlas)
     d0 = np.empty(len(us))
-    for slot, i in enumerate(order):
-        z_hi = pts1[slot]
-        y_lo = _walk_segment(z_hi, vals1[slot], complex(z_hi.real, e2), atlas)
-        d0[i] = _extrapolate_to_zero(offsets, (vals1[slot], y_lo)).imag
+    d0[order] = [y.imag for y in upper]
 
-    # vertical-cut table: nodes v = b - t^2, marched downward from near x_1.
-    # Anchor each side by descending well clear of the cut (|Re - a| = 0.3)
-    # and then walking horizontally inward at the top node's height; this is
-    # side-correct by construction, whereas descending at |Re - a| = eps
-    # would thread the needle past x_1 itself.
+    # vertical-cut table: nodes v = b - t^2, marched down the cut from near
+    # x_1.  Anchor each side well clear of the cut (|Re - a| = 0.3) and walk
+    # horizontally onto it at the top node's height; this is side-correct by
+    # construction, whereas descending close to the cut would thread the
+    # needle past x_1 itself.
     t_nodes, t_wts = _panel_nodes(math.sqrt(b), panels, nodes)
     vs = b - t_nodes ** 2
     order_v = np.argsort(vs)[::-1]                    # v descending: b- -> 0+
+    on_cut = [complex(a, vs[i]) for i in order_v]
+    right, left = (
+        _march(on_cut, clear, atlas.continue_from_anchor(clear, 1), atlas)
+        for clear in (complex(a + 0.3, on_cut[0].imag), complex(a - 0.3, on_cut[0].imag))
+    )
     d1 = np.empty(len(vs), dtype=complex)
-    side_vals = {}
-    for sgn in (+1.0, -1.0):
-        pts = [complex(a + sgn * e1, vs[i]) for i in order_v]
-        clear = complex(a + sgn * 0.3, pts[0].imag)
-        y0 = atlas.continue_from_anchor(clear, 1)
-        y0 = _walk_segment(clear, y0, pts[0], atlas)
-        outer = _march_values(pts[1:], y0, pts[0], atlas)
-        outer.insert(0, y0)
-        inner = []
-        for slot in range(len(pts)):
-            z_hi = pts[slot]
-            inner.append(_walk_segment(z_hi, outer[slot],
-                                       complex(a + sgn * e2, z_hi.imag), atlas))
-        side_vals[sgn] = (outer, inner)
-    for slot, i in enumerate(order_v):
-        r1, r2 = side_vals[+1.0][0][slot], side_vals[+1.0][1][slot]
-        l1, l2 = side_vals[-1.0][0][slot], side_vals[-1.0][1][slot]
-        d1[i] = _extrapolate_to_zero(offsets, (0.5 * (r1 - l1), 0.5 * (r2 - l2)))
+    d1[order_v] = 0.5 * (np.array(right) - np.array(left))
 
     tables = (us, 2.0 * s_nodes * s_wts, d0, vs, 2.0 * t_nodes * t_wts, d1)
     atlas._disp_tables[key] = tables
@@ -730,9 +668,8 @@ def dispersion_eval(z: complex, atlas: SheetAtlas,
     cfg = quad_cfg or DEFAULT_DISPERSION
     z = complex(z)
     a = atlas.branch_points[0].x.real
-    fine = _assemble(z, _delta_tables(atlas, cfg.panels, cfg.nodes, cfg.offsets), a)
-    coarse = _assemble(z, _delta_tables(atlas, cfg.coarse_panels,
-                                        cfg.coarse_nodes, cfg.offsets), a)
+    fine = _assemble(z, _delta_tables(atlas, cfg.panels, cfg.nodes), a)
+    coarse = _assemble(z, _delta_tables(atlas, cfg.coarse_panels, cfg.coarse_nodes), a)
     if abs(fine - coarse) > cfg.abs_tol:
         raise QuadratureFailure(
             f"dispersion quadrature error estimate {abs(fine - coarse):.3e} "

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 from .errors import (
@@ -63,9 +64,14 @@ BranchIndex = int
 
 
 def validate_branch(n: int) -> int:
-    """Return n unchanged if it is a valid branch label (nonzero integer)."""
-    if not isinstance(n, (int,)) or isinstance(n, bool):
-        raise TypeError(f"branch index must be an integer, got {n!r}")
+    """Return n as a Python int if it is a valid branch label (nonzero
+    integer, numpy integers included; bool is rejected).  Fixed-width
+    integers are converted because negating the most negative one wraps."""
+    # exact int first: the Integral check is an ABC lookup, slow on the hot path
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise TypeError(f"branch index must be an integer, got {n!r}")
+        n = int(n)
     if n == 0:
         raise ValueError("branch index 0 does not exist; branches are +-1, +-2, ...")
     return n
@@ -211,7 +217,7 @@ def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
         The unique root in the branch window; satisfies
         |w*tan(w) - x| <= tol*(1+|x|).
     """
-    validate_branch(n)
+    n = validate_branch(n)
     if cfg is None:
         cfg = DEFAULT_CONFIG
     if not math.isfinite(x):
@@ -311,7 +317,7 @@ def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
     with the principal argument and the step convention Theta(0) = 0.
     Returns |lhs - rhs|; a correct (x, n, y) triple gives ~0.
     """
-    validate_branch(n)
+    n = validate_branch(n)
     sgn_n = 1.0 if n > 0 else -1.0
     rhs = sgn_n * (abs(n) - 0.5) * math.pi
     if x < 0.0:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,15 +7,21 @@ from pathlib import Path
 import pytest
 
 CMD = [sys.executable, "-m", "wtan"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def child_env(env_extra=None):
+    """The test process's environment with the source tree importable."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    if env_extra:
+        env.update(env_extra)
+    return env
 
 
 def run_cli(*args, env_extra=None):
-    import os
-    env = os.environ.copy()
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=env)
+                          env=child_env(env_extra))
 
 
 class TestEval:
@@ -190,6 +197,6 @@ class TestImport:
         cp = subprocess.run(
             [sys.executable, "-c",
              "import sys, wtan; print('scipy' in sys.modules)"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "False"

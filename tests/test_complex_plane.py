@@ -23,6 +23,17 @@ from wtan.series import eval_series, large_x_coeffs
 
 from conftest import imaginary_boundary_oracle, w_real_oracle
 
+CLOSURE_POINTS = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j, -0.5 - 3j,
+                  -4 + 1j, 7 + 7j, 3 - 0.9j, 18 + 2j]
+
+
+def _within_eval_complex_bound(z, y):
+    """The acceptance rule of eval_complex: residual below tol*(1+|z|) or
+    below the conditioning floor 4*ulp*|d(y tan y)/dy|*(1+|y|)."""
+    t = cmath.tan(y)
+    floor = 4.0 * 2.220446049250313e-16 * abs(y * (1.0 + t * t) + t) * (1.0 + abs(y))
+    return abs(y * t - z) <= max(1e-13 * (1.0 + abs(z)), floor)
+
 
 class TestAtlasGeometry:
     def test_first_sheet_cuts(self, atlas):
@@ -71,10 +82,6 @@ class TestAtlasGeometry:
                     assert xn.real - 1e-12 <= p.real <= xprev_re + 1e-12
 
     def test_infinite_cut_scheme_is_documentation_only(self):
-        doc_atlas = SheetAtlas(SheetAtlas.build(max_sheet=1).branch_points,
-                               CutScheme.CUTS_TO_MINUS_INF)
-        with pytest.raises(ValueError):
-            doc_atlas.cuts_for(1)
         lim = SheetAtlas.sheet_limits(2, CutScheme.CUTS_TO_MINUS_INF)
         assert lim["at_plus_zero"] == pytest.approx(math.pi)
 
@@ -217,6 +224,27 @@ class TestBoundaryValues:
         u = -1e-4
         got = boundary_value(complex(u, 0.0), 1, Side.UPPER, atlas)
         assert got.imag == pytest.approx(math.sqrt(-u), rel=1e-3)
+        # this close to the x = 0 branch point the value is still a polished root
+        assert abs(got - 1j * imaginary_boundary_oracle(u)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, -2])
+    def test_values_on_higher_sheets(self, atlas, n):
+        # real-cut and vertical-cut limits off sheet 1: each is a root of the
+        # defining equation within eval_complex's residual bound, and lies on
+        # the requested side, i.e. next to the value just off the cut there
+        m = abs(n)
+        x_in, x_out = atlas.branch_points[m - 2].x, atlas.branch_points[m - 1].x
+        cases = [(complex(0.5 * (x_in.real + x_out.real), 0.0), Side.UPPER, 1j),
+                 (complex(0.5 * (x_in.real + x_out.real), 0.0), Side.LOWER, -1j),
+                 (complex(x_out.real, 0.5 * x_out.imag), Side.LEFT, -1.0),
+                 (complex(x_out.real, -0.5 * x_out.imag), Side.RIGHT, 1.0),
+                 (complex(x_in.real, 0.5 * x_in.imag), Side.RIGHT, 1.0),
+                 (complex(x_in.real, 0.5 * x_in.imag), Side.LEFT, -1.0)]
+        for point, side, direction in cases:
+            y = boundary_value(point, n, side, atlas)
+            assert _within_eval_complex_bound(point, y), (point, side)
+            near = eval_complex(point + 1e-6 * direction, n, atlas).y
+            assert abs(y - near) < 1e-5, (point, side)
 
     def test_side_validation(self, atlas):
         with pytest.raises(ValueError):
@@ -266,7 +294,7 @@ class TestDiscontinuities:
 
     def test_delta1_vanishes_at_branch_point(self, atlas):
         b = atlas.branch_points[0].x.imag
-        assert abs(discontinuity_delta1(b, atlas)) < 2e-3
+        assert abs(discontinuity_delta1(b, atlas)) < 1e-6
         assert abs(discontinuity_delta1(b - 1e-5, atlas)) < 1e-2
 
     def test_delta1_finite_inside(self, atlas):
@@ -316,11 +344,16 @@ class TestDispersion:
         assert abs(got - ref) < 1e-4
 
     def test_ten_point_closure(self, atlas):
-        pts = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j, -0.5 - 3j,
-               -4 + 1j, 7 + 7j, 3 - 0.9j, 18 + 2j]
-        for z in pts:
+        for z in CLOSURE_POINTS:
             diff = abs(dispersion_eval(z, atlas) - eval_complex(z, 1, atlas).y)
             assert diff < 1e-4, z
+
+    def test_closure_to_working_precision(self, atlas):
+        # the cut tables are polished roots on the cuts, so the quadrature is
+        # the only remaining error and closes to near rounding level
+        for z in CLOSURE_POINTS:
+            diff = abs(dispersion_eval(z, atlas) - eval_complex(z, 1, atlas).y)
+            assert diff <= 1e-12, z
 
     def test_quadrature_failure_guard(self, atlas):
         cfg = DispersionConfig(panels=1, nodes=4, coarse_panels=1,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wtan.complex_plane import eval_complex
 from wtan.core import (
     SolverConfig,
     branch_identity_residual,
@@ -101,11 +102,20 @@ class TestEvalReal:
         with pytest.raises(NonFiniteArgument):
             eval_real(math.inf, 1)
 
-    def test_branch_validation(self):
+    def test_branch_validation(self, atlas):
         with pytest.raises(ValueError):
             eval_real(1.0, 0)
         with pytest.raises(TypeError):
             validate_branch(1.5)
+        with pytest.raises(TypeError):
+            validate_branch(True)
+        # numpy integers are branch labels like any other integer
+        assert eval_real(1.0, np.int64(2)) == eval_real(1.0, 2)
+        assert eval_real(-1.0, np.int64(-2)) == eval_real(-1.0, -2)
+        # negating the most negative int64 wraps; the label is taken as an int
+        low = np.iinfo(np.int64).min
+        assert eval_real(1.0, np.int64(low)) == eval_real(1.0, int(low))
+        assert eval_complex(2 + 2j, np.int64(2), atlas).y == eval_complex(2 + 2j, 2, atlas).y
 
     def test_no_convergence_when_tolerance_unreachable(self):
         cfg = SolverConfig(tol=1e-30, max_iter=3)
