@@ -19,7 +19,6 @@ from .complex_plane import (
     ContinuationPath,
     Cut,
     CutKind,
-    DispersionConfig,
     SheetAtlas,
     Side,
     boundary_value,
@@ -33,7 +32,6 @@ from .core import (
     BranchedValue,
     BranchIndex,
     CutScheme,
-    SolverConfig,
     branch_identity_residual,
     defining_residual,
     derivative,
@@ -43,7 +41,6 @@ from .core import (
     validate_branch,
 )
 from .integrals import (
-    QuadratureConfig,
     check_indefinite_log,
     check_indefinite_logsin,
     definite_catalan,

@@ -43,6 +43,9 @@ __all__ = [
     "local_expansion_check",
 ]
 
+# continuation points per loop around x_n in local_expansion_check
+SAMPLES_PER_LOOP = 128
+
 
 @dataclass(frozen=True)
 class BranchPoint:
@@ -140,8 +143,7 @@ def asymptotic_branch_point(n: int) -> AsymptoticBranchPoint:
     return AsymptoticBranchPoint(u, x, y)
 
 
-def local_expansion_check(n: int, radii: Sequence[float],
-                          samples_per_loop: int = 128) -> tuple[float, float]:
+def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]:
     """Fit the local exponent and coefficient of w(x) - w(x_n) near x_n.
 
     For each radius r the function is continued around the circle
@@ -184,7 +186,7 @@ def local_expansion_check(n: int, radii: Sequence[float],
         logs = []
         z_loop, y_loop = z_cur, y_cur
         y_start = y_loop
-        total = 2 * samples_per_loop
+        total = 2 * SAMPLES_PER_LOOP
         for j in range(1, total + 1):
             ang = 2.0 * math.pi * 2.0 * j / total
             z_next = bp.x + r * cmath.exp(1j * ang)

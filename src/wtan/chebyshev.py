@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import SolverConfig, eval_real
+from .core import eval_real
 from .errors import SamplingFailure, WtanError
 
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
@@ -65,8 +65,7 @@ def _cheb_interp_coeffs(fun, order: int) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def fit(split_a: float = 3.5, order: int = 15,
-        cfg: SolverConfig | None = None) -> ChebyshevModel:
+def fit(split_a: float = 3.5, order: int = 15) -> ChebyshevModel:
     """Fit the three regional coefficient lists by node sampling.
 
     Targets sampled through the real solver: w/sqrt(x) on [0, a];
@@ -83,18 +82,18 @@ def fit(split_a: float = 3.5, order: int = 15,
         x = 0.5 * a * (s + 1.0)
         if x == 0.0:
             return 1.0
-        return eval_real(x, 1, cfg) / math.sqrt(x)
+        return eval_real(x, 1) / math.sqrt(x)
 
     def beta_target(t: float) -> float:
         if t == 0.0:
             return 1.0
-        return eval_real(a / t, 1, cfg) * 2.0 / math.pi
+        return eval_real(a / t, 1) * 2.0 / math.pi
 
     def gamma_target(s: float) -> float:
         x = 0.5 * a * (s - 1.0)
         if x == 0.0:
             return 1.0
-        return eval_real(x, 1, cfg) / math.pi
+        return eval_real(x, 1) / math.pi
 
     try:
         alpha = _cheb_interp_coeffs(alpha_target, order)

@@ -59,13 +59,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import core
 from .branch_points import BranchPoint, find_branch_point
 from .core import (
     BranchedValue,
     BranchIndex,
     CutScheme,
-    DEFAULT_CONFIG,
-    SolverConfig,
     defining_residual,
     eval_real,
     halley_step,
@@ -88,7 +87,6 @@ __all__ = [
     "ContinuationPath",
     "SheetAtlas",
     "Side",
-    "DispersionConfig",
     "eval_complex",
     "trace_path",
     "boundary_value",
@@ -305,17 +303,16 @@ class SheetAtlas:
         off = z.real + sign * 0.25
         return (start, complex(R, s), complex(off, s), complex(off, z.imag), z)
 
-    def continue_from_anchor(self, z: complex, n: BranchIndex,
-                             cfg: SolverConfig = DEFAULT_CONFIG) -> complex:
+    def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
         """Continued value of sheet n at z; no proximity guards applied."""
         n = validate_branch(n)
         if n < 0:
-            return -self.continue_from_anchor(z, -n, cfg)
+            return -self.continue_from_anchor(z, -n)
         waypoints = self.build_waypoints(z, n)
         R = waypoints[0]
         # anchor at the real-axis value, within ~(n-1/2)*pi^2/(2R) of the
         # sheet limit sgn(n)*(|n|-1/2)*pi at infinity
-        y = complex(eval_real(R.real, n, cfg), 0.0)
+        y = complex(eval_real(R.real, n), 0.0)
         h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
         cur = R
         for target in waypoints[1:]:
@@ -335,7 +332,7 @@ def _refine(x: complex, y: complex) -> complex:
         if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
             return y_new
         y = y_new
-    if defining_residual(x, y) <= DEFAULT_CONFIG.tol * (1.0 + abs(x)):
+    if defining_residual(x, y) <= core.TOL * (1.0 + abs(x)):
         return y
     raise NoConvergence(f"Halley polish stalled at x={x!r}")
 
@@ -392,8 +389,7 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 # public operations
 # ---------------------------------------------------------------------------
 
-def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas,
-                 cfg: SolverConfig | None = None) -> BranchedValue:
+def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
     """Sheet-n value at z in the finite-cuts convention.
 
     The value is continued from a real anchor R >= 10*(1+|z|) where the
@@ -407,7 +403,6 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas,
         `boundary_value` / `trace_path` for on-cut and near-point work).
     """
     n = validate_branch(n)
-    cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NonFiniteArgument(f"z must be finite, got {z!r}")
@@ -421,7 +416,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas,
         if min(abs(z - bp.x), abs(z - bp.conjugate_x)) < BRANCH_POINT_GUARD:
             raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
                         f"x_{j}; too close for direct evaluation")
-    y = atlas.continue_from_anchor(z, n, cfg=cfg)
+    y = atlas.continue_from_anchor(z, n)
     res = defining_residual(z, y)
     # near the tan pole (large real z on low sheets) the map y -> y*tan(y)
     # is so steep that a half-ulp of y already produces a large residual;
@@ -429,7 +424,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas,
     t = cmath.tan(y)
     steepness = abs(y * (1.0 + t * t) + t)
     floor = 4.0 * 2.220446049250313e-16 * steepness * (1.0 + abs(y))
-    if res > max(cfg.tol * (1.0 + abs(z)), floor):
+    if res > max(core.TOL * (1.0 + abs(z)), floor):
         raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
     return BranchedValue(x=z, y=y, branch=n, scheme=atlas.scheme, residual=res)
 
@@ -564,26 +559,17 @@ def discontinuity_delta1(v: float, atlas: SheetAtlas) -> complex:
 # dispersion relation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DispersionConfig:
-    """Quadrature layout for the dispersion reconstruction.
-
-    Both cut integrals are transformed so the integrand vanishes smoothly at
-    the branch-point endpoints (u = -s^2 absorbs the sqrt(-u) behavior of D0
-    at the origin, v = b - t^2 the sqrt(b - v) vanishing of D1 at x_1), then
-    integrated by composite Gauss-Legendre panels.  The discontinuity tables
-    are computed once per atlas and reused for every z; the coarse layout
-    provides the error estimate.
-    """
-
-    panels: int = 6
-    nodes: int = 24
-    coarse_panels: int = 3
-    coarse_nodes: int = 16
-    abs_tol: float = 1e-6
-
-
-DEFAULT_DISPERSION = DispersionConfig()
+# Quadrature layout of the dispersion reconstruction.  Both cut integrals
+# are transformed so the integrand vanishes smoothly at the branch-point
+# endpoints (u = -s^2 absorbs the sqrt(-u) behavior of D0 at the origin,
+# v = b - t^2 the sqrt(b - v) vanishing of D1 at x_1), then integrated by
+# composite Gauss-Legendre panels, each layout given as (panels, nodes per
+# panel).  The discontinuity tables are computed once per atlas and reused
+# for every z; the coarse layout provides the error estimate, which must
+# not exceed DISPERSION_ABS_TOL.
+DISPERSION_FINE = (6, 24)
+DISPERSION_COARSE = (3, 16)
+DISPERSION_ABS_TOL = 1e-6
 
 
 def _panel_nodes(length: float, panels: int, nodes: int):
@@ -654,8 +640,7 @@ def _assemble(z: complex, tables, a: float) -> complex:
     return 0.5 * math.pi + (i0 - i1) / math.pi
 
 
-def dispersion_eval(z: complex, atlas: SheetAtlas,
-                    quad_cfg: DispersionConfig | None = None) -> complex:
+def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     """Sheet-1 value at z rebuilt from the cut discontinuities alone.
 
     Matches `eval_complex(z, 1, atlas)` wherever z keeps a reasonable
@@ -663,16 +648,15 @@ def dispersion_eval(z: complex, atlas: SheetAtlas,
     large-|z| limit is pi/2 since the integral terms decay like 1/z.
 
     Raises QuadratureFailure when the fine/coarse quadrature disagreement
-    exceeds quad_cfg.abs_tol.
+    exceeds DISPERSION_ABS_TOL.
     """
-    cfg = quad_cfg or DEFAULT_DISPERSION
     z = complex(z)
     a = atlas.branch_points[0].x.real
-    fine = _assemble(z, _delta_tables(atlas, cfg.panels, cfg.nodes), a)
-    coarse = _assemble(z, _delta_tables(atlas, cfg.coarse_panels, cfg.coarse_nodes), a)
-    if abs(fine - coarse) > cfg.abs_tol:
+    fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
+    coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)
+    if abs(fine - coarse) > DISPERSION_ABS_TOL:
         raise QuadratureFailure(
             f"dispersion quadrature error estimate {abs(fine - coarse):.3e} "
-            f"exceeds {cfg.abs_tol:g} at z={z!r}"
+            f"exceeds {DISPERSION_ABS_TOL:g} at z={z!r}"
         )
     return fine

@@ -39,9 +39,7 @@ from .errors import (
 __all__ = [
     "BranchIndex",
     "CutScheme",
-    "SolverConfig",
     "BranchedValue",
-    "DEFAULT_CONFIG",
     "validate_branch",
     "eval_real",
     "halley_step",
@@ -52,6 +50,12 @@ __all__ = [
 ]
 
 HALF_PI = 0.5 * math.pi
+
+# Relative residual target of the root solvers: a root is accepted once
+# |w*tan(w) - x| <= TOL * (1 + |x|).  _solve_shifted gives up after MAX_ITER
+# iterations.
+TOL = 1e-13
+MAX_ITER = 60
 
 # |cos(w)| below this triggers PoleProximity in halley_step.
 POLE_GUARD = 1e-8
@@ -96,27 +100,6 @@ class CutScheme(enum.Enum):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Tolerances for the root solvers.
-
-    tol is a relative residual target: convergence means
-    |w*tan(w) - x| <= tol * (1 + |x|).
-    """
-
-    tol: float = 1e-13
-    max_iter: int = 60
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_CONFIG = SolverConfig()
-
-
-@dataclass(frozen=True)
 class BranchedValue:
     """A function value tagged with the branch and cut scheme that produced it."""
 
@@ -149,19 +132,21 @@ def _seed_branch1_positive(x: float) -> float:
     return min(max(w, 0.5 * s), HALF_PI * 0.999999)
 
 
-def _solve_shifted(C: float, s: int, absx: float, tol: float, max_iter: int,
-                   t0: float) -> float:
-    """Root of G(t) = (C + s*t)*tan(t) - absx for t in (0, pi/2).
+def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
+    """Root of G(t) = (C + s*t)*tan(t) - absx for t in [0, pi/2).
 
     The window is shifted so that w = C + s*t; both G(0) = -absx and
     G(pi/2-) = +infinity have exact signs, which keeps the bracket valid
     for arbitrarily small |x|.  Halley steps with a bisection safety net.
+    When the bracket collapses to a few ulp without meeting the target
+    (|x| so large that G rounds to -absx everywhere below pi/2), the
+    bracket itself locates the root.
     """
     lo, hi = 0.0, HALF_PI
-    t = t0 if lo < t0 < hi else 0.5 * (lo + hi)
-    target = tol * (1.0 + absx)
+    t = t0 if lo <= t0 < hi else 0.5 * (lo + hi)
+    target = TOL * (1.0 + absx)
     best_t, best_g = t, math.inf
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         tan_t = math.tan(t)
         y = C + s * t
         G = y * tan_t - absx
@@ -184,18 +169,17 @@ def _solve_shifted(C: float, s: int, absx: float, tol: float, max_iter: int,
         if not step_ok:
             t_new = 0.5 * (lo + hi)
         if hi - lo <= 4.0 * math.ulp(hi):
-            return best_t
+            break
         t = t_new
-    if best_g <= target or hi - lo <= 8.0 * math.ulp(hi):
-        return best_t
+    if hi - lo <= 8.0 * math.ulp(hi):
+        return best_t if lo <= best_t <= hi else 0.5 * (lo + hi)
     raise NoConvergence(
-        f"no convergence after {max_iter} iterations (|residual|={best_g:.3e}, "
+        f"no convergence after {MAX_ITER} iterations (|residual|={best_g:.3e}, "
         f"target {target:.3e})"
     )
 
 
-def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
-              side: int | None = None) -> float:
+def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     """Evaluate branch n of w*tan(w) = x for real x.
 
     Parameters
@@ -205,7 +189,6 @@ def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
     n : int
         Branch label, nonzero.  Negative branches delegate through the odd
         symmetry w(x, -n) = -w(x, n).
-    cfg : SolverConfig, optional
     side : {+1, -1}, optional
         Required only at x = 0 exactly, where the two one-sided limits
         differ: +1 selects lim x->0+ = sgn(n)*(|n|-1)*pi, -1 selects
@@ -214,16 +197,16 @@ def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
     Returns
     -------
     float
-        The unique root in the branch window; satisfies
-        |w*tan(w) - x| <= tol*(1+|x|).
+        The unique root in the branch window.  It satisfies
+        |w*tan(w) - x| <= TOL*(1+|x|), or, where w*tan(w) is too steep for
+        float64 to resolve that (large |x|, near the window edge), lies
+        within a few ulp of the exact root.
     """
     n = validate_branch(n)
-    if cfg is None:
-        cfg = DEFAULT_CONFIG
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if n < 0:
-        return -eval_real(x, -n, cfg, side)
+        return -eval_real(x, -n, side=side)
     if x == 0.0:
         if side is None:
             raise SignedZeroRequired(
@@ -236,11 +219,11 @@ def eval_real(x: float, n: BranchIndex, cfg: SolverConfig | None = None,
     if x > 0.0:
         C = (n - 1) * math.pi
         t0 = _seed_branch1_positive(x) if n == 1 else math.atan(x / C)
-        t = _solve_shifted(C, +1, x, cfg.tol, cfg.max_iter, t0)
+        t = _solve_shifted(C, +1, x, t0)
         return C + t
     C = n * math.pi
     t0 = math.atan(-x / C)
-    t = _solve_shifted(C, -1, -x, cfg.tol, cfg.max_iter, t0)
+    t = _solve_shifted(C, -1, -x, t0)
     return C - t
 
 

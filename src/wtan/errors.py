@@ -38,10 +38,6 @@ class PrecisionExhausted(WtanError):
     """Working precision leaves too few valid digits at the requested order."""
 
 
-class TruncationTooSmall(WtanError):
-    """Series truncation order is too small for the requested coefficient."""
-
-
 class OutsideConvergence(WtanError):
     """Evaluation point violates the series convergence-radius bound."""
 

@@ -22,17 +22,15 @@ integrable ln(sin(sqrt(x))) ~ (1/2) ln x singularity into a smooth factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath as mp
 
 from .complex_plane import _panel_nodes
-from .core import SolverConfig, eval_real
+from .core import eval_real
 from .errors import QuadratureFailure
 from .series import large_x_coeffs
 
 __all__ = [
-    "QuadratureConfig",
     "CATALAN",
     "LOG_SIN_TOTAL",
     "CATALAN_COMBINATION",
@@ -49,34 +47,27 @@ CATALAN_COMBINATION = math.pi ** 2 / 16.0 + math.pi / 8.0 * math.log(2.0) \
     - 0.5 * CATALAN
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    tail_cutoff: float = 100.0
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
+# _quad's targets: the summed error estimate must reach
+# min(max(ABS_TOL*1e-3, REL_TOL*|value|), ABS_TOL) within MAX_SUBDIVISIONS
+# intervals; an estimate left above ABS_TOL raises QuadratureFailure.
+ABS_TOL = 1e-9
+REL_TOL = 1e-10
+MAX_SUBDIVISIONS = 200
+# definite_lnsin integrates numerically up to here, analytically beyond.
+TAIL_CUTOFF = 100.0
 
 _QUAD_NODES = 10  # Gauss-Legendre nodes per panel in _quad
 
 
-def _quad(f, lo, hi, cfg: QuadratureConfig):
+def _quad(f, lo, hi):
     """Adaptive bisection over Gauss-Legendre panels.
 
     Each interval carries a fine value (two panels) and an error estimate,
-    the fine-vs-coarse difference, as in `DispersionConfig`; the coarse
-    value is one panel over the whole interval.  The interval with the
-    largest estimate is bisected, its halves taking the parent's panels as
-    their coarse values, until the summed estimate meets
-    max(abs_tol*1e-3, rel_tol*|value|), capped at abs_tol (an estimate above
-    it fails), or max_subdivisions intervals exist.
+    the fine-vs-coarse difference, as in the dispersion quadrature; the
+    coarse value is one panel over the whole interval.  The interval with
+    the largest estimate is bisected, its halves taking the parent's panels
+    as their coarse values, until the summed estimate meets the target
+    above or MAX_SUBDIVISIONS intervals exist.
     """
     k = _QUAD_NODES
     xs1, ws1 = (a.tolist() for a in _panel_nodes(1.0, 1, k))
@@ -94,24 +85,22 @@ def _quad(f, lo, hi, cfg: QuadratureConfig):
     while True:
         value = math.fsum(p[3] + p[4] for p in parts)
         err = math.fsum(p[0] for p in parts)
-        target = min(max(cfg.abs_tol * 1e-3, cfg.rel_tol * abs(value)), cfg.abs_tol)
-        if err <= target or len(parts) >= cfg.max_subdivisions:
+        target = min(max(ABS_TOL * 1e-3, REL_TOL * abs(value)), ABS_TOL)
+        if err <= target or len(parts) >= MAX_SUBDIVISIONS:
             break
         worst = max(parts, key=lambda p: p[0])
         parts.remove(worst)
         _, a, b, left, right = worst
         mid = 0.5 * (a + b)
         parts += [interval(a, mid, left), interval(mid, b, right)]
-    if err > cfg.abs_tol:
+    if err > ABS_TOL:
         raise QuadratureFailure(
-            f"estimated error {err:.3e} above {cfg.abs_tol:g} on [{lo}, {hi}]"
+            f"estimated error {err:.3e} above {ABS_TOL:g} on [{lo}, {hi}]"
         )
     return value
 
 
-def check_indefinite_log(x_lo: float, x_hi: float,
-                         cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                         solver: SolverConfig | None = None) -> float:
+def check_indefinite_log(x_lo: float, x_hi: float) -> float:
     """|quadrature of ln w - antiderivative difference| on [x_lo, x_hi]."""
     if not 0 < x_lo <= x_hi:
         raise ValueError("need 0 < x_lo <= x_hi")
@@ -119,18 +108,16 @@ def check_indefinite_log(x_lo: float, x_hi: float,
         return 0.0
 
     def integrand(x):
-        return math.log(eval_real(x, 1, solver))
+        return math.log(eval_real(x, 1))
 
     def anti(x):
-        w = eval_real(x, 1, solver)
+        w = eval_real(x, 1)
         return x * math.log(w) + math.log(abs(math.cos(w)))
 
-    return abs(_quad(integrand, x_lo, x_hi, cfg) - (anti(x_hi) - anti(x_lo)))
+    return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))
 
 
-def check_indefinite_logsin(x_lo: float, x_hi: float,
-                            cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                            solver: SolverConfig | None = None) -> float:
+def check_indefinite_logsin(x_lo: float, x_hi: float) -> float:
     """|quadrature of ln sin w - antiderivative difference| on [x_lo, x_hi]."""
     if not 0 < x_lo <= x_hi:
         raise ValueError("need 0 < x_lo <= x_hi")
@@ -138,13 +125,13 @@ def check_indefinite_logsin(x_lo: float, x_hi: float,
         return 0.0
 
     def integrand(x):
-        return math.log(math.sin(eval_real(x, 1, solver)))
+        return math.log(math.sin(eval_real(x, 1)))
 
     def anti(x):
-        w = eval_real(x, 1, solver)
+        w = eval_real(x, 1)
         return x * math.log(math.sin(w)) - 0.5 * w * w
 
-    return abs(_quad(integrand, x_lo, x_hi, cfg) - (anti(x_hi) - anti(x_lo)))
+    return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))
 
 
 def _lnsin_tail_coeffs(n_terms: int = 6) -> list[float]:
@@ -181,29 +168,26 @@ def lnsin_tail(X: float) -> float:
                for m, qm in enumerate(q) if m >= 2 and qm != 0.0)
 
 
-def definite_lnsin(cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                   solver: SolverConfig | None = None) -> float:
+def definite_lnsin() -> float:
     """int_0^inf ln sin(w(x)) dx: quadrature on [0, X] plus analytic tail.
 
     Equals -pi^2/8 exactly (the antiderivative telescopes between the
     endpoint limits), which the test suite checks to 1e-6.
     """
-    X = cfg.tail_cutoff
+    X = TAIL_CUTOFF
 
     def smooth(s):  # x = s^2 takes out the ln sqrt(x) endpoint singularity
-        return 2.0 * s * math.log(math.sin(eval_real(s * s, 1, solver)))
+        return 2.0 * s * math.log(math.sin(eval_real(s * s, 1)))
 
-    head = _quad(smooth, 0.0, 1.0, cfg)
-    body = _quad(lambda x: math.log(math.sin(eval_real(x, 1, solver))),
-                 1.0, X, cfg)
+    head = _quad(smooth, 0.0, 1.0)
+    body = _quad(lambda x: math.log(math.sin(eval_real(x, 1))), 1.0, X)
     return head + body + lnsin_tail(X)
 
 
-def definite_catalan(cfg: QuadratureConfig = DEFAULT_QUADRATURE,
-                     solver: SolverConfig | None = None) -> float:
+def definite_catalan() -> float:
     """int_0^(pi/4) w(x) dx; closed form pi^2/16 + (pi/8) ln 2 - G/2
     with Catalan's constant G = 0.91596594..., numerically 0.431066."""
     def smooth(s):
-        return 2.0 * s * eval_real(s * s, 1, solver)
+        return 2.0 * s * eval_real(s * s, 1)
 
-    return _quad(smooth, 0.0, math.sqrt(math.pi / 4.0), cfg)
+    return _quad(smooth, 0.0, math.sqrt(math.pi / 4.0))

@@ -25,7 +25,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .core import BranchIndex, SolverConfig, eval_real, validate_branch
+from .core import BranchIndex, eval_real
 from .errors import DegenerateState, DomainViolation, NonPositiveNorm
 
 __all__ = [
@@ -90,8 +90,7 @@ class Wavefunction:
         return self.A_II * math.sin(self.k * (a - xi))
 
 
-def spectrum(model: WellModel, count: int,
-             cfg: SolverConfig | None = None) -> list[SpectrumEntry]:
+def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     """Lowest `count` states: even levels k_n = (2/a) W^(n)(a/lambda) merged
     with the unaffected odd levels k = 2*m*pi/a, sorted by energy.
 
@@ -106,7 +105,7 @@ def spectrum(model: WellModel, count: int,
         if model.lam == 0.0:
             k = (2.0 * n - 1.0) * math.pi / a
         else:
-            k = 2.0 / a * eval_real(a / model.lam, n, cfg)
+            k = 2.0 / a * eval_real(a / model.lam, n)
         entries.append((k, Parity.EVEN, n))
     for m in range(1, count + 1):
         entries.append((2.0 * m * math.pi / a, Parity.ODD, None))
@@ -121,7 +120,9 @@ def spectrum(model: WellModel, count: int,
 def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
     """Amplitudes for one spectrum entry, normalized in the generalized
     inner product <psi| 1 + lambda*delta(xi - a/2) |psi> = 1 (plain L^2 for
-    odd states, whose center value vanishes)."""
+    odd states, whose center value vanishes).  Raises NonPositiveNorm for an
+    even entry whose generalized norm is not positive, which no entry of
+    `spectrum(model, ...)` has."""
     a, k = model.width_a, entry.k
     half = 0.5 * k * a
     s, c = math.sin(half), math.cos(half)
@@ -133,11 +134,15 @@ def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
         norm_sq = 0.5 * a
         A = 1.0 / math.sqrt(norm_sq)
         return Wavefunction(A_I=A, A_II=-A, k=k, width_a=a)
-    # even: continuity at the center gives A_I = A_II
+    # even: continuity at the center gives A_I = A_II.  At an eigenvalue the
+    # generalized norm equals (a/2)(1 + sin(ka)/(ka)) > 0; a non-positive one
+    # means the entry does not belong to this model
     norm_sq = 0.5 * a - math.sin(k * a) / (2.0 * k) + model.lam * s * s
     if norm_sq <= 0.0:
-        # strongly repulsive regime: fall back to the plain L2 norm
-        norm_sq = 0.5 * a - math.sin(k * a) / (2.0 * k)
+        raise NonPositiveNorm(
+            f"generalized norm {norm_sq:.3e} <= 0 at k={k}; the entry is not "
+            f"an even eigenstate of this model"
+        )
     A = 1.0 / math.sqrt(norm_sq)
     return Wavefunction(A_I=A, A_II=A, k=k, width_a=a)
 

@@ -51,7 +51,6 @@ from .errors import (
     FitDiverged,
     OutsideConvergence,
     PrecisionExhausted,
-    TruncationTooSmall,
 )
 
 __all__ = [
@@ -228,12 +227,12 @@ def _series_mul(p, q, N):
     return out
 
 
-def lagrange_b(k: int, trunc: int | None = None, precision: int = 50) -> float:
+def lagrange_b(k: int, precision: int = 50) -> float:
     """b_k by series inversion, independent of the recursion route.
 
     Builds the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
     v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- raises it to the k-th
-    power by truncated arithmetic, and reads off
+    power by arithmetic truncated after v^(k-1), and reads off
 
         b_k = -(pi/2)^k * (1/k) * [v^(k-1)] phi(v)^k ,   b_0 = 1 .
     """
@@ -241,9 +240,7 @@ def lagrange_b(k: int, trunc: int | None = None, precision: int = 50) -> float:
         raise ValueError("k must be >= 0")
     if k == 0:
         return 1.0
-    N = trunc if trunc is not None else k
-    if N < k:
-        raise TruncationTooSmall(f"truncation {N} < coefficient index {k}")
+    N = k - 1
     with mp.workdps(precision):
         half_pi = mp.pi / 2
         # sin(pi v/2)/v and cos(pi v/2) as series in v

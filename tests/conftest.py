@@ -9,8 +9,13 @@ values frozen in the tests were computed with these.
 import math
 
 import pytest
+from hypothesis import settings
 
 from wtan.complex_plane import SheetAtlas
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("wtan", derandomize=True, deadline=None, database=None)
+settings.load_profile("wtan")
 
 
 def bisect(f, lo, hi, iters=200):

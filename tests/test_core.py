@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+import wtan.core
 from wtan.complex_plane import eval_complex
 from wtan.core import (
-    SolverConfig,
     branch_identity_residual,
     derivative,
     eval_real,
@@ -88,6 +89,24 @@ class TestEvalReal:
         ws = [eval_real(float(x), 1) for x in xs]
         assert all(b > a for a, b in zip(ws, ws[1:]))
 
+    @pytest.mark.parametrize("x,n", [(1e40, 1), (-1e40, 2), (-2.03e31, 1),
+                                     (1.7e308, 7)])
+    def test_huge_argument_near_pole(self, x, n):
+        # w*tan(w) rounds to -x everywhere below the pole, so the collapsed
+        # bracket, not the best residual, locates the root pole -+ pole/(|x|-+1)
+        y = eval_real(x, n)
+        with mpmath.workdps(40):
+            pole = (n - mpmath.mpf(0.5)) * mpmath.pi
+            root = pole - pole / (x + 1) if x > 0 else pole + pole / (-x - 1)
+            assert abs(y - root) <= 4 * math.ulp(y)
+
+    def test_offset_below_smallest_subnormal(self):
+        # |x|/C underflows to 0, and the window edge is itself the root to
+        # within float64 resolution
+        y = eval_real(1.795395e-318, -384580)
+        with mpmath.workdps(40):
+            assert abs(y + 384579 * mpmath.pi) <= math.ulp(y)
+
     def test_signed_zero(self):
         with pytest.raises(SignedZeroRequired):
             eval_real(0.0, 1)
@@ -117,16 +136,11 @@ class TestEvalReal:
         assert eval_real(1.0, np.int64(low)) == eval_real(1.0, int(low))
         assert eval_complex(2 + 2j, np.int64(2), atlas).y == eval_complex(2 + 2j, 2, atlas).y
 
-    def test_no_convergence_when_tolerance_unreachable(self):
-        cfg = SolverConfig(tol=1e-30, max_iter=3)
+    def test_no_convergence_when_tolerance_unreachable(self, monkeypatch):
+        monkeypatch.setattr(wtan.core, "TOL", 1e-30)
+        monkeypatch.setattr(wtan.core, "MAX_ITER", 3)
         with pytest.raises(NoConvergence):
-            eval_real(1.0, 1, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_iter=0)
+            eval_real(1.0, 1)
 
 
 class TestHalleyStep:

@@ -9,6 +9,7 @@ from wtan.core import eval_real
 from wtan.errors import DomainViolation, NonPositiveNorm
 from wtan.quantum import (
     Parity,
+    SpectrumEntry,
     WellModel,
     jump_residual,
     rayleigh_quotient,
@@ -111,6 +112,26 @@ class TestWavefunction:
         l2, _ = quad(lambda xi: psi(xi) ** 2, 0, math.pi, limit=200)
         norm = l2 + model.lam * psi(0.5 * math.pi) ** 2
         assert norm == pytest.approx(1.0, abs=1e-8)
+
+    def test_even_norm_closed_form(self):
+        # at an even eigenvalue the generalized norm is (a/2)(1 + sin(ka)/(ka)),
+        # positive for attractive and repulsive contacts alike
+        for lam in (-10.0, -2.0, -0.5, 0.35, 5.0):
+            model = WellModel(width_a=1.0, lam=lam)
+            for entry in even_levels(spectrum(model, 8)):
+                psi = wavefunction(model, entry)
+                ka = entry.k * model.width_a
+                closed = 0.5 * model.width_a * (1.0 + math.sin(ka) / ka)
+                assert psi.A_I ** 2 * closed == pytest.approx(1.0, rel=1e-12)
+
+    def test_inconsistent_entry_rejected(self):
+        # k = pi is the lambda = 0 ground level; under lambda = -10 its
+        # generalized norm is 1/2 - 10 < 0, so no normalization exists
+        model = WellModel(width_a=1.0, lam=-10.0)
+        entry = SpectrumEntry(index=0, parity=Parity.EVEN, k=math.pi,
+                              E=math.pi ** 2, branch=1)
+        with pytest.raises(NonPositiveNorm):
+            wavefunction(model, entry)
 
 
 class TestBounds:

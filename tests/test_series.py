@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wtan.core import derivative, eval_real
-from wtan.errors import OutsideConvergence, PrecisionExhausted, TruncationTooSmall
+from wtan.errors import OutsideConvergence, PrecisionExhausted
 from wtan.series import (
     SeriesKind,
     eval_series,
@@ -77,10 +77,6 @@ class TestLagrange:
         for k in range(21):
             bk = float(table.primary[k])
             assert lagrange_b(k) == pytest.approx(bk, rel=1e-10)
-
-    def test_truncation_guard(self):
-        with pytest.raises(TruncationTooSmall):
-            lagrange_b(5, trunc=3)
 
 
 class TestEvalSeries:
