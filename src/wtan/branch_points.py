@@ -172,7 +172,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     try:
         # anchor on the circle of the largest radius, angle 0
         z0 = bp.x + radii[0]
-        y0 = atlas.continue_from_anchor(z0, n=1 if n == 1 else n)
+        y0 = atlas.continue_from_anchor(z0, n)
     except Exception as exc:  # pragma: no cover - defensive
         raise ContinuationFailure(f"could not anchor near x_{n}: {exc}") from exc
 

@@ -17,12 +17,28 @@ Re x_|n| <= Re x <= Re x_(|n|-1) (with x_0 taken as the origin).
 
 Evaluation
 ----------
-`eval_complex` continues the value from a real anchor far to the right
-(where the sheet value is essentially its limit at infinity) along a path
-that avoids the sheet's cuts; each step is corrected by Halley iteration.
-Steps shrink in proportion to the distance from the nearest branch point:
-near x_j the two local solution sheets differ by O(sqrt(distance)), so
-uncontrolled steps can silently hop between them.
+Outside the disk |x| <= |x_|n|| that holds every cut of sheet n, the value
+is solved for directly.  With c = (|n|-1/2)*pi, every root on sheet n > 0
+there satisfies the pole-free fixed-point form
+
+    w = c - atan(w/x)          (principal atan)
+
+since tan(c - d) = cot(d).  `continue_from_anchor` solves it by Newton
+iteration on h(w) = w - c + atan(w/x) from the seed c/(1 + 1/x) wherever
+|x| >= EXTERIOR_FACTOR*|x_|n||, and takes negative sheets from w(x, -n) =
+-w(x, n).  No tan is evaluated, so there is no pole to guard and the route
+works up to |x| = 1.7e308.  The fixed-point map contracts by
+q = |1/(x + w^2/x)|, which is 1 at a branch point and below 0.46 on
+|x| >= 1.2*|x_|n||; a root is used only if Newton converged and q <= 1/2,
+and then |y - y*| <= 2*|h(y)| certifies it.
+
+Everywhere else the value is continued from the real anchor R = 1 + |x|
+(the half-plane Re x > 0 holds no cut of any sheet, so every positive real
+point is a valid anchor, where `eval_real` gives the sheet value exactly)
+along a path that avoids the sheet's cuts; each step is corrected by Halley
+iteration.  Steps shrink in proportion to the distance from the nearest
+branch point: near x_j the two local solution sheets differ by
+O(sqrt(distance)), so uncontrolled steps can silently hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -98,6 +114,9 @@ __all__ = [
 CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
 SIDE_OFFSET = 1e-4         # boundary values step onto a cut from this far off it
+EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
+
+EPS = 2.220446049250313e-16
 
 # Continuation step policy.  Steps never exceed MAX_STEP, shrink by
 # STEP_SHRINK whenever the Halley correction exceeds MAX_DY (or fails), and
@@ -197,6 +216,8 @@ class SheetAtlas:
         self.branch_points = list(branch_points)
         self.max_sheet = len(self.branch_points)
         self.origin = 0j
+        # |x_n|: every cut of sheet +-n lies in the disk of this radius
+        self.disk_radii = tuple(abs(bp.x) for bp in self.branch_points)
         self._bp_locations = [self.origin]
         for bp in self.branch_points:
             self._bp_locations.append(bp.x)
@@ -271,15 +292,17 @@ class SheetAtlas:
     # -- continuation ------------------------------------------------------
 
     def build_waypoints(self, z: complex, n: BranchIndex) -> tuple[complex, ...]:
-        """Cut-avoiding route from the real anchor to z on sheet n.
+        """Cut-avoiding route from the real anchor R = 1 + |z| to z on sheet n.
 
-        Straight if the direct segment is clear; otherwise detour over (or
-        under, matching the half-plane of z) the tallest vertical cut of the
-        sheet and descend vertically onto z.  If the descent line would pass
-        within 1e-6 of a branch point the final approach is horizontal from
-        the right instead.
+        No cut of any sheet reaches the half-plane Re x > 0, so the anchor
+        value is `eval_real(R, n)`.  The route is straight if the direct
+        segment is clear; otherwise it detours over (or under, matching the
+        half-plane of z) the tallest vertical cut of the sheet and descends
+        vertically onto z.  If the descent line would pass within 1e-6 of a
+        branch point the final approach is horizontal from the right
+        instead.
         """
-        R = 10.0 * (1.0 + abs(z))
+        R = 1.0 + abs(z)
         start = complex(R, 0.0)
         cuts = self.cuts_for(n)
         if not any(c.crossing(start, z) for c in cuts):
@@ -304,14 +327,25 @@ class SheetAtlas:
         return (start, complex(R, s), complex(off, s), complex(off, z.imag), z)
 
     def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
-        """Continued value of sheet n at z; no proximity guards applied."""
+        """Value of sheet n at z; no proximity guards applied.
+
+        Where |z| >= EXTERIOR_FACTOR*|x_|n||, outside every cut of the
+        sheet, the value is the Newton root of h(w) = w - c + atan(w/z),
+        c = (|n|-1/2)*pi, taken only if Newton converged and the contraction
+        factor q = |1/(z + w^2/z)| is at most 1/2, so that the root is
+        within 2*|h(y)| of the exact value.  Otherwise, and inside the
+        disk, the value is continued from `eval_real(R, n)` at the real
+        anchor R = 1 + |z| along `build_waypoints`.
+        """
         n = validate_branch(n)
         if n < 0:
             return -self.continue_from_anchor(z, -n)
+        if n <= self.max_sheet and abs(z) >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
+            y = _exterior_root(z, (n - 0.5) * math.pi)
+            if y is not None:
+                return y
         waypoints = self.build_waypoints(z, n)
         R = waypoints[0]
-        # anchor at the real-axis value, within ~(n-1/2)*pi^2/(2R) of the
-        # sheet limit sgn(n)*(|n|-1/2)*pi at infinity
         y = complex(eval_real(R.real, n), 0.0)
         h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
         cur = R
@@ -324,6 +358,37 @@ class SheetAtlas:
 # ---------------------------------------------------------------------------
 # low-level continuation
 # ---------------------------------------------------------------------------
+
+def _atan_form(x: complex, c: float, w: complex) -> tuple[complex, complex]:
+    """h(w) = w - c + atan(w/x) and h'(w) - 1 = 1/(x + w*(w/x))."""
+    u = w / x
+    return w - c + cmath.atan(u), 1.0 / (x + w * u)
+
+
+def _exterior_root(x: complex, c: float) -> complex | None:
+    """Newton root of h(w) = w - c + atan(w/x) from the overflow-safe seed
+    c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2."""
+    w = c / (1.0 + 1.0 / x)
+    for _ in range(16):
+        h, d = _atan_form(x, c, w)
+        step = h / (1.0 + d)
+        w -= step
+        if abs(step) <= 2.0 * EPS * (1.0 + abs(w)):
+            return w if abs(d) <= 0.5 else None
+    return None
+
+
+def _exterior_certified(x: complex, n: BranchIndex, y: complex,
+                        atlas: SheetAtlas) -> bool:
+    """y is certified by the exterior route's bound: |x| >= EXTERIOR_FACTOR*
+    |x_|n||, contraction q <= 1/2 and |h(y)| <= 4*eps*(1+|y|), so that y is
+    within 8*eps*(1+|y|) of the sheet-n root."""
+    m = abs(n)
+    if abs(x) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]:
+        return False
+    h, d = _atan_form(x, (m - 0.5) * math.pi, y if n > 0 else -y)
+    return abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
+
 
 def _refine(x: complex, y: complex) -> complex:
     """Polish y toward the root of w*tan(w) = x by Halley iteration."""
@@ -392,8 +457,21 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
     """Sheet-n value at z in the finite-cuts convention.
 
-    The value is continued from a real anchor R >= 10*(1+|z|) where the
-    sheet is within machine precision of its limit sgn(n)*(|n|-1/2)*pi.
+    The value comes from `SheetAtlas.continue_from_anchor`: solved directly
+    from w = c - atan(w/z) where |z| >= EXTERIOR_FACTOR*|x_|n||, continued
+    from the real anchor R = 1 + |z| elsewhere.  It is accepted if either
+
+    * |z| >= EXTERIOR_FACTOR*|x_|n||, the contraction factor
+      q = |1/(z + w^2/z)| at y is at most 1/2 and
+      |h(y)| = |y - c + atan(y/z)| <= 4*eps*(1+|y|) (sheet n > 0; negative
+      sheets test -y), which puts y within 8*eps*(1+|y|) of the root, or
+    * the residual |y*tan(y) - z| is at most TOL*(1+|z|) or, near the tan
+      pole, the conditioning floor 4*eps*|d(y tan y)/dy|*(1+|y|).
+
+    `BranchedValue.residual` is |y*tan(y) - z| on both routes.  For |z|
+    beyond ~1e16 tan(y) no longer resolves the root, so there it reports
+    float64's limit, not an error in y; the first test is what certifies
+    such values.
 
     Raises
     ------
@@ -404,8 +482,8 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     """
     n = validate_branch(n)
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise NonFiniteArgument(f"z must be finite, got {z!r}")
+    if not math.isfinite(math.hypot(z.real, z.imag)):
+        raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
     if atlas.distance_to_cuts(z, n) < CUT_GUARD:
         raise OnCut(f"z={z!r} lies on a cut of sheet {n}")
     m = abs(n)
@@ -417,15 +495,16 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
             raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
                         f"x_{j}; too close for direct evaluation")
     y = atlas.continue_from_anchor(z, n)
-    res = defining_residual(z, y)
-    # near the tan pole (large real z on low sheets) the map y -> y*tan(y)
-    # is so steep that a half-ulp of y already produces a large residual;
-    # accept down to that conditioning floor, |d(y tan y)/dy| * ulp
     t = cmath.tan(y)
-    steepness = abs(y * (1.0 + t * t) + t)
-    floor = 4.0 * 2.220446049250313e-16 * steepness * (1.0 + abs(y))
-    if res > max(core.TOL * (1.0 + abs(z)), floor):
-        raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
+    res = abs(y * t - z)
+    if not _exterior_certified(z, n, y, atlas):
+        # near the tan pole (large real z on low sheets) the map y -> y*tan(y)
+        # is so steep that a half-ulp of y already produces a large residual;
+        # accept down to that conditioning floor, |d(y tan y)/dy| * ulp
+        steepness = abs(y * (1.0 + t * t) + t)
+        floor = 4.0 * EPS * steepness * (1.0 + abs(y))
+        if res > max(core.TOL * (1.0 + abs(z)), floor):
+            raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
     return BranchedValue(x=z, y=y, branch=n, scheme=atlas.scheme, residual=res)
 
 

@@ -57,6 +57,17 @@ HALF_PI = 0.5 * math.pi
 TOL = 1e-13
 MAX_ITER = 60
 
+# Pole-side closed form.  With c = (n-1/2)*pi the root on branch n >= 1 is
+# w = c - atan(w/x), i.e. w = c -+ c/(|x| +- 1) up to the cubic term of atan,
+# about c^3/(3|x|^3).  For |x| > POLE_SIDE*(n - 1/2) even c^3/(3x^2) is
+# below 1e-3 ulp of c (ulp(c) >= c*2^-53), so the neglected term is below
+# 1e-3/|x| < 4e-13 ulp, and eval_real returns the closed form with c held
+# as a double-double, rounded once.
+POLE_SIDE = math.pi * math.sqrt(2.0 ** 53 / 3e-3)
+# math.pi == _PI_NUM/_PI_DEN exactly; _PI_LO is the rest of pi
+_PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
+_PI_LO = 1.2246467991473532e-16
+
 # |cos(w)| below this triggers PoleProximity in halley_step.
 POLE_GUARD = 1e-8
 
@@ -179,6 +190,20 @@ def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
     )
 
 
+def _pole_side_root(x: float, n: int) -> float:
+    """c - c/(x+1) for x > 0, c + c/(|x|-1) for x < 0, c = (n-1/2)*pi, n >= 1.
+
+    c is split exactly into hi + lo (hi the double nearest c), so the only
+    rounding that reaches the result is the final addition."""
+    num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    lo = (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
+    if x > 0.0:
+        return hi + (lo - hi / (x + 1.0))
+    return hi + (lo + hi / (-x - 1.0))
+
+
 def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     """Evaluate branch n of w*tan(w) = x for real x.
 
@@ -200,7 +225,9 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         The unique root in the branch window.  It satisfies
         |w*tan(w) - x| <= TOL*(1+|x|), or, where w*tan(w) is too steep for
         float64 to resolve that (large |x|, near the window edge), lies
-        within a few ulp of the exact root.
+        within a few ulp of the exact root.  For |x| > POLE_SIDE*(|n|-1/2)
+        (about 5.4e9*(|n|-1/2)) it is the pole-side closed form, correctly
+        rounded.
     """
     n = validate_branch(n)
     if not math.isfinite(x):
@@ -216,6 +243,8 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         if side > 0:
             return (n - 1) * math.pi
         return n * math.pi
+    if abs(x) > POLE_SIDE * (n - 0.5):
+        return _pole_side_root(x, n)
     if x > 0.0:
         C = (n - 1) * math.pi
         t0 = _seed_branch1_positive(x) if n == 1 else math.atan(x / C)

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from wtan import complex_plane
 from wtan.complex_plane import (
+    EXTERIOR_FACTOR,
     ContinuationPath,
     CutKind,
     SheetAtlas,
@@ -15,9 +17,10 @@ from wtan.complex_plane import (
     dispersion_eval,
     eval_complex,
     trace_path,
+    _walk_segment,
 )
 from wtan.core import CutScheme, eval_real
-from wtan.errors import NotOnCut, OnCut, OutOfCutRange, QuadratureFailure
+from wtan.errors import NonFiniteArgument, NotOnCut, OnCut, OutOfCutRange, QuadratureFailure
 from wtan.series import eval_series, large_x_coeffs
 
 from conftest import imaginary_boundary_oracle, w_real_oracle
@@ -27,8 +30,8 @@ CLOSURE_POINTS = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j, -0.5 - 3j,
 
 
 def _within_eval_complex_bound(z, y):
-    """The acceptance rule of eval_complex: residual below TOL*(1+|z|) or
-    below the conditioning floor 4*ulp*|d(y tan y)/dy|*(1+|y|)."""
+    """The residual acceptance rule of eval_complex: residual below
+    TOL*(1+|z|) or below the conditioning floor 4*ulp*|d(y tan y)/dy|*(1+|y|)."""
     t = cmath.tan(y)
     floor = 4.0 * 2.220446049250313e-16 * abs(y * (1.0 + t * t) + t) * (1.0 + abs(y))
     return abs(y * t - z) <= max(1e-13 * (1.0 + abs(z)), floor)
@@ -166,6 +169,99 @@ class TestEvalComplex:
         bv = eval_complex(-1 + 0j, 2, atlas)
         assert bv.y.imag == pytest.approx(0.0, abs=1e-12)
         assert bv.y.real == pytest.approx(w_real_oracle(-1.0, 1), abs=1e-10)
+
+
+def _continued_from_far_anchor(z, n, atlas):
+    """Sheet-n value at z by the route eval_complex took before the exterior
+    solve: continued from eval_real(10*(1+|z|), n) down the real axis to the
+    anchor of build_waypoints, then along its waypoints, with the same step
+    cap."""
+    R = 10.0 * (1.0 + abs(z))
+    h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
+    cur, y = complex(R, 0.0), complex(eval_real(R, n), 0.0)
+    for target in atlas.build_waypoints(z, n):
+        y = _walk_segment(cur, y, target, atlas, h_base=h_base)
+        cur = target
+    return y
+
+
+def _count_halley_steps(monkeypatch):
+    calls = []
+    step = complex_plane.halley_step
+
+    def counted(x, y):
+        calls.append(x)
+        return step(x, y)
+
+    monkeypatch.setattr(complex_plane, "halley_step", counted)
+    return calls
+
+
+def _inner_points(atlas, n, rng):
+    """Points that keep the continuation route: in the band between |x_n|
+    and EXTERIOR_FACTOR*|x_n|, next to the sheet's branch points and just
+    off its cuts, all outside the guards of eval_complex."""
+    m = abs(n)
+    r0 = atlas.disk_radii[m - 1]
+    bps = [atlas.branch_points[j - 1].x for j in (m - 1, m) if j >= 1]
+    bps += [x.conjugate() for x in bps]
+    points = []
+    while len(points) < 40:
+        z = cmath.rect(rng.uniform(1.0, EXTERIOR_FACTOR) * r0, rng.uniform(-math.pi, math.pi))
+        if min(abs(z - x) for x in bps) > 2e-3:
+            points.append(z)
+    for _ in range(40):
+        x = bps[rng.integers(len(bps))]
+        points.append(x + cmath.rect(10.0 ** rng.uniform(-2.9, -1.0),
+                                     rng.uniform(-math.pi, math.pi)))
+    for cut in atlas.cuts_for(n):
+        p, q = cut.endpoints
+        normal = 1.0 if cut.kind is CutKind.VERTICAL_SEGMENT else 1j
+        for _ in range(20):
+            on_cut = p + rng.uniform(0.05, 0.95) * (q - p)
+            points.append(on_cut + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8.0, -3.0)
+                          * normal)
+    return points
+
+
+class TestExteriorRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_continuation(self, atlas, monkeypatch, n):
+        # 2000 points per sheet pair +-n with EXTERIOR_FACTOR*|x_n| <= |z| <= 1e6
+        rng = np.random.default_rng(500 + n)
+        r0 = EXTERIOR_FACTOR * atlas.disk_radii[n - 1]
+        moduli = 10.0 ** rng.uniform(math.log10(r0), 6.0, 2000)
+        points = [cmath.rect(r, t) for r, t in zip(moduli, rng.uniform(-math.pi, math.pi, 2000))]
+        calls = _count_halley_steps(monkeypatch)
+        plus = [eval_complex(z, n, atlas).y for z in points]
+        minus = [eval_complex(z, -n, atlas).y for z in points]
+        assert not calls          # solved directly, never continued
+        monkeypatch.undo()
+        for z, yp, ym in zip(points, plus, minus):
+            ref = _continued_from_far_anchor(z, n, atlas)
+            assert abs(yp - ref) <= 4e-15 * abs(ref), z
+            assert abs(ym + ref) <= 4e-15 * abs(ref), z
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, -2])
+    def test_inner_points_still_continued(self, atlas, monkeypatch, n):
+        calls = _count_halley_steps(monkeypatch)
+        for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
+            calls.clear()
+            y = eval_complex(z, n, atlas).y
+            assert calls, z
+            ref = _continued_from_far_anchor(z, n, atlas)
+            assert abs(y - ref) <= 4e-15 * abs(ref), z
+
+    def test_huge_modulus(self, atlas):
+        # no tan is evaluated on this route, so no pole guard stops it
+        for n in (1, 4, -3):
+            for z in (1.7e308 + 0j, -1.2e308 + 1.2e308j, 1e300j, -1e200 - 1e-300j):
+                y = eval_complex(z, n, atlas).y
+                limit = math.copysign((abs(n) - 0.5) * math.pi, n)
+                assert abs(y - limit) <= 4e-16 * abs(limit), (z, n)
+        # finite parts, but a modulus beyond float64
+        with pytest.raises(NonFiniteArgument):
+            eval_complex(-1.7e308 + 1e308j, 1, atlas)
 
 
 class TestTracePath:

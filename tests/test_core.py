@@ -92,13 +92,35 @@ class TestEvalReal:
     @pytest.mark.parametrize("x,n", [(1e40, 1), (-1e40, 2), (-2.03e31, 1),
                                      (1.7e308, 7)])
     def test_huge_argument_near_pole(self, x, n):
-        # w*tan(w) rounds to -x everywhere below the pole, so the collapsed
-        # bracket, not the best residual, locates the root pole -+ pole/(|x|-+1)
+        # w*tan(w) rounds to -x everywhere below the pole, so no residual can
+        # locate the root pole -+ pole/(|x|-+1); the pole-side closed form does
         y = eval_real(x, n)
         with mpmath.workdps(40):
             pole = (n - mpmath.mpf(0.5)) * mpmath.pi
             root = pole - pole / (x + 1) if x > 0 else pole + pole / (-x - 1)
             assert abs(y - root) <= 4 * math.ulp(y)
+
+    def test_pole_side_correctly_rounded(self):
+        # past POLE_SIDE*(n - 1/2) the root is returned from its closed form
+        # rounded once; the 40-digit reference solves w = c - atan(w/x), the
+        # defining equation in pole-free form (tan(c - d) = cot d), by
+        # fixed-point iteration, which contracts by 1/|x|
+        rng = np.random.default_rng(16)
+        count = 2400
+        mags = 10.0 ** rng.uniform(16.0, math.log10(1.7e308), count)
+        signs = rng.choice([-1.0, 1.0], count)
+        branches = np.floor(10.0 ** rng.uniform(0.0, 6.0, count)).astype(int)
+        for x, n in zip(signs * mags, branches):
+            x, n = float(x), int(n)
+            assert abs(x) > wtan.core.POLE_SIDE * (n - 0.5)
+            y = eval_real(x, n)
+            with mpmath.workdps(40):
+                c = (n - mpmath.mpf(0.5)) * mpmath.pi
+                root = c
+                for _ in range(3):
+                    root = c - mpmath.atan(root / x)
+                assert abs(y - root) <= 0.5 * math.ulp(y), (x, n)
+            assert eval_real(x, -n) == -y
 
     def test_offset_below_smallest_subnormal(self):
         # |x|/C underflows to 0, and the window edge is itself the root to
