@@ -8,6 +8,9 @@ location, cut discontinuities with the dispersion reconstruction, integral
 identities, and the square-well eigenvalue problem the function solves.
 """
 
+import importlib
+
+from . import errors
 from .branch_points import (
     BranchPoint,
     asymptotic_branch_point,
@@ -40,12 +43,6 @@ from .core import (
     second_derivative,
     validate_branch,
 )
-from .integrals import (
-    check_indefinite_log,
-    check_indefinite_logsin,
-    definite_catalan,
-    definite_lnsin,
-)
 from .quantum import (
     Parity,
     SpectrumEntry,
@@ -57,17 +54,65 @@ from .quantum import (
     variational_bound_2,
     wavefunction,
 )
-from .series import (
-    AsymptoticFit,
-    RadiusEstimate,
-    SeriesKind,
-    SeriesTable,
-    eval_series,
-    fit_asymptotic,
-    lagrange_b,
-    large_x_coeffs,
-    radius_estimates,
-    small_x_coeffs,
-)
 
 __version__ = "0.1.0"
+
+# The two modules that need mpmath load on first use of the module or of
+# one of these names (PEP 562), so `import wtan` imports no mpmath.
+_LAZY = {
+    "series": (
+        "AsymptoticFit",
+        "RadiusEstimate",
+        "SeriesKind",
+        "SeriesTable",
+        "eval_series",
+        "fit_asymptotic",
+        "lagrange_b",
+        "large_x_coeffs",
+        "radius_estimates",
+        "small_x_coeffs",
+    ),
+    "integrals": (
+        "check_indefinite_log",
+        "check_indefinite_logsin",
+        "definite_catalan",
+        "definite_lnsin",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    for module, names in _LAZY.items():
+        if name in names:
+            value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = [
+    # submodules
+    "branch_points", "chebyshev", "complex_plane", "core", "errors",
+    "integrals", "quantum", "series",
+    # branch_points
+    "BranchPoint", "asymptotic_branch_point", "find_branch_point",
+    "local_expansion_check",
+    # chebyshev
+    "ChebyshevModel", "eval_cheb", "fit",
+    # complex_plane
+    "ContinuationPath", "Cut", "CutKind", "SheetAtlas", "Side",
+    "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
+    "dispersion_eval", "eval_complex", "trace_path",
+    # core
+    "BranchedValue", "BranchIndex", "CutScheme", "branch_identity_residual",
+    "defining_residual", "derivative", "eval_real", "halley_step",
+    "second_derivative", "validate_branch",
+    # quantum
+    "Parity", "SpectrumEntry", "Wavefunction", "WellModel",
+    "rayleigh_quotient", "spectrum", "variational_bound_1",
+    "variational_bound_2", "wavefunction",
+    # series and integrals (loaded on first use)
+    *_LAZY["series"], *_LAZY["integrals"],
+]

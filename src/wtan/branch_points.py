@@ -14,10 +14,10 @@ real equation
 
 with exactly one root u_n in each interval [(2n-1)*pi, (2n-1/2)*pi],
 n = 1, 2, ..., and cosh(v) = -u/sin(u); the solver checks that its root
-lies in that interval.  The stored representative takes v > 0 (upper
-half-plane w), which puts x_n = w_n*tan(w_n) in the upper half-plane as
-well; the conjugate point is implied.  The trivial root w = 0 corresponds
-to the branch point at x = 0 and is not indexed here.
+lies in that interval, to a few ulp.  The stored representative takes
+v > 0 (upper half-plane w), which puts x_n = w_n*tan(w_n) in the upper
+half-plane as well; the conjugate point is implied.  The trivial root
+w = 0 corresponds to the branch point at x = 0 and is not indexed here.
 
 Near any x_n the function behaves like a square root,
 
@@ -87,9 +87,11 @@ def find_branch_point(n: int) -> BranchPoint:
         If the steps do not settle within 50 iterations.
     BracketFailure
         If the root found has u = 2 Re w outside [(2n-1)*pi, (2n-1/2)*pi]
-        or v = 2 Im w <= 0, i.e. it is not the n-th branch point (or n is
-        so large that float64 no longer separates the interval's endpoint
-        from the root).
+        or v = 2 Im w <= 0, i.e. it is not the n-th branch point.  The
+        interval is widened at each end by 4 ulp of its upper end, since u
+        and both ends are rounded: from n ~ 1e8 on the root lies within an
+        ulp of the upper end, and at n = 1e9 and 1e13 the rounded u is one
+        ulp past the rounded end.
     """
     if n < 1:
         raise ValueError("branch point index must be >= 1")
@@ -105,10 +107,12 @@ def find_branch_point(n: int) -> BranchPoint:
             f"(last step {abs(step):.3e} at w={y!r})"
         )
     u, v = 2 * y.real, 2 * y.imag
-    if not ((2 * n - 1) * math.pi <= u <= (2 * n - 0.5) * math.pi and v > 0.0):
+    lo, hi = (2 * n - 1) * math.pi, (2 * n - 0.5) * math.pi
+    slack = 4.0 * math.ulp(hi)
+    if not (lo - slack <= u <= hi + slack and v > 0.0):
         raise BracketFailure(
             f"Newton for branch point {n} settled at u={u!r}, v={v!r}, outside "
-            f"u in [{(2 * n - 1) * math.pi}, {(2 * n - 0.5) * math.pi}], v > 0"
+            f"u in [{lo}, {hi}] (+-4 ulp), v > 0"
         )
     return BranchPoint(n=n, u=u, v=v, y=y, x=y * cmath.tan(y),
                        b=(2 * n - 0.5) * math.pi)

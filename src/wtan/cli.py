@@ -30,16 +30,7 @@ from .core import (
     eval_real,
 )
 from .errors import WtanError
-from .integrals import (
-    CATALAN_COMBINATION,
-    LOG_SIN_TOTAL,
-    check_indefinite_log,
-    check_indefinite_logsin,
-    definite_catalan,
-    definite_lnsin,
-)
-from .quantum import Parity, WellModel, spectrum, wavefunction
-from .series import SeriesKind, large_x_coeffs, radius_estimates, small_x_coeffs
+from .quantum import WellModel, spectrum, wavefunction
 
 __all__ = ["main"]
 
@@ -170,6 +161,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_series(args) -> int:
+    from .series import SeriesKind, large_x_coeffs, radius_estimates, small_x_coeffs
+
     kind = SeriesKind.SMALL_X if args.kind == "small" else SeriesKind.LARGE_X
     table = (small_x_coeffs if kind is SeriesKind.SMALL_X else large_x_coeffs)(
         args.order, args.work_digits)
@@ -240,6 +233,15 @@ def cmd_qm(args) -> int:
 
 
 def cmd_integrals(args) -> int:
+    from .integrals import (
+        CATALAN_COMBINATION,
+        LOG_SIN_TOTAL,
+        check_indefinite_log,
+        check_indefinite_logsin,
+        definite_catalan,
+        definite_lnsin,
+    )
+
     lo, hi = args.range
     lnsin = definite_lnsin()
     catalan = definite_catalan()

@@ -69,11 +69,10 @@ from __future__ import annotations
 
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
-
-import numpy as np
 
 from . import core
 from .branch_points import BranchPoint, find_branch_point
@@ -336,18 +335,22 @@ class SheetAtlas:
         within 2*|h(y)| of the exact value.  Otherwise, and inside the
         disk, the value is continued from `eval_real(R, n)` at the real
         anchor R = 1 + |z| along `build_waypoints`.
+
+        Raises NonFiniteArgument if |z| is not finite, including finite
+        parts whose modulus overflows.
         """
         n = validate_branch(n)
+        r = _modulus(z)
         if n < 0:
             return -self.continue_from_anchor(z, -n)
-        if n <= self.max_sheet and abs(z) >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
+        if n <= self.max_sheet and r >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
             y = _exterior_root(z, (n - 0.5) * math.pi)
             if y is not None:
                 return y
         waypoints = self.build_waypoints(z, n)
         R = waypoints[0]
         y = complex(eval_real(R.real, n), 0.0)
-        h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
+        h_base = max(0.1 * (1.0 + r), 1e-3)
         cur = R
         for target in waypoints[1:]:
             y = _walk_segment(cur, y, target, self, h_base=h_base)
@@ -358,6 +361,15 @@ class SheetAtlas:
 # ---------------------------------------------------------------------------
 # low-level continuation
 # ---------------------------------------------------------------------------
+
+def _modulus(z: complex) -> float:
+    """|z|, raising NonFiniteArgument where it is not finite (abs() raises a
+    bare OverflowError when finite parts give a modulus above 1.8e308)."""
+    r = math.hypot(z.real, z.imag)
+    if not math.isfinite(r):
+        raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
+    return r
+
 
 def _atan_form(x: complex, c: float, w: complex) -> tuple[complex, complex]:
     """h(w) = w - c + atan(w/x) and h'(w) - 1 = 1/(x + w*(w/x))."""
@@ -482,8 +494,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     """
     n = validate_branch(n)
     z = complex(z)
-    if not math.isfinite(math.hypot(z.real, z.imag)):
-        raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
+    _modulus(z)
     if atlas.distance_to_cuts(z, n) < CUT_GUARD:
         raise OnCut(f"z={z!r} lies on a cut of sheet {n}")
     m = abs(n)
@@ -516,8 +527,11 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     whenever a sub-step crosses a cut of the current sheet, following the
     cut's `connects` pair.  Returns the accepted steps as
     (point, value, sheet) records, starting with the initial point.
+    Raises NonFiniteArgument if a waypoint's modulus is not finite.
     """
     start_sheet = validate_branch(start_sheet)
+    for point in path.waypoints:
+        _modulus(point)
     z0 = path.waypoints[0]
     y0 = atlas.continue_from_anchor(z0, start_sheet)
     records = [(z0, y0, start_sheet)]
@@ -651,15 +665,63 @@ DISPERSION_COARSE = (3, 16)
 DISPERSION_ABS_TOL = 1e-6
 
 
-def _panel_nodes(length: float, panels: int, nodes: int):
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    pts, wts = [], []
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1].
+
+    Each positive node is Newton's root of P_n from the guess
+    cos(pi*(i + 3/4)/(n + 1/2)), with P_n, P_(n-1) and
+    P_n' = n*(P_(n-1) - x*P_n)/(1 - x^2) from the three-term recurrence
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013); the negative nodes
+    mirror them, and odd n adds x = 0.  The weight is
+    2/((1 - x^2)*P_n'(x)^2): its relative sensitivity to a node error is
+    only 2x/(1 - x^2), where the equivalent 2(1 - x^2)/(n*P_(n-1)(x))^2
+    amplifies a half-ulp node error by 2(n+1)x/(1 - x^2).  For n = 10, 16
+    and 24, the only sizes used, nodes are within one ulp and weights
+    within 1e-14 relative of a 40-digit reference.  Cached: the rule
+    depends on n alone.
+    """
+    def legendre(x):  # (P_n(x), P_(n-1)(x))
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, p0
+
+    nodes, weights = [], []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(10):  # converges in at most 5 steps for n <= 24
+            p, q = legendre(x)
+            dx = p * (1.0 - x) * (1.0 + x) / (n * (q - x * p))
+            x -= dx
+            if abs(dx) <= EPS:
+                break
+        p, q = legendre(x)
+        s = (1.0 - x) * (1.0 + x)
+        d = n * (q - x * p) / s
+        nodes.append(x)
+        weights.append(2.0 / (s * d * d))
+    if n % 2:
+        nodes.append(0.0)
+        weights.append(2.0 / (n * legendre(0.0)[1]) ** 2)
+    half = n // 2
+    return (tuple(-x for x in nodes[:half]) + tuple(reversed(nodes)),
+            tuple(weights[:half]) + tuple(reversed(weights)))
+
+
+def _panel_nodes(length: float, panels: int,
+                 nodes: int) -> tuple[list[float], list[float]]:
+    """Composite Gauss-Legendre rule on [0, length]: `panels` equal panels
+    of `nodes` points from `_gauss_legendre`; (points, weights), ascending."""
+    xs, ws = _gauss_legendre(nodes)
     width = length / panels
+    pts, wts = [], []
     for p in range(panels):
         lo = p * width
-        pts.append(lo + 0.5 * width * (xs + 1.0))
-        wts.append(0.5 * width * ws)
-    return np.concatenate(pts), np.concatenate(wts)
+        pts += [lo + 0.5 * width * (x + 1.0) for x in xs]
+        wts += [0.5 * width * w for w in ws]
+    return pts, wts
 
 
 def _march(points: list[complex], z: complex, y: complex,
@@ -681,41 +743,40 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     a, b = bp.x.real, bp.x.imag
 
     # real-cut table: nodes u = -s^2, marched along the cut itself from near
-    # the origin toward a, after stepping onto it from the upper side
+    # the origin toward a, after stepping onto it from the upper side (the
+    # s nodes ascend, so the u nodes already descend: 0- -> a)
     s_nodes, s_wts = _panel_nodes(math.sqrt(-a), panels, nodes)
-    us = -s_nodes ** 2
-    order = np.argsort(us)[::-1]                      # u descending: 0- -> a
-    start = complex(us[order[0]], SIDE_OFFSET)
-    upper = _march([complex(us[i], 0.0) for i in order], start,
+    us = [-s * s for s in s_nodes]
+    start = complex(us[0], SIDE_OFFSET)
+    upper = _march([complex(u, 0.0) for u in us], start,
                    atlas.continue_from_anchor(start, 1), atlas)
-    d0 = np.empty(len(us))
-    d0[order] = [y.imag for y in upper]
+    d0 = [y.imag for y in upper]
 
-    # vertical-cut table: nodes v = b - t^2, marched down the cut from near
-    # x_1.  Anchor each side well clear of the cut (|Re - a| = 0.3) and walk
-    # horizontally onto it at the top node's height; this is side-correct by
-    # construction, whereas descending close to the cut would thread the
-    # needle past x_1 itself.
+    # vertical-cut table: nodes v = b - t^2 (descending: b- -> 0+), marched
+    # down the cut from near x_1.  Anchor each side well clear of the cut
+    # (|Re - a| = 0.3) and walk horizontally onto it at the top node's
+    # height; this is side-correct by construction, whereas descending close
+    # to the cut would thread the needle past x_1 itself.
     t_nodes, t_wts = _panel_nodes(math.sqrt(b), panels, nodes)
-    vs = b - t_nodes ** 2
-    order_v = np.argsort(vs)[::-1]                    # v descending: b- -> 0+
-    on_cut = [complex(a, vs[i]) for i in order_v]
+    vs = [b - t * t for t in t_nodes]
+    on_cut = [complex(a, v) for v in vs]
     right, left = (
         _march(on_cut, clear, atlas.continue_from_anchor(clear, 1), atlas)
-        for clear in (complex(a + 0.3, on_cut[0].imag), complex(a - 0.3, on_cut[0].imag))
+        for clear in (complex(a + 0.3, vs[0]), complex(a - 0.3, vs[0]))
     )
-    d1 = np.empty(len(vs), dtype=complex)
-    d1[order_v] = 0.5 * (np.array(right) - np.array(left))
+    d1 = [0.5 * (r - l) for r, l in zip(right, left)]
 
-    tables = (us, 2.0 * s_nodes * s_wts, d0, vs, 2.0 * t_nodes * t_wts, d1)
+    tables = (us, [2.0 * s * w for s, w in zip(s_nodes, s_wts)], d0,
+              vs, [2.0 * t * w for t, w in zip(t_nodes, t_wts)], d1)
     atlas._disp_tables[key] = tables
     return tables
 
 
 def _assemble(z: complex, tables, a: float) -> complex:
     us, w0, d0, vs, w1, d1 = tables
-    i0 = np.sum(w0 * d0 / (us - z))
-    i1 = np.sum(w1 * (d1 / (a + 1j * vs - z) + np.conj(d1) / (a - 1j * vs - z)))
+    i0 = sum(w * d / (u - z) for u, w, d in zip(us, w0, d0))
+    i1 = sum(w * (d / (a + 1j * v - z) + d.conjugate() / (a - 1j * v - z))
+             for v, w, d in zip(vs, w1, d1))
     return 0.5 * math.pi + (i0 - i1) / math.pi
 
 

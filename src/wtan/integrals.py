@@ -70,8 +70,8 @@ def _quad(f, lo, hi):
     above or MAX_SUBDIVISIONS intervals exist.
     """
     k = _QUAD_NODES
-    xs1, ws1 = (a.tolist() for a in _panel_nodes(1.0, 1, k))
-    xs2, ws2 = (a.tolist() for a in _panel_nodes(1.0, 2, k))
+    xs1, ws1 = _panel_nodes(1.0, 1, k)
+    xs2, ws2 = _panel_nodes(1.0, 2, k)
 
     def interval(a, b, coarse):
         vals = [f(a + (b - a) * x) for x in xs2]

@@ -82,6 +82,25 @@ class TestFindBranchPoint:
         assert abs(cmath.sin(bp.y) * cmath.cos(bp.y) + bp.y) <= 1e-9 * abs(bp.y)
         assert abs(bp.y * cmath.tan(bp.y) - bp.x) <= 1e-9 * abs(bp.x)
 
+    @pytest.mark.parametrize("n", [10 ** 9, 10 ** 13])
+    def test_huge_index_against_findroot(self, n):
+        # Here the rounded u lands one ulp past the rounded end (2n-1/2)*pi,
+        # which find_branch_point's 4-ulp slack admits; the exact root lies
+        # inside the exact interval.  sin(w)cos(w) + w has slope ~cosh(v)
+        # ~ n at the root, so its float64 residual says nothing at this n:
+        # the 4e-16 oracle bound is the accuracy check.
+        bp = find_branch_point(n)
+        with mp.workdps(60):
+            ref = mp.findroot(lambda w: mp.sin(w) * mp.cos(w) + w,
+                              mp.mpc(bp.y.real, bp.y.imag))
+            assert (2 * n - 1) * mp.pi < 2 * ref.real < (2 * n - 0.5) * mp.pi
+            ref = complex(ref)
+        assert abs(bp.y - ref) <= 4e-16 * abs(ref)
+        slack = 4.0 * math.ulp((2 * n - 0.5) * math.pi)
+        assert (2 * n - 1) * math.pi - slack <= bp.u <= (2 * n - 0.5) * math.pi + slack
+        assert bp.v > 0.0
+        assert abs(bp.y * cmath.tan(bp.y) - bp.x) <= 1e-9 * abs(bp.x)
+
 
 class TestAsymptotics:
     def test_level_six_real_part(self):

@@ -200,3 +200,89 @@ class TestImport:
             capture_output=True, text=True, env=child_env())
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "False"
+
+    @staticmethod
+    def _loaded(*args):
+        """Top-level modules a fresh `python -X importtime <args>` imported."""
+        cp = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True, env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    def test_import_loads_neither_numpy_nor_mpmath(self):
+        loaded = self._loaded("-c", "import wtan")
+        assert "wtan" in loaded
+        assert not {"numpy", "mpmath"} & loaded
+
+    @pytest.mark.parametrize("argv", [("eval", "--x", "1"),
+                                      ("dispersion", "--at", "5,3")])
+    def test_commands_without_mpmath(self, argv):
+        loaded = self._loaded("-m", "wtan", *argv)
+        assert "wtan.complex_plane" in loaded
+        assert not {"numpy", "mpmath"} & loaded
+
+    def test_series_loads_mpmath_only(self):
+        loaded = self._loaded("-m", "wtan", "series", "--kind", "large", "--order", "12")
+        assert "mpmath" in loaded
+        assert "numpy" not in loaded
+
+    def test_every_scripted_command_runs_without_numpy(self):
+        # with sys.modules["numpy"] = None any numpy import raises, so a zero
+        # exit for every command shows the runtime never needs numpy
+        code = (
+            "import contextlib, io, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from perfbench import inputs\n"
+            "from wtan.cli import main\n"
+            "for seed in range(3):\n"
+            "    for argv in inputs.cli_script(inputs.rng_for('cli_session', seed)):\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            rc = main(argv)\n"
+            "        print(argv[0], rc)\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env(), cwd=Path(SRC).parent)
+        assert cp.returncode == 0, cp.stderr
+        results = [line.split() for line in cp.stdout.splitlines()]
+        assert {cmd for cmd, _ in results} == {
+            "eval", "series", "cheb", "branch-points", "qm", "integrals",
+            "dispersion", "grid"}
+        assert all(rc == "0" for _, rc in results), results
+
+
+# Every name `from wtan import *` yielded while the package imported all of
+# its modules eagerly.
+PUBLIC_NAMES = [
+    "AsymptoticFit", "BranchIndex", "BranchPoint", "BranchedValue",
+    "ChebyshevModel", "ContinuationPath", "Cut", "CutKind", "CutScheme",
+    "Parity", "RadiusEstimate", "SeriesKind", "SeriesTable", "SheetAtlas",
+    "Side", "SpectrumEntry", "Wavefunction", "WellModel",
+    "asymptotic_branch_point", "boundary_value", "branch_identity_residual",
+    "branch_points", "chebyshev", "check_indefinite_log",
+    "check_indefinite_logsin", "complex_plane", "core", "defining_residual",
+    "definite_catalan", "definite_lnsin", "derivative", "discontinuity_delta0",
+    "discontinuity_delta1", "dispersion_eval", "errors", "eval_cheb",
+    "eval_complex", "eval_real", "eval_series", "find_branch_point", "fit",
+    "fit_asymptotic", "halley_step", "integrals", "lagrange_b",
+    "large_x_coeffs", "local_expansion_check", "quantum", "radius_estimates",
+    "rayleigh_quotient", "second_derivative", "series", "small_x_coeffs",
+    "spectrum", "trace_path", "validate_branch", "variational_bound_1",
+    "variational_bound_2", "wavefunction",
+]
+
+
+class TestPublicNames:
+    def test_attribute_access(self):
+        import wtan
+        for name in PUBLIC_NAMES:
+            assert getattr(wtan, name) is not None, name
+        assert wtan.fit_asymptotic is wtan.series.fit_asymptotic
+        assert wtan.definite_lnsin is wtan.integrals.definite_lnsin
+        with pytest.raises(AttributeError):
+            wtan.no_such_name
+
+    def test_star_import(self):
+        ns = {}
+        exec("from wtan import *", ns)
+        assert set(PUBLIC_NAMES) <= set(ns)

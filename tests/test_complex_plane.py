@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from wtan.complex_plane import (
     dispersion_eval,
     eval_complex,
     trace_path,
+    _gauss_legendre,
     _walk_segment,
 )
 from wtan.core import CutScheme, eval_real
@@ -263,6 +265,21 @@ class TestExteriorRoute:
         with pytest.raises(NonFiniteArgument):
             eval_complex(-1.7e308 + 1e308j, 1, atlas)
 
+    @pytest.mark.parametrize("z", [-1.7e308 + 1e308j, complex(math.inf, 0.0),
+                                   complex(1.0, math.nan)])
+    def test_non_finite_modulus_raises_wtan_error(self, atlas, z):
+        # abs(z) overflows for the first point: each entry point must turn
+        # that into NonFiniteArgument, not a bare OverflowError
+        for n in (1, -2):
+            with pytest.raises(NonFiniteArgument):
+                atlas.continue_from_anchor(z, n)
+        for waypoints in ((z, 1 + 1j), (1 + 1j, z)):
+            with pytest.raises(NonFiniteArgument):
+                trace_path(ContinuationPath(waypoints), 1, atlas)
+        # no cut lies out there: boundary_value rejects the point as such
+        with pytest.raises(NotOnCut):
+            boundary_value(z, 1, Side.UPPER, atlas)
+
 
 class TestTracePath:
     def test_real_cut_connects_to_mirror_sheet(self, atlas):
@@ -454,3 +471,51 @@ class TestDispersion:
         # next to the real cut the Cauchy kernel outruns both panel layouts
         with pytest.raises(QuadratureFailure):
             dispersion_eval(-0.5 + 1e-3j, atlas)
+
+
+def _gauss_legendre_reference(n):
+    """40-digit nodes (ascending) and weights by Newton on mpmath's P_n."""
+    with mp.workdps(40):
+        rule = []
+        for i in range(n):
+            x = mp.cos(mp.pi * (i + mp.mpf(0.75)) / (n + mp.mpf(0.5)))
+            for _ in range(50):
+                q = mp.legendre(n - 1, x)
+                x -= mp.legendre(n, x) * (1 - x * x) / (n * (q - x * mp.legendre(n, x)))
+            rule.append((x, 2 * (1 - x * x) / (n * mp.legendre(n - 1, x)) ** 2))
+        rule.sort()
+        return [x for x, _ in rule], [w for _, w in rule]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [10, 16, 24])
+    def test_against_40_digit_reference(self, n):
+        xs, ws = _gauss_legendre(n)
+        ref_x, ref_w = _gauss_legendre_reference(n)
+        assert len(xs) == len(ws) == n
+        assert list(xs) == sorted(xs)
+        assert xs == tuple(-x for x in reversed(xs))      # symmetric nodes
+        for x, w, rx, rw in zip(xs, ws, ref_x, ref_w):
+            assert abs(x - rx) <= 2 * math.ulp(float(rx)), (x, rx)
+            assert abs(w - rw) <= 5e-13 * rw, (w, rw)
+        assert abs(math.fsum(ws) - 2.0) <= 4 * complex_plane.EPS
+        # exact for every polynomial of degree <= 2n - 1
+        moment = math.fsum(w * x ** (2 * n - 2) for x, w in zip(xs, ws))
+        assert abs(moment - 2.0 / (2 * n - 1)) <= 1e-14
+
+    @pytest.mark.parametrize("n", [10, 16, 24])
+    def test_against_numpy(self, n):
+        # numpy's own weights are 1.2e-13 off the reference at n = 24
+        xs, ws = _gauss_legendre(n)
+        np_x, np_w = np.polynomial.legendre.leggauss(n)
+        for x, w, nx, nw in zip(xs, ws, np_x.tolist(), np_w.tolist()):
+            assert abs(x - nx) <= 2 * math.ulp(nx), (x, nx)
+            assert abs(w - nw) <= 5e-13 * nw, (w, nw)
+
+    def test_panel_nodes_compose_the_rule(self):
+        pts, wts = complex_plane._panel_nodes(3.0, 2, 10)
+        assert pts == sorted(pts) and 0.0 < pts[0] and pts[-1] < 3.0
+        assert math.fsum(wts) == pytest.approx(3.0, abs=1e-15)
+        # a degree-19 polynomial per panel integrates exactly
+        assert math.fsum(w * x ** 19 for x, w in zip(pts, wts)) == pytest.approx(
+            3.0 ** 20 / 20, rel=1e-14)

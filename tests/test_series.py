@@ -1,12 +1,14 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from wtan.core import derivative, eval_real
-from wtan.errors import OutsideConvergence, PrecisionExhausted
+from wtan.errors import FitDiverged, OutsideConvergence, PrecisionExhausted
 from wtan.series import (
     SeriesKind,
+    SeriesTable,
     eval_series,
     fit_asymptotic,
     lagrange_b,
@@ -171,3 +173,15 @@ class TestAsymptoticFit:
         ts, _ = tables
         with pytest.raises(ValueError):
             fit_asymptotic(ts, 100, 110)
+
+    @pytest.mark.parametrize("g", [0.9, 1.0, 1.1])
+    def test_non_oscillating_sequence_diverges(self, g):
+        # detrended to w_k = g^k: the Prony columns are parallel, so the
+        # two-column solve has rank 1 and no oscillation exists to fit
+        with mp.workdps(30):
+            primary = (mp.mpf(1),) + tuple(
+                mp.mpf(2.64) ** k * mp.mpf(k) ** -1.5 * mp.mpf(g) ** k
+                for k in range(1, 61))
+        table = SeriesTable(SeriesKind.LARGE_X, 60, primary, (), 30)
+        with pytest.raises(FitDiverged):
+            fit_asymptotic(table, 10, 60)
