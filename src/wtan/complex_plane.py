@@ -17,28 +17,53 @@ Re x_|n| <= Re x <= Re x_(|n|-1) (with x_0 taken as the origin).
 
 Evaluation
 ----------
-Outside the disk |x| <= |x_|n|| that holds every cut of sheet n, the value
-is solved for directly.  With c = (|n|-1/2)*pi, every root on sheet n > 0
-there satisfies the pole-free fixed-point form
+Off the band of sheet n's cuts the value is solved for directly, by one of
+two forms of w*tan(w) = x; take n > 0, c = (|n|-1/2)*pi, and negative
+sheets from w(x, -n) = -w(x, n).  No tan is evaluated, so neither form
+has a pole to guard.
+
+Outside the disk |x| <= |x_|n|| that holds every cut of sheet n, every root
+on the sheet satisfies the pole-free fixed-point form
 
     w = c - atan(w/x)          (principal atan)
 
 since tan(c - d) = cot(d).  `continue_from_anchor` solves it by Newton
 iteration on h(w) = w - c + atan(w/x) from the seed c/(1 + 1/x) wherever
-|x| >= EXTERIOR_FACTOR*|x_|n||, and takes negative sheets from w(x, -n) =
--w(x, n).  No tan is evaluated, so there is no pole to guard and the route
-works up to |x| = 1.7e308.  The fixed-point map contracts by
-q = |1/(x + w^2/x)|, which is 1 at a branch point and below 0.46 on
-|x| >= 1.2*|x_|n||; a root is used only if Newton converged and q <= 1/2,
-and then |y - y*| <= 2*|h(y)| certifies it.
+|x| >= EXTERIOR_FACTOR*|x_|n||, up to |x| = 1.7e308.  The fixed-point map
+contracts by q = |1/(x + w^2/x)|, which is 1 at a branch point and below
+0.46 on |x| >= 1.2*|x_|n||; a root is used only if Newton converged and
+q <= 1/2, and then |y - y*| <= 2*|h(y)| certifies it.
 
-Everywhere else the value is continued from the real anchor R = 1 + |x|
-(the half-plane Re x > 0 holds no cut of any sheet, so every positive real
-point is a valid anchor, where `eval_real` gives the sheet value exactly)
-along a path that avoids the sheet's cuts; each step is corrected by Halley
-iteration.  Steps shrink in proportion to the distance from the nearest
-branch point: near x_j the two local solution sheets differ by
-O(sqrt(distance)), so uncontrolled steps can silently hop between them.
+Inside that disk but off the band Re x_|n| <= Re x <= 0 of the sheet's
+cuts, the value is the Newton root of the window form
+
+    g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
+
+with k = |n|-1 right of the band (Re x > 0) and k = |n| left of it
+(Re x < Re x_|n|): the complex form of `eval_real`'s windows C + t, so
+Re atan(x/w) is in (0, pi/2) on the right and in (-pi/2, 0) on the left.
+Near x = 0 on sheet 1 the exterior form loses relative accuracy (it forms
+w ~ sqrt(x) as c - atan(w/x)); this one does not.  A root is taken only
+if Re atan(x/w) lies in the sheet's window, as Lambert W branches are
+identified by their image region (Corless et al., Adv. Comput. Math. 5,
+1996), and |g'(w)| >= DERIV_FLOOR.  The window turns away the mirror root
+-w on sheet 1.  The floor turns away the sheet n+1 value next to x_|n|,
+on its left, where the germs of sheets n and n+1 merge: that value solves
+the same window form inside the window, with |g'| <= 0.13.  The two tests
+are not a proof of the sheet: 0.1 to 1 left of x_|n| the values of sheets
+n+1..n+5 also solve the window form inside the window, with |g'| up to
+~14, and there it is the seed's basin that selects sheet n (on 24000
+points clustered there and spread over the disks of sheets 1-4, every
+direct root matched continuation within 6.4e-16 relative).
+
+In the band, and wherever a direct root is not taken, the value is
+continued from the real anchor R = 1 + |x| (the half-plane Re x > 0 holds
+no cut of any sheet, so every positive real point is a valid anchor, where
+`eval_real` gives the sheet value exactly) along a path that avoids the
+sheet's cuts; each step is corrected by Halley iteration.  Steps shrink
+in proportion to the distance from the nearest branch point: near x_j the
+two local solution sheets differ by O(sqrt(distance)), so uncontrolled
+steps can silently hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -86,6 +111,7 @@ from .core import (
     validate_branch,
 )
 from .errors import (
+    DomainViolation,
     NoConvergence,
     NonFiniteArgument,
     NotOnCut,
@@ -114,6 +140,12 @@ CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
 SIDE_OFFSET = 1e-4         # boundary values step onto a cut from this far off it
 EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
+# The window route's floor on |g'(y)|.  g' vanishes at x_n, where the roots
+# of sheets n and n+1 merge: within 3.5e-3 left of x_n both lie in the
+# sheet-n window, the sheet n+1 one with |g'| <= 0.13, and a Newton root's
+# error grows like eps/|g'|.  |g'| grows like sqrt(|x - x_n|), so 1/2 sends
+# only points within ~0.2 of x_n (the farthest seen) back to continuation.
+DERIV_FLOOR = 0.5
 
 EPS = 2.220446049250313e-16
 
@@ -232,6 +264,12 @@ class SheetAtlas:
 
     # -- geometry ----------------------------------------------------------
 
+    def _require_sheet(self, n: BranchIndex) -> None:
+        if abs(n) > self.max_sheet:
+            raise DomainViolation(
+                f"sheet {n} needs branch point {abs(n)}; atlas holds {self.max_sheet}"
+            )
+
     def _vertical_cut(self, j: int, sheet: int) -> Cut:
         bp = self.branch_points[j - 1]
         if sheet > 0:
@@ -244,10 +282,7 @@ class SheetAtlas:
     def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
         """The cuts of sheet n in the finite-cuts convention."""
         n = validate_branch(n)
-        if abs(n) > self.max_sheet:
-            raise ValueError(
-                f"sheet {n} needs branch point {abs(n)}; atlas holds {self.max_sheet}"
-            )
+        self._require_sheet(n)
         if n in self._cuts:
             return self._cuts[n]
         m = abs(n)
@@ -328,25 +363,39 @@ class SheetAtlas:
     def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
         """Value of sheet n at z; no proximity guards applied.
 
-        Where |z| >= EXTERIOR_FACTOR*|x_|n||, outside every cut of the
-        sheet, the value is the Newton root of h(w) = w - c + atan(w/z),
-        c = (|n|-1/2)*pi, taken only if Newton converged and the contraction
-        factor q = |1/(z + w^2/z)| is at most 1/2, so that the root is
-        within 2*|h(y)| of the exact value.  Otherwise, and inside the
-        disk, the value is continued from `eval_real(R, n)` at the real
-        anchor R = 1 + |z| along `build_waypoints`.
+        Three routes, for sheet n > 0 (negative sheets by negation):
+
+        * |z| >= EXTERIOR_FACTOR*|x_|n||, outside every cut of the sheet:
+          the Newton root of h(w) = w - c + atan(w/z), c = (|n|-1/2)*pi,
+          taken only if Newton converged and the contraction factor
+          q = |1/(z + w^2/z)| is at most 1/2, so that the root is within
+          2*|h(y)| of the exact value.
+        * Inside that disk, right of the band of cuts (Re z > 0, k = |n|-1)
+          or left of it (Re z < Re x_|n|, k = |n|): the Newton root of
+          g(w) = w - k*pi - atan(z/w), taken only if Newton converged,
+          Re atan(z/y) lies in the sheet's window ((0, pi/2) on the right,
+          (-pi/2, 0) on the left) and |g'(y)| >= DERIV_FLOOR.
+        * Otherwise, in the band or where a root is not taken: continued
+          from `eval_real(R, n)` at the real anchor R = 1 + |z| along
+          `build_waypoints`.
 
         Raises NonFiniteArgument if |z| is not finite, including finite
-        parts whose modulus overflows.
+        parts whose modulus overflows, and DomainViolation if the atlas
+        does not hold branch point |n|.
         """
         n = validate_branch(n)
         r = _modulus(z)
         if n < 0:
             return -self.continue_from_anchor(z, -n)
-        if n <= self.max_sheet and r >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
+        self._require_sheet(n)
+        if r >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
             y = _exterior_root(z, (n - 0.5) * math.pi)
-            if y is not None:
-                return y
+        elif z.real > 0.0 or z.real < self.branch_points[n - 1].x.real:
+            y = _window_root(z, n)
+        else:
+            y = None
+        if y is not None:
+            return y
         waypoints = self.build_waypoints(z, n)
         R = waypoints[0]
         y = complex(eval_real(R.real, n), 0.0)
@@ -377,17 +426,66 @@ def _atan_form(x: complex, c: float, w: complex) -> tuple[complex, complex]:
     return w - c + cmath.atan(u), 1.0 / (x + w * u)
 
 
+def _window_form(x: complex, k_pi: float, w: complex) -> tuple[complex, complex]:
+    """g(w) = w - k*pi - atan(x/w) and g'(w) - 1 = x/(w^2 + x^2)."""
+    return w - k_pi - cmath.atan(x / w), x / (w * w + x * x)
+
+
+def _newton(form: Callable[[complex], tuple[complex, complex]],
+            w: complex) -> tuple[complex, complex] | None:
+    """Newton iteration from w on an atan form f, where form(w) gives
+    (f(w), f'(w) - 1).  Returns the root and f' - 1 at the last iterate, or
+    None if the steps did not fall below 2*eps*|w| within 16 iterations
+    (measured: at most 5 on the exterior form, and 6 on the window form
+    beyond 0.25 of x_n) or an iterate hit a singularity of the form (atan
+    at +-i, w = 0, a vanishing denominator).
+
+    The bound is relative: an absolute one passes a tiny iterate far from
+    any root, where f' is huge (x = 1.2e-38 on sheet 2 gave 9.7e-37 for
+    pi)."""
+    try:
+        for _ in range(16):
+            f, d = form(w)
+            step = f / (1.0 + d)
+            w -= step
+            if abs(step) <= 2.0 * EPS * abs(w):
+                return w, d
+    except (ZeroDivisionError, ValueError):
+        pass
+    return None
+
+
 def _exterior_root(x: complex, c: float) -> complex | None:
     """Newton root of h(w) = w - c + atan(w/x) from the overflow-safe seed
     c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2."""
-    w = c / (1.0 + 1.0 / x)
-    for _ in range(16):
-        h, d = _atan_form(x, c, w)
-        step = h / (1.0 + d)
-        w -= step
-        if abs(step) <= 2.0 * EPS * (1.0 + abs(w)):
-            return w if abs(d) <= 0.5 else None
-    return None
+    found = _newton(lambda w: _atan_form(x, c, w), c / (1.0 + 1.0 / x))
+    return found[0] if found is not None and abs(found[1]) <= 0.5 else None
+
+
+def _window_root(x: complex, n: int) -> complex | None:
+    """Sheet-n (n > 0) root of the window form g(w) = w - k*pi - atan(x/w) for
+    x off the band of the sheet's cuts: k = n-1 if Re x > 0, k = n if
+    Re x < Re x_n.  None unless Newton converged, Re atan(x/y) lies in the
+    window ((0, pi/2) right of the band, (-pi/2, 0) left of it) and
+    |g'(y)| >= DERIV_FLOOR.
+
+    The seed is the exterior route's c/(1 + 1/x), c = (n-1/2)*pi, except on
+    sheet 1 right of the band, where w ~ sqrt(x) near the origin and
+    c*sqrt(x/(x + c^2)), the root with tan(w) replaced by w/(1 - (w/c)^2),
+    takes <= 5 Newton steps for |x| in [3e-10, 3.2] where c/(1 + 1/x) ~ c*x
+    takes up to 21.
+    """
+    c = (n - 0.5) * math.pi
+    right = x.real > 0.0
+    k_pi = (n - 1 if right else n) * math.pi
+    seed = c * cmath.sqrt(x / (x + c * c)) if k_pi == 0.0 else c / (1.0 + 1.0 / x)
+    found = _newton(lambda w: _window_form(x, k_pi, w), seed)
+    if found is None:
+        return None
+    y, d = found
+    a = cmath.atan(x / y).real
+    in_window = 0.0 < a < 0.5 * math.pi if right else -0.5 * math.pi < a < 0.0
+    return y if in_window and abs(1.0 + d) >= DERIV_FLOOR else None
 
 
 def _exterior_certified(x: complex, n: BranchIndex, y: complex,
@@ -469,9 +567,15 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
     """Sheet-n value at z in the finite-cuts convention.
 
-    The value comes from `SheetAtlas.continue_from_anchor`: solved directly
-    from w = c - atan(w/z) where |z| >= EXTERIOR_FACTOR*|x_|n||, continued
-    from the real anchor R = 1 + |z| elsewhere.  It is accepted if either
+    The value comes from `SheetAtlas.continue_from_anchor`, by one of three
+    routes: solved directly from w = c - atan(w/z) where
+    |z| >= EXTERIOR_FACTOR*|x_|n||; solved directly from the window form
+    w = k*pi + atan(z/w) inside that disk but off the band
+    Re x_|n| <= Re z <= 0 of the sheet's cuts, where the root is taken only
+    if Re atan(z/w) lies in the sheet's window and |g'(w)| >= DERIV_FLOOR
+    (see the module docstring); continued from the real anchor
+    R = 1 + |z| in the band and wherever a direct root is not taken.  It is
+    accepted if either
 
     * |z| >= EXTERIOR_FACTOR*|x_|n||, the contraction factor
       q = |1/(z + w^2/z)| at y is at most 1/2 and
@@ -480,7 +584,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     * the residual |y*tan(y) - z| is at most TOL*(1+|z|) or, near the tan
       pole, the conditioning floor 4*eps*|d(y tan y)/dy|*(1+|y|).
 
-    `BranchedValue.residual` is |y*tan(y) - z| on both routes.  For |z|
+    `BranchedValue.residual` is |y*tan(y) - z| on every route.  For |z|
     beyond ~1e16 tan(y) no longer resolves the root, so there it reports
     float64's limit, not an error in y; the first test is what certifies
     such values.
@@ -491,6 +595,8 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         If z lies within 1e-10 of a cut of sheet n, or within 1e-3 of one of
         the sheet's branch points (where continuation accuracy degrades; use
         `boundary_value` / `trace_path` for on-cut and near-point work).
+    DomainViolation
+        If the atlas does not hold branch point |n|.
     """
     n = validate_branch(n)
     z = complex(z)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wtan.chebyshev import eval_cheb, fit
+from wtan.chebyshev import _cheb_interp_coeffs, eval_cheb, fit
 from wtan.core import eval_real
 
 # Reference coefficients of the split_a = 3.5, order-15 model, printed to
@@ -53,6 +53,15 @@ class TestFit:
         est = abs(model.alpha[4])
         for k in range(4):
             assert abs(small.alpha[k] - model.alpha[k]) < 10 * est + 1e-9
+
+    @pytest.mark.parametrize("order", [4, 15])
+    def test_nodes_sample_the_exact_middle(self, order):
+        # an odd order samples s = 0 itself, so beta takes its exact limit 1
+        # at t = 0; no order samples either end s = +-1
+        nodes = []
+        _cheb_interp_coeffs(lambda s: nodes.append(s) or 0.0, order)
+        assert (0.0 in nodes) == (order % 2 == 1)
+        assert all(-1.0 < s < 1.0 for s in nodes)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -22,7 +22,14 @@ from wtan.complex_plane import (
     _walk_segment,
 )
 from wtan.core import CutScheme, eval_real
-from wtan.errors import NonFiniteArgument, NotOnCut, OnCut, OutOfCutRange, QuadratureFailure
+from wtan.errors import (
+    DomainViolation,
+    NonFiniteArgument,
+    NotOnCut,
+    OnCut,
+    OutOfCutRange,
+    QuadratureFailure,
+)
 from wtan.series import eval_series, large_x_coeffs
 
 from conftest import imaginary_boundary_oracle, w_real_oracle
@@ -199,10 +206,20 @@ def _count_halley_steps(monkeypatch):
     return calls
 
 
+def _solved_by_window(atlas, z, n):
+    """True where continue_from_anchor takes the window route on sheet n:
+    inside the exterior disk, off the band of cuts, and the root passes the
+    window test and the |g'| floor."""
+    m = abs(n)
+    off_band = z.real > 0.0 or z.real < atlas.branch_points[m - 1].x.real
+    return (off_band and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
+            and complex_plane._window_root(z, m) is not None)
+
+
 def _inner_points(atlas, n, rng):
-    """Points that keep the continuation route: in the band between |x_n|
-    and EXTERIOR_FACTOR*|x_n|, next to the sheet's branch points and just
-    off its cuts, all outside the guards of eval_complex."""
+    """Points inside the exterior disk: in the ring between |x_n| and
+    EXTERIOR_FACTOR*|x_n|, next to the sheet's branch points and just off
+    its cuts, all outside the guards of eval_complex."""
     m = abs(n)
     r0 = atlas.disk_radii[m - 1]
     bps = [atlas.branch_points[j - 1].x for j in (m - 1, m) if j >= 1]
@@ -246,13 +263,18 @@ class TestExteriorRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -2])
     def test_inner_points_still_continued(self, atlas, monkeypatch, n):
+        # band points and points under the |g'| floor are continued; the
+        # off-band rest of the ring is solved by the window form
         calls = _count_halley_steps(monkeypatch)
+        continued = 0
         for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
             calls.clear()
             y = eval_complex(z, n, atlas).y
-            assert calls, z
+            assert bool(calls) != _solved_by_window(atlas, z, n), z
+            continued += bool(calls)
             ref = _continued_from_far_anchor(z, n, atlas)
             assert abs(y - ref) <= 4e-15 * abs(ref), z
+        assert continued >= 80
 
     def test_huge_modulus(self, atlas):
         # no tan is evaluated on this route, so no pole guard stops it
@@ -279,6 +301,129 @@ class TestExteriorRoute:
         # no cut lies out there: boundary_value rejects the point as such
         with pytest.raises(NotOnCut):
             boundary_value(z, 1, Side.UPPER, atlas)
+
+
+# the |g'| floor of the window route acts only this close to x_n (it grows
+# like sqrt(|z - x_n|); the farthest fallback seen was 0.2 away)
+FLOOR_REACH = 0.25
+
+
+def _off_band_points(atlas, n, rng, count):
+    """Off-band points inside the exterior disk of sheet n and beyond
+    FLOOR_REACH of x_n and x_n*: uniform over the disk, next to the
+    imaginary axis on the right, and just left of the band."""
+    xn = atlas.branch_points[n - 1].x
+    radius = EXTERIOR_FACTOR * abs(xn)
+    points = []
+    while len(points) < count:
+        kind = len(points) % 4
+        if kind < 2:
+            z = cmath.rect(radius * math.sqrt(rng.uniform(0.0, 1.0)),
+                           rng.uniform(-math.pi, math.pi))
+        elif kind == 2:
+            z = complex(10.0 ** rng.uniform(-9.0, -1.0), rng.uniform(-radius, radius))
+        else:
+            z = complex(xn.real - 10.0 ** rng.uniform(-8.0, -0.5),
+                        rng.uniform(-radius, radius))
+        if (abs(z) < radius and not xn.real <= z.real <= 0.0
+                and min(abs(z - xn), abs(z - xn.conjugate())) > FLOOR_REACH
+                and atlas.distance_to_cuts(z, n) > complex_plane.CUT_GUARD):
+            points.append(z)
+    return points
+
+
+def _left_of_branch_points(atlas, n, rng, count, lo, hi):
+    """Points at distance lo..hi (log-uniform) left of x_n or x_n*."""
+    xn = atlas.branch_points[n - 1].x
+    return [(xn if j % 2 else xn.conjugate())
+            + cmath.rect(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)),
+                         rng.uniform(0.5 * math.pi + 1e-3, 1.5 * math.pi - 1e-3))
+            for j in range(count)]
+
+
+class TestWindowRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_off_band_matches_continuation(self, atlas, monkeypatch, n):
+        points = _off_band_points(atlas, n, np.random.default_rng(700 + n), 300)
+        calls = _count_halley_steps(monkeypatch)
+        plus = [eval_complex(z, n, atlas).y for z in points]
+        minus = [eval_complex(z, -n, atlas).y for z in points]
+        assert not calls          # solved directly, never continued
+        monkeypatch.undo()
+        for z, yp, ym in zip(points, plus, minus):
+            ref = _continued_from_far_anchor(z, n, atlas)
+            assert abs(yp - ref) <= 4e-15 * abs(ref), z
+            assert ym == -yp, z
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_left_approach_to_branch_points(self, atlas, n):
+        # the germs of sheets n and n+1 merge at x_n: whichever route is
+        # taken, the value is the sheet-n one
+        rng = np.random.default_rng(710 + n)
+        for z in _left_of_branch_points(atlas, n, rng, 40, 1.001e-3, 0.1):
+            ref = _continued_from_far_anchor(z, n, atlas)
+            for sheet, sign in ((n, 1.0), (-n, -1.0)):
+                y = eval_complex(z, sheet, atlas).y
+                assert abs(sign * y - ref) <= 4e-15 * abs(ref), (z, sheet)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_floor_rejects_the_merging_germ(self, atlas, monkeypatch, n):
+        # within 3.5e-3 left of x_n the sheet n+1 value is a root of the
+        # sheet-n window form inside the sheet-n window too: were Newton to
+        # land on it, only the |g'| floor would turn it away
+        rng = np.random.default_rng(720 + n)
+        for z in _left_of_branch_points(atlas, n, rng, 20, 1.001e-3, 3.5e-3):
+            other = eval_complex(z, n + 1, atlas).y
+            g, d = complex_plane._window_form(z, n * math.pi, other)
+            assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
+            assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
+            assert complex_plane._window_root(z, n) is None, z
+            monkeypatch.undo()
+
+    def test_window_rejects_the_mirror_root(self, atlas, monkeypatch):
+        # on sheet 1 right of the band g is odd, so the sheet -1 value -y is
+        # a root with the same |g'|: only the window turns it away
+        rng = np.random.default_rng(725)
+        for z in _off_band_points(atlas, 1, rng, 40):
+            if z.real <= 0.0:
+                continue
+            y = eval_complex(z, 1, atlas).y
+            g, d = complex_plane._window_form(z, 0.0, -y)
+            assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
+            assert abs(1.0 + d) >= complex_plane.DERIV_FLOOR, z
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
+            assert complex_plane._window_root(z, 1) is None, z
+            monkeypatch.undo()
+
+    def test_small_modulus_against_mpmath(self, atlas):
+        # sheet 1 near the origin: w ~ sqrt(z) keeps full relative accuracy
+        rng = np.random.default_rng(730)
+        for _ in range(60):
+            z = cmath.rect(10.0 ** rng.uniform(-9.0, 0.0),
+                           rng.uniform(-0.5 * math.pi + 1e-3, 0.5 * math.pi - 1e-3))
+            y = eval_complex(z, 1, atlas).y
+            assert eval_complex(z, -1, atlas).y == -y
+            with mp.workdps(60):
+                zz = mp.mpc(z.real, z.imag)
+                ref = mp.findroot(lambda w: w * mp.tan(w) - zz, mp.sqrt(zz))
+                err = abs(mp.mpc(y.real, y.imag) - ref) / abs(ref)
+            assert err <= 4e-16, (z, float(err))
+
+
+class TestAtlasRange:
+    def test_sheet_beyond_the_atlas(self, atlas):
+        # the atlas holds x_1..x_4: sheet +-5 is a domain error everywhere
+        x4 = atlas.branch_points[3].x
+        for n in (5, -5):
+            with pytest.raises(DomainViolation):
+                eval_complex(100, n, atlas)
+            with pytest.raises(DomainViolation):
+                atlas.continue_from_anchor(1 + 1j, n)
+            with pytest.raises(DomainViolation):
+                boundary_value(complex(x4.real, 1.0), n, Side.LEFT, atlas)
+            with pytest.raises(DomainViolation):
+                trace_path(ContinuationPath((1 + 1j, 2 + 1j)), n, atlas)
 
 
 class TestTracePath:

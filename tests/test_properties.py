@@ -83,6 +83,7 @@ sheets = st.sampled_from([1, 2, 3, 4, -1, -2, -3, -4])
 @given(modulus=moduli, angle=angles, n=sheets)
 @example(modulus=1e12, angle=0.5 * math.pi, n=1)
 @example(modulus=1.7e308, angle=0.75 * math.pi, n=-4)
+@example(modulus=1.1754943508222875e-38, angle=0.0, n=2)  # tiny iterate, huge g'
 def test_eval_complex_whole_range(atlas, modulus, angle, n):
     z = cmath.rect(modulus, angle)
     try:
