@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import BracketFailure, ContinuationFailure, NoConvergence
+from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
     "BranchPoint",
@@ -177,7 +177,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
         # anchor on the circle of the largest radius, angle 0
         z0 = bp.x + radii[0]
         y0 = atlas.continue_from_anchor(z0, n)
-    except Exception as exc:  # pragma: no cover - defensive
+    except WtanError as exc:
         raise ContinuationFailure(f"could not anchor near x_{n}: {exc}") from exc
 
     log_means = []

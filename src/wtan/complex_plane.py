@@ -57,10 +57,12 @@ points clustered there and spread over the disks of sheets 1-4, every
 direct root matched continuation within 6.4e-16 relative).
 
 In the band, and wherever a direct root is not taken, the value is
-continued from the real anchor R = 1 + |x| (the half-plane Re x > 0 holds
-no cut of any sheet, so every positive real point is a valid anchor, where
-`eval_real` gives the sheet value exactly) along a path that avoids the
-sheet's cuts; each step is corrected by Halley iteration.  Steps shrink
+continued from the exterior root at x + iE, E = EXTERIOR_FACTOR*|x_|n||,
+on the vertical through the target and on its side of the real axis,
+where the contraction certificate holds; the vertical crosses no cut of
+the sheet, and a target beside a vertical cut line and below its branch
+point is reached from a vertical set off that line, by one horizontal
+step.  Each step is corrected by Halley iteration.  Steps shrink
 in proportion to the distance from the nearest branch point: near x_j the
 two local solution sheets differ by O(sqrt(distance)), so uncontrolled
 steps can silently hop between them.
@@ -106,7 +108,6 @@ from .core import (
     BranchIndex,
     CutScheme,
     defining_residual,
-    eval_real,
     halley_step,
     validate_branch,
 )
@@ -325,41 +326,6 @@ class SheetAtlas:
 
     # -- continuation ------------------------------------------------------
 
-    def build_waypoints(self, z: complex, n: BranchIndex) -> tuple[complex, ...]:
-        """Cut-avoiding route from the real anchor R = 1 + |z| to z on sheet n.
-
-        No cut of any sheet reaches the half-plane Re x > 0, so the anchor
-        value is `eval_real(R, n)`.  The route is straight if the direct
-        segment is clear; otherwise it detours over (or under, matching the
-        half-plane of z) the tallest vertical cut of the sheet and descends
-        vertically onto z.  If the descent line would pass within 1e-6 of a
-        branch point the final approach is horizontal from the right
-        instead.
-        """
-        R = 1.0 + abs(z)
-        start = complex(R, 0.0)
-        cuts = self.cuts_for(n)
-        if not any(c.crossing(start, z) for c in cuts):
-            return (start, z)
-        top = self.branch_points[abs(n) - 1].x.imag
-        s = (1.0 if z.imag >= 0.0 else -1.0) * (top + 1.0)
-        # the vertical descent onto z must not brush a branch point of this
-        # sheet's own cuts; if it would, approach horizontally instead,
-        # staying on z's side of the hazardous cut line
-        hazard = None
-        for j in (abs(n) - 1, abs(n)):
-            if j < 1:
-                continue
-            bp = self.branch_points[j - 1]
-            if abs(z.real - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
-                hazard = bp
-                break
-        if hazard is None:
-            return (start, complex(R, s), complex(z.real, s), z)
-        sign = 1.0 if z.real >= hazard.x.real else -1.0
-        off = z.real + sign * 0.25
-        return (start, complex(R, s), complex(off, s), complex(off, z.imag), z)
-
     def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
         """Value of sheet n at z; no proximity guards applied.
 
@@ -376,8 +342,15 @@ class SheetAtlas:
           Re atan(z/y) lies in the sheet's window ((0, pi/2) on the right,
           (-pi/2, 0) on the left) and |g'(y)| >= DERIV_FLOOR.
         * Otherwise, in the band or where a root is not taken: continued
-          from `eval_real(R, n)` at the real anchor R = 1 + |z| along
-          `build_waypoints`.
+          from the exterior root at s = x + i*E, E = EXTERIOR_FACTOR*|x_|n||
+          (x - i*E if Im z < 0, so the route never crosses the real axis),
+          down the vertical x = Re z onto z.  Where that vertical would pass
+          within 1e-6 of one of the sheet's branch points x_j (z beside the
+          cut line Re x = Re x_j and below x_j), it descends at
+          x = Re z +- 0.25 on z's side of that line, or at the middle of the
+          band Re x_|n| < x < Re x_(|n|-1) if z lies inside it, and ends
+          with a horizontal step onto z.  NoConvergence is raised if the
+          exterior root refuses s.
 
         Raises NonFiniteArgument if |z| is not finite, including finite
         parts whose modulus overflows, and DomainViolation if the atlas
@@ -388,20 +361,35 @@ class SheetAtlas:
         if n < 0:
             return -self.continue_from_anchor(z, -n)
         self._require_sheet(n)
-        if r >= EXTERIOR_FACTOR * self.disk_radii[n - 1]:
-            y = _exterior_root(z, (n - 0.5) * math.pi)
-        elif z.real > 0.0 or z.real < self.branch_points[n - 1].x.real:
+        c = (n - 0.5) * math.pi
+        e = EXTERIOR_FACTOR * self.disk_radii[n - 1]
+        lo = self.branch_points[n - 1].x.real
+        if r >= e:
+            y = _exterior_root(z, c)
+        elif z.real > 0.0 or z.real < lo:
             y = _window_root(z, n)
         else:
             y = None
         if y is not None:
             return y
-        waypoints = self.build_waypoints(z, n)
-        R = waypoints[0]
-        y = complex(eval_real(R.real, n), 0.0)
+        x, route = z.real, (z,)
+        for bp in self.branch_points[max(n - 2, 0):n]:
+            if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
+                # inside the band a sideways step of 0.25 can cross the
+                # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
+                hi = self.branch_points[n - 2].x.real if n > 1 else 0.0
+                if lo < x < hi:
+                    x = 0.5 * (lo + hi)
+                else:
+                    x += 0.25 if x >= bp.x.real else -0.25
+                route = (complex(x, z.imag), z)
+                break
+        cur = complex(x, e if z.imag >= 0.0 else -e)
+        y = _exterior_root(cur, c)
+        if y is None:
+            raise NoConvergence(f"exterior root refused at the start {cur!r}")
         h_base = max(0.1 * (1.0 + r), 1e-3)
-        cur = R
-        for target in waypoints[1:]:
+        for target in route:
             y = _walk_segment(cur, y, target, self, h_base=h_base)
             cur = target
         return y
@@ -573,9 +561,10 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     w = k*pi + atan(z/w) inside that disk but off the band
     Re x_|n| <= Re z <= 0 of the sheet's cuts, where the root is taken only
     if Re atan(z/w) lies in the sheet's window and |g'(w)| >= DERIV_FLOOR
-    (see the module docstring); continued from the real anchor
-    R = 1 + |z| in the band and wherever a direct root is not taken.  It is
-    accepted if either
+    (see the module docstring); continued from the exterior root at
+    Re z +- i*EXTERIOR_FACTOR*|x_|n|| (on z's side of the real axis) in the
+    band and wherever a direct root is not taken, raising NoConvergence if
+    that start is refused.  It is accepted if either
 
     * |z| >= EXTERIOR_FACTOR*|x_|n||, the contraction factor
       q = |1/(z + w^2/z)| at y is at most 1/2 and

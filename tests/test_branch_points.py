@@ -4,11 +4,13 @@ import math
 import mpmath as mp
 import pytest
 
+from wtan import complex_plane
 from wtan.branch_points import (
     asymptotic_branch_point,
     find_branch_point,
     local_expansion_check,
 )
+from wtan.errors import ContinuationFailure
 
 from conftest import BRANCH_POINT_TABLE
 
@@ -137,3 +139,18 @@ class TestLocalExpansion:
     def test_needs_two_radii(self):
         with pytest.raises(ValueError):
             local_expansion_check(1, [1e-2])
+
+    def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
+        # x_1 + 1e-2 lies in sheet 1's band: its value is continued from the
+        # exterior root, here refused
+        monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
+        with pytest.raises(ContinuationFailure):
+            local_expansion_check(1, [1e-2, 1e-3])
+
+    def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
+        def broken(x, c):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(complex_plane, "_exterior_root", broken)
+        with pytest.raises(TypeError):
+            local_expansion_check(1, [1e-2, 1e-3])

@@ -24,6 +24,7 @@ from wtan.complex_plane import (
 from wtan.core import CutScheme, eval_real
 from wtan.errors import (
     DomainViolation,
+    NoConvergence,
     NonFiniteArgument,
     NotOnCut,
     OnCut,
@@ -181,17 +182,37 @@ class TestEvalComplex:
 
 
 def _continued_from_far_anchor(z, n, atlas):
-    """Sheet-n value at z by the route eval_complex took before the exterior
-    solve: continued from eval_real(10*(1+|z|), n) down the real axis to the
-    anchor of build_waypoints, then along its waypoints, with the same step
-    cap."""
-    R = 10.0 * (1.0 + abs(z))
-    h_base = max(0.1 * (1.0 + abs(z)), 1e-3)
-    cur, y = complex(R, 0.0), complex(eval_real(R, n), 0.0)
-    for target in atlas.build_waypoints(z, n):
-        y = _walk_segment(cur, y, target, atlas, h_base=h_base)
+    """Sheet-n value at z by the route eval_complex took before it solved
+    directly: continued from eval_real(10*(1+|z|), n) down the real axis to
+    R = 1 + |z|, then straight to z if no cut of the sheet is in the way,
+    else over the tallest vertical cut at height Im x_|n| + 1 (on z's side
+    of the real axis) and straight down onto z, with the same step cap."""
+    R = 1.0 + abs(z)
+    route = [complex(R, 0.0), z]
+    if any(c.crossing(route[0], z) is not None for c in atlas.cuts_for(n)):
+        top = atlas.branch_points[abs(n) - 1].x.imag + 1.0
+        top = top if z.imag >= 0.0 else -top
+        route[1:1] = [complex(R, top), complex(z.real, top)]
+    cur, y = complex(10.0 * R, 0.0), complex(eval_real(10.0 * R, n), 0.0)
+    for target in route:
+        y = _walk_segment(cur, y, target, atlas, h_base=max(0.1 * R, 1e-3))
         cur = target
     return y
+
+
+def _assert_continued_value(z, y, ref):
+    """y, a continued value at z, is on the reference's sheet (within 1e-8
+    of it) and within 4*eps*(|r| + |z|/|tan r + r sec^2 r|) of the 40-digit
+    root r seeded from the reference: the rounding of w and of z."""
+    assert abs(y - ref) <= 1e-8, z
+    with mp.workdps(40):
+        zz = mp.mpc(z.real, z.imag)
+        seed = mp.mpc(ref.real, ref.imag)
+        r = mp.findroot(lambda w: w * mp.tan(w) - zz, (seed, seed * (1 + mp.mpf(1e-12))))
+        slope = abs(mp.tan(r) + r / mp.cos(r) ** 2)
+        bound = 4 * complex_plane.EPS * (abs(r) + abs(zz) / slope)
+        err = abs(mp.mpc(y.real, y.imag) - r)
+    assert err <= bound, (z, float(err / bound))
 
 
 def _count_halley_steps(monkeypatch):
@@ -273,7 +294,10 @@ class TestExteriorRoute:
             assert bool(calls) != _solved_by_window(atlas, z, n), z
             continued += bool(calls)
             ref = _continued_from_far_anchor(z, n, atlas)
-            assert abs(y - ref) <= 4e-15 * abs(ref), z
+            if calls:
+                _assert_continued_value(z, y, ref)
+            else:
+                assert abs(y - ref) <= 4e-15 * abs(ref), z
         assert continued >= 80
 
     def test_huge_modulus(self, atlas):
@@ -362,9 +386,13 @@ class TestWindowRoute:
         rng = np.random.default_rng(710 + n)
         for z in _left_of_branch_points(atlas, n, rng, 40, 1.001e-3, 0.1):
             ref = _continued_from_far_anchor(z, n, atlas)
+            direct = _solved_by_window(atlas, z, n)
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
-                y = eval_complex(z, sheet, atlas).y
-                assert abs(sign * y - ref) <= 4e-15 * abs(ref), (z, sheet)
+                y = sign * eval_complex(z, sheet, atlas).y
+                if direct:
+                    assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
+                else:
+                    _assert_continued_value(z, y, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_floor_rejects_the_merging_germ(self, atlas, monkeypatch, n):
@@ -409,6 +437,61 @@ class TestWindowRoute:
                 ref = mp.findroot(lambda w: w * mp.tan(w) - zz, mp.sqrt(zz))
                 err = abs(mp.mpc(y.real, y.imag) - ref) / abs(ref)
             assert err <= 4e-16, (z, float(err))
+
+
+def _beside_cut_lines(atlas, n, rng, count):
+    """Pairs (z, clear): z 1e-9..1e-6.5 off a vertical cut line of sheet n
+    and below its branch point, alternating sides and half-planes, and clear
+    the point 1e-3 off the line on z's side at the same height.  Inside the
+    band of a sheet |n| >= 2 both horizontal directions run into a cut."""
+    m = abs(n)
+    pairs = []
+    for bp in atlas.branch_points[max(m - 2, 0):m]:
+        for k in range(count):
+            side = 1.0 if k % 2 else -1.0
+            height = rng.uniform(0.02, 0.98) * bp.x.imag * (1.0 if k % 4 < 2 else -1.0)
+            offset = side * 10.0 ** rng.uniform(-9.0, -6.5)
+            pairs.append((complex(bp.x.real + offset, height),
+                          complex(bp.x.real + side * 1e-3, height)))
+    return pairs
+
+
+class TestEscapeRoute:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_beside_a_cut_below_its_branch_point(self, atlas, monkeypatch, n):
+        # the vertical through z would brush x_j: the route descends on a
+        # vertical set off the cut line and ends with one horizontal step,
+        # which must not cross the sheet's other vertical cut (points left
+        # of x_|n|'s line are off the band and solved by the window form)
+        targets = []
+
+        def recorded(z0, y0, z1, atlas, **kw):
+            targets.append(z1)
+            return _walk_segment(z0, y0, z1, atlas, **kw)
+
+        monkeypatch.setattr(complex_plane, "_walk_segment", recorded)
+        for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
+            ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z, atlas)
+            for sheet, sign in ((n, 1.0), (-n, -1.0)):
+                targets.clear()
+                y = sign * eval_complex(z, sheet, atlas).y
+                if _solved_by_window(atlas, z, n):
+                    assert not targets, (z, sheet)
+                else:
+                    assert len(targets) == 2 and targets[0].imag == z.imag, (z, sheet)
+                    assert abs(targets[0].real - z.real) > 0.05, (z, sheet)
+                _assert_continued_value(z, y, ref)
+
+    def test_refused_start_raises(self, atlas, monkeypatch):
+        # z is in sheet 1's band, so it is continued from the exterior root
+        # at its start point; refused, there is no certified value to follow
+        z = -1.0 + 1.0j
+        monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
+        for n in (1, -1):
+            with pytest.raises(NoConvergence):
+                atlas.continue_from_anchor(z, n)
+            with pytest.raises(NoConvergence):
+                eval_complex(z, n, atlas)
 
 
 class TestAtlasRange:
