@@ -34,7 +34,9 @@ whose parameters (rho, a) encode the modulus and argument of the nearest
 complex singularity; `fit_asymptotic` recovers them with a Prony-type
 linear fit.  Coefficients are generated with mpmath extended precision:
 plain float64 turns out to lose only a couple of digits by k ~ 300, but
-the extended route removes the question entirely and is cheap.
+the extended route removes the question entirely.  Every convolution is
+one fused dot product (`mp.fdot`): its products are summed exactly and
+rounded once, so a sum costs one rounding instead of one per term.
 """
 
 from __future__ import annotations
@@ -42,12 +44,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import mpmath as mp
 
 from .errors import (
     FitDiverged,
+    NonFiniteArgument,
     OutsideConvergence,
     PrecisionExhausted,
 )
@@ -101,7 +105,9 @@ class SeriesTable:
 
     primary holds a_k (SMALL_X) or b_k (LARGE_X); secondary holds the
     matching d_k or c_k.  Values are mpmath floats at `precision_digits`
-    working digits.
+    working digits.  The float coefficients and the convergence bound that
+    `eval_series` uses are computed on first use and kept on the instance;
+    they are not fields, so equality, hashing and repr ignore them.
     """
 
     kind: SeriesKind
@@ -110,9 +116,28 @@ class SeriesTable:
     secondary: tuple
     precision_digits: int
 
+    @cached_property
+    def _floats(self) -> tuple[float, ...]:
+        return tuple(float(v) for v in self.primary)
+
+    @cached_property
+    def _bound(self) -> float:
+        """Convergence bound of `eval_series`: the root-test estimate at the
+        highest nonzero stored order, capped by RHO_LIMIT from above
+        (SMALL_X) or from below (LARGE_X)."""
+        small = self.kind is SeriesKind.SMALL_X
+        edge = math.inf
+        for k in range(self.order, 0, -1):
+            coeff = self.primary[k]
+            if coeff != 0:
+                with mp.workdps(self.precision_digits):
+                    edge = float(abs(coeff) ** (mp.mpf(-1 if small else 1) / k))
+                break
+        return min(edge, RHO_LIMIT) if small else max(edge, RHO_LIMIT)
+
     def primary_floats(self) -> list[float]:
-        """The primary coefficients rounded to floats, as a list."""
-        return [float(v) for v in self.primary]
+        """The primary coefficients rounded to floats, as a new list."""
+        return list(self._floats)
 
     def recursion_residuals(self) -> float:
         """Max defect of the defining recursions over all stored orders,
@@ -130,15 +155,16 @@ class SeriesTable:
                         mp.mpf(2 * k + 3) / (3 * (2 * k - 1)) * d[k]
                     worst = max(worst, abs(r1) / (1 + abs(a[k])))
                     if k >= 1:
-                        conv = sum((4 * j - k) * a[j] * d[k - j]
-                                   for j in range(1, k + 1)) / k
+                        conv = mp.fdot([(4 * j - k) * a[j] for j in range(1, k + 1)],
+                                       d[k - 1::-1]) / k
                         worst = max(worst, abs(conv - d[k]) / (1 + abs(d[k])))
             else:
                 b, c = self.primary, self.secondary
                 pi2_4 = mp.pi ** 2 / 4
                 for k in range(self.order + 1):
-                    scale = 1 + max(abs(b[k - j] * c[j]) for j in range(k + 1))
-                    conv = sum(b[k - j] * c[j] for j in range(k + 1))
+                    terms = [b[k - j] * c[j] for j in range(k + 1)]
+                    scale = 1 + max(map(abs, terms))
+                    conv = mp.fsum(terms)
                     worst = max(worst, abs(conv - (1 if k == 0 else 0)) / scale)
                     if k + 1 <= self.order:
                         r1 = (k + 1) * c[k + 1] + (k - 1) * c[k] - \
@@ -187,8 +213,7 @@ def small_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
         a = [mp.mpf(1)]
         d = [mp.mpf(1)]
         for k in range(1, K + 1):
-            S = sum(((4 * j - k) * a[j] * d[k - j] for j in range(1, k)),
-                    mp.mpf(0)) / k
+            S = mp.fdot([(4 * j - k) * a[j] for j in range(1, k)], d[k - 1:0:-1]) / k
             # substitute d_k = 3 a_k + S into the first recursion and solve
             ak = -mp.mpf(2 * k - 1) / (4 * k + 2) * a[k - 1] \
                  - mp.mpf(2 * k + 3) / (3 * (4 * k + 2)) * S
@@ -207,7 +232,7 @@ def large_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
         b = [mp.mpf(1)]
         c = [mp.mpf(1), mp.mpf(1)]          # c_1 = c_0 from the k = 0 relation
         for k in range(1, K + 1):
-            b.append(-sum(b[k - j] * c[j] for j in range(1, k + 1)))
+            b.append(-mp.fdot(b[k - 1::-1], c[1:k + 1]))
             c.append((pi2_4 * (k - 1) * b[k - 1] - (k - 1) * c[k]) / (k + 1))
         return SeriesTable(SeriesKind.LARGE_X, K, tuple(b), tuple(c[:K + 1]), dps)
 
@@ -217,14 +242,8 @@ def large_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
 # ---------------------------------------------------------------------------
 
 def _series_mul(p, q, N):
-    out = [mp.mpf(0)] * (N + 1)
-    for i, pv in enumerate(p):
-        if pv == 0:
-            continue
-        jmax = N - i
-        for j, qv in enumerate(q[:jmax + 1]):
-            out[i + j] += pv * qv
-    return out
+    """Product of two series of at least N+1 terms, truncated after v^N."""
+    return [mp.fdot(p[:n + 1], q[n::-1]) for n in range(N + 1)]
 
 
 def lagrange_b(k: int, precision: int = 50) -> float:
@@ -255,7 +274,7 @@ def lagrange_b(k: int, precision: int = 50) -> float:
         inv = [mp.mpf(0)] * (N + 1)
         inv[0] = 1 / s[0]
         for i in range(1, N + 1):
-            inv[i] = -sum(s[j] * inv[i - j] for j in range(1, i + 1)) / s[0]
+            inv[i] = -mp.fdot(s[1:i + 1], inv[i - 1::-1]) / s[0]
         phi = _series_mul(cc, inv, N)
         phi = _series_mul(phi, [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (N - 1), N)
         power = [mp.mpf(1)] + [mp.mpf(0)] * N
@@ -273,32 +292,25 @@ def lagrange_b(k: int, precision: int = 50) -> float:
 # evaluation and analysis
 # ---------------------------------------------------------------------------
 
-def _edge_estimate(table: SeriesTable) -> float:
-    """Root-test radius estimate from the highest nonzero stored order."""
-    for k in range(table.order, 0, -1):
-        coeff = table.primary[k]
-        if coeff != 0:
-            mag = abs(coeff)
-            with mp.workdps(table.precision_digits):
-                if table.kind is SeriesKind.SMALL_X:
-                    return float(mag ** (-mp.mpf(1) / k))
-                return float(mag ** (mp.mpf(1) / k))
-    return math.inf
-
-
 def eval_series(x: float, table: SeriesTable) -> SeriesEval:
     """Horner evaluation of the expansion at real x.
 
     Small-argument tables require 0 <= x below the convergence bound
     min(root-test estimate, 2.6397); large-argument tables require |x|
-    above max(root-test estimate, 2.6397).  The reported truncation
-    estimate is the magnitude of the last retained term.
+    above max(root-test estimate, 2.6397).  The root-test estimate is
+    taken at the highest nonzero stored order.  The float coefficients and
+    the bound are computed once per table, on its first evaluation, so
+    later calls do float arithmetic only.  The reported truncation
+    estimate is the magnitude of the last retained term.  NaN raises
+    NonFiniteArgument; on a large-argument table x = +-inf returns the
+    limit pi/2 with truncation estimate 0.
     """
-    coeffs = table.primary_floats()
+    if math.isnan(x):
+        raise NonFiniteArgument("x is NaN")
+    coeffs, bound = table._floats, table._bound
     if table.kind is SeriesKind.SMALL_X:
         if x < 0:
             raise OutsideConvergence("small-argument series requires x >= 0")
-        bound = min(_edge_estimate(table), RHO_LIMIT)
         if x >= bound:
             raise OutsideConvergence(
                 f"x={x} is outside the small-argument radius bound {bound:.4f}"
@@ -306,18 +318,17 @@ def eval_series(x: float, table: SeriesTable) -> SeriesEval:
         if x == 0.0:
             return SeriesEval(0.0, 0.0)
         acc = 0.0
-        for c in coeffs[::-1]:
+        for c in reversed(coeffs):
             acc = acc * x + c
         return SeriesEval(math.sqrt(x) * acc,
                           abs(coeffs[-1] * x ** table.order) * math.sqrt(x))
-    bound = max(_edge_estimate(table), RHO_LIMIT)
     if abs(x) <= bound:
         raise OutsideConvergence(
             f"|x|={abs(x)} is inside the large-argument radius bound {bound:.4f}"
         )
     t = 1.0 / x
     acc = 0.0
-    for c in coeffs[::-1]:
+    for c in reversed(coeffs):
         acc = acc * t + c
     return SeriesEval(0.5 * math.pi * acc,
                       0.5 * math.pi * abs(coeffs[-1] * t ** table.order))

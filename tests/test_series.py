@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -5,7 +6,12 @@ import numpy as np
 import pytest
 
 from wtan.core import derivative, eval_real
-from wtan.errors import FitDiverged, OutsideConvergence, PrecisionExhausted
+from wtan.errors import (
+    FitDiverged,
+    NonFiniteArgument,
+    OutsideConvergence,
+    PrecisionExhausted,
+)
 from wtan.series import (
     SeriesKind,
     SeriesTable,
@@ -25,6 +31,68 @@ LARGE_X_EXACT = [1.0, -1.0, 1.0, -(1.0 - PI2 / 12.0), -(PI2 / 3.0 - 1.0)]
 # |x_1| and arg(x_1): modulus and phase of the nearest singular point
 RHO_TRUE = 2.639705
 ARG_TRUE = math.atan2(2.059981, -1.650611)
+
+
+# Reference recursions with plain term-by-term sums (one rounding per term).
+# The module's fused dot products must round to the same floats.
+
+def reference_small(K, dps):
+    with mp.workdps(dps):
+        a, d = [mp.mpf(1)], [mp.mpf(1)]
+        for k in range(1, K + 1):
+            S = sum(((4 * j - k) * a[j] * d[k - j] for j in range(1, k)),
+                    mp.mpf(0)) / k
+            ak = -mp.mpf(2 * k - 1) / (4 * k + 2) * a[k - 1] \
+                 - mp.mpf(2 * k + 3) / (3 * (4 * k + 2)) * S
+            a.append(ak)
+            d.append(3 * ak + S)
+        return a, d
+
+
+def reference_large(K, dps):
+    with mp.workdps(dps):
+        pi2_4 = mp.pi ** 2 / 4
+        b, c = [mp.mpf(1)], [mp.mpf(1), mp.mpf(1)]
+        for k in range(1, K + 1):
+            b.append(-sum(b[k - j] * c[j] for j in range(1, k + 1)))
+            c.append((pi2_4 * (k - 1) * b[k - 1] - (k - 1) * c[k]) / (k + 1))
+        return b, c[:K + 1]
+
+
+def reference_lagrange_b(k, dps=50):
+    N = k - 1
+
+    def mul(p, q):
+        out = [mp.mpf(0)] * (N + 1)
+        for i, pv in enumerate(p):
+            for j, qv in enumerate(q[:N - i + 1]):
+                out[i + j] += pv * qv
+        return out
+
+    with mp.workdps(dps):
+        half_pi = mp.pi / 2
+        s = [mp.mpf(0)] * (N + 1)
+        cc = [mp.mpf(0)] * (N + 1)
+        for m in range(N // 2 + 1):
+            s[2 * m] = (-1) ** m * half_pi ** (2 * m + 1) / mp.factorial(2 * m + 1)
+            cc[2 * m] = (-1) ** m * half_pi ** (2 * m) / mp.factorial(2 * m)
+        inv = [1 / s[0]] + [mp.mpf(0)] * N
+        for i in range(1, N + 1):
+            inv[i] = -sum(s[j] * inv[i - j] for j in range(1, i + 1)) / s[0]
+        phi = mul(mul(cc, inv), [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (N - 1))
+        power = [mp.mpf(1)] + [mp.mpf(0)] * N
+        base, e = phi, k
+        while e:
+            if e & 1:
+                power = mul(power, base)
+            e >>= 1
+            if e:
+                base = mul(base, base)
+        return float(-half_pi ** k / k * power[k - 1])
+
+
+def floats(values):
+    return [float(v) for v in values]
 
 
 class TestRecursions:
@@ -80,6 +148,10 @@ class TestLagrange:
             bk = float(table.primary[k])
             assert lagrange_b(k) == pytest.approx(bk, rel=1e-10)
 
+    def test_same_floats_as_plain_sums(self):
+        for k in range(1, 31):
+            assert lagrange_b(k) == reference_lagrange_b(k), k
+
 
 class TestEvalSeries:
     def test_small_x_matches_solver(self):
@@ -102,6 +174,35 @@ class TestEvalSeries:
             eval_series(2.0, large_x_coeffs(30))
         with pytest.raises(OutsideConvergence):
             eval_series(-0.5, small_x_coeffs(30))
+
+    def test_nan_raises(self):
+        for table in (small_x_coeffs(10), large_x_coeffs(10)):
+            with pytest.raises(NonFiniteArgument):
+                eval_series(math.nan, table)
+
+    def test_infinity_on_large_table_is_the_limit(self):
+        table = large_x_coeffs(10)
+        for x in (math.inf, -math.inf):
+            assert eval_series(x, table) == (0.5 * math.pi, 0.0)
+        with pytest.raises(OutsideConvergence):
+            eval_series(math.inf, small_x_coeffs(10))
+
+    def test_horner_over_primary_floats(self):
+        # eval_series keeps its own floats: mutating the returned list
+        # changes neither them nor a later evaluation
+        for table, x in ((small_x_coeffs(30), 0.7), (large_x_coeffs(30), -6.0)):
+            first = eval_series(x, table)
+            coeffs = table.primary_floats()
+            table.primary_floats()[0] = 123.0
+            t = x if table.kind is SeriesKind.SMALL_X else 1.0 / x
+            acc = 0.0
+            for c in coeffs[::-1]:
+                acc = acc * t + c
+            want = math.sqrt(x) * acc if table.kind is SeriesKind.SMALL_X \
+                else 0.5 * math.pi * acc
+            assert eval_series(x, table) == first
+            assert first.value == want
+            assert table.primary_floats() == coeffs
 
     def test_truncation_estimate_reported(self):
         ev = eval_series(0.5, small_x_coeffs(10))
@@ -140,6 +241,16 @@ class TestRadiusEstimates:
 @pytest.fixture(scope="module")
 def tables():
     return small_x_coeffs(300), large_x_coeffs(300)
+
+
+def test_order_300_same_floats_as_plain_sums(tables):
+    small, large = tables
+    a, d = reference_small(300, small.precision_digits)
+    assert floats(small.primary) == floats(a)
+    assert floats(small.secondary) == floats(d)
+    b, c = reference_large(300, large.precision_digits)
+    assert floats(large.primary) == floats(b)
+    assert floats(large.secondary) == floats(c)
 
 
 class TestAsymptoticFit:
@@ -185,3 +296,7 @@ class TestAsymptoticFit:
         table = SeriesTable(SeriesKind.LARGE_X, 60, primary, (), 30)
         with pytest.raises(FitDiverged):
             fit_asymptotic(table, 10, 60)
+        # the floats and bound eval_series keeps are not fields
+        eval_series(100.0, table)
+        assert table == dataclasses.replace(table)
+        assert hash(table) == hash(dataclasses.replace(table))
