@@ -6,7 +6,7 @@ well spectrum, the integral checks, the dispersion reconstruction, and
 grid sampling.  Identical invocations produce byte-identical output: no
 timestamps, fixed column orders, and floats rendered with a shortest
 round-trip representation capped at the requested number of significant
-digits (default 12, overridable with --precision or WT_PRECISION).
+digits (default 12, overridable with --precision).
 
 Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 """
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import __version__
@@ -34,23 +33,10 @@ from .quantum import WellModel, spectrum, wavefunction
 
 __all__ = ["main"]
 
-_ENV_PRECISION = "WT_PRECISION"
-
 
 def _usage_error(msg: str) -> "SystemExit":
     print(f"error: {msg}", file=sys.stderr)
     return SystemExit(2)
-
-
-def _default_precision() -> int:
-    raw = os.environ.get(_ENV_PRECISION)
-    if raw is None:
-        return 12
-    try:
-        p = int(raw)
-    except ValueError:
-        raise _usage_error(f"invalid {_ENV_PRECISION}={raw!r}: must be an integer")
-    return p
 
 
 def fmt(v: float, precision: int) -> str:
@@ -93,7 +79,7 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=int, default=_default_precision(),
+    p.add_argument("--precision", type=int, default=12,
                    help="significant digits for floats (default 12)")
     p.add_argument("--output", default="-", metavar="PATH",
                    help="output file, '-' for stdout")
@@ -132,6 +118,8 @@ def cmd_eval(args) -> int:
     else:
         if args.x is None:
             raise _usage_error("one of --x or --z is required")
+        if scheme is CutScheme.FINITE_CUTS:
+            raise _usage_error("--x requires --scheme real")
         side = {"pos": 1, "neg": -1, None: None}[args.side]
         y_r = eval_real(args.x, args.branch, side=side)
         x, y = complex(args.x, 0.0), complex(y_r, 0.0)
@@ -165,7 +153,7 @@ def cmd_series(args) -> int:
 
     kind = SeriesKind.SMALL_X if args.kind == "small" else SeriesKind.LARGE_X
     table = (small_x_coeffs if kind is SeriesKind.SMALL_X else large_x_coeffs)(
-        args.order, args.work_digits)
+        args.order)
     rho = {r.k: r.rho for r in radius_estimates(table)} if args.order >= 1 else {}
     records = []
     for k in range(args.order + 1):
@@ -325,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="expansion coefficient tables")
     p.add_argument("--kind", choices=("small", "large"), required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--work-digits", type=int, default=None,
-                   help="working precision in decimal digits")
     _add_output_flags(p)
     p.set_defaults(func=cmd_series)
 

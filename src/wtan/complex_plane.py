@@ -660,10 +660,12 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
 
 
 def _locate_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
-                side: "Side | None" = None, tol: float = 1e-9) -> Cut:
-    """Find a cut of sheet n containing the point.  Near the junction where
-    the real and vertical cuts meet, a point can sit on both; the requested
-    side disambiguates (UPPER/LOWER -> real segment, LEFT/RIGHT -> vertical)."""
+                side: Side) -> Cut:
+    """Find a cut of sheet n containing the point, to within 1e-9.  Near the
+    junction where the real and vertical cuts meet, a point can sit on both;
+    the requested side disambiguates (UPPER/LOWER -> real segment,
+    LEFT/RIGHT -> vertical)."""
+    tol = 1e-9
     matches = []
     for cut in atlas.cuts_for(n):
         if cut.kind is CutKind.REAL_SEGMENT:
@@ -675,18 +677,15 @@ def _locate_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
             hi = max(abs(cut.endpoints[0].imag), abs(cut.endpoints[1].imag))
             if abs(point.real - a) <= tol and abs(point.imag) <= hi + tol:
                 matches.append(cut)
-    if side is not None:
-        wanted = (CutKind.REAL_SEGMENT if side in (Side.UPPER, Side.LOWER)
-                  else CutKind.VERTICAL_SEGMENT)
-        sided = [c for c in matches if c.kind is wanted]
-        if sided:
-            return sided[0]
-        if matches:
-            raise ValueError(
-                f"side {side.value} does not apply to the cut kind at {point!r}"
-            )
-    elif matches:
-        return matches[0]
+    wanted = (CutKind.REAL_SEGMENT if side in (Side.UPPER, Side.LOWER)
+              else CutKind.VERTICAL_SEGMENT)
+    sided = [c for c in matches if c.kind is wanted]
+    if sided:
+        return sided[0]
+    if matches:
+        raise ValueError(
+            f"side {side.value} does not apply to the cut kind at {point!r}"
+        )
     raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
 
 

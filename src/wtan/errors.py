@@ -34,10 +34,6 @@ class BracketFailure(WtanError):
     """A root was not found in the interval known to contain it."""
 
 
-class PrecisionExhausted(WtanError):
-    """Working precision leaves too few valid digits at the requested order."""
-
-
 class OutsideConvergence(WtanError):
     """Evaluation point violates the series convergence-radius bound."""
 

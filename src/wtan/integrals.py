@@ -21,6 +21,7 @@ integrable ln(sin(sqrt(x))) ~ (1/2) ln x singularity into a smooth factor.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -100,45 +101,42 @@ def _quad(f, lo, hi):
     return value
 
 
-def check_indefinite_log(x_lo: float, x_hi: float) -> float:
-    """|quadrature of ln w - antiderivative difference| on [x_lo, x_hi]."""
+def _check_indefinite(integrand, anti, x_lo: float, x_hi: float) -> float:
+    """|quadrature of integrand - difference of anti| on [x_lo, x_hi]."""
     if not 0 < x_lo <= x_hi:
         raise ValueError("need 0 < x_lo <= x_hi")
     if x_lo == x_hi:
         return 0.0
+    return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))
 
-    def integrand(x):
-        return math.log(eval_real(x, 1))
 
+def check_indefinite_log(x_lo: float, x_hi: float) -> float:
+    """|quadrature of ln w - antiderivative difference| on [x_lo, x_hi]."""
     def anti(x):
         w = eval_real(x, 1)
         return x * math.log(w) + math.log(abs(math.cos(w)))
 
-    return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))
+    return _check_indefinite(lambda x: math.log(eval_real(x, 1)), anti,
+                             x_lo, x_hi)
 
 
 def check_indefinite_logsin(x_lo: float, x_hi: float) -> float:
     """|quadrature of ln sin w - antiderivative difference| on [x_lo, x_hi]."""
-    if not 0 < x_lo <= x_hi:
-        raise ValueError("need 0 < x_lo <= x_hi")
-    if x_lo == x_hi:
-        return 0.0
-
-    def integrand(x):
-        return math.log(math.sin(eval_real(x, 1)))
-
     def anti(x):
         w = eval_real(x, 1)
         return x * math.log(math.sin(w)) - 0.5 * w * w
 
-    return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))
+    return _check_indefinite(lambda x: math.log(math.sin(eval_real(x, 1))),
+                             anti, x_lo, x_hi)
 
 
-def _lnsin_tail_coeffs(n_terms: int = 6) -> list[float]:
-    """Coefficients q_m of ln sin w(x) = sum_(m>=2) q_m x^(-m), from the
+@functools.cache
+def _lnsin_tail_coeffs() -> tuple[float, ...]:
+    """Coefficients q_0..q_6 of ln sin w(x) = sum_(m>=2) q_m x^(-m), from the
     large-argument series: with u = pi/2 - w, ln sin w = ln cos u =
     -u^2/2 - u^4/12 - u^6/45 - ...  Leading terms: q_2 = -pi^2/8,
-    q_3 = +pi^2/4."""
+    q_3 = +pi^2/4.  Built once, on first use."""
+    n_terms = 6
     b = [float(v) for v in large_x_coeffs(n_terms).primary]
     # u as a polynomial in t = 1/x: u = -(pi/2) * sum_{k>=1} b_k t^k
     u = [0.0] + [-0.5 * math.pi * b[k] for k in range(1, n_terms + 1)]
@@ -156,9 +154,8 @@ def _lnsin_tail_coeffs(n_terms: int = 6) -> list[float]:
     u2 = pmul(u, u)
     u4 = pmul(u2, u2)
     u6 = pmul(u4, u2)
-    total = [-(a / 2.0) - (c / 12.0) - (d / 45.0)
-             for a, c, d in zip(u2, u4, u6)]
-    return total
+    return tuple(-(a / 2.0) - (c / 12.0) - (d / 45.0)
+                 for a, c, d in zip(u2, u4, u6))
 
 
 def lnsin_tail(X: float) -> float:

@@ -12,6 +12,7 @@ A sin(k xi) mirrored about the center; the derivative jump across the
 contact term fixes the eigencondition, and the natural normalization is
 the generalized inner product with weight N = 1 + lambda*delta(xi - a/2)
 (the problem is H0 psi = E N psi, so eigenstates are orthonormal in N).
+Energies are in units of hbar^2/2m, so E = k^2.
 
 The same structure yields variational upper bounds on the ground branch:
 with trial functions sin(xi) and sin(xi) + b sin(3 xi) at a = pi, the
@@ -49,17 +50,15 @@ class Parity(enum.Enum):
 @dataclass(frozen=True)
 class WellModel:
     """Well of width a with contact strength lambda (positive = attractive,
-    the strength scales with the state's energy)."""
+    the strength scales with the state's energy).  Energies are in units of
+    hbar^2/2m."""
 
     width_a: float
     lam: float
-    hbar2_over_2m: float = 1.0
 
     def __post_init__(self):
         if not self.width_a > 0:
             raise ValueError("well width must be positive")
-        if not self.hbar2_over_2m > 0:
-            raise ValueError("hbar^2/2m must be positive")
 
 
 @dataclass(frozen=True)
@@ -92,7 +91,8 @@ class Wavefunction:
 
 def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     """Lowest `count` states: even levels k_n = (2/a) W^(n)(a/lambda) merged
-    with the unaffected odd levels k = 2*m*pi/a, sorted by energy.
+    with the unaffected odd levels k = 2*m*pi/a, sorted by energy
+    E = k^2 (units of hbar^2/2m).
 
     lambda = 0 is the unperturbed well: even levels reduce to their
     (2n-1)*pi/a limits (the branch value at infinity).
@@ -113,7 +113,7 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     out = []
     for i, (k, parity, branch) in enumerate(entries[:count]):
         out.append(SpectrumEntry(index=i, parity=parity, k=k,
-                                 E=model.hbar2_over_2m * k * k, branch=branch))
+                                 E=k * k, branch=branch))
     return out
 
 

@@ -49,12 +49,7 @@ from typing import NamedTuple
 
 import mpmath as mp
 
-from .errors import (
-    FitDiverged,
-    NonFiniteArgument,
-    OutsideConvergence,
-    PrecisionExhausted,
-)
+from .errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 
 __all__ = [
     "SeriesKind",
@@ -74,8 +69,8 @@ __all__ = [
 RHO_LIMIT = 2.6397047612188325
 # detrending scale for the asymptotic fit, kept near RHO_LIMIT
 RHO_HAT = 2.64
-
-MIN_VALID_DIGITS = 6
+# working digits of lagrange_b
+LAGRANGE_DIGITS = 50
 
 
 class SeriesKind(enum.Enum):
@@ -83,17 +78,14 @@ class SeriesKind(enum.Enum):
     LARGE_X = "large"
 
 
-def _digits_lost(order: int) -> float:
-    """Empirical rounding loss of the recursions, in decimal digits.
-
-    Measured against float64 at orders up to a few hundred: the convolution
-    terms share the magnitude of the result, so the loss grows only
-    logarithmically.  A fixed safety margin is added.
-    """
-    return 3.0 + math.log10(max(order, 1))
-
-
 def _auto_precision(order: int) -> int:
+    """Working digits of the order-`order` recursions.
+
+    The recursions lose about 3 + log10(order) digits to rounding (measured
+    against float64 at orders up to a few hundred: the convolution terms
+    share the magnitude of the result), so this leaves more than 25 valid
+    digits at every order.
+    """
     if order <= 40:
         return 30
     return max(50, 15 + order // 4)
@@ -194,21 +186,15 @@ class SeriesEval(NamedTuple):
     truncation_estimate: float
 
 
-def _gate_precision(order: int, precision: int | None) -> int:
-    dps = precision if precision is not None else _auto_precision(order)
-    if dps - _digits_lost(order) < MIN_VALID_DIGITS:
-        raise PrecisionExhausted(
-            f"{dps} working digits leave fewer than {MIN_VALID_DIGITS} valid "
-            f"digits at order {order}; raise the precision"
-        )
-    return dps
+def small_x_coeffs(K: int) -> SeriesTable:
+    """Generate a_0..a_K and d_0..d_K of the small-argument expansion.
 
-
-def small_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
-    """Generate a_0..a_K and d_0..d_K of the small-argument expansion."""
+    Works at 30 digits up to order 40 and at max(50, 15 + K//4) digits
+    beyond (the table's `precision_digits`).
+    """
     if K < 0:
         raise ValueError("order must be >= 0")
-    dps = _gate_precision(K, precision)
+    dps = _auto_precision(K)
     with mp.workdps(dps):
         a = [mp.mpf(1)]
         d = [mp.mpf(1)]
@@ -222,11 +208,15 @@ def small_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
         return SeriesTable(SeriesKind.SMALL_X, K, tuple(a), tuple(d), dps)
 
 
-def large_x_coeffs(K: int, precision: int | None = None) -> SeriesTable:
-    """Generate b_0..b_K and c_0..c_K of the large-argument expansion."""
+def large_x_coeffs(K: int) -> SeriesTable:
+    """Generate b_0..b_K and c_0..c_K of the large-argument expansion.
+
+    Works at 30 digits up to order 40 and at max(50, 15 + K//4) digits
+    beyond (the table's `precision_digits`).
+    """
     if K < 0:
         raise ValueError("order must be >= 0")
-    dps = _gate_precision(K, precision)
+    dps = _auto_precision(K)
     with mp.workdps(dps):
         pi2_4 = mp.pi ** 2 / 4
         b = [mp.mpf(1)]
@@ -246,7 +236,7 @@ def _series_mul(p, q, N):
     return [mp.fdot(p[:n + 1], q[n::-1]) for n in range(N + 1)]
 
 
-def lagrange_b(k: int, precision: int = 50) -> float:
+def lagrange_b(k: int) -> float:
     """b_k by series inversion, independent of the recursion route.
 
     Builds the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
@@ -254,13 +244,15 @@ def lagrange_b(k: int, precision: int = 50) -> float:
     power by arithmetic truncated after v^(k-1), and reads off
 
         b_k = -(pi/2)^k * (1/k) * [v^(k-1)] phi(v)^k ,   b_0 = 1 .
+
+    Works at LAGRANGE_DIGITS = 50 digits.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return 1.0
     N = k - 1
-    with mp.workdps(precision):
+    with mp.workdps(LAGRANGE_DIGITS):
         half_pi = mp.pi / 2
         # sin(pi v/2)/v and cos(pi v/2) as series in v
         s = [mp.mpf(0)] * (N + 1)

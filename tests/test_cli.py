@@ -10,18 +10,16 @@ CMD = [sys.executable, "-m", "wtan"]
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def child_env(env_extra=None):
+def child_env():
     """The test process's environment with the source tree importable."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    if env_extra:
-        env.update(env_extra)
     return env
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=child_env(env_extra))
+                          env=child_env())
 
 
 class TestEval:
@@ -82,6 +80,13 @@ class TestEval:
         cp = run_cli("eval", "--branch", "1")
         assert cp.returncode == 2
 
+    def test_real_argument_rejects_finite_cuts(self):
+        cp = run_cli("eval", "--x", "-1", "--branch", "1",
+                     "--scheme", "finite-cuts")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "--x requires --scheme real" in cp.stderr
+
 
 class TestTables:
     def test_series_row_values(self):
@@ -133,6 +138,12 @@ class TestTables:
         x, y = lines[1].split(",")
         assert float(y) == pytest.approx(0.6532711871, abs=1e-9)
 
+    def test_grid_leaves_zero_empty(self):
+        cp = run_cli("grid", "--range", "-1:1", "--points", "3")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.splitlines() == [
+            "x,y", "-1,2.79838604578", "0,", "1,0.860333589019"]
+
     def test_dispersion(self):
         cp = run_cli("dispersion", "--at", "5,0")
         lines = cp.stdout.strip().splitlines()
@@ -162,12 +173,6 @@ class TestDeterminism:
         run_cli("series", "--kind", "large", "--order", "6",
                 "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
-
-    def test_precision_env_override(self):
-        cp = run_cli("eval", "--x", "1", "--branch", "1",
-                     env_extra={"WT_PRECISION": "6"})
-        assert "0.860334" in cp.stdout
-        assert "0.860333589019" not in cp.stdout
 
     def test_precision_flag(self):
         cp = run_cli("eval", "--x", "1", "--branch", "1", "--precision", "15")

@@ -17,6 +17,7 @@ from wtan.integrals import (
     definite_lnsin,
     lnsin_tail,
 )
+from wtan.series import large_x_coeffs
 
 
 class TestIndefiniteIdentities:
@@ -62,6 +63,22 @@ class TestDefiniteLnSin:
         assert t < 0.0
         assert abs(t) == pytest.approx(math.pi ** 2 / 800.0 * 0.99, rel=1e-3)
         assert abs(t) == pytest.approx(0.01234, abs=1.5e-4)
+
+    def test_tail_coefficients_built_once(self, monkeypatch):
+        builds = []
+
+        def counting(K):
+            builds.append(K)
+            return large_x_coeffs(K)
+
+        monkeypatch.setattr(wtan.integrals, "large_x_coeffs", counting)
+        wtan.integrals._lnsin_tail_coeffs.cache_clear()
+        try:
+            first = lnsin_tail(100.0)
+            assert lnsin_tail(100.0) == first
+            assert builds == [6]
+        finally:
+            wtan.integrals._lnsin_tail_coeffs.cache_clear()
 
     def test_tail_against_quadrature(self):
         # direct quadrature of the tail via x = 1/s

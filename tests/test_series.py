@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from wtan.core import derivative, eval_real
-from wtan.errors import (
-    FitDiverged,
-    NonFiniteArgument,
-    OutsideConvergence,
-    PrecisionExhausted,
-)
+from wtan.errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 from wtan.series import (
     SeriesKind,
     SeriesTable,
@@ -123,12 +118,6 @@ class TestRecursions:
         rho_l = radius_estimates(tl)[-1].rho
         assert 2.3 <= rho_s <= 3.0
         assert 2.3 <= rho_l <= 3.0
-
-    def test_precision_gate(self):
-        with pytest.raises(PrecisionExhausted):
-            small_x_coeffs(100, precision=8)
-        with pytest.raises(PrecisionExhausted):
-            large_x_coeffs(200, precision=7)
 
 
 class TestLagrange:
