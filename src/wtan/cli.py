@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable
 
 from . import __version__
 from .branch_points import find_branch_point
@@ -39,6 +40,23 @@ def _usage_error(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
+def _checked_int(rule: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
+    """argparse type: an int satisfying `ok`, else a usage error stating `rule`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if not ok(value):
+            raise _usage_error(f"{rule}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    return parse
+
+
+_BRANCH = _checked_int("--branch must be nonzero", lambda n: n != 0)
+_ORDER = _checked_int("--order must be >= 0", lambda k: k >= 0)
+_POINTS = _checked_int("--points must be >= 2", lambda k: k >= 2)
+_PRECISION = _checked_int("--precision must be in [1, 30]", lambda p: 1 <= p <= 30)
+
+
 def fmt(v: float, precision: int) -> str:
     """Shortest representation of v capped at `precision` significant digits."""
     if v == 0.0:
@@ -48,8 +66,6 @@ def fmt(v: float, precision: int) -> str:
 
 def _emit(records: list[dict], columns: list[str], args) -> None:
     p = args.precision
-    if not 1 <= p <= 30:
-        raise _usage_error("--precision must be in [1, 30]")
 
     def render(v):
         if isinstance(v, float):
@@ -79,7 +95,7 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=int, default=12,
+    p.add_argument("--precision", type=_PRECISION, default=12,
                    help="significant digits for floats (default 12)")
     p.add_argument("--output", default="-", metavar="PATH",
                    help="output file, '-' for stdout")
@@ -116,8 +132,6 @@ def cmd_eval(args) -> int:
         x, y = bv.x, bv.y
         residual = bv.residual
     else:
-        if args.x is None:
-            raise _usage_error("one of --x or --z is required")
         if scheme is CutScheme.FINITE_CUTS:
             raise _usage_error("--x requires --scheme real")
         side = {"pos": 1, "neg": -1, None: None}[args.side]
@@ -267,8 +281,6 @@ def cmd_dispersion(args) -> int:
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 2:
-        return [lo]
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -298,9 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate one branch at a point")
-    p.add_argument("--x", type=float)
-    p.add_argument("--z", metavar="RE,IM")
-    p.add_argument("--branch", type=int, default=1)
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--x", type=float)
+    where.add_argument("--z", metavar="RE,IM")
+    p.add_argument("--branch", type=_BRANCH, default=1)
     p.add_argument("--scheme", choices=("real", "finite-cuts"), default="real")
     p.add_argument("--side", choices=("pos", "neg"), default=None,
                    help="limit side for x = 0 exactly")
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("series", help="expansion coefficient tables")
     p.add_argument("--kind", choices=("small", "large"), required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_ORDER, required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_series)
 
@@ -333,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=6)
     p.add_argument("--wavefunction", type=int, default=None, metavar="INDEX",
                    help="emit samples of one eigenfunction instead")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_POINTS, default=101)
     _add_output_flags(p)
     p.set_defaults(func=cmd_qm)
 
@@ -349,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dispersion)
 
     p = sub.add_parser("grid", help="sample one real branch on a range")
-    p.add_argument("--branch", type=int, default=1)
+    p.add_argument("--branch", type=_BRANCH, default=1)
     p.add_argument("--range", type=_parse_range, required=True)
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=_POINTS, default=101)
     _add_output_flags(p)
     p.set_defaults(func=cmd_grid)
 

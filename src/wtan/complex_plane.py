@@ -17,55 +17,64 @@ Re x_|n| <= Re x <= Re x_(|n|-1) (with x_0 taken as the origin).
 
 Evaluation
 ----------
-Off the band of sheet n's cuts the value is solved for directly, by one of
-two forms of w*tan(w) = x; take n > 0, c = (|n|-1/2)*pi, and negative
-sheets from w(x, -n) = -w(x, n).  No tan is evaluated, so neither form
-has a pole to guard.
+`eval_complex` picks one route from r = |x| and Re x, then runs only the
+guards that route can trip: OnCut within CUT_GUARD of a cut of the sheet
+or within BRANCH_POINT_GUARD of x_(m-1), x_m or a conjugate.  Take n > 0,
+m = |n| and c = (m-1/2)*pi; negative sheets follow from w(x, -n) = -w(x, n).
+The two direct routes evaluate no tan, so neither has a pole to guard.
 
-Outside the disk |x| <= |x_|n|| that holds every cut of sheet n, every root
-on the sheet satisfies the pole-free fixed-point form
+Exterior, r >= EXTERIOR_FACTOR*|x_m|: no guard, since every cut and branch
+point of the sheet lies in |x| <= |x_m|, at least 0.2*|x_m| >= 0.5 away.
+Outside that disk every root on the sheet satisfies the pole-free form
 
     w = c - atan(w/x)          (principal atan)
 
-since tan(c - d) = cot(d).  `continue_from_anchor` solves it by Newton
-iteration on h(w) = w - c + atan(w/x) from the seed c/(1 + 1/x) wherever
-|x| >= EXTERIOR_FACTOR*|x_|n||, up to |x| = 1.7e308.  The fixed-point map
-contracts by q = |1/(x + w^2/x)|, which is 1 at a branch point and below
-0.46 on |x| >= 1.2*|x_|n||; a root is used only if Newton converged and
-q <= 1/2, and then |y - y*| <= 2*|h(y)| certifies it.
+since tan(c - d) = cot(d); it is solved by Newton iteration on
+h(w) = w - c + atan(w/x) from the seed c/(1 + 1/x), up to |x| = 1.7e308.
+The map contracts by q = |1/(x + w^2/x)|, which is 1 at a branch point and
+below 0.46 here; a root is used only if Newton converged and q <= 1/2, and
+then |y - y*| <= 2*|h(y)| certifies it where |h(y)| <= 4*eps*(1+|y|).
 
-Inside that disk but off the band Re x_|n| <= Re x <= 0 of the sheet's
-cuts, the value is the Newton root of the window form
+Window, inside that disk but off the band Re x_m <= Re x <= 0 of the cuts.
+Right of the band (Re x > 0) the only guard is |x| < CUT_GUARD on sheets
++-1, the end of their real cut at the origin: every other cut and branch
+point has Re <= Re x_1 ~ -1.65.  Left of it (Re x < Re x_m) the guards are
+the vertical cut at Re x_m, whose foot is the real cut's nearest point,
+and x_m, x_(m-1) and their conjugates.  The cut at Re x_(m-1) is at least
+the gap Re x_(m-1) - Re x_m ~ 0.5/m away (0.117 at m = 4, 5e-4 at
+m = 1000): far beyond CUT_GUARD, but within BRANCH_POINT_GUARD from
+m ~ 500 on, so x_(m-1) stays guarded.  The value is the Newton root of
 
     g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
 
-with k = |n|-1 right of the band (Re x > 0) and k = |n| left of it
-(Re x < Re x_|n|): the complex form of `eval_real`'s windows C + t, so
-Re atan(x/w) is in (0, pi/2) on the right and in (-pi/2, 0) on the left.
-Near x = 0 on sheet 1 the exterior form loses relative accuracy (it forms
-w ~ sqrt(x) as c - atan(w/x)); this one does not.  A root is taken only
-if Re atan(x/w) lies in the sheet's window, as Lambert W branches are
-identified by their image region (Corless et al., Adv. Comput. Math. 5,
-1996), and |g'(w)| >= DERIV_FLOOR.  The window turns away the mirror root
--w on sheet 1.  The floor turns away the sheet n+1 value next to x_|n|,
-on its left, where the germs of sheets n and n+1 merge: that value solves
-the same window form inside the window, with |g'| <= 0.13.  The two tests
-are not a proof of the sheet: 0.1 to 1 left of x_|n| the values of sheets
-n+1..n+5 also solve the window form inside the window, with |g'| up to
-~14, and there it is the seed's basin that selects sheet n (on 24000
-points clustered there and spread over the disks of sheets 1-4, every
-direct root matched continuation within 6.4e-16 relative).
+with k = m-1 right of the band and k = m left of it: the complex form of
+`eval_real`'s windows C + t, so Re atan(x/w) is in (0, pi/2) on the right
+and in (-pi/2, 0) on the left.  Near x = 0 on sheet 1 the exterior form
+loses relative accuracy (it forms w ~ sqrt(x) as c - atan(w/x)); this one
+does not.  A root is taken only if Re atan(x/w) lies in the sheet's
+window, as Lambert W branches are identified by their image region
+(Corless et al., Adv. Comput. Math. 5, 1996), and |g'(w)| >= DERIV_FLOOR.
+The window turns away the mirror root -w on sheet 1.  The floor turns
+away the sheet n+1 value next to x_m, on its left, where the germs of
+sheets n and n+1 merge: that value solves the same window form inside the
+window, with |g'| <= 0.13.  The two tests are not a proof of the sheet:
+0.1 to 1 left of x_m the values of sheets n+1..n+5 also solve the window
+form inside the window, with |g'| up to ~14, and there it is the seed's
+basin that selects sheet n (on 24000 points clustered there and spread
+over the disks of sheets 1-4, every direct root matched continuation
+within 6.4e-16 relative).
 
-In the band, and wherever a direct root is not taken, the value is
-continued from the exterior root at x + iE, E = EXTERIOR_FACTOR*|x_|n||,
-on the vertical through the target and on its side of the real axis,
-where the contraction certificate holds; the vertical crosses no cut of
-the sheet, and a target beside a vertical cut line and below its branch
-point is reached from a vertical set off that line, by one horizontal
-step.  Each step is corrected by Halley iteration.  Steps shrink
-in proportion to the distance from the nearest branch point: near x_j the
-two local solution sheets differ by O(sqrt(distance)), so uncontrolled
-steps can silently hop between them.
+Band, Re x_m <= Re x <= 0 inside the disk: every guard.  Here, and
+wherever a direct root is not taken, the value is continued from the
+exterior root at x + iE, E = EXTERIOR_FACTOR*|x_m|, on the vertical
+through the target and on its side of the real axis, where the
+contraction certificate holds; the vertical crosses no cut of the sheet,
+and a target beside a vertical cut line and below its branch point is
+reached from a vertical set off that line, by one horizontal step.  Each
+step is corrected by Halley iteration.  Steps shrink in proportion to the
+distance from the nearest branch point: near x_j the two local solution
+sheets differ by O(sqrt(distance)), so uncontrolled steps can silently
+hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -311,88 +320,85 @@ class SheetAtlas:
     def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
         return min(c.distance(z) for c in self.cuts_for(n))
 
-    @staticmethod
-    def sheet_limits(n: BranchIndex, scheme: CutScheme) -> dict:
-        """Documented limit values labeling sheet n in each convention."""
-        n = validate_branch(n)
-        sgn = 1.0 if n > 0 else -1.0
-        at_inf = sgn * (abs(n) - 0.5) * math.pi
-        if scheme is CutScheme.FINITE_CUTS:
-            return {"at_infinity": at_inf}
-        if scheme is CutScheme.CUTS_TO_MINUS_INF:
-            return {"at_infinity": at_inf, "at_plus_zero": sgn * (abs(n) - 1) * math.pi}
-        return {"at_plus_zero": sgn * (abs(n) - 1) * math.pi,
-                "at_minus_zero": n * math.pi}
+    def _guard(self, z: complex, m: int, cut_distance: float) -> None:
+        """OnCut if a cut of sheet +-m lies cut_distance < CUT_GUARD from z,
+        or x_(m-1), x_m or a conjugate within BRANCH_POINT_GUARD of it."""
+        if cut_distance < CUT_GUARD:
+            raise OnCut(f"z={z!r} lies on a cut of sheet +-{m}")
+        for bp in self.branch_points[max(m - 2, 0):m]:
+            if min(abs(z - bp.x), abs(z - bp.conjugate_x)) < BRANCH_POINT_GUARD:
+                raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
+                            f"x_{bp.n}; too close for direct evaluation")
 
-    # -- continuation ------------------------------------------------------
+    # -- evaluation --------------------------------------------------------
 
     def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
-        """Value of sheet n at z; no proximity guards applied.
-
-        Three routes, for sheet n > 0 (negative sheets by negation):
-
-        * |z| >= EXTERIOR_FACTOR*|x_|n||, outside every cut of the sheet:
-          the Newton root of h(w) = w - c + atan(w/z), c = (|n|-1/2)*pi,
-          taken only if Newton converged and the contraction factor
-          q = |1/(z + w^2/z)| is at most 1/2, so that the root is within
-          2*|h(y)| of the exact value.
-        * Inside that disk, right of the band of cuts (Re z > 0, k = |n|-1)
-          or left of it (Re z < Re x_|n|, k = |n|): the Newton root of
-          g(w) = w - k*pi - atan(z/w), taken only if Newton converged,
-          Re atan(z/y) lies in the sheet's window ((0, pi/2) on the right,
-          (-pi/2, 0) on the left) and |g'(y)| >= DERIV_FLOOR.
-        * Otherwise, in the band or where a root is not taken: continued
-          from the exterior root at s = x + i*E, E = EXTERIOR_FACTOR*|x_|n||
-          (x - i*E if Im z < 0, so the route never crosses the real axis),
-          down the vertical x = Re z onto z.  Where that vertical would pass
-          within 1e-6 of one of the sheet's branch points x_j (z beside the
-          cut line Re x = Re x_j and below x_j), it descends at
-          x = Re z +- 0.25 on z's side of that line, or at the middle of the
-          band Re x_|n| < x < Re x_(|n|-1) if z lies inside it, and ends
-          with a horizontal step onto z.  NoConvergence is raised if the
-          exterior root refuses s.
+        """Value of sheet n at z by the routes of `eval_complex`, with no
+        guards: on a cut or at a branch point it returns whatever germ its
+        route reaches there.
 
         Raises NonFiniteArgument if |z| is not finite, including finite
-        parts whose modulus overflows, and DomainViolation if the atlas
-        does not hold branch point |n|.
+        parts whose modulus overflows, DomainViolation if the atlas does not
+        hold branch point |n|, and NoConvergence if the exterior root refuses
+        the start of a continuation.
         """
         n = validate_branch(n)
         r = _modulus(z)
-        if n < 0:
-            return -self.continue_from_anchor(z, -n)
         self._require_sheet(n)
-        c = (n - 0.5) * math.pi
-        e = EXTERIOR_FACTOR * self.disk_radii[n - 1]
-        lo = self.branch_points[n - 1].x.real
-        if r >= e:
+        y = self._solve(z, abs(n), r, False)[0]
+        return y if n > 0 else -y
+
+    def _solve(self, z: complex, m: int, r: float,
+               guarded: bool) -> tuple[complex, bool]:
+        """Sheet-m (m > 0) value at z, r = |z|, and whether the exterior
+        certificate holds for it.  The route is picked once, from r and Re z;
+        `guarded` runs the guards it can trip, and only those (module docstring)."""
+        c = (m - 0.5) * math.pi
+        e = EXTERIOR_FACTOR * self.disk_radii[m - 1]
+        lo = self.branch_points[m - 1].x.real
+        exterior = r >= e
+        if exterior:
             y = _exterior_root(z, c)
-        elif z.real > 0.0 or z.real < lo:
-            y = _window_root(z, n)
+        elif z.real > 0.0:
+            if guarded and m == 1 and r < CUT_GUARD:
+                raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
+            y = _window_root(z, m)
+        elif z.real < lo:
+            if guarded:
+                self._guard(z, m, self.cuts_for(m)[-1].distance(z))
+            y = _window_root(z, m)
         else:
+            if guarded:
+                self._guard(z, m, self.distance_to_cuts(z, m))
             y = None
-        if y is not None:
-            return y
-        x, route = z.real, (z,)
-        for bp in self.branch_points[max(n - 2, 0):n]:
-            if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
-                # inside the band a sideways step of 0.25 can cross the
-                # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
-                hi = self.branch_points[n - 2].x.real if n > 1 else 0.0
-                if lo < x < hi:
-                    x = 0.5 * (lo + hi)
-                else:
-                    x += 0.25 if x >= bp.x.real else -0.25
-                route = (complex(x, z.imag), z)
-                break
-        cur = complex(x, e if z.imag >= 0.0 else -e)
-        y = _exterior_root(cur, c)
         if y is None:
-            raise NoConvergence(f"exterior root refused at the start {cur!r}")
-        h_base = max(0.1 * (1.0 + r), 1e-3)
-        for target in route:
-            y = _walk_segment(cur, y, target, self, h_base=h_base)
-            cur = target
-        return y
+            # continued from the exterior root at Re z +- i*e, on z's side of
+            # the real axis, down the vertical through z, or down one set off
+            # it and a step across where it would pass within 1e-6 of x_j
+            x, route = z.real, (z,)
+            for bp in self.branch_points[max(m - 2, 0):m]:
+                if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
+                    # inside the band a sideways step of 0.25 can cross the
+                    # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
+                    hi = self.branch_points[m - 2].x.real if m > 1 else 0.0
+                    if lo < x < hi:
+                        x = 0.5 * (lo + hi)
+                    else:
+                        x += 0.25 if x >= bp.x.real else -0.25
+                    route = (complex(x, z.imag), z)
+                    break
+            cur = complex(x, e if z.imag >= 0.0 else -e)
+            y = _exterior_root(cur, c)
+            if y is None:
+                raise NoConvergence(f"exterior root refused at the start {cur!r}")
+            h_base = max(0.1 * (1.0 + r), 1e-3)
+            for target in route:
+                y = _walk_segment(cur, y, target, self, h_base=h_base)
+                cur = target
+        if not exterior:
+            return y, False
+        h, d = _atan_form(z, c, y)
+        return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
 
 
 # ---------------------------------------------------------------------------
@@ -476,18 +482,6 @@ def _window_root(x: complex, n: int) -> complex | None:
     return y if in_window and abs(1.0 + d) >= DERIV_FLOOR else None
 
 
-def _exterior_certified(x: complex, n: BranchIndex, y: complex,
-                        atlas: SheetAtlas) -> bool:
-    """y is certified by the exterior route's bound: |x| >= EXTERIOR_FACTOR*
-    |x_|n||, contraction q <= 1/2 and |h(y)| <= 4*eps*(1+|y|), so that y is
-    within 8*eps*(1+|y|) of the sheet-n root."""
-    m = abs(n)
-    if abs(x) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]:
-        return False
-    h, d = _atan_form(x, (m - 0.5) * math.pi, y if n > 0 else -y)
-    return abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
-
-
 def _refine(x: complex, y: complex) -> complex:
     """Polish y toward the root of w*tan(w) = x by Halley iteration."""
     for _ in range(16):
@@ -555,21 +549,24 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
     """Sheet-n value at z in the finite-cuts convention.
 
-    The value comes from `SheetAtlas.continue_from_anchor`, by one of three
-    routes: solved directly from w = c - atan(w/z) where
-    |z| >= EXTERIOR_FACTOR*|x_|n||; solved directly from the window form
-    w = k*pi + atan(z/w) inside that disk but off the band
-    Re x_|n| <= Re z <= 0 of the sheet's cuts, where the root is taken only
-    if Re atan(z/w) lies in the sheet's window and |g'(w)| >= DERIV_FLOOR
-    (see the module docstring); continued from the exterior root at
-    Re z +- i*EXTERIOR_FACTOR*|x_|n|| (on z's side of the real axis) in the
-    band and wherever a direct root is not taken, raising NoConvergence if
-    that start is refused.  It is accepted if either
+    The route is picked once, from |z| and Re z, and runs only the guards
+    it can trip (the module docstring says why the others cannot fire):
 
-    * |z| >= EXTERIOR_FACTOR*|x_|n||, the contraction factor
-      q = |1/(z + w^2/z)| at y is at most 1/2 and
-      |h(y)| = |y - c + atan(y/z)| <= 4*eps*(1+|y|) (sheet n > 0; negative
-      sheets test -y), which puts y within 8*eps*(1+|y|) of the root, or
+    * |z| >= EXTERIOR_FACTOR*|x_|n||: w = c - atan(w/z), solved directly;
+      no guard, as every cut and branch point is >= 0.2*|x_|n|| away;
+    * Re z > 0: the window form w = k*pi + atan(z/w), solved directly;
+      on sheets +-1 only, |z| < CUT_GUARD (their real cut ends at 0);
+    * Re z < Re x_|n|: the window form; the vertical cut at Re x_|n| and
+      x_|n|, x_(|n|-1) and their conjugates, the only ones that near;
+    * the band between: every guard, then continued from the exterior root
+      at Re z +- i*EXTERIOR_FACTOR*|x_|n|| (on z's side of the real axis),
+      as is a refused direct root; NoConvergence if that start is refused.
+
+    The value is accepted if either
+
+    * it took the exterior route, q = |1/(z + w^2/z)| <= 1/2 at y and
+      |h(y)| = |y - c + atan(y/z)| <= 4*eps*(1+|y|) (sheet |n|), which
+      puts y within 8*eps*(1+|y|) of the root, or
     * the residual |y*tan(y) - z| is at most TOL*(1+|z|) or, near the tan
       pole, the conditioning floor 4*eps*|d(y tan y)/dy|*(1+|y|).
 
@@ -589,21 +586,14 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     """
     n = validate_branch(n)
     z = complex(z)
-    _modulus(z)
-    if atlas.distance_to_cuts(z, n) < CUT_GUARD:
-        raise OnCut(f"z={z!r} lies on a cut of sheet {n}")
-    m = abs(n)
-    for j in (m - 1, m):
-        if j < 1:
-            continue
-        bp = atlas.branch_points[j - 1]
-        if min(abs(z - bp.x), abs(z - bp.conjugate_x)) < BRANCH_POINT_GUARD:
-            raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
-                        f"x_{j}; too close for direct evaluation")
-    y = atlas.continue_from_anchor(z, n)
+    r = _modulus(z)
+    atlas._require_sheet(n)
+    y, certified = atlas._solve(z, abs(n), r, True)
+    if n < 0:
+        y = -y
     t = cmath.tan(y)
     res = abs(y * t - z)
-    if not _exterior_certified(z, n, y, atlas):
+    if not certified:
         # near the tan pole (large real z on low sheets) the map y -> y*tan(y)
         # is so steep that a half-ulp of y already produces a large residual;
         # accept down to that conditioning floor, |d(y tan y)/dy| * ulp

@@ -93,20 +93,17 @@ def validate_branch(n: int) -> int:
 
 
 class CutScheme(enum.Enum):
-    """The three documented conventions for making each branch single valued.
+    """The conventions that make each branch single valued, one per evaluator.
 
-    REAL_AXIS        -- real-axis convention: windows as in the module
-                        docstring, continuous in x except at x = 0.
-    CUTS_TO_MINUS_INF -- every cut runs from a branch point x_n horizontally
-                        to Re x -> -infinity; sheets labeled by the limits at
-                        x -> +infinity and x -> +0.
-    FINITE_CUTS      -- each branch point x_n is joined to its conjugate by a
-                        vertical segment, plus one finite real-axis segment
-                        per sheet; infinity is a regular point of every sheet.
+    REAL_AXIS   -- `eval_real`: windows as in the module docstring,
+                   continuous in x except at x = 0.
+    FINITE_CUTS -- `complex_plane.eval_complex`: each branch point x_n is
+                   joined to its conjugate by a vertical segment, plus one
+                   finite real-axis segment per sheet; infinity is a
+                   regular point of every sheet.
     """
 
     REAL_AXIS = "real"
-    CUTS_TO_MINUS_INF = "cuts-to-minus-infinity"
     FINITE_CUTS = "finite-cuts"
 
 

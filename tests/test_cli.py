@@ -80,6 +80,18 @@ class TestEval:
         cp = run_cli("eval", "--branch", "1")
         assert cp.returncode == 2
 
+    def test_zero_branch_is_usage_error(self):
+        cp = run_cli("eval", "--x", "1", "--branch", "0")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "--branch must be nonzero" in cp.stderr
+
+    def test_x_and_z_are_exclusive(self):
+        cp = run_cli("eval", "--x", "1", "--z", "2,2", "--scheme", "finite-cuts")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "not allowed with argument" in cp.stderr
+
     def test_real_argument_rejects_finite_cuts(self):
         cp = run_cli("eval", "--x", "-1", "--branch", "1",
                      "--scheme", "finite-cuts")
@@ -143,6 +155,29 @@ class TestTables:
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.splitlines() == [
             "x,y", "-1,2.79838604578", "0,", "1,0.860333589019"]
+
+    def test_series_negative_order_is_usage_error(self):
+        cp = run_cli("series", "--kind", "small", "--order", "-1")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "--order must be >= 0" in cp.stderr
+
+    @pytest.mark.parametrize("args", [
+        ("grid", "--range", "0.5:2", "--points", "0"),
+        ("grid", "--range", "0.5:2", "--points", "-5"),
+        ("grid", "--range", "0.5:2", "--points", "1"),
+        ("qm", "--width", "1", "--lambda", "0.5", "--wavefunction", "0", "--points", "1"),
+    ])
+    def test_fewer_than_two_points_is_usage_error(self, args):
+        cp = run_cli(*args)
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "--points must be >= 2" in cp.stderr
+
+    def test_grid_zero_branch_is_usage_error(self):
+        cp = run_cli("grid", "--branch", "0", "--range", "0.5:2")
+        assert cp.returncode == 2
+        assert "--branch must be nonzero" in cp.stderr
 
     def test_dispersion(self):
         cp = run_cli("dispersion", "--at", "5,0")

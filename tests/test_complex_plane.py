@@ -9,6 +9,7 @@ from wtan import complex_plane
 from wtan.complex_plane import (
     EXTERIOR_FACTOR,
     ContinuationPath,
+    Cut,
     CutKind,
     SheetAtlas,
     Side,
@@ -21,7 +22,7 @@ from wtan.complex_plane import (
     _gauss_legendre,
     _walk_segment,
 )
-from wtan.core import CutScheme, eval_real
+from wtan.core import eval_real
 from wtan.errors import (
     DomainViolation,
     NoConvergence,
@@ -93,20 +94,15 @@ class TestAtlasGeometry:
                     assert abs(p) <= abs(xn) + 1e-12
                     assert xn.real - 1e-12 <= p.real <= xprev_re + 1e-12
 
-    def test_infinite_cut_scheme_is_documentation_only(self):
-        lim = SheetAtlas.sheet_limits(2, CutScheme.CUTS_TO_MINUS_INF)
-        assert lim["at_plus_zero"] == pytest.approx(math.pi)
-
     def test_sheet_limits_tables(self, atlas):
         for n in (1, 2, -1, -3):
-            lim = SheetAtlas.sheet_limits(n, CutScheme.FINITE_CUTS)
             sgn = 1 if n > 0 else -1
-            assert lim["at_infinity"] == pytest.approx(sgn * (abs(n) - 0.5) * math.pi)
-            lim3 = SheetAtlas.sheet_limits(n, CutScheme.CUTS_TO_MINUS_INF)
-            assert lim3["at_plus_zero"] == pytest.approx(sgn * (abs(n) - 1) * math.pi)
-            # the real-axis solver reproduces the 0+ limit
-            got = eval_real(1e-12, n)
-            assert abs(got - lim3["at_plus_zero"]) < 1e-6
+            # the real-axis solver reproduces the 0+ limit sgn(n)(|n|-1)pi
+            assert abs(eval_real(1e-12, n) - sgn * (abs(n) - 1) * math.pi) < 1e-6
+            # infinity is a regular point with value sgn(n)(|n|-1/2)pi
+            for z in (1e12 + 0j, 1e12j, cmath.rect(1e12, -2.5)):
+                y = eval_complex(z, n, atlas).y
+                assert abs(y - sgn * (abs(n) - 0.5) * math.pi) < 1e-6, (z, n)
 
 
 class TestEvalComplex:
@@ -494,15 +490,127 @@ class TestEscapeRoute:
                 eval_complex(z, n, atlas)
 
 
+def _full_guard(atlas, z, n):
+    """The full guard set, checked on every route: z within CUT_GUARD of a
+    cut of sheet n, or within BRANCH_POINT_GUARD of x_(|n|-1), x_|n| or
+    their conjugates.  eval_complex raises OnCut exactly where it fires."""
+    if min(cut.distance(z) for cut in atlas.cuts_for(n)) < complex_plane.CUT_GUARD:
+        return True
+    m = abs(n)
+    return any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
+               for j in (m - 1, m) if j >= 1
+               for p in (atlas.branch_points[j - 1].x, atlas.branch_points[j - 1].conjugate_x))
+
+
+def _route(atlas, z, n):
+    m = abs(n)
+    if abs(z) >= EXTERIOR_FACTOR * atlas.disk_radii[m - 1]:
+        return "exterior"
+    if z.real > 0.0:
+        return "right"
+    return "left" if z.real < atlas.branch_points[m - 1].x.real else "band"
+
+
+def _raises_on_cut(z, n, atlas):
+    try:
+        eval_complex(z, n, atlas)
+    except OnCut:
+        return True
+    return False
+
+
+def _guard_points(atlas, sheets):
+    """Points on every cut of the sheets, 5e-11 and 2e-10 off each (and
+    beyond its ends), within and just beyond BRANCH_POINT_GUARD of each
+    branch point, and within and just beyond CUT_GUARD of the origin."""
+    points = []
+    for cut in dict.fromkeys(c for k in sheets for c in atlas.cuts_for(k)):
+        p, q = cut.endpoints
+        along = (q - p) / abs(q - p)
+        normal = along * 1j
+        for t in (0.0, 0.013, 0.5, 0.97, 1.0):
+            on = p + t * (q - p)
+            points += [on + d * normal for d in (0.0, 5e-11, -5e-11, 2e-10, -2e-10)]
+        points += [p - 5e-11 * along, p - 2e-10 * along, q + 5e-11 * along, q + 2e-10 * along]
+    centres = [x for k in sheets for x in (atlas.branch_points[k - 1].x,
+                                           atlas.branch_points[k - 1].conjugate_x)]
+    for c, radii in [(c, (5e-4, 9.99e-4, 1.001e-3, 2e-3)) for c in centres] + [
+            (0j, (5e-11, 9.9e-11, 1.01e-10, 2e-10))]:
+        points += [c + cmath.rect(rho, 0.1 + k * math.pi / 3) for rho in radii for k in range(6)]
+    return points
+
+
+class TestGuards:
+    def test_on_cut_exactly_where_the_full_guard_fires(self, atlas):
+        seen = set()
+        points = _guard_points(atlas, (1, 2, 3, 4))
+        for n in (1, 2, 3, 4, -1, -2, -3, -4):
+            for z in points:
+                fired = _full_guard(atlas, z, n)
+                assert _raises_on_cut(z, n, atlas) == fired, (z, n, fired)
+                seen.add((_route(atlas, z, n), fired))
+        # every route is sampled, each guarded one on both sides of its guard
+        assert seen == {("exterior", False), ("right", True), ("right", False),
+                        ("left", True), ("left", False), ("band", True), ("band", False)}
+
+    @pytest.mark.parametrize("m", [600, 601])
+    def test_left_of_band_beside_the_previous_branch_point(self, m):
+        # the vertical cuts at Re x_(m-1) and Re x_m are under 1e-3 apart, so
+        # points left of the band can lie within BRANCH_POINT_GUARD of x_(m-1)
+        big = SheetAtlas.build(m)
+        xm, xp = big.branch_points[m - 1].x, big.branch_points[m - 2].x
+        gap = xp.real - xm.real
+        assert gap < 1e-3
+        points = []
+        for c in (xp, xp.conjugate()):
+            for rho in (0.5 * (gap + 1e-3), 9.99e-4, 1.001e-3):
+                points += [c + cmath.rect(rho, math.pi + a) for a in (-0.05, 0.0, 0.05)]
+        for t in (0.0, 0.5, 0.999):
+            on = complex(xm.real, t * xm.imag)
+            points += [on, on - 5e-11, on - 2e-10, on + 5e-11]
+        fired_left = 0
+        for n in (m, -m):
+            for z in points:
+                fired = _full_guard(big, z, n)
+                assert _raises_on_cut(z, n, big) == fired, (z, n, fired)
+                fired_left += fired and _route(big, z, n) == "left"
+        assert fired_left == 2 * (12 + 3)
+
+    def test_exterior_route_runs_no_guard(self, atlas, monkeypatch):
+        calls = []
+
+        def probe(cls, name):
+            original = getattr(cls, name)
+
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, counted)
+
+        probe(SheetAtlas, "distance_to_cuts")
+        probe(SheetAtlas, "_guard")
+        probe(Cut, "distance")
+        for n in (1, 2, 3, 4, -1, -2, -3, -4):
+            r = EXTERIOR_FACTOR * atlas.disk_radii[abs(n) - 1] * (1.0 + 1e-12)
+            for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
+                eval_complex(z, n, atlas)
+        assert not calls
+        eval_complex(-1 + 1j, 1, atlas)   # a band point runs every guard
+        assert set(calls) == {"distance_to_cuts", "_guard", "distance"}
+
+
 class TestAtlasRange:
     def test_sheet_beyond_the_atlas(self, atlas):
         # the atlas holds x_1..x_4: sheet +-5 is a domain error everywhere
         x4 = atlas.branch_points[3].x
         for n in (5, -5):
-            with pytest.raises(DomainViolation):
-                eval_complex(100, n, atlas)
-            with pytest.raises(DomainViolation):
-                atlas.continue_from_anchor(1 + 1j, n)
+            # exterior, right and left of the band, in the band
+            for z in (100, 1 + 1j, -3 + 1j, -1 + 1j):
+                with pytest.raises(DomainViolation):
+                    eval_complex(z, n, atlas)
+                with pytest.raises(DomainViolation):
+                    atlas.continue_from_anchor(z, n)
             with pytest.raises(DomainViolation):
                 boundary_value(complex(x4.real, 1.0), n, Side.LEFT, atlas)
             with pytest.raises(DomainViolation):
