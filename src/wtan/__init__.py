@@ -18,19 +18,6 @@ from .branch_points import (
     local_expansion_check,
 )
 from .chebyshev import ChebyshevModel, eval_cheb, fit
-from .complex_plane import (
-    ContinuationPath,
-    Cut,
-    CutKind,
-    SheetAtlas,
-    Side,
-    boundary_value,
-    discontinuity_delta0,
-    discontinuity_delta1,
-    dispersion_eval,
-    eval_complex,
-    trace_path,
-)
 from .core import (
     BranchedValue,
     BranchIndex,
@@ -57,9 +44,13 @@ from .quantum import (
 
 __version__ = "0.1.0"
 
-# The two modules that need mpmath load on first use of the module or of
-# one of these names (PEP 562), so `import wtan` imports no mpmath.
+# These modules load on first use of the module or of one of these names
+# (PEP 562): series and integrals need mpmath, complex_plane is big.
 _LAZY = {
+    "complex_plane": (
+        "ContinuationPath", "Cut", "CutKind", "SheetAtlas", "Side",
+        "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
+        "dispersion_eval", "eval_complex", "trace_path"),
     "series": (
         "AsymptoticFit",
         "RadiusEstimate",
@@ -101,10 +92,6 @@ __all__ = [
     "local_expansion_check",
     # chebyshev
     "ChebyshevModel", "eval_cheb", "fit",
-    # complex_plane
-    "ContinuationPath", "Cut", "CutKind", "SheetAtlas", "Side",
-    "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
-    "dispersion_eval", "eval_complex", "trace_path",
     # core
     "BranchedValue", "BranchIndex", "CutScheme", "branch_identity_residual",
     "defining_residual", "derivative", "eval_real", "halley_step",
@@ -113,6 +100,6 @@ __all__ = [
     "Parity", "SpectrumEntry", "Wavefunction", "WellModel",
     "rayleigh_quotient", "spectrum", "variational_bound_1",
     "variational_bound_2", "wavefunction",
-    # series and integrals (loaded on first use)
-    *_LAZY["series"], *_LAZY["integrals"],
+    # complex_plane, series and integrals (loaded on first use)
+    *_LAZY["complex_plane"], *_LAZY["series"], *_LAZY["integrals"],
 ]

@@ -22,7 +22,6 @@ from typing import Callable
 from . import __version__
 from .branch_points import find_branch_point
 from .chebyshev import fit
-from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
 from .core import (
     CutScheme,
     defining_residual,
@@ -127,6 +126,8 @@ def cmd_eval(args) -> int:
         z = _parse_complex(args.z)
         if scheme is CutScheme.REAL_AXIS:
             raise _usage_error("--z requires --scheme finite-cuts")
+        from .complex_plane import SheetAtlas, eval_complex
+
         atlas = SheetAtlas.build(max_sheet=max(abs(args.branch), 2))
         bv = eval_complex(z, args.branch, atlas)
         x, y = bv.x, bv.y
@@ -266,6 +267,8 @@ def cmd_integrals(args) -> int:
 
 def cmd_dispersion(args) -> int:
     z = _parse_complex(args.at)
+    from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
+
     atlas = SheetAtlas.build(max_sheet=2)
     d = dispersion_eval(z, atlas)
     e = eval_complex(z, 1, atlas).y

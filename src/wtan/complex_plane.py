@@ -35,6 +35,20 @@ The map contracts by q = |1/(x + w^2/x)|, which is 1 at a branch point and
 below 0.46 here; a root is used only if Newton converged and q <= 1/2, and
 then |y - y*| <= 2*|h(y)| certifies it where |h(y)| <= 4*eps*(1+|y|).
 
+Regions.  For w = u + iv, Im(w tan w) = (u sinh 2v + v sin 2u)/(cos 2u +
+cosh 2v) vanishes only on the axes, so every root for Im x > 0 lies in
+the first or third quadrant, and the upper half of sheet m maps onto a
+region R_m of the first.  Besides the axes, R_m is bounded by two arcs:
+A_j, the image of both sides of the vertical cut at x_j, runs from the
+real root at Re x_j up to w_j and back down to i*v_j, -v_j tanh v_j =
+Re x_j, and R_m lies inside A_m and outside A_(m-1) (A_0 is the origin),
+as Lambert W branches lie between the images of their cuts (Corless et
+al., Adv. Comput. Math. 5, 1996).  So a root of w tan w = x in R_m (its
+conjugate, for Im x < 0) is the sheet-m value.  For m <= ARC_SHEETS
+A_j is marched once per process (`_build_arc`, 3-12 ms for j = 1..4: it
+pays off in a process that solves many band points), and a root is placed
+in R_m by bisection only if it lies beyond the polylines' margin.
+
 Window, inside that disk but off the band Re x_m <= Re x <= 0 of the cuts.
 Right of the band (Re x > 0) the only guard is |x| < CUT_GUARD on sheets
 +-1, the end of their real cut at the origin: every other cut and branch
@@ -48,33 +62,32 @@ m ~ 500 on, so x_(m-1) stays guarded.  The value is the Newton root of
     g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
 
 with k = m-1 right of the band and k = m left of it: the complex form of
-`eval_real`'s windows C + t, so Re atan(x/w) is in (0, pi/2) on the right
-and in (-pi/2, 0) on the left.  Near x = 0 on sheet 1 the exterior form
+`eval_real`'s windows C + t.  Near x = 0 on sheet 1 the exterior form
 loses relative accuracy (it forms w ~ sqrt(x) as c - atan(w/x)); this one
-does not.  A root is taken only if Re atan(x/w) lies in the sheet's
-window, as Lambert W branches are identified by their image region
-(Corless et al., Adv. Comput. Math. 5, 1996), and |g'(w)| >= DERIV_FLOOR.
-The window turns away the mirror root -w on sheet 1.  The floor turns
-away the sheet n+1 value next to x_m, on its left, where the germs of
-sheets n and n+1 merge: that value solves the same window form inside the
-window, with |g'| <= 0.13.  The two tests are not a proof of the sheet:
-0.1 to 1 left of x_m the values of sheets n+1..n+5 also solve the window
-form inside the window, with |g'| up to ~14, and there it is the seed's
-basin that selects sheet n (on 24000 points clustered there and spread
-over the disks of sheets 1-4, every direct root matched continuation
-within 6.4e-16 relative).
+does not.  The root is taken if it lies in R_m and |g'(w)| >= DERIV_FLOOR:
+g' vanishes at x_m, where the germs of sheets m and m+1 merge, and a
+Newton root's error grows like eps/|g'|.  The region turns away what
+solves the same form inside its window, Re atan(x/w) in (0, pi/2) right of
+the band and (-pi/2, 0) left of it: the mirror root -w on sheet 1, and
+0.1 to 1 left of x_m the values of sheets m+1..m+5.  Past ARC_SHEETS
+that window is still the test: there a window value has no proof.
 
-Band, Re x_m <= Re x <= 0 inside the disk: every guard.  Here, and
-wherever a direct root is not taken, the value is continued from the
-exterior root at x + iE, E = EXTERIOR_FACTOR*|x_m|, on the vertical
-through the target and on its side of the real axis, where the
-contraction certificate holds; the vertical crosses no cut of the sheet,
-and a target beside a vertical cut line and below its branch point is
-reached from a vertical set off that line, by one horizontal step.  Each
-step is corrected by Halley iteration.  Steps shrink in proportion to the
-distance from the nearest branch point: near x_j the two local solution
-sheets differ by O(sqrt(distance)), so uncontrolled steps can silently
-hop between them.
+Band, Re x_m <= Re x <= 0 inside the disk: every guard.  The seeds are the
+window-form roots for k = m-1 and k = m, then w_j +- sqrt(2(x - x_j)/
+f''(w_j)) for j = m, m-1 (f = w tan w, f'' = 2 sec^2 w (1 + w tan w),
+w_0 = x_0 = 0), solved for Im x >= 0; each is polished by Halley
+iteration and the first root in R_m is the value.
+
+Wherever no direct root is taken, and in the band beyond ARC_SHEETS, the
+value is continued from the exterior root at x + iE, E =
+EXTERIOR_FACTOR*|x_m|, on the vertical through the target and on its side
+of the real axis, where the contraction certificate holds; the vertical
+crosses no cut of the sheet, and a target beside a vertical cut line and
+below its branch point is reached from a vertical set off that line, by
+one horizontal step.  Each step is corrected by Halley iteration.  Steps
+shrink in proportion to the distance from the nearest branch point: near
+x_j the two local solution sheets differ by O(sqrt(distance)), so
+uncontrolled steps can silently hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -103,6 +116,7 @@ polished roots on the cuts.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import enum
 import functools
@@ -265,6 +279,10 @@ class SheetAtlas:
             self._bp_locations.append(bp.conjugate_x)
         self._cuts: dict[int, tuple[Cut, ...]] = {}
         self._disp_tables: dict[tuple, tuple] = {}
+        # (w_j, x_j, f''(w_j)) per branch point (`_band_seeds`); j = 0: origin
+        self._germs = [(0j, 0j, 2.0)] + [
+            (bp.y, bp.x, 2.0 * (1.0 + (bp.x / bp.y) ** 2) * (1.0 + bp.x))
+            for bp in self.branch_points]
 
     @classmethod
     def build(cls, max_sheet: int = 4) -> "SheetAtlas":
@@ -356,49 +374,98 @@ class SheetAtlas:
         c = (m - 0.5) * math.pi
         e = EXTERIOR_FACTOR * self.disk_radii[m - 1]
         lo = self.branch_points[m - 1].x.real
-        exterior = r >= e
-        if exterior:
+        if r >= e:
             y = _exterior_root(z, c)
-        elif z.real > 0.0:
-            if guarded and m == 1 and r < CUT_GUARD:
-                raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
-            y = _window_root(z, m)
-        elif z.real < lo:
-            if guarded:
-                self._guard(z, m, self.cuts_for(m)[-1].distance(z))
-            y = _window_root(z, m)
-        else:
+            if y is None:
+                y = self._continued(z, m, r)
+            h, d = _atan_form(z, c, y)
+            return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
+        if lo <= z.real <= 0.0:
             if guarded:
                 self._guard(z, m, self.distance_to_cuts(z, m))
-            y = None
+            y = self._band_root(z, m)
+        else:
+            if guarded and z.real < lo:
+                self._guard(z, m, self.cuts_for(m)[-1].distance(z))
+            elif guarded and m == 1 and r < CUT_GUARD:
+                raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
+            y = _window_root(z, m)
+            if y is not None and not (self._in_region(y, m) if m <= ARC_SHEETS
+                                      else _in_window(z, m, y)):
+                y = None
         if y is None:
-            # continued from the exterior root at Re z +- i*e, on z's side of
-            # the real axis, down the vertical through z, or down one set off
-            # it and a step across where it would pass within 1e-6 of x_j
-            x, route = z.real, (z,)
-            for bp in self.branch_points[max(m - 2, 0):m]:
-                if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
-                    # inside the band a sideways step of 0.25 can cross the
-                    # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
-                    hi = self.branch_points[m - 2].x.real if m > 1 else 0.0
-                    if lo < x < hi:
-                        x = 0.5 * (lo + hi)
-                    else:
-                        x += 0.25 if x >= bp.x.real else -0.25
-                    route = (complex(x, z.imag), z)
-                    break
-            cur = complex(x, e if z.imag >= 0.0 else -e)
-            y = _exterior_root(cur, c)
-            if y is None:
-                raise NoConvergence(f"exterior root refused at the start {cur!r}")
-            h_base = max(0.1 * (1.0 + r), 1e-3)
-            for target in route:
-                y = _walk_segment(cur, y, target, self, h_base=h_base)
-                cur = target
-        if not exterior:
-            return y, False
-        h, d = _atan_form(z, c, y)
-        return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
+            y = self._continued(z, m, r)
+        return y, False
+
+    def _band_root(self, z: complex, m: int) -> complex | None:
+        """The first band seed whose Halley root lies in R_m beyond the margin,
+        for Im z >= 0 and reflected back; None if none does or m > ARC_SHEETS."""
+        if m > ARC_SHEETS:
+            return None
+        x = z.conjugate() if z.imag < 0.0 else z
+        for seed in self._band_seeds(x, m):
+            try:
+                y = _refine(x, seed)
+            except (PoleProximity, NoConvergence):
+                continue
+            if self._in_region(y, m):
+                return y.conjugate() if z.imag < 0.0 else y
+        return None
+
+    def _band_seeds(self, x: complex, m: int):
+        """The band seeds, in the order of the module docstring."""
+        for k in (m - 1, m):
+            found = _window_newton(x, m, k)
+            if found is not None:
+                yield found[0]
+        for j in (m, m - 1):
+            w, xj, f2 = self._germs[j]
+            s = cmath.sqrt(2.0 * (x - xj) / f2)
+            yield w + s
+            yield w - s
+
+    def _continued(self, z: complex, m: int, r: float) -> complex:
+        """Sheet-m value at z, r = |z|, continued as the module docstring says;
+        NoConvergence if the exterior root refuses the start."""
+        e = EXTERIOR_FACTOR * self.disk_radii[m - 1]
+        lo = self.branch_points[m - 1].x.real
+        x, route = z.real, (z,)
+        for bp in self.branch_points[max(m - 2, 0):m]:
+            if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
+                # inside the band a sideways step of 0.25 can cross the
+                # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
+                hi = self.branch_points[m - 2].x.real if m > 1 else 0.0
+                if lo < x < hi:
+                    x = 0.5 * (lo + hi)
+                else:
+                    x += 0.25 if x >= bp.x.real else -0.25
+                route = (complex(x, z.imag), z)
+                break
+        cur = complex(x, e if z.imag >= 0.0 else -e)
+        y = _exterior_root(cur, (m - 0.5) * math.pi)
+        if y is None:
+            raise NoConvergence(f"exterior root refused at the start {cur!r}")
+        h_base = max(0.1 * (1.0 + r), 1e-3)
+        for target in route:
+            y = _walk_segment(cur, y, target, self, h_base=h_base)
+            cur = target
+        return y
+
+    # -- sheet regions -----------------------------------------------------
+
+    def _in_region(self, w: complex, m: int) -> bool:
+        """True if w, or its conjugate, lies in R_m beyond the margin of both
+        of its arcs: then w is the sheet-m value at w*tan(w)."""
+        u, v = w.real, abs(w.imag)
+        return (u > 0.0 and _inside(self._arc(m), u, v) is True
+                and (m == 1 or _inside(self._arc(m - 1), u, v) is False))
+
+    def _arc(self, j: int) -> tuple:
+        """A_j, built on first use and shared by every atlas of the process."""
+        key = self.branch_points[j - 1].x
+        if key not in _ARCS:
+            _ARCS[key] = _build_arc(SheetAtlas(self.branch_points[:j]), j)
+        return _ARCS[key]
 
 
 # ---------------------------------------------------------------------------
@@ -456,30 +523,36 @@ def _exterior_root(x: complex, c: float) -> complex | None:
     return found[0] if found is not None and abs(found[1]) <= 0.5 else None
 
 
-def _window_root(x: complex, n: int) -> complex | None:
-    """Sheet-n (n > 0) root of the window form g(w) = w - k*pi - atan(x/w) for
-    x off the band of the sheet's cuts: k = n-1 if Re x > 0, k = n if
-    Re x < Re x_n.  None unless Newton converged, Re atan(x/y) lies in the
-    window ((0, pi/2) right of the band, (-pi/2, 0) left of it) and
-    |g'(y)| >= DERIV_FLOOR.
-
-    The seed is the exterior route's c/(1 + 1/x), c = (n-1/2)*pi, except on
-    sheet 1 right of the band, where w ~ sqrt(x) near the origin and
-    c*sqrt(x/(x + c^2)), the root with tan(w) replaced by w/(1 - (w/c)^2),
-    takes <= 5 Newton steps for |x| in [3e-10, 3.2] where c/(1 + 1/x) ~ c*x
-    takes up to 21.
-    """
+def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None:
+    """`_newton` on the window form g(w) = w - k*pi - atan(x/w) from the
+    sheet-n (n > 0) seed c/(1 + 1/x), c = (n-1/2)*pi, or for k = 0, where
+    w ~ sqrt(x) near the origin, from c*sqrt(x/(x + c^2)), the root with
+    tan(w) replaced by w/(1 - (w/c)^2): <= 5 Newton steps for |x| in
+    [3e-10, 3.2] where c/(1 + 1/x) ~ c*x takes up to 21."""
     c = (n - 0.5) * math.pi
-    right = x.real > 0.0
-    k_pi = (n - 1 if right else n) * math.pi
-    seed = c * cmath.sqrt(x / (x + c * c)) if k_pi == 0.0 else c / (1.0 + 1.0 / x)
-    found = _newton(lambda w: _window_form(x, k_pi, w), seed)
+    k_pi = k * math.pi
+    try:
+        seed = c * cmath.sqrt(x / (x + c * c)) if k == 0 else c / (1.0 + 1.0 / x)
+    except ZeroDivisionError:   # x = -1 or -c^2, inside the band
+        return None
+    return _newton(lambda w: _window_form(x, k_pi, w), seed)
+
+
+def _window_root(x: complex, n: int) -> complex | None:
+    """Sheet-n (n > 0) root of the window form for x off the band of the
+    sheet's cuts, k = n-1 if Re x > 0, k = n if Re x < Re x_n; None unless
+    Newton converged with |g'(y)| >= DERIV_FLOOR; the caller places it."""
+    found = _window_newton(x, n, n - 1 if x.real > 0.0 else n)
     if found is None:
         return None
-    y, d = found
+    return found[0] if abs(1.0 + found[1]) >= DERIV_FLOOR else None
+
+
+def _in_window(x: complex, n: int, y: complex) -> bool:
+    """Re atan(x/y) in the sheet-n window, (0, pi/2) right of the band and
+    (-pi/2, 0) left of it: no proof of the sheet, used beyond ARC_SHEETS."""
     a = cmath.atan(x / y).real
-    in_window = 0.0 < a < 0.5 * math.pi if right else -0.5 * math.pi < a < 0.0
-    return y if in_window and abs(1.0 + d) >= DERIV_FLOOR else None
+    return 0.0 < a < 0.5 * math.pi if x.real > 0.0 else -0.5 * math.pi < a < 0.0
 
 
 def _refine(x: complex, y: complex) -> complex:
@@ -543,6 +616,108 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 
 
 # ---------------------------------------------------------------------------
+# sheet regions
+# ---------------------------------------------------------------------------
+
+ARC_TOL = 1e-4     # arcs are refined to this chord bound (`_build_arc`)
+# Regions cover the sheets of the default atlas, +-1..+-4; past them no arc
+# is built and the window test of atan(z/y) decides, proving no sheet.
+ARC_SHEETS = 4
+_ARCS: dict[complex, tuple] = {}   # A_j by x_j, shared by every atlas
+
+
+def _build_arc(atlas: SheetAtlas, j: int) -> tuple:
+    """The polyline of A_j as (Re w, Im w, bands, margin): Re w ascends
+    along it, and a point in segment k's Re span outside bands[k], the Im
+    range of the segments near it widened by the margin, is beyond it.
+
+    The sheet-j values on both sides of the upper half of the vertical cut
+    at x_j = a + ib are analytic in t along z = a + i(b - t^2), the left
+    side for t < 0, through w_j at t = 0.  Four nodes a side are marched
+    down the cut as in `_delta_tables`; a segment of length dt in t is then
+    halved until the chord bound dt^2*|w_tt|/8, w_tt normal to the arc, is
+    <= ARC_TOL at both ends.  That takes w_tt at the ends only, so the
+    margin is twice the largest bound plus the nodes' error: A_1..A_4 lie
+    within 1.0 times the bound of a march of 2000 nodes a side (tests)."""
+    bp = atlas.branch_points[j - 1]
+    a, b = bp.x.real, bp.x.imag
+    top = math.sqrt(b)
+
+    def at(t):
+        return complex(a, b - t * t if abs(t) < top else 0.0)
+
+    def node(t, y):
+        if t == 0.0:
+            return t, y, 0.0
+        z = at(t)
+        d1 = core.derivative(z, y)
+        wtt = 4.0 * t * t * core.second_derivative(z, y) + 2j * d1
+        return t, y, abs((wtt * (2j * t * d1).conjugate()).imag) / abs(16.0 * t * d1)
+
+    # the right side is reached from inside the band, short of the cut at
+    # Re x_(j-1), 0.117 away at j = 4
+    gap = (atlas.branch_points[j - 2].x.real if j > 1 else 0.0) - a
+    sides = []
+    for s in (-1.0, 1.0):
+        ts = [s * top * k / 4 for k in (1, 2, 3, 4)]
+        clear = at(ts[0]) + s * min(0.3, 0.5 * gap)
+        y0 = atlas._continued(clear, j, abs(clear))
+        sides.append(list(zip(ts, _march([at(t) for t in ts], clear, y0, atlas))))
+    coarse = sides[0][::-1] + [(0.0, bp.y)] + sides[1]
+    pts, chord = [node(*coarse[0])], 0.0
+    for q in coarse[1:]:
+        stack = [node(*q)]
+        while stack:
+            p, q = pts[-1], stack[-1]
+            bound = (q[0] - p[0]) ** 2 * max(p[2], q[2])
+            if bound <= ARC_TOL:
+                chord = max(chord, bound)
+                pts.append(stack.pop())
+                continue
+            t, (t0, y0, _) = 0.5 * (p[0] + q[0]), p if p[0] else q
+            stack.append(node(t, _walk_segment(at(t0), y0, at(t), atlas)))
+    # from i*v_j to the real root at a, both put on their axes
+    ws = [p[1] for p in reversed(pts)]
+    ws[0], ws[-1] = complex(0.0, ws[0].imag), complex(ws[-1].real, 0.0)
+    # node error 1e-15*(1+|w|) by `_refine`'s stop, as much again in rounding
+    margin = 2.0 * chord + 2e-15 * (1.0 + max(abs(w) for w in ws))
+    xs, ys = [w.real for w in ws], [w.imag for w in ws]
+    near = [ys[_window(xs, xs[k], margin).start:_window(xs, xs[k + 1], margin).stop + 1]
+            for k in range(len(xs) - 1)]
+    return xs, ys, [(min(y) - margin, max(y) + margin) for y in near], margin
+
+
+def _window(xs: list, u: float, margin: float) -> range:
+    """The segments whose Re span meets [u - margin, u + margin]."""
+    return range(max(bisect.bisect_left(xs, u - margin) - 1, 0),
+                 min(bisect.bisect_right(xs, u + margin), len(xs) - 1))
+
+
+def _inside(arc: tuple, u: float, v: float) -> bool | None:
+    """Whether u + iv (u > 0, v >= 0) lies inside A_j closed by the axes:
+    whether the upward ray from it crosses the polyline, at the segment
+    found by bisection.  None if the point lies within the arc's margin of
+    the polyline, which it can only if it lies in the band of that segment."""
+    xs, ys, bands, margin = arc
+    k = bisect.bisect_right(xs, u) - 1
+    inside = False
+    if k < len(xs) - 1:
+        slope = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
+        inside = bool(ys[k] + (u - xs[k]) * slope > v)
+        if not bands[k][0] <= v <= bands[k][1]:
+            return inside
+    elif u > xs[-1] + margin:
+        return False
+    for i in _window(xs, u, margin):
+        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
+        s = ((u - xs[i]) * dx + (v - ys[i]) * dy) / (dx * dx + dy * dy)
+        s = min(max(s, 0.0), 1.0)
+        if math.hypot(u - xs[i] - s * dx, v - ys[i] - s * dy) < margin:
+            return None
+    return inside
+
+
+# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -558,9 +733,13 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
       on sheets +-1 only, |z| < CUT_GUARD (their real cut ends at 0);
     * Re z < Re x_|n|: the window form; the vertical cut at Re x_|n| and
       x_|n|, x_(|n|-1) and their conjugates, the only ones that near;
-    * the band between: every guard, then continued from the exterior root
-      at Re z +- i*EXTERIOR_FACTOR*|x_|n|| (on z's side of the real axis),
-      as is a refused direct root; NoConvergence if that start is refused.
+    * the band between: every guard, then Halley iteration from a few seeds.
+
+    Inside the disk a direct root is taken only if it lies in the sheet's
+    region of the w-plane, beyond the margin of its edges, which proves the
+    sheet (past sheet +-ARC_SHEETS see the module docstring); otherwise the
+    value is continued from the exterior root at Re z +- i*EXTERIOR_FACTOR*
+    |x_|n||, and NoConvergence is raised if that start is refused.
 
     The value is accepted if either
 

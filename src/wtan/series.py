@@ -236,16 +236,21 @@ def _series_mul(p, q, N):
     return [mp.fdot(p[:n + 1], q[n::-1]) for n in range(N + 1)]
 
 
+_PHI: list = []   # phi's Taylor coefficients, to the highest order built so far
+
+
 def lagrange_b(k: int) -> float:
     """b_k by series inversion, independent of the recursion route.
 
-    Builds the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
-    v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- raises it to the k-th
-    power by arithmetic truncated after v^(k-1), and reads off
+    Raises the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
+    v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- to the k-th power by
+    arithmetic truncated after v^(k-1), and reads off
 
         b_k = -(pi/2)^k * (1/k) * [v^(k-1)] phi(v)^k ,   b_0 = 1 .
 
-    Works at LAGRANGE_DIGITS = 50 digits.
+    phi's series is built once, at twice the highest order asked so far, and
+    sliced: its coefficients depend only on lower ones, so each slice is
+    bit-identical to a fresh build.  Works at LAGRANGE_DIGITS = 50 digits.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -253,24 +258,25 @@ def lagrange_b(k: int) -> float:
         return 1.0
     N = k - 1
     with mp.workdps(LAGRANGE_DIGITS):
-        half_pi = mp.pi / 2
-        # sin(pi v/2)/v and cos(pi v/2) as series in v
-        s = [mp.mpf(0)] * (N + 1)
-        cc = [mp.mpf(0)] * (N + 1)
-        for m in range(N // 2 + 1):
-            sign = -1 if m % 2 else 1
-            if 2 * m <= N:
+        if len(_PHI) <= N:
+            M = max(N, 2 * len(_PHI))
+            half_pi = mp.pi / 2
+            # sin(pi v/2)/v and cos(pi v/2) as series in v
+            s = [mp.mpf(0)] * (M + 1)
+            cc = [mp.mpf(0)] * (M + 1)
+            for m in range(M // 2 + 1):
+                sign = -1 if m % 2 else 1
                 s[2 * m] = sign * half_pi ** (2 * m + 1) / mp.factorial(2 * m + 1)
                 cc[2 * m] = sign * half_pi ** (2 * m) / mp.factorial(2 * m)
-        # reciprocal of s
-        inv = [mp.mpf(0)] * (N + 1)
-        inv[0] = 1 / s[0]
-        for i in range(1, N + 1):
-            inv[i] = -mp.fdot(s[1:i + 1], inv[i - 1::-1]) / s[0]
-        phi = _series_mul(cc, inv, N)
-        phi = _series_mul(phi, [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (N - 1), N)
+            # reciprocal of s
+            inv = [mp.mpf(0)] * (M + 1)
+            inv[0] = 1 / s[0]
+            for i in range(1, M + 1):
+                inv[i] = -mp.fdot(s[1:i + 1], inv[i - 1::-1]) / s[0]
+            one_minus_v = [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (M - 1)
+            _PHI[:] = _series_mul(_series_mul(cc, inv, M), one_minus_v, M)
         power = [mp.mpf(1)] + [mp.mpf(0)] * N
-        base, e = phi, k
+        base, e = _PHI[:N + 1], k
         while e:
             if e & 1:
                 power = _series_mul(power, base, N)

@@ -140,17 +140,20 @@ class TestLocalExpansion:
         with pytest.raises(ValueError):
             local_expansion_check(1, [1e-2])
 
-    def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
-        # x_1 + 1e-2 lies in sheet 1's band: its value is continued from the
-        # exterior root, here refused
+    def test_refused_anchor_is_a_continuation_failure(self, atlas, monkeypatch):
+        # x_1 + 1e-8 lies in sheet 1's band so near x_1 that the region
+        # refuses every root: its value is continued from the exterior root,
+        # here refused
+        assert atlas._band_root(atlas.branch_points[0].x + 1e-8, 1) is None
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         with pytest.raises(ContinuationFailure):
-            local_expansion_check(1, [1e-2, 1e-3])
+            local_expansion_check(1, [1e-8, 1e-9])
 
-    def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
+    def test_programming_error_is_not_a_continuation_failure(self, atlas, monkeypatch):
         def broken(x, c):
             raise TypeError("broken")
 
+        assert atlas._band_root(atlas.branch_points[0].x + 1e-8, 1) is None
         monkeypatch.setattr(complex_plane, "_exterior_root", broken)
         with pytest.raises(TypeError):
-            local_expansion_check(1, [1e-2, 1e-3])
+            local_expansion_check(1, [1e-8, 1e-9])

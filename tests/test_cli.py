@@ -259,8 +259,20 @@ class TestImport:
                                       ("dispersion", "--at", "5,3")])
     def test_commands_without_mpmath(self, argv):
         loaded = self._loaded("-m", "wtan", *argv)
-        assert "wtan.complex_plane" in loaded
+        assert ("wtan.complex_plane" in loaded) == (argv[0] == "dispersion")
         assert not {"numpy", "mpmath"} & loaded
+
+    def test_complex_plane_loads_on_first_use(self):
+        code = ("import sys, wtan; print('wtan.complex_plane' in sys.modules); "
+                "wtan.SheetAtlas; print('wtan.complex_plane' in sys.modules)")
+        cp = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.split() == ["False", "True"]
+        assert "wtan.complex_plane" not in self._loaded(
+            "-m", "wtan", "eval", "--x", "1", "--branch", "1")
+        assert "wtan.complex_plane" in self._loaded(
+            "-m", "wtan", "eval", "--z", "1,1", "--scheme", "finite-cuts")
 
     def test_series_loads_mpmath_only(self):
         loaded = self._loaded("-m", "wtan", "series", "--kind", "large", "--order", "12")

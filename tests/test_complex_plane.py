@@ -226,11 +226,38 @@ def _count_halley_steps(monkeypatch):
 def _solved_by_window(atlas, z, n):
     """True where continue_from_anchor takes the window route on sheet n:
     inside the exterior disk, off the band of cuts, and the root passes the
-    window test and the |g'| floor."""
+    |g'| floor and lies in the sheet's region."""
     m = abs(n)
     off_band = z.real > 0.0 or z.real < atlas.branch_points[m - 1].x.real
-    return (off_band and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
-            and complex_plane._window_root(z, m) is not None)
+    if not (off_band and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]):
+        return False
+    y = complex_plane._window_root(z, m)
+    return y is not None and atlas._in_region(y, m)
+
+
+def _solved_in_band(atlas, z, n):
+    """True where continue_from_anchor solves a band point on sheet n
+    directly: a seed's polished root lies in the sheet's region."""
+    m = abs(n)
+    return (atlas.branch_points[m - 1].x.real <= z.real <= 0.0
+            and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
+            and atlas._band_root(z, m) is not None)
+
+
+def _count_continued(atlas, monkeypatch):
+    """Record the points continuation is asked for, once the arcs of
+    sheets 1-4 (whose build continues too) exist."""
+    for j in (1, 2, 3, 4):
+        atlas._arc(j)
+    calls = []
+    continued = SheetAtlas._continued
+
+    def counted(self, z, *args):
+        calls.append(z)
+        return continued(self, z, *args)
+
+    monkeypatch.setattr(SheetAtlas, "_continued", counted)
+    return calls
 
 
 def _inner_points(atlas, n, rng):
@@ -280,21 +307,24 @@ class TestExteriorRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -2])
     def test_inner_points_still_continued(self, atlas, monkeypatch, n):
-        # band points and points under the |g'| floor are continued; the
-        # off-band rest of the ring is solved by the window form
-        calls = _count_halley_steps(monkeypatch)
-        continued = 0
+        # a point is continued only where no direct root is placed in the
+        # sheet's region: under the |g'| floor, or within the margin of an
+        # arc, as the points 1e-8..1e-3 off a cut mostly are
+        calls = _count_continued(atlas, monkeypatch)
+        continued = direct_band = 0
         for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
             calls.clear()
             y = eval_complex(z, n, atlas).y
-            assert bool(calls) != _solved_by_window(atlas, z, n), z
+            direct = _solved_by_window(atlas, z, n) or _solved_in_band(atlas, z, n)
+            assert bool(calls) != direct, z
             continued += bool(calls)
+            direct_band += direct and _route(atlas, z, n) == "band"
             ref = _continued_from_far_anchor(z, n, atlas)
             if calls:
                 _assert_continued_value(z, y, ref)
             else:
                 assert abs(y - ref) <= 4e-15 * abs(ref), z
-        assert continued >= 80
+        assert continued >= 20 and direct_band >= 20
 
     def test_huge_modulus(self, atlas):
         # no tan is evaluated on this route, so no pole guard stops it
@@ -365,11 +395,17 @@ class TestWindowRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_off_band_matches_continuation(self, atlas, monkeypatch, n):
         points = _off_band_points(atlas, n, np.random.default_rng(700 + n), 300)
-        calls = _count_halley_steps(monkeypatch)
+        calls = _count_continued(atlas, monkeypatch)
         plus = [eval_complex(z, n, atlas).y for z in points]
         minus = [eval_complex(z, -n, atlas).y for z in points]
-        assert not calls          # solved directly, never continued
         monkeypatch.undo()
+        # solved directly except where the window root lies within the
+        # margin of A_n, the image of the vertical cut at Re x_n
+        refused = [z for z in points if not _solved_by_window(atlas, z, n)]
+        assert calls == refused + refused
+        for z in refused:
+            y = complex_plane._window_root(z, n)
+            assert complex_plane._inside(atlas._arc(n), y.real, abs(y.imag)) is None, z
         for z, yp, ym in zip(points, plus, minus):
             ref = _continued_from_far_anchor(z, n, atlas)
             assert abs(yp - ref) <= 4e-15 * abs(ref), z
@@ -394,7 +430,8 @@ class TestWindowRoute:
     def test_floor_rejects_the_merging_germ(self, atlas, monkeypatch, n):
         # within 3.5e-3 left of x_n the sheet n+1 value is a root of the
         # sheet-n window form inside the sheet-n window too: were Newton to
-        # land on it, only the |g'| floor would turn it away
+        # land on it, the |g'| floor would turn it away, and so would the
+        # sheet-n region
         rng = np.random.default_rng(720 + n)
         for z in _left_of_branch_points(atlas, n, rng, 20, 1.001e-3, 3.5e-3):
             other = eval_complex(z, n + 1, atlas).y
@@ -404,10 +441,11 @@ class TestWindowRoute:
             monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
             assert complex_plane._window_root(z, n) is None, z
             monkeypatch.undo()
+            assert not atlas._in_region(other, n), z
 
     def test_window_rejects_the_mirror_root(self, atlas, monkeypatch):
         # on sheet 1 right of the band g is odd, so the sheet -1 value -y is
-        # a root with the same |g'|: only the window turns it away
+        # a root with the same |g'|: the region of sheet 1 turns it away
         rng = np.random.default_rng(725)
         for z in _off_band_points(atlas, 1, rng, 40):
             if z.real <= 0.0:
@@ -417,8 +455,9 @@ class TestWindowRoute:
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
             assert abs(1.0 + d) >= complex_plane.DERIV_FLOOR, z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
-            assert complex_plane._window_root(z, 1) is None, z
+            assert complex_plane._window_root(z, 1) == -y, z
             monkeypatch.undo()
+            assert atlas._in_region(y, 1) and not atlas._in_region(-y, 1), z
 
     def test_small_modulus_against_mpmath(self, atlas):
         # sheet 1 near the origin: w ~ sqrt(z) keeps full relative accuracy
@@ -465,29 +504,151 @@ class TestEscapeRoute:
             targets.append(z1)
             return _walk_segment(z0, y0, z1, atlas, **kw)
 
+        _count_continued(atlas, monkeypatch)     # the arcs exist
         monkeypatch.setattr(complex_plane, "_walk_segment", recorded)
         for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
             ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z, atlas)
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
                 targets.clear()
                 y = sign * eval_complex(z, sheet, atlas).y
-                if _solved_by_window(atlas, z, n):
-                    assert not targets, (z, sheet)
-                else:
-                    assert len(targets) == 2 and targets[0].imag == z.imag, (z, sheet)
-                    assert abs(targets[0].real - z.real) > 0.05, (z, sheet)
+                # every root this close to a cut line lies within the
+                # margin of the cut's arc: no direct root is taken
+                assert not _solved_by_window(atlas, z, n), (z, sheet)
+                assert not _solved_in_band(atlas, z, n), (z, sheet)
+                assert len(targets) == 2 and targets[0].imag == z.imag, (z, sheet)
+                assert abs(targets[0].real - z.real) > 0.05, (z, sheet)
                 _assert_continued_value(z, y, ref)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
-        # z is in sheet 1's band, so it is continued from the exterior root
-        # at its start point; refused, there is no certified value to follow
-        z = -1.0 + 1.0j
+        # z is in sheet 1's band 1e-6 right of its vertical cut, where the
+        # region refuses every root, so it is continued from the exterior
+        # root at its start point; refused, there is no certified value
+        z = complex(atlas.branch_points[0].x.real + 1e-6, 1.0)
+        assert not _solved_in_band(atlas, z, 1)
+        _count_continued(atlas, monkeypatch)     # the arcs exist
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         for n in (1, -1):
             with pytest.raises(NoConvergence):
                 atlas.continue_from_anchor(z, n)
             with pytest.raises(NoConvergence):
                 eval_complex(z, n, atlas)
+
+
+def _near_an_arc(atlas, w, m):
+    """True if w lies within the margin of A_m or A_(m-1)."""
+    u, v = w.real, abs(w.imag)
+    return any(complex_plane._inside(atlas._arc(j), u, v) is None for j in (m - 1, m) if j)
+
+
+def _band_points(atlas, n, rng, count):
+    """Points in the band of sheet n inside its exterior disk, beyond 1e-3
+    of its cuts and branch points."""
+    m = abs(n)
+    lo, radius = atlas.branch_points[m - 1].x.real, EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
+    points = []
+    while len(points) < count:
+        z = complex(rng.uniform(lo, 0.0), rng.uniform(-radius, radius))
+        if (abs(z) < radius and atlas.distance_to_cuts(z, n) > 1e-3
+                and atlas.nearest_branch_distance(z) > 1e-3):
+            points.append(z)
+    return points
+
+
+@pytest.fixture(scope="module")
+def big_atlas():
+    return SheetAtlas.build(9)
+
+
+class TestRegions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_neighbour_sheets_are_rejected(self, atlas, big_atlas, n):
+        # 0.1-1 left of x_n the values of sheets n+1..n+5 can solve the
+        # sheet-n window form inside its window; R_n turns every one away
+        passed = 0
+        for z in _left_of_branch_points(atlas, n, np.random.default_rng(760 + n), 40, 0.1, 1.0):
+            for k in range(n + 1, n + 6):
+                w = eval_complex(z, k, big_atlas).y
+                g, _ = complex_plane._window_form(z, n * math.pi, w)
+                if (abs(g) <= 8 * complex_plane.EPS * abs(w)
+                        and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
+                    passed += 1
+                    assert not atlas._in_region(w, n), (z, k)
+        assert passed >= 20
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_lie_in_their_own_region_only(self, atlas, big_atlas, n):
+        rng = np.random.default_rng(770 + n)
+        points = (_inner_points(atlas, n, rng) + _off_band_points(atlas, n, rng, 200)
+                  + [z for z, _ in _beside_cut_lines(atlas, n, rng, 16)])
+        for sheet, sign in ((n, 1.0), (-n, -1.0)):
+            for z in points:
+                w = sign * eval_complex(z, sheet, atlas).y
+                assert big_atlas._in_region(w, n) or _near_an_arc(big_atlas, w, n), (z, sheet)
+                for m in range(1, 8):
+                    assert m == n or not big_atlas._in_region(w, m), (z, sheet, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, -3])
+    def test_band_values_match_continuation(self, atlas, monkeypatch, n):
+        # solved directly where a seed's root is placed in R_n, else continued
+        calls = _count_continued(atlas, monkeypatch)
+        direct = 0
+        for z in _band_points(atlas, n, np.random.default_rng(780 + abs(n)), 40):
+            calls.clear()
+            y = eval_complex(z, n, atlas).y
+            ref = _continued_from_far_anchor(z, n, atlas)
+            if calls:
+                _assert_continued_value(z, y, ref)
+            else:
+                assert abs(y - ref) <= 4e-15 * abs(ref), z
+                direct += 1
+        assert direct >= 36
+
+    @pytest.mark.parametrize("j", range(1, complex_plane.ARC_SHEETS + 1))
+    def test_polyline_within_the_margin(self, j):
+        # 2000 nodes a side, uniform in t, marched down both sides of the
+        # cut, stay within the margin of the polyline, twice its chord bound
+        big = SheetAtlas.build(j)
+        bp = big.branch_points[j - 1]
+        a, b = bp.x.real, bp.x.imag
+        xs, ys, _, margin = big._arc(j)
+        p = np.array(xs) + 1j * np.array(ys)
+        worst = 0.0
+        for side in (-1.0, 1.0):
+            ts = np.sqrt(b) * np.arange(1, 2001) / 2000
+            zs = [complex(a, v) for v in np.maximum(b - ts * ts, 0.0)]
+            clear = zs[0] + side * 1e-3
+            for w in complex_plane._march(zs, clear, big.continue_from_anchor(clear, j), big):
+                w = complex(w.real, abs(w.imag))
+                s = np.clip(((w - p[:-1]) * np.conj(p[1:] - p[:-1])).real
+                            / np.abs(p[1:] - p[:-1]) ** 2, 0.0, 1.0)
+                worst = max(worst, np.abs(w - p[:-1] - s * (p[1:] - p[:-1])).min())
+        assert worst <= margin <= 2.0 * complex_plane.ARC_TOL + 1e-12
+
+    def test_arcs_ascend_in_re(self, big_atlas):
+        # the crossing above a point is found by bisection on Re w; arcs
+        # past ARC_SHEETS are built by the tests of regions 5-7 only
+        for j in range(1, 8):
+            xs, ys, _, _ = big_atlas._arc(j)
+            assert xs[0] == 0.0 and ys[-1] == 0.0, j
+            assert all(x0 < x1 for x0, x1 in zip(xs, xs[1:])), j
+
+    def test_arcs_are_built_once(self):
+        assert SheetAtlas.build(2)._arc(1) is SheetAtlas.build(2)._arc(1)
+
+    def test_beyond_the_regions(self, monkeypatch):
+        # past ARC_SHEETS no arc is built: window roots are taken inside the
+        # window of atan(z/y), as before the regions, and the band is continued
+        m = complex_plane.ARC_SHEETS + 1
+        big = SheetAtlas.build(m)
+        monkeypatch.setattr(SheetAtlas, "_arc", None)
+        xm = big.branch_points[m - 1].x
+        for z in (complex(1.0, 0.5 * xm.imag), complex(xm.real - 1.0, 0.3 * xm.imag)):
+            y = complex_plane._window_root(z, m)
+            assert complex_plane._in_window(z, m, y)
+            assert eval_complex(z, m, big).y == y
+        z = complex(0.5 * xm.real, 0.5 * xm.imag)
+        assert big._band_root(z, m) is None
+        assert eval_complex(z, m, big).y == big.continue_from_anchor(z, m)
 
 
 def _full_guard(atlas, z, n):

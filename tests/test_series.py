@@ -141,6 +141,18 @@ class TestLagrange:
         for k in range(1, 31):
             assert lagrange_b(k) == reference_lagrange_b(k), k
 
+    def test_cached_series_gives_the_fresh_floats(self):
+        # phi's series is built once and sliced: any order of calls gives
+        # the floats of a series built for each k alone
+        from wtan import series
+
+        fresh = {}
+        for k in (5, 30):
+            series._PHI.clear()
+            fresh[k] = lagrange_b(k)
+        series._PHI.clear()
+        assert [lagrange_b(k) for k in (30, 5, 30)] == [fresh[30], fresh[5], fresh[30]]
+
 
 class TestEvalSeries:
     def test_small_x_matches_solver(self):
