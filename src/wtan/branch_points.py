@@ -171,8 +171,8 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     if len(radii) < 2:
         raise ValueError("need at least two radii for the fit")
     radii = sorted(radii, reverse=True)
-    atlas = SheetAtlas.build(max_sheet=max(2, n + 1))
-    bp = atlas.branch_points[n - 1]
+    atlas = SheetAtlas()
+    bp = find_branch_point(n)
     try:
         # anchor on the circle of the largest radius, angle 0
         z0 = bp.x + radii[0]

@@ -128,8 +128,7 @@ def cmd_eval(args) -> int:
             raise _usage_error("--z requires --scheme finite-cuts")
         from .complex_plane import SheetAtlas, eval_complex
 
-        atlas = SheetAtlas.build(max_sheet=max(abs(args.branch), 2))
-        bv = eval_complex(z, args.branch, atlas)
+        bv = eval_complex(z, args.branch, SheetAtlas())
         x, y = bv.x, bv.y
         residual = bv.residual
     else:
@@ -269,7 +268,7 @@ def cmd_dispersion(args) -> int:
     z = _parse_complex(args.at)
     from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
 
-    atlas = SheetAtlas.build(max_sheet=2)
+    atlas = SheetAtlas()
     d = dispersion_eval(z, atlas)
     e = eval_complex(z, 1, atlas).y
     rec = {

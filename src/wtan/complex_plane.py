@@ -85,9 +85,10 @@ of the real axis, where the contraction certificate holds; the vertical
 crosses no cut of the sheet, and a target beside a vertical cut line and
 below its branch point is reached from a vertical set off that line, by
 one horizontal step.  Each step is corrected by Halley iteration.  Steps
-shrink in proportion to the distance from the nearest branch point: near
-x_j the two local solution sheets differ by O(sqrt(distance)), so
-uncontrolled steps can silently hop between them.
+shrink in proportion to the distance from the nearest branch point, of any
+sheet (the atlas finds each x_j on first use): near x_j the two local
+solution sheets differ by O(sqrt(distance)), so uncontrolled steps can
+silently hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -119,44 +120,20 @@ from __future__ import annotations
 import bisect
 import cmath
 import enum
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 from . import core
 from .branch_points import BranchPoint, find_branch_point
-from .core import (
-    BranchedValue,
-    BranchIndex,
-    CutScheme,
-    defining_residual,
-    halley_step,
-    validate_branch,
-)
-from .errors import (
-    DomainViolation,
-    NoConvergence,
-    NonFiniteArgument,
-    NotOnCut,
-    OnCut,
-    OutOfCutRange,
-    PoleProximity,
-    QuadratureFailure,
-    StepTooLarge,
-)
+from .core import (EPS, BranchedValue, BranchIndex, CutScheme, _panel_nodes,
+                   defining_residual, halley_step, validate_branch)
+from .errors import (NoConvergence, NonFiniteArgument, NotOnCut, OnCut, OutOfCutRange,
+                     PoleProximity, QuadratureFailure, StepTooLarge)
 
 __all__ = [
-    "CutKind",
-    "Cut",
-    "ContinuationPath",
-    "SheetAtlas",
-    "Side",
-    "eval_complex",
-    "trace_path",
-    "boundary_value",
-    "discontinuity_delta0",
-    "discontinuity_delta1",
+    "CutKind", "Cut", "ContinuationPath", "SheetAtlas", "Side", "eval_complex",
+    "trace_path", "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
     "dispersion_eval",
 ]
 
@@ -171,8 +148,6 @@ EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
 # only points within ~0.2 of x_n (the farthest seen) back to continuation.
 DERIV_FLOOR = 0.5
 
-EPS = 2.220446049250313e-16
-
 # Continuation step policy.  Steps never exceed MAX_STEP, shrink by
 # STEP_SHRINK whenever the Halley correction exceeds MAX_DY (or fails), and
 # are additionally capped at BP_FACTOR times the distance to the nearest
@@ -183,6 +158,7 @@ STEP_SHRINK = 0.5
 MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
+_LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
 
 
 class CutKind(enum.Enum):
@@ -219,8 +195,7 @@ class Cut:
                 return None
             t = d0 / (d0 - d1)
             imc = z0.imag + t * (z1.imag - z0.imag)
-            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
-            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
+            lo, hi = sorted((self.endpoints[0].imag, self.endpoints[1].imag))
             return t if lo <= imc <= hi else None
         d0, d1 = z0.imag, z1.imag
         if (d0 >= 0.0) == (d1 >= 0.0):
@@ -234,8 +209,7 @@ class Cut:
         """Euclidean distance from z to the cut segment."""
         if self.kind is CutKind.VERTICAL_SEGMENT:
             a = self.endpoints[0].real
-            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
-            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
+            lo, hi = sorted((self.endpoints[0].imag, self.endpoints[1].imag))
             dy = 0.0 if lo <= z.imag <= hi else min(abs(z.imag - lo), abs(z.imag - hi))
             return math.hypot(z.real - a, dy)
         lo, hi = self.endpoints[0].real, self.endpoints[1].real
@@ -256,94 +230,138 @@ class ContinuationPath:
 # atlas
 # ---------------------------------------------------------------------------
 
-class SheetAtlas:
-    """Immutable catalogue of branch points and per-sheet cuts.
+class _Points(dict):
+    """x_j by j (j >= 1), each found on first use."""
 
-    The atlas also owns the origin branch point x = 0 (the w = 0 solution of
-    the singularity condition, index 0 by convention); it is not a
-    :class:`BranchPoint` record but enters the cut geometry of sheets +-1
-    and the step control of every continuation.
-    """
+    def __missing__(self, j: int) -> BranchPoint:
+        bp = self[j] = find_branch_point(j)
+        return bp
+
+
+class _Sheet(NamedTuple):
+    """What sheets +-m need of their branch points x_(m-1) and x_m."""
+
+    bp: BranchPoint                 # x_m
+    disk: float                     # |x_m|: every cut of the sheet lies within it
+    lo: float                       # Re x_m, the band's left edge
+    hi: float                       # Re x_(m-1) (0 for m = 1), its right edge
+    near: tuple[BranchPoint, ...]   # x_(m-1) (m > 1) and x_m, the guarded points
+    germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
+    cuts: tuple                     # the cuts of sheet -m and of sheet m
+
+
+class SheetAtlas:
+    """Branch points and per-sheet cuts of every sheet.  x_j, and each
+    sheet's cuts, germs, disk radius and band edges, are found on first use
+    and cached; every cache fills idempotently, and no value depends on what
+    an atlas has evaluated or found before.  The origin x = 0 (w = 0, index
+    0) is a branch point too, though no :class:`BranchPoint` record."""
 
     scheme = CutScheme.FINITE_CUTS
 
-    def __init__(self, branch_points: Sequence[BranchPoint]):
-        self.branch_points = list(branch_points)
-        self.max_sheet = len(self.branch_points)
-        self.origin = 0j
-        # |x_n|: every cut of sheet +-n lies in the disk of this radius
-        self.disk_radii = tuple(abs(bp.x) for bp in self.branch_points)
-        self._bp_locations = [self.origin]
-        for bp in self.branch_points:
-            self._bp_locations.append(bp.x)
-            self._bp_locations.append(bp.conjugate_x)
-        self._cuts: dict[int, tuple[Cut, ...]] = {}
+    def __init__(self):
+        self.branch_points: list[BranchPoint] = []   # x_1..x_k of `build(k)`
+        self._points = _Points()
+        self._sheets: dict[int, _Sheet] = {}
         self._disp_tables: dict[tuple, tuple] = {}
-        # (w_j, x_j, f''(w_j)) per branch point (`_band_seeds`); j = 0: origin
-        self._germs = [(0j, 0j, 2.0)] + [
-            (bp.y, bp.x, 2.0 * (1.0 + (bp.x / bp.y) ** 2) * (1.0 + bp.x))
-            for bp in self.branch_points]
 
     @classmethod
-    def build(cls, max_sheet: int = 4) -> "SheetAtlas":
-        if max_sheet < 1:
-            raise ValueError("max_sheet must be >= 1")
-        return cls([find_branch_point(j) for j in range(1, max_sheet + 1)])
+    def build(cls, sheets: int = 4) -> "SheetAtlas":
+        """An atlas with x_1..x_sheets found up front, as `branch_points`."""
+        atlas = cls()
+        atlas.branch_points = [atlas._points[j] for j in range(1, sheets + 1)]
+        return atlas
 
     # -- geometry ----------------------------------------------------------
 
-    def _require_sheet(self, n: BranchIndex) -> None:
-        if abs(n) > self.max_sheet:
-            raise DomainViolation(
-                f"sheet {n} needs branch point {abs(n)}; atlas holds {self.max_sheet}"
-            )
-
-    def _vertical_cut(self, j: int, sheet: int) -> Cut:
-        bp = self.branch_points[j - 1]
-        if sheet > 0:
-            partner = sheet + 1 if j == sheet else sheet - 1
-        else:
-            partner = sheet - 1 if j == -sheet else sheet + 1
-        return Cut(CutKind.VERTICAL_SEGMENT, (bp.conjugate_x, bp.x),
-                   (sheet, partner))
+    def _sheet(self, m: int) -> _Sheet:
+        """The record of sheets +-m (m >= 1), built on first use."""
+        s = self._sheets.get(m)
+        if s is not None:
+            return s
+        bp = self._points[m]
+        near = (self._points[m - 1], bp) if m > 1 else (bp,)
+        germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
+                 for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
+        hi = near[0].x.real if m > 1 else 0.0
+        # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
+        cuts = tuple(
+            (Cut(CutKind.REAL_SEGMENT, (complex(bp.x.real, 0.0), complex(hi, 0.0)), (n, -n)),
+             *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
+                   (n, n + s if b.n == m else n - s)) for b in near))
+            for n, s in ((-m, -1), (m, 1)))
+        s = self._sheets[m] = _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts)
+        return s
 
     def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
         """The cuts of sheet n in the finite-cuts convention."""
         n = validate_branch(n)
-        self._require_sheet(n)
-        if n in self._cuts:
-            return self._cuts[n]
-        m = abs(n)
-        if m == 1:
-            real_lo = self.branch_points[0].x.real
-            cuts = (
-                Cut(CutKind.REAL_SEGMENT, (complex(real_lo, 0.0), 0j), (n, -n)),
-                self._vertical_cut(1, n),
-            )
-        else:
-            real_lo = self.branch_points[m - 1].x.real
-            real_hi = self.branch_points[m - 2].x.real
-            cuts = (
-                Cut(CutKind.REAL_SEGMENT,
-                    (complex(real_lo, 0.0), complex(real_hi, 0.0)), (n, -n)),
-                self._vertical_cut(m - 1, n),
-                self._vertical_cut(m, n),
-            )
-        self._cuts[n] = cuts
-        return cuts
+        return self._sheet(abs(n)).cuts[n > 0]
 
     def nearest_branch_distance(self, z: complex) -> float:
-        return min(abs(z - p) for p in self._bp_locations)
+        """Distance from z to the nearest branch point: 0, x_j or conj(x_j), j <= 2**52."""
+        return self._nearest(z, 2.0 * _modulus(z))   # never binds: the origin is |z| away
+
+    def _nearest(self, z: complex, limit: float) -> float:
+        """min(limit, nearest_branch_distance(z)), bit for bit the minimum of
+        |z - x| over every branch point x, z folded to Im >= 0.  As j rises
+        Re x_j falls from Re x_1 and Im x_j rises by ~pi, so only x_j with
+        Im x_j within the best distance of Im z can be nearer, and none if z
+        lies that far right of x_1; they are scanned from Im x_j ~ (j-1/4)*pi."""
+        p = z if z.imag >= 0.0 else z.conjugate()
+        v = p.imag
+        best = min(abs(p), limit)
+        x = self._points
+        if p.real - x[1].x.real >= best:
+            return best
+        level = min(int(v / math.pi + 0.75) or 1, _LAST_POINT)
+        if best >= 4.0 * math.pi:
+            # a long run: its ends, and so the points halving visits, are
+            # multiples of a power of two g <= k, shared by nearby calls
+            k = int(best / math.pi) + 1
+            g = 1 << (k.bit_length() - 1)
+            lo, hi = max((level - k) // g * g, 1), min(-(-(level + k) // g) * g, _LAST_POINT)
+            while lo > 1 and v - x[lo].x.imag < best:
+                lo = max(lo - g, 1)
+            while hi < _LAST_POINT and x[hi].x.imag - v < best:
+                hi = min(hi + g, _LAST_POINT)
+            return self._nearest_in(p, lo, hi, best)
+        j = level
+        while j <= _LAST_POINT and (q := x[j].x).imag - v < best:
+            best = min(best, abs(p - q))
+            j += 1
+        j = level - 1
+        while j and v - (q := x[j].x).imag < best:
+            best = min(best, abs(p - q))
+            j -= 1
+        return best
+
+    def _nearest_in(self, p: complex, lo: int, hi: int, best: float) -> float:
+        """min(best, |p - x_j|) over lo <= j <= hi.  Every such x_j lies in
+        the box spanned by x_lo and x_hi: a long run's box no nearer than
+        best is skipped, a nearer one halved, the half nearer p first."""
+        x = self._points
+        if hi - lo <= 8:
+            return min(best, *(abs(p - x[j].x) for j in range(lo, hi + 1)))
+        a, b = x[lo].x, x[hi].x
+        if abs(complex(max(b.real - p.real, p.real - a.real, 0.0),
+                       max(a.imag - p.imag, p.imag - b.imag, 0.0))) >= best:
+            return best
+        mid = (lo + hi) // 2
+        halves = ((lo, mid), (mid + 1, hi))
+        for j, k in halves[::-1] if p.imag > x[mid].x.imag else halves:
+            best = self._nearest_in(p, j, k, best)
+        return best
 
     def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
         return min(c.distance(z) for c in self.cuts_for(n))
 
-    def _guard(self, z: complex, m: int, cut_distance: float) -> None:
-        """OnCut if a cut of sheet +-m lies cut_distance < CUT_GUARD from z,
+    def _guard(self, z: complex, s: _Sheet, cut_distance: float) -> None:
+        """OnCut if a cut of sheet s lies cut_distance < CUT_GUARD from z,
         or x_(m-1), x_m or a conjugate within BRANCH_POINT_GUARD of it."""
         if cut_distance < CUT_GUARD:
-            raise OnCut(f"z={z!r} lies on a cut of sheet +-{m}")
-        for bp in self.branch_points[max(m - 2, 0):m]:
+            raise OnCut(f"z={z!r} lies on a cut of sheet +-{s.bp.n}")
+        for bp in s.near:
             if min(abs(z - bp.x), abs(z - bp.conjugate_x)) < BRANCH_POINT_GUARD:
                 raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
                             f"x_{bp.n}; too close for direct evaluation")
@@ -356,14 +374,11 @@ class SheetAtlas:
         route reaches there.
 
         Raises NonFiniteArgument if |z| is not finite, including finite
-        parts whose modulus overflows, DomainViolation if the atlas does not
-        hold branch point |n|, and NoConvergence if the exterior root refuses
-        the start of a continuation.
+        parts whose modulus overflows, and NoConvergence if the exterior
+        root refuses the start of a continuation.
         """
         n = validate_branch(n)
-        r = _modulus(z)
-        self._require_sheet(n)
-        y = self._solve(z, abs(n), r, False)[0]
+        y = self._solve(z, abs(n), _modulus(z), False)[0]
         return y if n > 0 else -y
 
     def _solve(self, z: complex, m: int, r: float,
@@ -371,22 +386,21 @@ class SheetAtlas:
         """Sheet-m (m > 0) value at z, r = |z|, and whether the exterior
         certificate holds for it.  The route is picked once, from r and Re z;
         `guarded` runs the guards it can trip, and only those (module docstring)."""
+        s = self._sheet(m)
         c = (m - 0.5) * math.pi
-        e = EXTERIOR_FACTOR * self.disk_radii[m - 1]
-        lo = self.branch_points[m - 1].x.real
-        if r >= e:
+        if r >= EXTERIOR_FACTOR * s.disk:
             y = _exterior_root(z, c)
             if y is None:
                 y = self._continued(z, m, r)
             h, d = _atan_form(z, c, y)
             return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
-        if lo <= z.real <= 0.0:
+        if s.lo <= z.real <= 0.0:
             if guarded:
-                self._guard(z, m, self.distance_to_cuts(z, m))
+                self._guard(z, s, self.distance_to_cuts(z, m))
             y = self._band_root(z, m)
         else:
-            if guarded and z.real < lo:
-                self._guard(z, m, self.cuts_for(m)[-1].distance(z))
+            if guarded and z.real < s.lo:
+                self._guard(z, s, s.cuts[1][-1].distance(z))
             elif guarded and m == 1 and r < CUT_GUARD:
                 raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
             y = _window_root(z, m)
@@ -418,8 +432,7 @@ class SheetAtlas:
             found = _window_newton(x, m, k)
             if found is not None:
                 yield found[0]
-        for j in (m, m - 1):
-            w, xj, f2 = self._germs[j]
+        for w, xj, f2 in self._sheet(m).germs:
             s = cmath.sqrt(2.0 * (x - xj) / f2)
             yield w + s
             yield w - s
@@ -427,20 +440,19 @@ class SheetAtlas:
     def _continued(self, z: complex, m: int, r: float) -> complex:
         """Sheet-m value at z, r = |z|, continued as the module docstring says;
         NoConvergence if the exterior root refuses the start."""
-        e = EXTERIOR_FACTOR * self.disk_radii[m - 1]
-        lo = self.branch_points[m - 1].x.real
+        s = self._sheet(m)
         x, route = z.real, (z,)
-        for bp in self.branch_points[max(m - 2, 0):m]:
+        for bp in s.near:
             if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
                 # inside the band a sideways step of 0.25 can cross the
                 # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
-                hi = self.branch_points[m - 2].x.real if m > 1 else 0.0
-                if lo < x < hi:
-                    x = 0.5 * (lo + hi)
+                if s.lo < x < s.hi:
+                    x = 0.5 * (s.lo + s.hi)
                 else:
                     x += 0.25 if x >= bp.x.real else -0.25
                 route = (complex(x, z.imag), z)
                 break
+        e = EXTERIOR_FACTOR * s.disk
         cur = complex(x, e if z.imag >= 0.0 else -e)
         y = _exterior_root(cur, (m - 0.5) * math.pi)
         if y is None:
@@ -461,11 +473,12 @@ class SheetAtlas:
                 and (m == 1 or _inside(self._arc(m - 1), u, v) is False))
 
     def _arc(self, j: int) -> tuple:
-        """A_j, built on first use and shared by every atlas of the process."""
-        key = self.branch_points[j - 1].x
-        if key not in _ARCS:
-            _ARCS[key] = _build_arc(SheetAtlas(self.branch_points[:j]), j)
-        return _ARCS[key]
+        """A_j, built on first use and shared by every atlas of the process:
+        no atlas gives it other values."""
+        arc = _ARCS.get(j)
+        if arc is None:
+            arc = _ARCS[j] = _build_arc(self, j)
+        return arc
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +603,8 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
     h_cap = h_base if h_base is not None else MAX_STEP
     while z != z1:
         rem = z1 - z
-        dist = atlas.nearest_branch_distance(z)
+        # only a distance below h_cap/BP_FACTOR can shorten the step
+        dist = atlas._nearest(z, h_cap / BP_FACTOR)
         allowed = min(h_cap, BP_FACTOR * dist if dist > 0.0 else MIN_STEP)
         take = min(abs(rem), max(allowed, MIN_STEP))
         while True:
@@ -620,10 +634,11 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 # ---------------------------------------------------------------------------
 
 ARC_TOL = 1e-4     # arcs are refined to this chord bound (`_build_arc`)
-# Regions cover the sheets of the default atlas, +-1..+-4; past them no arc
-# is built and the window test of atan(z/y) decides, proving no sheet.
+# Regions cover sheets +-1..+-4, the ones `complex_sheets` measures; past
+# them no arc is built and the window test of atan(z/y) decides, proving no
+# sheet.
 ARC_SHEETS = 4
-_ARCS: dict[complex, tuple] = {}   # A_j by x_j, shared by every atlas
+_ARCS: dict[int, tuple] = {}   # A_j by j, shared by every atlas
 
 
 def _build_arc(atlas: SheetAtlas, j: int) -> tuple:
@@ -639,7 +654,7 @@ def _build_arc(atlas: SheetAtlas, j: int) -> tuple:
     <= ARC_TOL at both ends.  That takes w_tt at the ends only, so the
     margin is twice the largest bound plus the nodes' error: A_1..A_4 lie
     within 1.0 times the bound of a march of 2000 nodes a side (tests)."""
-    bp = atlas.branch_points[j - 1]
+    bp, hi = atlas._sheet(j).bp, atlas._sheet(j).hi
     a, b = bp.x.real, bp.x.imag
     top = math.sqrt(b)
 
@@ -656,7 +671,7 @@ def _build_arc(atlas: SheetAtlas, j: int) -> tuple:
 
     # the right side is reached from inside the band, short of the cut at
     # Re x_(j-1), 0.117 away at j = 4
-    gap = (atlas.branch_points[j - 2].x.real if j > 1 else 0.0) - a
+    gap = hi - a
     sides = []
     for s in (-1.0, 1.0):
         ts = [s * top * k / 4 for k in (1, 2, 3, 4)]
@@ -725,21 +740,11 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     """Sheet-n value at z in the finite-cuts convention.
 
     The route is picked once, from |z| and Re z, and runs only the guards
-    it can trip (the module docstring says why the others cannot fire):
-
-    * |z| >= EXTERIOR_FACTOR*|x_|n||: w = c - atan(w/z), solved directly;
-      no guard, as every cut and branch point is >= 0.2*|x_|n|| away;
-    * Re z > 0: the window form w = k*pi + atan(z/w), solved directly;
-      on sheets +-1 only, |z| < CUT_GUARD (their real cut ends at 0);
-    * Re z < Re x_|n|: the window form; the vertical cut at Re x_|n| and
-      x_|n|, x_(|n|-1) and their conjugates, the only ones that near;
-    * the band between: every guard, then Halley iteration from a few seeds.
-
-    Inside the disk a direct root is taken only if it lies in the sheet's
-    region of the w-plane, beyond the margin of its edges, which proves the
-    sheet (past sheet +-ARC_SHEETS see the module docstring); otherwise the
+    it can trip (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
+    w = c - atan(w/z) is solved directly, with no guard; inside that disk a
+    direct root is taken only where it proves its sheet, and otherwise the
     value is continued from the exterior root at Re z +- i*EXTERIOR_FACTOR*
-    |x_|n||, and NoConvergence is raised if that start is refused.
+    |x_|n||, with NoConvergence if that start is refused.
 
     The value is accepted if either
 
@@ -760,13 +765,10 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         If z lies within 1e-10 of a cut of sheet n, or within 1e-3 of one of
         the sheet's branch points (where continuation accuracy degrades; use
         `boundary_value` / `trace_path` for on-cut and near-point work).
-    DomainViolation
-        If the atlas does not hold branch point |n|.
     """
     n = validate_branch(n)
     z = complex(z)
     r = _modulus(z)
-    atlas._require_sheet(n)
     y, certified = atlas._solve(z, abs(n), r, True)
     if n < 0:
         y = -y
@@ -801,13 +803,8 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     records = [(z0, y0, start_sheet)]
     state = {"sheet": start_sheet}
 
-    def crossings(za: complex, zb: complex) -> list[tuple[float, Cut]]:
-        found = []
-        for cut in atlas.cuts_for(state["sheet"]):
-            t = cut.crossing(za, zb)
-            if t is not None:
-                found.append((t, cut))
-        return found
+    def crossings(za: complex, zb: complex) -> list[Cut]:
+        return [c for c in atlas.cuts_for(state["sheet"]) if c.crossing(za, zb) is not None]
 
     def step_filter(za: complex, zb: complex) -> bool:
         return len(crossings(za, zb)) <= 1
@@ -815,8 +812,7 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     def on_step(za: complex, zb: complex, yb: complex) -> None:
         hits = crossings(za, zb)
         if hits:
-            _, cut = hits[0]
-            a, b = cut.connects
+            a, b = hits[0].connects
             state["sheet"] = b if state["sheet"] == a else a
         records.append((zb, yb, state["sheet"]))
 
@@ -858,12 +854,7 @@ def _locate_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
     raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
 
 
-_SIDE_DIRECTIONS = {
-    Side.UPPER: 1j,
-    Side.LOWER: -1j,
-    Side.LEFT: -1.0,
-    Side.RIGHT: 1.0,
-}
+_SIDE_DIRECTIONS = {Side.UPPER: 1j, Side.LOWER: -1j, Side.LEFT: -1.0, Side.RIGHT: 1.0}
 
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
@@ -889,7 +880,7 @@ def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
     reflection symmetry.  The value solves p*tanh(p) = -u for the purely
     imaginary boundary limit w = i*p.
     """
-    a = atlas.branch_points[0].x.real
+    a = atlas._points[1].x.real
     if not (a - 1e-12 <= u <= 0.0 + 1e-12):
         raise OutOfCutRange(f"u={u} outside the real cut [{a}, 0]")
     return boundary_value(complex(u, 0.0), 1, Side.UPPER, atlas).imag
@@ -899,7 +890,7 @@ def discontinuity_delta1(v: float, atlas: SheetAtlas) -> complex:
     """Half the right-minus-left jump across the sheet-1 vertical cut at
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
     branch point where the two boundary values merge."""
-    bp = atlas.branch_points[0]
+    bp = atlas._points[1]
     a, b = bp.x.real, bp.x.imag
     if not (-1e-12 <= v <= b + 1e-12):
         raise OutOfCutRange(f"v={v} outside [0, {b}]")
@@ -928,65 +919,6 @@ DISPERSION_COARSE = (3, 16)
 DISPERSION_ABS_TOL = 1e-6
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1].
-
-    Each positive node is Newton's root of P_n from the guess
-    cos(pi*(i + 3/4)/(n + 1/2)), with P_n, P_(n-1) and
-    P_n' = n*(P_(n-1) - x*P_n)/(1 - x^2) from the three-term recurrence
-    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013); the negative nodes
-    mirror them, and odd n adds x = 0.  The weight is
-    2/((1 - x^2)*P_n'(x)^2): its relative sensitivity to a node error is
-    only 2x/(1 - x^2), where the equivalent 2(1 - x^2)/(n*P_(n-1)(x))^2
-    amplifies a half-ulp node error by 2(n+1)x/(1 - x^2).  For n = 10, 16
-    and 24, the only sizes used, nodes are within one ulp and weights
-    within 1e-14 relative of a 40-digit reference.  Cached: the rule
-    depends on n alone.
-    """
-    def legendre(x):  # (P_n(x), P_(n-1)(x))
-        p0, p1 = 1.0, x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        return p1, p0
-
-    nodes, weights = [], []
-    for i in range(n // 2):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(10):  # converges in at most 5 steps for n <= 24
-            p, q = legendre(x)
-            dx = p * (1.0 - x) * (1.0 + x) / (n * (q - x * p))
-            x -= dx
-            if abs(dx) <= EPS:
-                break
-        p, q = legendre(x)
-        s = (1.0 - x) * (1.0 + x)
-        d = n * (q - x * p) / s
-        nodes.append(x)
-        weights.append(2.0 / (s * d * d))
-    if n % 2:
-        nodes.append(0.0)
-        weights.append(2.0 / (n * legendre(0.0)[1]) ** 2)
-    half = n // 2
-    return (tuple(-x for x in nodes[:half]) + tuple(reversed(nodes)),
-            tuple(weights[:half]) + tuple(reversed(weights)))
-
-
-def _panel_nodes(length: float, panels: int,
-                 nodes: int) -> tuple[list[float], list[float]]:
-    """Composite Gauss-Legendre rule on [0, length]: `panels` equal panels
-    of `nodes` points from `_gauss_legendre`; (points, weights), ascending."""
-    xs, ws = _gauss_legendre(nodes)
-    width = length / panels
-    pts, wts = [], []
-    for p in range(panels):
-        lo = p * width
-        pts += [lo + 0.5 * width * (x + 1.0) for x in xs]
-        wts += [0.5 * width * w for w in ws]
-    return pts, wts
-
-
 def _march(points: list[complex], z: complex, y: complex,
            atlas: SheetAtlas) -> list[complex]:
     """Continue the value y at z through the points in order; their values."""
@@ -1002,7 +934,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
-    bp = atlas.branch_points[0]
+    bp = atlas._points[1]
     a, b = bp.x.real, bp.x.imag
 
     # real-cut table: nodes u = -s^2, marched along the cut itself from near
@@ -1054,7 +986,7 @@ def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     exceeds DISPERSION_ABS_TOL.
     """
     z = complex(z)
-    a = atlas.branch_points[0].x.real
+    a = atlas._points[1].x.real
     fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
     coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)
     if abs(fine - coarse) > DISPERSION_ABS_TOL:

@@ -26,8 +26,7 @@ import math
 
 import mpmath as mp
 
-from .complex_plane import _panel_nodes
-from .core import eval_real
+from .core import _panel_nodes, eval_real
 from .errors import QuadratureFailure
 from .series import large_x_coeffs
 

@@ -68,4 +68,4 @@ BRANCH_POINT_TABLE = [
 
 @pytest.fixture(scope="session")
 def atlas():
-    return SheetAtlas.build(max_sheet=4)
+    return SheetAtlas.build(4)

@@ -175,7 +175,7 @@ def test_criterion_06_integral_identities():
 
 def test_criterion_07_branch_point_local_structure():
     kappa, c2 = local_expansion_check(1, [1e-2, 1e-3, 1e-4])
-    atlas = SheetAtlas.build(max_sheet=2)
+    atlas = SheetAtlas.build(2)
     x1 = atlas.branch_points[0].x
     wp = tuple(x1 + 1e-3 * cmath.exp(2j * math.pi * 2 * j / 64)
                for j in range(65))
@@ -187,7 +187,7 @@ def test_criterion_07_branch_point_local_structure():
 
 
 def test_criterion_08_dispersion_closure():
-    atlas = SheetAtlas.build(max_sheet=2)
+    atlas = SheetAtlas.build(2)
     points = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j,
               -0.5 - 3j, -4 + 1j, 7 + 7j, 3 - 0.9j, 18 + 2j]
     t0 = time.perf_counter()
@@ -245,7 +245,7 @@ def test_criterion_10_spectrum_limits_and_jumps():
 
 def test_criterion_11_property_suites():
     rng = np.random.default_rng(413)
-    atlas = SheetAtlas.build(max_sheet=3)
+    atlas = SheetAtlas.build(3)
 
     odd_ok = True
     for _ in range(300):

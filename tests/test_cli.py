@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from wtan.cli import main
+
 CMD = [sys.executable, "-m", "wtan"]
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
 
 
 def child_env():
@@ -220,6 +226,40 @@ class TestDeterminism:
                                     "branch", "scheme", "residual"]
 
 
+# The README's CLI examples, by the name of the file in tests/data/readme_cli
+# that holds the stdout each printed when it was recorded.
+README_EXAMPLES = {
+    "eval_x": "eval --x 1 --branch 1",
+    "eval_z": "eval --z 2,2 --branch 1 --scheme finite-cuts --format json",
+    "eval_side": "eval --x 0 --branch 1 --side neg",
+    "series": "series --kind large --order 12",
+    "cheb": "cheb --split 3.5 --order 15",
+    "branch_points": "branch-points --count 6",
+    "qm": "qm --width 1 --lambda 1e-8 --levels 6",
+    "qm_wavefunction": "qm --width 1 --lambda 0.5 --levels 2 --wavefunction 0 --points 101",
+    "integrals": "integrals",
+    "dispersion": "dispersion --at 5,0",
+    "grid": "grid --branch 1 --range -3.5:3.5 --points 201",
+}
+
+
+class TestReadmeExamples:
+    def test_the_readme_lists_these_examples(self):
+        text = (ROOT / "README.md").read_text()
+        block = text.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        listed = [line.split("#", 1)[0].split(None, 1)[1].strip()
+                  for line in block.splitlines() if line.startswith("wtan ")]
+        assert listed == list(README_EXAMPLES.values())
+
+    @pytest.mark.parametrize("name", list(README_EXAMPLES))
+    def test_stdout_is_byte_identical(self, name):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(shlex.split(README_EXAMPLES[name])) == 0
+        expected = (ROOT / "tests" / "data" / "readme_cli" / f"{name}.out").read_bytes()
+        assert out.getvalue().encode() == expected
+
+
 class TestIntegralsCommand:
     def test_reports_all_four_checks(self):
         cp = run_cli("integrals", "--format", "json")
@@ -261,6 +301,12 @@ class TestImport:
         loaded = self._loaded("-m", "wtan", *argv)
         assert ("wtan.complex_plane" in loaded) == (argv[0] == "dispersion")
         assert not {"numpy", "mpmath"} & loaded
+
+    def test_integrals_skips_complex_plane(self):
+        # the Gauss-Legendre rule it shares with the dispersion code is in core
+        loaded = self._loaded("-m", "wtan", "integrals")
+        assert "wtan.complex_plane" not in loaded
+        assert "numpy" not in loaded
 
     def test_complex_plane_loads_on_first_use(self):
         code = ("import sys, wtan; print('wtan.complex_plane' in sys.modules); "

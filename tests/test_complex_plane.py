@@ -19,12 +19,11 @@ from wtan.complex_plane import (
     dispersion_eval,
     eval_complex,
     trace_path,
-    _gauss_legendre,
     _walk_segment,
 )
-from wtan.core import eval_real
+from wtan.branch_points import find_branch_point
+from wtan.core import _gauss_legendre, _panel_nodes, eval_real
 from wtan.errors import (
-    DomainViolation,
     NoConvergence,
     NonFiniteArgument,
     NotOnCut,
@@ -229,7 +228,7 @@ def _solved_by_window(atlas, z, n):
     |g'| floor and lies in the sheet's region."""
     m = abs(n)
     off_band = z.real > 0.0 or z.real < atlas.branch_points[m - 1].x.real
-    if not (off_band and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]):
+    if not (off_band and abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk):
         return False
     y = complex_plane._window_root(z, m)
     return y is not None and atlas._in_region(y, m)
@@ -240,7 +239,7 @@ def _solved_in_band(atlas, z, n):
     directly: a seed's polished root lies in the sheet's region."""
     m = abs(n)
     return (atlas.branch_points[m - 1].x.real <= z.real <= 0.0
-            and abs(z) < EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
+            and abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk
             and atlas._band_root(z, m) is not None)
 
 
@@ -265,7 +264,7 @@ def _inner_points(atlas, n, rng):
     EXTERIOR_FACTOR*|x_n|, next to the sheet's branch points and just off
     its cuts, all outside the guards of eval_complex."""
     m = abs(n)
-    r0 = atlas.disk_radii[m - 1]
+    r0 = atlas._sheet(m).disk
     bps = [atlas.branch_points[j - 1].x for j in (m - 1, m) if j >= 1]
     bps += [x.conjugate() for x in bps]
     points = []
@@ -292,7 +291,7 @@ class TestExteriorRoute:
     def test_matches_continuation(self, atlas, monkeypatch, n):
         # 2000 points per sheet pair +-n with EXTERIOR_FACTOR*|x_n| <= |z| <= 1e6
         rng = np.random.default_rng(500 + n)
-        r0 = EXTERIOR_FACTOR * atlas.disk_radii[n - 1]
+        r0 = EXTERIOR_FACTOR * atlas._sheet(n).disk
         moduli = 10.0 ** rng.uniform(math.log10(r0), 6.0, 2000)
         points = [cmath.rect(r, t) for r, t in zip(moduli, rng.uniform(-math.pi, math.pi, 2000))]
         calls = _count_halley_steps(monkeypatch)
@@ -544,7 +543,7 @@ def _band_points(atlas, n, rng, count):
     """Points in the band of sheet n inside its exterior disk, beyond 1e-3
     of its cuts and branch points."""
     m = abs(n)
-    lo, radius = atlas.branch_points[m - 1].x.real, EXTERIOR_FACTOR * atlas.disk_radii[m - 1]
+    lo, radius = atlas.branch_points[m - 1].x.real, EXTERIOR_FACTOR * atlas._sheet(m).disk
     points = []
     while len(points) < count:
         z = complex(rng.uniform(lo, 0.0), rng.uniform(-radius, radius))
@@ -665,7 +664,7 @@ def _full_guard(atlas, z, n):
 
 def _route(atlas, z, n):
     m = abs(n)
-    if abs(z) >= EXTERIOR_FACTOR * atlas.disk_radii[m - 1]:
+    if abs(z) >= EXTERIOR_FACTOR * atlas._sheet(m).disk:
         return "exterior"
     if z.real > 0.0:
         return "right"
@@ -753,7 +752,7 @@ class TestGuards:
         probe(SheetAtlas, "_guard")
         probe(Cut, "distance")
         for n in (1, 2, 3, 4, -1, -2, -3, -4):
-            r = EXTERIOR_FACTOR * atlas.disk_radii[abs(n) - 1] * (1.0 + 1e-12)
+            r = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk * (1.0 + 1e-12)
             for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
                 eval_complex(z, n, atlas)
         assert not calls
@@ -763,19 +762,53 @@ class TestGuards:
 
 class TestAtlasRange:
     def test_sheet_beyond_the_atlas(self, atlas):
-        # the atlas holds x_1..x_4: sheet +-5 is a domain error everywhere
+        # the atlas found x_1..x_4 up front; sheet +-5 finds x_5 on first use
+        # and gives the values of an atlas that held x_1..x_9 from the start
+        big = SheetAtlas.build(9)
         x4 = atlas.branch_points[3].x
+        path = ContinuationPath((1 + 1j, 2 + 1j))
         for n in (5, -5):
             # exterior, right and left of the band, in the band
             for z in (100, 1 + 1j, -3 + 1j, -1 + 1j):
-                with pytest.raises(DomainViolation):
-                    eval_complex(z, n, atlas)
-                with pytest.raises(DomainViolation):
-                    atlas.continue_from_anchor(z, n)
-            with pytest.raises(DomainViolation):
-                boundary_value(complex(x4.real, 1.0), n, Side.LEFT, atlas)
-            with pytest.raises(DomainViolation):
-                trace_path(ContinuationPath((1 + 1j, 2 + 1j)), n, atlas)
+                assert eval_complex(z, n, atlas) == eval_complex(z, n, big)
+                assert atlas.continue_from_anchor(z, n) == big.continue_from_anchor(z, n)
+            point = complex(x4.real, 1.0)
+            assert (boundary_value(point, n, Side.LEFT, atlas)
+                    == boundary_value(point, n, Side.LEFT, big))
+            assert trace_path(path, n, atlas) == trace_path(path, n, big)
+
+    def test_values_do_not_depend_on_the_atlas_history(self):
+        # continued values from a fresh atlas, one that has evaluated sheet 16
+        # and one that found only x_1 up front: continuation steps shrink
+        # near every branch point, not only near those an atlas holds
+        used = SheetAtlas()
+        x16 = find_branch_point(16).x
+        eval_complex(complex(0.5 * x16.real, 0.5 * x16.imag), 16, used)
+        atlases = (SheetAtlas(), used, SheetAtlas.build(1))
+        rng = np.random.default_rng(1300)
+        for m in (3, 4, 8):
+            disk = abs(find_branch_point(m).x)
+            points = []
+            while len(points) < 15:
+                z = cmath.rect(EXTERIOR_FACTOR * disk * math.sqrt(rng.uniform(0.0, 1.0)),
+                               rng.uniform(-math.pi, math.pi))
+                if (atlases[0].nearest_branch_distance(z) > 0.05
+                        and atlases[0].distance_to_cuts(z, m) > 1e-3):
+                    points.append(z)
+            for z in points:
+                values = [a._continued(z, m, abs(z)) for a in atlases]
+                assert values[0] == values[1] == values[2], (z, m, values)
+
+    def test_nearest_branch_distance_scans_every_branch_point(self):
+        # against the minimum over the origin and x_1..x_40 with conjugates,
+        # bit for bit, from a fresh atlas
+        points = [0j] + [find_branch_point(j).x for j in range(1, 41)]
+        points += [p.conjugate() for p in points]
+        rng = np.random.default_rng(1301)
+        fresh = SheetAtlas()
+        for z in [complex(rng.uniform(-30.0, 10.0), rng.uniform(-110.0, 110.0))
+                  for _ in range(2000)] + [points[j] + 1e-3 * (1 + 1j) for j in (1, 7, 40)]:
+            assert fresh.nearest_branch_distance(z) == min(abs(z - p) for p in points), z
 
 
 class TestTracePath:
@@ -1010,7 +1043,7 @@ class TestGaussLegendre:
             assert abs(w - nw) <= 5e-13 * nw, (w, nw)
 
     def test_panel_nodes_compose_the_rule(self):
-        pts, wts = complex_plane._panel_nodes(3.0, 2, 10)
+        pts, wts = _panel_nodes(3.0, 2, 10)
         assert pts == sorted(pts) and 0.0 < pts[0] and pts[-1] < 3.0
         assert math.fsum(wts) == pytest.approx(3.0, abs=1e-15)
         # a degree-19 polynomial per panel integrates exactly

@@ -9,20 +9,26 @@ made in mpmath at 40 + |log10 x| digits, enough to resolve g(w) = w*sin(w)
 
 Complex plane: eval_complex on sheets +-1..+-4 for |z| up to 1.7e308,
 drawn both from |z| <= 18, where the cuts of those sheets lie, and with
-log10|z| spread over [-2, 308.23].
+log10|z| spread over [-2, 308.23]; and on sheets up to 1e6, and at 2^53
+and 1e18, on the routes that solve directly: outside the cut disk and
+right of the band of cuts inside it.
 """
 
 import cmath
 import math
+from unittest import mock
 
 import mpmath as mp
+import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import wtan.core
+from wtan import complex_plane
+from wtan.branch_points import find_branch_point
 from wtan.complex_plane import EXTERIOR_FACTOR, eval_complex
 from wtan.core import eval_real, halley_step
-from wtan.errors import OnCut
+from wtan.errors import OnCut, WtanError
 
 EPS = 2.220446049250313e-16
 
@@ -100,7 +106,7 @@ def test_eval_complex_whole_range(atlas, modulus, angle, n):
         cond = abs(z) * abs(y) / abs(y * y + z * z + z)
         assert abs(halley_step(z, y) - y) <= 8 * EPS * (1 + abs(y) + cond)
     # outside the cut disk the value is finite and labels its own sheet
-    if abs(z) >= EXTERIOR_FACTOR * atlas.disk_radii[abs(n) - 1]:
+    if abs(z) >= EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk:
         assert math.isfinite(y.real) and math.isfinite(y.imag)
         limit = math.copysign((abs(n) - 0.5) * math.pi, n)
         assert abs(y - limit) < 0.5 * math.pi
@@ -114,3 +120,60 @@ def test_eval_complex_far_imaginary(atlas):
         for _ in range(3):
             root = mp.pi / 2 - mp.atan(root / z)
         assert abs(y - root) <= 4 * EPS * abs(y)
+
+
+def _on_any_sheet(atlas, z, n):
+    """eval_complex at z on sheets n and -n and at conj(z) on sheet n, and
+    the number of branch points the atlas had to find for them."""
+    with mock.patch.object(complex_plane, "find_branch_point",
+                           side_effect=find_branch_point) as found:
+        values = [eval_complex(z, n, atlas), eval_complex(z, -n, atlas),
+                  eval_complex(z.conjugate(), n, atlas)]
+    return values, found.call_count
+
+
+def _check_any_sheet(atlas, z, n, exterior):
+    (v, minus, conj), found = _on_any_sheet(atlas, z, n)
+    y = v.y
+    assert found <= 2                     # x_n and x_(n-1) at most: no O(n) work
+    assert minus.y == -y
+    assert abs(conj.y - y.conjugate()) <= 4 * EPS * (1 + abs(y))
+    if exterior:
+        # the contraction certificate: |1/(z + y^2/z)| <= 1/2 and
+        # |y - c + atan(y/z)| <= 4 eps (1 + |y|) put y within 8 eps of the root
+        c = (n - 0.5) * math.pi
+        assert abs(1.0 / (z + y * y / z)) <= 0.5
+        assert abs(y - c + cmath.atan(y / z)) <= 4 * EPS * (1 + abs(y))
+
+
+def _any_sheet_point(n, exterior, s, angle):
+    """A point of sheet n's exterior (|z| up to 1e10 times its edge), or right
+    of its band inside the disk (s in [0, 1] spreads it over the disk)."""
+    edge = EXTERIOR_FACTOR * abs(find_branch_point(n).x)
+    if exterior:
+        return cmath.rect(edge * 10.0 ** (10.0 * s), angle)
+    z = cmath.rect(edge * math.sqrt(s) * (1.0 - 1e-9), 0.5 * angle)
+    return z if z.real > 0.0 else None
+
+
+@settings(max_examples=300)
+@given(n=st.integers(min_value=1, max_value=10 ** 6), exterior=st.booleans(),
+       s=st.floats(min_value=0.0, max_value=1.0), angle=angles)
+def test_eval_complex_on_any_sheet(atlas, n, exterior, s, angle):
+    # sheets up to 1e6 on the direct routes, from one atlas shared by every
+    # example: oddness, reflection and the exterior certificate
+    z = _any_sheet_point(n, exterior, s, angle)
+    if z is None or (n == 1 and abs(z) < complex_plane.CUT_GUARD):
+        reject()
+    _check_any_sheet(atlas, z, n, exterior)
+
+
+@pytest.mark.parametrize("n", [2 ** 53, 10 ** 18])
+@pytest.mark.parametrize("exterior", [True, False])
+def test_eval_complex_past_float_resolution(atlas, n, exterior):
+    # a certified value or a WtanError, never a bare Python exception
+    z = _any_sheet_point(n, exterior, 0.3, 0.5)
+    try:
+        _check_any_sheet(atlas, z, n, exterior)
+    except WtanError:
+        pass
