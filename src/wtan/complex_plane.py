@@ -120,20 +120,45 @@ from __future__ import annotations
 import bisect
 import cmath
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import core
 from .branch_points import BranchPoint, find_branch_point
-from .core import (EPS, BranchedValue, BranchIndex, CutScheme, _panel_nodes,
-                   defining_residual, halley_step, validate_branch)
-from .errors import (NoConvergence, NonFiniteArgument, NotOnCut, OnCut, OutOfCutRange,
-                     PoleProximity, QuadratureFailure, StepTooLarge)
+from .core import (
+    EPS,
+    BranchedValue,
+    BranchIndex,
+    CutScheme,
+    _panel_nodes,
+    defining_residual,
+    halley_step,
+    validate_branch,
+)
+from .errors import (
+    NoConvergence,
+    NonFiniteArgument,
+    NotOnCut,
+    OnCut,
+    OutOfCutRange,
+    PoleProximity,
+    QuadratureFailure,
+    StepTooLarge,
+)
 
 __all__ = [
-    "CutKind", "Cut", "ContinuationPath", "SheetAtlas", "Side", "eval_complex",
-    "trace_path", "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
+    "CutKind",
+    "Cut",
+    "ContinuationPath",
+    "SheetAtlas",
+    "Side",
+    "eval_complex",
+    "trace_path",
+    "boundary_value",
+    "discontinuity_delta0",
+    "discontinuity_delta1",
     "dispersion_eval",
 ]
 
@@ -159,6 +184,12 @@ MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
+# Entries in each of an atlas's two caches, of x_j (~300 bytes each) and of
+# sheet records (~3 kB): an atlas stays under ~3.5 MB however far and on
+# however many sheets it continues.  A far step finds ~15 x_j near its path
+# whatever the size (measured on 2000 far walks: 1024 entries recompute
+# 2.8x the x_j an unbounded cache would, and take ~1.25x the time).
+_CACHED = 1024
 
 
 class CutKind(enum.Enum):
@@ -195,7 +226,8 @@ class Cut:
                 return None
             t = d0 / (d0 - d1)
             imc = z0.imag + t * (z1.imag - z0.imag)
-            lo, hi = sorted((self.endpoints[0].imag, self.endpoints[1].imag))
+            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
+            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
             return t if lo <= imc <= hi else None
         d0, d1 = z0.imag, z1.imag
         if (d0 >= 0.0) == (d1 >= 0.0):
@@ -209,7 +241,8 @@ class Cut:
         """Euclidean distance from z to the cut segment."""
         if self.kind is CutKind.VERTICAL_SEGMENT:
             a = self.endpoints[0].real
-            lo, hi = sorted((self.endpoints[0].imag, self.endpoints[1].imag))
+            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
+            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
             dy = 0.0 if lo <= z.imag <= hi else min(abs(z.imag - lo), abs(z.imag - hi))
             return math.hypot(z.real - a, dy)
         lo, hi = self.endpoints[0].real, self.endpoints[1].real
@@ -231,9 +264,12 @@ class ContinuationPath:
 # ---------------------------------------------------------------------------
 
 class _Points(dict):
-    """x_j by j (j >= 1), each found on first use."""
+    """x_j by j (j >= 1), each found on first use; emptied when _CACHED are
+    held (a plain dict lookup: `SheetAtlas._nearest` reads several a step)."""
 
     def __missing__(self, j: int) -> BranchPoint:
+        if len(self) >= _CACHED:
+            self.clear()
         bp = self[j] = find_branch_point(j)
         return bp
 
@@ -250,19 +286,39 @@ class _Sheet(NamedTuple):
     cuts: tuple                     # the cuts of sheet -m and of sheet m
 
 
+def _sheet_record(points: _Points, m: int) -> _Sheet:
+    """The record of sheets +-m (m >= 1) from an atlas's points; the atlas's
+    `_sheet` caches it."""
+    bp = points[m]
+    near = (points[m - 1], bp) if m > 1 else (bp,)
+    germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
+             for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
+    hi = near[0].x.real if m > 1 else 0.0
+    # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
+    cuts = tuple(
+        (Cut(CutKind.REAL_SEGMENT, (complex(bp.x.real, 0.0), complex(hi, 0.0)), (n, -n)),
+         *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
+               (n, n + s if b.n == m else n - s)) for b in near))
+        for n, s in ((-m, -1), (m, 1)))
+    return _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts)
+
+
 class SheetAtlas:
     """Branch points and per-sheet cuts of every sheet.  x_j, and each
     sheet's cuts, germs, disk radius and band edges, are found on first use
-    and cached; every cache fills idempotently, and no value depends on what
-    an atlas has evaluated or found before.  The origin x = 0 (w = 0, index
-    0) is a branch point too, though no :class:`BranchPoint` record."""
+    and cached, at most _CACHED of each kind; every cache fills
+    idempotently, and no value depends on what an atlas has evaluated or
+    found before.  The origin x = 0 (w = 0, index 0) is a branch point too,
+    though no :class:`BranchPoint` record."""
 
     scheme = CutScheme.FINITE_CUTS
 
     def __init__(self):
         self.branch_points: list[BranchPoint] = []   # x_1..x_k of `build(k)`
         self._points = _Points()
-        self._sheets: dict[int, _Sheet] = {}
+        # no reference back to the atlas: a dropped atlas is freed at once
+        self._sheet = functools.lru_cache(_CACHED)(
+            functools.partial(_sheet_record, self._points))
         self._disp_tables: dict[tuple, tuple] = {}
 
     @classmethod
@@ -273,25 +329,6 @@ class SheetAtlas:
         return atlas
 
     # -- geometry ----------------------------------------------------------
-
-    def _sheet(self, m: int) -> _Sheet:
-        """The record of sheets +-m (m >= 1), built on first use."""
-        s = self._sheets.get(m)
-        if s is not None:
-            return s
-        bp = self._points[m]
-        near = (self._points[m - 1], bp) if m > 1 else (bp,)
-        germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
-                 for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
-        hi = near[0].x.real if m > 1 else 0.0
-        # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
-        cuts = tuple(
-            (Cut(CutKind.REAL_SEGMENT, (complex(bp.x.real, 0.0), complex(hi, 0.0)), (n, -n)),
-             *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
-                   (n, n + s if b.n == m else n - s)) for b in near))
-            for n, s in ((-m, -1), (m, 1)))
-        s = self._sheets[m] = _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts)
-        return s
 
     def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
         """The cuts of sheet n in the finite-cuts convention."""
@@ -307,34 +344,34 @@ class SheetAtlas:
         |z - x| over every branch point x, z folded to Im >= 0.  As j rises
         Re x_j falls from Re x_1 and Im x_j rises by ~pi, so only x_j with
         Im x_j within the best distance of Im z can be nearer, and none if z
-        lies that far right of x_1; they are scanned from Im x_j ~ (j-1/4)*pi."""
+        lies that far right of x_1.  The run of such j, around Im x_j ~
+        (j-1/4)*pi, is widened until its ends are that far below and above
+        z and searched by halving; its ends are multiples of the largest
+        power of two g <= k ~ best/pi, so nearby calls visit the same x_j."""
         p = z if z.imag >= 0.0 else z.conjugate()
         v = p.imag
-        best = min(abs(p), limit)
+        best = abs(p)
+        if limit < best:
+            best = limit
         x = self._points
         if p.real - x[1].x.real >= best:
             return best
-        level = min(int(v / math.pi + 0.75) or 1, _LAST_POINT)
-        if best >= 4.0 * math.pi:
-            # a long run: its ends, and so the points halving visits, are
-            # multiples of a power of two g <= k, shared by nearby calls
-            k = int(best / math.pi) + 1
-            g = 1 << (k.bit_length() - 1)
-            lo, hi = max((level - k) // g * g, 1), min(-(-(level + k) // g) * g, _LAST_POINT)
-            while lo > 1 and v - x[lo].x.imag < best:
-                lo = max(lo - g, 1)
-            while hi < _LAST_POINT and x[hi].x.imag - v < best:
-                hi = min(hi + g, _LAST_POINT)
-            return self._nearest_in(p, lo, hi, best)
-        j = level
-        while j <= _LAST_POINT and (q := x[j].x).imag - v < best:
-            best = min(best, abs(p - q))
-            j += 1
-        j = level - 1
-        while j and v - (q := x[j].x).imag < best:
-            best = min(best, abs(p - q))
-            j -= 1
-        return best
+        # plain comparisons, not min/max: this runs once per continuation step
+        k = int(best / math.pi) + 1
+        g = 1 << (k.bit_length() - 1)
+        level = int(v / math.pi + 0.75)
+        lo, hi = (level - k) // g * g, (level + k + g - 1) // g * g
+        if hi > _LAST_POINT:
+            hi = _LAST_POINT
+        if lo > hi:
+            lo = hi
+        elif lo < 1:
+            lo = 1
+        while lo > 1 and v - x[lo].x.imag < best:
+            lo = max(lo - g, 1)
+        while hi < _LAST_POINT and x[hi].x.imag - v < best:
+            hi = min(hi + g, _LAST_POINT)
+        return self._nearest_in(p, lo, hi, best)
 
     def _nearest_in(self, p: complex, lo: int, hi: int, best: float) -> float:
         """min(best, |p - x_j|) over lo <= j <= hi.  Every such x_j lies in
@@ -342,7 +379,11 @@ class SheetAtlas:
         best is skipped, a nearer one halved, the half nearer p first."""
         x = self._points
         if hi - lo <= 8:
-            return min(best, *(abs(p - x[j].x) for j in range(lo, hi + 1)))
+            for j in range(lo, hi + 1):
+                d = abs(p - x[j].x)
+                if d < best:
+                    best = d
+            return best
         a, b = x[lo].x, x[hi].x
         if abs(complex(max(b.real - p.real, p.real - a.real, 0.0),
                        max(a.imag - p.imag, p.imag - b.imag, 0.0))) >= best:
@@ -854,7 +895,12 @@ def _locate_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
     raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
 
 
-_SIDE_DIRECTIONS = {Side.UPPER: 1j, Side.LOWER: -1j, Side.LEFT: -1.0, Side.RIGHT: 1.0}
+_SIDE_DIRECTIONS = {
+    Side.UPPER: 1j,
+    Side.LOWER: -1j,
+    Side.LEFT: -1.0,
+    Side.RIGHT: 1.0,
+}
 
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
@@ -880,7 +926,7 @@ def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
     reflection symmetry.  The value solves p*tanh(p) = -u for the purely
     imaginary boundary limit w = i*p.
     """
-    a = atlas._points[1].x.real
+    a = atlas._sheet(1).bp.x.real
     if not (a - 1e-12 <= u <= 0.0 + 1e-12):
         raise OutOfCutRange(f"u={u} outside the real cut [{a}, 0]")
     return boundary_value(complex(u, 0.0), 1, Side.UPPER, atlas).imag
@@ -890,7 +936,7 @@ def discontinuity_delta1(v: float, atlas: SheetAtlas) -> complex:
     """Half the right-minus-left jump across the sheet-1 vertical cut at
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
     branch point where the two boundary values merge."""
-    bp = atlas._points[1]
+    bp = atlas._sheet(1).bp
     a, b = bp.x.real, bp.x.imag
     if not (-1e-12 <= v <= b + 1e-12):
         raise OutOfCutRange(f"v={v} outside [0, {b}]")
@@ -934,7 +980,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
-    bp = atlas._points[1]
+    bp = atlas._sheet(1).bp
     a, b = bp.x.real, bp.x.imag
 
     # real-cut table: nodes u = -s^2, marched along the cut itself from near
@@ -986,7 +1032,7 @@ def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     exceeds DISPERSION_ABS_TOL.
     """
     z = complex(z)
-    a = atlas._points[1].x.real
+    a = atlas._sheet(1).bp.x.real
     fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
     coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)
     if abs(fine - coarse) > DISPERSION_ABS_TOL:

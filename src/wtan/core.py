@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from .errors import (
     AtBranchPoint,
+    DomainViolation,
     NoConvergence,
     NonFiniteArgument,
     PoleProximity,
@@ -84,7 +85,7 @@ _MAX_BRANCH = 2 ** 1020   # keeps (2|n| - 1/2)*pi, the largest multiple formed, 
 
 def validate_branch(n: int) -> int:
     """Return n as a Python int if it is a valid branch label (nonzero
-    integer, numpy integers included; bool is rejected; NonFiniteArgument
+    integer, numpy integers included; bool is rejected; DomainViolation
     past _MAX_BRANCH).  Fixed-width integers are converted because negating
     the most negative one wraps."""
     # exact int first: the Integral check is an ABC lookup, slow on the hot path
@@ -92,10 +93,10 @@ def validate_branch(n: int) -> int:
         if isinstance(n, bool) or not isinstance(n, numbers.Integral):
             raise TypeError(f"branch index must be an integer, got {n!r}")
         n = int(n)
-    if n == 0:
-        raise ValueError("branch index 0 does not exist; branches are +-1, +-2, ...")
-    if abs(n) > _MAX_BRANCH:
-        raise NonFiniteArgument("branch index past 2**1020: (|n| - 1/2)*pi overflows")
+    if not 0 < abs(n) <= _MAX_BRANCH:   # one test on the hot path for both limits
+        if n == 0:
+            raise ValueError("branch index 0 does not exist; branches are +-1, +-2, ...")
+        raise DomainViolation("branch index past 2**1020: (|n| - 1/2)*pi overflows")
     return n
 
 

@@ -810,6 +810,19 @@ class TestAtlasRange:
                   for _ in range(2000)] + [points[j] + 1e-3 * (1 + 1j) for j in (1, 7, 40)]:
             assert fresh.nearest_branch_distance(z) == min(abs(z - p) for p in points), z
 
+    def test_caches_stay_bounded(self):
+        # steps beside ~1500 branch points and records of 1100 sheets: the
+        # atlas keeps at most _CACHED of each, and a value found before its
+        # branch-point cache was emptied is found again bit for bit
+        atlas, cap = SheetAtlas(), complex_plane._CACHED
+        zs = [complex(-5.0, (j - 0.25) * math.pi) for j in range(1, 1500)]
+        first = [atlas._nearest(z, 1.0) for z in zs]
+        assert len(atlas._points) <= cap
+        assert [atlas._nearest(z, 1.0) for z in zs[:50]] == first[:50]
+        for m in range(1, 1101):
+            atlas.cuts_for(m)
+        assert atlas._sheet.cache_info().currsize <= cap
+
 
 class TestTracePath:
     def test_real_cut_connects_to_mirror_sheet(self, atlas):

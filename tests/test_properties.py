@@ -11,7 +11,8 @@ Complex plane: eval_complex on sheets +-1..+-4 for |z| up to 1.7e308,
 drawn both from |z| <= 18, where the cuts of those sheets lie, and with
 log10|z| spread over [-2, 308.23]; and on sheets up to 1e6, and at 2^53
 and 1e18, on the routes that solve directly: outside the cut disk and
-right of the band of cuts inside it.
+right of the band of cuts inside it.  Past |n| = 2^1020, where (|n|-1/2)*pi
+overflows, both solvers raise DomainViolation.
 """
 
 import cmath
@@ -28,7 +29,7 @@ from wtan import complex_plane
 from wtan.branch_points import find_branch_point
 from wtan.complex_plane import EXTERIOR_FACTOR, eval_complex
 from wtan.core import eval_real, halley_step
-from wtan.errors import OnCut, WtanError
+from wtan.errors import DomainViolation, OnCut, WtanError
 
 EPS = 2.220446049250313e-16
 
@@ -177,3 +178,20 @@ def test_eval_complex_past_float_resolution(atlas, n, exterior):
         _check_any_sheet(atlas, z, n, exterior)
     except WtanError:
         pass
+
+
+@pytest.mark.parametrize("n", [2 ** 1020, 2 ** 1020 + 1, -(2 ** 1020 + 1), 10 ** 309])
+def test_branch_index_at_the_float_limit(atlas, n):
+    # a value or a WtanError up to |n| = 2**1020, and past it DomainViolation
+    # from both solvers, never the bare OverflowError of float(n)
+    calls = (lambda: eval_real(1.0, n), lambda: eval_real(-3.0, n),
+             lambda: eval_complex(2 + 2j, n, atlas), lambda: eval_complex(-2 + 2j, n, atlas))
+    for call in calls:
+        if abs(n) > 2 ** 1020:
+            with pytest.raises(DomainViolation):
+                call()
+        else:
+            try:
+                call()
+            except WtanError:
+                pass
