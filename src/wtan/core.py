@@ -57,17 +57,26 @@ EPS = 2.220446049250313e-16
 
 # Relative residual target of the root solvers: a root is accepted once
 # |w*tan(w) - x| <= TOL * (1 + |x|).  _solve_shifted gives up after MAX_ITER
-# iterations.
+# iterations; the pole side's Newton, which needs one or two, stops there too.
 TOL = 1e-13
 MAX_ITER = 60
 
-# Pole-side closed form.  With c = (n-1/2)*pi the root on branch n >= 1 is
-# w = c - atan(w/x), i.e. w = c -+ c/(|x| +- 1) up to the cubic term of atan,
-# about c^3/(3|x|^3).  For |x| > POLE_SIDE*(n - 1/2) even c^3/(3x^2) is
-# below 1e-3 ulp of c (ulp(c) >= c*2^-53), so the neglected term is below
-# 1e-3/|x| < 4e-13 ulp, and eval_real returns the closed form with c held
-# as a double-double, rounded once.
-POLE_SIDE = math.pi * math.sqrt(2.0 ** 53 / 3e-3)
+# Pole side.  With c = (n-1/2)*pi the root on branch n >= 1 is w = c -+ d,
+# d = atan(w/|x|) in (0, pi/2); for |x| > POLE_SIDE*(n - 1/2) eval_real
+# solves for d (_pole_side_root) and rounds c -+ d once, instead of solving
+# for t in the shifted window with _solve_shifted.  The shifted form fails
+# next to the pole: there G(t) = w*tan(t) - |x| moves by about eps*x^2/w
+# between adjacent floats t, wider than the target band 2*TOL*|x| once
+# |x|/w > 2*TOL/eps ~ 900, and the solver bisects until its bracket
+# collapses (first seen at |x|/w = 908).  Below the threshold
+# |x|/w < 64*(n-1/2)/((n-1)*pi) <= 96/pi ~ 31 (the largest ratio is at
+# n = 2, x > 0; n = 1 gives ~21), so every target there is reachable with a
+# margin of ~30.  Down to |x| = pi*(n - 1/2) the pole side is cheaper and
+# closer to the root than the shifted solve too (n <= 8: 2.3 atan calls on
+# average and within 1.1 ulp, against ~3.8 tan calls), but that threshold
+# moves the `wtan cheb` and `wtan integrals` outputs README.md pins, and
+# 64*(n - 1/2) leaves them unchanged.
+POLE_SIDE = 64.0
 # math.pi == _PI_NUM/_PI_DEN exactly; _PI_LO is the rest of pi
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
 _PI_LO = 1.2246467991473532e-16
@@ -154,20 +163,16 @@ def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
     The window is shifted so that w = C + s*t; both G(0) = -absx and
     G(pi/2-) = +infinity have exact signs, which keeps the bracket valid
     for arbitrarily small |x|.  Halley steps with a bisection safety net.
-    When the bracket collapses to a few ulp without meeting the target
-    (|x| so large that G rounds to -absx everywhere below pi/2), the
-    bracket itself locates the root.
+    eval_real calls it only below the pole side, where |x|/w < ~31 and the
+    residual target is within float64's reach.
     """
     lo, hi = 0.0, HALF_PI
     t = t0 if lo <= t0 < hi else 0.5 * (lo + hi)
     target = TOL * (1.0 + absx)
-    best_t, best_g = t, math.inf
     for _ in range(MAX_ITER):
         tan_t = math.tan(t)
         y = C + s * t
         G = y * tan_t - absx
-        if abs(G) < best_g:
-            best_t, best_g = t, abs(G)
         if abs(G) <= target:
             return t
         if G < 0.0:
@@ -184,29 +189,39 @@ def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
             step_ok = math.isfinite(t_new) and lo < t_new < hi
         if not step_ok:
             t_new = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * math.ulp(hi):
-            break
         t = t_new
-    if hi - lo <= 8.0 * math.ulp(hi):
-        return best_t if lo <= best_t <= hi else 0.5 * (lo + hi)
     raise NoConvergence(
-        f"no convergence after {MAX_ITER} iterations (|residual|={best_g:.3e}, "
+        f"no convergence after {MAX_ITER} iterations (|residual|={abs(G):.3e}, "
         f"target {target:.3e})"
     )
 
 
 def _pole_side_root(x: float, n: int) -> float:
-    """c - c/(x+1) for x > 0, c + c/(|x|-1) for x < 0, c = (n-1/2)*pi, n >= 1.
+    """Root on branch n >= 1 where |x| > POLE_SIDE*(n-1/2): w = c - s*d with
+    c = (n-1/2)*pi and s = sgn(x).
 
-    c is split exactly into hi + lo (hi the double nearest c), so the only
-    rounding that reaches the result is the final addition."""
+    Since tan(c - s*d) = s*cot(d), d solves F(d) = d - atan(u) = 0 with
+    u = (c - s*d)/|x|.  F' = 1 + s/(|x|*(1 + u^2)) >= 1 - 1/|x| and
+    F''/(2F') ~ u/x^2, so after a Newton step of size h the next one is
+    about u*h^2/x^2: Newton from the closed form c/(|x| + s) stops once that
+    is below a quarter ulp of d, after one step (two for small n within a
+    few decades of the threshold).  c is split exactly into hi + lo (hi the
+    double nearest c), so the only rounding that reaches w is the final
+    addition."""
     num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
     hi = num / den
     p, q = hi.as_integer_ratio()
     lo = (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
-    if x > 0.0:
-        return hi + (lo - hi / (x + 1.0))
-    return hi + (lo + hi / (-x - 1.0))
+    s = 1.0 if x > 0.0 else -1.0
+    a = abs(x)
+    d = hi / (a + s)
+    for _ in range(MAX_ITER):
+        u = (hi - s * d) / a
+        step = (d - math.atan(u)) / (1.0 + s / (a * (1.0 + u * u)))
+        d -= step
+        if u * step * step / (a * a) <= 0.25 * EPS * d:
+            break
+    return hi + (lo - s * d)
 
 
 def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
@@ -227,12 +242,15 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     Returns
     -------
     float
-        The unique root in the branch window.  It satisfies
-        |w*tan(w) - x| <= TOL*(1+|x|), or, where w*tan(w) is too steep for
-        float64 to resolve that (large |x|, near the window edge), lies
-        within a few ulp of the exact root.  For |x| > POLE_SIDE*(|n|-1/2)
-        (about 5.4e9*(|n|-1/2)) it is the pole-side closed form, correctly
-        rounded.
+        The unique root in the branch window.  For |x| <= POLE_SIDE*(|n|-1/2)
+        (64*(|n|-1/2)) it satisfies |w*tan(w) - x| <= TOL*(1+|x|).  Past
+        that, where w*tan(w) is too steep for float64 to resolve the target,
+        it is c -+ d (c = (|n|-1/2)*pi, d = atan(w/|x|)) with d solved to
+        about two ulp of d and c held exactly, rounded once: within half an
+        ulp of the root plus two ulp of d, which is below 4/|x| ulp of w.
+        That is correctly rounded unless the root lies that close to a
+        rounding midpoint, which happens only for small |n| within a few
+        decades of the threshold.
     """
     n = validate_branch(n)
     if not math.isfinite(x):

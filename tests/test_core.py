@@ -93,7 +93,7 @@ class TestEvalReal:
                                      (1.7e308, 7)])
     def test_huge_argument_near_pole(self, x, n):
         # w*tan(w) rounds to -x everywhere below the pole, so no residual can
-        # locate the root pole -+ pole/(|x|-+1); the pole-side closed form does
+        # locate the root pole -+ pole/(|x|-+1); the pole-side solve does
         y = eval_real(x, n)
         with mpmath.workdps(40):
             pole = (n - mpmath.mpf(0.5)) * mpmath.pi
@@ -101,25 +101,36 @@ class TestEvalReal:
             assert abs(y - root) <= 4 * math.ulp(y)
 
     def test_pole_side_correctly_rounded(self):
-        # past POLE_SIDE*(n - 1/2) the root is returned from its closed form
-        # rounded once; the 40-digit reference solves w = c - atan(w/x), the
-        # defining equation in pole-free form (tan(c - d) = cot d), by
-        # fixed-point iteration, which contracts by 1/|x|
+        # past POLE_SIDE*(n - 1/2) = 64*(n - 1/2) the root is c -+ d with
+        # d = atan(w/|x|) solved by Newton and c held exactly, rounded once:
+        # within half an ulp plus two ulp of d (below 4/|x| ulp).  |x| is
+        # drawn log-uniform from the threshold to 1.7e308, and a second set
+        # within three decades of it for n <= 10, where that margin can tip
+        # a root next to a rounding midpoint.  The 40-digit reference is Newton on
+        # F(d) = d - atan((c -+ d)/|x|); three fixed-point steps from c do
+        # not resolve it at |x|/c ~ 20.
         rng = np.random.default_rng(16)
         count = 2400
-        mags = 10.0 ** rng.uniform(16.0, math.log10(1.7e308), count)
-        signs = rng.choice([-1.0, 1.0], count)
-        branches = np.floor(10.0 ** rng.uniform(0.0, 6.0, count)).astype(int)
+        branches = np.concatenate([
+            np.floor(10.0 ** rng.uniform(0.0, 6.0, count)),
+            rng.integers(1, 11, count // 4)]).astype(int)
+        starts = np.log10(64.0 * (branches - 0.5))
+        ends = np.concatenate([np.full(count, math.log10(1.7e308)),
+                               starts[count:] + 3.0])
+        mags = 10.0 ** rng.uniform(starts, ends)
+        signs = rng.choice([-1.0, 1.0], len(mags))
         for x, n in zip(signs * mags, branches):
             x, n = float(x), int(n)
-            assert abs(x) > wtan.core.POLE_SIDE * (n - 0.5)
             y = eval_real(x, n)
             with mpmath.workdps(40):
                 c = (n - mpmath.mpf(0.5)) * mpmath.pi
-                root = c
-                for _ in range(3):
-                    root = c - mpmath.atan(root / x)
-                assert abs(y - root) <= 0.5 * math.ulp(y), (x, n)
+                s, a = math.copysign(1, x), abs(mpmath.mpf(x))
+                d = c / (a + s)
+                for _ in range(6):
+                    u = (c - s * d) / a
+                    d -= (d - mpmath.atan(u)) / (1 + s / (a * (1 + u * u)))
+                bound = 0.5 * math.ulp(y) + 2 * math.ulp(float(d))
+                assert abs(y - (c - s * d)) <= bound, (x, n)
             assert eval_real(x, -n) == -y
 
     def test_offset_below_smallest_subnormal(self):

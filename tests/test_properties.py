@@ -1,11 +1,11 @@
 """Property tests of the real and complex solvers over the whole float64 range.
 
 Real axis: the residual target TOL*(1+|x|) is out of reach wherever
-w*tan(w) is too steep for float64 near the window edge (large |x|); there
-the returned value must instead bracket the root to within 8 ulp, the width
-at which _solve_shifted declares its bracket collapsed.  Both checks are
-made in mpmath at 40 + |log10 x| digits, enough to resolve g(w) = w*sin(w)
-- x*cos(w) at the ulp scale for subnormal and huge x alike.
+w*tan(w) is too steep for float64 near the window edge (|x| past
+64*(|n|-1/2)); there eval_real returns the pole-side root rounded once,
+and the returned value must instead bracket the root to within 8 ulp.
+Both checks are made in mpmath at 40 + |log10 x| digits, enough to resolve
+g(w) = w*sin(w) - x*cos(w) at the ulp scale for subnormal and huge x alike.
 
 Complex plane: eval_complex on sheets +-1..+-4 for |z| up to 1.7e308,
 drawn both from |z| <= 18, where the cuts of those sheets lie, and with
