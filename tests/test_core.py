@@ -106,9 +106,9 @@ class TestEvalReal:
         # within half an ulp plus two ulp of d (below 4/|x| ulp).  |x| is
         # drawn log-uniform from the threshold to 1.7e308, and a second set
         # within three decades of it for n <= 10, where that margin can tip
-        # a root next to a rounding midpoint.  The 40-digit reference is Newton on
-        # F(d) = d - atan((c -+ d)/|x|); three fixed-point steps from c do
-        # not resolve it at |x|/c ~ 20.
+        # a root next to a rounding midpoint.  The 40-digit reference is
+        # Newton on F(d) = d - atan((c -+ d)/|x|); three fixed-point steps
+        # from c do not resolve it at |x|/c ~ 20.
         rng = np.random.default_rng(16)
         count = 2400
         branches = np.concatenate([
