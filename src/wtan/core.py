@@ -198,7 +198,7 @@ def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
 
 def _pole_side_root(x: float, n: int) -> float:
     """Root on branch n >= 1 where |x| > POLE_SIDE*(n-1/2): w = c - s*d with
-    c = (n-1/2)*pi and s = sgn(x).
+    c = (n-1/2)*pi and s = sgn(x), correctly rounded.
 
     Since tan(c - s*d) = s*cot(d), d solves F(d) = d - atan(u) = 0 with
     u = (c - s*d)/|x|.  F' = 1 + s/(|x|*(1 + u^2)) >= 1 - 1/|x| and
@@ -207,7 +207,10 @@ def _pole_side_root(x: float, n: int) -> float:
     is below a quarter ulp of d, after one step (two for small n within a
     few decades of the threshold).  c is split exactly into hi + lo (hi the
     double nearest c), so the only rounding that reaches w is the final
-    addition."""
+    addition.  The float d is within ~3*eps*d of its root (rounded u, libm's
+    atan; at most 2.2*eps*d measured), which moves w by up to ~4/|x| ulp:
+    if c - s*d can lie that close to a rounding midpoint (the two ends of
+    an 8*eps*d margin round apart), _pole_side_exact decides it."""
     num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
     hi = num / den
     p, q = hi.as_integer_ratio()
@@ -221,7 +224,44 @@ def _pole_side_root(x: float, n: int) -> float:
         d -= step
         if u * step * step / (a * a) <= 0.25 * EPS * d:
             break
-    return hi + (lo - s * d)
+    t = lo - s * d
+    margin = 8.0 * EPS * d
+    if hi + (t - margin) == hi + (t + margin):
+        return hi + t
+    return _pole_side_exact(hi, lo, s, a, d)
+
+
+def _pole_side_exact(hi: float, lo: float, s: float, a: float,
+                     d: float) -> float:
+    """hi + lo - s*d* rounded once, where d* = atan((hi + lo - s*d*)/a) is
+    the root that d approximates to a few eps.
+
+    One Newton step on F with its residual computed to well below an ulp
+    of d: u = uh + rem/a with uh = fl((hi - s*d)/a) and the remainder rem
+    exact (a two-sum for hi - s*d, Dekker's product of uh and a's mantissa,
+    and fsum), and atan(uh) = uh - r with r = uh^3/3 - uh^5/5 + ... summed
+    to full precision (seven terms for uh < 0.051, the most u reaches past
+    the threshold).  The step is then added below the exact split of
+    hi - s*d, so the rest of the error is ~1e-4 ulp of w at worst."""
+    S = hi - s * d
+    e = (hi - S) - s * d  # S + e == hi - s*d exactly
+    uh = S / a
+    m, k = math.frexp(a)
+    v = 134217729.0 * uh  # 2**27 + 1: Veltkamp's split into 26-bit halves
+    u1 = v - (v - uh)
+    u2 = uh - u1
+    v = 134217729.0 * m
+    m1 = v - (v - m)
+    m2 = m - m1
+    p = uh * m
+    q = ((u1 * m1 - p) + u1 * m2 + u2 * m1) + u2 * m2  # uh*m == p + q
+    rem = math.fsum((S, e, lo, -math.ldexp(p, k), -math.ldexp(q, k)))
+    v = uh * uh
+    r = uh * v * (1 / 3 - v * (1 / 5 - v * (1 / 7 - v * (1 / 9 - v * (
+        1 / 11 - v * (1 / 13 - v / 15))))))
+    g = a * (1.0 + v)
+    F = (d - uh) + r - rem / g
+    return S + (e + (lo + s * F / (1.0 + s / g)))
 
 
 def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
@@ -245,12 +285,9 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         The unique root in the branch window.  For |x| <= POLE_SIDE*(|n|-1/2)
         (64*(|n|-1/2)) it satisfies |w*tan(w) - x| <= TOL*(1+|x|).  Past
         that, where w*tan(w) is too steep for float64 to resolve the target,
-        it is c -+ d (c = (|n|-1/2)*pi, d = atan(w/|x|)) with d solved to
-        about two ulp of d and c held exactly, rounded once: within half an
-        ulp of the root plus two ulp of d, which is below 4/|x| ulp of w.
-        That is correctly rounded unless the root lies that close to a
-        rounding midpoint, which happens only for small |n| within a few
-        decades of the threshold.
+        it is c -+ d (c = (|n|-1/2)*pi, d = atan(w/|x|)) with c held exactly
+        and d solved by Newton, rounded once: the correctly rounded root
+        (the error before that rounding is below ~1e-4 ulp).
     """
     n = validate_branch(n)
     if not math.isfinite(x):
