@@ -14,11 +14,12 @@ and negative branches follow from the odd symmetry w(-n) = -w(n).  x = 0 is
 a branch point: the two one-sided limits differ, so exact zero requires an
 explicit side choice.
 
-Root finding works on g(w) = w*sin(w) - x*cos(w), which shares its zeros
-with w*tan(w) - x wherever cos(w) != 0 but stays finite across the tan
-poles at the window edges.  Internally the window is shifted so the
-bracket endpoints are exact in floating point.  The module also builds the
-Gauss-Legendre rules that `integrals` and the dispersion code share.
+Each real root is a window end plus or minus an offset e in (0, pi/2) that
+solves an atan form: e = atan(|x|/w) from the end where w*tan(w) = 0, and
+e = atan(w/|x|) from the tan pole.  One Newton loop on that form serves
+every (x, n) and stays finite and well conditioned for subnormal and huge
+x alike (`_window_end_root`).  The module also builds the Gauss-Legendre
+rules that `integrals` and the dispersion code share.
 """
 
 from __future__ import annotations
@@ -55,27 +56,20 @@ __all__ = [
 HALF_PI = 0.5 * math.pi
 EPS = 2.220446049250313e-16
 
-# Relative residual target of the root solvers: a root is accepted once
-# |w*tan(w) - x| <= TOL * (1 + |x|).  _solve_shifted gives up after MAX_ITER
-# iterations; the pole side's Newton, which needs one or two, stops there too.
+# Relative residual target in the complex plane: eval_complex accepts an
+# uncertified root, and a stalled Halley polish, once
+# |w*tan(w) - x| <= TOL * (1 + |x|).  eval_real's Newton loop stops on its
+# step instead and gives up after MAX_ITER iterations.
 TOL = 1e-13
 MAX_ITER = 60
 
-# Pole side.  With c = (n-1/2)*pi the root on branch n >= 1 is w = c -+ d,
-# d = atan(w/|x|) in (0, pi/2); for |x| > POLE_SIDE*(n - 1/2) eval_real
-# solves for d (_pole_side_root) and rounds c -+ d once, instead of solving
-# for t in the shifted window with _solve_shifted.  The shifted form fails
-# next to the pole: there G(t) = w*tan(t) - |x| moves by about eps*x^2/w
-# between adjacent floats t, wider than the target band 2*TOL*|x| once
-# |x|/w > 2*TOL/eps ~ 900, and the solver bisects until its bracket
-# collapses (first seen at |x|/w = 908).  Below the threshold
-# |x|/w < 64*(n-1/2)/((n-1)*pi) <= 96/pi ~ 31 (the largest ratio is at
-# n = 2, x > 0; n = 1 gives ~21), so every target there is reachable with a
-# margin of ~30.  Down to |x| = pi*(n - 1/2) the pole side is cheaper and
-# closer to the root than the shifted solve too (n <= 8: 2.3 atan calls on
-# average and within 1.1 ulp, against ~3.8 tan calls), but that threshold
-# moves the `wtan cheb` and `wtan integrals` outputs README.md pins, and
-# 64*(n - 1/2) leaves them unchanged.
+# Which window end eval_real solves from.  Branch n >= 1 solves for the
+# offset from the zero end for |x| <= POLE_SIDE*(n - 1/2), and from the
+# pole end c = (n-1/2)*pi past it, where w = c -+ e is rounded once from an
+# exact split of c (_window_end_root).  Both forms are well conditioned on
+# either side of the threshold; it sits where the pole end's correction
+# step (_pole_side_exact), which sums atan's series for u = w/|x| < 0.051,
+# is valid: past it u < pi/64.
 POLE_SIDE = 64.0
 # math.pi == _PI_NUM/_PI_DEN exactly; _PI_LO is the rest of pi
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
@@ -146,89 +140,74 @@ def defining_residual(x: complex, y: complex) -> float:
 # real-axis solver
 # ---------------------------------------------------------------------------
 
-def _seed_branch1_positive(x: float) -> float:
-    """Seed for branch 1, x > 0: series about 0 below the split 3.5, about
-    infinity above it (same split as the piecewise Chebyshev model)."""
-    if x > 3.5:
-        ix = 1.0 / x
-        return HALF_PI * (1.0 - ix * (1.0 - ix * (1.0 - 0.17753296657588678 * ix)))
-    s = math.sqrt(x)
-    w = s * (1.0 - x / 6.0 + 11.0 * x * x / 360.0 - 17.0 * x ** 3 / 5040.0)
-    return min(max(w, 0.5 * s), HALF_PI * 0.999999)
+def _window_end_root(x: float, n: int) -> float:
+    """Root on branch n >= 1 as a window end plus or minus an offset e.
 
+    With s = sgn(x) and a = |x|: up to POLE_SIDE*(n-1/2), w = E + s*e from
+    the zero end E = (n-1)*pi (x > 0) or n*pi (x < 0), e = atan(a/w); past
+    it w = c - s*e from the pole end c = (n-1/2)*pi, e = atan(w/a).  At
+    both ends Newton on F(e) = e - atan(...) has
 
-def _solve_shifted(C: float, s: int, absx: float, t0: float) -> float:
-    """Root of G(t) = (C + s*t)*tan(t) - absx for t in [0, pi/2).
+        F'(e) = 1 + s/(w*(w/a) + a) >= 1 - 1/pi,
 
-    The window is shifted so that w = C + s*t; both G(0) = -absx and
-    G(pi/2-) = +infinity have exact signs, which keeps the bracket valid
-    for arbitrarily small |x|.  Halley steps with a bisection safety net.
-    eval_real calls it only below the pole side, where |x|/w < ~31 and the
-    residual target is within float64's reach.
-    """
-    lo, hi = 0.0, HALF_PI
-    t = t0 if lo <= t0 < hi else 0.5 * (lo + hi)
-    target = TOL * (1.0 + absx)
-    for _ in range(MAX_ITER):
-        tan_t = math.tan(t)
-        y = C + s * t
-        G = y * tan_t - absx
-        if abs(G) <= target:
-            return t
-        if G < 0.0:
-            lo = t
-        else:
-            hi = t
-        sec2 = 1.0 + tan_t * tan_t
-        Gp = s * tan_t + y * sec2
-        Gpp = 2.0 * sec2 * (s + y * tan_t)
-        denom = 2.0 * Gp * Gp - G * Gpp
-        step_ok = denom != 0.0 and math.isfinite(denom)
-        if step_ok:
-            t_new = t - 2.0 * G * Gp / denom
-            step_ok = math.isfinite(t_new) and lo < t_new < hi
-        if not step_ok:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-    raise NoConvergence(
-        f"no convergence after {MAX_ITER} iterations (|residual|={abs(G):.3e}, "
-        f"target {target:.3e})"
-    )
+    a form that stays finite for subnormal a, where w^2 + a^2 is 0.
 
+    No bracket is needed.  On the zero end F is increasing and concave in
+    e (the atan term is convex), so no Newton step lands above the root,
+    and from below the iterates rise to it without overshooting.  The seed
+    atan(a/E), the root with w replaced by E, lies above the root only for
+    x > 0, where F' >= 1 keeps the first iterate above atan(a/(E + e)) > 0.
+    For n = 1, x > 0 (E = 0) the seed (pi/2)*sqrt(a)/sqrt(a + pi^2/4)
+    solves e*tan(e) = a with tan replaced by its Becker-Stark upper bound
+    pi^2*e/(pi^2 - 4e^2), so it lies below the root (a quotient of roots:
+    sqrt(a/(a + pi^2/4)) underflows).  On the pole end F is convex and the
+    seed the closed form c/(a + s).  Either way the iterates approach the
+    root from one side after at most one step, so the stop
+    |step| <= 4*eps*e, at least two ulp of e and above the rounding noise
+    of F/F' (~2*eps*e), cannot alternate between neighbours.
 
-def _pole_side_root(x: float, n: int) -> float:
-    """Root on branch n >= 1 where |x| > POLE_SIDE*(n-1/2): w = c - s*d with
-    c = (n-1/2)*pi and s = sgn(x), correctly rounded.
-
-    Since tan(c - s*d) = s*cot(d), d solves F(d) = d - atan(u) = 0 with
-    u = (c - s*d)/|x|.  F' = 1 + s/(|x|*(1 + u^2)) >= 1 - 1/|x| and
-    F''/(2F') ~ u/x^2, so after a Newton step of size h the next one is
-    about u*h^2/x^2: Newton from the closed form c/(|x| + s) stops once that
-    is below a quarter ulp of d, after one step (two for small n within a
-    few decades of the threshold).  c is split exactly into hi + lo (hi the
-    double nearest c), so the only rounding that reaches w is the final
-    addition.  The float d is within ~3*eps*d of its root (rounded u, libm's
-    atan; at most 2.2*eps*d measured), which moves w by up to ~4/|x| ulp:
-    if c - s*d can lie that close to a rounding midpoint (the two ends of
-    an 8*eps*d margin round apart), _pole_side_exact decides it."""
-    num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
-    hi = num / den
-    p, q = hi.as_integer_ratio()
-    lo = (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
+    The zero end rounds E and E + s*e: within 1.5 ulp.  On the pole end c
+    is split exactly into hi + lo (hi the double nearest c), so only the
+    final addition rounds.  The float e is within ~3*eps*e of its root
+    (rounded u, libm's atan; at most 2.2*eps*e measured), which moves w by
+    up to ~4/a ulp: if c - s*e can lie that close to a rounding midpoint
+    (the two ends of an 8*eps*e margin round apart), _pole_side_exact
+    decides it."""
     s = 1.0 if x > 0.0 else -1.0
     a = abs(x)
-    d = hi / (a + s)
+    pole = a > POLE_SIDE * (n - 0.5)
+    if pole:
+        num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        lo = (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
+        sw = -s
+        e = hi / (a + s)
+    else:
+        hi = (n - 1) * math.pi if x > 0.0 else n * math.pi
+        sw = s
+        if hi == 0.0:
+            e = HALF_PI * math.sqrt(a) / math.sqrt(a + HALF_PI * HALF_PI)
+        else:
+            e = math.atan(a / hi)
     for _ in range(MAX_ITER):
-        u = (hi - s * d) / a
-        step = (d - math.atan(u)) / (1.0 + s / (a * (1.0 + u * u)))
-        d -= step
-        if u * step * step / (a * a) <= 0.25 * EPS * d:
+        w = hi + sw * e
+        step = ((e - math.atan(w / a if pole else a / w))
+                / (1.0 + s / (w * (w / a) + a)))
+        e -= step
+        if abs(step) <= 4.0 * EPS * e:
             break
-    t = lo - s * d
-    margin = 8.0 * EPS * d
+    else:
+        raise NoConvergence(
+            f"no convergence after {MAX_ITER} iterations (last step "
+            f"{step:.3e}, offset {e:.3e})")
+    if not pole:
+        return hi + sw * e
+    t = lo - s * e
+    margin = 8.0 * EPS * e
     if hi + (t - margin) == hi + (t + margin):
         return hi + t
-    return _pole_side_exact(hi, lo, s, a, d)
+    return _pole_side_exact(hi, lo, s, a, e)
 
 
 def _pole_side_exact(hi: float, lo: float, s: float, a: float,
@@ -282,12 +261,12 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     Returns
     -------
     float
-        The unique root in the branch window.  For |x| <= POLE_SIDE*(|n|-1/2)
-        (64*(|n|-1/2)) it satisfies |w*tan(w) - x| <= TOL*(1+|x|).  Past
-        that, where w*tan(w) is too steep for float64 to resolve the target,
-        it is c -+ d (c = (|n|-1/2)*pi, d = atan(w/|x|)) with c held exactly
-        and d solved by Newton, rounded once: the correctly rounded root
-        (the error before that rounding is below ~1e-4 ulp).
+        The unique root in the branch window, from Newton on the offset
+        from a window end (`_window_end_root`).  For |x| <= POLE_SIDE*(|n|-1/2)
+        (64*(|n|-1/2)) it is w = E + e, E the multiple of pi at the zero
+        end, within 1.5 ulp.  Past that it is c -+ d (c = (|n|-1/2)*pi,
+        d = atan(w/|x|)) with c held exactly, rounded once: the correctly
+        rounded root (the error before that rounding is below ~1e-4 ulp).
     """
     n = validate_branch(n)
     if not math.isfinite(x):
@@ -303,17 +282,7 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         if side > 0:
             return (n - 1) * math.pi
         return n * math.pi
-    if abs(x) > POLE_SIDE * (n - 0.5):
-        return _pole_side_root(x, n)
-    if x > 0.0:
-        C = (n - 1) * math.pi
-        t0 = _seed_branch1_positive(x) if n == 1 else math.atan(x / C)
-        t = _solve_shifted(C, +1, x, t0)
-        return C + t
-    C = n * math.pi
-    t0 = math.atan(-x / C)
-    t = _solve_shifted(C, -1, -x, t0)
-    return C - t
+    return _window_end_root(x, n)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,38 @@ class TestEvalReal:
                 assert abs(y - (c - s * d)) <= 0.5 * math.ulp(y), (x, n)
             assert eval_real(x, -n) == -y
 
+    def test_zero_end_faithful(self):
+        # up to 64*(n - 1/2) the root is E +- e with E = (n-1)*pi (x > 0) or
+        # n*pi (x < 0) and e = atan(|x|/w) solved by Newton; E and the sum
+        # are rounded, so the value is faithful, not correctly rounded.  The
+        # reference is Newton on the same form at 60 + |log10 |x|| digits: a
+        # fixed precision misreads roots like sqrt(x) ~ 1e-150.  The three
+        # fixed points were 8267, 290 and 21.9 ulp off under a stop on the
+        # absolute residual of w*tan(w) - x.
+        rng = np.random.default_rng(15)
+        count = 1500
+        branches = np.concatenate([
+            rng.integers(1, 9, count),
+            np.floor(10.0 ** rng.uniform(0.0, 6.0, count))]).astype(int)
+        mags = 10.0 ** rng.uniform(-300.0, np.log10(64.0 * (branches - 0.5)))
+        signs = rng.choice([-1.0, 1.0], len(mags))
+        points = [(0.007337964523997774, 1), (0.6727124660733957, 1),
+                  (21.191334209298034, 3)]
+        points += [(float(x), int(n)) for x, n in zip(signs * mags, branches)]
+        for x, n in points:
+            y = eval_real(x, n)
+            with mpmath.workdps(60 + int(abs(math.log10(abs(x))))):
+                s, a = math.copysign(1, x), abs(mpmath.mpf(x))
+                E = (n - 1) * mpmath.pi if x > 0 else n * mpmath.pi
+                e = mpmath.atan(a / E if E else mpmath.sqrt(a))
+                for _ in range(100):
+                    w = E + s * e
+                    step = (e - mpmath.atan(a / w)) / (1 + s * a / (w * w + a * a))
+                    e -= step
+                    if abs(step) <= mpmath.eps * e:
+                        break
+                assert abs(y - (E + s * e)) <= 1.5 * math.ulp(y), (x, n)
+
     def test_offset_below_smallest_subnormal(self):
         # |x|/C underflows to 0, and the window edge is itself the root to
         # within float64 resolution
@@ -169,7 +201,7 @@ class TestEvalReal:
         assert eval_complex(2 + 2j, np.int64(2), atlas).y == eval_complex(2 + 2j, 2, atlas).y
 
     def test_no_convergence_when_tolerance_unreachable(self, monkeypatch):
-        monkeypatch.setattr(wtan.core, "TOL", 1e-30)
+        # from its seed the offset needs four Newton steps at x = 1, n = 1
         monkeypatch.setattr(wtan.core, "MAX_ITER", 3)
         with pytest.raises(NoConvergence):
             eval_real(1.0, 1)

@@ -1,10 +1,10 @@
 """Property tests of the real and complex solvers over the whole float64 range.
 
-Real axis: the residual target TOL*(1+|x|) is out of reach wherever
-w*tan(w) is too steep for float64 near the window edge (|x| past
-64*(|n|-1/2)); there eval_real returns the pole-side root rounded once,
-and the returned value must instead bracket the root to within 8 ulp.
-Both checks are made in mpmath at 40 + |log10 x| digits, enough to resolve
+Real axis: eval_real solves for the offset from a window end and never
+checks a residual, so the returned value must either meet the residual
+TOL*(1+|x|) or bracket the root to within 8 ulp; next to the tan pole
+(|x| past 64*(|n|-1/2)) only the second is within float64's reach.  Both
+checks are made in mpmath at 40 + |log10 x| digits, enough to resolve
 g(w) = w*sin(w) - x*cos(w) at the ulp scale for subnormal and huge x alike.
 
 Complex plane: eval_complex on sheets +-1..+-4 for |z| up to 1.7e308,
