@@ -16,9 +16,9 @@ explicit side choice.
 
 Each real root is a window end plus or minus an offset e in (0, pi/2) that
 solves an atan form: e = atan(|x|/w) from the end where w*tan(w) = 0, and
-e = atan(w/|x|) from the tan pole.  One Newton loop on that form serves
-every (x, n) and stays finite and well conditioned for subnormal and huge
-x alike (`_window_end_root`).  The module also builds the Gauss-Legendre
+e = atan(w/|x|) from the tan pole.  Newton on that form, with one stop
+rule per end, serves every (x, n) and stays finite and well conditioned
+for subnormal and huge x alike (`_window_end_root`).  The module also builds the Gauss-Legendre
 rules that `integrals` and the dispersion code share.
 """
 
@@ -66,10 +66,11 @@ MAX_ITER = 60
 # Which window end eval_real solves from.  Branch n >= 1 solves for the
 # offset from the zero end for |x| <= POLE_SIDE*(n - 1/2), and from the
 # pole end c = (n-1/2)*pi past it, where w = c -+ e is rounded once from an
-# exact split of c (_window_end_root).  Both forms are well conditioned on
-# either side of the threshold; it sits where the pole end's correction
+# exact split of c (_pole_split, cached per n) and Newton stops on its
+# predicted next step (_window_end_root).  Both forms are well conditioned
+# on either side of the threshold; it sits where the pole end's correction
 # step (_pole_side_exact), which sums atan's series for u = w/|x| < 0.051,
-# is valid: past it u < pi/64.
+# is valid: past it u < pi/64, which also keeps F' >= 31/32 there.
 POLE_SIDE = 64.0
 # math.pi == _PI_NUM/_PI_DEN exactly; _PI_LO is the rest of pi
 _PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
@@ -140,6 +141,17 @@ def defining_residual(x: complex, y: complex) -> float:
 # real-axis solver
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
+def _pole_split(n: int) -> tuple[float, float]:
+    """(hi, lo): hi the double nearest c = (n-1/2)*pi and lo the rest, to
+    a few ulp of lo, from math.pi's exact ratio in big-integer arithmetic
+    (~1 us) plus (n-1/2)*_PI_LO.  Cached: it depends on n alone."""
+    num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
+    hi = num / den
+    p, q = hi.as_integer_ratio()
+    return hi, (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
+
+
 def _window_end_root(x: float, n: int) -> float:
     """Root on branch n >= 1 as a window end plus or minus an offset e.
 
@@ -148,7 +160,7 @@ def _window_end_root(x: float, n: int) -> float:
     it w = c - s*e from the pole end c = (n-1/2)*pi, e = atan(w/a).  At
     both ends Newton on F(e) = e - atan(...) has
 
-        F'(e) = 1 + s/(w*(w/a) + a) >= 1 - 1/pi,
+        F'(e) = 1 + s/dd >= 1 - 1/pi,   dd = w*(w/a) + a,
 
     a form that stays finite for subnormal a, where w^2 + a^2 is 0.
 
@@ -162,52 +174,58 @@ def _window_end_root(x: float, n: int) -> float:
     pi^2*e/(pi^2 - 4e^2), so it lies below the root (a quotient of roots:
     sqrt(a/(a + pi^2/4)) underflows).  On the pole end F is convex and the
     seed the closed form c/(a + s).  Either way the iterates approach the
-    root from one side after at most one step, so the stop
-    |step| <= 4*eps*e, at least two ulp of e and above the rounding noise
-    of F/F' (~2*eps*e), cannot alternate between neighbours.
+    root from one side after at most one step.
+
+    The two ends stop differently.  The pole end predicts the next step,
+    K*step^2 with K = |F''|/(2F'), F'' = 2aw/(w^2 + a^2)^2 and F' >= 31/32
+    there, and stops once (step/dd)^2*(w/a) = K*F'*step^2, a form that
+    cannot overflow, is below 0.1*eps*e: at most two steps over the whole
+    float64 range, where waiting for a small step takes up to three.  The
+    zero end stops once |step| <= 4*eps*e, at least two ulp of e and above
+    the rounding noise of F/F' (~2*eps*e), so it cannot alternate between
+    neighbours.  It cannot predict its stop yet: E + s*e is rounded with E
+    itself rounded, so the last bits of e show in w, and stopping a step
+    earlier moves values by an ulp (eval_real(1, 1) from -0.29 to +0.71
+    ulp) and the README's eval_x, cheb and integrals outputs.
 
     The zero end rounds E and E + s*e: within 1.5 ulp.  On the pole end c
-    is split exactly into hi + lo (hi the double nearest c), so only the
-    final addition rounds.  The float e is within ~3*eps*e of its root
-    (rounded u, libm's atan; at most 2.2*eps*e measured), which moves w by
-    up to ~4/a ulp: if c - s*e can lie that close to a rounding midpoint
-    (the two ends of an 8*eps*e margin round apart), _pole_side_exact
-    decides it."""
+    is split exactly into hi + lo (_pole_split), so only the final addition
+    rounds.  The float e is within ~3*eps*e of its root (rounded u, libm's
+    atan; at most 2.2*eps*e measured), which moves w by up to ~4/a ulp: if
+    c - s*e can lie that close to a rounding midpoint (the two ends of an
+    8*eps*e margin round apart), _pole_side_exact decides it."""
     s = 1.0 if x > 0.0 else -1.0
     a = abs(x)
-    pole = a > POLE_SIDE * (n - 0.5)
-    if pole:
-        num, den = (2 * n - 1) * _PI_NUM, 2 * _PI_DEN
-        hi = num / den
-        p, q = hi.as_integer_ratio()
-        lo = (num * q - p * den) / (den * q) + (n - 0.5) * _PI_LO
-        sw = -s
+    if a > POLE_SIDE * (n - 0.5):
+        hi, lo = _pole_split(n)
         e = hi / (a + s)
+        for _ in range(MAX_ITER):
+            w = hi - s * e
+            u = w / a
+            dd = w * u + a
+            step = (e - math.atan(u)) / (1.0 + s / dd)
+            e -= step
+            if (step / dd) * (step / dd) * u <= 0.1 * EPS * e:
+                t = lo - s * e
+                margin = 8.0 * EPS * e
+                if hi + (t - margin) == hi + (t + margin):
+                    return hi + t
+                return _pole_side_exact(hi, lo, s, a, e)
     else:
-        hi = (n - 1) * math.pi if x > 0.0 else n * math.pi
-        sw = s
-        if hi == 0.0:
+        E = (n - 1) * math.pi if x > 0.0 else n * math.pi
+        if E == 0.0:
             e = HALF_PI * math.sqrt(a) / math.sqrt(a + HALF_PI * HALF_PI)
         else:
-            e = math.atan(a / hi)
-    for _ in range(MAX_ITER):
-        w = hi + sw * e
-        step = ((e - math.atan(w / a if pole else a / w))
-                / (1.0 + s / (w * (w / a) + a)))
-        e -= step
-        if abs(step) <= 4.0 * EPS * e:
-            break
-    else:
-        raise NoConvergence(
-            f"no convergence after {MAX_ITER} iterations (last step "
-            f"{step:.3e}, offset {e:.3e})")
-    if not pole:
-        return hi + sw * e
-    t = lo - s * e
-    margin = 8.0 * EPS * e
-    if hi + (t - margin) == hi + (t + margin):
-        return hi + t
-    return _pole_side_exact(hi, lo, s, a, e)
+            e = math.atan(a / E)
+        for _ in range(MAX_ITER):
+            w = E + s * e
+            step = (e - math.atan(a / w)) / (1.0 + s / (w * (w / a) + a))
+            e -= step
+            if abs(step) <= 4.0 * EPS * e:
+                return E + s * e
+    raise NoConvergence(
+        f"no convergence after {MAX_ITER} iterations (last step "
+        f"{step:.3e}, offset {e:.3e})")
 
 
 def _pole_side_exact(hi: float, lo: float, s: float, a: float,
@@ -251,7 +269,7 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     x : float
         Finite real argument.
     n : int
-        Branch label, nonzero.  Negative branches delegate through the odd
+        Branch label, nonzero.  Negative branches follow from the odd
         symmetry w(x, -n) = -w(x, n).
     side : {+1, -1}, optional
         Required only at x = 0 exactly, where the two one-sided limits
@@ -271,17 +289,16 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     n = validate_branch(n)
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
-    if n < 0:
-        return -eval_real(x, -n, side=side)
     if x == 0.0:
         if side is None:
             raise SignedZeroRequired(
                 "x = 0 is a branch point; pass side=+1 for the x->0+ limit "
                 "or side=-1 for the x->0- limit"
             )
-        if side > 0:
-            return (n - 1) * math.pi
-        return n * math.pi
+        w = (abs(n) - 1) * math.pi if side > 0 else abs(n) * math.pi
+        return w if n > 0 else -w
+    if n < 0:
+        return -_window_end_root(x, -n)
     return _window_end_root(x, n)
 
 

@@ -67,6 +67,20 @@ class TestEvalReal:
         for x in (-3.0, -0.5, 0.25, 2.0, 40.0):
             for n in (1, 2, 5):
                 assert eval_real(x, -n) == -eval_real(x, n)
+        # both window ends, both signs, |x| over the float64 range: n < 0
+        # negates the value of -n bit for bit
+        rng = np.random.default_rng(18)
+        branches = np.concatenate([rng.integers(1, 9, 1000),
+                                   np.floor(10.0 ** rng.uniform(0.0, 6.0, 1000))])
+        mags = 10.0 ** rng.uniform(-323.0, 308.0, len(branches))
+        signs = rng.choice([-1.0, 1.0], len(mags))
+        pole = 0
+        for x, n in zip(signs * mags, branches.astype(int)):
+            x, n = float(x), int(n)
+            pole += abs(x) > 64.0 * (n - 0.5)
+            y = eval_real(x, n)
+            assert y != 0.0 and eval_real(x, -n) == -y, (x, n)
+        assert 500 < pole < 1500
 
     def test_residual_invariant(self):
         rng = np.random.default_rng(11)
@@ -178,12 +192,27 @@ class TestEvalReal:
         assert eval_real(0.0, 1, side=-1) == math.pi
         assert eval_real(0.0, 3, side=+1) == 2 * math.pi
         assert eval_real(0.0, -2, side=-1) == -2 * math.pi
+        # negative branches at x = 0 mirror their positive twins, signed
+        # zero included: lim x->0+ on branch -1 is -0.0
+        for n in (-1, -2, -7):
+            with pytest.raises(SignedZeroRequired):
+                eval_real(0.0, n)
+            with pytest.raises(SignedZeroRequired):
+                eval_real(-0.0, n)
+            for side in (+1, -1):
+                y = eval_real(0.0, n, side=side)
+                assert y == -eval_real(0.0, -n, side=side)
+                assert math.copysign(1.0, y) == -1.0
+        assert eval_real(-0.0, -3, side=+1) == -2 * math.pi
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(NonFiniteArgument):
-            eval_real(math.nan, 1)
-        with pytest.raises(NonFiniteArgument):
-            eval_real(math.inf, 1)
+        for n in (1, -1, 5, -5):
+            with pytest.raises(NonFiniteArgument):
+                eval_real(math.nan, n)
+            with pytest.raises(NonFiniteArgument):
+                eval_real(math.inf, n)
+            with pytest.raises(NonFiniteArgument):
+                eval_real(-math.inf, n)
 
     def test_branch_validation(self, atlas):
         with pytest.raises(ValueError):
@@ -205,6 +234,31 @@ class TestEvalReal:
         monkeypatch.setattr(wtan.core, "MAX_ITER", 3)
         with pytest.raises(NoConvergence):
             eval_real(1.0, 1)
+
+    def test_pole_end_two_newton_steps(self, monkeypatch):
+        # past 64*(n - 1/2) Newton stops on its predicted next step, so the
+        # seed c/(|x| + s) needs at most two steps.  |x| is log-uniform from
+        # the threshold to 1.7e308 with n up to 2**1019 (the threshold
+        # overflows past ~2**1017.6), and within a decade of it for n <= 4,
+        # where a stop on the step size took three on ~29% of the calls.
+        monkeypatch.setattr(wtan.core, "MAX_ITER", 2)
+        rng = np.random.default_rng(19)
+        top = math.log10(1.7e308)
+        draws = [(int(2.0 ** rng.uniform(0.0, 1019.0)), False) for _ in range(3000)]
+        draws += [(int(n), True) for n in rng.integers(1, 5, 1500)]
+        count = 0
+        for n, near in draws:
+            start = math.log10(64.0 * (n - 0.5))
+            if start >= top:
+                continue
+            x = 10.0 ** rng.uniform(start, start + 1.0 if near else top)
+            if x <= 64.0 * (n - 0.5):
+                continue
+            count += 1
+            for sign in (1.0, -1.0):
+                eval_real(sign * x, n)
+                eval_real(sign * x, -n)
+        assert count > 4000
 
 
 class TestHalleyStep:
