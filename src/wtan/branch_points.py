@@ -92,6 +92,12 @@ def find_branch_point(n: int) -> BranchPoint:
         and both ends are rounded: from n ~ 1e8 on the root lies within an
         ulp of the upper end, and at n = 1e9 and 1e13 the rounded u is one
         ulp past the rounded end.
+
+    Past n = 2**52 float64 no longer resolves the points' order: Im x_n
+    stops rising with n (Im x_(2**53) lies below Im x_(2**53 - 1)) and Re
+    x_n jumps by several units between neighbours.  Both still pass the
+    bracket check, so nothing is raised here; `complex_plane` searches
+    branch points only up to 2**52 and refuses in-disk points beyond it.
     """
     if n < 1:
         raise ValueError("branch point index must be >= 1")

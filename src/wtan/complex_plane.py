@@ -39,15 +39,22 @@ Regions.  For w = u + iv, Im(w tan w) = (u sinh 2v + v sin 2u)/(cos 2u +
 cosh 2v) vanishes only on the axes, so every root for Im x > 0 lies in
 the first or third quadrant, and the upper half of sheet m maps onto a
 region R_m of the first.  Besides the axes, R_m is bounded by two arcs:
-A_j, the image of both sides of the vertical cut at x_j, runs from the
-real root at Re x_j up to w_j and back down to i*v_j, -v_j tanh v_j =
-Re x_j, and R_m lies inside A_m and outside A_(m-1) (A_0 is the origin),
-as Lambert W branches lie between the images of their cuts (Corless et
-al., Adv. Comput. Math. 5, 1996).  So a root of w tan w = x in R_m (its
-conjugate, for Im x < 0) is the sheet-m value.  For m <= ARC_SHEETS
-A_j is marched once per process (`_build_arc`, 3-12 ms for j = 1..4: it
-pays off in a process that solves many band points), and a root is placed
-in R_m by bisection only if it lies beyond the polylines' margin.
+A_j, the image of both sides of the vertical cut at x_j = a_j + i*b_j,
+runs from i*v_j, -v_j tanh v_j = a_j, over w_j down to the real root
+u_j*, u_j* tan u_j* = a_j, and R_m lies inside A_m and outside A_(m-1)
+(A_0 is the origin), as Lambert W branches lie between the images of
+their cuts (Corless et al., Adv. Comput. Math. 5, 1996).  So a root of
+w tan w = x in R_m (its conjugate, for Im x < 0) is the sheet-m value.
+A_j lies on the level curve Re f(w) = a_j, f = w tan w, as the graph of
+some v = phi_j(u) over [0, u_j*]: u + iv is inside A_j iff u < u_j* and
+v < phi_j(u).  Left of Re w_j, phi_j(u) is the highest solution of
+Re f(u + iv) = a_j, reached by Newton iteration in v (d/dv Re f = -Im f',
+f' = tan w + w sec^2 w) from v = ln(4(j+1)pi)/2 + |a_j| + 1 above it.
+Right of Re w_j, where the curve's other branch through w_j lies above
+the arc, the arc's u at height v < Im w_j is found by Newton iteration
+in u from u_j*, and a point with v >= Im w_j is outside.  A point nearer
+the arc than its root's own error, 8*eps*(1+|w|), plus the solve's
+rounding over the slope (which grows like 1/|w - w_j|) is undecided.
 
 Window, inside that disk but off the band Re x_m <= Re x <= 0 of the cuts.
 Right of the band (Re x > 0) the only guard is |x| < CUT_GUARD on sheets
@@ -69,8 +76,7 @@ g' vanishes at x_m, where the germs of sheets m and m+1 merge, and a
 Newton root's error grows like eps/|g'|.  The region turns away what
 solves the same form inside its window, Re atan(x/w) in (0, pi/2) right of
 the band and (-pi/2, 0) left of it: the mirror root -w on sheet 1, and
-0.1 to 1 left of x_m the values of sheets m+1..m+5.  Past ARC_SHEETS
-that window is still the test: there a window value has no proof.
+0.1 to 1 left of x_m the values of sheets m+1..m+5.
 
 Band, Re x_m <= Re x <= 0 inside the disk: every guard.  The seeds are the
 window-form roots for k = m-1 and k = m, then w_j +- sqrt(2(x - x_j)/
@@ -78,17 +84,21 @@ f''(w_j)) for j = m, m-1 (f = w tan w, f'' = 2 sec^2 w (1 + w tan w),
 w_0 = x_0 = 0), solved for Im x >= 0; each is polished by Halley
 iteration and the first root in R_m is the value.
 
-Wherever no direct root is taken, and in the band beyond ARC_SHEETS, the
-value is continued from the exterior root at x + iE, E =
-EXTERIOR_FACTOR*|x_m|, on the vertical through the target and on its side
-of the real axis, where the contraction certificate holds; the vertical
-crosses no cut of the sheet, and a target beside a vertical cut line and
-below its branch point is reached from a vertical set off that line, by
-one horizontal step.  Each step is corrected by Halley iteration.  Steps
-shrink in proportion to the distance from the nearest branch point, of any
-sheet (the atlas finds each x_j on first use): near x_j the two local
-solution sheets differ by O(sqrt(distance)), so uncontrolled steps can
-silently hop between them.
+Wherever no direct root is taken the value is continued: in the disk
+where the window root is under the |g'| floor, within ~0.2 of x_m, or a
+root is undecided (on the tests' and the benchmark's point sets, only the
+former).  Past sheet 2**52, where float64 no longer orders the branch
+points, a point in the disk raises DomainViolation.  The value is
+continued from the exterior root at x + iE, E = EXTERIOR_FACTOR*|x_m|,
+on the vertical through the target and on its side of the real axis,
+where the contraction certificate holds; the vertical crosses no cut of
+the sheet, and a target beside a vertical cut line and below its branch
+point is reached from a vertical set off that line, by one horizontal
+step.  Each step is corrected by Halley iteration.  Steps shrink in
+proportion to the distance from the nearest branch point, of any sheet
+(the atlas finds each x_j on first use): near x_j the two local solution
+sheets differ by O(sqrt(distance)), so uncontrolled steps can silently
+hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -117,7 +127,6 @@ polished roots on the cuts.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import enum
 import functools
@@ -138,6 +147,7 @@ from .core import (
     validate_branch,
 )
 from .errors import (
+    DomainViolation,
     NoConvergence,
     NonFiniteArgument,
     NotOnCut,
@@ -284,6 +294,7 @@ class _Sheet(NamedTuple):
     near: tuple[BranchPoint, ...]   # x_(m-1) (m > 1) and x_m, the guarded points
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
     cuts: tuple                     # the cuts of sheet -m and of sheet m
+    roots: tuple[float, ...]        # u_j* for each of near: A_j meets the real axis there
 
 
 def _sheet_record(points: _Points, m: int) -> _Sheet:
@@ -300,7 +311,8 @@ def _sheet_record(points: _Points, m: int) -> _Sheet:
          *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
                (n, n + s if b.n == m else n - s)) for b in near))
         for n, s in ((-m, -1), (m, 1)))
-    return _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts)
+    return _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts,
+                  tuple(core.eval_real(b.x.real, b.n) for b in near))
 
 
 class SheetAtlas:
@@ -435,6 +447,9 @@ class SheetAtlas:
                 y = self._continued(z, m, r)
             h, d = _atan_form(z, c, y)
             return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
+        if m > _LAST_POINT:
+            raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
+                                  "float64 no longer orders the branch points there")
         if s.lo <= z.real <= 0.0:
             if guarded:
                 self._guard(z, s, self.distance_to_cuts(z, m))
@@ -445,18 +460,15 @@ class SheetAtlas:
             elif guarded and m == 1 and r < CUT_GUARD:
                 raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
             y = _window_root(z, m)
-            if y is not None and not (self._in_region(y, m) if m <= ARC_SHEETS
-                                      else _in_window(z, m, y)):
+            if y is not None and not self._in_region(y, m):
                 y = None
         if y is None:
             y = self._continued(z, m, r)
         return y, False
 
     def _band_root(self, z: complex, m: int) -> complex | None:
-        """The first band seed whose Halley root lies in R_m beyond the margin,
-        for Im z >= 0 and reflected back; None if none does or m > ARC_SHEETS."""
-        if m > ARC_SHEETS:
-            return None
+        """The first band seed whose Halley root is placed in R_m, for
+        Im z >= 0 and reflected back; None if none is."""
         x = z.conjugate() if z.imag < 0.0 else z
         for seed in self._band_seeds(x, m):
             try:
@@ -507,19 +519,12 @@ class SheetAtlas:
     # -- sheet regions -----------------------------------------------------
 
     def _in_region(self, w: complex, m: int) -> bool:
-        """True if w, or its conjugate, lies in R_m beyond the margin of both
-        of its arcs: then w is the sheet-m value at w*tan(w)."""
+        """True if w, or its conjugate, lies in R_m beyond the uncertainty
+        of both of its arcs: then w is the sheet-m value at w*tan(w)."""
         u, v = w.real, abs(w.imag)
-        return (u > 0.0 and _inside(self._arc(m), u, v) is True
-                and (m == 1 or _inside(self._arc(m - 1), u, v) is False))
-
-    def _arc(self, j: int) -> tuple:
-        """A_j, built on first use and shared by every atlas of the process:
-        no atlas gives it other values."""
-        arc = _ARCS.get(j)
-        if arc is None:
-            arc = _ARCS[j] = _build_arc(self, j)
-        return arc
+        s = self._sheet(m)
+        return (u > 0.0 and _in_arc(u, v, s.near[-1], s.roots[-1]) is True
+                and (m == 1 or _in_arc(u, v, s.near[0], s.roots[0]) is False))
 
 
 # ---------------------------------------------------------------------------
@@ -602,11 +607,50 @@ def _window_root(x: complex, n: int) -> complex | None:
     return found[0] if abs(1.0 + found[1]) >= DERIV_FLOOR else None
 
 
-def _in_window(x: complex, n: int, y: complex) -> bool:
-    """Re atan(x/y) in the sheet-n window, (0, pi/2) right of the band and
-    (-pi/2, 0) left of it: no proof of the sheet, used beyond ARC_SHEETS."""
-    a = cmath.atan(x / y).real
-    return 0.0 < a < 0.5 * math.pi if x.real > 0.0 else -0.5 * math.pi < a < 0.0
+def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
+    """Whether u + iv (u > 0, v >= 0) lies inside A_j, j = bp.n, closed by
+    the axes (module docstring; root is u_j*), or None where it lies within
+    8*eps*(1 + |w|), a root's own error, plus the solve's uncertainty."""
+    a, top = bp.x.real, bp.y
+    tol = 8.0 * EPS * (1.0 + math.hypot(u, v))
+    if u <= top.real:
+        start = 0.5 * math.log(4.0 * (bp.n + 1) * math.pi) - a + 1.0
+        at, found = v, _level(complex(u, 0.0), 1j, start, a, v, tol)
+    elif u < root + tol and v < top.imag:
+        at, found = u, _level(complex(0.0, v), 1.0, root, a, u, tol)
+    else:
+        return False if u >= root + tol or v >= top.imag + tol else None
+    if found is None or abs(at - found[0]) <= tol + found[1]:
+        return None
+    return bool(at < found[0])   # a numpy float's comparison gives no bool
+
+
+def _level(p: complex, d: complex, t: float, a: float,
+           at: float, tol: float) -> tuple[float, float] | None:
+    """Newton in t on Re f(p + d*t) = a, f = w*tan(w), d = 1 or 1j, from t:
+    the root and its uncertainty, the last step plus the rounding of t and
+    of Re f over the slope Re(d*f'), f' = tan(w) + w*sec^2(w); None unless
+    a step falls within that in 32 iterations.  It returns early once `at`
+    lies 4 steps plus tol from the iterate after a step at most half the
+    one before: the steps then shrink at least geometrically (by 1/2 even
+    at a double root), so the root lies within one step of the iterate."""
+    last = 0.0
+    try:
+        for _ in range(32):
+            w = p + d * t
+            tw = cmath.tan(w)
+            re, im = w.real * tw.real, w.imag * tw.imag
+            slope = (d * (tw + w * (1.0 + tw * tw))).real
+            step = (re - im - a) / slope
+            t -= step
+            size = abs(step)
+            cond = 4.0 * EPS * ((abs(re) + abs(im) + abs(a)) / abs(slope) + abs(t))
+            if size <= cond or (size <= 0.5 * last and abs(at - t) > 4.0 * size + cond + tol):
+                return t, size + cond
+            last = size
+    except (ZeroDivisionError, ValueError):
+        pass
+    return None
 
 
 def _refine(x: complex, y: complex) -> complex:
@@ -671,109 +715,6 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 
 
 # ---------------------------------------------------------------------------
-# sheet regions
-# ---------------------------------------------------------------------------
-
-ARC_TOL = 1e-4     # arcs are refined to this chord bound (`_build_arc`)
-# Regions cover sheets +-1..+-4, the ones `complex_sheets` measures; past
-# them no arc is built and the window test of atan(z/y) decides, proving no
-# sheet.
-ARC_SHEETS = 4
-_ARCS: dict[int, tuple] = {}   # A_j by j, shared by every atlas
-
-
-def _build_arc(atlas: SheetAtlas, j: int) -> tuple:
-    """The polyline of A_j as (Re w, Im w, bands, margin): Re w ascends
-    along it, and a point in segment k's Re span outside bands[k], the Im
-    range of the segments near it widened by the margin, is beyond it.
-
-    The sheet-j values on both sides of the upper half of the vertical cut
-    at x_j = a + ib are analytic in t along z = a + i(b - t^2), the left
-    side for t < 0, through w_j at t = 0.  Four nodes a side are marched
-    down the cut as in `_delta_tables`; a segment of length dt in t is then
-    halved until the chord bound dt^2*|w_tt|/8, w_tt normal to the arc, is
-    <= ARC_TOL at both ends.  That takes w_tt at the ends only, so the
-    margin is twice the largest bound plus the nodes' error: A_1..A_4 lie
-    within 1.0 times the bound of a march of 2000 nodes a side (tests)."""
-    bp, hi = atlas._sheet(j).bp, atlas._sheet(j).hi
-    a, b = bp.x.real, bp.x.imag
-    top = math.sqrt(b)
-
-    def at(t):
-        return complex(a, b - t * t if abs(t) < top else 0.0)
-
-    def node(t, y):
-        if t == 0.0:
-            return t, y, 0.0
-        z = at(t)
-        d1 = core.derivative(z, y)
-        wtt = 4.0 * t * t * core.second_derivative(z, y) + 2j * d1
-        return t, y, abs((wtt * (2j * t * d1).conjugate()).imag) / abs(16.0 * t * d1)
-
-    # the right side is reached from inside the band, short of the cut at
-    # Re x_(j-1), 0.117 away at j = 4
-    gap = hi - a
-    sides = []
-    for s in (-1.0, 1.0):
-        ts = [s * top * k / 4 for k in (1, 2, 3, 4)]
-        clear = at(ts[0]) + s * min(0.3, 0.5 * gap)
-        y0 = atlas._continued(clear, j, abs(clear))
-        sides.append(list(zip(ts, _march([at(t) for t in ts], clear, y0, atlas))))
-    coarse = sides[0][::-1] + [(0.0, bp.y)] + sides[1]
-    pts, chord = [node(*coarse[0])], 0.0
-    for q in coarse[1:]:
-        stack = [node(*q)]
-        while stack:
-            p, q = pts[-1], stack[-1]
-            bound = (q[0] - p[0]) ** 2 * max(p[2], q[2])
-            if bound <= ARC_TOL:
-                chord = max(chord, bound)
-                pts.append(stack.pop())
-                continue
-            t, (t0, y0, _) = 0.5 * (p[0] + q[0]), p if p[0] else q
-            stack.append(node(t, _walk_segment(at(t0), y0, at(t), atlas)))
-    # from i*v_j to the real root at a, both put on their axes
-    ws = [p[1] for p in reversed(pts)]
-    ws[0], ws[-1] = complex(0.0, ws[0].imag), complex(ws[-1].real, 0.0)
-    # node error 1e-15*(1+|w|) by `_refine`'s stop, as much again in rounding
-    margin = 2.0 * chord + 2e-15 * (1.0 + max(abs(w) for w in ws))
-    xs, ys = [w.real for w in ws], [w.imag for w in ws]
-    near = [ys[_window(xs, xs[k], margin).start:_window(xs, xs[k + 1], margin).stop + 1]
-            for k in range(len(xs) - 1)]
-    return xs, ys, [(min(y) - margin, max(y) + margin) for y in near], margin
-
-
-def _window(xs: list, u: float, margin: float) -> range:
-    """The segments whose Re span meets [u - margin, u + margin]."""
-    return range(max(bisect.bisect_left(xs, u - margin) - 1, 0),
-                 min(bisect.bisect_right(xs, u + margin), len(xs) - 1))
-
-
-def _inside(arc: tuple, u: float, v: float) -> bool | None:
-    """Whether u + iv (u > 0, v >= 0) lies inside A_j closed by the axes:
-    whether the upward ray from it crosses the polyline, at the segment
-    found by bisection.  None if the point lies within the arc's margin of
-    the polyline, which it can only if it lies in the band of that segment."""
-    xs, ys, bands, margin = arc
-    k = bisect.bisect_right(xs, u) - 1
-    inside = False
-    if k < len(xs) - 1:
-        slope = (ys[k + 1] - ys[k]) / (xs[k + 1] - xs[k])
-        inside = bool(ys[k] + (u - xs[k]) * slope > v)
-        if not bands[k][0] <= v <= bands[k][1]:
-            return inside
-    elif u > xs[-1] + margin:
-        return False
-    for i in _window(xs, u, margin):
-        dx, dy = xs[i + 1] - xs[i], ys[i + 1] - ys[i]
-        s = ((u - xs[i]) * dx + (v - ys[i]) * dy) / (dx * dx + dy * dy)
-        s = min(max(s, 0.0), 1.0)
-        if math.hypot(u - xs[i] - s * dx, v - ys[i] - s * dy) < margin:
-            return None
-    return inside
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -782,10 +723,13 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
 
     The route is picked once, from |z| and Re z, and runs only the guards
     it can trip (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
-    w = c - atan(w/z) is solved directly, with no guard; inside that disk a
-    direct root is taken only where it proves its sheet, and otherwise the
-    value is continued from the exterior root at Re z +- i*EXTERIOR_FACTOR*
-    |x_|n||, with NoConvergence if that start is refused.
+    w = c - atan(w/z) is solved directly, with no guard.  Inside that disk,
+    on every sheet up to 2**52, a window or band root is taken where the
+    sheet's w-plane region R_|n| holds it beyond the uncertainty of its
+    boundary arcs; otherwise (in practice only for window roots under the
+    |g'| floor, within ~0.2 of x_|n|) the value is continued from the
+    exterior root at Re z +- i*EXTERIOR_FACTOR*|x_|n||, with NoConvergence
+    if that start is refused.
 
     The value is accepted if either
 
@@ -806,6 +750,9 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         If z lies within 1e-10 of a cut of sheet n, or within 1e-3 of one of
         the sheet's branch points (where continuation accuracy degrades; use
         `boundary_value` / `trace_path` for on-cut and near-point work).
+    DomainViolation
+        If |n| > 2**52 and z lies inside the disk, where float64 no longer
+        orders the branch points.
     """
     n = validate_branch(n)
     z = complex(z)

@@ -29,7 +29,7 @@ import enum
 import functools
 import math
 import numbers
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AtBranchPoint,
@@ -119,8 +119,7 @@ class CutScheme(enum.Enum):
     FINITE_CUTS = "finite-cuts"
 
 
-@dataclass(frozen=True)
-class BranchedValue:
+class BranchedValue(NamedTuple):
     """A function value tagged with the branch and cut scheme that produced it."""
 
     x: complex

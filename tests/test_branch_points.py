@@ -53,6 +53,14 @@ class TestFindBranchPoint:
         assert all(b > a for a, b in zip(mods, mods[1:]))
         assert all(b < a for a, b in zip(reals, reals[1:]))
 
+    def test_float_resolution_limit(self):
+        # past 2**52 float64 no longer orders the branch points: x_(2**53)
+        # lies below x_(2**53 - 1), and Re x_j, which falls with j, jumps by -3
+        lo, hi = find_branch_point(2 ** 53 - 1).x, find_branch_point(2 ** 53).x
+        assert hi.imag < lo.imag
+        assert hi.real == pytest.approx(-20.0255, abs=1e-3)
+        assert lo.real == pytest.approx(-16.8461, abs=1e-3)
+
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             find_branch_point(0)
@@ -140,20 +148,19 @@ class TestLocalExpansion:
         with pytest.raises(ValueError):
             local_expansion_check(1, [1e-2])
 
-    def test_refused_anchor_is_a_continuation_failure(self, atlas, monkeypatch):
-        # x_1 + 1e-8 lies in sheet 1's band so near x_1 that the region
-        # refuses every root: its value is continued from the exterior root,
-        # here refused
-        assert atlas._band_root(atlas.branch_points[0].x + 1e-8, 1) is None
+    def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
+        # the anchor x_1 + 1e-8 lies in sheet 1's band; with no band root
+        # certified its value is continued from the exterior root, here refused
+        monkeypatch.setattr(complex_plane.SheetAtlas, "_band_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         with pytest.raises(ContinuationFailure):
             local_expansion_check(1, [1e-8, 1e-9])
 
-    def test_programming_error_is_not_a_continuation_failure(self, atlas, monkeypatch):
+    def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
         def broken(x, c):
             raise TypeError("broken")
 
-        assert atlas._band_root(atlas.branch_points[0].x + 1e-8, 1) is None
+        monkeypatch.setattr(complex_plane.SheetAtlas, "_band_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", broken)
         with pytest.raises(TypeError):
             local_expansion_check(1, [1e-8, 1e-9])

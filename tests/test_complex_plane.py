@@ -244,10 +244,7 @@ def _solved_in_band(atlas, z, n):
 
 
 def _count_continued(atlas, monkeypatch):
-    """Record the points continuation is asked for, once the arcs of
-    sheets 1-4 (whose build continues too) exist."""
-    for j in (1, 2, 3, 4):
-        atlas._arc(j)
+    """Record the points continuation is asked for."""
     calls = []
     continued = SheetAtlas._continued
 
@@ -307,8 +304,8 @@ class TestExteriorRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -2])
     def test_inner_points_still_continued(self, atlas, monkeypatch, n):
         # a point is continued only where no direct root is placed in the
-        # sheet's region: under the |g'| floor, or within the margin of an
-        # arc, as the points 1e-8..1e-3 off a cut mostly are
+        # sheet's region, which near the cuts and branch points leaves only
+        # the window roots under the |g'| floor, left of the band near x_n
         calls = _count_continued(atlas, monkeypatch)
         continued = direct_band = 0
         for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
@@ -316,6 +313,9 @@ class TestExteriorRoute:
             y = eval_complex(z, n, atlas).y
             direct = _solved_by_window(atlas, z, n) or _solved_in_band(atlas, z, n)
             assert bool(calls) != direct, z
+            if calls:
+                assert _route(atlas, z, n) == "left", z
+                assert complex_plane._window_root(z, abs(n)) is None, z
             continued += bool(calls)
             direct_band += direct and _route(atlas, z, n) == "band"
             ref = _continued_from_far_anchor(z, n, atlas)
@@ -323,7 +323,7 @@ class TestExteriorRoute:
                 _assert_continued_value(z, y, ref)
             else:
                 assert abs(y - ref) <= 4e-15 * abs(ref), z
-        assert continued >= 20 and direct_band >= 20
+        assert continued >= 8 and direct_band >= 60
 
     def test_huge_modulus(self, atlas):
         # no tan is evaluated on this route, so no pole guard stops it
@@ -399,12 +399,13 @@ class TestWindowRoute:
         minus = [eval_complex(z, -n, atlas).y for z in points]
         monkeypatch.undo()
         # solved directly except where the window root lies within the
-        # margin of A_n, the image of the vertical cut at Re x_n
+        # uncertainty of A_n, the image of the vertical cut at Re x_n
         refused = [z for z in points if not _solved_by_window(atlas, z, n)]
         assert calls == refused + refused
         for z in refused:
             y = complex_plane._window_root(z, n)
-            assert complex_plane._inside(atlas._arc(n), y.real, abs(y.imag)) is None, z
+            s = atlas._sheet(n)
+            assert complex_plane._in_arc(y.real, abs(y.imag), s.bp, s.roots[-1]) is None, z
         for z, yp, ym in zip(points, plus, minus):
             ref = _continued_from_far_anchor(z, n, atlas)
             assert abs(yp - ref) <= 4e-15 * abs(ref), z
@@ -493,38 +494,36 @@ def _beside_cut_lines(atlas, n, rng, count):
 class TestEscapeRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_beside_a_cut_below_its_branch_point(self, atlas, monkeypatch, n):
-        # the vertical through z would brush x_j: the route descends on a
+        # the vertical through z would brush x_j: continuation descends on a
         # vertical set off the cut line and ends with one horizontal step,
         # which must not cross the sheet's other vertical cut (points left
-        # of x_|n|'s line are off the band and solved by the window form)
+        # of x_|n|'s line are off the band and solved by the window form).
+        # eval_complex solves each such point directly, to the same value
         targets = []
 
         def recorded(z0, y0, z1, atlas, **kw):
             targets.append(z1)
             return _walk_segment(z0, y0, z1, atlas, **kw)
 
-        _count_continued(atlas, monkeypatch)     # the arcs exist
         monkeypatch.setattr(complex_plane, "_walk_segment", recorded)
         for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
             ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z, atlas)
+            targets.clear()
+            y = atlas._continued(z, n, abs(z))
+            assert len(targets) == 2 and targets[0].imag == z.imag, z
+            assert abs(targets[0].real - z.real) > 0.05, z
+            _assert_continued_value(z, y, ref)
+            assert _solved_by_window(atlas, z, n) or _solved_in_band(atlas, z, n), z
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
-                targets.clear()
                 y = sign * eval_complex(z, sheet, atlas).y
-                # every root this close to a cut line lies within the
-                # margin of the cut's arc: no direct root is taken
-                assert not _solved_by_window(atlas, z, n), (z, sheet)
-                assert not _solved_in_band(atlas, z, n), (z, sheet)
-                assert len(targets) == 2 and targets[0].imag == z.imag, (z, sheet)
-                assert abs(targets[0].real - z.real) > 0.05, (z, sheet)
-                _assert_continued_value(z, y, ref)
+                assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
-        # z is in sheet 1's band 1e-6 right of its vertical cut, where the
-        # region refuses every root, so it is continued from the exterior
-        # root at its start point; refused, there is no certified value
-        z = complex(atlas.branch_points[0].x.real + 1e-6, 1.0)
-        assert not _solved_in_band(atlas, z, 1)
-        _count_continued(atlas, monkeypatch)     # the arcs exist
+        # z is 0.05 left of x_1, where the window root is under the |g'|
+        # floor, so it is continued from the exterior root at its start
+        # point; refused, there is no certified value
+        z = atlas.branch_points[0].x - 0.05
+        assert not _solved_by_window(atlas, z, 1)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         for n in (1, -1):
             with pytest.raises(NoConvergence):
@@ -534,9 +533,10 @@ class TestEscapeRoute:
 
 
 def _near_an_arc(atlas, w, m):
-    """True if w lies within the margin of A_m or A_(m-1)."""
-    u, v = w.real, abs(w.imag)
-    return any(complex_plane._inside(atlas._arc(j), u, v) is None for j in (m - 1, m) if j)
+    """True if w lies within the uncertainty of A_m or A_(m-1)."""
+    s = atlas._sheet(m)
+    return any(complex_plane._in_arc(w.real, abs(w.imag), bp, root) is None
+               for bp, root in zip(s.near, s.roots))
 
 
 def _band_points(atlas, n, rng, count):
@@ -559,19 +559,20 @@ def big_atlas():
 
 
 class TestRegions:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_neighbour_sheets_are_rejected(self, atlas, big_atlas, n):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
+    def test_neighbour_sheets_are_rejected(self, big_atlas, n):
         # 0.1-1 left of x_n the values of sheets n+1..n+5 can solve the
         # sheet-n window form inside its window; R_n turns every one away
         passed = 0
-        for z in _left_of_branch_points(atlas, n, np.random.default_rng(760 + n), 40, 0.1, 1.0):
+        for z in _left_of_branch_points(big_atlas, n, np.random.default_rng(760 + n),
+                                        40, 0.1, 1.0):
             for k in range(n + 1, n + 6):
                 w = eval_complex(z, k, big_atlas).y
                 g, _ = complex_plane._window_form(z, n * math.pi, w)
                 if (abs(g) <= 8 * complex_plane.EPS * abs(w)
                         and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
                     passed += 1
-                    assert not atlas._in_region(w, n), (z, k)
+                    assert not big_atlas._in_region(w, n), (z, k)
         assert passed >= 20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -602,52 +603,44 @@ class TestRegions:
                 direct += 1
         assert direct >= 36
 
-    @pytest.mark.parametrize("j", range(1, complex_plane.ARC_SHEETS + 1))
-    def test_polyline_within_the_margin(self, j):
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
+    def test_marched_nodes_lie_on_the_level_curve(self, j):
         # 2000 nodes a side, uniform in t, marched down both sides of the
-        # cut, stay within the margin of the polyline, twice its chord bound
-        big = SheetAtlas.build(j)
-        bp = big.branch_points[j - 1]
-        a, b = bp.x.real, bp.x.imag
-        xs, ys, _, margin = big._arc(j)
-        p = np.array(xs) + 1j * np.array(ys)
+        # vertical cut at x_j lie on the solved A_j: at height phi_j(Re w)
+        # left of Re w_j, and at the arc's Re w for their height right of it
+        big = SheetAtlas()
+        s = big._sheet(j)
+        a, b, top = s.bp.x.real, s.bp.x.imag, s.bp.y
+        start = 0.5 * math.log(4.0 * (j + 1) * math.pi) - a + 1.0
         worst = 0.0
         for side in (-1.0, 1.0):
             ts = np.sqrt(b) * np.arange(1, 2001) / 2000
             zs = [complex(a, v) for v in np.maximum(b - ts * ts, 0.0)]
             clear = zs[0] + side * 1e-3
             for w in complex_plane._march(zs, clear, big.continue_from_anchor(clear, j), big):
-                w = complex(w.real, abs(w.imag))
-                s = np.clip(((w - p[:-1]) * np.conj(p[1:] - p[:-1])).real
-                            / np.abs(p[1:] - p[:-1]) ** 2, 0.0, 1.0)
-                worst = max(worst, np.abs(w - p[:-1] - s * (p[1:] - p[:-1])).min())
-        assert worst <= margin <= 2.0 * complex_plane.ARC_TOL + 1e-12
+                u, v = w.real, abs(w.imag)
+                if u <= top.real:
+                    edge, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, v, 0.0)
+                    worst = max(worst, abs(edge - v))
+                else:
+                    edge, _ = complex_plane._level(complex(0.0, v), 1.0, s.roots[-1], a, u, 0.0)
+                    worst = max(worst, abs(edge - u))
+        assert worst <= 1e-12
 
-    def test_arcs_ascend_in_re(self, big_atlas):
-        # the crossing above a point is found by bisection on Re w; arcs
-        # past ARC_SHEETS are built by the tests of regions 5-7 only
-        for j in range(1, 8):
-            xs, ys, _, _ = big_atlas._arc(j)
-            assert xs[0] == 0.0 and ys[-1] == 0.0, j
-            assert all(x0 < x1 for x0, x1 in zip(xs, xs[1:])), j
-
-    def test_arcs_are_built_once(self):
-        assert SheetAtlas.build(2)._arc(1) is SheetAtlas.build(2)._arc(1)
-
-    def test_beyond_the_regions(self, monkeypatch):
-        # past ARC_SHEETS no arc is built: window roots are taken inside the
-        # window of atan(z/y), as before the regions, and the band is continued
-        m = complex_plane.ARC_SHEETS + 1
-        big = SheetAtlas.build(m)
-        monkeypatch.setattr(SheetAtlas, "_arc", None)
-        xm = big.branch_points[m - 1].x
-        for z in (complex(1.0, 0.5 * xm.imag), complex(xm.real - 1.0, 0.3 * xm.imag)):
-            y = complex_plane._window_root(z, m)
-            assert complex_plane._in_window(z, m, y)
-            assert eval_complex(z, m, big).y == y
-        z = complex(0.5 * xm.real, 0.5 * xm.imag)
-        assert big._band_root(z, m) is None
-        assert eval_complex(z, m, big).y == big.continue_from_anchor(z, m)
+    @pytest.mark.parametrize("n", [5, 8, 16, 64])
+    def test_every_sheet_solved_directly(self, monkeypatch, n):
+        # window and band points in the disk of sheets past 4: each solved
+        # directly, its root placed in R_n, and equal to the continued value
+        big = SheetAtlas.build(n)
+        rng = np.random.default_rng(790 + n)
+        points = _band_points(big, n, rng, 10) + _off_band_points(big, n, rng, 10)
+        calls = _count_continued(big, monkeypatch)
+        values = [eval_complex(z, n, big).y for z in points]
+        assert not calls
+        monkeypatch.undo()
+        for z, y in zip(points, values):
+            ref = _continued_from_far_anchor(z, n, big)
+            assert abs(y - ref) <= 4e-15 * abs(ref), z
 
 
 def _full_guard(atlas, z, n):
