@@ -10,65 +10,37 @@ identities, and the square-well eigenvalue problem the function solves.
 
 import importlib
 
-from . import errors
-from .branch_points import (
-    BranchPoint,
-    asymptotic_branch_point,
-    find_branch_point,
-    local_expansion_check,
-)
-from .chebyshev import ChebyshevModel, eval_cheb, fit
-from .core import (
-    BranchedValue,
-    BranchIndex,
-    CutScheme,
-    branch_identity_residual,
-    defining_residual,
-    derivative,
-    eval_real,
-    halley_step,
-    second_derivative,
-    validate_branch,
-)
-from .quantum import (
-    Parity,
-    SpectrumEntry,
-    Wavefunction,
-    WellModel,
-    rayleigh_quotient,
-    spectrum,
-    variational_bound_1,
-    variational_bound_2,
-    wavefunction,
-)
-
 __version__ = "0.1.0"
 
-# These modules load on first use of the module or of one of these names
-# (PEP 562): series and integrals need mpmath, complex_plane is big.
+# Every submodule, and every public name by the module that defines it,
+# loads on first use (PEP 562), so `import wtan` and each CLI command load
+# only the modules they run: series alone needs mpmath and dataclasses, and
+# complex_plane is big.
 _LAZY = {
+    "errors": (),
+    "core": (
+        "BranchedValue", "BranchIndex", "CutScheme", "branch_identity_residual",
+        "defining_residual", "derivative", "eval_real", "halley_step",
+        "second_derivative", "validate_branch"),
+    "branch_points": (
+        "BranchPoint", "asymptotic_branch_point", "find_branch_point",
+        "local_expansion_check"),
+    "chebyshev": ("ChebyshevModel", "eval_cheb", "fit"),
+    "quantum": (
+        "Parity", "SpectrumEntry", "Wavefunction", "WellModel",
+        "rayleigh_quotient", "spectrum", "variational_bound_1",
+        "variational_bound_2", "wavefunction"),
     "complex_plane": (
         "ContinuationPath", "Cut", "CutKind", "SheetAtlas", "Side",
         "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
         "dispersion_eval", "eval_complex", "trace_path"),
     "series": (
-        "AsymptoticFit",
-        "RadiusEstimate",
-        "SeriesKind",
-        "SeriesTable",
-        "eval_series",
-        "fit_asymptotic",
-        "lagrange_b",
-        "large_x_coeffs",
-        "radius_estimates",
-        "small_x_coeffs",
-    ),
+        "AsymptoticFit", "RadiusEstimate", "SeriesKind", "SeriesTable",
+        "eval_series", "fit_asymptotic", "lagrange_b", "large_x_coeffs",
+        "radius_estimates", "small_x_coeffs"),
     "integrals": (
-        "check_indefinite_log",
-        "check_indefinite_logsin",
-        "definite_catalan",
-        "definite_lnsin",
-    ),
+        "check_indefinite_log", "check_indefinite_logsin", "definite_catalan",
+        "definite_lnsin"),
 }
 
 
@@ -83,23 +55,4 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-__all__ = [
-    # submodules
-    "branch_points", "chebyshev", "complex_plane", "core", "errors",
-    "integrals", "quantum", "series",
-    # branch_points
-    "BranchPoint", "asymptotic_branch_point", "find_branch_point",
-    "local_expansion_check",
-    # chebyshev
-    "ChebyshevModel", "eval_cheb", "fit",
-    # core
-    "BranchedValue", "BranchIndex", "CutScheme", "branch_identity_residual",
-    "defining_residual", "derivative", "eval_real", "halley_step",
-    "second_derivative", "validate_branch",
-    # quantum
-    "Parity", "SpectrumEntry", "Wavefunction", "WellModel",
-    "rayleigh_quotient", "spectrum", "variational_bound_1",
-    "variational_bound_2", "wavefunction",
-    # complex_plane, series and integrals (loaded on first use)
-    *_LAZY["complex_plane"], *_LAZY["series"], *_LAZY["integrals"],
-]
+__all__ = [*_LAZY, *(name for names in _LAZY.values() for name in names)]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
@@ -47,8 +46,7 @@ __all__ = [
 SAMPLES_PER_LOOP = 128
 
 
-@dataclass(frozen=True)
-class BranchPoint:
+class BranchPoint(NamedTuple):
     """One branch point, upper-half-plane representative.
 
     n : index, 1-based

@@ -22,7 +22,7 @@ the truncation error of the whole region.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import eval_real
 from .errors import SamplingFailure, WtanError
@@ -30,8 +30,7 @@ from .errors import SamplingFailure, WtanError
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
 
 
-@dataclass(frozen=True)
-class ChebyshevModel:
+class ChebyshevModel(NamedTuple):
     """Piecewise Chebyshev coefficients; see the module docstring for the map."""
 
     split_a: float

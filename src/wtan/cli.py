@@ -14,14 +14,11 @@ Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from typing import Callable
 
 from . import __version__
-from .branch_points import find_branch_point
-from .chebyshev import fit
 from .core import (
     CutScheme,
     defining_residual,
@@ -29,7 +26,6 @@ from .core import (
     eval_real,
 )
 from .errors import WtanError
-from .quantum import WellModel, spectrum, wavefunction
 
 __all__ = ["main"]
 
@@ -77,6 +73,8 @@ def _emit(records: list[dict], columns: list[str], args) -> None:
             lines.append(",".join(render(r[c]) for c in columns))
         text = "\n".join(lines) + "\n"
     else:
+        import json
+
         out = []
         for r in records:
             item = {}
@@ -181,6 +179,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_cheb(args) -> int:
+    from .chebyshev import fit
+
     model = fit(args.split, args.order)
     records = []
     for k in range(model.order):
@@ -195,6 +195,8 @@ def cmd_cheb(args) -> int:
 
 
 def cmd_branch_points(args) -> int:
+    from .branch_points import find_branch_point
+
     records = []
     for n in range(1, args.count + 1):
         bp = find_branch_point(n)
@@ -208,6 +210,8 @@ def cmd_branch_points(args) -> int:
 
 
 def cmd_qm(args) -> int:
+    from .quantum import WellModel, spectrum, wavefunction
+
     model = WellModel(width_a=args.width, lam=getattr(args, "lambda"))
     levels = spectrum(model, args.levels)
     if args.wavefunction is not None:

@@ -49,7 +49,9 @@ A_j lies on the level curve Re f(w) = a_j, f = w tan w, as the graph of
 some v = phi_j(u) over [0, u_j*]: u + iv is inside A_j iff u < u_j* and
 v < phi_j(u).  Left of Re w_j, phi_j(u) is the highest solution of
 Re f(u + iv) = a_j, reached by Newton iteration in v (d/dv Re f = -Im f',
-f' = tan w + w sec^2 w) from v = ln(4(j+1)pi)/2 + |a_j| + 1 above it.
+f' = tan w + w sec^2 w) from v = ln(4(j+1)pi)/2 + |a_j| + 1 above it;
+above phi_j(u) Re f stays below a_j, so a point with Re f(w) > a_j, beyond
+its rounding and |f'| times the root's error, is inside with one tan.
 Right of Re w_j, where the curve's other branch through w_j lies above
 the arc, the arc's u at height v < Im w_j is found by Newton iteration
 in u from u_j*, and a point with v >= Im w_j is outside.  A point nearer
@@ -131,7 +133,6 @@ import cmath
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import core
@@ -214,8 +215,7 @@ class Side(enum.Enum):
     RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """One branch cut of a sheet, with the sheet pair it glues together."""
 
     kind: CutKind
@@ -260,13 +260,24 @@ class Cut:
         return math.hypot(dx, z.imag)
 
 
-@dataclass(frozen=True)
-class ContinuationPath:
+class _PathFields(NamedTuple):
     waypoints: tuple[complex, ...]
 
-    def __post_init__(self):
-        if len(self.waypoints) < 2:
+
+class ContinuationPath(_PathFields):
+    """Waypoints for `trace_path`, each converted with complex()."""
+
+    __slots__ = ()
+
+    def __new__(cls, waypoints):
+        waypoints = tuple(complex(z) for z in waypoints)
+        if len(waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
+        return super().__new__(cls, waypoints)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through it: check there too
+        return cls(*iterable)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +442,7 @@ class SheetAtlas:
         root refuses the start of a continuation.
         """
         n = validate_branch(n)
+        z = complex(z)
         y = self._solve(z, abs(n), _modulus(z), False)[0]
         return y if n > 0 else -y
 
@@ -614,6 +626,13 @@ def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
     a, top = bp.x.real, bp.y
     tol = 8.0 * EPS * (1.0 + math.hypot(u, v))
     if u <= top.real:
+        # above phi_j(u) Re f < a for good, so Re f(w) > a, beyond its
+        # rounding and |f'| times w's error, puts w inside with one tan
+        w = complex(u, v)
+        t = cmath.tan(w)
+        if (u * t.real - v * t.imag - a > 4.0 * EPS * (abs(w) * abs(t) + abs(a))
+                + abs(t + w * (1.0 + t * t)) * tol):
+            return True
         start = 0.5 * math.log(4.0 * (bp.n + 1) * math.pi) - a + 1.0
         at, found = v, _level(complex(u, 0.0), 1j, start, a, v, tol)
     elif u < root + tol and v < top.imag:

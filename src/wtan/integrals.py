@@ -17,18 +17,16 @@ plus an analytic tail obtained by composing the large-argument series:
 ln sin w = -(pi^2/8) x^(-2) (1 - 2/x + ...), integrated term by term.  The
 x -> 0 endpoint is tamed by the substitution x = s^2, which turns the
 integrable ln(sin(sqrt(x))) ~ (1/2) ln x singularity into a smooth factor.
+The tail coefficients and Catalan's constant are float literals, so the
+module needs neither mpmath nor `series`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-
-import mpmath as mp
 
 from .core import _panel_nodes, eval_real
 from .errors import QuadratureFailure
-from .series import large_x_coeffs
 
 __all__ = [
     "CATALAN",
@@ -41,7 +39,7 @@ __all__ = [
     "lnsin_tail",
 ]
 
-CATALAN = float(mp.catalan)
+CATALAN = 0.915965594177219   # float(mpmath.catalan)
 LOG_SIN_TOTAL = -math.pi ** 2 / 8.0
 CATALAN_COMBINATION = math.pi ** 2 / 16.0 + math.pi / 8.0 * math.log(2.0) \
     - 0.5 * CATALAN
@@ -129,39 +127,19 @@ def check_indefinite_logsin(x_lo: float, x_hi: float) -> float:
                              anti, x_lo, x_hi)
 
 
-@functools.cache
-def _lnsin_tail_coeffs() -> tuple[float, ...]:
-    """Coefficients q_0..q_6 of ln sin w(x) = sum_(m>=2) q_m x^(-m), from the
-    large-argument series: with u = pi/2 - w, ln sin w = ln cos u =
-    -u^2/2 - u^4/12 - u^6/45 - ...  Leading terms: q_2 = -pi^2/8,
-    q_3 = +pi^2/4.  Built once, on first use."""
-    n_terms = 6
-    b = [float(v) for v in large_x_coeffs(n_terms).primary]
-    # u as a polynomial in t = 1/x: u = -(pi/2) * sum_{k>=1} b_k t^k
-    u = [0.0] + [-0.5 * math.pi * b[k] for k in range(1, n_terms + 1)]
-
-    def pmul(p, q):
-        out = [0.0] * (n_terms + 1)
-        for i, pv in enumerate(p):
-            if pv == 0.0:
-                continue
-            for j, qv in enumerate(q):
-                if i + j <= n_terms:
-                    out[i + j] += pv * qv
-        return out
-
-    u2 = pmul(u, u)
-    u4 = pmul(u2, u2)
-    u6 = pmul(u4, u2)
-    return tuple(-(a / 2.0) - (c / 12.0) - (d / 45.0)
-                 for a, c, d in zip(u2, u4, u6))
+# q_0..q_6 of ln sin w(x) = sum_(m>=2) q_m x^(-m), from the large-argument
+# series: with u = pi/2 - w = -(pi/2) sum_(k>=1) b_k x^(-k) (b_k from
+# `series.large_x_coeffs(6)`), ln sin w = ln cos u = -u^2/2 - u^4/12 - u^6/45
+# - ...  Leading terms: q_2 = -pi^2/8, q_3 = +pi^2/4.  The tests rebuild
+# them from the series bit for bit.
+_LNSIN_TAIL = (-0.0, -0.0, -1.2337005501361697, 2.4674011002723395,
+               -2.1790846030022215, -3.1826220522888575, 16.694830347821597)
 
 
 def lnsin_tail(X: float) -> float:
     """Analytic tail int_X^inf ln sin w dx, leading term -pi^2/(8X)."""
-    q = _lnsin_tail_coeffs()
     return sum(qm / ((m - 1) * X ** (m - 1))
-               for m, qm in enumerate(q) if m >= 2 and qm != 0.0)
+               for m, qm in enumerate(_LNSIN_TAIL) if m >= 2 and qm != 0.0)
 
 
 def definite_lnsin() -> float:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import BranchIndex, eval_real
 from .errors import DegenerateState, DomainViolation, NonPositiveNorm
@@ -47,22 +47,29 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class WellModel:
+class _WellFields(NamedTuple):
+    width_a: float
+    lam: float
+
+
+class WellModel(_WellFields):
     """Well of width a with contact strength lambda (positive = attractive,
     the strength scales with the state's energy).  Energies are in units of
     hbar^2/2m."""
 
-    width_a: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.width_a > 0:
+    def __new__(cls, width_a: float, lam: float):
+        if not width_a > 0:
             raise ValueError("well width must be positive")
+        return super().__new__(cls, width_a, lam)
+
+    @classmethod
+    def _make(cls, iterable):   # _replace builds through it: check there too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     index: int
     parity: Parity
     k: float
@@ -70,8 +77,7 @@ class SpectrumEntry:
     branch: BranchIndex | None  # set for even states only
 
 
-@dataclass(frozen=True)
-class Wavefunction:
+class Wavefunction(NamedTuple):
     """Piecewise amplitudes: A_I sin(k xi) left of center, A_II sin(k (a - xi))
     right of it."""
 

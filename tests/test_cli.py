@@ -272,6 +272,20 @@ class TestIntegralsCommand:
         assert abs(by_name["definite_catalan"]["abs_error"]) < 1e-6
 
 
+# The wtan modules each README example loads besides wtan, wtan.cli,
+# wtan.core and wtan.errors.
+OWN_MODULES = {
+    "eval_z": ("wtan.complex_plane", "wtan.branch_points"),
+    "series": ("wtan.series",),
+    "cheb": ("wtan.chebyshev",),
+    "branch_points": ("wtan.branch_points",),
+    "qm": ("wtan.quantum",),
+    "qm_wavefunction": ("wtan.quantum",),
+    "integrals": ("wtan.integrals",),
+    "dispersion": ("wtan.complex_plane", "wtan.branch_points"),
+}
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         cp = subprocess.run(
@@ -292,7 +306,7 @@ class TestImport:
 
     def test_import_loads_neither_numpy_nor_mpmath(self):
         loaded = self._loaded("-c", "import wtan")
-        assert "wtan" in loaded
+        assert {m for m in loaded if m.startswith("wtan")} == {"wtan"}   # no submodule
         assert not {"numpy", "mpmath"} & loaded
 
     @pytest.mark.parametrize("argv", [("eval", "--x", "1"),
@@ -324,6 +338,19 @@ class TestImport:
         loaded = self._loaded("-m", "wtan", "series", "--kind", "large", "--order", "12")
         assert "mpmath" in loaded
         assert "numpy" not in loaded
+
+    @pytest.mark.parametrize("name", list(README_EXAMPLES))
+    def test_each_command_loads_only_what_it_runs(self, name):
+        # beyond what a bare interpreter loads: wtan, its cli, core and
+        # errors, plus the command's own modules; only series loads mpmath
+        # and dataclasses, and only --format json loads json
+        argv = shlex.split(README_EXAMPLES[name])
+        loaded = self._loaded("-m", "wtan", *argv) - self._loaded("-c", "pass")
+        assert {m for m in loaded if m.startswith("wtan")} == {
+            "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
+        heavy = {"dataclasses", "inspect", "mpmath"}
+        assert heavy & loaded == (heavy if name == "series" else set())
+        assert ("json" in loaded) == ("--format json" in README_EXAMPLES[name])
 
     def test_every_scripted_command_runs_without_numpy(self):
         # with sys.modules["numpy"] = None any numpy import raises, so a zero

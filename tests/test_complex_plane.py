@@ -627,6 +627,23 @@ class TestRegions:
                     worst = max(worst, abs(edge - u))
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
+    def test_points_within_the_margin_are_undecided(self, j):
+        # on A_j left of Re w_j, and half a root's error above or below it,
+        # the one-tan shortcut (Re f > a_j beyond its rounding and |f'|
+        # times the root's error) decides nothing, nor does the solve
+        s = SheetAtlas()._sheet(j)
+        a, top = s.bp.x.real, s.bp.y
+        start = 0.5 * math.log(4.0 * (j + 1) * math.pi) - a + 1.0
+        for u in top.real * np.arange(1, 201) / 201:
+            u = float(u)
+            # an infinite tol never stops the solve early: phi_j(u) to rounding
+            v, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, 0.0, math.inf)
+            tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(u, v))
+            for dv in (-0.5 * tol, 0.0, 0.5 * tol):
+                assert complex_plane._in_arc(u, v + dv, s.bp, s.roots[-1]) is None, (u, dv)
+            assert complex_plane._in_arc(u, 0.5 * v, s.bp, s.roots[-1]) is True, u
+
     @pytest.mark.parametrize("n", [5, 8, 16, 64])
     def test_every_sheet_solved_directly(self, monkeypatch, n):
         # window and band points in the disk of sheets past 4: each solved
@@ -770,6 +787,26 @@ class TestAtlasRange:
                     == boundary_value(point, n, Side.LEFT, big))
             assert trace_path(path, n, atlas) == trace_path(path, n, big)
 
+    def test_numpy_arguments_give_python_values(self, atlas):
+        # converted with complex() on entry, so every route runs in Python
+        # arithmetic: exterior, window, band and a continued window root
+        def bits(y):
+            return type(y), y.real.hex(), y.imag.hex()
+
+        x1 = atlas.branch_points[0].x
+        for z, n in ((3 + 40j, 2), (2 + 2j, 1), (-1 + 1j, -1), (x1 - 0.05, 1)):
+            want = bits(atlas.continue_from_anchor(z, n))
+            assert want[0] is complex
+            assert bits(atlas.continue_from_anchor(np.complex128(z), n)) == want, z
+        assert (bits(atlas.continue_from_anchor(np.float64(3.0), 1))
+                == bits(atlas.continue_from_anchor(3.0, 1)))
+        path = ContinuationPath(np.array([1 + 1j, 2 + 1j]))
+        assert [type(z) for z in path.waypoints] == [complex, complex]
+        got = trace_path(path, 1, atlas)
+        want = trace_path(ContinuationPath((1 + 1j, 2 + 1j)), 1, atlas)
+        assert [(bits(z), bits(y), n) for z, y, n in got] == [
+            (bits(z), bits(y), n) for z, y, n in want]
+
     def test_values_do_not_depend_on_the_atlas_history(self):
         # continued values from a fresh atlas, one that has evaluated sheet 16
         # and one that found only x_1 up front: continuation steps shrink
@@ -855,6 +892,8 @@ class TestTracePath:
     def test_waypoint_validation(self):
         with pytest.raises(ValueError):
             ContinuationPath(waypoints=(1 + 1j,))
+        with pytest.raises(ValueError):
+            ContinuationPath((1 + 1j, 2 + 1j))._replace(waypoints=(1 + 1j,))
 
 
 class TestBoundaryValues:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 
@@ -64,21 +65,29 @@ class TestDefiniteLnSin:
         assert abs(t) == pytest.approx(math.pi ** 2 / 800.0 * 0.99, rel=1e-3)
         assert abs(t) == pytest.approx(0.01234, abs=1.5e-4)
 
-    def test_tail_coefficients_built_once(self, monkeypatch):
-        builds = []
+    def test_literals_match_their_derivation(self):
+        # the derivation the literals replaced: compose the large-argument
+        # series u = pi/2 - w into ln cos u = -u^2/2 - u^4/12 - u^6/45
+        n_terms = 6
+        b = [float(v) for v in large_x_coeffs(n_terms).primary]
+        u = [0.0] + [-0.5 * math.pi * b[k] for k in range(1, n_terms + 1)]
 
-        def counting(K):
-            builds.append(K)
-            return large_x_coeffs(K)
+        def pmul(p, q):
+            out = [0.0] * (n_terms + 1)
+            for i, pv in enumerate(p):
+                if pv == 0.0:
+                    continue
+                for j, qv in enumerate(q):
+                    if i + j <= n_terms:
+                        out[i + j] += pv * qv
+            return out
 
-        monkeypatch.setattr(wtan.integrals, "large_x_coeffs", counting)
-        wtan.integrals._lnsin_tail_coeffs.cache_clear()
-        try:
-            first = lnsin_tail(100.0)
-            assert lnsin_tail(100.0) == first
-            assert builds == [6]
-        finally:
-            wtan.integrals._lnsin_tail_coeffs.cache_clear()
+        u2 = pmul(u, u)
+        u4 = pmul(u2, u2)
+        u6 = pmul(u4, u2)
+        q = tuple(-(a / 2.0) - (c / 12.0) - (d / 45.0) for a, c, d in zip(u2, u4, u6))
+        assert [v.hex() for v in wtan.integrals._LNSIN_TAIL] == [v.hex() for v in q]
+        assert CATALAN.hex() == float(mpmath.catalan).hex()
 
     def test_tail_against_quadrature(self):
         # direct quadrature of the tail via x = 1/s

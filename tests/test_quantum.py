@@ -206,6 +206,8 @@ class TestModelValidation:
     def test_width_positive(self):
         with pytest.raises(ValueError):
             WellModel(width_a=0.0, lam=1.0)
+        with pytest.raises(ValueError):
+            WellModel(width_a=1.0, lam=1.0)._replace(width_a=-1.0)
 
     def test_count_positive(self):
         with pytest.raises(ValueError):
