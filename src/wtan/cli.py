@@ -35,21 +35,28 @@ def _usage_error(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _checked_int(rule: str, ok: Callable[[int], bool]) -> Callable[[str], int]:
-    """argparse type: an int satisfying `ok`, else a usage error stating `rule`."""
-    def parse(text: str) -> int:
-        value = int(text)
+def _checked(convert: Callable[[str], object], rule: str,
+             ok: Callable) -> Callable[[str], object]:
+    """argparse type: convert(text) (int, float or a range) satisfying `ok`,
+    else a usage error stating `rule`."""
+    def parse(text: str):
+        value = convert(text)
         if not ok(value):
-            raise _usage_error(f"{rule}, got {value}")
+            raise _usage_error(f"{rule}, got {text}")
         return value
-    parse.__name__ = "int"  # argparse's message for a non-integer: "invalid int value"
+    parse.__name__ = convert.__name__  # argparse's message: "invalid int value"
     return parse
 
 
-_BRANCH = _checked_int("--branch must be nonzero", lambda n: n != 0)
-_ORDER = _checked_int("--order must be >= 0", lambda k: k >= 0)
-_POINTS = _checked_int("--points must be >= 2", lambda k: k >= 2)
-_PRECISION = _checked_int("--precision must be in [1, 30]", lambda p: 1 <= p <= 30)
+_BRANCH = _checked(int, "--branch must be nonzero", lambda n: n != 0)
+_ORDER = _checked(int, "--order must be >= 0", lambda k: k >= 0)
+_POINTS = _checked(int, "--points must be >= 2", lambda k: k >= 2)
+_PRECISION = _checked(int, "--precision must be in [1, 30]", lambda p: 1 <= p <= 30)
+_COUNT = _checked(int, "--count must be >= 1", lambda k: k >= 1)
+_LEVELS = _checked(int, "--levels must be >= 1", lambda k: k >= 1)
+_CHEB_ORDER = _checked(int, "--order must be >= 4", lambda k: k >= 4)
+_SPLIT = _checked(float, "--split must be positive and finite", lambda a: 0.0 < a < math.inf)
+_WIDTH = _checked(float, "--width must be positive and finite", lambda a: 0.0 < a < math.inf)
 
 
 def fmt(v: float, precision: int) -> str:
@@ -112,6 +119,13 @@ def _parse_range(text: str) -> tuple[float, float]:
         return float(lo_s), float(hi_s)
     except ValueError:
         raise _usage_error(f"expected 'lo:hi', got {text!r}")
+
+
+# grid spaces its points by (hi - lo)/(points - 1): that must be finite
+_GRID_RANGE = _checked(_parse_range, "--range needs finite lo, hi and hi - lo",
+                       lambda r: math.isfinite(r[1] - r[0]))
+_QUAD_RANGE = _checked(_parse_range, "--range needs 0 < lo <= hi < inf",
+                       lambda r: 0.0 < r[0] <= r[1] < math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("cheb", help="piecewise Chebyshev coefficients")
-    p.add_argument("--split", type=float, default=3.5)
-    p.add_argument("--order", type=int, default=15)
+    p.add_argument("--split", type=_SPLIT, default=3.5)
+    p.add_argument("--order", type=_CHEB_ORDER, default=15)
     _add_output_flags(p)
     p.set_defaults(func=cmd_cheb)
 
     p = sub.add_parser("branch-points", help="branch point table")
-    p.add_argument("--count", type=int, default=6)
+    p.add_argument("--count", type=_COUNT, default=6)
     _add_output_flags(p)
     p.set_defaults(func=cmd_branch_points)
 
     p = sub.add_parser("qm", help="square-well spectrum / wavefunctions")
-    p.add_argument("--width", type=float, default=math.pi)
+    p.add_argument("--width", type=_WIDTH, default=math.pi)
     p.add_argument("--lambda", type=float, required=True, dest="lambda")
-    p.add_argument("--levels", type=int, default=6)
+    p.add_argument("--levels", type=_LEVELS, default=6)
     p.add_argument("--wavefunction", type=int, default=None, metavar="INDEX",
                    help="emit samples of one eigenfunction instead")
     p.add_argument("--points", type=_POINTS, default=101)
@@ -357,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_qm)
 
     p = sub.add_parser("integrals", help="integral identity checks")
-    p.add_argument("--range", type=_parse_range, default=(0.5, 2.0),
+    p.add_argument("--range", type=_QUAD_RANGE, default=(0.5, 2.0),
                    help="interval lo:hi for the indefinite checks")
     _add_output_flags(p)
     p.set_defaults(func=cmd_integrals)
@@ -369,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="sample one real branch on a range")
     p.add_argument("--branch", type=_BRANCH, default=1)
-    p.add_argument("--range", type=_parse_range, required=True)
+    p.add_argument("--range", type=_GRID_RANGE, required=True)
     p.add_argument("--points", type=_POINTS, default=101)
     _add_output_flags(p)
     p.set_defaults(func=cmd_grid)

@@ -17,11 +17,12 @@ Re x_|n| <= Re x <= Re x_(|n|-1) (with x_0 taken as the origin).
 
 Evaluation
 ----------
-`eval_complex` picks one route from r = |x| and Re x, then runs only the
-guards that route can trip: OnCut within CUT_GUARD of a cut of the sheet
-or within BRANCH_POINT_GUARD of x_(m-1), x_m or a conjugate.  Take n > 0,
+`eval_complex` picks one of two routes from r = |x|, then runs only the
+guards that x can trip: OnCut within CUT_GUARD of a cut of the sheet or
+within BRANCH_POINT_GUARD of x_(m-1), x_m or a conjugate.  Take n > 0,
 m = |n| and c = (m-1/2)*pi; negative sheets follow from w(x, -n) = -w(x, n).
-The two direct routes evaluate no tan, so neither has a pole to guard.
+Neither the exterior nor the window form evaluates tan, so neither has a
+pole to guard.
 
 Exterior, r >= EXTERIOR_FACTOR*|x_m|: no guard, since every cut and branch
 point of the sheet lies in |x| <= |x_m|, at least 0.2*|x_m| >= 0.5 away.
@@ -58,49 +59,46 @@ in u from u_j*, and a point with v >= Im w_j is outside.  A point nearer
 the arc than its root's own error, 8*eps*(1+|w|), plus the solve's
 rounding over the slope (which grows like 1/|w - w_j|) is undecided.
 
-Window, inside that disk but off the band Re x_m <= Re x <= 0 of the cuts.
-Right of the band (Re x > 0) the only guard is |x| < CUT_GUARD on sheets
-+-1, the end of their real cut at the origin: every other cut and branch
-point has Re <= Re x_1 ~ -1.65.  Left of it (Re x < Re x_m) the guards are
-the vertical cut at Re x_m, whose foot is the real cut's nearest point,
-and x_m, x_(m-1) and their conjugates.  The cut at Re x_(m-1) is at least
-the gap Re x_(m-1) - Re x_m ~ 0.5/m away (0.117 at m = 4, 5e-4 at
-m = 1000): far beyond CUT_GUARD, but within BRANCH_POINT_GUARD from
-m ~ 500 on, so x_(m-1) stays guarded.  The value is the Newton root of
+Disk, r < EXTERIOR_FACTOR*|x_m|.  In the band Re x_m <= Re x <= 0 of the
+cuts every guard runs.  Right of it (Re x > 0) the only guard is |x| <
+CUT_GUARD on sheets +-1, the end of their real cut at the origin: every
+other cut and branch point has Re <= Re x_1 ~ -1.65.  Left of it the
+guards are the vertical cut at Re x_m, whose foot is the real cut's
+nearest point, and x_m, x_(m-1) and their conjugates.  The cut at
+Re x_(m-1) is at least the gap Re x_(m-1) - Re x_m ~ 0.5/m away (0.117 at
+m = 4, 5e-4 at m = 1000): far beyond CUT_GUARD, but within
+BRANCH_POINT_GUARD from m ~ 500 on, so x_(m-1) stays guarded.  For
+Im x >= 0 (its conjugate otherwise) the value is the first root placed in
+R_m of, in turn, the Newton roots of
 
     g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
 
-with k = m-1 right of the band and k = m left of it: the complex form of
-`eval_real`'s windows C + t.  Near x = 0 on sheet 1 the exterior form
-loses relative accuracy (it forms w ~ sqrt(x) as c - atan(w/x)); this one
-does not.  The root is taken if it lies in R_m and |g'(w)| >= DERIV_FLOOR:
-g' vanishes at x_m, where the germs of sheets m and m+1 merge, and a
-Newton root's error grows like eps/|g'|.  The region turns away what
-solves the same form inside its window, Re atan(x/w) in (0, pi/2) right of
-the band and (-pi/2, 0) left of it: the mirror root -w on sheet 1, and
-0.1 to 1 left of x_m the values of sheets m+1..m+5.
+for k = m left of Re x_m and k = m-1 otherwise, then for the other k (the
+complex form of `eval_real`'s windows C + t: near x = 0 on sheet 1 the
+exterior form loses relative accuracy, forming w ~ sqrt(x) as
+c - atan(w/x), and this one does not), and the Halley roots from the germ
+seeds w_j +- sqrt(2(x - x_j)/f''(w_j)) for j = m, m-1 (f'' = 2 sec^2 w
+(1 + w tan w), w_0 = x_0 = 0).  The region, not |g'|, decides the sheet,
+so no floor on |g'| is needed where it vanishes, at x_m, where the germs
+of sheets m and m+1 merge: the sheet-(m+1) root lies outside R_m, and a
+root near an arc maps to a point near a cut or branch point, which the
+guards refuse.  The region also turns away the mirror root -w on sheet 1
+and, 0.1 to 1 left of x_m, the values of sheets m+1..m+5, which solve the
+same form.
 
-Band, Re x_m <= Re x <= 0 inside the disk: every guard.  The seeds are the
-window-form roots for k = m-1 and k = m, then w_j +- sqrt(2(x - x_j)/
-f''(w_j)) for j = m, m-1 (f = w tan w, f'' = 2 sec^2 w (1 + w tan w),
-w_0 = x_0 = 0), solved for Im x >= 0; each is polished by Halley
-iteration and the first root in R_m is the value.
-
-Wherever no direct root is taken the value is continued: in the disk
-where the window root is under the |g'| floor, within ~0.2 of x_m, or a
-root is undecided (on the tests' and the benchmark's point sets, only the
-former).  Past sheet 2**52, where float64 no longer orders the branch
-points, a point in the disk raises DomainViolation.  The value is
-continued from the exterior root at x + iE, E = EXTERIOR_FACTOR*|x_m|,
-on the vertical through the target and on its side of the real axis,
-where the contraction certificate holds; the vertical crosses no cut of
-the sheet, and a target beside a vertical cut line and below its branch
-point is reached from a vertical set off that line, by one horizontal
-step.  Each step is corrected by Halley iteration.  Steps shrink in
-proportion to the distance from the nearest branch point, of any sheet
-(the atlas finds each x_j on first use): near x_j the two local solution
-sheets differ by O(sqrt(distance)), so uncontrolled steps can silently
-hop between them.
+Where no root is placed (on the tests' and the benchmark's point sets,
+nowhere) the value is continued.  Past sheet 2**52, where float64 no
+longer orders the branch points, a point in the disk raises
+DomainViolation.  The value is continued from the exterior root at x + iE,
+E = EXTERIOR_FACTOR*|x_m|, on the vertical through the target and on its
+side of the real axis, where the contraction certificate holds; the
+vertical crosses no cut of the sheet, and a target beside a vertical cut
+line and below its branch point is reached from a vertical set off that
+line, by one horizontal step.  Each step is corrected by Halley iteration.
+Steps shrink in proportion to the distance from the nearest branch point,
+of any sheet (the atlas finds each x_j on first use): near x_j the two
+local solution sheets differ by O(sqrt(distance)), so uncontrolled steps
+can silently hop between them.
 
 A cut only labels the sheet; the continuation itself never looks at it.
 `boundary_value` therefore continues to a point just off the cut on the
@@ -177,12 +175,6 @@ CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
 SIDE_OFFSET = 1e-4         # boundary values step onto a cut from this far off it
 EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
-# The window route's floor on |g'(y)|.  g' vanishes at x_n, where the roots
-# of sheets n and n+1 merge: within 3.5e-3 left of x_n both lie in the
-# sheet-n window, the sheet n+1 one with |g'| <= 0.13, and a Newton root's
-# error grows like eps/|g'|.  |g'| grows like sqrt(|x - x_n|), so 1/2 sends
-# only points within ~0.2 of x_n (the farthest seen) back to continuation.
-DERIV_FLOOR = 0.5
 
 # Continuation step policy.  Steps never exceed MAX_STEP, shrink by
 # STEP_SHRINK whenever the Halley correction exceeds MAX_DY (or fails), and
@@ -449,8 +441,9 @@ class SheetAtlas:
     def _solve(self, z: complex, m: int, r: float,
                guarded: bool) -> tuple[complex, bool]:
         """Sheet-m (m > 0) value at z, r = |z|, and whether the exterior
-        certificate holds for it.  The route is picked once, from r and Re z;
-        `guarded` runs the guards it can trip, and only those (module docstring)."""
+        certificate holds for it: the exterior root, or inside the disk
+        `_disk_root`; `guarded` runs the guards z can trip, and only those
+        (module docstring)."""
         s = self._sheet(m)
         c = (m - 0.5) * math.pi
         if r >= EXTERIOR_FACTOR * s.disk:
@@ -462,45 +455,39 @@ class SheetAtlas:
         if m > _LAST_POINT:
             raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                                   "float64 no longer orders the branch points there")
-        if s.lo <= z.real <= 0.0:
-            if guarded:
+        if guarded:
+            if s.lo <= z.real <= 0.0:
                 self._guard(z, s, self.distance_to_cuts(z, m))
-            y = self._band_root(z, m)
-        else:
-            if guarded and z.real < s.lo:
+            elif z.real < s.lo:
                 self._guard(z, s, s.cuts[1][-1].distance(z))
-            elif guarded and m == 1 and r < CUT_GUARD:
+            elif m == 1 and r < CUT_GUARD:
                 raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
-            y = _window_root(z, m)
-            if y is not None and not self._in_region(y, m):
-                y = None
+        y = self._disk_root(z, m)
         if y is None:
             y = self._continued(z, m, r)
         return y, False
 
-    def _band_root(self, z: complex, m: int) -> complex | None:
-        """The first band seed whose Halley root is placed in R_m, for
-        Im z >= 0 and reflected back; None if none is."""
+    def _disk_root(self, z: complex, m: int) -> complex | None:
+        """The first root placed in R_m, for Im z >= 0 and reflected back:
+        the window-form roots, then the germ seeds' Halley roots (module
+        docstring); None if none is placed."""
         x = z.conjugate() if z.imag < 0.0 else z
-        for seed in self._band_seeds(x, m):
-            try:
-                y = _refine(x, seed)
-            except (PoleProximity, NoConvergence):
-                continue
-            if self._in_region(y, m):
-                return y.conjugate() if z.imag < 0.0 else y
-        return None
-
-    def _band_seeds(self, x: complex, m: int):
-        """The band seeds, in the order of the module docstring."""
-        for k in (m - 1, m):
+        s = self._sheet(m)
+        first = m if x.real < s.lo else m - 1
+        for k in (first, 2 * m - 1 - first):
             found = _window_newton(x, m, k)
-            if found is not None:
-                yield found[0]
-        for w, xj, f2 in self._sheet(m).germs:
-            s = cmath.sqrt(2.0 * (x - xj) / f2)
-            yield w + s
-            yield w - s
+            if found is not None and self._in_region(found[0], m):
+                return found[0].conjugate() if z.imag < 0.0 else found[0]
+        for w, xj, f2 in s.germs:
+            d = cmath.sqrt(2.0 * (x - xj) / f2)
+            for seed in (w + d, w - d):
+                try:
+                    y = _refine(x, seed)
+                except (PoleProximity, NoConvergence):
+                    continue
+                if self._in_region(y, m):
+                    return y.conjugate() if z.imag < 0.0 else y
+        return None
 
     def _continued(self, z: complex, m: int, r: float) -> complex:
         """Sheet-m value at z, r = |z|, continued as the module docstring says;
@@ -607,16 +594,6 @@ def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None
     except ZeroDivisionError:   # x = -1 or -c^2, inside the band
         return None
     return _newton(lambda w: _window_form(x, k_pi, w), seed)
-
-
-def _window_root(x: complex, n: int) -> complex | None:
-    """Sheet-n (n > 0) root of the window form for x off the band of the
-    sheet's cuts, k = n-1 if Re x > 0, k = n if Re x < Re x_n; None unless
-    Newton converged with |g'(y)| >= DERIV_FLOOR; the caller places it."""
-    found = _window_newton(x, n, n - 1 if x.real > 0.0 else n)
-    if found is None:
-        return None
-    return found[0] if abs(1.0 + found[1]) >= DERIV_FLOOR else None
 
 
 def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
@@ -740,15 +717,14 @@ def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
 def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
     """Sheet-n value at z in the finite-cuts convention.
 
-    The route is picked once, from |z| and Re z, and runs only the guards
-    it can trip (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
+    The route is picked once, from |z|, and only the guards z can trip
+    run (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
     w = c - atan(w/z) is solved directly, with no guard.  Inside that disk,
-    on every sheet up to 2**52, a window or band root is taken where the
-    sheet's w-plane region R_|n| holds it beyond the uncertainty of its
-    boundary arcs; otherwise (in practice only for window roots under the
-    |g'| floor, within ~0.2 of x_|n|) the value is continued from the
-    exterior root at Re z +- i*EXTERIOR_FACTOR*|x_|n||, with NoConvergence
-    if that start is refused.
+    on every sheet up to 2**52, the value is the first window-form or germ
+    root that the sheet's w-plane region R_|n| holds beyond the uncertainty
+    of its boundary arcs; where none is, it is continued from the exterior
+    root at Re z +- i*EXTERIOR_FACTOR*|x_|n||, with NoConvergence if that
+    start is refused.
 
     The value is accepted if either
 

@@ -149,9 +149,9 @@ class TestLocalExpansion:
             local_expansion_check(1, [1e-2])
 
     def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
-        # the anchor x_1 + 1e-8 lies in sheet 1's band; with no band root
-        # certified its value is continued from the exterior root, here refused
-        monkeypatch.setattr(complex_plane.SheetAtlas, "_band_root", lambda self, z, m: None)
+        # the anchor x_1 + 1e-8 lies in sheet 1's band; with no root placed
+        # in the region its value is continued from the exterior root, here refused
+        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         with pytest.raises(ContinuationFailure):
             local_expansion_check(1, [1e-8, 1e-9])
@@ -160,7 +160,7 @@ class TestLocalExpansion:
         def broken(x, c):
             raise TypeError("broken")
 
-        monkeypatch.setattr(complex_plane.SheetAtlas, "_band_root", lambda self, z, m: None)
+        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", broken)
         with pytest.raises(TypeError):
             local_expansion_check(1, [1e-8, 1e-9])

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import os
@@ -180,6 +181,28 @@ class TestTables:
         assert cp.stdout == ""
         assert "--points must be >= 2" in cp.stderr
 
+    @pytest.mark.parametrize("args, message", [
+        (("cheb", "--order", "0"), "--order must be >= 4"),
+        (("cheb", "--split", "-1"), "--split must be positive and finite"),
+        (("qm", "--lambda", "1", "--levels", "0"), "--levels must be >= 1"),
+        (("qm", "--lambda", "1", "--width", "0"), "--width must be positive and finite"),
+        (("qm", "--lambda", "1", "--width", "nan"), "--width must be positive and finite"),
+        (("integrals", "--range", "0:1"), "--range needs 0 < lo <= hi < inf"),
+        (("integrals", "--range", "2:1"), "--range needs 0 < lo <= hi < inf"),
+        (("integrals", "--range", "1:nan"), "--range needs 0 < lo <= hi < inf"),
+        (("grid", "--range", "0:inf"), "--range needs finite lo, hi and hi - lo"),
+        (("grid", "--range", "nan:1"), "--range needs finite lo, hi and hi - lo"),
+        (("grid", "--range", "-1e308:1e308"), "--range needs finite lo, hi and hi - lo"),
+        (("branch-points", "--count", "-1"), "--count must be >= 1"),
+    ])
+    def test_bad_argument_is_usage_error(self, args, message):
+        # checked when the arguments are parsed: no internal error, and no
+        # rows of nan or empty table
+        cp = run_cli(*args)
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stdout == ""
+        assert cp.stderr.startswith(f"error: {message}, got "), cp.stderr
+
     def test_grid_zero_branch_is_usage_error(self):
         cp = run_cli("grid", "--branch", "0", "--range", "0.5:2")
         assert cp.returncode == 2
@@ -286,6 +309,21 @@ OWN_MODULES = {
 }
 
 
+def _loaded(*args):
+    """Top-level modules a fresh `python -X importtime <args>` imported."""
+    cp = subprocess.run([sys.executable, "-X", "importtime", *args],
+                        capture_output=True, text=True, env=child_env())
+    assert cp.returncode == 0, cp.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+@functools.cache
+def _bare_interpreter_modules():
+    """What `python -c pass` imports, found once per test session."""
+    return frozenset(_loaded("-c", "pass"))
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         cp = subprocess.run(
@@ -295,32 +333,10 @@ class TestImport:
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.strip() == "False"
 
-    @staticmethod
-    def _loaded(*args):
-        """Top-level modules a fresh `python -X importtime <args>` imported."""
-        cp = subprocess.run([sys.executable, "-X", "importtime", *args],
-                            capture_output=True, text=True, env=child_env())
-        assert cp.returncode == 0, cp.stderr
-        return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
-                if line.startswith("import time:")}
-
     def test_import_loads_neither_numpy_nor_mpmath(self):
-        loaded = self._loaded("-c", "import wtan")
+        loaded = _loaded("-c", "import wtan")
         assert {m for m in loaded if m.startswith("wtan")} == {"wtan"}   # no submodule
         assert not {"numpy", "mpmath"} & loaded
-
-    @pytest.mark.parametrize("argv", [("eval", "--x", "1"),
-                                      ("dispersion", "--at", "5,3")])
-    def test_commands_without_mpmath(self, argv):
-        loaded = self._loaded("-m", "wtan", *argv)
-        assert ("wtan.complex_plane" in loaded) == (argv[0] == "dispersion")
-        assert not {"numpy", "mpmath"} & loaded
-
-    def test_integrals_skips_complex_plane(self):
-        # the Gauss-Legendre rule it shares with the dispersion code is in core
-        loaded = self._loaded("-m", "wtan", "integrals")
-        assert "wtan.complex_plane" not in loaded
-        assert "numpy" not in loaded
 
     def test_complex_plane_loads_on_first_use(self):
         code = ("import sys, wtan; print('wtan.complex_plane' in sys.modules); "
@@ -329,23 +345,16 @@ class TestImport:
                             capture_output=True, text=True, env=child_env())
         assert cp.returncode == 0, cp.stderr
         assert cp.stdout.split() == ["False", "True"]
-        assert "wtan.complex_plane" not in self._loaded(
-            "-m", "wtan", "eval", "--x", "1", "--branch", "1")
-        assert "wtan.complex_plane" in self._loaded(
-            "-m", "wtan", "eval", "--z", "1,1", "--scheme", "finite-cuts")
-
-    def test_series_loads_mpmath_only(self):
-        loaded = self._loaded("-m", "wtan", "series", "--kind", "large", "--order", "12")
-        assert "mpmath" in loaded
-        assert "numpy" not in loaded
 
     @pytest.mark.parametrize("name", list(README_EXAMPLES))
     def test_each_command_loads_only_what_it_runs(self, name):
         # beyond what a bare interpreter loads: wtan, its cli, core and
-        # errors, plus the command's own modules; only series loads mpmath
-        # and dataclasses, and only --format json loads json
+        # errors, plus the command's own modules; none loads numpy, only
+        # series loads mpmath and dataclasses, and only --format json loads json
         argv = shlex.split(README_EXAMPLES[name])
-        loaded = self._loaded("-m", "wtan", *argv) - self._loaded("-c", "pass")
+        loaded = _loaded("-m", "wtan", *argv)
+        assert "numpy" not in loaded
+        loaded -= _bare_interpreter_modules()
         assert {m for m in loaded if m.startswith("wtan")} == {
             "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
         heavy = {"dataclasses", "inspect", "mpmath"}

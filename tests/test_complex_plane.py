@@ -195,17 +195,22 @@ def _continued_from_far_anchor(z, n, atlas):
     return y
 
 
+def _root_40(z, ref):
+    """The 40-digit root of w*tan(w) = z seeded from ref (at 40 digits)."""
+    zz = mp.mpc(z.real, z.imag)
+    seed = mp.mpc(ref.real, ref.imag)
+    return mp.findroot(lambda w: w * mp.tan(w) - zz, (seed, seed * (1 + mp.mpf(1e-12))))
+
+
 def _assert_continued_value(z, y, ref):
     """y, a continued value at z, is on the reference's sheet (within 1e-8
     of it) and within 4*eps*(|r| + |z|/|tan r + r sec^2 r|) of the 40-digit
     root r seeded from the reference: the rounding of w and of z."""
     assert abs(y - ref) <= 1e-8, z
     with mp.workdps(40):
-        zz = mp.mpc(z.real, z.imag)
-        seed = mp.mpc(ref.real, ref.imag)
-        r = mp.findroot(lambda w: w * mp.tan(w) - zz, (seed, seed * (1 + mp.mpf(1e-12))))
+        r = _root_40(z, ref)
         slope = abs(mp.tan(r) + r / mp.cos(r) ** 2)
-        bound = 4 * complex_plane.EPS * (abs(r) + abs(zz) / slope)
+        bound = 4 * complex_plane.EPS * (abs(r) + abs(mp.mpc(z.real, z.imag)) / slope)
         err = abs(mp.mpc(y.real, y.imag) - r)
     assert err <= bound, (z, float(err / bound))
 
@@ -222,25 +227,13 @@ def _count_halley_steps(monkeypatch):
     return calls
 
 
-def _solved_by_window(atlas, z, n):
-    """True where continue_from_anchor takes the window route on sheet n:
-    inside the exterior disk, off the band of cuts, and the root passes the
-    |g'| floor and lies in the sheet's region."""
+def _solved_directly(atlas, z, n):
+    """True where continue_from_anchor solves z on sheet n inside the
+    exterior disk: a window-form root or a germ seed's polished root lies in
+    the sheet's region."""
     m = abs(n)
-    off_band = z.real > 0.0 or z.real < atlas.branch_points[m - 1].x.real
-    if not (off_band and abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk):
-        return False
-    y = complex_plane._window_root(z, m)
-    return y is not None and atlas._in_region(y, m)
-
-
-def _solved_in_band(atlas, z, n):
-    """True where continue_from_anchor solves a band point on sheet n
-    directly: a seed's polished root lies in the sheet's region."""
-    m = abs(n)
-    return (atlas.branch_points[m - 1].x.real <= z.real <= 0.0
-            and abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk
-            and atlas._band_root(z, m) is not None)
+    return (abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk
+            and atlas._disk_root(z, m) is not None)
 
 
 def _count_continued(atlas, monkeypatch):
@@ -303,27 +296,19 @@ class TestExteriorRoute:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -2])
     def test_inner_points_still_continued(self, atlas, monkeypatch, n):
-        # a point is continued only where no direct root is placed in the
-        # sheet's region, which near the cuts and branch points leaves only
-        # the window roots under the |g'| floor, left of the band near x_n
+        # named for the fallback these points once took: next to the cuts
+        # and branch points every one is now solved directly, its root
+        # placed in the sheet's region
         calls = _count_continued(atlas, monkeypatch)
-        continued = direct_band = 0
+        band = 0
         for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
-            calls.clear()
             y = eval_complex(z, n, atlas).y
-            direct = _solved_by_window(atlas, z, n) or _solved_in_band(atlas, z, n)
-            assert bool(calls) != direct, z
-            if calls:
-                assert _route(atlas, z, n) == "left", z
-                assert complex_plane._window_root(z, abs(n)) is None, z
-            continued += bool(calls)
-            direct_band += direct and _route(atlas, z, n) == "band"
+            assert not calls, z
+            assert _solved_directly(atlas, z, n), z
+            band += _route(atlas, z, n) == "band"
             ref = _continued_from_far_anchor(z, n, atlas)
-            if calls:
-                _assert_continued_value(z, y, ref)
-            else:
-                assert abs(y - ref) <= 4e-15 * abs(ref), z
-        assert continued >= 8 and direct_band >= 60
+            assert abs(y - ref) <= 4e-15 * abs(ref), z
+        assert band >= 60
 
     def test_huge_modulus(self, atlas):
         # no tan is evaluated on this route, so no pole guard stops it
@@ -352,8 +337,9 @@ class TestExteriorRoute:
             boundary_value(z, 1, Side.UPPER, atlas)
 
 
-# the |g'| floor of the window route acts only this close to x_n (it grows
-# like sqrt(|z - x_n|); the farthest fallback seen was 0.2 away)
+# within this distance of x_n, where the germs of sheets n and n+1 merge and
+# a window-form root's error grows like eps/|g'|, |g'| ~ sqrt(|z - x_n|),
+# values are held to the bound of _assert_continued_value, not 4e-15
 FLOOR_REACH = 0.25
 
 
@@ -397,51 +383,44 @@ class TestWindowRoute:
         calls = _count_continued(atlas, monkeypatch)
         plus = [eval_complex(z, n, atlas).y for z in points]
         minus = [eval_complex(z, -n, atlas).y for z in points]
+        assert not calls
         monkeypatch.undo()
-        # solved directly except where the window root lies within the
-        # uncertainty of A_n, the image of the vertical cut at Re x_n
-        refused = [z for z in points if not _solved_by_window(atlas, z, n)]
-        assert calls == refused + refused
-        for z in refused:
-            y = complex_plane._window_root(z, n)
-            s = atlas._sheet(n)
-            assert complex_plane._in_arc(y.real, abs(y.imag), s.bp, s.roots[-1]) is None, z
         for z, yp, ym in zip(points, plus, minus):
             ref = _continued_from_far_anchor(z, n, atlas)
             assert abs(yp - ref) <= 4e-15 * abs(ref), z
             assert ym == -yp, z
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_left_approach_to_branch_points(self, atlas, n):
-        # the germs of sheets n and n+1 merge at x_n: whichever route is
-        # taken, the value is the sheet-n one
+    def test_left_approach_to_branch_points(self, atlas, monkeypatch, n):
+        # the germs of sheets n and n+1 merge at x_n: each point is solved
+        # directly, to the sheet-n value; all lie within FLOOR_REACH of x_n
         rng = np.random.default_rng(710 + n)
+        calls = _count_continued(atlas, monkeypatch)
         for z in _left_of_branch_points(atlas, n, rng, 40, 1.001e-3, 0.1):
             ref = _continued_from_far_anchor(z, n, atlas)
-            direct = _solved_by_window(atlas, z, n)
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
+                calls.clear()
                 y = sign * eval_complex(z, sheet, atlas).y
-                if direct:
-                    assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
-                else:
-                    _assert_continued_value(z, y, ref)
+                assert not calls, (z, sheet)
+                _assert_continued_value(z, y, ref)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_floor_rejects_the_merging_germ(self, atlas, monkeypatch, n):
         # within 3.5e-3 left of x_n the sheet n+1 value is a root of the
         # sheet-n window form inside the sheet-n window too: were Newton to
-        # land on it, the |g'| floor would turn it away, and so would the
-        # sheet-n region
+        # land on it, the sheet-n region would turn it away and a germ
+        # seed would give the sheet-n value
         rng = np.random.default_rng(720 + n)
         for z in _left_of_branch_points(atlas, n, rng, 20, 1.001e-3, 3.5e-3):
             other = eval_complex(z, n + 1, atlas).y
             g, d = complex_plane._window_form(z, n * math.pi, other)
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
-            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
-            assert complex_plane._window_root(z, n) is None, z
-            monkeypatch.undo()
             assert not atlas._in_region(other, n), z
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
+            y = atlas._disk_root(z, n)
+            monkeypatch.undo()
+            assert abs(y - eval_complex(z, n, atlas).y) <= 1e-8, z
 
     def test_window_rejects_the_mirror_root(self, atlas, monkeypatch):
         # on sheet 1 right of the band g is odd, so the sheet -1 value -y is
@@ -453,11 +432,11 @@ class TestWindowRoute:
             y = eval_complex(z, 1, atlas).y
             g, d = complex_plane._window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
-            assert abs(1.0 + d) >= complex_plane.DERIV_FLOOR, z
-            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
-            assert complex_plane._window_root(z, 1) == -y, z
-            monkeypatch.undo()
             assert atlas._in_region(y, 1) and not atlas._in_region(-y, 1), z
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
+            mirror = atlas._disk_root(z, 1)
+            monkeypatch.undo()
+            assert abs(mirror - y) <= 1e-8, z
 
     def test_small_modulus_against_mpmath(self, atlas):
         # sheet 1 near the origin: w ~ sqrt(z) keeps full relative accuracy
@@ -513,17 +492,17 @@ class TestEscapeRoute:
             assert len(targets) == 2 and targets[0].imag == z.imag, z
             assert abs(targets[0].real - z.real) > 0.05, z
             _assert_continued_value(z, y, ref)
-            assert _solved_by_window(atlas, z, n) or _solved_in_band(atlas, z, n), z
+            assert _solved_directly(atlas, z, n), z
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
                 y = sign * eval_complex(z, sheet, atlas).y
                 assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
-        # z is 0.05 left of x_1, where the window root is under the |g'|
-        # floor, so it is continued from the exterior root at its start
-        # point; refused, there is no certified value
+        # z is 0.05 left of x_1; with no root placed in the region it is
+        # continued from the exterior root at its start point; refused,
+        # there is no certified value
         z = atlas.branch_points[0].x - 0.05
-        assert not _solved_by_window(atlas, z, 1)
+        monkeypatch.setattr(SheetAtlas, "_disk_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         for n in (1, -1):
             with pytest.raises(NoConvergence):
@@ -589,19 +568,13 @@ class TestRegions:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -3])
     def test_band_values_match_continuation(self, atlas, monkeypatch, n):
-        # solved directly where a seed's root is placed in R_n, else continued
+        # each solved directly, a root placed in R_n
         calls = _count_continued(atlas, monkeypatch)
-        direct = 0
         for z in _band_points(atlas, n, np.random.default_rng(780 + abs(n)), 40):
-            calls.clear()
             y = eval_complex(z, n, atlas).y
+            assert not calls, z
             ref = _continued_from_far_anchor(z, n, atlas)
-            if calls:
-                _assert_continued_value(z, y, ref)
-            else:
-                assert abs(y - ref) <= 4e-15 * abs(ref), z
-                direct += 1
-        assert direct >= 36
+            assert abs(y - ref) <= 4e-15 * abs(ref), z
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
     def test_marched_nodes_lie_on_the_level_curve(self, j):
@@ -658,6 +631,26 @@ class TestRegions:
         for z, y in zip(points, values):
             ref = _continued_from_far_anchor(z, n, big)
             assert abs(y - ref) <= 4e-15 * abs(ref), z
+
+    @pytest.mark.parametrize("n", [5, 8, 16, 64])
+    def test_left_approach_solved_directly(self, monkeypatch, n):
+        # 1.001e-3..0.1 left of x_n, where the germs of sheets n and n+1
+        # merge: each point solved directly, on the continued value's sheet
+        big = SheetAtlas.build(n)
+        points = _left_of_branch_points(big, n, np.random.default_rng(1400 + n), 20,
+                                        1.001e-3, 0.1)
+        calls = _count_continued(big, monkeypatch)
+        values = [eval_complex(z, n, big).y for z in points]
+        assert not calls
+        monkeypatch.undo()
+        # on the continued value's sheet, and within 4e-15 of the root: this
+        # close to x_n the continued value itself is up to 5e-15 off it
+        for z, y in zip(points, values):
+            ref = _continued_from_far_anchor(z, n, big)
+            assert abs(y - ref) <= 1e-8, z
+            with mp.workdps(40):
+                r = _root_40(z, ref)
+                assert abs(mp.mpc(y.real, y.imag) - r) <= 4e-15 * abs(r), z
 
 
 def _full_guard(atlas, z, n):
@@ -789,7 +782,7 @@ class TestAtlasRange:
 
     def test_numpy_arguments_give_python_values(self, atlas):
         # converted with complex() on entry, so every route runs in Python
-        # arithmetic: exterior, window, band and a continued window root
+        # arithmetic: exterior, window, band and a window point near x_1
         def bits(y):
             return type(y), y.real.hex(), y.imag.hex()
 
