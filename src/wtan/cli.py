@@ -3,10 +3,16 @@
 Subcommands expose evaluation (real and finite-cuts complex), series
 tables, the piecewise Chebyshev coefficients, branch points, the square
 well spectrum, the integral checks, the dispersion reconstruction, and
-grid sampling.  Identical invocations produce byte-identical output: no
-timestamps, fixed column orders, and floats rendered with a shortest
-round-trip representation capped at the requested number of significant
-digits (default 12, overridable with --precision).
+grid sampling.
+
+Each subcommand returns one table, `(columns, rows)`: a tuple naming each
+column once and an iterable of row tuples in that order.  `main` hands it
+to `_emit`, which writes a CSV header line and one line per row, or a JSON
+list holding `dict(zip(columns, row))` for each row.  Identical
+invocations produce byte-identical output: no timestamps, fixed column
+orders, and floats rendered with a shortest round-trip representation
+capped at the requested number of significant digits (default 12,
+overridable with --precision); None is an empty CSV cell or JSON null.
 
 Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 """
@@ -66,30 +72,22 @@ def fmt(v: float, precision: int) -> str:
     return f"{v:.{precision}g}"
 
 
-def _emit(records: list[dict], columns: list[str], args) -> None:
+def _emit(columns: tuple[str, ...], rows, args) -> None:
+    """Write one table: CSV with a header line, or a JSON list of objects."""
     p = args.precision
-
-    def render(v):
-        if isinstance(v, float):
-            return fmt(v, p)
-        return "" if v is None else str(v)
-
     if args.format == "csv":
-        lines = [",".join(columns)]
-        for r in records:
-            lines.append(",".join(render(r[c]) for c in columns))
-        text = "\n".join(lines) + "\n"
+        def render(v):
+            if isinstance(v, float):
+                return fmt(v, p)
+            return "" if v is None else str(v)
+
+        text = "".join(",".join(map(render, row)) + "\n" for row in (columns, *rows))
     else:
         import json
 
-        out = []
-        for r in records:
-            item = {}
-            for c in columns:
-                v = r[c]
-                item[c] = float(fmt(v, p)) if isinstance(v, float) else v
-            out.append(item)
-        text = json.dumps(out, indent=None, separators=(",", ":")) + "\n"
+        text = json.dumps([{c: float(fmt(v, p)) if isinstance(v, float) else v
+                            for c, v in zip(columns, row)} for row in rows],
+                          separators=(",", ":")) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:
@@ -132,7 +130,7 @@ _QUAD_RANGE = _checked(_parse_range, "--range needs 0 < lo <= hi < inf",
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_eval(args) -> int:
+def cmd_eval(args):
     scheme = CutScheme.REAL_AXIS if args.scheme == "real" else CutScheme.FINITE_CUTS
     if args.z is not None:
         z = _parse_complex(args.z)
@@ -141,8 +139,7 @@ def cmd_eval(args) -> int:
         from .complex_plane import SheetAtlas, eval_complex
 
         bv = eval_complex(z, args.branch, SheetAtlas())
-        x, y = bv.x, bv.y
-        residual = bv.residual
+        x, y, residual = bv.x, bv.y, bv.residual
     else:
         if scheme is CutScheme.FINITE_CUTS:
             raise _usage_error("--x requires --scheme real")
@@ -150,17 +147,12 @@ def cmd_eval(args) -> int:
         y_r = eval_real(args.x, args.branch, side=side)
         x, y = complex(args.x, 0.0), complex(y_r, 0.0)
         residual = defining_residual(args.x, y_r) if args.x != 0.0 else 0.0
-    rec = {
-        "x_re": x.real, "x_im": x.imag,
-        "y_re": y.real, "y_im": y.imag,
-        "branch": args.branch, "scheme": scheme.value,
-        "residual": residual,
-    }
-    cols = ["x_re", "x_im", "y_re", "y_im", "branch", "scheme", "residual"]
+    columns = ("x_re", "x_im", "y_re", "y_im", "branch", "scheme", "residual")
+    row = (x.real, x.imag, y.real, y.imag, args.branch, scheme.value, residual)
     if args.derivative:
         d = dw_dx(x, y)
-        rec["dy_re"], rec["dy_im"] = d.real, d.imag
-        cols += ["dy_re", "dy_im"]
+        columns += ("dy_re", "dy_im")
+        row += (d.real, d.imag)
     if args.check:
         # re-parse the printed value and verify it still identifies the root
         y_back = complex(float(fmt(y.real, args.precision)),
@@ -168,91 +160,51 @@ def cmd_eval(args) -> int:
         drift = abs(y_back - y) / (1.0 + abs(y))
         if drift > 10.0 ** (1 - args.precision):
             raise _usage_error("printed value does not round-trip")
-        rec["check"] = "ok"
-        cols.append("check")
-    _emit([rec], cols, args)
-    return 0
+        columns += ("check",)
+        row += ("ok",)
+    return columns, [row]
 
 
-def cmd_series(args) -> int:
-    from .series import SeriesKind, large_x_coeffs, radius_estimates, small_x_coeffs
+def cmd_series(args):
+    from .series import large_x_coeffs, radius_estimates, small_x_coeffs
 
-    kind = SeriesKind.SMALL_X if args.kind == "small" else SeriesKind.LARGE_X
-    table = (small_x_coeffs if kind is SeriesKind.SMALL_X else large_x_coeffs)(
-        args.order)
+    table = (small_x_coeffs if args.kind == "small" else large_x_coeffs)(args.order)
     rho = {r.k: r.rho for r in radius_estimates(table)} if args.order >= 1 else {}
-    records = []
-    for k in range(args.order + 1):
-        records.append({
-            "k": k,
-            "coefficient": float(table.primary[k]),
-            "radius_estimate": rho.get(k),
-        })
-    _emit(records, ["k", "coefficient", "radius_estimate"], args)
-    return 0
+    return ("k", "coefficient", "radius_estimate"), (
+        (k, float(table.primary[k]), rho.get(k)) for k in range(args.order + 1))
 
 
-def cmd_cheb(args) -> int:
+def cmd_cheb(args):
     from .chebyshev import fit
 
     model = fit(args.split, args.order)
-    records = []
-    for k in range(model.order):
-        records.append({
-            "k": k,
-            "alpha": model.alpha[k],
-            "beta": model.beta[k],
-            "gamma": model.gamma[k],
-        })
-    _emit(records, ["k", "alpha", "beta", "gamma"], args)
-    return 0
+    return ("k", "alpha", "beta", "gamma"), zip(
+        range(model.order), model.alpha, model.beta, model.gamma)
 
 
-def cmd_branch_points(args) -> int:
+def cmd_branch_points(args):
     from .branch_points import find_branch_point
 
-    records = []
-    for n in range(1, args.count + 1):
-        bp = find_branch_point(n)
-        records.append({
-            "n": n,
-            "x_re": bp.x.real, "x_im": bp.x.imag, "abs_x": abs(bp.x),
-            "y_re": bp.y.real, "y_im": bp.y.imag,
-        })
-    _emit(records, ["n", "x_re", "x_im", "abs_x", "y_re", "y_im"], args)
-    return 0
+    return ("n", "x_re", "x_im", "abs_x", "y_re", "y_im"), (
+        (bp.n, bp.x.real, bp.x.imag, abs(bp.x), bp.y.real, bp.y.imag)
+        for bp in map(find_branch_point, range(1, args.count + 1)))
 
 
-def cmd_qm(args) -> int:
+def cmd_qm(args):
     from .quantum import WellModel, spectrum, wavefunction
 
     model = WellModel(width_a=args.width, lam=getattr(args, "lambda"))
     levels = spectrum(model, args.levels)
-    if args.wavefunction is not None:
-        if not 0 <= args.wavefunction < len(levels):
-            raise _usage_error(
-                f"--wavefunction index must be in [0, {len(levels) - 1}]"
-            )
-        entry = levels[args.wavefunction]
-        psi = wavefunction(model, entry)
-        records = [{"xi": xi, "psi": psi(xi)}
-                   for xi in _linspace(0.0, args.width, args.points)]
-        _emit(records, ["xi", "psi"], args)
-        return 0
-    records = []
-    for e in levels:
-        records.append({
-            "index": e.index,
-            "parity": e.parity.value,
-            "branch": e.branch,
-            "k": e.k,
-            "E": e.E,
-        })
-    _emit(records, ["index", "parity", "branch", "k", "E"], args)
-    return 0
+    if args.wavefunction is None:
+        return ("index", "parity", "branch", "k", "E"), (
+            (e.index, e.parity.value, e.branch, e.k, e.E) for e in levels)
+    if not 0 <= args.wavefunction < len(levels):
+        raise _usage_error(f"--wavefunction index must be in [0, {len(levels) - 1}]")
+    psi = wavefunction(model, levels[args.wavefunction])
+    return ("xi", "psi"), ((xi, psi(xi)) for xi in _linspace(0.0, args.width, args.points))
 
 
-def cmd_integrals(args) -> int:
+def cmd_integrals(args):
     from .integrals import (
         CATALAN_COMBINATION,
         LOG_SIN_TOTAL,
@@ -263,41 +215,25 @@ def cmd_integrals(args) -> int:
     )
 
     lo, hi = args.range
-    lnsin = definite_lnsin()
-    catalan = definite_catalan()
-    r_log = check_indefinite_log(lo, hi)
-    r_logsin = check_indefinite_logsin(lo, hi)
-    records = [
-        {"name": "definite_lnsin", "value": lnsin,
-         "reference": LOG_SIN_TOTAL, "abs_error": abs(lnsin - LOG_SIN_TOTAL)},
-        {"name": "definite_catalan", "value": catalan,
-         "reference": CATALAN_COMBINATION,
-         "abs_error": abs(catalan - CATALAN_COMBINATION)},
-        {"name": "indefinite_log_residual",
-         "value": r_log, "reference": 0.0, "abs_error": r_log},
-        {"name": "indefinite_logsin_residual",
-         "value": r_logsin, "reference": 0.0, "abs_error": r_logsin},
-    ]
-    _emit(records, ["name", "value", "reference", "abs_error"], args)
-    return 0
+    checks = (
+        ("definite_lnsin", definite_lnsin(), LOG_SIN_TOTAL),
+        ("definite_catalan", definite_catalan(), CATALAN_COMBINATION),
+        ("indefinite_log_residual", check_indefinite_log(lo, hi), 0.0),
+        ("indefinite_logsin_residual", check_indefinite_logsin(lo, hi), 0.0),
+    )
+    return ("name", "value", "reference", "abs_error"), (
+        (name, value, ref, abs(value - ref)) for name, value, ref in checks)
 
 
-def cmd_dispersion(args) -> int:
+def cmd_dispersion(args):
     z = _parse_complex(args.at)
     from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
 
     atlas = SheetAtlas()
     d = dispersion_eval(z, atlas)
     e = eval_complex(z, 1, atlas).y
-    rec = {
-        "z_re": z.real, "z_im": z.imag,
-        "disp_re": d.real, "disp_im": d.imag,
-        "direct_re": e.real, "direct_im": e.imag,
-        "abs_diff": abs(d - e),
-    }
-    _emit([rec], ["z_re", "z_im", "disp_re", "disp_im",
-                  "direct_re", "direct_im", "abs_diff"], args)
-    return 0
+    return ("z_re", "z_im", "disp_re", "disp_im", "direct_re", "direct_im", "abs_diff"), [
+        (z.real, z.imag, d.real, d.imag, e.real, e.imag, abs(d - e))]
 
 
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
@@ -305,20 +241,20 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
-def cmd_grid(args) -> int:
+def _grid_value(x: float, branch: int) -> float | None:
+    """eval_real(x, branch), or None (an empty cell) at 0 and on a domain error."""
+    if x == 0.0:
+        return None
+    try:
+        return eval_real(x, branch)
+    except WtanError:
+        return None
+
+
+def cmd_grid(args):
     lo, hi = args.range
-    records = []
-    for x in _linspace(lo, hi, args.points):
-        if x == 0.0:
-            y = None
-        else:
-            try:
-                y = eval_real(x, args.branch)
-            except WtanError:
-                y = None
-        records.append({"x": x, "y": y})
-    _emit(records, ["x", "y"], args)
-    return 0
+    return ("x", "y"), (
+        (x, _grid_value(x, args.branch)) for x in _linspace(lo, hi, args.points))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,7 +354,8 @@ def main(argv: list[str] | None = None) -> int:
     raw = list(argv) if argv is not None else sys.argv[1:]
     args = ap.parse_args(_merge_negative_values(raw))
     try:
-        return args.func(args)
+        _emit(*args.func(args), args)
+        return 0
     except WtanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,8 @@ CATALAN_COMBINATION = math.pi ** 2 / 16.0 + math.pi / 8.0 * math.log(2.0) \
 
 # _quad's targets: the summed error estimate must reach
 # min(max(ABS_TOL*1e-3, REL_TOL*|value|), ABS_TOL) within MAX_SUBDIVISIONS
-# intervals; an estimate left above ABS_TOL raises QuadratureFailure.
+# intervals (one more per extra starting interval); an estimate left above
+# ABS_TOL raises QuadratureFailure.
 ABS_TOL = 1e-9
 REL_TOL = 1e-10
 MAX_SUBDIVISIONS = 200
@@ -65,7 +66,12 @@ def _quad(f, lo, hi):
     coarse value is one panel over the whole interval.  The interval with
     the largest estimate is bisected, its halves taking the parent's panels
     as their coarse values, until the summed estimate meets the target
-    above or MAX_SUBDIVISIONS intervals exist.
+    above or MAX_SUBDIVISIONS - 1 bisections are made.
+
+    A range with hi > 100*lo > 0 starts from a geometric split into
+    intervals that span at most a factor 100 each: the integrands here vary
+    on the scale of x itself, and one interval over [1, 1e20] would place
+    every node above 1e18 and see none of that variation.
     """
     k = _QUAD_NODES
     xs1, ws1 = _panel_nodes(1.0, 1, k)
@@ -77,14 +83,22 @@ def _quad(f, lo, hi):
         right = (b - a) * math.fsum(w * v for w, v in zip(ws2[k:], vals[k:]))
         return abs(left + right - coarse), a, b, left, right
 
-    coarse = (hi - lo) * math.fsum(w * f(lo + (hi - lo) * x)
-                                   for x, w in zip(xs1, ws1))
-    parts = [interval(lo, hi, coarse)]
+    def panel(a, b):
+        return (b - a) * math.fsum(w * f(a + (b - a) * x) for x, w in zip(xs1, ws1))
+
+    ends = [lo, hi]
+    ratio = 100.0  # the widest hi/lo one starting interval spans
+    if lo > 0.0 and hi > ratio * lo:
+        t_lo, t_hi = math.log(lo), math.log(hi)
+        n = math.ceil((t_hi - t_lo) / math.log(ratio))
+        ends[1:1] = [math.exp(t_lo + (t_hi - t_lo) * i / n) for i in range(1, n)]
+    parts = [interval(a, b, panel(a, b)) for a, b in zip(ends, ends[1:])]
+    limit = MAX_SUBDIVISIONS + len(parts) - 1
     while True:
         value = math.fsum(p[3] + p[4] for p in parts)
         err = math.fsum(p[0] for p in parts)
         target = min(max(ABS_TOL * 1e-3, REL_TOL * abs(value)), ABS_TOL)
-        if err <= target or len(parts) >= MAX_SUBDIVISIONS:
+        if err <= target or len(parts) >= limit:
             break
         worst = max(parts, key=lambda p: p[0])
         parts.remove(worst)
@@ -117,14 +131,27 @@ def check_indefinite_log(x_lo: float, x_hi: float) -> float:
                              x_lo, x_hi)
 
 
+def _log_sin_w(x: float) -> tuple[float, float]:
+    """(w, ln sin w) on the principal branch at x > 0.
+
+    Past TAIL_CUTOFF sin w is within 1.3e-4 of 1 and log(sin(w)) keeps
+    only its absolute accuracy (it is 0 from x ~ 1e8 on), so ln sin w is
+    taken there as -log1p((w/x)^2)/2, since sin^2 w = x^2/(x^2 + w^2)
+    when w*tan(w) = x.
+    """
+    w = eval_real(x, 1)
+    if x > TAIL_CUTOFF:
+        return w, -0.5 * math.log1p((w / x) ** 2)
+    return w, math.log(math.sin(w))
+
+
 def check_indefinite_logsin(x_lo: float, x_hi: float) -> float:
     """|quadrature of ln sin w - antiderivative difference| on [x_lo, x_hi]."""
     def anti(x):
-        w = eval_real(x, 1)
-        return x * math.log(math.sin(w)) - 0.5 * w * w
+        w, log_sin = _log_sin_w(x)
+        return x * log_sin - 0.5 * w * w
 
-    return _check_indefinite(lambda x: math.log(math.sin(eval_real(x, 1))),
-                             anti, x_lo, x_hi)
+    return _check_indefinite(lambda x: _log_sin_w(x)[1], anti, x_lo, x_hi)
 
 
 # q_0..q_6 of ln sin w(x) = sum_(m>=2) q_m x^(-m), from the large-argument
@@ -151,10 +178,10 @@ def definite_lnsin() -> float:
     X = TAIL_CUTOFF
 
     def smooth(s):  # x = s^2 takes out the ln sqrt(x) endpoint singularity
-        return 2.0 * s * math.log(math.sin(eval_real(s * s, 1)))
+        return 2.0 * s * _log_sin_w(s * s)[1]
 
     head = _quad(smooth, 0.0, 1.0)
-    body = _quad(lambda x: math.log(math.sin(eval_real(x, 1))), 1.0, X)
+    body = _quad(lambda x: _log_sin_w(x)[1], 1.0, X)
     return head + body + lnsin_tail(X)
 
 

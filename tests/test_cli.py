@@ -250,7 +250,8 @@ class TestDeterminism:
 
 
 # The README's CLI examples, by the name of the file in tests/data/readme_cli
-# that holds the stdout each printed when it was recorded.
+# that holds the stdout each printed when it was recorded; <name>.json.out
+# holds the stdout with --format json added, for those not already in JSON.
 README_EXAMPLES = {
     "eval_x": "eval --x 1 --branch 1",
     "eval_z": "eval --z 2,2 --branch 1 --scheme finite-cuts --format json",
@@ -274,13 +275,24 @@ class TestReadmeExamples:
                   for line in block.splitlines() if line.startswith("wtan ")]
         assert listed == list(README_EXAMPLES.values())
 
-    @pytest.mark.parametrize("name", list(README_EXAMPLES))
-    def test_stdout_is_byte_identical(self, name):
+    @staticmethod
+    def _stdout(argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            assert main(shlex.split(README_EXAMPLES[name])) == 0
+            assert main(argv) == 0
+        return out.getvalue().encode()
+
+    @pytest.mark.parametrize("name", list(README_EXAMPLES))
+    def test_stdout_is_byte_identical(self, name):
         expected = (ROOT / "tests" / "data" / "readme_cli" / f"{name}.out").read_bytes()
-        assert out.getvalue().encode() == expected
+        assert self._stdout(shlex.split(README_EXAMPLES[name])) == expected
+
+    @pytest.mark.parametrize("name", [name for name, cmd in README_EXAMPLES.items()
+                                      if "--format json" not in cmd])
+    def test_json_stdout_is_byte_identical(self, name):
+        expected = (ROOT / "tests" / "data" / "readme_cli" / f"{name}.json.out").read_bytes()
+        argv = shlex.split(README_EXAMPLES[name]) + ["--format", "json"]
+        assert self._stdout(argv) == expected
 
 
 class TestIntegralsCommand:
@@ -293,6 +305,13 @@ class TestIntegralsCommand:
         by_name = {r["name"]: r for r in recs}
         assert abs(by_name["definite_lnsin"]["abs_error"]) < 1e-6
         assert abs(by_name["definite_catalan"]["abs_error"]) < 1e-6
+
+    def test_long_range_is_not_a_silent_wrong_value(self):
+        # the ln w integral over [1, 1e300] is ~4.5e299: no 1e-9 estimate
+        cp = run_cli("integrals", "--range", "1:1e300")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: estimated error "), cp.stderr
 
 
 # The wtan modules each README example loads besides wtan, wtan.cli,

@@ -438,6 +438,20 @@ class TestWindowRoute:
             monkeypatch.undo()
             assert abs(mirror - y) <= 1e-8, z
 
+    @pytest.mark.parametrize("n", [4, -4, 8, -8, 64, -64, 600, -600])
+    def test_origin_solved_directly(self, atlas, monkeypatch, n):
+        # the window seed c/(1 + 1/z) divides by 0 at z = 0 and squares to 0
+        # below |z| ~ 1e-163; there the root is k*pi + z/(k*pi), k = |n| - 1
+        calls = _count_continued(atlas, monkeypatch)
+        k_pi = (abs(n) - 1) * math.pi
+        for z in (0j, complex(-0.0, 0.0), -0j, complex(-0.0, -0.0), 5e-324 + 0j,
+                  complex(1e-300, 1e-300), complex(1e-300, -1e-300),
+                  complex(-1e-300, 1e-300), complex(-1e-300, -1e-300), 1e-200j):
+            y = eval_complex(z, n, atlas).y
+            ref = math.copysign(1.0, n) * (k_pi + z / k_pi)
+            assert abs(y - ref) <= 4 * complex_plane.EPS * abs(ref), (z, y)
+        assert not calls
+
     def test_small_modulus_against_mpmath(self, atlas):
         # sheet 1 near the origin: w ~ sqrt(z) keeps full relative accuracy
         rng = np.random.default_rng(730)

@@ -40,6 +40,29 @@ class TestIndefiniteIdentities:
         assert check_indefinite_logsin(1.0, 10.0) < 1e-9
         assert check_indefinite_log(1e-3, 100.0) < 1e-9
 
+    @pytest.mark.parametrize("hi", [1e15, 1e20, 1e300])
+    def test_long_range_is_right_or_raises(self, hi):
+        # a residual within the quadrature's error plus the rounding of the
+        # antiderivative difference, or QuadratureFailure: never a wrong value
+        def bound(terms):
+            return wtan.integrals.ABS_TOL + 8 * 2.0 ** -52 * (terms(1.0) + terms(hi))
+
+        def log_terms(x):
+            w = eval_real(x, 1)
+            return abs(x * math.log(w)) + abs(math.log(abs(math.cos(w))))
+
+        def logsin_terms(x):
+            w = eval_real(x, 1)
+            return abs(x * math.log(math.sin(w))) + 0.5 * w * w
+
+        try:
+            assert check_indefinite_log(1.0, hi) <= bound(log_terms)
+        except QuadratureFailure:
+            pass   # the ~0.45*hi integral's rounding is far above ABS_TOL
+        # ln sin w keeps its relative accuracy where sin(w) rounds to 1,
+        # and its integral converges: this check returns
+        assert check_indefinite_logsin(1.0, hi) <= bound(logsin_terms)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             check_indefinite_log(-1.0, 2.0)
