@@ -59,6 +59,30 @@ in u from u_j*, and a point with v >= Im w_j is outside.  A point nearer
 the arc than its root's own error, 8*eps*(1+|w|), plus the solve's
 rounding over the slope (which grows like 1/|w - w_j|) is undecided.
 
+Sides.  An undecided root is placed by the side of the cut its point lies
+on, as for Lambert W.  f'(w_j) = 0 gives sec^2 w_j (1 + x_j) = 1, so
+f''(w_j) = 2 and f(w) - x_j ~ (w - w_j)^2 near w_j: Re f = a_j there on
+two lines at right angles.  Along arg(w - w_j) = 135 and 315 degrees
+Im f < b_j: the halves of A_j left and right of Re w_j (A_j is a graph
+over u).  Along 45 and 225 degrees Im f > b_j: B_j, the image of the line
+Re x = a_j above x_j.  Run counterclockwise, the inside's boundary takes
+A_j from u_j* to i*v_j, so the inside is 135 < arg(w - w_j) < 315, split
+by B_j into Re f > a_j beside the left half and Re f < a_j beside the
+right half; off w_j, f' has no zero on A_j (its zeros are 0 and the w_k),
+so these signs hold along each half.  For z and w folded to Im >= 0 and
+u = Re w, a root w of f(w) = z nearer to A_j than to B_j therefore obeys
+
+    w is inside A_j iff (Re z < a_j) == (u > Re w_j).
+
+Re z < a_j compares two floats exactly, and a root within A_j's
+uncertainty of a point BRANCH_POINT_GUARD or more from x_j lies ~0.03 or
+more from w_j, far nearer to A_j than to B_j, with |u - Re w_j| far above
+u's error.  On the line Re z = a_j the rule gives the limit from the
+right below x_j (on the cut, which the guards refuse), and above x_j the
+root lies on B_j, inside at 225 degrees (u < Re w_j) and outside at 45
+(u > Re w_j), as the rule says.  So every root is placed: inside A_m and
+outside A_(m-1), by `_in_arc` or, where it has no answer, by this rule.
+
 Disk, r < EXTERIOR_FACTOR*|x_m|.  In the band Re x_m <= Re x <= 0 of the
 cuts every guard runs.  Right of it (Re x > 0) the only guard is |x| <
 CUT_GUARD on sheets +-1, the end of their real cut at the origin: every
@@ -78,35 +102,35 @@ complex form of `eval_real`'s windows C + t: near x = 0 on sheet 1 the
 exterior form loses relative accuracy, forming w ~ sqrt(x) as
 c - atan(w/x), and this one does not), and the Halley roots from the germ
 seeds w_j +- sqrt(2(x - x_j)/f''(w_j)) for j = m, m-1 (f'' = 2 sec^2 w
-(1 + w tan w), w_0 = x_0 = 0).  The region, not |g'|, decides the sheet,
-so no floor on |g'| is needed where it vanishes, at x_m, where the germs
-of sheets m and m+1 merge: the sheet-(m+1) root lies outside R_m, and a
-root near an arc maps to a point near a cut or branch point, which the
-guards refuse.  The region also turns away the mirror root -w on sheet 1
-and, 0.1 to 1 left of x_m, the values of sheets m+1..m+5, which solve the
-same form.
+(1 + w tan w), w_0 = x_0 = 0), and last from -i*x, where tan w -> i as
+Im w grows: the values in the band and beside its cut lines lie near it
+on sheets past ~500 (0.8 of the way up at 600-1000, at every height at
+10**6), where germ seeds' Halley iterates can overflow cos (a failed
+seed).  The region, not |g'|, decides the sheet, so no floor on |g'| is
+needed where it vanishes, at x_m, where the germs of sheets m and m+1
+merge: the sheet-(m+1) root lies outside R_m, and a root near an arc maps
+to a point near a cut or branch point, which the guards refuse.  The
+region also turns away the mirror root -w on sheet 1 and, 0.1 to 1 left
+of x_m, the values of sheets m+1..m+5, which solve the same form.
 
-Where no root is placed the value is continued.  On the benchmark's
-point sets that happens nowhere.  On the tests' sets it happens only
-2e-10 beside a vertical cut line on sheets 600 and 601, where the root
-lies within its arc's uncertainty.  Past sheet 2**52, where float64 no
-longer orders the branch points, a point in the disk raises
-DomainViolation.  The value is continued from the exterior root at x + iE,
-E = EXTERIOR_FACTOR*|x_m|, on the vertical through the target and on its
-side of the real axis, where the contraction certificate holds; the
-vertical crosses no cut of the sheet, and a target beside a vertical cut
-line and below its branch point is reached from a vertical set off that
-line, by one horizontal step.  Each step is corrected by Halley iteration.
-Steps shrink in proportion to the distance from the nearest branch point,
-of any sheet (the atlas finds each x_j on first use): near x_j the two
-local solution sheets differ by O(sqrt(distance)), so uncontrolled steps
-can silently hop between them.
+Where no root is placed, or the exterior root is refused, NoConvergence
+is raised: no test or benchmark point reaches it, nor any of 24000 drawn
+in the disks of 14 sheets from 2 to 10**8.  Past sheet 2**52, where
+float64 no longer orders the branch points, a point in the disk raises
+DomainViolation.  Only `trace_path` and `local_expansion_check`, which ask
+about a path, continue: Halley corrects each step, and steps shrink with
+the distance to the nearest branch point of any sheet, near which the two
+local sheets differ by O(sqrt(distance)).  A cut only labels the sheet.
 
-A cut only labels the sheet; the continuation itself never looks at it.
-`boundary_value` therefore continues to a point just off the cut on the
-requested side and then steps onto the cut point itself: the germ it
-carries there is the one-sided limit, polished to a root like any other
-continued value.
+Boundary values.  On every sheet's real segment the limit from above is
+i*p, p*tanh(p) = -u, p > 0: w(conj x, n) = conj w(x, n) and w(x, -n) =
+-w(x, n) continue the limit w+ from above into -conj(w+), so w+ is
+imaginary.  On the vertical cut at x_j a side's limit is the root on the
+half of A_j the side rule gives it (right side: the left half on sheet j,
+the right half on sheet j+1), by Halley iteration from that half's germ
+seed, accepted outside A_(j-1) and inside A_(j+1), where the cut point has
+no other root; else from the sheet's root SIDE_OFFSET off the cut, which
+near x_j lies 45 degrees or more inside the wanted root's Halley basin.
 
 Dispersion reconstruction
 -------------------------
@@ -121,10 +145,10 @@ a Cauchy integral around the two cuts gives
 
 The minus sign of the vertical-cut term follows from the counterclockwise
 Cauchy contour with D1 defined as the right-minus-left jump; closure against
-direct continuation fixes the convention unambiguously (and is enforced in
-the test suite to 1e-12).  D0 and D1 are sampled by marching the boundary
-germs along the cut lines themselves, node by node, so the tables hold
-polished roots on the cuts.
+`eval_complex` fixes the convention unambiguously (and is enforced in
+the test suite to 1e-12).  D0 and D1 are the boundary values above at the
+quadrature nodes, each solved directly, so the tables hold polished roots
+on the cuts.
 """
 
 from __future__ import annotations
@@ -175,7 +199,7 @@ __all__ = [
 
 CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
-SIDE_OFFSET = 1e-4         # boundary values step onto a cut from this far off it
+SIDE_OFFSET = 1e-4         # a vertical cut's limits are seeded by the roots this far off it
 EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
 
 # Continuation step policy.  Steps never exceed MAX_STEP, shrink by
@@ -295,7 +319,6 @@ class _Sheet(NamedTuple):
     bp: BranchPoint                 # x_m
     disk: float                     # |x_m|: every cut of the sheet lies within it
     lo: float                       # Re x_m, the band's left edge
-    hi: float                       # Re x_(m-1) (0 for m = 1), its right edge
     near: tuple[BranchPoint, ...]   # x_(m-1) (m > 1) and x_m, the guarded points
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
     cuts: tuple                     # the cuts of sheet -m and of sheet m
@@ -316,7 +339,7 @@ def _sheet_record(points: _Points, m: int) -> _Sheet:
          *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
                (n, n + s if b.n == m else n - s)) for b in near))
         for n, s in ((-m, -1), (m, 1)))
-    return _Sheet(bp, abs(bp.x), bp.x.real, hi, near, tuple(germs), cuts,
+    return _Sheet(bp, abs(bp.x), bp.x.real, near, tuple(germs), cuts,
                   tuple(core.eval_real(b.x.real, b.n) for b in near))
 
 
@@ -428,12 +451,13 @@ class SheetAtlas:
 
     def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
         """Value of sheet n at z by the routes of `eval_complex`, with no
-        guards: on a cut or at a branch point it returns whatever germ its
-        route reaches there.
+        guards: on a real cut it gives the limit from above, on a vertical
+        one the side rule's limit from the right, and near a branch point
+        any root placed in the region.
 
         Raises NonFiniteArgument if |z| is not finite, including finite
-        parts whose modulus overflows, and NoConvergence if the exterior
-        root refuses the start of a continuation.
+        parts whose modulus overflows, and NoConvergence where no root is
+        found: the exterior root refused, or no root placed in the disk.
         """
         n = validate_branch(n)
         z = complex(z)
@@ -444,14 +468,14 @@ class SheetAtlas:
                guarded: bool) -> tuple[complex, bool]:
         """Sheet-m (m > 0) value at z, r = |z|, and whether the exterior
         certificate holds for it: the exterior root, or inside the disk
-        `_disk_root`; `guarded` runs the guards z can trip, and only those
-        (module docstring)."""
+        `_disk_root`, else NoConvergence; `guarded` runs the guards z can
+        trip, and only those (module docstring)."""
         s = self._sheet(m)
         c = (m - 0.5) * math.pi
         if r >= EXTERIOR_FACTOR * s.disk:
             y = _exterior_root(z, c)
             if y is None:
-                y = self._continued(z, m, r)
+                raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
             h, d = _atan_form(z, c, y)
             return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
         if m > _LAST_POINT:
@@ -466,66 +490,42 @@ class SheetAtlas:
                 raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
         y = self._disk_root(z, m)
         if y is None:
-            y = self._continued(z, m, r)
+            raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
         return y, False
 
     def _disk_root(self, z: complex, m: int) -> complex | None:
         """The first root placed in R_m, for Im z >= 0 and reflected back:
-        the window-form roots, then the germ seeds' Halley roots (module
-        docstring); None if none is placed."""
+        the window-form roots, then the Halley roots of the germ seeds and
+        of -i*z (module docstring); None if none is placed."""
         x = z.conjugate() if z.imag < 0.0 else z
         s = self._sheet(m)
         first = m if x.real < s.lo else m - 1
         for k in (first, 2 * m - 1 - first):
             found = _window_newton(x, m, k)
-            if found is not None and self._in_region(found[0], m):
+            if found is not None and self._in_region(found[0], m, x):
                 return found[0].conjugate() if z.imag < 0.0 else found[0]
-        for w, xj, f2 in s.germs:
-            d = cmath.sqrt(2.0 * (x - xj) / f2)
-            for seed in (w + d, w - d):
-                try:
-                    y = _refine(x, seed)
-                except (PoleProximity, NoConvergence):
-                    continue
-                if self._in_region(y, m):
-                    return y.conjugate() if z.imag < 0.0 else y
+        for seed in [w + e * cmath.sqrt(2.0 * (x - xj) / f2) for w, xj, f2 in s.germs
+                     for e in (1.0, -1.0)] + [-1j * x]:
+            try:
+                y = _refine(x, seed)
+            except (PoleProximity, NoConvergence, OverflowError):   # cos overflows
+                continue
+            if self._in_region(y, m, x):
+                return y.conjugate() if z.imag < 0.0 else y
         return None
-
-    def _continued(self, z: complex, m: int, r: float) -> complex:
-        """Sheet-m value at z, r = |z|, continued as the module docstring says;
-        NoConvergence if the exterior root refuses the start."""
-        s = self._sheet(m)
-        x, route = z.real, (z,)
-        for bp in s.near:
-            if abs(x - bp.x.real) < 1e-6 and abs(z.imag) <= bp.x.imag + 1e-6:
-                # inside the band a sideways step of 0.25 can cross the
-                # sheet's other vertical cut (the band is 0.15 wide on sheet 4)
-                if s.lo < x < s.hi:
-                    x = 0.5 * (s.lo + s.hi)
-                else:
-                    x += 0.25 if x >= bp.x.real else -0.25
-                route = (complex(x, z.imag), z)
-                break
-        e = EXTERIOR_FACTOR * s.disk
-        cur = complex(x, e if z.imag >= 0.0 else -e)
-        y = _exterior_root(cur, (m - 0.5) * math.pi)
-        if y is None:
-            raise NoConvergence(f"exterior root refused at the start {cur!r}")
-        h_base = max(0.1 * (1.0 + r), 1e-3)
-        for target in route:
-            y = _walk_segment(cur, y, target, self, h_base=h_base)
-            cur = target
-        return y
 
     # -- sheet regions -----------------------------------------------------
 
-    def _in_region(self, w: complex, m: int) -> bool:
-        """True if w, or its conjugate, lies in R_m beyond the uncertainty
-        of both of its arcs: then w is the sheet-m value at w*tan(w)."""
+    def _in_region(self, w: complex, m: int, z: complex) -> bool:
+        """True if w, or its conjugate, lies in R_m: then w is the sheet-m
+        value at z = w*tan(w).  Within the uncertainty of an arc the side
+        of the cut that z lies on decides (module docstring); on the edge
+        u = 0, the image of the real cut, only the limit from above lies."""
         u, v = w.real, abs(w.imag)
         s = self._sheet(m)
-        return (u > 0.0 and _in_arc(u, v, s.near[-1], s.roots[-1]) is True
-                and (m == 1 or _in_arc(u, v, s.near[0], s.roots[0]) is False))
+        return ((u > 0.0 or (u == 0.0 and w.imag > 0.0))
+                and _inside(u, v, z.real, s.near[-1], s.roots[-1])
+                and (m == 1 or not _inside(u, v, z.real, s.near[0], s.roots[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +630,16 @@ def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
     return bool(at < found[0])   # a numpy float's comparison gives no bool
 
 
+def _inside(u: float, v: float, x_re: float, bp: BranchPoint, root: float) -> bool:
+    """Whether u + iv, a root at a point of real part x_re, lies inside
+    A_j, j = bp.n: `_in_arc`'s answer, or where it has none the side rule
+    (module docstring)."""
+    inside = _in_arc(u, v, bp, root)
+    if inside is None:
+        return (x_re < bp.x.real) == (u > bp.y.real)
+    return inside
+
+
 def _level(p: complex, d: complex, t: float, a: float,
            at: float, tol: float) -> tuple[float, float] | None:
     """Newton in t on Re f(p + d*t) = a, f = w*tan(w), d = 1 or 1j, from t:
@@ -730,10 +740,9 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     run (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
     w = c - atan(w/z) is solved directly, with no guard.  Inside that disk,
     on every sheet up to 2**52, the value is the first window-form or germ
-    root that the sheet's w-plane region R_|n| holds beyond the uncertainty
-    of its boundary arcs; where none is, it is continued from the exterior
-    root at Re z +- i*EXTERIOR_FACTOR*|x_|n||, with NoConvergence if that
-    start is refused.
+    root that the sheet's w-plane region R_|n| holds; within the
+    uncertainty of a boundary arc the side of the cut that z lies on
+    decides.  Nothing is continued.
 
     The value is accepted if either
 
@@ -752,11 +761,14 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     ------
     OnCut
         If z lies within 1e-10 of a cut of sheet n, or within 1e-3 of one of
-        the sheet's branch points (where continuation accuracy degrades; use
+        the sheet's branch points (where the sheets' roots merge; use
         `boundary_value` / `trace_path` for on-cut and near-point work).
     DomainViolation
         If |n| > 2**52 and z lies inside the disk, where float64 no longer
         orders the branch points.
+    NoConvergence
+        If no root is found or accepted: no point of the tests or of the
+        benchmark reaches it.
     """
     n = validate_branch(n)
     z = complex(z)
@@ -831,28 +843,74 @@ def _check_on_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
         raise ValueError(f"side {side.value} does not apply to the cut kind at {point!r}")
 
 
-_SIDE_DIRECTIONS = {
-    Side.UPPER: 1j,
-    Side.LOWER: -1j,
-    Side.LEFT: -1.0,
-    Side.RIGHT: 1.0,
-}
+def _tanh_root(s: float) -> float:
+    """p >= 0 with p*tanh(p) = s (s >= 0), by Newton iteration from
+    sqrt(s + s^2/3), the root to O(s^3) as s -> 0: at most 5 steps for s up
+    to 40 (200000 draws), past |Re x_j| for every j <= 2**52 (19.7)."""
+    if s <= 0.0:
+        return 0.0
+    p = math.sqrt(s * (1.0 + s / 3.0))
+    for _ in range(16):
+        t = math.tanh(p)
+        step = (p * t - s) / (t + p * (1.0 - t * t))
+        p -= step
+        if abs(step) <= 2.0 * EPS * p:
+            return p
+    raise NoConvergence(f"p*tanh(p) = {s!r} did not converge")
+
+
+def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
+                    right: bool) -> complex:
+    """Sheet-m (m > 0) limit at z on the vertical cut at x_j = bp.x from
+    its right (else left) side (module docstring); at the foot Im z = 0
+    the limits are taken from above."""
+    x = z.conjugate() if z.imag < 0.0 else z
+    # the right half (u > Re w_j) is the left side's inside A_j (j = m) and
+    # the right side's outside
+    half = right != (bp.n == m)
+    inner, outer = atlas._sheet(bp.n), atlas._sheet(bp.n + 1)
+    try:
+        y = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
+    except (PoleProximity, NoConvergence, OverflowError):
+        y = -1.0   # no root: fails the test below
+    # the germ of that half found A_j's root there: outside A_(j-1) and
+    # inside A_(j+1) the cut point has no other
+    if not (y.real > 0.0 and (y.real > bp.y.real) == half
+            and _in_arc(y.real, abs(y.imag), outer.bp, outer.roots[-1]) is True
+            and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
+                                      inner.roots[0]) is False)):
+        off = x + complex(SIDE_OFFSET if right else -SIDE_OFFSET, 0.0 if x.imag else SIDE_OFFSET)
+        y = _refine(x, atlas._solve(off, m, abs(off), False)[0])
+    # at x_j both halves meet, and Halley stalls within ~sqrt(eps) of the
+    # double root
+    if (y.real > bp.y.real) != half and abs(y - bp.y) > math.sqrt(EPS) * (1.0 + abs(bp.y)):
+        raise NoConvergence(f"limit at {z!r} on sheet {m} off its half of the cut's image")
+    return y.conjugate() if z.imag < 0.0 else y
 
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
                    atlas: SheetAtlas) -> complex:
-    """One-sided limit of sheet n on a cut.
+    """One-sided limit of sheet n on a cut, at the foot of the point on
+    the cut line (the point must lie within 1e-9 of the cut).
 
-    Continues to the point offset by SIDE_OFFSET toward the requested side,
-    then steps onto the cut point itself.  The result is a root of
-    w*tan(w) = point polished to working precision; at a branch point, where
-    the root is double, it is accurate to about the square root of that.
+    Solved directly (module docstring): on a real segment i*p from above,
+    p*tanh(p) = -Re point, and -i*p from below (negated on negative
+    sheets); on a vertical cut the root polished to working precision on
+    the half of the cut's image that the side rule gives the side, else
+    NoConvergence.  At a branch point, where the root is double, it is
+    accurate to about the square root of that.
     """
     n = validate_branch(n)
     point = complex(point)
     _check_on_cut(point, n, atlas, side)
-    z = point + _SIDE_DIRECTIONS[side] * SIDE_OFFSET
-    return _walk_segment(z, atlas.continue_from_anchor(z, n), point, atlas)
+    if side in (Side.UPPER, Side.LOWER):
+        y = (1j if side is Side.UPPER else -1j) * _tanh_root(-point.real)
+    else:
+        m = abs(n)
+        bp = min(atlas._sheet(m).near, key=lambda b: abs(b.x.real - point.real))
+        foot = complex(bp.x.real, min(max(point.imag, -bp.x.imag), bp.x.imag))
+        y = _vertical_limit(atlas, foot, m, bp, side is Side.RIGHT)
+    return y if n > 0 else -y
 
 
 def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
@@ -871,14 +929,13 @@ def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
 def discontinuity_delta1(v: float, atlas: SheetAtlas) -> complex:
     """Half the right-minus-left jump across the sheet-1 vertical cut at
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
-    branch point where the two boundary values merge."""
+    branch point where the two boundary values merge; at v = 0, the
+    junction with the real cut, the limits are taken from above."""
     bp = atlas._sheet(1).bp
     a, b = bp.x.real, bp.x.imag
     if not (-1e-12 <= v <= b + 1e-12):
         raise OutOfCutRange(f"v={v} outside [0, {b}]")
-    # v = 0 is the junction with the real cut, where the vertical boundary
-    # values are only defined as limits from above; nudge onto the cut
-    point = complex(a, min(max(v, 1e-9), b))
+    point = complex(a, min(max(v, 0.0), b))
     right = boundary_value(point, 1, Side.RIGHT, atlas)
     left = boundary_value(point, 1, Side.LEFT, atlas)
     return 0.5 * (right - left)
@@ -901,48 +958,23 @@ DISPERSION_COARSE = (3, 16)
 DISPERSION_ABS_TOL = 1e-6
 
 
-def _march(points: list[complex], z: complex, y: complex,
-           atlas: SheetAtlas) -> list[complex]:
-    """Continue the value y at z through the points in order; their values."""
-    out = []
-    for target in points:
-        y = _walk_segment(z, y, target, atlas)
-        out.append(y)
-        z = target
-    return out
-
-
 def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
     bp = atlas._sheet(1).bp
     a, b = bp.x.real, bp.x.imag
-
-    # real-cut table: nodes u = -s^2, marched along the cut itself from near
-    # the origin toward a, after stepping onto it from the upper side (the
-    # s nodes ascend, so the u nodes already descend: 0- -> a)
+    # real-cut table: nodes u = -s^2 (the s nodes ascend, so the u nodes
+    # descend: 0- -> a), each D0 = p with p*tanh(p) = s^2
     s_nodes, s_wts = _panel_nodes(math.sqrt(-a), panels, nodes)
     us = [-s * s for s in s_nodes]
-    start = complex(us[0], SIDE_OFFSET)
-    upper = _march([complex(u, 0.0) for u in us], start,
-                   atlas.continue_from_anchor(start, 1), atlas)
-    d0 = [y.imag for y in upper]
-
-    # vertical-cut table: nodes v = b - t^2 (descending: b- -> 0+), marched
-    # down the cut from near x_1.  Anchor each side well clear of the cut
-    # (|Re - a| = 0.3) and walk horizontally onto it at the top node's
-    # height; this is side-correct by construction, whereas descending close
-    # to the cut would thread the needle past x_1 itself.
+    d0 = [_tanh_root(s * s) for s in s_nodes]
+    # vertical-cut table: nodes v = b - t^2 (descending: b- -> 0+), each
+    # side's limit solved at its node
     t_nodes, t_wts = _panel_nodes(math.sqrt(b), panels, nodes)
     vs = [b - t * t for t in t_nodes]
-    on_cut = [complex(a, v) for v in vs]
-    right, left = (
-        _march(on_cut, clear, atlas.continue_from_anchor(clear, 1), atlas)
-        for clear in (complex(a + 0.3, vs[0]), complex(a - 0.3, vs[0]))
-    )
-    d1 = [0.5 * (r - l) for r, l in zip(right, left)]
-
+    d1 = [0.5 * (_vertical_limit(atlas, complex(a, v), 1, bp, True)
+                 - _vertical_limit(atlas, complex(a, v), 1, bp, False)) for v in vs]
     tables = (us, [2.0 * s * w for s, w in zip(s_nodes, s_wts)], d0,
               vs, [2.0 * t * w for t, w in zip(t_nodes, t_wts)], d1)
     atlas._disp_tables[key] = tables

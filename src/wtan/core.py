@@ -330,7 +330,8 @@ def halley_step(x: complex, y: complex) -> complex:
     f = x - y * t
     sec2 = 1.0 + t * t
     den = y * sec2 + t
-    if abs(den) < 1e-12 * (1.0 + abs(y)) ** 2:
+    # degenerate against its terms: where tan(y) ~ i, |den| ~ 1 is regular
+    if abs(den) < 1e-12 * (1.0 + abs(y * sec2) + abs(t)):
         raise PoleProximity(f"degenerate Halley denominator at y={y!r}")
     return y + f / (den + (y * t + 1.0) * sec2 / den * f)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import _panel_nodes, eval_real
+from .core import EPS, _panel_nodes, eval_real
 from .errors import QuadratureFailure
 
 __all__ = [
@@ -72,6 +72,11 @@ def _quad(f, lo, hi):
     intervals that span at most a factor 100 each: the integrands here vary
     on the scale of x itself, and one interval over [1, 1e20] would place
     every node above 1e18 and see none of that variation.
+
+    An interval's value moves by up to ~eps*|x*f| with each rounded end (a
+    bisection's midpoint too), so its estimate is floored there and the
+    interval furthest above its floor is bisected: where the floors alone
+    exceed ABS_TOL (the ln w check from hi ~ 1e7 on) it raises at once.
     """
     k = _QUAD_NODES
     xs1, ws1 = _panel_nodes(1.0, 1, k)
@@ -81,7 +86,8 @@ def _quad(f, lo, hi):
         vals = [f(a + (b - a) * x) for x in xs2]
         left = (b - a) * math.fsum(w * v for w, v in zip(ws2[:k], vals[:k]))
         right = (b - a) * math.fsum(w * v for w, v in zip(ws2[k:], vals[k:]))
-        return abs(left + right - coarse), a, b, left, right
+        floor = 2.0 * EPS * max(abs(a), abs(b)) * max(map(abs, vals))
+        return max(abs(left + right - coarse), floor), floor, a, b, left, right
 
     def panel(a, b):
         return (b - a) * math.fsum(w * f(a + (b - a) * x) for x, w in zip(xs1, ws1))
@@ -95,14 +101,14 @@ def _quad(f, lo, hi):
     parts = [interval(a, b, panel(a, b)) for a, b in zip(ends, ends[1:])]
     limit = MAX_SUBDIVISIONS + len(parts) - 1
     while True:
-        value = math.fsum(p[3] + p[4] for p in parts)
+        value = math.fsum(p[4] + p[5] for p in parts)
         err = math.fsum(p[0] for p in parts)
         target = min(max(ABS_TOL * 1e-3, REL_TOL * abs(value)), ABS_TOL)
-        if err <= target or len(parts) >= limit:
+        worst = max(parts, key=lambda p: p[0] - p[1])
+        if err <= target or worst[0] <= worst[1] or len(parts) >= limit:
             break
-        worst = max(parts, key=lambda p: p[0])
         parts.remove(worst)
-        _, a, b, left, right = worst
+        _, _, a, b, left, right = worst
         mid = 0.5 * (a + b)
         parts += [interval(a, mid, left), interval(mid, b, right)]
     if err > ABS_TOL:

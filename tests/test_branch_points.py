@@ -150,17 +150,16 @@ class TestLocalExpansion:
 
     def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
         # the anchor x_1 + 1e-8 lies in sheet 1's band; with no root placed
-        # in the region its value is continued from the exterior root, here refused
+        # in the region it has no value: NoConvergence, reported as a
+        # ContinuationFailure
         monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", lambda self, z, m: None)
-        monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         with pytest.raises(ContinuationFailure):
             local_expansion_check(1, [1e-8, 1e-9])
 
     def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
-        def broken(x, c):
+        def broken(self, z, m):
             raise TypeError("broken")
 
-        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", lambda self, z, m: None)
-        monkeypatch.setattr(complex_plane, "_exterior_root", broken)
+        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", broken)
         with pytest.raises(TypeError):
             local_expansion_check(1, [1e-8, 1e-9])

@@ -237,15 +237,16 @@ def _solved_directly(atlas, z, n):
 
 
 def _count_continued(atlas, monkeypatch):
-    """Record the points continuation is asked for."""
+    """Record the targets of every continuation step the module takes (the
+    tests' references use their own import of _walk_segment)."""
     calls = []
-    continued = SheetAtlas._continued
+    walk = complex_plane._walk_segment
 
-    def counted(self, z, *args):
-        calls.append(z)
-        return continued(self, z, *args)
+    def counted(z0, y0, z1, *args, **kwargs):
+        calls.append(z1)
+        return walk(z0, y0, z1, *args, **kwargs)
 
-    monkeypatch.setattr(SheetAtlas, "_continued", counted)
+    monkeypatch.setattr(complex_plane, "_walk_segment", counted)
     return calls
 
 
@@ -416,7 +417,7 @@ class TestWindowRoute:
             g, d = complex_plane._window_form(z, n * math.pi, other)
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
-            assert not atlas._in_region(other, n), z
+            assert not atlas._in_region(other, n, z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
             y = atlas._disk_root(z, n)
             monkeypatch.undo()
@@ -432,7 +433,7 @@ class TestWindowRoute:
             y = eval_complex(z, 1, atlas).y
             g, d = complex_plane._window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
-            assert atlas._in_region(y, 1) and not atlas._in_region(-y, 1), z
+            assert atlas._in_region(y, 1, z) and not atlas._in_region(-y, 1, z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
             mirror = atlas._disk_root(z, 1)
             monkeypatch.undo()
@@ -486,25 +487,15 @@ def _beside_cut_lines(atlas, n, rng, count):
 
 class TestEscapeRoute:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_beside_a_cut_below_its_branch_point(self, atlas, monkeypatch, n):
-        # the vertical through z would brush x_j: continuation descends on a
-        # vertical set off the cut line and ends with one horizontal step,
-        # which must not cross the sheet's other vertical cut (points left
-        # of x_|n|'s line are off the band and solved by the window form).
-        # eval_complex solves each such point directly, to the same value
-        targets = []
-
-        def recorded(z0, y0, z1, atlas, **kw):
-            targets.append(z1)
-            return _walk_segment(z0, y0, z1, atlas, **kw)
-
-        monkeypatch.setattr(complex_plane, "_walk_segment", recorded)
+    def test_beside_a_cut_below_its_branch_point(self, atlas, n):
+        # the vertical through z would brush x_j, so the reference walks on
+        # to z from the point 1e-3 off the cut line at z's height; the
+        # direct value (the escape route that once continued these points
+        # is gone) is within the rounding of z and w of the root, and
+        # eval_complex gives it on both sheets
         for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
             ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z, atlas)
-            targets.clear()
-            y = atlas._continued(z, n, abs(z))
-            assert len(targets) == 2 and targets[0].imag == z.imag, z
-            assert abs(targets[0].real - z.real) > 0.05, z
+            y = atlas.continue_from_anchor(z, n)
             _assert_continued_value(z, y, ref)
             assert _solved_directly(atlas, z, n), z
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
@@ -512,24 +503,20 @@ class TestEscapeRoute:
                 assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
-        # z is 0.05 left of x_1; with no root placed in the region it is
-        # continued from the exterior root at its start point; refused,
-        # there is no certified value
+        # z is 0.05 left of x_1 and 10 is beyond the disk; with no root
+        # placed in the region, or the exterior root refused, there is no
+        # value, and nothing is continued
         z = atlas.branch_points[0].x - 0.05
         monkeypatch.setattr(SheetAtlas, "_disk_root", lambda self, z, m: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
-        for n in (1, -1):
-            with pytest.raises(NoConvergence):
-                atlas.continue_from_anchor(z, n)
-            with pytest.raises(NoConvergence):
-                eval_complex(z, n, atlas)
-
-
-def _near_an_arc(atlas, w, m):
-    """True if w lies within the uncertainty of A_m or A_(m-1)."""
-    s = atlas._sheet(m)
-    return any(complex_plane._in_arc(w.real, abs(w.imag), bp, root) is None
-               for bp, root in zip(s.near, s.roots))
+        calls = _count_continued(atlas, monkeypatch)
+        for point in (z, 10.0 + 0j):
+            for n in (1, -1):
+                with pytest.raises(NoConvergence):
+                    atlas.continue_from_anchor(point, n)
+                with pytest.raises(NoConvergence):
+                    eval_complex(point, n, atlas)
+        assert not calls
 
 
 def _band_points(atlas, n, rng, count):
@@ -565,7 +552,7 @@ class TestRegions:
                 if (abs(g) <= 8 * complex_plane.EPS * abs(w)
                         and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
                     passed += 1
-                    assert not big_atlas._in_region(w, n), (z, k)
+                    assert not big_atlas._in_region(w, n, z), (z, k)
         assert passed >= 20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -576,9 +563,10 @@ class TestRegions:
         for sheet, sign in ((n, 1.0), (-n, -1.0)):
             for z in points:
                 w = sign * eval_complex(z, sheet, atlas).y
-                assert big_atlas._in_region(w, n) or _near_an_arc(big_atlas, w, n), (z, sheet)
+                # near an arc the side of the cut decides: every value is placed
+                assert big_atlas._in_region(w, n, z), (z, sheet)
                 for m in range(1, 8):
-                    assert m == n or not big_atlas._in_region(w, m), (z, sheet, m)
+                    assert m == n or not big_atlas._in_region(w, m, z), (z, sheet, m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -3])
     def test_band_values_match_continuation(self, atlas, monkeypatch, n):
@@ -592,9 +580,10 @@ class TestRegions:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
     def test_marched_nodes_lie_on_the_level_curve(self, j):
-        # 2000 nodes a side, uniform in t, marched down both sides of the
-        # vertical cut at x_j lie on the solved A_j: at height phi_j(Re w)
-        # left of Re w_j, and at the arc's Re w for their height right of it
+        # 2000 nodes a side, uniform in t, continued node to node down both
+        # sides of the vertical cut at x_j lie on the solved A_j: at height
+        # phi_j(Re w) left of Re w_j, and at the arc's Re w for their height
+        # right of it
         big = SheetAtlas()
         s = big._sheet(j)
         a, b, top = s.bp.x.real, s.bp.x.imag, s.bp.y
@@ -603,8 +592,10 @@ class TestRegions:
         for side in (-1.0, 1.0):
             ts = np.sqrt(b) * np.arange(1, 2001) / 2000
             zs = [complex(a, v) for v in np.maximum(b - ts * ts, 0.0)]
-            clear = zs[0] + side * 1e-3
-            for w in complex_plane._march(zs, clear, big.continue_from_anchor(clear, j), big):
+            cur = zs[0] + side * 1e-3
+            w = big.continue_from_anchor(cur, j)
+            for z in zs:
+                w, cur = _walk_segment(cur, w, z, big), z
                 u, v = w.real, abs(w.imag)
                 if u <= top.real:
                     edge, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, v, 0.0)
@@ -667,6 +658,52 @@ class TestRegions:
                 assert abs(mp.mpc(y.real, y.imag) - r) <= 4e-15 * abs(r), z
 
 
+class TestSideRule:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 64, 600, 601])
+    def test_both_halves_of_both_arcs(self, n):
+        # sheet-n values 1e-9..1e-3 either side of the cut lines at x_(n-1)
+        # and x_n, at heights 0.02-0.98 Im x_j: the side rule, (Re z < a_j)
+        # == (Re w > Re w_j) for w inside A_j, puts each inside A_n and
+        # outside A_(n-1), on both halves of each arc, whether or not
+        # _in_arc decides it; each is the continued value, and the
+        # neighbouring sheet's region turns it away
+        big = SheetAtlas.build(n)
+        rng = np.random.default_rng(1700 + n)
+        count = 4 if n >= 600 else 12
+        gap = big.branch_points[n - 2].x.real - big.branch_points[n - 1].x.real
+        halves, undecided = set(), 0
+        for bp in big.branch_points[n - 2:n]:
+            root = big._sheet(bp.n).roots[-1]
+            band_side = -1.0 if bp.n < n else 1.0
+            picks = []
+            for k in range(count):
+                side = 1.0 if k % 2 else -1.0
+                reach = 0.5 * gap if side == band_side else math.inf
+                picks.append((side, reach, min(10.0 ** rng.uniform(-9.0, -3.0), 0.8 * reach),
+                              rng.uniform(0.02, 0.98) * bp.x.imag * (1.0 if k % 4 < 2 else -1.0)))
+            if bp.n == n:
+                # a root within its arc's uncertainty on sheets 600 and 601
+                picks.append((-1.0, math.inf, 2e-10, 0.5 * bp.x.imag))
+            for side, reach, offset, height in picks:
+                z = complex(bp.x.real + side * offset, height)
+                clear = complex(bp.x.real + side * min(offset + 1e-3, reach), height)
+                y = eval_complex(z, n, big).y
+                ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, big), z, big)
+                assert abs(y - ref) <= 1e-8, (z, bp.n)
+                u, v = y.real, abs(y.imag)
+                right_half = u > bp.y.real
+                assert ((z.real < bp.x.real) == right_half) == (bp.n == n), (z, bp.n)
+                decided = complex_plane._in_arc(u, v, bp, root)
+                assert decided is None or decided == (bp.n == n), (z, bp.n)
+                undecided += decided is None
+                halves.add((bp.n, right_half))
+                neighbour = n + 1 if bp.n == n else n - 1
+                assert not big._in_region(y, neighbour, z), (z, bp.n)
+        assert len(halves) == 4
+        if n >= 600:
+            assert undecided > 0
+
+
 def _full_guard(atlas, z, n):
     """The full guard set, checked on every route: z within CUT_GUARD of a
     cut of sheet n, or within BRANCH_POINT_GUARD of x_(|n|-1), x_|n| or
@@ -715,6 +752,87 @@ def _guard_points(atlas, sheets):
             (0j, (5e-11, 9.9e-11, 1.01e-10, 2e-10))]:
         points += [c + cmath.rect(rho, 0.1 + k * math.pi / 3) for rho in radii for k in range(6)]
     return points
+
+
+def _beside_the_band(m):
+    """An atlas holding x_1..x_m and the points 2e-10 left of the cut line
+    at Re x_m, on the real axis and at half its height, whose roots lie
+    within their arc's uncertainty on sheets +-m (m = 600, 601)."""
+    big = SheetAtlas.build(m)
+    xm = big.branch_points[m - 1].x
+    return big, [complex(xm.real, t * xm.imag) - 2e-10 for t in (0.0, 0.5)]
+
+
+class TestNothingContinued:
+    def test_points_and_cut_values_are_solved_directly(self, atlas, monkeypatch):
+        # with every continuation step refused, eval_complex on the tests'
+        # point sets, boundary values, discontinuities and a cold dispersion
+        # table build still run: each is solved at its own point
+        def refused(*args, **kwargs):
+            raise AssertionError("continued")
+
+        references = []
+        for m in (600, 601):
+            big, points = _beside_the_band(m)
+            for z in points:
+                # the walk reaches z from 1e-3 further off the cut line
+                clear = z - 1e-3
+                ref = _walk_segment(clear, _continued_from_far_anchor(clear, m, big), z, big)
+                references.append((big, z, m, ref))
+        monkeypatch.setattr(complex_plane, "_walk_segment", refused)
+        for big, z, m, ref in references:
+            y = eval_complex(z, m, big).y
+            assert abs(y - ref) <= 4e-15 * abs(ref), (z, m)
+            assert eval_complex(z, -m, big).y == -y, (z, m)
+        for n in (1, 2, 3, 4):
+            rng = np.random.default_rng(1600 + n)
+            points = (_inner_points(atlas, n, rng) + _off_band_points(atlas, n, rng, 100)
+                      + _left_of_branch_points(atlas, n, rng, 20, 1.001e-3, 0.1)
+                      + [z for z, _ in _beside_cut_lines(atlas, n, rng, 8)])
+            for z in points:
+                for sheet in (n, -n):
+                    eval_complex(z, sheet, atlas)
+        cases = [(-1 + 0j, 1, Side.UPPER), (-1 + 0j, 1, Side.LOWER), (-1e-4 + 0j, 1, Side.UPPER)]
+        cases += [(point, n, side) for n in (2, 3, -2)
+                  for point, side, _ in _higher_sheet_cases(atlas, n)]
+        for point, n, side in cases:
+            boundary_value(point, n, side, atlas)
+        a, b = atlas.branch_points[0].x.real, atlas.branch_points[0].x.imag
+        for u in (-1e-3, -1.0, a + 1e-6, a, 0.0):
+            discontinuity_delta0(u, atlas)
+        for v in (0.0, 1e-6, 1e-4, 1.0, b - 1e-5, b):
+            discontinuity_delta1(v, atlas)
+        fresh = SheetAtlas()
+        assert abs(dispersion_eval(5 + 0j, fresh) - eval_real(5.0, 1)) < 1e-4
+
+
+class TestFarBands:
+    @pytest.mark.parametrize("m", [600, 601])
+    def test_band_values_far_from_the_windows(self, m):
+        # in the band of sheet m, 0.8-0.9 of the way up, the value lies where
+        # tan w ~ i, within 0.3 of -i*z and far from the windows k = m-1, m;
+        # the germ seeds' Halley iterates overflowed cos (a bare
+        # OverflowError), and the seed -i*z finds the continued value
+        big = SheetAtlas.build(m)
+        xm, xp = big.branch_points[m - 1].x, big.branch_points[m - 2].x
+        for t in (0.8, 0.85, -0.9):
+            z = complex(0.5 * (xm.real + xp.real), t * xm.imag)
+            y = eval_complex(z, m, big).y
+            ref = _continued_from_far_anchor(z, m, big)
+            assert abs(y - ref) <= 4e-15 * abs(ref), z
+
+    def test_band_of_sheet_one_million(self):
+        # the band is 5e-7 wide and the arcs' uncertainty wider: the side
+        # rule places each root, and Halley from -i*z (whose denominator
+        # ~1 was once refused as degenerate against (1 + |y|)^2) finds it
+        m = 10 ** 6
+        atlas = SheetAtlas()
+        hi, lo = (atlas._sheet(m).near[k].x for k in (0, 1))
+        for t in (0.1, 0.45, 0.7, -0.95):
+            z = complex(0.5 * (lo.real + hi.real), t * lo.imag)
+            y = eval_complex(z, m, atlas).y
+            assert atlas._in_region(y.conjugate() if z.imag < 0 else y, m, z), z
+            assert _within_eval_complex_bound(z, y), z
 
 
 class TestGuards:
@@ -815,9 +933,11 @@ class TestAtlasRange:
             (bits(z), bits(y), n) for z, y, n in want]
 
     def test_values_do_not_depend_on_the_atlas_history(self):
-        # continued values from a fresh atlas, one that has evaluated sheet 16
-        # and one that found only x_1 up front: continuation steps shrink
-        # near every branch point, not only near those an atlas holds
+        # values continued from the exterior root at Re z + iE, E =
+        # EXTERIOR_FACTOR*|x_m| on z's side, straight down onto z, in a fresh
+        # atlas, one that has evaluated sheet 16 and one that found only x_1
+        # up front: continuation steps shrink near every branch point, not
+        # only near those an atlas holds
         used = SheetAtlas()
         x16 = find_branch_point(16).x
         eval_complex(complex(0.5 * x16.real, 0.5 * x16.imag), 16, used)
@@ -833,7 +953,10 @@ class TestAtlasRange:
                         and atlases[0].distance_to_cuts(z, m) > 1e-3):
                     points.append(z)
             for z in points:
-                values = [a._continued(z, m, abs(z)) for a in atlases]
+                start = complex(z.real, math.copysign(EXTERIOR_FACTOR * disk, z.imag))
+                values = [_walk_segment(start, a.continue_from_anchor(start, m), z, a,
+                                        h_base=max(0.1 * (1.0 + abs(z)), 1e-3))
+                          for a in atlases]
                 assert values[0] == values[1] == values[2], (z, m, values)
 
     def test_nearest_branch_distance_scans_every_branch_point(self):
@@ -896,11 +1019,34 @@ class TestTracePath:
         assert rec[-1][2] == 2
         assert abs(rec[-1][1] - rec[0][1]) > 1e-2   # landed on the other sheet
 
+    def test_start_on_a_real_cut(self, atlas):
+        # unguarded, a point on a real cut takes the limit from above, i*p
+        # with p*tanh(p) = -u, on the edge u = 0 of the sheet's region
+        for u, n in ((-1.0, 1), (-0.3, -1), (-1.8, 2), (-2.2, 3)):
+            y = atlas.continue_from_anchor(complex(u, 0.0), n)
+            assert abs(y - math.copysign(1.0, n) * 1j * imaginary_boundary_oracle(u)) < 1e-12
+        rec = trace_path(ContinuationPath((-1 + 0j, -1 + 0.5j)), 1, atlas)
+        assert rec[-1][2] == 1
+        assert abs(rec[-1][1] - eval_complex(-1 + 0.5j, 1, atlas).y) < 1e-12
+
     def test_waypoint_validation(self):
         with pytest.raises(ValueError):
             ContinuationPath(waypoints=(1 + 1j,))
         with pytest.raises(ValueError):
             ContinuationPath((1 + 1j, 2 + 1j))._replace(waypoints=(1 + 1j,))
+
+
+def _higher_sheet_cases(atlas, n):
+    """(point, side, direction of the side) on the real and both vertical
+    cuts of sheet n, |n| >= 2."""
+    m = abs(n)
+    x_in, x_out = atlas.branch_points[m - 2].x, atlas.branch_points[m - 1].x
+    return [(complex(0.5 * (x_in.real + x_out.real), 0.0), Side.UPPER, 1j),
+            (complex(0.5 * (x_in.real + x_out.real), 0.0), Side.LOWER, -1j),
+            (complex(x_out.real, 0.5 * x_out.imag), Side.LEFT, -1.0),
+            (complex(x_out.real, -0.5 * x_out.imag), Side.RIGHT, 1.0),
+            (complex(x_in.real, 0.5 * x_in.imag), Side.RIGHT, 1.0),
+            (complex(x_in.real, 0.5 * x_in.imag), Side.LEFT, -1.0)]
 
 
 class TestBoundaryValues:
@@ -926,15 +1072,7 @@ class TestBoundaryValues:
         # real-cut and vertical-cut limits off sheet 1: each is a root of the
         # defining equation within eval_complex's residual bound, and lies on
         # the requested side, i.e. next to the value just off the cut there
-        m = abs(n)
-        x_in, x_out = atlas.branch_points[m - 2].x, atlas.branch_points[m - 1].x
-        cases = [(complex(0.5 * (x_in.real + x_out.real), 0.0), Side.UPPER, 1j),
-                 (complex(0.5 * (x_in.real + x_out.real), 0.0), Side.LOWER, -1j),
-                 (complex(x_out.real, 0.5 * x_out.imag), Side.LEFT, -1.0),
-                 (complex(x_out.real, -0.5 * x_out.imag), Side.RIGHT, 1.0),
-                 (complex(x_in.real, 0.5 * x_in.imag), Side.RIGHT, 1.0),
-                 (complex(x_in.real, 0.5 * x_in.imag), Side.LEFT, -1.0)]
-        for point, side, direction in cases:
+        for point, side, direction in _higher_sheet_cases(atlas, n):
             y = boundary_value(point, n, side, atlas)
             assert _within_eval_complex_bound(point, y), (point, side)
             near = eval_complex(point + 1e-6 * direction, n, atlas).y

@@ -63,6 +63,31 @@ class TestIndefiniteIdentities:
         # and its integral converges: this check returns
         assert check_indefinite_logsin(1.0, hi) <= bound(logsin_terms)
 
+    @pytest.mark.parametrize("hi", [10.0 ** k for k in range(9, 21)])
+    def test_long_range_stops_at_the_rounding(self, monkeypatch, hi):
+        # an interval whose estimate is down to the rounding of its ends is
+        # not bisected again, so no long range spends every bisection
+        # before it returns or raises (it did from hi ~ 1e9 on, except at
+        # 1e12): one that did would evaluate the integrand 30 times per
+        # starting interval and 40 per bisection
+        calls = []
+        real = wtan.integrals.eval_real
+
+        def counted(x, n):
+            calls.append(x)
+            return real(x, n)
+
+        monkeypatch.setattr(wtan.integrals, "eval_real", counted)
+        start = math.ceil(math.log(hi) / math.log(100.0))
+        exhausted = 30 * start + 40 * (wtan.integrals.MAX_SUBDIVISIONS - 1)
+        for check in (check_indefinite_log, check_indefinite_logsin):
+            calls.clear()
+            try:
+                check(1.0, hi)
+            except QuadratureFailure:
+                pass
+            assert len(calls) < exhausted, (check.__name__, len(calls))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             check_indefinite_log(-1.0, 2.0)
