@@ -32,22 +32,28 @@ Both coefficient sequences eventually oscillate under a power-law envelope,
 
 whose parameters (rho, a) encode the modulus and argument of the nearest
 complex singularity; `fit_asymptotic` recovers them with a Prony-type
-linear fit.  Coefficients are generated with mpmath extended precision:
-plain float64 turns out to lose only a couple of digits by k ~ 300, but
-the extended route removes the question entirely.  Every convolution is
-one fused dot product (`mp.fdot`): its products are summed exactly and
-rounded once, so a sum costs one rounding instead of one per term.
+linear fit.  Coefficients are computed on Python integers: a value v is
+held as N ~ v * 2^P, so every sum of products is exact and each
+convolution is rounded once, to nearest with ties to even, by one integer
+division (`_div`).  Plain float64 loses only a couple of digits by
+k ~ 300; P bits (1.41 K + 200 for small x, so that the smallest a_k keeps
+~200 bits; 256 + K/2 for large x) remove the question entirely.  pi comes
+from Machin's formula on integers.  Tables hold exact dyadic Fractions;
+a coefficient's float and a root test |c|^(+-1/k) are correctly rounded
+from the exact value, and each detrended value of the fit is one integer
+quotient, rounded once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import NamedTuple
-
-import mpmath as mp
 
 from .errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 
@@ -69,8 +75,10 @@ __all__ = [
 RHO_LIMIT = 2.6397047612188325
 # detrending scale for the asymptotic fit, kept near RHO_LIMIT
 RHO_HAT = 2.64
-# working digits of lagrange_b
-LAGRANGE_DIGITS = 50
+# working bits of lagrange_b
+_LAGRANGE_BITS = 400
+# guard bits of the detrending's k^(3/2) = k * isqrt(k * 4^G) / 2^G
+_SQRT_GUARD = 256
 
 
 class SeriesKind(enum.Enum):
@@ -78,17 +86,93 @@ class SeriesKind(enum.Enum):
     LARGE_X = "large"
 
 
-def _auto_precision(order: int) -> int:
-    """Working digits of the order-`order` recursions.
+def _div(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, ties to even (d > 0)."""
+    q, r = divmod(n, d)
+    if 2 * r > d or 2 * r == d and q & 1:
+        q += 1
+    return q
 
-    The recursions lose about 3 + log10(order) digits to rounding (measured
-    against float64 at orders up to a few hundred: the convolution terms
-    share the magnitude of the result), so this leaves more than 25 valid
-    digits at every order.
+
+def _pi(P: int) -> int:
+    """pi * 2^P rounded to nearest: pi = 16 atan(1/5) - 4 atan(1/239), each
+    arctangent summed on integers with 32 guard bits (every truncated term
+    errs by less than one unit)."""
+    one = 1 << (P + 32)
+
+    def atan_inv(x):
+        power = total = one // x
+        k, x2 = 1, x * x
+        while power:
+            power //= x2
+            k += 2
+            total += (power // k) if k % 4 == 1 else -(power // k)
+        return total
+
+    return _div(16 * atan_inv(5) - 4 * atan_inv(239), 1 << 32)
+
+
+def _power_gap(n: int, d: int, k: int, m: int, e: int) -> tuple[int, int]:
+    """n/d - (m * 2^e)^k and (m * 2^e)^k, both times one positive integer."""
+    lhs, rhs = n, d * m ** k
+    if e * k >= 0:
+        rhs <<= e * k
+    else:
+        lhs <<= -e * k
+    return lhs - rhs, rhs
+
+
+def _root(n: int, d: int, k: int) -> float:
+    """The float nearest (n/d)^(1/k), ties to even, for positive integers
+    n, d, k.
+
+    A float estimate y = m 2^e from the top bits of n and d, a few ulp
+    off, is corrected once: with n/d = y^k (1 + u) from one exact power,
+    the root lies x = m ((1+u)^(1/k) - 1) units of 2^e above y, which
+    floats give to ~1e-14 units, and the float nearest m + x is the
+    answer.  Only where m + x falls within 1e-9 units of a midpoint
+    between floats does a second exact power, of that midpoint, decide.
+    Beyond the normal range the estimate is returned as it is: inf, or a
+    subnormal or zero.
     """
-    if order <= 40:
-        return 30
-    return max(50, 15 + order // 4)
+    E = n.bit_length() - d.bit_length()
+    t, r = divmod(E, k)
+    q = (n << max(0, -E)) / (d << max(0, E))        # n/d = q * 2^E, q in (1/2, 2)
+    try:
+        y = math.ldexp(2.0 ** (r / k) * q ** (1.0 / k), t)
+    except OverflowError:
+        return math.inf
+    if y < sys.float_info.min:
+        return y
+    f, e = math.frexp(y)
+    m, e = int(f * 2.0 ** 53), e - 53                 # 2^52 <= m < 2^53
+    gap, power = _power_gap(n, d, k, m, e)
+    x = m * math.expm1(math.log1p(gap / power) / k)
+    s = m + x                                         # rounded to the nearest float
+    miss = (m - s) + x
+    # half the spacing on the side of the miss: a quarter below a power of 2
+    half = math.ulp(s) / (4.0 if miss < 0 and math.frexp(s)[0] == 0.5 else 2.0)
+    y = math.ldexp(s, e)
+    if abs(miss) < half - 1e-9:
+        return y
+    other = math.nextafter(y, math.copysign(math.inf, miss))
+    gap = _power_gap(n, d, k, int(4.0 * s) + int(math.copysign(4.0 * half, miss)), e - 2)[0]
+    if gap == 0:                                      # a tie: the even last bit
+        return y if int(math.frexp(y)[0] * 2.0 ** 53) % 2 == 0 else other
+    return other if (gap > 0) == (miss > 0) else y
+
+
+def _root_test(coeff, k: int, small: bool) -> float:
+    """|coeff|^(-1/k) (small) or |coeff|^(1/k), correctly rounded."""
+    n, d = coeff.as_integer_ratio()
+    return _root(d, abs(n), k) if small else _root(abs(n), d, k)
+
+
+def _scaled(values) -> tuple[list[int], int]:
+    """Integers N_i and their common denominator D, values[i] = N_i / D."""
+    ratios = [v.as_integer_ratio() for v in values]
+    D = math.lcm(*(q for _, q in ratios))
+    return [p * (D // q) for p, q in ratios], D
 
 
 @dataclass(frozen=True)
@@ -96,10 +180,14 @@ class SeriesTable:
     """Coefficients of one expansion plus its auxiliary family.
 
     primary holds a_k (SMALL_X) or b_k (LARGE_X); secondary holds the
-    matching d_k or c_k.  Values are mpmath floats at `precision_digits`
-    working digits.  The float coefficients and the convergence bound that
-    `eval_series` uses are computed on first use and kept on the instance;
-    they are not fields, so equality, hashing and repr ignore them.
+    matching d_k or c_k.  Values are exact dyadic Fractions: the module
+    computes them as integers scaled by 2^P, rounding each convolution
+    once, and `precision_digits` is floor(P * log10 2), the decimal digits
+    of that working precision.  A table built by hand may hold any exact
+    rationals with `as_integer_ratio` (int, float, Fraction).  The float
+    coefficients and the convergence bound that `eval_series` uses are
+    computed on first use and kept on the instance; they are not fields,
+    so equality, hashing and repr ignore them.
     """
 
     kind: SeriesKind
@@ -120,10 +208,8 @@ class SeriesTable:
         small = self.kind is SeriesKind.SMALL_X
         edge = math.inf
         for k in range(self.order, 0, -1):
-            coeff = self.primary[k]
-            if coeff != 0:
-                with mp.workdps(self.precision_digits):
-                    edge = float(abs(coeff) ** (mp.mpf(-1 if small else 1) / k))
+            if self.primary[k] != 0:
+                edge = _root_test(self.primary[k], k, small)
                 break
         return min(edge, RHO_LIMIT) if small else max(edge, RHO_LIMIT)
 
@@ -135,34 +221,38 @@ class SeriesTable:
         """Max defect of the defining recursions over all stored orders,
         scaled by the magnitude of the largest participating term (the
         coefficients grow or shrink geometrically, so absolute defects are
-        meaningless at high order).  Zero to working precision for a table
-        produced by this module.
+        meaningless at high order).  Each defect is exact on the stored
+        values (pi^2/4 taken 64 bits finer than their common denominator)
+        and rounded once to a float; it is zero to working precision for a
+        table produced by this module.
         """
-        with mp.workdps(self.precision_digits):
-            worst = mp.mpf(0)
-            if self.kind is SeriesKind.SMALL_X:
-                a, d = self.primary, self.secondary
-                for k in range(self.order + 1):
-                    r1 = a[k] + (a[k - 1] if k else 0) + \
-                        mp.mpf(2 * k + 3) / (3 * (2 * k - 1)) * d[k]
-                    worst = max(worst, abs(r1) / (1 + abs(a[k])))
-                    if k >= 1:
-                        conv = mp.fdot([(4 * j - k) * a[j] for j in range(1, k + 1)],
-                                       d[k - 1::-1]) / k
-                        worst = max(worst, abs(conv - d[k]) / (1 + abs(d[k])))
-            else:
-                b, c = self.primary, self.secondary
-                pi2_4 = mp.pi ** 2 / 4
-                for k in range(self.order + 1):
-                    terms = [b[k - j] * c[j] for j in range(k + 1)]
-                    scale = 1 + max(map(abs, terms))
-                    conv = mp.fsum(terms)
-                    worst = max(worst, abs(conv - (1 if k == 0 else 0)) / scale)
-                    if k + 1 <= self.order:
-                        r1 = (k + 1) * c[k + 1] + (k - 1) * c[k] - \
-                            (pi2_4 * (k - 1) * b[k - 1] if k else 0)
-                        worst = max(worst, abs(r1) / (1 + (k + 1) * abs(c[k + 1])))
-            return float(worst)
+        K = self.order
+        values, one = _scaled(self.primary + self.secondary)
+        worst = 0.0
+        if self.kind is SeriesKind.SMALL_X:
+            a, d = values[:K + 1], values[K + 1:]
+            for k in range(K + 1):
+                # 3 (2k-1) times a_k + a_(k-1) + (2k+3)/(3(2k-1)) d_k
+                m = 3 * (2 * k - 1)
+                r1 = m * (a[k] + (a[k - 1] if k else 0)) + (2 * k + 3) * d[k]
+                worst = max(worst, abs(r1) / (abs(m) * (one + abs(a[k]))))
+                if k >= 1:
+                    conv = sum((4 * j - k) * a[j] * d[k - j] for j in range(1, k + 1))
+                    worst = max(worst, abs(conv - k * one * d[k])
+                                / (k * one * (one + abs(d[k]))))
+        else:
+            b, c = values[:K + 1], values[K + 1:]
+            Q = one.bit_length() + 64
+            pi2_4 = _div(_pi(Q) ** 2, 4 << Q)               # pi^2/4 at 2^Q
+            for k in range(K + 1):
+                terms = list(map(mul, b[k::-1], c[:k + 1]))
+                conv = sum(terms) - (one * one if k == 0 else 0)
+                worst = max(worst, abs(conv) / (one * one + max(map(abs, terms))))
+                if k + 1 <= K:
+                    r1 = ((k + 1) * c[k + 1] + (k - 1) * c[k] << Q) - \
+                        (pi2_4 * (k - 1) * b[k - 1] if k else 0)
+                    worst = max(worst, abs(r1) / ((one + (k + 1) * abs(c[k + 1])) << Q))
+        return worst
 
 
 @dataclass(frozen=True)
@@ -186,45 +276,48 @@ class SeriesEval(NamedTuple):
     truncation_estimate: float
 
 
+def _table(kind: SeriesKind, K: int, P: int, primary, secondary) -> SeriesTable:
+    one = 1 << P
+    return SeriesTable(kind, K, tuple(Fraction(v, one) for v in primary),
+                       tuple(Fraction(v, one) for v in secondary),
+                       int(P * math.log10(2)))
+
+
 def small_x_coeffs(K: int) -> SeriesTable:
     """Generate a_0..a_K and d_0..d_K of the small-argument expansion.
 
-    Works at 30 digits up to order 40 and at max(50, 15 + K//4) digits
-    beyond (the table's `precision_digits`).
+    Works at P = floor(1.41 K) + 200 bits: a_K ~ 2.64^(-K) keeps ~200.
     """
     if K < 0:
         raise ValueError("order must be >= 0")
-    dps = _auto_precision(K)
-    with mp.workdps(dps):
-        a = [mp.mpf(1)]
-        d = [mp.mpf(1)]
-        for k in range(1, K + 1):
-            S = mp.fdot([(4 * j - k) * a[j] for j in range(1, k)], d[k - 1:0:-1]) / k
-            # substitute d_k = 3 a_k + S into the first recursion and solve
-            ak = -mp.mpf(2 * k - 1) / (4 * k + 2) * a[k - 1] \
-                 - mp.mpf(2 * k + 3) / (3 * (4 * k + 2)) * S
-            a.append(ak)
-            d.append(3 * ak + S)
-        return SeriesTable(SeriesKind.SMALL_X, K, tuple(a), tuple(d), dps)
+    P = 141 * K // 100 + 200
+    one = 1 << P
+    a, d = [one], [one]
+    for k in range(1, K + 1):
+        S = _div(sum((4 * j - k) * a[j] * d[k - j] for j in range(1, k)), k << P)
+        # substitute d_k = 3 a_k + S into the first recursion and solve
+        ak = _div(-3 * (2 * k - 1) * a[k - 1] - (2 * k + 3) * S, 3 * (4 * k + 2))
+        a.append(ak)
+        d.append(3 * ak + S)
+    return _table(SeriesKind.SMALL_X, K, P, a, d)
 
 
 def large_x_coeffs(K: int) -> SeriesTable:
     """Generate b_0..b_K and c_0..c_K of the large-argument expansion.
 
-    Works at 30 digits up to order 40 and at max(50, 15 + K//4) digits
-    beyond (the table's `precision_digits`).
+    Works at P = 256 + K//2 bits.
     """
     if K < 0:
         raise ValueError("order must be >= 0")
-    dps = _auto_precision(K)
-    with mp.workdps(dps):
-        pi2_4 = mp.pi ** 2 / 4
-        b = [mp.mpf(1)]
-        c = [mp.mpf(1), mp.mpf(1)]          # c_1 = c_0 from the k = 0 relation
-        for k in range(1, K + 1):
-            b.append(-mp.fdot(b[k - 1::-1], c[1:k + 1]))
-            c.append((pi2_4 * (k - 1) * b[k - 1] - (k - 1) * c[k]) / (k + 1))
-        return SeriesTable(SeriesKind.LARGE_X, K, tuple(b), tuple(c[:K + 1]), dps)
+    P = 256 + K // 2
+    one = 1 << P
+    pi2_4 = _div(_pi(P) ** 2, 4 << P)
+    b = [one]
+    c = [one, one]          # c_1 = c_0 from the k = 0 relation
+    for k in range(1, K + 1):
+        b.append(_div(-sum(map(mul, b[k - 1::-1], c[1:k + 1])), one))
+        c.append(_div(pi2_4 * (k - 1) * b[k - 1] - ((k - 1) * c[k] << P), (k + 1) << P))
+    return _table(SeriesKind.LARGE_X, K, P, b, c[:K + 1])
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +326,8 @@ def large_x_coeffs(K: int) -> SeriesTable:
 
 def _series_mul(p, q, N):
     """Product of two series of at least N+1 terms, truncated after v^N."""
-    return [mp.fdot(p[:n + 1], q[n::-1]) for n in range(N + 1)]
+    return [_div(sum(map(mul, p[:n + 1], q[n::-1])), 1 << _LAGRANGE_BITS)
+            for n in range(N + 1)]
 
 
 _PHI: list = []   # phi's Taylor coefficients, to the highest order built so far
@@ -250,40 +344,44 @@ def lagrange_b(k: int) -> float:
 
     phi's series is built once, at twice the highest order asked so far, and
     sliced: its coefficients depend only on lower ones, so each slice is
-    bit-identical to a fresh build.  Works at LAGRANGE_DIGITS = 50 digits.
+    bit-identical to a fresh build.  Works on integers scaled by 2^400.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return 1.0
     N = k - 1
-    with mp.workdps(LAGRANGE_DIGITS):
-        if len(_PHI) <= N:
-            M = max(N, 2 * len(_PHI))
-            half_pi = mp.pi / 2
-            # sin(pi v/2)/v and cos(pi v/2) as series in v
-            s = [mp.mpf(0)] * (M + 1)
-            cc = [mp.mpf(0)] * (M + 1)
-            for m in range(M // 2 + 1):
-                sign = -1 if m % 2 else 1
-                s[2 * m] = sign * half_pi ** (2 * m + 1) / mp.factorial(2 * m + 1)
-                cc[2 * m] = sign * half_pi ** (2 * m) / mp.factorial(2 * m)
-            # reciprocal of s
-            inv = [mp.mpf(0)] * (M + 1)
-            inv[0] = 1 / s[0]
-            for i in range(1, M + 1):
-                inv[i] = -mp.fdot(s[1:i + 1], inv[i - 1::-1]) / s[0]
-            one_minus_v = [mp.mpf(1), mp.mpf(-1)] + [mp.mpf(0)] * (M - 1)
-            _PHI[:] = _series_mul(_series_mul(cc, inv, M), one_minus_v, M)
-        power = [mp.mpf(1)] + [mp.mpf(0)] * N
-        base, e = _PHI[:N + 1], k
-        while e:
-            if e & 1:
-                power = _series_mul(power, base, N)
-            e >>= 1
-            if e:
-                base = _series_mul(base, base, N)
-        return float(-(mp.pi / 2) ** k / k * power[k - 1])
+    P = _LAGRANGE_BITS
+    one = 1 << P
+    half_pi = _pi(P - 1)
+    if len(_PHI) <= N:
+        M = max(N, 2 * len(_PHI))
+        # (pi v/2)^j / j!, then sin(pi v/2)/v and cos(pi v/2) as series in v
+        t = [one]
+        for j in range(1, M + 2):
+            t.append(_div(t[-1] * half_pi, j << P))
+        s = [0] * (M + 1)
+        cc = [0] * (M + 1)
+        for m in range(M // 2 + 1):
+            sign = -1 if m % 2 else 1
+            s[2 * m] = sign * t[2 * m + 1]
+            cc[2 * m] = sign * t[2 * m]
+        # reciprocal of s
+        inv = [_div(one << P, s[0])]
+        for i in range(1, M + 1):
+            inv.append(_div(-sum(map(mul, s[1:i + 1], inv[i - 1::-1])), s[0]))
+        ci = _series_mul(cc, inv, M)
+        # times (1 - v)
+        _PHI[:] = ci[:1] + [ci[i] - ci[i - 1] for i in range(1, M + 1)]
+    power = [one] + [0] * N
+    base, e = _PHI[:N + 1], k
+    while e:
+        if e & 1:
+            power = _series_mul(power, base, N)
+        e >>= 1
+        if e:
+            base = _series_mul(base, base, N)
+    return -(half_pi ** k * power[N]) / (k << P * (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +431,13 @@ def eval_series(x: float, table: SeriesTable) -> SeriesEval:
 
 
 def radius_estimates(table: SeriesTable) -> list[RadiusEstimate]:
-    """Root-test estimates rho^(k) = |a_k|^(-1/k) or |b_k|^(1/k), k >= 1."""
+    """Root-test estimates rho^(k) = |a_k|^(-1/k) or |b_k|^(1/k), k >= 1,
+    each correctly rounded from the exact coefficient."""
     if table.order < 1:
         raise ValueError("need at least order 1")
-    out = []
-    with mp.workdps(table.precision_digits):
-        for k in range(1, table.order + 1):
-            coeff = table.primary[k]
-            if coeff == 0:
-                continue
-            if table.kind is SeriesKind.SMALL_X:
-                rho = float(abs(coeff) ** (-mp.mpf(1) / k))
-            else:
-                rho = float(abs(coeff) ** (mp.mpf(1) / k))
-            out.append(RadiusEstimate(k=k, rho=rho, kind=table.kind))
-    return out
+    small = table.kind is SeriesKind.SMALL_X
+    return [RadiusEstimate(k=k, rho=_root_test(table.primary[k], k, small), kind=table.kind)
+            for k in range(1, table.order + 1) if table.primary[k] != 0]
 
 
 def _lstsq2(u, v, rhs) -> tuple[float, float]:
@@ -371,8 +461,9 @@ def _lstsq2(u, v, rhs) -> tuple[float, float]:
 def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
     """Fit coeff_k ~ c k^(-3/2) rho^(+-k) sin(a k + b) over k in [k_min, k_max].
 
-    The envelope is removed with the fixed scale 2.64 (mpmath arithmetic, so
-    no overflow for any order); the detrended sequence w_k = c g^k sin(ak+b)
+    The envelope is removed with the fixed scale 2.64: each detrended
+    coefficient is one exact integer quotient rounded to a float, so no
+    order overflows; the detrended sequence w_k = c g^k sin(ak+b)
     obeys the exact three-term recurrence w_(k+1) = 2 g cos(a) w_k - g^2
     w_(k-1), so a linear least-squares solve (Prony's method for one damped
     sinusoid) yields g and a; amplitude and phase follow from a second
@@ -382,19 +473,29 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
     equations costs at most a digit.  The phase is normalized to c > 0 and
     b in (-2*pi, 0].
     """
+    if k_min < 1:
+        raise ValueError("need k_min >= 1: the envelope k^(-3/2) is infinite at k = 0")
     if k_max - k_min < 20:
         raise ValueError("need k_max - k_min >= 20 for a stable fit")
     if k_max > table.order:
         raise ValueError(f"table order {table.order} < k_max {k_max}")
     grows = table.kind is SeriesKind.LARGE_X
     ks = range(k_min, k_max + 1)
-    with mp.workdps(table.precision_digits):
-        rh = mp.mpf(RHO_HAT)
-        w = [float(table.primary[k] * mp.mpf(k) ** mp.mpf(1.5)
-                   * (rh ** (-k) if grows else rh ** k))
-             for k in ks]
-    if not all(map(math.isfinite, w)):
-        raise FitDiverged("detrended coefficients are not finite")
+    # w_k = coeff_k k^(3/2) (p/q)^k with p/q = 2.64^(-1) (LARGE_X) or 2.64
+    p, q = RHO_HAT.as_integer_ratio()
+    if grows:
+        p, q = q, p
+    G = _SQRT_GUARD
+    p_k, q_k = p ** k_min, q ** k_min
+    w = []
+    try:
+        for k in ks:
+            n, d = table.primary[k].as_integer_ratio()
+            w.append(n * k * math.isqrt(k << 2 * G) * p_k / (d * q_k << G))
+            p_k *= p
+            q_k *= q
+    except OverflowError:
+        raise FitDiverged("detrended coefficients are not finite") from None
     alpha, beta = _lstsq2(w[1:-1], w[:-2], w[2:])
     if beta >= 0.0:
         raise FitDiverged(f"Prony step returned beta={beta}; no oscillation found")

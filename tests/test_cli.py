@@ -343,6 +343,20 @@ def _bare_interpreter_modules():
     return frozenset(_loaded("-c", "pass"))
 
 
+# Both order-300 tables with their residuals, radius estimates and fit, and
+# lagrange_b(1..30), as plain floats in `out`.
+SERIES_BUNDLE = (
+    "from wtan import series as s\n"
+    "out = {}\n"
+    "for make in (s.small_x_coeffs, s.large_x_coeffs):\n"
+    "    t = make(300)\n"
+    "    out[t.kind.value] = [t.recursion_residuals(),\n"
+    "                         [r.rho for r in s.radius_estimates(t)],\n"
+    "                         vars(s.fit_asymptotic(t, 50, 300)), t.primary_floats()]\n"
+    "out['lagrange'] = [s.lagrange_b(k) for k in range(1, 31)]\n"
+)
+
+
 class TestImport:
     def test_import_loads_no_scipy(self):
         cp = subprocess.run(
@@ -368,24 +382,25 @@ class TestImport:
     @pytest.mark.parametrize("name", list(README_EXAMPLES))
     def test_each_command_loads_only_what_it_runs(self, name):
         # beyond what a bare interpreter loads: wtan, its cli, core and
-        # errors, plus the command's own modules; none loads numpy, only
-        # series loads mpmath and dataclasses, and only --format json loads json
+        # errors, plus the command's own modules; none loads numpy or mpmath,
+        # only series loads dataclasses, and only --format json loads json
         argv = shlex.split(README_EXAMPLES[name])
         loaded = _loaded("-m", "wtan", *argv)
-        assert "numpy" not in loaded
+        assert not {"numpy", "mpmath"} & loaded
         loaded -= _bare_interpreter_modules()
         assert {m for m in loaded if m.startswith("wtan")} == {
             "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
-        heavy = {"dataclasses", "inspect", "mpmath"}
+        heavy = {"dataclasses", "inspect"}
         assert heavy & loaded == (heavy if name == "series" else set())
         assert ("json" in loaded) == ("--format json" in README_EXAMPLES[name])
 
     def test_every_scripted_command_runs_without_numpy(self):
         # with sys.modules["numpy"] = None any numpy import raises, so a zero
-        # exit for every command shows the runtime never needs numpy
+        # exit for every command shows the runtime never needs numpy, and
+        # likewise mpmath
         code = (
             "import contextlib, io, sys\n"
-            "sys.modules['numpy'] = None\n"
+            "sys.modules['numpy'] = sys.modules['mpmath'] = None\n"
             "from perfbench import inputs\n"
             "from wtan.cli import main\n"
             "for seed in range(3):\n"
@@ -402,6 +417,27 @@ class TestImport:
             "eval", "series", "cheb", "branch-points", "qm", "integrals",
             "dispersion", "grid"}
         assert all(rc == "0" for _, rc in results), results
+
+    def test_series_bundle_runs_without_mpmath(self):
+        # the order-300 analysis of the tables benchmark gives the same
+        # floats when any mpmath import raises
+        code = "import json, sys\nsys.modules['mpmath'] = None\n" + SERIES_BUNDLE + \
+            "print(json.dumps(out))\n"
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        ns = {}
+        exec(SERIES_BUNDLE, ns)
+        out = ns["out"]
+        assert json.loads(cp.stdout) == json.loads(json.dumps(out))
+        for kind in ("small", "large"):
+            residual, radii, fit, _ = out[kind]
+            assert residual < 1e-100
+            assert 2.3 <= radii[-1] <= 3.0
+            assert abs(fit["rho"] - 2.6397) <= 1e-2
+        b = out["large"][3]
+        assert all(abs(got - b[k]) <= 1e-10 * abs(b[k])
+                   for k, got in enumerate(out["lagrange"], start=1))
 
 
 # Every name `from wtan import *` yielded while the package imported all of

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -28,8 +29,9 @@ RHO_TRUE = 2.639705
 ARG_TRUE = math.atan2(2.059981, -1.650611)
 
 
-# Reference recursions with plain term-by-term sums (one rounding per term).
-# The module's fused dot products must round to the same floats.
+# Reference recursions with plain term-by-term mpmath sums (one rounding
+# per term).  The module's integer convolutions, each rounded once, must
+# round to the same floats.
 
 def reference_small(K, dps):
     with mp.workdps(dps):
@@ -138,7 +140,7 @@ class TestLagrange:
             assert lagrange_b(k) == pytest.approx(bk, rel=1e-10)
 
     def test_same_floats_as_plain_sums(self):
-        for k in range(1, 31):
+        for k in range(1, 61):
             assert lagrange_b(k) == reference_lagrange_b(k), k
 
     def test_cached_series_gives_the_fresh_floats(self):
@@ -238,20 +240,63 @@ class TestRadiusEstimates:
             est = radius_estimates(maker(100))[-1]
             assert 2.3 <= est.rho <= 3.0
 
+    def test_beyond_the_float_range(self):
+        # a root test past float64's range saturates, as float() would
+        huge = Fraction(10) ** 700
+        rho = [radius_estimates(SeriesTable(kind, 2, (Fraction(1), c, c), (), 30))
+               for c in (huge, 1 / huge) for kind in SeriesKind]
+        assert [[r.rho for r in est] for est in rho] == [
+            [0.0, 0.0], [math.inf, math.inf], [math.inf, math.inf], [0.0, 0.0]]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 300])
+    def test_root_rounds_midpoints_exactly(self, k):
+        # (n/d)^(1/k) at and a relative 2^-2000 beside the midpoints between
+        # floats, with an even mantissa m and below 2^52 (where the spacing
+        # halves); ties go to the even neighbour
+        from wtan.series import _root
+
+        def power(mid, e):   # (mid * 2^e)^k as (n, d)
+            n, d = mid ** k, 1
+            return (n << e * k, d) if e >= 0 else (n, d << -e * k)
+
+        m, big = 2 ** 52 + 1234, 2 ** 2000
+        for e in (-60, 0, 9):
+            n, d = power(2 * m + 1, e - 1)
+            assert _root(n, d, k) == math.ldexp(m, e)
+            assert _root(n * big + n, d * big, k) == math.ldexp(m + 1, e)
+            n, d = power(2 * m + 3, e - 1)
+            assert _root(n, d, k) == math.ldexp(m + 2, e)
+            assert _root(n * big - n, d * big, k) == math.ldexp(m + 1, e)
+            n, d = power(2 ** 54 - 1, e - 2)                        # below 2^52 2^e
+            assert _root(n, d, k) == math.ldexp(2 ** 52, e)
+            assert _root(n * big - n, d * big, k) == math.ldexp(2 ** 52 - 0.5, e)
+
 
 @pytest.fixture(scope="module")
 def tables():
     return small_x_coeffs(300), large_x_coeffs(300)
 
 
-def test_order_300_same_floats_as_plain_sums(tables):
-    small, large = tables
-    a, d = reference_small(300, small.precision_digits)
+def reference_radii(coeffs, small, dps):
+    with mp.workdps(dps):
+        power = mp.mpf(-1 if small else 1)
+        return [float(abs(v) ** (power / k)) for k, v in enumerate(coeffs) if k and v]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 12, 40, 41, 100, 300])
+def test_tables_same_floats_as_plain_sums(order):
+    small, large = small_x_coeffs(order), large_x_coeffs(order)
+    a, d = reference_small(order, small.precision_digits)
     assert floats(small.primary) == floats(a)
     assert floats(small.secondary) == floats(d)
-    b, c = reference_large(300, large.precision_digits)
+    b, c = reference_large(order, large.precision_digits)
     assert floats(large.primary) == floats(b)
     assert floats(large.secondary) == floats(c)
+    if order:
+        assert [r.rho for r in radius_estimates(small)] == \
+            reference_radii(a, True, small.precision_digits)
+        assert [r.rho for r in radius_estimates(large)] == \
+            reference_radii(b, False, large.precision_digits)
 
 
 class TestAsymptoticFit:
@@ -282,18 +327,20 @@ class TestAsymptoticFit:
         assert spacing == pytest.approx(math.pi / 2.246, abs=0.1)
 
     def test_window_guard(self, tables):
+        # too short a window; k = 0 has an infinite envelope, and a negative
+        # k_min would read the table from its end
         ts, _ = tables
-        with pytest.raises(ValueError):
-            fit_asymptotic(ts, 100, 110)
+        for k_min, k_max in ((100, 110), (0, 100), (-1, 100), (-50, 250)):
+            with pytest.raises(ValueError):
+                fit_asymptotic(ts, k_min, k_max)
 
     @pytest.mark.parametrize("g", [0.9, 1.0, 1.1])
     def test_non_oscillating_sequence_diverges(self, g):
         # detrended to w_k = g^k: the Prony columns are parallel, so the
         # two-column solve has rank 1 and no oscillation exists to fit
-        with mp.workdps(30):
-            primary = (mp.mpf(1),) + tuple(
-                mp.mpf(2.64) ** k * mp.mpf(k) ** -1.5 * mp.mpf(g) ** k
-                for k in range(1, 61))
+        primary = (Fraction(1),) + tuple(
+            Fraction(2.64) ** k / Fraction(k ** 1.5) * Fraction(g) ** k
+            for k in range(1, 61))
         table = SeriesTable(SeriesKind.LARGE_X, 60, primary, (), 30)
         with pytest.raises(FitDiverged):
             fit_asymptotic(table, 10, 60)
