@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 
 # Every submodule, and every public name by the module that defines it,
 # loads on first use (PEP 562), so `import wtan` and each CLI command load
-# only the modules they run: series alone needs fractions and dataclasses,
-# and complex_plane is big.
+# only the modules they run: series alone needs fractions, and
+# complex_plane is big.
 _LAZY = {
     "errors": (),
     "core": (

@@ -63,6 +63,7 @@ _LEVELS = _checked(int, "--levels must be >= 1", lambda k: k >= 1)
 _CHEB_ORDER = _checked(int, "--order must be >= 4", lambda k: k >= 4)
 _SPLIT = _checked(float, "--split must be positive and finite", lambda a: 0.0 < a < math.inf)
 _WIDTH = _checked(float, "--width must be positive and finite", lambda a: 0.0 < a < math.inf)
+_LAMBDA = _checked(float, "--lambda must be finite", math.isfinite)
 
 
 def fmt(v: float, precision: int) -> str:
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("qm", help="square-well spectrum / wavefunctions")
     p.add_argument("--width", type=_WIDTH, default=math.pi)
-    p.add_argument("--lambda", type=float, required=True, dest="lambda")
+    p.add_argument("--lambda", type=_LAMBDA, required=True, dest="lambda")
     p.add_argument("--levels", type=_LEVELS, default=6)
     p.add_argument("--wavefunction", type=int, default=None, metavar="INDEX",
                    help="emit samples of one eigenfunction instead")

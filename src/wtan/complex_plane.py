@@ -897,8 +897,10 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
     p*tanh(p) = -Re point, and -i*p from below (negated on negative
     sheets); on a vertical cut the root polished to working precision on
     the half of the cut's image that the side rule gives the side, else
-    NoConvergence.  At a branch point, where the root is double, it is
-    accurate to about the square root of that.
+    NoConvergence.  At a branch point x_j itself, where the root is double,
+    both limits are w_j (its conjugate below the axis; negated on negative
+    sheets) exactly; close beside it, where the two roots nearly merge, a
+    value is accurate to about the square root of working precision.
     """
     n = validate_branch(n)
     point = complex(point)
@@ -909,7 +911,10 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
         m = abs(n)
         bp = min(atlas._sheet(m).near, key=lambda b: abs(b.x.real - point.real))
         foot = complex(bp.x.real, min(max(point.imag, -bp.x.imag), bp.x.imag))
-        y = _vertical_limit(atlas, foot, m, bp, side is Side.RIGHT)
+        if abs(foot.imag) == bp.x.imag:
+            y = bp.y if foot.imag > 0.0 else bp.y.conjugate()
+        else:
+            y = _vertical_limit(atlas, foot, m, bp, side is Side.RIGHT)
     return y if n > 0 else -y
 
 

@@ -120,8 +120,8 @@ def _quad(f, lo, hi):
 
 def _check_indefinite(integrand, anti, x_lo: float, x_hi: float) -> float:
     """|quadrature of integrand - difference of anti| on [x_lo, x_hi]."""
-    if not 0 < x_lo <= x_hi:
-        raise ValueError("need 0 < x_lo <= x_hi")
+    if not 0 < x_lo <= x_hi < math.inf:
+        raise ValueError("need 0 < x_lo <= x_hi < inf")
     if x_lo == x_hi:
         return 0.0
     return abs(_quad(integrand, x_lo, x_hi) - (anti(x_hi) - anti(x_lo)))

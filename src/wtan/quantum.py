@@ -27,7 +27,7 @@ import math
 from typing import NamedTuple
 
 from .core import BranchIndex, eval_real
-from .errors import DegenerateState, DomainViolation, NonPositiveNorm
+from .errors import DegenerateState, DomainViolation, NonFiniteArgument, NonPositiveNorm
 
 __all__ = [
     "Parity",
@@ -55,13 +55,15 @@ class _WellFields(NamedTuple):
 class WellModel(_WellFields):
     """Well of width a with contact strength lambda (positive = attractive,
     the strength scales with the state's energy).  Energies are in units of
-    hbar^2/2m."""
+    hbar^2/2m.  The width must be positive and finite, lambda finite."""
 
     __slots__ = ()
 
     def __new__(cls, width_a: float, lam: float):
-        if not width_a > 0:
-            raise ValueError("well width must be positive")
+        if not 0.0 < width_a < math.inf:
+            raise ValueError(f"well width must be positive and finite, got {width_a!r}")
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
         return super().__new__(cls, width_a, lam)
 
     @classmethod
@@ -101,17 +103,19 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     E = k^2 (units of hbar^2/2m).
 
     lambda = 0 is the unperturbed well: even levels reduce to their
-    (2n-1)*pi/a limits (the branch value at infinity).
+    (2n-1)*pi/a limits (the branch value at infinity).  So does a lambda
+    so small that a/lambda overflows.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     a = model.width_a
+    x = a / model.lam if model.lam else math.inf
     entries = []
     for n in range(1, count + 1):
-        if model.lam == 0.0:
+        if math.isinf(x):
             k = (2.0 * n - 1.0) * math.pi / a
         else:
-            k = 2.0 / a * eval_real(a / model.lam, n)
+            k = 2.0 / a * eval_real(x, n)
         entries.append((k, Parity.EVEN, n))
     for m in range(1, count + 1):
         entries.append((2.0 * m * math.pi / a, Parity.ODD, None))
@@ -169,7 +173,10 @@ def jump_residual(model: WellModel, entry: SpectrumEntry,
 
 def variational_bound_1(x: float) -> float:
     """Ground-branch upper bound (pi/2) sqrt(x/(x+2)) from the unperturbed
-    ground trial state; valid for 1/x > -1/2, i.e. x >= 0 or x < -2."""
+    ground trial state; valid for 1/x > -1/2, i.e. x >= 0 or x < -2.
+    NaN and +-inf raise NonFiniteArgument."""
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x < 0.0 and x >= -2.0:
         raise DomainViolation(f"bound valid for 1/x > -1/2; x={x} is outside")
     if x == 0.0:
@@ -184,8 +191,11 @@ def variational_bound_2(x: float) -> float:
         (3 pi/2) sqrt( x / (5x + 10 + 2 sgn(x) sqrt(25 + 16x + 4x^2)) )
 
     The square-root sign is fixed by b -> 0 as x -> +-infinity.  Total on
-    the reals (the inner discriminant is negative); near 0+ it behaves as
-    1.0537 sqrt(x) and its 0- limit is pi*sqrt(5)/2."""
+    the finite reals (the inner discriminant is negative); near 0+ it
+    behaves as 1.0537 sqrt(x) and its 0- limit is pi*sqrt(5)/2.  NaN and
+    +-inf raise NonFiniteArgument."""
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x == 0.0:
         return 0.0
     sgn = 1.0 if x > 0.0 else -1.0

@@ -49,7 +49,6 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -175,8 +174,15 @@ def _scaled(values) -> tuple[list[int], int]:
     return [p * (D // q) for p, q in ratios], D
 
 
-@dataclass(frozen=True)
-class SeriesTable:
+class _TableFields(NamedTuple):
+    kind: SeriesKind
+    order: int
+    primary: tuple
+    secondary: tuple
+    precision_digits: int
+
+
+class SeriesTable(_TableFields):
     """Coefficients of one expansion plus its auxiliary family.
 
     primary holds a_k (SMALL_X) or b_k (LARGE_X); secondary holds the
@@ -186,15 +192,10 @@ class SeriesTable:
     of that working precision.  A table built by hand may hold any exact
     rationals with `as_integer_ratio` (int, float, Fraction).  The float
     coefficients and the convergence bound that `eval_series` uses are
-    computed on first use and kept on the instance; they are not fields,
-    so equality, hashing and repr ignore them.
+    computed on first use and kept in the instance dict (the class has no
+    __slots__ for this); they are not fields, so equality, hashing and repr
+    ignore them.
     """
-
-    kind: SeriesKind
-    order: int
-    primary: tuple
-    secondary: tuple
-    precision_digits: int
 
     @cached_property
     def _floats(self) -> tuple[float, ...]:
@@ -255,15 +256,13 @@ class SeriesTable:
         return worst
 
 
-@dataclass(frozen=True)
-class RadiusEstimate:
+class RadiusEstimate(NamedTuple):
     k: int
     rho: float
     kind: SeriesKind
 
 
-@dataclass(frozen=True)
-class AsymptoticFit:
+class AsymptoticFit(NamedTuple):
     c: float
     a: float
     b: float

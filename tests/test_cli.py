@@ -141,6 +141,13 @@ class TestTables:
         assert first[1] == "even"
         assert float(first[3]) == pytest.approx(3.14159265, abs=1e-6)
 
+    def test_qm_lambda_too_small_to_divide(self):
+        # a/lambda overflows: the levels of the unperturbed well, as at 0
+        cp = run_cli("qm", "--width", "1", "--lambda", "1e-320", "--levels", "3")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout == run_cli("qm", "--width", "1", "--lambda", "0",
+                                    "--levels", "3").stdout
+
     def test_qm_wavefunction(self):
         cp = run_cli("qm", "--width", "1", "--lambda", "0.5",
                      "--levels", "2", "--wavefunction", "0", "--points", "11")
@@ -194,6 +201,9 @@ class TestTables:
         (("grid", "--range", "nan:1"), "--range needs finite lo, hi and hi - lo"),
         (("grid", "--range", "-1e308:1e308"), "--range needs finite lo, hi and hi - lo"),
         (("branch-points", "--count", "-1"), "--count must be >= 1"),
+        (("qm", "--lambda", "nan"), "--lambda must be finite"),
+        (("qm", "--lambda", "inf"), "--lambda must be finite"),
+        (("qm", "--lambda", "-inf"), "--lambda must be finite"),
     ])
     def test_bad_argument_is_usage_error(self, args, message):
         # checked when the arguments are parsed: no internal error, and no
@@ -352,7 +362,7 @@ SERIES_BUNDLE = (
     "    t = make(300)\n"
     "    out[t.kind.value] = [t.recursion_residuals(),\n"
     "                         [r.rho for r in s.radius_estimates(t)],\n"
-    "                         vars(s.fit_asymptotic(t, 50, 300)), t.primary_floats()]\n"
+    "                         s.fit_asymptotic(t, 50, 300)._asdict(), t.primary_floats()]\n"
     "out['lagrange'] = [s.lagrange_b(k) for k in range(1, 31)]\n"
 )
 
@@ -382,16 +392,14 @@ class TestImport:
     @pytest.mark.parametrize("name", list(README_EXAMPLES))
     def test_each_command_loads_only_what_it_runs(self, name):
         # beyond what a bare interpreter loads: wtan, its cli, core and
-        # errors, plus the command's own modules; none loads numpy or mpmath,
-        # only series loads dataclasses, and only --format json loads json
+        # errors, plus the command's own modules; none loads numpy, mpmath,
+        # dataclasses or inspect, and only --format json loads json
         argv = shlex.split(README_EXAMPLES[name])
         loaded = _loaded("-m", "wtan", *argv)
-        assert not {"numpy", "mpmath"} & loaded
+        assert not {"numpy", "mpmath", "dataclasses", "inspect"} & loaded
         loaded -= _bare_interpreter_modules()
         assert {m for m in loaded if m.startswith("wtan")} == {
             "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
-        heavy = {"dataclasses", "inspect"}
-        assert heavy & loaded == (heavy if name == "series" else set())
         assert ("json" in loaded) == ("--format json" in README_EXAMPLES[name])
 
     def test_every_scripted_command_runs_without_numpy(self):

@@ -1078,6 +1078,18 @@ class TestBoundaryValues:
             near = eval_complex(point + 1e-6 * direction, n, atlas).y
             assert abs(y - near) < 1e-5, (point, side)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, -1, -2, -3, -4, -5])
+    def test_at_the_branch_points(self, atlas, n):
+        # at x_(m-1) and x_m both one-sided limits are w_j, the double root,
+        # conjugated below the axis and negated on negative sheets
+        m = abs(n)
+        for j in ((m - 1, m) if m > 1 else (m,)):
+            bp = find_branch_point(j)
+            for point, w in ((bp.x, bp.y), (bp.x.conjugate(), bp.y.conjugate())):
+                for side in (Side.LEFT, Side.RIGHT):
+                    assert boundary_value(point, n, side, atlas) == (w if n > 0 else -w), \
+                        (j, point, side)
+
     def test_side_validation(self, atlas):
         with pytest.raises(ValueError):
             boundary_value(-1 + 0j, 1, Side.LEFT, atlas)

@@ -94,6 +94,14 @@ class TestIndefiniteIdentities:
         with pytest.raises(ValueError):
             check_indefinite_log(2.0, 1.0)
 
+    @pytest.mark.parametrize("check", [check_indefinite_log, check_indefinite_logsin])
+    def test_infinite_upper_end_is_rejected(self, check):
+        # an infinite end has no geometric split; the rule `integrals
+        # --range` applies when it parses its arguments
+        for lo, hi in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                check(lo, hi)
+
 
 class TestDefiniteLnSin:
     def test_total_value(self):

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 from wtan.core import eval_real
-from wtan.errors import DomainViolation, NonPositiveNorm
+from wtan.errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
 from wtan.quantum import (
     Parity,
     SpectrumEntry,
@@ -25,6 +25,13 @@ def even_levels(entries):
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("lam", [1e-320, -1e-320, 1e-300, -1e-300])
+    def test_tiny_lambda_gives_the_unperturbed_levels(self, lam):
+        # a/lambda overflows at 1e-320; at 1e-300 the branch values at
+        # +-1e300 already round to the same floats
+        assert spectrum(WellModel(width_a=1.0, lam=lam), 8) == \
+            spectrum(WellModel(width_a=1.0, lam=0.0), 8)
+
     def test_weak_coupling_limit(self):
         model = WellModel(width_a=1.0, lam=1e-8)
         k0 = even_levels(spectrum(model, 4))[0].k
@@ -176,6 +183,12 @@ class TestBounds:
         for x in (-100.0, -2.0, -0.5, 0.0, 0.3, 7.0):
             variational_bound_2(x)  # no exception
 
+    @pytest.mark.parametrize("bound", [variational_bound_1, variational_bound_2])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_raises(self, bound, x):
+        with pytest.raises(NonFiniteArgument):
+            bound(x)
+
 
 class TestRayleighQuotient:
     def test_b_zero_reduces_to_first_bound(self):
@@ -208,6 +221,18 @@ class TestModelValidation:
             WellModel(width_a=0.0, lam=1.0)
         with pytest.raises(ValueError):
             WellModel(width_a=1.0, lam=1.0)._replace(width_a=-1.0)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, -math.inf])
+    def test_width_finite(self, width):
+        with pytest.raises(ValueError):
+            WellModel(width_a=width, lam=1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_lam_finite(self, lam):
+        with pytest.raises(ValueError):
+            WellModel(width_a=1.0, lam=lam)
+        with pytest.raises(ValueError):
+            WellModel(width_a=1.0, lam=1.0)._replace(lam=lam)
 
     def test_count_positive(self):
         with pytest.raises(ValueError):

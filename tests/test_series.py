@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -9,6 +8,7 @@ import pytest
 from wtan.core import derivative, eval_real
 from wtan.errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 from wtan.series import (
+    AsymptoticFit,
     SeriesKind,
     SeriesTable,
     eval_series,
@@ -346,5 +346,25 @@ class TestAsymptoticFit:
             fit_asymptotic(table, 10, 60)
         # the floats and bound eval_series keeps are not fields
         eval_series(100.0, table)
-        assert table == dataclasses.replace(table)
-        assert hash(table) == hash(dataclasses.replace(table))
+        assert table == table._replace()
+        assert hash(table) == hash(table._replace())
+
+
+class TestRecords:
+    def test_repr_and_read_only_fields(self):
+        # the records' repr is part of their interface: pinned field for field
+        table = large_x_coeffs(1)
+        assert repr(table) == (
+            "SeriesTable(kind=<SeriesKind.LARGE_X: 'large'>, order=1, "
+            "primary=(Fraction(1, 1), Fraction(-1, 1)), "
+            "secondary=(Fraction(1, 1), Fraction(1, 1)), precision_digits=77)")
+        eval_series(100.0, table)   # caches floats and bound beside the fields
+        assert repr(table).endswith("precision_digits=77)")
+        assert repr(radius_estimates(table)) == (
+            "[RadiusEstimate(k=1, rho=1.0, kind=<SeriesKind.LARGE_X: 'large'>)]")
+        assert repr(AsymptoticFit(c=0.5, a=2.25, b=-3.5, rho=2.64, residual=0.001)) == (
+            "AsymptoticFit(c=0.5, a=2.25, b=-3.5, rho=2.64, residual=0.001)")
+        for record, field in ((table, "order"), (radius_estimates(table)[0], "rho"),
+                              (AsymptoticFit(1.0, 2.0, -1.0, 2.6, 0.0), "residual")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
