@@ -167,13 +167,16 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     Returns
     -------
     (kappa, c_squared)
+
+    Raises ValueError, before any continuation, unless every radius is
+    finite and positive and at least two differ.
     """
     from .complex_plane import SheetAtlas, _walk_segment  # local import: avoids cycle
 
     if n < 1:
         raise ValueError("branch point index must be >= 1")
-    if len(radii) < 2:
-        raise ValueError("need at least two radii for the fit")
+    if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):
+        raise ValueError("need at least two distinct radii for the fit, each finite and positive")
     radii = sorted(radii, reverse=True)
     atlas = SheetAtlas()
     bp = find_branch_point(n)
@@ -189,7 +192,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     for r in radii:
         # spiral inward along the positive-real ray from the previous circle
         target = bp.x + r
-        y_cur = _walk_segment(z_cur, y_cur, target, atlas)
+        y_cur = _walk_segment(z_cur, y_cur, target)
         z_cur = target
         logs = []
         z_loop, y_loop = z_cur, y_cur
@@ -198,7 +201,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
         for j in range(1, total + 1):
             ang = 2.0 * math.pi * 2.0 * j / total
             z_next = bp.x + r * cmath.exp(1j * ang)
-            y_loop = _walk_segment(z_loop, y_loop, z_next, atlas)
+            y_loop = _walk_segment(z_loop, y_loop, z_next)
             z_loop = z_next
             logs.append(math.log(abs(y_loop - bp.y)))
         if abs(y_loop - y_start) > 1e-8 * (1.0 + abs(y_start)):

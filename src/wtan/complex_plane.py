@@ -118,9 +118,15 @@ is raised: no test or benchmark point reaches it, nor any of 24000 drawn
 in the disks of 14 sheets from 2 to 10**8.  Past sheet 2**52, where
 float64 no longer orders the branch points, a point in the disk raises
 DomainViolation.  Only `trace_path` and `local_expansion_check`, which ask
-about a path, continue: Halley corrects each step, and steps shrink with
-the distance to the nearest branch point of any sheet, near which the two
-local sheets differ by O(sqrt(distance)).  A cut only labels the sheet.
+about a path, continue, and only the germ followed sizes the steps: Halley
+corrects each one, and each is at most BP_FACTOR times |f'|^2/(2|f''|) at
+the current value, f = w tan w.  Near x_j f - x_j ~ (w - w_j)^2, so that is
+the distance |z - x_j| to the germ's own branch point, near which the two
+local sheets differ by O(sqrt(distance)); far out on sheet n it is ~|z|/4.
+The cuts do not enter the walk: `trace_path` labels each value with the
+sheet m whose region R_m holds it (+-y inside A_m and outside A_(m-1)),
+found by doubling and halving from the last label, since one step can
+cross many cut lines (left of Re x ~ -3 they lie ~0.5/j apart).
 
 Boundary values.  On every sheet's real segment the limit from above is
 i*p, p*tanh(p) = -u, p > 0: w(conj x, n) = conj w(x, n) and w(x, -n) =
@@ -202,22 +208,19 @@ BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
 SIDE_OFFSET = 1e-4         # a vertical cut's limits are seeded by the roots this far off it
 EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
 
-# Continuation step policy.  Steps never exceed MAX_STEP, shrink by
-# STEP_SHRINK whenever the Halley correction exceeds MAX_DY (or fails), and
-# are additionally capped at BP_FACTOR times the distance to the nearest
-# branch point, which is what prevents hopping onto the wrong local sheet
-# near x_n.
-MAX_STEP = 0.5
+# Continuation step policy.  Each step is capped at BP_FACTOR times the
+# distance to the germ's own branch point, estimated at the current value
+# (module docstring), which keeps the walk off the other local sheet near
+# x_n, and shrinks by STEP_SHRINK whenever the Halley correction exceeds
+# MAX_DY (or fails).
 STEP_SHRINK = 0.5
 MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
 # Entries in each of an atlas's two caches, of x_j (~300 bytes each) and of
-# sheet records (~3 kB): an atlas stays under ~3.5 MB however far and on
-# however many sheets it continues.  A far step finds ~15 x_j near its path
-# whatever the size (measured on 2000 far walks: 1024 entries recompute
-# 2.8x the x_j an unbounded cache would, and take ~1.25x the time).
+# sheet records (~3 kB): an atlas stays under ~3.5 MB however many sheets
+# it evaluates, labels or searches for the nearest branch point.
 _CACHED = 1024
 
 
@@ -244,8 +247,8 @@ class Cut(NamedTuple):
         """Parameter t in [0, 1] where segment z0->z1 crosses the cut, else None.
 
         A point exactly on the cut line counts as lying on the positive
-        side, so a step landing on the line registers the crossing on
-        arrival and not again on a departure to the positive side.
+        side, so a segment ending on the line crosses it, and one leaving
+        the line for the positive side does not.
         """
         if self.kind is CutKind.VERTICAL_SEGMENT:
             a = self.endpoints[0].real
@@ -304,7 +307,7 @@ class ContinuationPath(_PathFields):
 
 class _Points(dict):
     """x_j by j (j >= 1), each found on first use; emptied when _CACHED are
-    held (a plain dict lookup: `SheetAtlas._nearest` reads several a step)."""
+    held (a plain dict lookup: `nearest_branch_distance` reads many a call)."""
 
     def __missing__(self, j: int) -> BranchPoint:
         if len(self) >= _CACHED:
@@ -376,37 +379,26 @@ class SheetAtlas:
         return self._sheet(abs(n)).cuts[n > 0]
 
     def nearest_branch_distance(self, z: complex) -> float:
-        """Distance from z to the nearest branch point: 0, x_j or conj(x_j), j <= 2**52."""
-        return self._nearest(z, 2.0 * _modulus(z))   # never binds: the origin is |z| away
-
-    def _nearest(self, z: complex, limit: float) -> float:
-        """min(limit, nearest_branch_distance(z)), bit for bit the minimum of
-        |z - x| over every branch point x, z folded to Im >= 0.  As j rises
-        Re x_j falls from Re x_1 and Im x_j rises by ~pi, so only x_j with
-        Im x_j within the best distance of Im z can be nearer, and none if z
-        lies that far right of x_1.  The run of such j, around Im x_j ~
-        (j-1/4)*pi, is widened until its ends are that far below and above
-        z and searched by halving; its ends are multiples of the largest
-        power of two g <= k ~ best/pi, so nearby calls visit the same x_j."""
+        """Distance from z to the nearest branch point: 0, x_j or conj(x_j),
+        j <= 2**52; bit for bit the minimum of |z - x| over every one, z
+        folded to Im >= 0.  As j rises Re x_j falls from Re x_1 and Im x_j
+        rises by ~pi, so only x_j with Im x_j within |z| of Im z can be
+        nearer than the origin, and none if z lies that far right of x_1.
+        The run of such j, around Im x_j ~ (j-1/4)*pi, is widened until its
+        ends are that far below and above z and searched by halving; its
+        ends are multiples of the largest power of two g <= k ~ |z|/pi, so
+        nearby calls visit the same x_j."""
         p = z if z.imag >= 0.0 else z.conjugate()
         v = p.imag
-        best = abs(p)
-        if limit < best:
-            best = limit
+        best = _modulus(p)
         x = self._points
         if p.real - x[1].x.real >= best:
             return best
-        # plain comparisons, not min/max: this runs once per continuation step
         k = int(best / math.pi) + 1
         g = 1 << (k.bit_length() - 1)
         level = int(v / math.pi + 0.75)
-        lo, hi = (level - k) // g * g, (level + k + g - 1) // g * g
-        if hi > _LAST_POINT:
-            hi = _LAST_POINT
-        if lo > hi:
-            lo = hi
-        elif lo < 1:
-            lo = 1
+        hi = min((level + k + g - 1) // g * g, _LAST_POINT)
+        lo = max(min((level - k) // g * g, hi), 1)
         while lo > 1 and v - x[lo].x.imag < best:
             lo = max(lo - g, 1)
         while hi < _LAST_POINT and x[hi].x.imag - v < best:
@@ -526,6 +518,35 @@ class SheetAtlas:
         return ((u > 0.0 or (u == 0.0 and w.imag > 0.0))
                 and _inside(u, v, z.real, s.near[-1], s.roots[-1])
                 and (m == 1 or not _inside(u, v, z.real, s.near[0], s.roots[0])))
+
+    def _label(self, z: complex, y: complex, last: BranchIndex) -> BranchIndex:
+        """The sheet whose value at z is y: the m with +-y inside A_m and
+        outside A_(m-1), by `_inside` (so an undecided root goes by the side
+        of the cut z lies on), searched from |last| by doubling, then
+        halving; DomainViolation past 2**52."""
+        sign = 1 if y.real > 0.0 or (y.real == 0.0 and y.imag > 0.0) else -1
+        u, v = sign * y.real, abs(y.imag)
+
+        def inside(j: int) -> bool:
+            if j > _LAST_POINT:
+                raise DomainViolation(f"the value {y!r} at z={z!r} lies past sheet 2**52")
+            bp = self._points[j]   # _in_arc reads u_j* right of Re w_j only
+            root = core.eval_real(bp.x.real, j) if u > bp.y.real else math.nan
+            return _inside(u, v, z.real, bp, root)
+
+        lo, hi, step = abs(last), abs(last), 1
+        if inside(hi):
+            lo -= 1
+            while lo > 0 and inside(lo):
+                hi, lo, step = lo, max(lo - 2 * step, 0), 2 * step
+        else:
+            hi += 1
+            while not inside(hi):
+                lo, hi, step = hi, min(hi + 2 * step, _LAST_POINT + 1), 2 * step
+        while hi - lo > 1:   # inside A_hi, and outside A_lo (A_0: the origin)
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+        return sign * hi
 
 
 # ---------------------------------------------------------------------------
@@ -688,41 +709,34 @@ def _predict(z: complex, y: complex, dz: complex) -> complex:
     return y + y / q * dz
 
 
-def _walk_segment(z0: complex, y0: complex, z1: complex, atlas: SheetAtlas,
-                  h_base: float | None = None,
-                  step_filter: Callable[[complex, complex], bool] | None = None,
-                  on_step: Callable[[complex, complex, complex], None] | None = None,
-                  ) -> complex:
-    """Continue (z0, y0) to z1 with adaptive steps; returns the value at z1.
-
-    `step_filter` may veto a proposed sub-step (forcing it to shrink);
-    `on_step` observes each accepted sub-step.  Raises StepTooLarge when the
-    step would have to fall below MIN_STEP.
+def _walk_segment(z0: complex, y0: complex, z1: complex,
+                  on_step: Callable[[complex, complex, complex], None] | None = None) -> complex:
+    """Continue the germ through (z0, y0) to z1 with adaptive steps; returns
+    the value at z1.  Each step is at most BP_FACTOR times |f'|^2/(2|f''|)
+    at the current value, the distance to the germ's branch point (module
+    docstring), and halves while Halley fails or corrects by more than
+    MAX_DY.  `on_step` observes each accepted step.  Raises StepTooLarge
+    when a step would have to fall below MIN_STEP.
     """
     z, y = z0, y0
-    h_cap = h_base if h_base is not None else MAX_STEP
     while z != z1:
         rem = z1 - z
-        # only a distance below h_cap/BP_FACTOR can shorten the step
-        dist = atlas._nearest(z, h_cap / BP_FACTOR)
-        allowed = min(h_cap, BP_FACTOR * dist if dist > 0.0 else MIN_STEP)
-        take = min(abs(rem), max(allowed, MIN_STEP))
+        t = cmath.tan(y)
+        sec2 = 1.0 + t * t
+        d1, d2 = abs(t + y * sec2), 4.0 * abs(sec2 * (1.0 + y * t))   # |f'|, 2|f''|
+        reach = d1 * (d1 / d2) if d2 else math.inf
+        take = min(abs(rem), max(BP_FACTOR * reach, MIN_STEP))
         while True:
             z_new = z1 if take >= abs(rem) else z + rem / abs(rem) * take
-            ok = step_filter is None or step_filter(z, z_new)
-            if ok:
-                try:
-                    y_new = _refine(z_new, _predict(z, y, z_new - z))
-                    ok = abs(y_new - y) <= MAX_DY
-                except (PoleProximity, NoConvergence):
-                    ok = False
-            if ok:
-                break
+            try:
+                y_new = _refine(z_new, _predict(z, y, z_new - z))
+                if abs(y_new - y) <= MAX_DY:
+                    break
+            except (PoleProximity, NoConvergence):
+                pass
             take *= STEP_SHRINK
             if take < MIN_STEP:
-                raise StepTooLarge(
-                    f"continuation step fell below {MIN_STEP:g} near z={z!r}"
-                )
+                raise StepTooLarge(f"continuation step fell below {MIN_STEP:g} near z={z!r}")
         if on_step is not None:
             on_step(z, z_new, y_new)
         z, y = z_new, y_new
@@ -791,40 +805,28 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
 
 def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
                atlas: SheetAtlas) -> list[tuple[complex, complex, BranchIndex]]:
-    """Continue along a waypoint path, reporting sheet-label transitions.
+    """Continue along a waypoint path, labelling each value with its sheet.
 
-    The continued value is a single analytic germ; the sheet label flips
-    whenever a sub-step crosses a cut of the current sheet, following the
-    cut's `connects` pair.  Returns the accepted steps as
-    (point, value, sheet) records, starting with the initial point.
-    Raises NonFiniteArgument if a waypoint's modulus is not finite.
+    The continued value is a single analytic germ; each accepted step is
+    labelled with the sheet whose value at that point it is, the sheet whose
+    w-plane region holds it (module docstring), so the label changes as the
+    path crosses cuts.  Returns the accepted steps as (point, value, sheet)
+    records, starting with the initial point.  Raises NonFiniteArgument if
+    a waypoint's modulus is not finite, and DomainViolation where a value
+    lies past sheet 2**52.
     """
     start_sheet = validate_branch(start_sheet)
     for point in path.waypoints:
         _modulus(point)
-    z0 = path.waypoints[0]
-    y0 = atlas.continue_from_anchor(z0, start_sheet)
-    records = [(z0, y0, start_sheet)]
-    state = {"sheet": start_sheet}
-
-    def crossings(za: complex, zb: complex) -> list[Cut]:
-        return [c for c in atlas.cuts_for(state["sheet"]) if c.crossing(za, zb) is not None]
-
-    def step_filter(za: complex, zb: complex) -> bool:
-        return len(crossings(za, zb)) <= 1
+    z = path.waypoints[0]
+    y = atlas.continue_from_anchor(z, start_sheet)
+    records = [(z, y, start_sheet)]
 
     def on_step(za: complex, zb: complex, yb: complex) -> None:
-        hits = crossings(za, zb)
-        if hits:
-            a, b = hits[0].connects
-            state["sheet"] = b if state["sheet"] == a else a
-        records.append((zb, yb, state["sheet"]))
+        records.append((zb, yb, atlas._label(zb, yb, records[-1][2])))
 
-    z, y = z0, y0
     for target in path.waypoints[1:]:
-        y = _walk_segment(z, y, target, atlas,
-                          step_filter=step_filter, on_step=on_step)
-        z = target
+        y, z = _walk_segment(z, y, target, on_step), target
     return records
 
 
@@ -1001,10 +1003,11 @@ def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     distance from the cuts (the integrals' kernels are Cauchy-type); the
     large-|z| limit is pi/2 since the integral terms decay like 1/z.
 
-    Raises QuadratureFailure when the fine/coarse quadrature disagreement
-    exceeds DISPERSION_ABS_TOL.
+    Raises NonFiniteArgument if |z| is not finite, and QuadratureFailure
+    when the fine/coarse quadrature disagreement exceeds DISPERSION_ABS_TOL.
     """
     z = complex(z)
+    _modulus(z)
     a = atlas._sheet(1).bp.x.real
     fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
     coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)

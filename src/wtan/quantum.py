@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .core import BranchIndex, eval_real
@@ -105,6 +106,9 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     lambda = 0 is the unperturbed well: even levels reduce to their
     (2n-1)*pi/a limits (the branch value at infinity).  So does a lambda
     so small that a/lambda overflows.
+
+    Raises DomainViolation where a returned level's k or E is not finite,
+    or E is below the smallest normal float (extreme widths).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -122,8 +126,11 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     entries.sort(key=lambda e: e[0])
     out = []
     for i, (k, parity, branch) in enumerate(entries[:count]):
-        out.append(SpectrumEntry(index=i, parity=parity, k=k,
-                                 E=k * k, branch=branch))
+        E = k * k
+        if not sys.float_info.min <= E < math.inf:
+            raise DomainViolation(f"level {i} of a well of width {a!r} has k = {k!r}, "
+                                  f"E = {E!r}: outside the normal float range")
+        out.append(SpectrumEntry(index=i, parity=parity, k=k, E=E, branch=branch))
     return out
 
 

@@ -148,6 +148,19 @@ class TestLocalExpansion:
         with pytest.raises(ValueError):
             local_expansion_check(1, [1e-2])
 
+    @pytest.mark.parametrize("radii", [[1e-2, math.nan], [math.nan, 1e-2], [1e-2, 1e-2],
+                                       [1e-2, 0.0], [1e-2, -1e-3], [math.inf, 1e-2]])
+    def test_radii_checked_before_continuing(self, monkeypatch, radii):
+        # a nan radius looped for ever, equal ones divided by zero, and 0 or
+        # a negative one raised a bare math domain error
+        def refused(*args, **kwargs):
+            raise AssertionError("continued")
+
+        monkeypatch.setattr(complex_plane.SheetAtlas, "continue_from_anchor", refused)
+        monkeypatch.setattr(complex_plane, "_walk_segment", refused)
+        with pytest.raises(ValueError):
+            local_expansion_check(1, radii)
+
     def test_refused_anchor_is_a_continuation_failure(self, monkeypatch):
         # the anchor x_1 + 1e-8 lies in sheet 1's band; with no root placed
         # in the region it has no value: NoConvergence, reported as a

@@ -148,6 +148,13 @@ class TestTables:
         assert cp.stdout == run_cli("qm", "--width", "1", "--lambda", "0",
                                     "--levels", "3").stdout
 
+    def test_qm_width_outside_the_float_range(self):
+        # the levels' k and E overflow: no rows of inf
+        cp = run_cli("qm", "--width", "1e-320", "--lambda", "1", "--levels", "2")
+        assert cp.returncode == 2, cp.stderr
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: "), cp.stderr
+
     def test_qm_wavefunction(self):
         cp = run_cli("qm", "--width", "1", "--lambda", "0.5",
                      "--levels", "2", "--wavefunction", "0", "--points", "11")

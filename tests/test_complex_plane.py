@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -24,6 +25,7 @@ from wtan.complex_plane import (
 from wtan.branch_points import find_branch_point
 from wtan.core import _gauss_legendre, _panel_nodes, eval_real
 from wtan.errors import (
+    DomainViolation,
     NoConvergence,
     NonFiniteArgument,
     NotOnCut,
@@ -181,7 +183,7 @@ def _continued_from_far_anchor(z, n, atlas):
     directly: continued from eval_real(10*(1+|z|), n) down the real axis to
     R = 1 + |z|, then straight to z if no cut of the sheet is in the way,
     else over the tallest vertical cut at height Im x_|n| + 1 (on z's side
-    of the real axis) and straight down onto z, with the same step cap."""
+    of the real axis) and straight down onto z."""
     R = 1.0 + abs(z)
     route = [complex(R, 0.0), z]
     if any(c.crossing(route[0], z) is not None for c in atlas.cuts_for(n)):
@@ -190,7 +192,7 @@ def _continued_from_far_anchor(z, n, atlas):
         route[1:1] = [complex(R, top), complex(z.real, top)]
     cur, y = complex(10.0 * R, 0.0), complex(eval_real(10.0 * R, n), 0.0)
     for target in route:
-        y = _walk_segment(cur, y, target, atlas, h_base=max(0.1 * R, 1e-3))
+        y = _walk_segment(cur, y, target)
         cur = target
     return y
 
@@ -307,8 +309,16 @@ class TestExteriorRoute:
             assert not calls, z
             assert _solved_directly(atlas, z, n), z
             band += _route(atlas, z, n) == "band"
+            # the continued reference picks the sheet and is itself held to
+            # the rounding of w and z; the direct value is held to 4e-15 of
+            # the 40-digit root, not of the reference, whose own error is
+            # about as large
             ref = _continued_from_far_anchor(z, n, atlas)
-            assert abs(y - ref) <= 4e-15 * abs(ref), z
+            assert abs(y - ref) <= 1e-8, z
+            _assert_continued_value(z, ref, ref)
+            with mp.workdps(40):
+                r = _root_40(z, ref)
+                assert abs(mp.mpc(y.real, y.imag) - r) <= 4e-15 * abs(r), z
         assert band >= 60
 
     def test_huge_modulus(self, atlas):
@@ -494,7 +504,7 @@ class TestEscapeRoute:
         # is gone) is within the rounding of z and w of the root, and
         # eval_complex gives it on both sheets
         for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
-            ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z, atlas)
+            ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z)
             y = atlas.continue_from_anchor(z, n)
             _assert_continued_value(z, y, ref)
             assert _solved_directly(atlas, z, n), z
@@ -595,7 +605,7 @@ class TestRegions:
             cur = zs[0] + side * 1e-3
             w = big.continue_from_anchor(cur, j)
             for z in zs:
-                w, cur = _walk_segment(cur, w, z, big), z
+                w, cur = _walk_segment(cur, w, z), z
                 u, v = w.real, abs(w.imag)
                 if u <= top.real:
                     edge, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, v, 0.0)
@@ -688,7 +698,7 @@ class TestSideRule:
                 z = complex(bp.x.real + side * offset, height)
                 clear = complex(bp.x.real + side * min(offset + 1e-3, reach), height)
                 y = eval_complex(z, n, big).y
-                ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, big), z, big)
+                ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, big), z)
                 assert abs(y - ref) <= 1e-8, (z, bp.n)
                 u, v = y.real, abs(y.imag)
                 right_half = u > bp.y.real
@@ -777,7 +787,7 @@ class TestNothingContinued:
             for z in points:
                 # the walk reaches z from 1e-3 further off the cut line
                 clear = z - 1e-3
-                ref = _walk_segment(clear, _continued_from_far_anchor(clear, m, big), z, big)
+                ref = _walk_segment(clear, _continued_from_far_anchor(clear, m, big), z)
                 references.append((big, z, m, ref))
         monkeypatch.setattr(complex_plane, "_walk_segment", refused)
         for big, z, m, ref in references:
@@ -936,8 +946,8 @@ class TestAtlasRange:
         # values continued from the exterior root at Re z + iE, E =
         # EXTERIOR_FACTOR*|x_m| on z's side, straight down onto z, in a fresh
         # atlas, one that has evaluated sheet 16 and one that found only x_1
-        # up front: continuation steps shrink near every branch point, not
-        # only near those an atlas holds
+        # up front: the anchor comes from the atlas, and the walk consults
+        # no atlas, so all three agree bit for bit
         used = SheetAtlas()
         x16 = find_branch_point(16).x
         eval_complex(complex(0.5 * x16.real, 0.5 * x16.imag), 16, used)
@@ -954,8 +964,7 @@ class TestAtlasRange:
                     points.append(z)
             for z in points:
                 start = complex(z.real, math.copysign(EXTERIOR_FACTOR * disk, z.imag))
-                values = [_walk_segment(start, a.continue_from_anchor(start, m), z, a,
-                                        h_base=max(0.1 * (1.0 + abs(z)), 1e-3))
+                values = [_walk_segment(start, a.continue_from_anchor(start, m), z)
                           for a in atlases]
                 assert values[0] == values[1] == values[2], (z, m, values)
 
@@ -976,9 +985,9 @@ class TestAtlasRange:
         # branch-point cache was emptied is found again bit for bit
         atlas, cap = SheetAtlas(), complex_plane._CACHED
         zs = [complex(-5.0, (j - 0.25) * math.pi) for j in range(1, 1500)]
-        first = [atlas._nearest(z, 1.0) for z in zs]
+        first = [atlas.nearest_branch_distance(z) for z in zs]
         assert len(atlas._points) <= cap
-        assert [atlas._nearest(z, 1.0) for z in zs[:50]] == first[:50]
+        assert [atlas.nearest_branch_distance(z) for z in zs[:50]] == first[:50]
         for m in range(1, 1101):
             atlas.cuts_for(m)
         assert atlas._sheet.cache_info().currsize <= cap
@@ -1028,6 +1037,51 @@ class TestTracePath:
         rec = trace_path(ContinuationPath((-1 + 0j, -1 + 0.5j)), 1, atlas)
         assert rec[-1][2] == 1
         assert abs(rec[-1][1] - eval_complex(-1 + 0.5j, 1, atlas).y) < 1e-12
+
+    def test_one_step_crosses_several_cut_lines(self, atlas):
+        # between Re z = -1 and -3 lie the vertical cut lines of x_1..x_12,
+        # and the steps are longer than their gaps: the label is read from
+        # the value, not counted from the cuts a step crosses
+        rec = trace_path(ContinuationPath((-1 + 1j, -3 + 1j)), 1, atlas)
+        assert rec[-1][2] == 13
+        assert abs(eval_complex(-3 + 1j, 13, atlas).y - rec[-1][1]) < 1e-12
+
+    def test_labels_agree_with_eval_complex(self):
+        # 400 three-waypoint paths from sheets +-1..+-4 in boxes of
+        # half-width 3 and 12: each end label's value is the continued one
+        big = SheetAtlas.build(8)
+        rng = random.Random(7)
+        for _ in range(400):
+            half = rng.choice((3, 12))
+            n = rng.choice((1, 2, 3, 4, -1, -2, -3, -4))
+            wp = [complex(rng.uniform(-half, half), rng.uniform(-half, half)) for _ in range(3)]
+            z, y, label = trace_path(ContinuationPath(wp), n, big)[-1]
+            assert abs(eval_complex(z, label, big).y - y) <= 1e-9, (wp, n, label)
+
+    def test_label_past_the_last_branch_point_raises(self, atlas):
+        # at height 1, left of Re x_(2**52) ~ -19.8, the value lies on a
+        # sheet past 2**52 (at -19 + 1j on sheet 941130302387098)
+        assert trace_path(ContinuationPath((-1 + 1j, -19 + 1j)), 1, atlas)[-1][2] < 2 ** 52
+        with pytest.raises(DomainViolation):
+            trace_path(ContinuationPath((-1 + 1j, -25 + 1j)), 1, atlas)
+
+    def test_steps_sized_by_the_germ(self, monkeypatch):
+        # far from its branch points a step spans ~|z|/8: the sheet-600 walk
+        # down 2261 units, and a walk from 1e6 to 2e6, take a few dozen
+        big = SheetAtlas()
+        y0 = big.continue_from_anchor(1 + 2262j, 600)
+        calls = []
+        refine = complex_plane._refine
+        monkeypatch.setattr(complex_plane, "_refine",
+                            lambda x, y: calls.append(x) or refine(x, y))
+        y = _walk_segment(1 + 2262j, y0, 1 + 1j)
+        monkeypatch.undo()
+        assert len(calls) <= 452
+        assert abs(y - eval_complex(1 + 1j, 600, big).y) <= 1e-12 * abs(y)
+        rec = trace_path(ContinuationPath((1e6, 2e6)), 1, big)
+        assert len(rec) <= 100
+        assert rec[-1][2] == 1
+        assert abs(rec[-1][1] - eval_complex(2e6, 1, big).y) <= 4e-16 * abs(rec[-1][1])
 
     def test_waypoint_validation(self):
         with pytest.raises(ValueError):
@@ -1198,6 +1252,14 @@ class TestDispersion:
         for z in CLOSURE_POINTS:
             diff = abs(dispersion_eval(z, atlas) - eval_complex(z, 1, atlas).y)
             assert diff <= 1e-12, z
+
+    @pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(math.nan, 1.0),
+                                   complex(math.inf, 0.0), -1.7e308 + 1e308j])
+    def test_non_finite_point_raises(self, atlas, z):
+        # nan gave nan + nanj, and an infinite modulus the limit pi/2, where
+        # eval_complex raises
+        with pytest.raises(NonFiniteArgument):
+            dispersion_eval(z, atlas)
 
     def test_quadrature_failure_guard(self, atlas):
         # next to the real cut the Cauchy kernel outruns both panel layouts

@@ -234,6 +234,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             WellModel(width_a=1.0, lam=1.0)._replace(lam=lam)
 
+    @pytest.mark.parametrize("width", [5e-324, 1e-300, 1e300])
+    def test_levels_outside_the_float_range_raise(self, width):
+        # k = E = inf for both levels at 5e-324, E = inf for index 1 at
+        # 1e-300, and E = 0.0 at 1e300
+        with pytest.raises(DomainViolation):
+            spectrum(WellModel(width_a=width, lam=1.0), 2)
+
     def test_count_positive(self):
         with pytest.raises(ValueError):
             spectrum(WellModel(width_a=1.0, lam=1.0), 0)
