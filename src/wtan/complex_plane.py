@@ -33,8 +33,11 @@ Outside that disk every root on the sheet satisfies the pole-free form
 since tan(c - d) = cot(d); it is solved by Newton iteration on
 h(w) = w - c + atan(w/x) from the seed c/(1 + 1/x), up to |x| = 1.7e308.
 The map contracts by q = |1/(x + w^2/x)|, which is 1 at a branch point and
-below 0.46 here; a root is used only if Newton converged and q <= 1/2, and
-then |y - y*| <= 2*|h(y)| certifies it where |h(y)| <= 4*eps*(1+|y|).
+below 0.46 here; a root is used only if Newton converged and q <= 1/2 at
+the last iterate it evaluated, w_k.  That certifies it with no further
+evaluation: the last step s = h(w_k)/(1 + d), d = h'(w_k) - 1, |d| <= 1/2,
+is at most 2*eps*|y|, so |h(w_k)| = |s|*|1 + d| <= 3*eps*|y|, and by
+contraction |y - y*| <= |w_k - y*| + |s| <= 2*|h(w_k)| + |s| <= 8*eps*|y|.
 
 Regions.  For w = u + iv, Im(w tan w) = (u sinh 2v + v sin 2u)/(cos 2u +
 cosh 2v) vanishes only on the axes, so every root for Im x > 0 lies in
@@ -427,6 +430,9 @@ class SheetAtlas:
         return best
 
     def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
+        """Distance from z to the nearest cut of sheet n; NonFiniteArgument
+        unless |z| is finite."""
+        _modulus(z)
         return min(c.distance(z) for c in self.cuts_for(n))
 
     def _guard(self, z: complex, s: _Sheet, cut_distance: float) -> None:
@@ -458,18 +464,17 @@ class SheetAtlas:
 
     def _solve(self, z: complex, m: int, r: float,
                guarded: bool) -> tuple[complex, bool]:
-        """Sheet-m (m > 0) value at z, r = |z|, and whether the exterior
-        certificate holds for it: the exterior root, or inside the disk
-        `_disk_root`, else NoConvergence; `guarded` runs the guards z can
-        trip, and only those (module docstring)."""
+        """Sheet-m (m > 0) value at z, r = |z|, and whether it took the
+        exterior route, whose root its last Newton step certifies: the
+        exterior root, or inside the disk `_disk_root`, else NoConvergence;
+        `guarded` runs the guards z can trip, and only those (module
+        docstring)."""
         s = self._sheet(m)
-        c = (m - 0.5) * math.pi
         if r >= EXTERIOR_FACTOR * s.disk:
-            y = _exterior_root(z, c)
+            y = _exterior_root(z, (m - 0.5) * math.pi)
             if y is None:
                 raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
-            h, d = _atan_form(z, c, y)
-            return y, abs(d) <= 0.5 and abs(h) <= 4.0 * EPS * (1.0 + abs(y))
+            return y, True
         if m > _LAST_POINT:
             raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                                   "float64 no longer orders the branch points there")
@@ -573,21 +578,22 @@ def _window_form(x: complex, k_pi: float, w: complex) -> tuple[complex, complex]
     return w - k_pi - cmath.atan(x / w), x / (w * w + x * x)
 
 
-def _newton(form: Callable[[complex], tuple[complex, complex]],
-            w: complex) -> tuple[complex, complex] | None:
-    """Newton iteration from w on an atan form f, where form(w) gives
-    (f(w), f'(w) - 1).  Returns the root and f' - 1 at the last iterate, or
-    None if the steps did not fall below 2*eps*|w| within 16 iterations
-    (measured: at most 5 on the exterior form, and 6 on the window form
-    beyond 0.25 of x_n) or an iterate hit a singularity of the form (atan
-    at +-i, w = 0, a vanishing denominator).
+def _newton(form: Callable[[complex, float, complex], tuple[complex, complex]],
+            x: complex, k: float, w: complex) -> tuple[complex, complex] | None:
+    """Newton iteration from w on an atan form f of the point x and the
+    constant k, where form(x, k, w) gives (f(w), f'(w) - 1).  Returns the
+    root and f' - 1 at the last iterate evaluated, the one before the
+    root's final step, or None if the steps did not fall below 2*eps*|w|
+    within 16 iterations (measured: at most 5 on the exterior form, and 6
+    on the window form beyond 0.25 of x_n) or an iterate hit a singularity
+    of the form (atan at +-i, w = 0, a vanishing denominator).
 
     The bound is relative: an absolute one passes a tiny iterate far from
     any root, where f' is huge (x = 1.2e-38 on sheet 2 gave 9.7e-37 for
     pi)."""
     try:
         for _ in range(16):
-            f, d = form(w)
+            f, d = form(x, k, w)
             step = f / (1.0 + d)
             w -= step
             if abs(step) <= 2.0 * EPS * abs(w):
@@ -599,8 +605,10 @@ def _newton(form: Callable[[complex], tuple[complex, complex]],
 
 def _exterior_root(x: complex, c: float) -> complex | None:
     """Newton root of h(w) = w - c + atan(w/x) from the overflow-safe seed
-    c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2."""
-    found = _newton(lambda w: _atan_form(x, c, w), c / (1.0 + 1.0 / x))
+    c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2
+    at the last iterate evaluated, which certifies the root to 8*eps*|y|
+    (module docstring)."""
+    found = _newton(_atan_form, x, c, c / (1.0 + 1.0 / x))
     return found[0] if found is not None and abs(found[1]) <= 0.5 else None
 
 
@@ -610,9 +618,10 @@ def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None
     w ~ sqrt(x) near the origin, from c*sqrt(x/(x + c^2)), the root with
     tan(w) replaced by w/(1 - (w/c)^2): <= 5 Newton steps for |x| in
     [3e-10, 3.2] where c/(1 + 1/x) ~ c*x takes up to 21.  For k >= 1 at
-    x = 0, or where c/(1 + 1/x) ~ c*x squares to 0 (|x| below ~1e-163) and
-    g' - 1 = x/(w^2 + x^2) would divide by 0, the seed is k*pi + x/(k*pi),
-    the root to rounding there."""
+    x = 0, where c/(1 + 1/x) ~ c*x squares to 0 (|x| below ~1e-163) and
+    g' - 1 = x/(w^2 + x^2) would divide by 0, or where it is not finite
+    (both parts of x subnormal, where 1/x overflows to inf - inf*j), the
+    seed is k*pi + x/(k*pi), the root to rounding there."""
     c = (n - 0.5) * math.pi
     k_pi = k * math.pi
     try:
@@ -621,9 +630,9 @@ def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None
         if x:
             return None
         seed = 0j
-    if k and seed * seed == 0:
+    if k and (seed * seed == 0 or not cmath.isfinite(seed)):
         seed = k_pi + x / k_pi
-    return _newton(lambda w: _window_form(x, k_pi, w), seed)
+    return _newton(_window_form, x, k_pi, seed)
 
 
 def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
@@ -760,9 +769,10 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
 
     The value is accepted if either
 
-    * it took the exterior route, q = |1/(z + w^2/z)| <= 1/2 at y and
-      |h(y)| = |y - c + atan(y/z)| <= 4*eps*(1+|y|) (sheet |n|), which
-      puts y within 8*eps*(1+|y|) of the root, or
+    * it took the exterior route: Newton on h(w) = w - c + atan(w/z)
+      (sheet |n|) converged with q = |1/(z + w^2/z)| <= 1/2 at its last
+      iterate evaluated, which puts y within 8*eps*|y| of the root by that
+      step alone (module docstring), or
     * the residual |y*tan(y) - z| is at most TOL*(1+|z|) or, near the tan
       pole, the conditioning floor 4*eps*|d(y tan y)/dy|*(1+|y|).
 
@@ -800,7 +810,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         floor = 4.0 * EPS * steepness * (1.0 + abs(y))
         if res > max(core.TOL * (1.0 + abs(z)), floor):
             raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
-    return BranchedValue(x=z, y=y, branch=n, scheme=atlas.scheme, residual=res)
+    return BranchedValue(z, y, n, atlas.scheme, res)
 
 
 def trace_path(path: ContinuationPath, start_sheet: BranchIndex,

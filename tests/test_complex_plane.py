@@ -1,6 +1,8 @@
 import cmath
+import json
 import math
 import random
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -32,10 +34,13 @@ from wtan.errors import (
     OnCut,
     OutOfCutRange,
     QuadratureFailure,
+    WtanError,
 )
 from wtan.series import eval_series, large_x_coeffs
 
 from conftest import imaginary_boundary_oracle, w_real_oracle
+
+PINS = Path(__file__).parent / "data" / "eval_complex_pins.json"
 
 CLOSURE_POINTS = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j, -0.5 - 3j,
                   -4 + 1j, 7 + 7j, 3 - 0.9j, 18 + 2j]
@@ -332,6 +337,26 @@ class TestExteriorRoute:
         with pytest.raises(NonFiniteArgument):
             eval_complex(-1.7e308 + 1e308j, 1, atlas)
 
+    @pytest.mark.parametrize("n", [1, -1, 4, -4, 600, -600, 10 ** 6, -10 ** 6])
+    def test_within_8_eps_of_40_digit_roots(self, n):
+        # the certificate taken from the last Newton step: each value lies
+        # within 8*eps*(1+|y|) of the 40-digit root of w = c - atan(w/z),
+        # c = sgn(n)*(|n|-1/2)*pi, for |z| from EXTERIOR_FACTOR*|x_|n|| to 1e300
+        atlas = SheetAtlas()
+        rng = np.random.default_rng([540, abs(n), int(n < 0)])
+        r0 = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk
+        moduli = 10.0 ** rng.uniform(math.log10(r0), 300.0, 40)
+        moduli[:4] = r0 * np.array([1.0, 1.0 + 1e-12, 1.5, 4.0])
+        with mp.workdps(40):
+            c = math.copysign(abs(n) - 0.5, n) * mp.pi
+            for r, t in zip(moduli, rng.uniform(-math.pi, math.pi, 40)):
+                z = cmath.rect(r, t)
+                y = eval_complex(z, n, atlas).y
+                zz, seed = mp.mpc(z.real, z.imag), mp.mpc(y.real, y.imag)
+                root = mp.findroot(lambda w: w - c + mp.atan(w / zz),
+                                   (seed, seed * (1 + mp.mpf(1e-12))))
+                assert abs(seed - root) <= 8 * complex_plane.EPS * (1 + abs(y)), (z, n)
+
     @pytest.mark.parametrize("z", [-1.7e308 + 1e308j, complex(math.inf, 0.0),
                                    complex(1.0, math.nan)])
     def test_non_finite_modulus_raises_wtan_error(self, atlas, z):
@@ -428,7 +453,7 @@ class TestWindowRoute:
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
             assert not atlas._in_region(other, n, z), z
-            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (other, d))
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (other, d))
             y = atlas._disk_root(z, n)
             monkeypatch.undo()
             assert abs(y - eval_complex(z, n, atlas).y) <= 1e-8, z
@@ -444,7 +469,7 @@ class TestWindowRoute:
             g, d = complex_plane._window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
             assert atlas._in_region(y, 1, z) and not atlas._in_region(-y, 1, z), z
-            monkeypatch.setattr(complex_plane, "_newton", lambda form, w: (-y, d))
+            monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (-y, d))
             mirror = atlas._disk_root(z, 1)
             monkeypatch.undo()
             assert abs(mirror - y) <= 1e-8, z
@@ -455,9 +480,13 @@ class TestWindowRoute:
         # below |z| ~ 1e-163; there the root is k*pi + z/(k*pi), k = |n| - 1
         calls = _count_continued(atlas, monkeypatch)
         k_pi = (abs(n) - 1) * math.pi
-        for z in (0j, complex(-0.0, 0.0), -0j, complex(-0.0, -0.0), 5e-324 + 0j,
+        # where both parts are subnormal 1/z overflows to inf - inf*j, and
+        # the seed c/(1 + 1/z) is NaN
+        subnormal = [complex(s * a, t * a) for a in (5e-324, 1e-310)
+                     for s in (1, -1) for t in (1, -1)]
+        for z in [0j, complex(-0.0, 0.0), -0j, complex(-0.0, -0.0), 5e-324 + 0j,
                   complex(1e-300, 1e-300), complex(1e-300, -1e-300),
-                  complex(-1e-300, 1e-300), complex(-1e-300, -1e-300), 1e-200j):
+                  complex(-1e-300, 1e-300), complex(-1e-300, -1e-300), 1e-200j] + subnormal:
             y = eval_complex(z, n, atlas).y
             ref = math.copysign(1.0, n) * (k_pi + z / k_pi)
             assert abs(y - ref) <= 4 * complex_plane.EPS * abs(ref), (z, y)
@@ -903,6 +932,44 @@ class TestGuards:
         assert not calls
         eval_complex(-1 + 1j, 1, atlas)   # a band point runs every guard
         assert set(calls) == {"distance_to_cuts", "_guard", "distance"}
+
+    def test_distance_to_cuts_rejects_non_finite_points(self, atlas):
+        # a nan point gave nan, and inf gave inf; 1e308+1e308j has a finite
+        # modulus, 1.41e308, and so a finite distance
+        for z in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+                  complex(0.0, -math.inf), -1.7e308 + 1e308j):
+            for n in (1, -4):
+                with pytest.raises(NonFiniteArgument):
+                    atlas.distance_to_cuts(z, n)
+        for n in (1, -4):
+            d = atlas.distance_to_cuts(1e308 + 1e308j, n)
+            assert abs(d - abs(1e308 + 1e308j)) <= 1e-15 * d
+
+
+class TestPins:
+    def test_values_bit_for_bit(self):
+        # y and residual as float.hex, or the exception's name, recorded at
+        # ~400 fixed points before the exterior route took its certificate
+        # from the last Newton step: exterior, both window k, band, germ
+        # seed, -i*z seed and guards, on sheets 1-4, 8, 600 and 10**6 of
+        # both signs.  A route names where z lies (in the band Re x_m <=
+        # Re z <= 0, left or right of it) and what placed the value: the
+        # window k tried first or the other one, a germ seed, or -i*z
+        pins = json.loads(PINS.read_text())
+        assert {p["route"] for p in pins} >= {
+            "exterior", "band:window_first", "band:window_other", "band:germ",
+            "band:minus_iz", "left:window_first", "right:window_first", "error:OnCut"}
+        assert {abs(p["n"]) for p in pins} >= {1, 2, 3, 4, 8, 600, 10 ** 6}
+        atlas = SheetAtlas()
+        for pin in pins:
+            z = complex(*map(float.fromhex, pin["z"]))
+            try:
+                v = eval_complex(z, pin["n"], atlas)
+            except WtanError as e:
+                got = {"error": type(e).__name__}
+            else:
+                got = {"y": [v.y.real.hex(), v.y.imag.hex()], "residual": v.residual.hex()}
+            assert got == {k: pin[k] for k in pin.keys() - {"z", "n", "route"}}, pin
 
 
 class TestAtlasRange:
