@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _LAZY = {
     "errors": (),
     "core": (
-        "BranchedValue", "BranchIndex", "CutScheme", "branch_identity_residual",
+        "BranchedValue", "BranchIndex", "branch_identity_residual",
         "defining_residual", "derivative", "eval_real", "halley_step",
         "second_derivative", "validate_branch"),
     "branch_points": (

@@ -67,10 +67,6 @@ class BranchPoint(NamedTuple):
     def conjugate_x(self) -> complex:
         return self.x.conjugate()
 
-    @property
-    def conjugate_y(self) -> complex:
-        return self.y.conjugate()
-
 
 def find_branch_point(n: int) -> BranchPoint:
     """Locate the n-th branch point (n >= 1) by complex Newton iteration.

@@ -26,7 +26,6 @@ from typing import Callable
 
 from . import __version__
 from .core import (
-    CutScheme,
     defining_residual,
     derivative as dw_dx,
     eval_real,
@@ -132,24 +131,23 @@ _QUAD_RANGE = _checked(_parse_range, "--range needs 0 < lo <= hi < inf",
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args):
-    scheme = CutScheme.REAL_AXIS if args.scheme == "real" else CutScheme.FINITE_CUTS
     if args.z is not None:
         z = _parse_complex(args.z)
-        if scheme is CutScheme.REAL_AXIS:
+        if args.scheme == "real":
             raise _usage_error("--z requires --scheme finite-cuts")
         from .complex_plane import SheetAtlas, eval_complex
 
         bv = eval_complex(z, args.branch, SheetAtlas())
         x, y, residual = bv.x, bv.y, bv.residual
     else:
-        if scheme is CutScheme.FINITE_CUTS:
+        if args.scheme == "finite-cuts":
             raise _usage_error("--x requires --scheme real")
         side = {"pos": 1, "neg": -1, None: None}[args.side]
         y_r = eval_real(args.x, args.branch, side=side)
         x, y = complex(args.x, 0.0), complex(y_r, 0.0)
         residual = defining_residual(args.x, y_r) if args.x != 0.0 else 0.0
     columns = ("x_re", "x_im", "y_re", "y_im", "branch", "scheme", "residual")
-    row = (x.real, x.imag, y.real, y.imag, args.branch, scheme.value, residual)
+    row = (x.real, x.imag, y.real, y.imag, args.branch, args.scheme, residual)
     if args.derivative:
         d = dw_dx(x, y)
         columns += ("dy_re", "dy_im")

@@ -174,7 +174,6 @@ from .core import (
     EPS,
     BranchedValue,
     BranchIndex,
-    CutScheme,
     _panel_nodes,
     defining_residual,
     halley_step,
@@ -221,9 +220,8 @@ MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
-# Entries in each of an atlas's two caches, of x_j (~300 bytes each) and of
-# sheet records (~3 kB): an atlas stays under ~3.5 MB however many sheets
-# it evaluates, labels or searches for the nearest branch point.
+# Entries in each of an atlas's two caches, of x_j (~300 bytes) and of sheet
+# records (~3 kB): an atlas stays under ~3.5 MB however many sheets it uses.
 _CACHED = 1024
 
 
@@ -246,33 +244,10 @@ class Cut(NamedTuple):
     endpoints: tuple[complex, complex]
     connects: tuple[BranchIndex, BranchIndex]
 
-    def crossing(self, z0: complex, z1: complex) -> float | None:
-        """Parameter t in [0, 1] where segment z0->z1 crosses the cut, else None.
-
-        A point exactly on the cut line counts as lying on the positive
-        side, so a segment ending on the line crosses it, and one leaving
-        the line for the positive side does not.
-        """
-        if self.kind is CutKind.VERTICAL_SEGMENT:
-            a = self.endpoints[0].real
-            d0, d1 = z0.real - a, z1.real - a
-            if (d0 >= 0.0) == (d1 >= 0.0):
-                return None
-            t = d0 / (d0 - d1)
-            imc = z0.imag + t * (z1.imag - z0.imag)
-            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
-            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
-            return t if lo <= imc <= hi else None
-        d0, d1 = z0.imag, z1.imag
-        if (d0 >= 0.0) == (d1 >= 0.0):
-            return None
-        t = d0 / (d0 - d1)
-        rec = z0.real + t * (z1.real - z0.real)
-        lo, hi = self.endpoints[0].real, self.endpoints[1].real
-        return t if lo <= rec <= hi else None
-
     def distance(self, z: complex) -> float:
-        """Euclidean distance from z to the cut segment."""
+        """Distance from z to the cut segment; NonFiniteArgument unless z is finite."""
+        if not cmath.isfinite(z):
+            raise NonFiniteArgument(f"z must be finite, got {z!r}")
         if self.kind is CutKind.VERTICAL_SEGMENT:
             a = self.endpoints[0].real
             lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
@@ -308,17 +283,6 @@ class ContinuationPath(_PathFields):
 # atlas
 # ---------------------------------------------------------------------------
 
-class _Points(dict):
-    """x_j by j (j >= 1), each found on first use; emptied when _CACHED are
-    held (a plain dict lookup: `nearest_branch_distance` reads many a call)."""
-
-    def __missing__(self, j: int) -> BranchPoint:
-        if len(self) >= _CACHED:
-            self.clear()
-        bp = self[j] = find_branch_point(j)
-        return bp
-
-
 class _Sheet(NamedTuple):
     """What sheets +-m need of their branch points x_(m-1) and x_m."""
 
@@ -331,11 +295,11 @@ class _Sheet(NamedTuple):
     roots: tuple[float, ...]        # u_j* for each of near: A_j meets the real axis there
 
 
-def _sheet_record(points: _Points, m: int) -> _Sheet:
-    """The record of sheets +-m (m >= 1) from an atlas's points; the atlas's
-    `_sheet` caches it."""
-    bp = points[m]
-    near = (points[m - 1], bp) if m > 1 else (bp,)
+def _sheet_record(points: Callable[[int], BranchPoint], m: int) -> _Sheet:
+    """The record of sheets +-m (m >= 1) from an atlas's points(j) = x_j;
+    the atlas's `_sheet` caches it."""
+    bp = points(m)
+    near = (points(m - 1), bp) if m > 1 else (bp,)
     germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
              for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
     hi = near[0].x.real if m > 1 else 0.0
@@ -350,19 +314,17 @@ def _sheet_record(points: _Points, m: int) -> _Sheet:
 
 
 class SheetAtlas:
-    """Branch points and per-sheet cuts of every sheet.  x_j, and each
+    """Branch points and cuts of every finite-cuts sheet.  x_j, and each
     sheet's cuts, germs, disk radius and band edges, are found on first use
-    and cached, at most _CACHED of each kind; every cache fills
-    idempotently, and no value depends on what an atlas has evaluated or
-    found before.  The origin x = 0 (w = 0, index 0) is a branch point too,
-    though no :class:`BranchPoint` record."""
-
-    scheme = CutScheme.FINITE_CUTS
+    and kept in two least-recently-used caches of _CACHED entries each;
+    every cache fills idempotently, and no value depends on what an atlas
+    has evaluated or found before.  The origin x = 0 (w = 0, index 0) is a
+    branch point too, though no :class:`BranchPoint` record."""
 
     def __init__(self):
         self.branch_points: list[BranchPoint] = []   # x_1..x_k of `build(k)`
-        self._points = _Points()
         # no reference back to the atlas: a dropped atlas is freed at once
+        self._points = functools.lru_cache(_CACHED)(find_branch_point)
         self._sheet = functools.lru_cache(_CACHED)(
             functools.partial(_sheet_record, self._points))
         self._disp_tables: dict[tuple, tuple] = {}
@@ -371,7 +333,7 @@ class SheetAtlas:
     def build(cls, sheets: int = 4) -> "SheetAtlas":
         """An atlas with x_1..x_sheets found up front, as `branch_points`."""
         atlas = cls()
-        atlas.branch_points = [atlas._points[j] for j in range(1, sheets + 1)]
+        atlas.branch_points = [atlas._points(j) for j in range(1, sheets + 1)]
         return atlas
 
     # -- geometry ----------------------------------------------------------
@@ -380,54 +342,6 @@ class SheetAtlas:
         """The cuts of sheet n in the finite-cuts convention."""
         n = validate_branch(n)
         return self._sheet(abs(n)).cuts[n > 0]
-
-    def nearest_branch_distance(self, z: complex) -> float:
-        """Distance from z to the nearest branch point: 0, x_j or conj(x_j),
-        j <= 2**52; bit for bit the minimum of |z - x| over every one, z
-        folded to Im >= 0.  As j rises Re x_j falls from Re x_1 and Im x_j
-        rises by ~pi, so only x_j with Im x_j within |z| of Im z can be
-        nearer than the origin, and none if z lies that far right of x_1.
-        The run of such j, around Im x_j ~ (j-1/4)*pi, is widened until its
-        ends are that far below and above z and searched by halving; its
-        ends are multiples of the largest power of two g <= k ~ |z|/pi, so
-        nearby calls visit the same x_j."""
-        p = z if z.imag >= 0.0 else z.conjugate()
-        v = p.imag
-        best = _modulus(p)
-        x = self._points
-        if p.real - x[1].x.real >= best:
-            return best
-        k = int(best / math.pi) + 1
-        g = 1 << (k.bit_length() - 1)
-        level = int(v / math.pi + 0.75)
-        hi = min((level + k + g - 1) // g * g, _LAST_POINT)
-        lo = max(min((level - k) // g * g, hi), 1)
-        while lo > 1 and v - x[lo].x.imag < best:
-            lo = max(lo - g, 1)
-        while hi < _LAST_POINT and x[hi].x.imag - v < best:
-            hi = min(hi + g, _LAST_POINT)
-        return self._nearest_in(p, lo, hi, best)
-
-    def _nearest_in(self, p: complex, lo: int, hi: int, best: float) -> float:
-        """min(best, |p - x_j|) over lo <= j <= hi.  Every such x_j lies in
-        the box spanned by x_lo and x_hi: a long run's box no nearer than
-        best is skipped, a nearer one halved, the half nearer p first."""
-        x = self._points
-        if hi - lo <= 8:
-            for j in range(lo, hi + 1):
-                d = abs(p - x[j].x)
-                if d < best:
-                    best = d
-            return best
-        a, b = x[lo].x, x[hi].x
-        if abs(complex(max(b.real - p.real, p.real - a.real, 0.0),
-                       max(a.imag - p.imag, p.imag - b.imag, 0.0))) >= best:
-            return best
-        mid = (lo + hi) // 2
-        halves = ((lo, mid), (mid + 1, hi))
-        for j, k in halves[::-1] if p.imag > x[mid].x.imag else halves:
-            best = self._nearest_in(p, j, k, best)
-        return best
 
     def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
         """Distance from z to the nearest cut of sheet n; NonFiniteArgument
@@ -535,7 +449,7 @@ class SheetAtlas:
         def inside(j: int) -> bool:
             if j > _LAST_POINT:
                 raise DomainViolation(f"the value {y!r} at z={z!r} lies past sheet 2**52")
-            bp = self._points[j]   # _in_arc reads u_j* right of Re w_j only
+            bp = self._points(j)   # _in_arc reads u_j* right of Re w_j only
             root = core.eval_real(bp.x.real, j) if u > bp.y.real else math.nan
             return _inside(u, v, z.real, bp, root)
 
@@ -723,7 +637,8 @@ def _walk_segment(z0: complex, y0: complex, z1: complex,
     """Continue the germ through (z0, y0) to z1 with adaptive steps; returns
     the value at z1.  Each step is at most BP_FACTOR times |f'|^2/(2|f''|)
     at the current value, the distance to the germ's branch point (module
-    docstring), and halves while Halley fails or corrects by more than
+    docstring), and halves while Halley fails (cos overflows too, where
+    tan y -> i leaves that distance unbounded) or corrects by more than
     MAX_DY.  `on_step` observes each accepted step.  Raises StepTooLarge
     when a step would have to fall below MIN_STEP.
     """
@@ -741,7 +656,7 @@ def _walk_segment(z0: complex, y0: complex, z1: complex,
                 y_new = _refine(z_new, _predict(z, y, z_new - z))
                 if abs(y_new - y) <= MAX_DY:
                     break
-            except (PoleProximity, NoConvergence):
+            except (PoleProximity, NoConvergence, OverflowError):   # cos overflows
                 pass
             take *= STEP_SHRINK
             if take < MIN_STEP:
@@ -810,7 +725,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         floor = 4.0 * EPS * steepness * (1.0 + abs(y))
         if res > max(core.TOL * (1.0 + abs(z)), floor):
             raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
-    return BranchedValue(z, y, n, atlas.scheme, res)
+    return BranchedValue(z, y, n, res)
 
 
 def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
@@ -846,7 +761,8 @@ def _check_on_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
     ValueError unless one of them is of the side's kind (UPPER/LOWER: the
     real segment, LEFT/RIGHT: a vertical one): near the junction of the two
     a point can sit on both, and the side picks one."""
-    kinds = {cut.kind for cut in atlas.cuts_for(n) if cut.distance(point) <= 1e-9}
+    kinds = ({cut.kind for cut in atlas.cuts_for(n) if cut.distance(point) <= 1e-9}
+             if cmath.isfinite(point) else ())
     if not kinds:
         raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
     wanted = (CutKind.REAL_SEGMENT if side in (Side.UPPER, Side.LOWER)

@@ -25,7 +25,6 @@ rules that `integrals` and the dispersion code share.
 from __future__ import annotations
 
 import cmath
-import enum
 import functools
 import math
 import numbers
@@ -42,7 +41,6 @@ from .errors import (
 
 __all__ = [
     "BranchIndex",
-    "CutScheme",
     "BranchedValue",
     "validate_branch",
     "eval_real",
@@ -104,36 +102,21 @@ def validate_branch(n: int) -> int:
     return n
 
 
-class CutScheme(enum.Enum):
-    """The conventions that make each branch single valued, one per evaluator.
-
-    REAL_AXIS   -- `eval_real`: windows as in the module docstring,
-                   continuous in x except at x = 0.
-    FINITE_CUTS -- `complex_plane.eval_complex`: each branch point x_n is
-                   joined to its conjugate by a vertical segment, plus one
-                   finite real-axis segment per sheet; infinity is a
-                   regular point of every sheet.
-    """
-
-    REAL_AXIS = "real"
-    FINITE_CUTS = "finite-cuts"
-
-
 class BranchedValue(NamedTuple):
-    """A function value tagged with the branch and cut scheme that produced it."""
+    """A finite-cuts value from `complex_plane.eval_complex`: y on sheet
+    `branch` at the point x, with the residual |y*tan(y) - x|."""
 
     x: complex
     y: complex
     branch: BranchIndex
-    scheme: CutScheme
     residual: float
 
 
 def defining_residual(x: complex, y: complex) -> float:
-    """|y*tan(y) - x|, the defining-equation residual."""
-    if isinstance(x, complex) or isinstance(y, complex):
-        return abs(y * cmath.tan(y) - x)
-    return abs(y * math.tan(y) - x)
+    """|y*tan(y) - x|, the defining-equation residual, real or complex; inf
+    where it exceeds float64 (abs() of a complex raises OverflowError)."""
+    r = y * cmath.tan(y) - x   # for real y, cmath.tan gives math.tan's bits
+    return math.hypot(r.real, r.imag)
 
 
 # ---------------------------------------------------------------------------

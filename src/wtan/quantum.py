@@ -199,15 +199,17 @@ def variational_bound_2(x: float) -> float:
 
     The square-root sign is fixed by b -> 0 as x -> +-infinity.  Total on
     the finite reals (the inner discriminant is negative); near 0+ it
-    behaves as 1.0537 sqrt(x) and its 0- limit is pi*sqrt(5)/2.  NaN and
-    +-inf raise NonFiniteArgument."""
+    behaves as 1.0537 sqrt(x) and its 0- limit is pi*sqrt(5)/2; on [-2, 0),
+    where den cancels, x/den is (5x + 10 + 2 sqrt(...))/(9(x + 4)) instead.
+    NaN and +-inf raise NonFiniteArgument."""
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x == 0.0:
         return 0.0
-    sgn = 1.0 if x > 0.0 else -1.0
-    den = 5.0 * x + 10.0 + 2.0 * sgn * math.sqrt(25.0 + 16.0 * x + 4.0 * x * x)
-    return 1.5 * math.pi * math.sqrt(x / den)
+    root = 2.0 * math.sqrt(25.0 + 16.0 * x + 4.0 * x * x)
+    ratio = ((5.0 * x + 10.0 + root) / (9.0 * (x + 4.0)) if -2.0 <= x < 0.0
+             else x / (5.0 * x + 10.0 + math.copysign(root, x)))
+    return 1.5 * math.pi * math.sqrt(ratio)
 
 
 def rayleigh_quotient(x: float, b: float) -> float:
@@ -218,12 +220,17 @@ def rayleigh_quotient(x: float, b: float) -> float:
 
     Q(x, b) >= W^(1)(x)^2 for every admissible b; minimizing over b and
     taking the square root reproduces `variational_bound_2`, and b = 0
-    reproduces the square of `variational_bound_1`."""
+    reproduces the square of `variational_bound_1`.  For |b| > 1 it is
+    divided through by b^2, so a huge b gives its limit; NaN and +-inf
+    raise NonFiniteArgument."""
+    if not (math.isfinite(x) and math.isfinite(b)):
+        raise NonFiniteArgument(f"x and b must be finite, got x={x!r}, b={b!r}")
     if x == 0.0:
         raise DomainViolation("x = 0 is outside the quotient's domain")
-    den = (1.0 + b * b) + 2.0 / x * (1.0 - b) ** 2
+    p, q = (1.0 / b, 1.0) if abs(b) > 1.0 else (1.0, b)   # (1, b), or (1, b)/b
+    den = (p * p + q * q) + 2.0 / x * (p - q) ** 2
     if den <= 0.0:
         raise NonPositiveNorm(
             f"generalized norm denominator {den:.3e} <= 0 at x={x}, b={b}"
         )
-    return 0.25 * math.pi ** 2 * (1.0 + 9.0 * b * b) / den
+    return 0.25 * math.pi ** 2 * (p * p + 9.0 * q * q) / den

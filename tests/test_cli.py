@@ -456,10 +456,10 @@ class TestImport:
 
 
 # Every name `from wtan import *` yielded while the package imported all of
-# its modules eagerly.
+# its modules eagerly, less `CutScheme`, since removed.
 PUBLIC_NAMES = [
     "AsymptoticFit", "BranchIndex", "BranchPoint", "BranchedValue",
-    "ChebyshevModel", "ContinuationPath", "Cut", "CutKind", "CutScheme",
+    "ChebyshevModel", "ContinuationPath", "Cut", "CutKind",
     "Parity", "RadiusEstimate", "SeriesKind", "SeriesTable", "SheetAtlas",
     "Side", "SpectrumEntry", "Wavefunction", "WellModel",
     "asymptotic_branch_point", "boundary_value", "branch_identity_residual",

@@ -191,7 +191,12 @@ def _continued_from_far_anchor(z, n, atlas):
     of the real axis) and straight down onto z."""
     R = 1.0 + abs(z)
     route = [complex(R, 0.0), z]
-    if any(c.crossing(route[0], z) is not None for c in atlas.cuts_for(n)):
+    # the chord from R > 0 never meets the real cut; it crosses the vertical
+    # cut at x_j = a + ib iff it passes Re x = a at a height |Im| <= b
+    if any(c.kind is CutKind.VERTICAL_SEGMENT and z.real < c.endpoints[1].real
+           and abs(z.imag) * (R - c.endpoints[1].real)
+           <= c.endpoints[1].imag * (R - z.real)
+           for c in atlas.cuts_for(n)):
         top = atlas.branch_points[abs(n) - 1].x.imag + 1.0
         top = top if z.imag >= 0.0 else -top
         route[1:1] = [complex(R, top), complex(z.real, top)]
@@ -558,6 +563,14 @@ class TestEscapeRoute:
         assert not calls
 
 
+def _branch_distance(z, m):
+    """Distance from z to the nearest of 0, x_j and conj(x_j), j <= 2m+2.
+    For z in the disk of sheet m, |z| < EXTERIOR_FACTOR*|x_m| ~ 1.2*m*pi,
+    the others lie above Im x_(2m+3) ~ (2m+11/4)*pi, more than 2 away."""
+    points = [find_branch_point(j).x for j in range(1, 2 * m + 3)]
+    return min([abs(z)] + [abs(z - p) for x in points for p in (x, x.conjugate())])
+
+
 def _band_points(atlas, n, rng, count):
     """Points in the band of sheet n inside its exterior disk, beyond 1e-3
     of its cuts and branch points."""
@@ -567,7 +580,7 @@ def _band_points(atlas, n, rng, count):
     while len(points) < count:
         z = complex(rng.uniform(lo, 0.0), rng.uniform(-radius, radius))
         if (abs(z) < radius and atlas.distance_to_cuts(z, n) > 1e-3
-                and atlas.nearest_branch_distance(z) > 1e-3):
+                and _branch_distance(z, m) > 1e-3):
             points.append(z)
     return points
 
@@ -944,6 +957,12 @@ class TestGuards:
         for n in (1, -4):
             d = atlas.distance_to_cuts(1e308 + 1e308j, n)
             assert abs(d - abs(1e308 + 1e308j)) <= 1e-15 * d
+        # each cut's own distance: nan gave nan
+        for cut in atlas.cuts_for(2):
+            for z in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
+                      complex(0.0, -math.inf)):
+                with pytest.raises(NonFiniteArgument):
+                    cut.distance(z)
 
 
 class TestPins:
@@ -1026,7 +1045,7 @@ class TestAtlasRange:
             while len(points) < 15:
                 z = cmath.rect(EXTERIOR_FACTOR * disk * math.sqrt(rng.uniform(0.0, 1.0)),
                                rng.uniform(-math.pi, math.pi))
-                if (atlases[0].nearest_branch_distance(z) > 0.05
+                if (_branch_distance(z, m) > 0.05
                         and atlases[0].distance_to_cuts(z, m) > 1e-3):
                     points.append(z)
             for z in points:
@@ -1035,26 +1054,14 @@ class TestAtlasRange:
                           for a in atlases]
                 assert values[0] == values[1] == values[2], (z, m, values)
 
-    def test_nearest_branch_distance_scans_every_branch_point(self):
-        # against the minimum over the origin and x_1..x_40 with conjugates,
-        # bit for bit, from a fresh atlas
-        points = [0j] + [find_branch_point(j).x for j in range(1, 41)]
-        points += [p.conjugate() for p in points]
-        rng = np.random.default_rng(1301)
-        fresh = SheetAtlas()
-        for z in [complex(rng.uniform(-30.0, 10.0), rng.uniform(-110.0, 110.0))
-                  for _ in range(2000)] + [points[j] + 1e-3 * (1 + 1j) for j in (1, 7, 40)]:
-            assert fresh.nearest_branch_distance(z) == min(abs(z - p) for p in points), z
-
     def test_caches_stay_bounded(self):
-        # steps beside ~1500 branch points and records of 1100 sheets: the
-        # atlas keeps at most _CACHED of each, and a value found before its
-        # branch-point cache was emptied is found again bit for bit
+        # ~1500 branch points and records of 1100 sheets: the atlas keeps at
+        # most _CACHED of each, and a branch point found before the cache
+        # dropped it is found again bit for bit
         atlas, cap = SheetAtlas(), complex_plane._CACHED
-        zs = [complex(-5.0, (j - 0.25) * math.pi) for j in range(1, 1500)]
-        first = [atlas.nearest_branch_distance(z) for z in zs]
-        assert len(atlas._points) <= cap
-        assert [atlas.nearest_branch_distance(z) for z in zs[:50]] == first[:50]
+        first = [atlas._points(j) for j in range(1, 1500)]
+        assert atlas._points.cache_info().currsize <= cap
+        assert [atlas._points(j) for j in range(1, 51)] == first[:50]
         for m in range(1, 1101):
             atlas.cuts_for(m)
         assert atlas._sheet.cache_info().currsize <= cap
@@ -1131,6 +1138,23 @@ class TestTracePath:
         assert trace_path(ContinuationPath((-1 + 1j, -19 + 1j)), 1, atlas)[-1][2] < 2 ** 52
         with pytest.raises(DomainViolation):
             trace_path(ContinuationPath((-1 + 1j, -25 + 1j)), 1, atlas)
+
+    def test_long_paths_return_or_raise_wtan_errors(self, atlas):
+        # where tan y -> i the germ's reach is unbounded, so one step took
+        # the whole segment and Halley's cos overflowed: these four paths
+        # and 4 of the 300 random ones raised a bare OverflowError.  Such a
+        # step now fails like any other; those eight pass sheet 2**52
+        for end in (-1e3 + 1j, -1e4 + 1j, -1e4 + 100j, -1e4 - 1j):
+            with pytest.raises(DomainViolation):
+                trace_path(ContinuationPath((-1 + 1j, end)), 1, atlas)
+        rng = random.Random(5)
+        for _ in range(300):
+            path = ContinuationPath([complex(rng.uniform(-1e4, 1e4), rng.uniform(-50.0, 50.0))
+                                     for _ in range(2)])
+            try:
+                trace_path(path, 1, atlas)
+            except WtanError:
+                pass
 
     def test_steps_sized_by_the_germ(self, monkeypatch):
         # far from its branch points a step spans ~|z|/8: the sheet-600 walk

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ import wtan.core
 from wtan.complex_plane import eval_complex
 from wtan.core import (
     branch_identity_residual,
+    defining_residual,
     derivative,
     eval_real,
     halley_step,
@@ -350,3 +352,17 @@ class TestBranchIdentity:
             x = float(rng.uniform(-20, 20)) or 0.5
             n = int(rng.integers(1, 5)) * (1 if rng.random() < 0.5 else -1)
             assert branch_identity_residual(x, n, eval_real(x, n)) < 1e-11
+
+
+class TestDefiningResidual:
+    def test_residual_past_float64_is_inf(self):
+        # |y*tan(y) - x| ~ 2.4e308: abs() of the complex raised a bare
+        # OverflowError
+        assert defining_residual(-1.7e308 + 1.7e308j, 1e300 - 1e16j) == math.inf
+
+    def test_same_bits_as_abs(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            x, y = (complex(*(10.0 ** rng.uniform(-5, 5, 2) * rng.choice((-1, 1), 2)))
+                    for _ in range(2))
+            assert defining_residual(x, y) == abs(y * cmath.tan(y) - x), (x, y)

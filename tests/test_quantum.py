@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -171,8 +172,7 @@ class TestBounds:
         slope = variational_bound_2(x) / math.sqrt(x)
         assert slope == pytest.approx(3 * math.pi * math.sqrt(5) / 20, rel=1e-8)
         assert slope == pytest.approx(1.0537, abs=1e-4)
-        # the 0- denominator cancels two ~10 terms, so double precision
-        # caps the achievable relative accuracy around 1e-7 here
+        # 1e-10 from 0- the value is the limit to O(x)
         left = variational_bound_2(-1e-10)
         assert left == pytest.approx(math.pi * math.sqrt(5) / 2, rel=1e-6)
         assert left / math.pi == pytest.approx(1.1180, abs=1e-4)
@@ -182,6 +182,16 @@ class TestBounds:
     def test_bound2_total_on_reals(self):
         for x in (-100.0, -2.0, -0.5, 0.0, 0.3, 7.0):
             variational_bound_2(x)  # no exception
+
+    @pytest.mark.parametrize("x", [-1e-4, -1e-8, -1e-15, -1e-20, -1e-300, -5e-324, -2.0])
+    def test_bound2_near_zero_from_below(self, x):
+        # 5x + 10 - 2 sqrt(25 + 16x + 4x^2) cancels toward 0-: the value was
+        # 4e-8 off at -1e-8 and 0.66% at -1e-15, and -1e-20 divided by 0.
+        # 400 digits resolve the cancellation down to -5e-324
+        with mp.workdps(400):
+            t = mp.mpf(x)
+            ref = 1.5 * mp.pi * mp.sqrt(t / (5 * t + 10 - 2 * mp.sqrt(25 + 16 * t + 4 * t * t)))
+            assert abs(variational_bound_2(x) - ref) <= 2 * 2.220446049250313e-16 * ref
 
     @pytest.mark.parametrize("bound", [variational_bound_1, variational_bound_2])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
@@ -213,6 +223,29 @@ class TestRayleighQuotient:
     def test_nonpositive_norm(self):
         with pytest.raises(NonPositiveNorm):
             rayleigh_quotient(-1.0, 0.0)
+
+    @pytest.mark.parametrize("x, b", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5),
+                                      (-math.inf, 0.5), (1.0, math.inf), (1.0, -math.inf)])
+    def test_non_finite_argument_raises(self, x, b):
+        # nan returned nan, and x = inf the x -> inf limit
+        with pytest.raises(NonFiniteArgument):
+            rayleigh_quotient(x, b)
+
+    def test_huge_b_gives_its_limit(self):
+        # Q -> (9 pi^2/4)/(1 + 2/x) as |b| -> inf; b = 1e300 raised a bare
+        # OverflowError
+        for x in (0.5, 2.0, -3.0):
+            limit = 2.25 * math.pi ** 2 / (1.0 + 2.0 / x)
+            for b in (1e300, -1e300, 1e20):
+                assert rayleigh_quotient(x, b) == pytest.approx(limit, rel=1e-15)
+
+    def test_large_b_matches_the_undivided_form(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            x = float(rng.uniform(0.05, 50.0))
+            b = float(rng.uniform(1.0, 100.0)) * rng.choice((-1.0, 1.0))
+            plain = 0.25 * math.pi ** 2 * (1 + 9 * b * b) / ((1 + b * b) + 2 / x * (1 - b) ** 2)
+            assert rayleigh_quotient(x, b) == pytest.approx(plain, rel=1e-14)
 
 
 class TestModelValidation:
