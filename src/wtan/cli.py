@@ -358,8 +358,6 @@ def main(argv: list[str] | None = None) -> int:
     except WtanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SystemExit:
-        raise
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

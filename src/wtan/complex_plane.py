@@ -417,11 +417,8 @@ class SheetAtlas:
                 return found[0].conjugate() if z.imag < 0.0 else found[0]
         for seed in [w + e * cmath.sqrt(2.0 * (x - xj) / f2) for w, xj, f2 in s.germs
                      for e in (1.0, -1.0)] + [-1j * x]:
-            try:
-                y = _refine(x, seed)
-            except (PoleProximity, NoConvergence, OverflowError):   # cos overflows
-                continue
-            if self._in_region(y, m, x):
+            y = _refine(x, seed)
+            if y is not None and self._in_region(y, m, x):
                 return y.conjugate() if z.imag < 0.0 else y
         return None
 
@@ -612,16 +609,20 @@ def _level(p: complex, d: complex, t: float, a: float,
     return None
 
 
-def _refine(x: complex, y: complex) -> complex:
-    """Polish y toward the root of w*tan(w) = x by Halley iteration."""
-    for _ in range(16):
-        y_new = halley_step(x, y)
-        if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
-            return y_new
-        y = y_new
-    if defining_residual(x, y) <= core.TOL * (1.0 + abs(x)):
-        return y
-    raise NoConvergence(f"Halley polish stalled at x={x!r}")
+def _refine(x: complex, y: complex) -> complex | None:
+    """Polish y toward the root of w*tan(w) = x by Halley iteration: the
+    value once a step falls to 1e-15 relative, or after 16 steps with the
+    residual within TOL; None where it fails, a stall, a step at a tan
+    pole, or cos overflowing (far up, where tan y -> i)."""
+    try:
+        for _ in range(16):
+            y_new = halley_step(x, y)
+            if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
+                return y_new
+            y = y_new
+    except (PoleProximity, OverflowError):
+        return None
+    return y if defining_residual(x, y) <= core.TOL * (1.0 + abs(x)) else None
 
 
 def _predict(z: complex, y: complex, dz: complex) -> complex:
@@ -637,10 +638,10 @@ def _walk_segment(z0: complex, y0: complex, z1: complex,
     """Continue the germ through (z0, y0) to z1 with adaptive steps; returns
     the value at z1.  Each step is at most BP_FACTOR times |f'|^2/(2|f''|)
     at the current value, the distance to the germ's branch point (module
-    docstring), and halves while Halley fails (cos overflows too, where
-    tan y -> i leaves that distance unbounded) or corrects by more than
-    MAX_DY.  `on_step` observes each accepted step.  Raises StepTooLarge
-    when a step would have to fall below MIN_STEP.
+    docstring), and halves while `_refine` returns None (cos overflowing
+    too, where tan y -> i leaves that distance unbounded) or corrects by
+    more than MAX_DY.  `on_step` observes each accepted step.  Raises
+    StepTooLarge when a step would have to fall below MIN_STEP.
     """
     z, y = z0, y0
     while z != z1:
@@ -652,12 +653,9 @@ def _walk_segment(z0: complex, y0: complex, z1: complex,
         take = min(abs(rem), max(BP_FACTOR * reach, MIN_STEP))
         while True:
             z_new = z1 if take >= abs(rem) else z + rem / abs(rem) * take
-            try:
-                y_new = _refine(z_new, _predict(z, y, z_new - z))
-                if abs(y_new - y) <= MAX_DY:
-                    break
-            except (PoleProximity, NoConvergence, OverflowError):   # cos overflows
-                pass
+            y_new = _refine(z_new, _predict(z, y, z_new - z))
+            if y_new is not None and abs(y_new - y) <= MAX_DY:
+                break
             take *= STEP_SHRINK
             if take < MIN_STEP:
                 raise StepTooLarge(f"continuation step fell below {MIN_STEP:g} near z={z!r}")
@@ -797,18 +795,17 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
     # the right side's outside
     half = right != (bp.n == m)
     inner, outer = atlas._sheet(bp.n), atlas._sheet(bp.n + 1)
-    try:
-        y = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
-    except (PoleProximity, NoConvergence, OverflowError):
-        y = -1.0   # no root: fails the test below
+    y = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
     # the germ of that half found A_j's root there: outside A_(j-1) and
     # inside A_(j+1) the cut point has no other
-    if not (y.real > 0.0 and (y.real > bp.y.real) == half
+    if y is None or not (y.real > 0.0 and (y.real > bp.y.real) == half
             and _in_arc(y.real, abs(y.imag), outer.bp, outer.roots[-1]) is True
             and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
                                       inner.roots[0]) is False)):
         off = x + complex(SIDE_OFFSET if right else -SIDE_OFFSET, 0.0 if x.imag else SIDE_OFFSET)
         y = _refine(x, atlas._solve(off, m, abs(off), False)[0])
+        if y is None:
+            raise NoConvergence(f"no Halley root beside the cut at {z!r} on sheet {m}")
     # at x_j both halves meet, and Halley stalls within ~sqrt(eps) of the
     # double root
     if (y.real > bp.y.real) != half and abs(y - bp.y) > math.sqrt(EPS) * (1.0 + abs(bp.y)):

@@ -289,7 +289,8 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 def halley_step(x: complex, y: complex) -> complex:
-    """One Halley update toward a root of f(w) = x - w*tan(w), at fixed x.
+    """One Halley update toward a root of f(w) = x - w*tan(w), at fixed x,
+    in complex arithmetic (cmath): the update is complex for real x, y too.
 
     Third-order one-point refinement:
 
@@ -303,13 +304,12 @@ def halley_step(x: complex, y: complex) -> complex:
     PoleProximity
         If |cos y| < 1e-8: the update divides by quantities that are
         singular at the poles of tan; the caller should re-seed or bisect.
+    OverflowError
+        Where cmath.cos overflows, at |Im y| beyond ~710 (there tan y ~ +-i).
     """
-    complex_mode = isinstance(x, complex) or isinstance(y, complex)
-    cos_ = cmath.cos if complex_mode else math.cos
-    tan_ = cmath.tan if complex_mode else math.tan
-    if abs(cos_(y)) < POLE_GUARD:
+    if abs(cmath.cos(y)) < POLE_GUARD:
         raise PoleProximity(f"|cos(y)| < {POLE_GUARD:g} at y={y!r}")
-    t = tan_(y)
+    t = cmath.tan(y)
     f = x - y * t
     sec2 = 1.0 + t * t
     den = y * sec2 + t

@@ -228,7 +228,9 @@ def rayleigh_quotient(x: float, b: float) -> float:
     if x == 0.0:
         raise DomainViolation("x = 0 is outside the quotient's domain")
     p, q = (1.0 / b, 1.0) if abs(b) > 1.0 else (1.0, b)   # (1, b), or (1, b)/b
-    den = (p * p + q * q) + 2.0 / x * (p - q) ** 2
+    den = p * p + q * q
+    if p != q:   # at b = 1 Q does not depend on x, and 2/x can overflow
+        den += 2.0 / x * (p - q) ** 2
     if den <= 0.0:
         raise NonPositiveNorm(
             f"generalized norm denominator {den:.3e} <= 0 at x={x}, b={b}"

@@ -127,6 +127,10 @@ class TestAsymptotics:
         approx = asymptotic_branch_point(n)
         assert abs(approx.x_approx - exact.x) * n / math.log(n) < 0.5
 
+    def test_invalid_index(self):
+        with pytest.raises(ValueError):
+            asymptotic_branch_point(0)
+
     def test_seed_role_at_one(self):
         approx = asymptotic_branch_point(1)
         lo, hi = math.pi, 1.5 * math.pi
@@ -147,6 +151,10 @@ class TestLocalExpansion:
     def test_needs_two_radii(self):
         with pytest.raises(ValueError):
             local_expansion_check(1, [1e-2])
+
+    def test_invalid_index(self):
+        with pytest.raises(ValueError):
+            local_expansion_check(0, (1e-2, 1e-3))
 
     @pytest.mark.parametrize("radii", [[1e-2, math.nan], [math.nan, 1e-2], [1e-2, 1e-2],
                                        [1e-2, 0.0], [1e-2, -1e-3], [math.inf, 1e-2]])

@@ -5,6 +5,7 @@ import pytest
 
 from wtan.chebyshev import _cheb_interp_coeffs, eval_cheb, fit
 from wtan.core import eval_real
+from wtan.errors import SamplingFailure
 
 # Reference coefficients of the split_a = 3.5, order-15 model, printed to
 # eight decimals (alpha, beta, gamma per row).
@@ -68,6 +69,11 @@ class TestFit:
             fit(-1.0, 15)
         with pytest.raises(ValueError):
             fit(3.5, 3)
+
+    def test_node_past_the_float_range_is_a_sampling_failure(self):
+        # the large-x region samples w at a/t, which overflows to inf here
+        with pytest.raises(SamplingFailure):
+            fit(1e308, 15)
 
 
 class TestEval:

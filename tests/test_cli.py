@@ -106,6 +106,18 @@ class TestEval:
         assert cp.stdout == ""
         assert "--x requires --scheme real" in cp.stderr
 
+    def test_complex_argument_rejects_real(self):
+        cp = run_cli("eval", "--z", "1,1")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == "error: --z requires --scheme finite-cuts\n"
+
+    def test_complex_argument_needs_two_parts(self):
+        cp = run_cli("eval", "--z", "1")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == "error: expected 're,im', got '1'\n"
+
 
 class TestTables:
     def test_series_row_values(self):
@@ -219,6 +231,30 @@ class TestTables:
         assert cp.returncode == 2, cp.stderr
         assert cp.stdout == ""
         assert cp.stderr.startswith(f"error: {message}, got "), cp.stderr
+
+    def test_range_needs_two_parts(self):
+        cp = run_cli("grid", "--range", "1")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == "error: expected 'lo:hi', got '1'\n"
+
+    def test_wavefunction_index_out_of_range(self):
+        cp = run_cli("qm", "--lambda", "0.5", "--levels", "2", "--wavefunction", "5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr == "error: --wavefunction index must be in [0, 1]\n"
+
+    def test_grid_leaves_domain_errors_empty(self):
+        # branch 2**1021 is past eval_real's limit: every cell is empty
+        cp = run_cli("grid", "--branch", str(2 ** 1021), "--range", "1:2", "--points", "3")
+        assert cp.returncode == 0, cp.stderr
+        assert cp.stdout.splitlines() == ["x,y", "1,", "1.5,", "2,"]
+
+    def test_cheb_node_past_the_float_range(self):
+        cp = run_cli("cheb", "--split", "1e308")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith("error: solver failed at a fit node"), cp.stderr
 
     def test_grid_zero_branch_is_usage_error(self):
         cp = run_cli("grid", "--branch", "0", "--range", "0.5:2")

@@ -1235,6 +1235,15 @@ class TestBoundaryValues:
                     assert boundary_value(point, n, side, atlas) == (w if n > 0 else -w), \
                         (j, point, side)
 
+    def test_failed_polish_is_no_convergence(self, atlas, monkeypatch):
+        # when no Halley polish succeeds, neither the germ seed's nor the
+        # one from beside the cut, the vertical-cut limit is refused with a
+        # WtanError
+        bp = find_branch_point(1)
+        monkeypatch.setattr(complex_plane, "_refine", lambda x, y: None)
+        with pytest.raises(NoConvergence):
+            boundary_value(complex(bp.x.real, 0.5 * bp.x.imag), 1, Side.RIGHT, atlas)
+
     def test_side_validation(self, atlas):
         with pytest.raises(ValueError):
             boundary_value(-1 + 0j, 1, Side.LEFT, atlas)

@@ -272,7 +272,7 @@ class TestHalleyStep:
         y = 0.8
         for _ in range(4):
             y = halley_step(1.0, y)
-        assert abs(y * math.tan(y) - 1.0) < 1e-13
+        assert abs(y * cmath.tan(y) - 1.0) < 1e-13
 
     def test_converges_to_special_value(self):
         y = 0.7
@@ -283,6 +283,14 @@ class TestHalleyStep:
     def test_pole_guard(self):
         with pytest.raises(PoleProximity):
             halley_step(1.0, math.pi / 2)
+
+    def test_degenerate_denominator(self):
+        # at y = 0, w*(1 + tan^2 w) + tan w vanishes with all its terms
+        with pytest.raises(PoleProximity, match="degenerate"):
+            halley_step(1 + 0j, 0j)
+
+    def test_steps_on_complex_numbers_only(self):
+        assert isinstance(halley_step(1.0, 0.8), complex)
 
     def test_complex_step(self):
         y = 1.2 + 0.2j

@@ -132,6 +132,12 @@ class TestWavefunction:
                 closed = 0.5 * model.width_a * (1.0 + math.sin(ka) / ka)
                 assert psi.A_I ** 2 * closed == pytest.approx(1.0, rel=1e-12)
 
+    def test_zero_outside_the_well(self):
+        model = WellModel(width_a=1.0, lam=0.5)
+        psi = wavefunction(model, spectrum(model, 1)[0])
+        assert psi(0.5) != 0.0
+        assert psi(-1e-9) == psi(1.0 + 1e-9) == psi(-5.0) == psi(7.0) == 0.0
+
     def test_inconsistent_entry_rejected(self):
         # k = pi is the lambda = 0 ground level; under lambda = -10 its
         # generalized norm is 1/2 - 10 < 0, so no normalization exists
@@ -166,6 +172,7 @@ class TestBounds:
         with pytest.raises(DomainViolation):
             variational_bound_1(-1.0)
         assert variational_bound_1(-3.0) > 0  # valid again below -2
+        assert variational_bound_1(0.0) == 0.0
 
     def test_bound2_limits(self):
         x = 1e-10
@@ -223,6 +230,15 @@ class TestRayleighQuotient:
     def test_nonpositive_norm(self):
         with pytest.raises(NonPositiveNorm):
             rayleigh_quotient(-1.0, 0.0)
+
+    def test_zero_x_is_outside_the_domain(self):
+        with pytest.raises(DomainViolation):
+            rayleigh_quotient(0.0, 0.5)
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324, -1e-310])
+    def test_b_one_does_not_depend_on_x(self, x):
+        # 2/x overflowed to +-inf and multiplied (1 - b)^2 = 0: nan
+        assert rayleigh_quotient(x, 1.0) == rayleigh_quotient(1.0, 1.0) == 12.337005501361698
 
     @pytest.mark.parametrize("x, b", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5),
                                       (-math.inf, 0.5), (1.0, math.inf), (1.0, -math.inf)])

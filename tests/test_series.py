@@ -103,6 +103,11 @@ class TestRecursions:
         for got, want in zip(table.primary_floats(), LARGE_X_EXACT):
             assert got == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("make", [small_x_coeffs, large_x_coeffs, lagrange_b])
+    def test_negative_order_raises(self, make):
+        with pytest.raises(ValueError):
+            make(-1)
+
     def test_order_zero_seeds(self):
         ts = small_x_coeffs(0)
         assert float(ts.primary[0]) == 1.0 and float(ts.secondary[0]) == 1.0
@@ -235,6 +240,10 @@ class TestRadiusEstimates:
         assert radius_estimates(small_x_coeffs(1))[0].rho == pytest.approx(6.0)
         assert radius_estimates(large_x_coeffs(1))[0].rho == pytest.approx(1.0)
 
+    def test_order_zero_table_raises(self):
+        with pytest.raises(ValueError):
+            radius_estimates(small_x_coeffs(0))
+
     def test_both_kinds_in_window_at_100(self):
         for maker in (small_x_coeffs, large_x_coeffs):
             est = radius_estimates(maker(100))[-1]
@@ -333,6 +342,8 @@ class TestAsymptoticFit:
         for k_min, k_max in ((100, 110), (0, 100), (-1, 100), (-50, 250)):
             with pytest.raises(ValueError):
                 fit_asymptotic(ts, k_min, k_max)
+        with pytest.raises(ValueError, match="table order"):
+            fit_asymptotic(ts, 50, ts.order + 1)
 
     @pytest.mark.parametrize("g", [0.9, 1.0, 1.1])
     def test_non_oscillating_sequence_diverges(self, g):
