@@ -25,7 +25,7 @@ import math
 from typing import NamedTuple
 
 from .core import eval_real
-from .errors import SamplingFailure, WtanError
+from .errors import NonFiniteArgument, SamplingFailure, WtanError
 
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
 
@@ -115,12 +115,16 @@ def _clenshaw(s: float, coeffs: tuple[float, ...]) -> float:
 def eval_cheb(x: float, model: ChebyshevModel) -> float:
     """Evaluate the piecewise model at real x (branch 1, real-axis
     convention for x < 0).  x = 0 belongs to the positive region, whose
-    value there is 0; the negative region is one-sided at 0-."""
+    value there is 0; the negative region is one-sided at 0-.  x = +-inf
+    gives the limit (pi/2) * sum_k beta_k T_k(0); NaN raises
+    NonFiniteArgument."""
     a = model.split_a
     if 0.0 <= x <= a:
         s = 2.0 * x / a - 1.0
         return math.sqrt(x) * _clenshaw(s, model.alpha)
     if x < -a or x > a:
         return 0.5 * math.pi * _clenshaw(a / x, model.beta)
+    if math.isnan(x):   # NaN fails both comparisons above
+        raise NonFiniteArgument("x is NaN")
     s = 2.0 * x / a + 1.0
     return math.pi * _clenshaw(s, model.gamma)

@@ -170,7 +170,7 @@ def cmd_series(args):
     table = (small_x_coeffs if args.kind == "small" else large_x_coeffs)(args.order)
     rho = {r.k: r.rho for r in radius_estimates(table)} if args.order >= 1 else {}
     return ("k", "coefficient", "radius_estimate"), (
-        (k, float(table.primary[k]), rho.get(k)) for k in range(args.order + 1))
+        (k, c, rho.get(k)) for k, c in enumerate(table.primary_floats()))
 
 
 def cmd_cheb(args):

@@ -167,6 +167,15 @@ def _root_test(coeff, k: int, small: bool) -> float:
     return _root(d, abs(n), k) if small else _root(abs(n), d, k)
 
 
+def _float(v) -> float:
+    """v rounded to the nearest float; past float64's range +-inf, as IEEE
+    rounding to nearest gives (float() raises OverflowError there)."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _scaled(values) -> tuple[list[int], int]:
     """Integers N_i and their common denominator D, values[i] = N_i / D."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -191,28 +200,53 @@ class SeriesTable(_TableFields):
     once, and `precision_digits` is floor(P * log10 2), the decimal digits
     of that working precision.  A table built by hand may hold any exact
     rationals with `as_integer_ratio` (int, float, Fraction).  The float
-    coefficients and the convergence bound that `eval_series` uses are
-    computed on first use and kept in the instance dict (the class has no
-    __slots__ for this); they are not fields, so equality, hashing and repr
-    ignore them.
+    coefficients, the convergence bound and the envelope constant that
+    `eval_series` uses are computed on first use and kept in the instance
+    dict (the class has no __slots__ for this); they are not fields, so
+    equality, hashing and repr ignore them.
     """
 
     @cached_property
     def _floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.primary)
+        return tuple(_float(v) for v in self.primary)
 
     @cached_property
     def _bound(self) -> float:
         """Convergence bound of `eval_series`: the root-test estimate at the
         highest nonzero stored order, capped by RHO_LIMIT from above
-        (SMALL_X) or from below (LARGE_X)."""
+        (SMALL_X) or from below (LARGE_X); RHO_LIMIT itself where no
+        coefficient past c_0 is nonzero."""
         small = self.kind is SeriesKind.SMALL_X
-        edge = math.inf
         for k in range(self.order, 0, -1):
             if self.primary[k] != 0:
                 edge = _root_test(self.primary[k], k, small)
-                break
-        return min(edge, RHO_LIMIT) if small else max(edge, RHO_LIMIT)
+                return min(edge, RHO_LIMIT) if small else max(edge, RHO_LIMIT)
+        return RHO_LIMIT
+
+    @cached_property
+    def _envelope(self) -> float:
+        """E = 2^63 M / |c_0| with M >= max_k |c_k| r^k, where r is the bound
+        in t = x (SMALL_X) or t = 1/x (LARGE_X, r = 1/bound); inf where c_0
+        is 0 or E is past float64's range.  Each |c_k| r^k / |c_0| is one
+        correctly rounded quotient of exact integers, E takes the next float
+        above their maximum, and a further factor 1 + 2^-32 covers the
+        roundings of `_last_order`."""
+        n0, d0 = abs(self.primary[0]).as_integer_ratio()
+        if n0 == 0:
+            return math.inf
+        try:
+            p, s = self._bound.as_integer_ratio()
+            if self.kind is SeriesKind.LARGE_X:
+                p, s = s, p
+            rk, sk, top = d0, n0, 0.0
+            for c in self.primary:
+                n, d = c.as_integer_ratio()
+                top = max(top, abs(n) * rk / (d * sk))
+                rk *= p
+                sk *= s
+            return math.nextafter(top, math.inf) * (2.0 ** 63 + 2.0 ** 31)
+        except OverflowError:
+            return math.inf
 
     def primary_floats(self) -> list[float]:
         """The primary coefficients rounded to floats, as a new list."""
@@ -387,18 +421,47 @@ def lagrange_b(k: int) -> float:
 # evaluation and analysis
 # ---------------------------------------------------------------------------
 
+def _last_order(table: SeriesTable, q: float) -> int:
+    """The highest order Horner needs at q = |t|/r: K = floor(n) for
+    n = log2(E/(1-q)) / log2(1/q), so that M q^(K+1)/(1-q) <= 2^-63 |c_0|;
+    the table's order where that is no smaller.  (log2, not log: math.log
+    parses an optional base and costs three times as much.)"""
+    if q == 0.0:
+        return 0
+    if q >= 1.0:
+        return table.order
+    n = math.log2(table._envelope / (1.0 - q)) / -math.log2(q)
+    return int(n) if n < table.order else table.order
+
+
 def eval_series(x: float, table: SeriesTable) -> SeriesEval:
-    """Horner evaluation of the expansion at real x.
+    """Evaluate the expansion at real x by Horner's rule over the terms
+    that can reach the float result.
 
     Small-argument tables require 0 <= x below the convergence bound
     min(root-test estimate, 2.6397); large-argument tables require |x|
     above max(root-test estimate, 2.6397).  The root-test estimate is
-    taken at the highest nonzero stored order.  The float coefficients and
-    the bound are computed once per table, on its first evaluation, so
-    later calls do float arithmetic only.  The reported truncation
-    estimate is the magnitude of the last retained term.  NaN raises
-    NonFiniteArgument; on a large-argument table x = +-inf returns the
-    limit pi/2 with truncation estimate 0.
+    taken at the highest nonzero stored order.  The float coefficients,
+    the bound and the envelope constant are computed once per table, on
+    its first evaluation, so later calls do float arithmetic only.
+
+    Tail bound.  With t = x (small) or 1/x (large), r the bound in t (1/bound
+    for large tables) and q = |t|/r < 1, every term obeys
+    |c_k t^k| = |c_k| r^k q^k <= M q^k for M = max_k |c_k| r^k, so the terms
+    past order K sum to at most M q^(K+1)/(1-q).  Horner starts at c_K for
+    the smallest K (`_last_order`, two log2 calls) that keeps this at most
+    2^-63 |c_0|, with M rounded up and a margin of 2^-32 for the roundings
+    of q and K.  If the truncated sum S_K keeps |S_K| >= |c_0|/2, the
+    dropped tail is at most 2^-62 |S_K|, 2^-9 of the sum's unit roundoff;
+    otherwise, and where q is too close to 1 for any K below the order,
+    every term is used.  Float coefficients past float64's range are +-inf:
+    where a term that is needed is not finite, OutsideConvergence is raised.
+
+    The truncation estimate is the table's own last term, |c_order t^order|
+    (times sqrt(x) or pi/2), as floats give it; where that product is not
+    finite it is rounded once from the exact coefficient instead.  NaN
+    raises NonFiniteArgument; on a large-argument table x = +-inf returns
+    the limit pi/2 (times c_0) with truncation estimate 0.
     """
     if math.isnan(x):
         raise NonFiniteArgument("x is NaN")
@@ -412,21 +475,31 @@ def eval_series(x: float, table: SeriesTable) -> SeriesEval:
             )
         if x == 0.0:
             return SeriesEval(0.0, 0.0)
+        t, q, scale = x, x / bound, math.sqrt(x)
+    else:
+        if abs(x) <= bound:
+            raise OutsideConvergence(
+                f"|x|={abs(x)} is inside the large-argument radius bound {bound:.4f}"
+            )
+        t = 1.0 / x
+        q, scale = abs(t) * bound, 0.5 * math.pi
+    K = _last_order(table, q)
+    acc = 0.0
+    for c in coeffs[K::-1]:
+        acc = acc * t + c
+    if not 0.5 * abs(coeffs[0]) <= abs(acc) < math.inf and K < table.order:
         acc = 0.0
         for c in reversed(coeffs):
-            acc = acc * x + c
-        return SeriesEval(math.sqrt(x) * acc,
-                          abs(coeffs[-1] * x ** table.order) * math.sqrt(x))
-    if abs(x) <= bound:
-        raise OutsideConvergence(
-            f"|x|={abs(x)} is inside the large-argument radius bound {bound:.4f}"
-        )
-    t = 1.0 / x
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return SeriesEval(0.5 * math.pi * acc,
-                      0.5 * math.pi * abs(coeffs[-1] * t ** table.order))
+            acc = acc * t + c
+    if not abs(acc) < math.inf:
+        raise OutsideConvergence(f"x={x} needs a coefficient past float64's range")
+    try:
+        last = abs(coeffs[-1] * t ** table.order)
+    except OverflowError:
+        last = math.inf
+    if not last < math.inf:     # rounded once from the exact coefficient
+        last = _float(abs(table.primary[-1]) * Fraction(t) ** table.order)
+    return SeriesEval(scale * acc, scale * last)
 
 
 def radius_estimates(table: SeriesTable) -> list[RadiusEstimate]:

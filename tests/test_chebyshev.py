@@ -5,7 +5,7 @@ import pytest
 
 from wtan.chebyshev import _cheb_interp_coeffs, eval_cheb, fit
 from wtan.core import eval_real
-from wtan.errors import SamplingFailure
+from wtan.errors import NonFiniteArgument, SamplingFailure
 
 # Reference coefficients of the split_a = 3.5, order-15 model, printed to
 # eight decimals (alpha, beta, gamma per row).
@@ -87,6 +87,16 @@ class TestEval:
 
     def test_negative_region(self, model):
         assert eval_cheb(-1.0, model) == pytest.approx(2.7983860457838867, abs=1e-7)
+
+    def test_nan_raises_and_infinity_is_the_limit(self, model):
+        # NaN fails every region's comparison; it must not reach the
+        # negative region's sum
+        with pytest.raises(NonFiniteArgument):
+            eval_cheb(math.nan, model)
+        limit = 0.5 * math.pi * sum(model.beta[::4]) - 0.5 * math.pi * sum(model.beta[2::4])
+        for x in (math.inf, -math.inf):
+            assert eval_cheb(x, model) == pytest.approx(limit, rel=1e-15)
+            assert eval_cheb(x, model) == pytest.approx(0.5 * math.pi, abs=1e-7)
 
     def test_accuracy_everywhere(self, model):
         for x in np.linspace(1e-6, 3.5, 500):

@@ -129,6 +129,17 @@ class TestTables:
         assert coeffs[3] == pytest.approx(-0.177532966576, abs=1e-10)
         assert coeffs[4] == pytest.approx(-2.289868133696, abs=1e-10)
 
+    def test_series_past_the_float_range(self):
+        # b_k leaves float64's range at k = 744: printed as +-inf, as
+        # rounding to nearest gives, not an internal error
+        cp = run_cli("series", "--kind", "large", "--order", "800")
+        assert cp.returncode == 0 and cp.stderr == ""
+        rows = [line.split(",") for line in cp.stdout.splitlines()[1:]]
+        assert len(rows) == 801
+        assert [abs(float(r[1])) == float("inf") for r in rows] == [k >= 744 for k in range(801)]
+        assert {r[1] for r in rows[744:]} == {"inf", "-inf"}
+        assert all(2.5 < float(r[2]) < 2.7 for r in rows[744:])
+
     def test_cheb_table_layout(self):
         cp = run_cli("cheb", "--split", "3.5", "--order", "15")
         lines = cp.stdout.strip().splitlines()

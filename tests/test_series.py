@@ -4,10 +4,15 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from wtan import series
 
 from wtan.core import derivative, eval_real
 from wtan.errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 from wtan.series import (
+    RHO_LIMIT,
     AsymptoticFit,
     SeriesKind,
     SeriesTable,
@@ -212,6 +217,18 @@ class TestEvalSeries:
             assert first.value == want
             assert table.primary_floats() == coeffs
 
+    def test_no_coefficient_past_c0_falls_back_to_rho_limit(self):
+        # the root test has no order to read: the bound is RHO_LIMIT, not
+        # an infinite bound that refuses every x
+        for table in (large_x_coeffs(0),
+                      SeriesTable(SeriesKind.LARGE_X, 3, (1, 0, 0, 0), (), 30)):
+            assert table._bound == RHO_LIMIT
+            for x in (10.0, -3.0, 1e300):
+                assert eval_series(x, table).value == 0.5 * math.pi
+            with pytest.raises(OutsideConvergence):
+                eval_series(2.5, table)
+        assert small_x_coeffs(0)._bound == RHO_LIMIT
+
     def test_truncation_estimate_reported(self):
         ev = eval_series(0.5, small_x_coeffs(10))
         assert 0.0 < ev.truncation_estimate < 1e-6
@@ -233,6 +250,135 @@ class TestEvalSeries:
         ds = sum((k + 0.5) * a[k] * x ** (k - 0.5) for k in range(41))
         w = eval_series(x, table).value
         assert ds == pytest.approx(derivative(x, w).real, rel=1e-10)
+
+
+def full_horner(coeffs, t):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def tail_and_head(table, t, K):
+    """2^62 times an upper bound of sum_(k>K) |c_k t^k| and, exactly,
+    |sum_(k<=K) c_k t^k|, both as integers over one power of two 2^top.
+    The coefficients and t are dyadic, so every term is an integer over a
+    power of two; a tail term finer than 2^-top (80 bits below the head's
+    finest unit) is rounded up to a multiple of it."""
+    m, d = t.as_integer_ratio()
+    s = d.bit_length() - 1
+    terms, mk = [], 1
+    for k, c in enumerate(table.primary):
+        n, a = c.as_integer_ratio()
+        terms.append((n * mk, a.bit_length() - 1 + k * s))
+        mk *= m
+    top = max(e for _, e in terms[:K + 1]) + 80
+    head = abs(sum(n << (top - e) for n, e in terms[:K + 1]))
+    tail = sum(-(-abs(n) >> (e - top)) if e > top else abs(n) << (top - e)
+               for n, e in terms[K + 1:])
+    return tail << 62, head
+
+
+class TestTruncation:
+    """eval_series sums only the terms that can reach the float result."""
+
+    def check(self, x, table):
+        small = table.kind is SeriesKind.SMALL_X
+        coeffs = table.primary_floats()
+        t = x if small else 1.0 / x
+        q = x / table._bound if small else abs(t) * table._bound
+        scale = math.sqrt(x) if small else 0.5 * math.pi
+        got = eval_series(x, table)
+        full = scale * full_horner(coeffs, t)
+        assert abs(got.value - full) <= math.ulp(full)
+        assert got.truncation_estimate == scale * abs(coeffs[-1] * t ** table.order)
+        K = series._last_order(table, q)
+        tail, head = tail_and_head(table, t, K)
+        assert tail <= head
+        return got.value, full, K
+
+    @given(st.floats(min_value=5e-324, max_value=RHO_LIMIT, exclude_max=True))
+    @example(5e-324)
+    @example(1e-310)
+    @example(2.0)
+    def test_small_x_field(self, tables, x):
+        self.check(x, tables[0])
+
+    @given(st.floats(min_value=RHO_LIMIT, max_value=1.7976931348623157e308,
+                     exclude_min=True), st.sampled_from([-1.0, 1.0]))
+    @example(1.7976931348623157e308, 1.0)
+    @example(3.5, -1.0)
+    @example(1e6, 1.0)
+    def test_large_x_field(self, tables, x, sign):
+        self.check(sign * x, tables[1])
+
+    def test_bound_edge_uses_every_term(self, tables):
+        small, large = tables
+        edges = [(math.nextafter(RHO_LIMIT, 0.0), small),
+                 (math.nextafter(RHO_LIMIT, math.inf), large),
+                 (-math.nextafter(RHO_LIMIT, math.inf), large)]
+        for x, table in edges:
+            value, full, K = self.check(x, table)
+            assert K == table.order and value == full
+
+    def test_order_300_tables_use_few_terms(self, tables):
+        # log2(2^63 / (1 - q)) / log2(1/q) with M = |c_0| = 1: q = 1/2.64
+        # needs c_0..c_45, q = 2/2.64 c_0..c_162, q = 2.64/20 c_0..c_21
+        small, large = tables
+        assert [series._last_order(small, x / small._bound) for x in (1.0, 2.0)] == [45, 162]
+        assert series._last_order(large, large._bound / 20.0) == 21
+        assert series._last_order(large, 0.0) == 0
+
+    def test_envelope_is_not_a_field(self, tables):
+        for table in tables:
+            assert table._envelope >= 2.0 ** 63
+            assert repr(table) == repr(table._replace())
+            assert hash(table) == hash(table._replace())
+
+
+@pytest.fixture(scope="module")
+def order_800():
+    return small_x_coeffs(800), large_x_coeffs(800)
+
+
+class TestPastTheFloatRange:
+    """At order 800 the large-x b_k pass 1.8e308 from k = 744 on."""
+
+    def test_floats_round_to_infinity(self, order_800):
+        _, large = order_800
+        floats = large.primary_floats()
+        edge = Fraction(2 ** 1024 - 2 ** 970)      # MAX + half an ulp
+        for f, b in zip(floats, large.primary):
+            if abs(b) >= edge:
+                assert f == (math.inf if b > 0 else -math.inf)
+            else:
+                assert f == float(b)
+        assert [k for k, f in enumerate(floats) if math.isinf(f)] == list(range(744, 801))
+
+    def test_finite_terms_give_a_finite_value(self, order_800):
+        _, large = order_800
+        for x in (10.0, -4.0, 3.0, 1e300, math.inf):
+            got = eval_series(x, large)
+            assert math.isfinite(got.value) and math.isfinite(got.truncation_estimate)
+            if math.isfinite(x):
+                assert got.value == pytest.approx(eval_real(x, 1), rel=4e-16)
+                # |b_800| t^800 is not a float product here: rounded once
+                exact = abs(large.primary[-1]) * Fraction(1.0 / x) ** 800
+                assert got.truncation_estimate == 0.5 * math.pi * float(exact)
+
+    def test_needed_infinite_term_raises(self, order_800):
+        _, large = order_800
+        for x in (2.8, -2.7, math.nextafter(RHO_LIMIT, math.inf)):
+            with pytest.raises(OutsideConvergence, match="past float64's range"):
+                eval_series(x, large)
+
+    def test_small_x_estimate_does_not_overflow(self, order_800):
+        small, _ = order_800
+        got = eval_series(2.5, small)
+        assert got.value == pytest.approx(eval_real(2.5, 1), rel=4e-16)
+        exact = abs(small.primary[-1]) * Fraction(2.5) ** 800
+        assert got.truncation_estimate == math.sqrt(2.5) * float(exact)
+        assert 0.0 < got.truncation_estimate < 1e-20
 
 
 class TestRadiusEstimates:
