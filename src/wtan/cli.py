@@ -12,7 +12,9 @@ list holding `dict(zip(columns, row))` for each row.  Identical
 invocations produce byte-identical output: no timestamps, fixed column
 orders, and floats rendered with a shortest round-trip representation
 capped at the requested number of significant digits (default 12,
-overridable with --precision); None is an empty CSV cell or JSON null.
+overridable with --precision); None is an empty CSV cell or JSON null,
+and JSON holds a non-finite float as the CSV's text: "inf", "-inf" or
+"nan", so the output is strict JSON.
 
 Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 """
@@ -85,9 +87,14 @@ def _emit(columns: tuple[str, ...], rows, args) -> None:
     else:
         import json
 
-        text = json.dumps([{c: float(fmt(v, p)) if isinstance(v, float) else v
-                            for c, v in zip(columns, row)} for row in rows],
-                          separators=(",", ":")) + "\n"
+        def cell(v):
+            if isinstance(v, float):
+                # JSON has no token for inf or nan: those are the CSV's text
+                return float(fmt(v, p)) if math.isfinite(v) else fmt(v, p)
+            return v
+
+        text = json.dumps([{c: cell(v) for c, v in zip(columns, row)} for row in rows],
+                          separators=(",", ":"), allow_nan=False) + "\n"
     if args.output == "-":
         sys.stdout.write(text)
     else:

@@ -138,8 +138,14 @@ imaginary.  On the vertical cut at x_j a side's limit is the root on the
 half of A_j the side rule gives it (right side: the left half on sheet j,
 the right half on sheet j+1), by Halley iteration from that half's germ
 seed, accepted outside A_(j-1) and inside A_(j+1), where the cut point has
-no other root; else from the sheet's root SIDE_OFFSET off the cut, which
-near x_j lies 45 degrees or more inside the wanted root's Halley basin.
+no other root.  Else it is the root that `_disk_root` places in R_m at
+the cut point itself, by the side rule for a point on the requested
+side: the cut point's real part for the right side, one ulp left of it
+for the left (at the foot, on the axis, R_m holds the limit from above
+and its conjugate, and the limit from above is taken), polished by
+Halley.  It is solved at the cut point itself: the band between the cut
+lines is ~0.5/m wide, below 1e-4 from sheet ~5000 on, so a point a fixed
+step off one cut line can lie beyond the other.
 
 Dispersion reconstruction
 -------------------------
@@ -207,7 +213,6 @@ __all__ = [
 
 CUT_GUARD = 1e-10          # closer than this to a cut -> OnCut
 BRANCH_POINT_GUARD = 1e-3  # eval_complex rejects targets this close to x_n
-SIDE_OFFSET = 1e-4         # a vertical cut's limits are seeded by the roots this far off it
 EXTERIOR_FACTOR = 1.2      # solved directly where |z| >= this times |x_|n||
 
 # Continuation step policy.  Each step is capped at BP_FACTOR times the
@@ -404,21 +409,25 @@ class SheetAtlas:
             raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
         return y, False
 
-    def _disk_root(self, z: complex, m: int) -> complex | None:
+    def _disk_root(self, z: complex, m: int, left: bool = False) -> complex | None:
         """The first root placed in R_m, for Im z >= 0 and reflected back:
         the window-form roots, then the Halley roots of the germ seeds and
-        of -i*z (module docstring); None if none is placed."""
+        of -i*z (module docstring); None if none is placed.  With `left`
+        the roots of z are placed, and the windows ordered, as for a point
+        one ulp left of z: on a vertical cut line the side rule then gives
+        the limit from the left, and without it the limit from the right."""
         x = z.conjugate() if z.imag < 0.0 else z
+        at = complex(math.nextafter(x.real, -math.inf), x.imag) if left else x
         s = self._sheet(m)
-        first = m if x.real < s.lo else m - 1
+        first = m if at.real < s.lo else m - 1
         for k in (first, 2 * m - 1 - first):
             found = _window_newton(x, m, k)
-            if found is not None and self._in_region(found[0], m, x):
+            if found is not None and self._in_region(found[0], m, at):
                 return found[0].conjugate() if z.imag < 0.0 else found[0]
         for seed in [w + e * cmath.sqrt(2.0 * (x - xj) / f2) for w, xj, f2 in s.germs
                      for e in (1.0, -1.0)] + [-1j * x]:
             y = _refine(x, seed)
-            if y is not None and self._in_region(y, m, x):
+            if y is not None and self._in_region(y, m, at):
                 return y.conjugate() if z.imag < 0.0 else y
         return None
 
@@ -788,7 +797,10 @@ def _tanh_root(s: float) -> float:
 def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
                     right: bool) -> complex:
     """Sheet-m (m > 0) limit at z on the vertical cut at x_j = bp.x from
-    its right (else left) side (module docstring); at the foot Im z = 0
+    its right (else left) side (module docstring): the Halley root from
+    the germ seed of the side's half of A_j, where the arcs accept it, else
+    `_disk_root`'s root placed by the side rule, polished; NoConvergence
+    where neither gives a root on the side's half.  At the foot Im z = 0
     the limits are taken from above."""
     x = z.conjugate() if z.imag < 0.0 else z
     # the right half (u > Re w_j) is the left side's inside A_j (j = m) and
@@ -802,10 +814,12 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
             and _in_arc(y.real, abs(y.imag), outer.bp, outer.roots[-1]) is True
             and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
                                       inner.roots[0]) is False)):
-        off = x + complex(SIDE_OFFSET if right else -SIDE_OFFSET, 0.0 if x.imag else SIDE_OFFSET)
-        y = _refine(x, atlas._solve(off, m, abs(off), False)[0])
+        y = atlas._disk_root(x, m, not right)
+        # at the foot, on the axis, R_m holds the limit from above and its
+        # conjugate alike
+        y = None if y is None else _refine(x, y.conjugate() if y.imag < 0.0 else y)
         if y is None:
-            raise NoConvergence(f"no Halley root beside the cut at {z!r} on sheet {m}")
+            raise NoConvergence(f"no root placed in the region of sheet {m} at {z!r}")
     # at x_j both halves meet, and Halley stalls within ~sqrt(eps) of the
     # double root
     if (y.real > bp.y.real) != half and abs(y - bp.y) > math.sqrt(EPS) * (1.0 + abs(bp.y)):

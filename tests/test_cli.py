@@ -140,6 +140,21 @@ class TestTables:
         assert {r[1] for r in rows[744:]} == {"inf", "-inf"}
         assert all(2.5 < float(r[2]) < 2.7 for r in rows[744:])
 
+    def test_series_past_the_float_range_is_strict_json(self):
+        # JSON has no infinity: the coefficients past float64's range are
+        # the CSV's strings, and the output parses with no non-finite token
+        cp = run_cli("series", "--kind", "large", "--order", "800", "--format", "json")
+        assert cp.returncode == 0 and cp.stderr == ""
+
+        def refuse(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        recs = json.loads(cp.stdout, parse_constant=refuse)
+        assert len(recs) == 801
+        assert [isinstance(r["coefficient"], str) for r in recs] == [k >= 744 for k in range(801)]
+        assert {r["coefficient"] for r in recs[744:]} == {"inf", "-inf"}
+        assert all(isinstance(r["radius_estimate"], float) for r in recs[744:])
+
     def test_cheb_table_layout(self):
         cp = run_cli("cheb", "--split", "3.5", "--order", "15")
         lines = cp.stdout.strip().splitlines()

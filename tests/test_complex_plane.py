@@ -1235,10 +1235,44 @@ class TestBoundaryValues:
                     assert boundary_value(point, n, side, atlas) == (w if n > 0 else -w), \
                         (j, point, side)
 
+    @pytest.mark.parametrize("m", [100, 500, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 8])
+    def test_vertical_limits_on_far_sheets(self, m):
+        # the band between the cut lines is ~0.5/m wide; both one-sided
+        # limits on both vertical cuts of sheets +-m, at 20 heights from the
+        # foot up and their conjugates, each return, lie within eps of the
+        # 40-digit root (plus the rounding of the point over the slope
+        # |f'|, f = w tan w) and match eval_complex beside the cut on the
+        # same side, between 2*CUT_GUARD and a tenth of the band away (at
+        # the foot, as far above the axis); on sheets 100 and 500 the germ
+        # root is refused at some feet, where the region holds the limit
+        # from above and its conjugate alike
+        atlas = SheetAtlas()
+        near = atlas._sheet(m).near
+        d = min(0.05 * (near[0].x.real - near[1].x.real), 1e-8)
+        assert d >= 2 * complex_plane.CUT_GUARD
+        for bp in near:
+            for k in range(20):
+                for h in {k / 20 * bp.x.imag, -k / 20 * bp.x.imag}:
+                    point = complex(bp.x.real, h)
+                    for side, e in ((Side.LEFT, -1.0), (Side.RIGHT, 1.0)):
+                        y = boundary_value(point, m, side, atlas)
+                        assert boundary_value(point, -m, side, atlas) == -y
+                        with mp.workdps(40):
+                            r = _root_40(point, y)
+                            t = mp.tan(r)
+                            slope = abs(t + r * (1 + t * t))
+                            bound = complex_plane.EPS * (abs(r) + abs(point) / slope)
+                            assert abs(mp.mpc(y.real, y.imag) - r) <= bound, (point, side)
+                        beside = complex(point.real + e * d, h or d)
+                        for n in (m, -m):
+                            near_y = eval_complex(beside, n, atlas).y
+                            assert abs(near_y - (y if n > 0 else -y)) <= 1e-6 * (1 + abs(y)), \
+                                (point, side, n)
+
     def test_failed_polish_is_no_convergence(self, atlas, monkeypatch):
         # when no Halley polish succeeds, neither the germ seed's nor the
-        # one from beside the cut, the vertical-cut limit is refused with a
-        # WtanError
+        # one of the root placed in the sheet's region, the vertical-cut
+        # limit is refused with a WtanError
         bp = find_branch_point(1)
         monkeypatch.setattr(complex_plane, "_refine", lambda x, y: None)
         with pytest.raises(NoConvergence):
