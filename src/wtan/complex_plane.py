@@ -86,17 +86,16 @@ root lies on B_j, inside at 225 degrees (u < Re w_j) and outside at 45
 (u > Re w_j), as the rule says.  So every root is placed: inside A_m and
 outside A_(m-1), by `_in_arc` or, where it has no answer, by this rule.
 
-Disk, r < EXTERIOR_FACTOR*|x_m|.  In the band Re x_m <= Re x <= 0 of the
-cuts every guard runs.  Right of it (Re x > 0) the only guard is |x| <
-CUT_GUARD on sheets +-1, the end of their real cut at the origin: every
-other cut and branch point has Re <= Re x_1 ~ -1.65.  Left of it the
-guards are the vertical cut at Re x_m, whose foot is the real cut's
-nearest point, and x_m, x_(m-1) and their conjugates.  The cut at
-Re x_(m-1) is at least the gap Re x_(m-1) - Re x_m ~ 0.5/m away (0.117 at
-m = 4, 5e-4 at m = 1000): far beyond CUT_GUARD, but within
-BRANCH_POINT_GUARD from m ~ 500 on, so x_(m-1) stays guarded.  For
-Im x >= 0 (its conjugate otherwise) the value is the first root placed in
-R_m of, in turn, the Newton roots of
+Disk, r < EXTERIOR_FACTOR*|x_m|.  One guard runs where Re x <= 0 or
+r < CUT_GUARD.  It raises OnCut where the least distance to the real cut
+[Re x_m, Re x_(m-1)] and the vertical cuts at x_(m-1) and x_m, taken from
+floats of the sheet record exactly as `Cut.distance` measures it, is below
+CUT_GUARD, or where x lies within BRANCH_POINT_GUARD of x_(m-1), x_m or a
+conjugate.  Elsewhere (Re x > 0, r >= CUT_GUARD) it cannot fire: every
+cut and branch point has Re <= Re x_1 ~ -1.65, save the end of the real
+cut of sheets +-1 at the origin, at distance r.  For Im x >= 0 (its
+conjugate otherwise, and on the axis the root with Im >= 0) the value is
+the first root placed in R_m of, in turn, the Newton roots of
 
     g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
 
@@ -225,8 +224,9 @@ MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
-# Entries in each of an atlas's two caches, of x_j (~300 bytes) and of sheet
-# records (~3 kB): an atlas stays under ~3.5 MB however many sheets it uses.
+# Entries in each of an atlas's two caches, of x_j (~250 bytes) and of sheet
+# records (~1.1 kB with their x_j): an atlas stays under ~1.5 MB however many
+# sheets it uses (1.36 MB with both caches full).
 _CACHED = 1024
 
 
@@ -293,10 +293,10 @@ class _Sheet(NamedTuple):
 
     bp: BranchPoint                 # x_m
     disk: float                     # |x_m|: every cut of the sheet lies within it
-    lo: float                       # Re x_m, the band's left edge
+    lo: float                       # Re x_m, the real cut's left end
+    hi: float                       # Re x_(m-1) (0 on sheets +-1), its right end
     near: tuple[BranchPoint, ...]   # x_(m-1) (m > 1) and x_m, the guarded points
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
-    cuts: tuple                     # the cuts of sheet -m and of sheet m
     roots: tuple[float, ...]        # u_j* for each of near: A_j meets the real axis there
 
 
@@ -307,15 +307,17 @@ def _sheet_record(points: Callable[[int], BranchPoint], m: int) -> _Sheet:
     near = (points(m - 1), bp) if m > 1 else (bp,)
     germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
              for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
-    hi = near[0].x.real if m > 1 else 0.0
-    # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
-    cuts = tuple(
-        (Cut(CutKind.REAL_SEGMENT, (complex(bp.x.real, 0.0), complex(hi, 0.0)), (n, -n)),
-         *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
-               (n, n + s if b.n == m else n - s)) for b in near))
-        for n, s in ((-m, -1), (m, 1)))
-    return _Sheet(bp, abs(bp.x), bp.x.real, near, tuple(germs), cuts,
-                  tuple(core.eval_real(b.x.real, b.n) for b in near))
+    return _Sheet(bp, abs(bp.x), bp.x.real, near[0].x.real if m > 1 else 0.0, near,
+                  tuple(germs), tuple(core.eval_real(b.x.real, b.n) for b in near))
+
+
+def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
+    """Distances from finite z to the cuts of sheets +-m, s = _sheet(m): the
+    real cut [lo, hi], then the vertical cut at each of s.near, the same
+    floats as `Cut.distance` gives."""
+    return (math.hypot(max(s.lo - z.real, z.real - s.hi, 0.0), z.imag),
+            *(math.hypot(z.real - b.x.real, max(abs(z.imag) - b.x.imag, 0.0))
+              for b in s.near))
 
 
 class SheetAtlas:
@@ -346,21 +348,28 @@ class SheetAtlas:
     def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
         """The cuts of sheet n in the finite-cuts convention."""
         n = validate_branch(n)
-        return self._sheet(abs(n)).cuts[n > 0]
+        m, step = abs(n), 1 if n > 0 else -1
+        s = self._sheet(m)
+        # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
+        return (Cut(CutKind.REAL_SEGMENT, (complex(s.lo, 0.0), complex(s.hi, 0.0)), (n, -n)),
+                *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
+                      (n, n + step if b.n == m else n - step)) for b in s.near))
 
     def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
         """Distance from z to the nearest cut of sheet n; NonFiniteArgument
         unless |z| is finite."""
         _modulus(z)
-        return min(c.distance(z) for c in self.cuts_for(n))
+        return min(_cut_distances(z, self._sheet(abs(validate_branch(n)))))
 
-    def _guard(self, z: complex, s: _Sheet, cut_distance: float) -> None:
-        """OnCut if a cut of sheet s lies cut_distance < CUT_GUARD from z,
-        or x_(m-1), x_m or a conjugate within BRANCH_POINT_GUARD of it."""
-        if cut_distance < CUT_GUARD:
+    def _guard(self, z: complex, s: _Sheet) -> None:
+        """OnCut if a cut of sheet s lies within CUT_GUARD of z, or x_(m-1),
+        x_m or a conjugate within BRANCH_POINT_GUARD of it."""
+        if min(_cut_distances(z, s)) < CUT_GUARD:
             raise OnCut(f"z={z!r} lies on a cut of sheet +-{s.bp.n}")
         for bp in s.near:
-            if min(abs(z - bp.x), abs(z - bp.conjugate_x)) < BRANCH_POINT_GUARD:
+            # x_j or its conjugate, whichever lies on z's side of the axis:
+            # the same float as the nearer of |z - x_j| and |z - conj x_j|
+            if abs(complex(z.real - bp.x.real, abs(z.imag) - bp.x.imag)) < BRANCH_POINT_GUARD:
                 raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
                             f"x_{bp.n}; too close for direct evaluation")
 
@@ -386,8 +395,7 @@ class SheetAtlas:
         """Sheet-m (m > 0) value at z, r = |z|, and whether it took the
         exterior route, whose root its last Newton step certifies: the
         exterior root, or inside the disk `_disk_root`, else NoConvergence;
-        `guarded` runs the guards z can trip, and only those (module
-        docstring)."""
+        `guarded` runs the guard wherever z can trip it (module docstring)."""
         s = self._sheet(m)
         if r >= EXTERIOR_FACTOR * s.disk:
             y = _exterior_root(z, (m - 0.5) * math.pi)
@@ -397,13 +405,8 @@ class SheetAtlas:
         if m > _LAST_POINT:
             raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                                   "float64 no longer orders the branch points there")
-        if guarded:
-            if s.lo <= z.real <= 0.0:
-                self._guard(z, s, self.distance_to_cuts(z, m))
-            elif z.real < s.lo:
-                self._guard(z, s, s.cuts[1][-1].distance(z))
-            elif m == 1 and r < CUT_GUARD:
-                raise OnCut(f"z={z!r} lies on a cut of sheet +-1")
+        if guarded and (z.real <= 0.0 or r < CUT_GUARD):
+            self._guard(z, s)
         y = self._disk_root(z, m)
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
@@ -412,10 +415,13 @@ class SheetAtlas:
     def _disk_root(self, z: complex, m: int, left: bool = False) -> complex | None:
         """The first root placed in R_m, for Im z >= 0 and reflected back:
         the window-form roots, then the Halley roots of the germ seeds and
-        of -i*z (module docstring); None if none is placed.  With `left`
-        the roots of z are placed, and the windows ordered, as for a point
-        one ulp left of z: on a vertical cut line the side rule then gives
-        the limit from the left, and without it the limit from the right."""
+        of -i*z (module docstring); None if none is placed.  On the axis,
+        where a root's conjugate is a root too, the one with Im >= 0: the
+        limit from above on a real cut, and at a vertical cut's foot.  With
+        `left` the roots of z are placed, and the windows ordered, as for a
+        point one ulp left of z: on a vertical cut line the side rule then
+        gives the limit from the left, and without it the limit from the
+        right."""
         x = z.conjugate() if z.imag < 0.0 else z
         at = complex(math.nextafter(x.real, -math.inf), x.imag) if left else x
         s = self._sheet(m)
@@ -423,12 +429,12 @@ class SheetAtlas:
         for k in (first, 2 * m - 1 - first):
             found = _window_newton(x, m, k)
             if found is not None and self._in_region(found[0], m, at):
-                return found[0].conjugate() if z.imag < 0.0 else found[0]
+                return _reflect(found[0], z)
         for seed in [w + e * cmath.sqrt(2.0 * (x - xj) / f2) for w, xj, f2 in s.germs
                      for e in (1.0, -1.0)] + [-1j * x]:
             y = _refine(x, seed)
             if y is not None and self._in_region(y, m, at):
-                return y.conjugate() if z.imag < 0.0 else y
+                return _reflect(y, z)
         return None
 
     # -- sheet regions -----------------------------------------------------
@@ -487,26 +493,38 @@ def _modulus(z: complex) -> float:
     return r
 
 
+def _reflect(y: complex, z: complex) -> complex:
+    """y, a root placed for z folded to Im z >= 0, back at z: its conjugate
+    below the axis and, on it, wherever Im y < 0."""
+    return y.conjugate() if z.imag < 0.0 or (z.imag == 0.0 and y.imag < 0.0) else y
+
+
 def _atan_form(x: complex, c: float, w: complex) -> tuple[complex, complex]:
-    """h(w) = w - c + atan(w/x) and h'(w) - 1 = 1/(x + w*(w/x))."""
+    """h(w) = w - c + atan(w/x) and h'(w) = 1 + 1/(x + w*(w/x))."""
     u = w / x
-    return w - c + cmath.atan(u), 1.0 / (x + w * u)
+    return w - c + cmath.atan(u), 1.0 + 1.0 / (x + w * u)
 
 
 def _window_form(x: complex, k_pi: float, w: complex) -> tuple[complex, complex]:
-    """g(w) = w - k*pi - atan(x/w) and g'(w) - 1 = x/(w^2 + x^2)."""
-    return w - k_pi - cmath.atan(x / w), x / (w * w + x * x)
+    """g(w) = w - k*pi - atan(x/w) and g'(w) = 1 + x/(w^2 + x^2)."""
+    return w - k_pi - cmath.atan(x / w), 1.0 + x / (w * w + x * x)
 
 
-def _newton(form: Callable[[complex, float, complex], tuple[complex, complex]],
-            x: complex, k: float, w: complex) -> tuple[complex, complex] | None:
-    """Newton iteration from w on an atan form f of the point x and the
-    constant k, where form(x, k, w) gives (f(w), f'(w) - 1).  Returns the
-    root and f' - 1 at the last iterate evaluated, the one before the
-    root's final step, or None if the steps did not fall below 2*eps*|w|
-    within 16 iterations (measured: at most 5 on the exterior form, and 6
-    on the window form beyond 0.25 of x_n) or an iterate hit a singularity
-    of the form (atan at +-i, w = 0, a vanishing denominator).
+def _tanh_form(s: float, _: float, p: float) -> tuple[float, float]:
+    """p*tanh(p) - s and its derivative tanh(p) + p*sech^2(p); `_newton`'s
+    constant is unused."""
+    t = math.tanh(p)
+    return p * t - s, t + p * (1.0 - t * t)
+
+
+def _newton(form: Callable, x: complex, k: float, w: complex) -> tuple[complex, complex] | None:
+    """Newton iteration from w on a form f of the point x and the constant
+    k, where form(x, k, w) gives (f(w), f'(w)).  Returns the root and f' at
+    the last iterate evaluated, the one before the root's final step, or
+    None if the steps did not fall below 2*eps*|w| within 16 iterations
+    (measured: at most 5 on the exterior form, 6 on the window form beyond
+    0.25 of x_n, and 5 on the tanh form for s up to 40) or an iterate hit a
+    singularity of the form (atan at +-i, w = 0, a vanishing denominator).
 
     The bound is relative: an absolute one passes a tiny iterate far from
     any root, where f' is huge (x = 1.2e-38 on sheet 2 gave 9.7e-37 for
@@ -514,7 +532,7 @@ def _newton(form: Callable[[complex, float, complex], tuple[complex, complex]],
     try:
         for _ in range(16):
             f, d = form(x, k, w)
-            step = f / (1.0 + d)
+            step = f / d
             w -= step
             if abs(step) <= 2.0 * EPS * abs(w):
                 return w, d
@@ -527,9 +545,10 @@ def _exterior_root(x: complex, c: float) -> complex | None:
     """Newton root of h(w) = w - c + atan(w/x) from the overflow-safe seed
     c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2
     at the last iterate evaluated, which certifies the root to 8*eps*|y|
-    (module docstring)."""
+    (module docstring).  h' = fl(1 + d), d = 1/(x + w^2/x), so h' - 1 is
+    exact there (Sterbenz) and differs from d only by the rounding of 1 + d."""
     found = _newton(_atan_form, x, c, c / (1.0 + 1.0 / x))
-    return found[0] if found is not None and abs(found[1]) <= 0.5 else None
+    return found[0] if found is not None and abs(found[1] - 1.0) <= 0.5 else None
 
 
 def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None:
@@ -768,30 +787,23 @@ def _check_on_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
     ValueError unless one of them is of the side's kind (UPPER/LOWER: the
     real segment, LEFT/RIGHT: a vertical one): near the junction of the two
     a point can sit on both, and the side picks one."""
-    kinds = ({cut.kind for cut in atlas.cuts_for(n) if cut.distance(point) <= 1e-9}
-             if cmath.isfinite(point) else ())
-    if not kinds:
+    d = _cut_distances(point, atlas._sheet(abs(n))) if cmath.isfinite(point) else (math.inf,)
+    if min(d) > 1e-9:
         raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
-    wanted = (CutKind.REAL_SEGMENT if side in (Side.UPPER, Side.LOWER)
-              else CutKind.VERTICAL_SEGMENT)
-    if wanted not in kinds:
+    if min(d[:1] if side in (Side.UPPER, Side.LOWER) else d[1:]) > 1e-9:
         raise ValueError(f"side {side.value} does not apply to the cut kind at {point!r}")
 
 
 def _tanh_root(s: float) -> float:
-    """p >= 0 with p*tanh(p) = s (s >= 0), by Newton iteration from
+    """p >= 0 with p*tanh(p) = s (s >= 0), by `_newton` on the tanh form from
     sqrt(s + s^2/3), the root to O(s^3) as s -> 0: at most 5 steps for s up
     to 40 (200000 draws), past |Re x_j| for every j <= 2**52 (19.7)."""
     if s <= 0.0:
         return 0.0
-    p = math.sqrt(s * (1.0 + s / 3.0))
-    for _ in range(16):
-        t = math.tanh(p)
-        step = (p * t - s) / (t + p * (1.0 - t * t))
-        p -= step
-        if abs(step) <= 2.0 * EPS * p:
-            return p
-    raise NoConvergence(f"p*tanh(p) = {s!r} did not converge")
+    found = _newton(_tanh_form, s, 0.0, math.sqrt(s * (1.0 + s / 3.0)))
+    if found is None:
+        raise NoConvergence(f"p*tanh(p) = {s!r} did not converge")
+    return found[0]
 
 
 def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
@@ -815,9 +827,7 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
             and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
                                       inner.roots[0]) is False)):
         y = atlas._disk_root(x, m, not right)
-        # at the foot, on the axis, R_m holds the limit from above and its
-        # conjugate alike
-        y = None if y is None else _refine(x, y.conjugate() if y.imag < 0.0 else y)
+        y = None if y is None else _refine(x, y)
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at {z!r}")
     # at x_j both halves meet, and Halley stalls within ~sqrt(eps) of the

@@ -374,19 +374,18 @@ def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1].
+    [-1, 1], n even.
 
     Each positive node is Newton's root of P_n from the guess
     cos(pi*(i + 3/4)/(n + 1/2)), with P_n, P_(n-1) and
     P_n' = n*(P_(n-1) - x*P_n)/(1 - x^2) from the three-term recurrence
     (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013); the negative nodes
-    mirror them, and odd n adds x = 0.  The weight is
-    2/((1 - x^2)*P_n'(x)^2): its relative sensitivity to a node error is
-    only 2x/(1 - x^2), where the equivalent 2(1 - x^2)/(n*P_(n-1)(x))^2
-    amplifies a half-ulp node error by 2(n+1)x/(1 - x^2).  For n = 10, 16
-    and 24, the only sizes used, nodes are within one ulp and weights
-    within 1e-14 relative of a 40-digit reference.  Cached: the rule
-    depends on n alone.
+    mirror them.  The weight is 2/((1 - x^2)*P_n'(x)^2): its relative
+    sensitivity to a node error is only 2x/(1 - x^2), where the equivalent
+    2(1 - x^2)/(n*P_(n-1)(x))^2 amplifies a half-ulp node error by
+    2(n+1)x/(1 - x^2).  For n = 10, 16 and 24, the only sizes used, nodes
+    are within one ulp and weights within 1e-14 relative of a 40-digit
+    reference.  Cached: the rule depends on n alone.
     """
     def legendre(x):  # (P_n(x), P_(n-1)(x))
         p0, p1 = 1.0, x
@@ -408,12 +407,8 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
         d = n * (q - x * p) / s
         nodes.append(x)
         weights.append(2.0 / (s * d * d))
-    if n % 2:
-        nodes.append(0.0)
-        weights.append(2.0 / (n * legendre(0.0)[1]) ** 2)
-    half = n // 2
-    return (tuple(-x for x in nodes[:half]) + tuple(reversed(nodes)),
-            tuple(weights[:half]) + tuple(reversed(weights)))
+    return (tuple(-x for x in nodes) + tuple(reversed(nodes)),
+            tuple(weights) + tuple(reversed(weights)))
 
 
 def _panel_nodes(length: float, panels: int,

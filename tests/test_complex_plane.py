@@ -765,7 +765,7 @@ def _full_guard(atlas, z, n):
     m = abs(n)
     return any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
                for j in (m - 1, m) if j >= 1
-               for p in (atlas.branch_points[j - 1].x, atlas.branch_points[j - 1].conjugate_x))
+               for p in (atlas._points(j).x, atlas._points(j).conjugate_x))
 
 
 def _route(atlas, z, n):
@@ -774,7 +774,7 @@ def _route(atlas, z, n):
         return "exterior"
     if z.real > 0.0:
         return "right"
-    return "left" if z.real < atlas.branch_points[m - 1].x.real else "band"
+    return "left" if z.real < atlas._points(m).x.real else "band"
 
 
 def _raises_on_cut(z, n, atlas):
@@ -785,10 +785,33 @@ def _raises_on_cut(z, n, atlas):
     return False
 
 
+def _ulps(x, k):
+    """x moved k ulps (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _straddling(point, direction, guard, nudges):
+    """Points guard and guard +- 1 ulp from `point` along the unit
+    `direction`, each coordinate the direction moves nudged by each of
+    `nudges` ulps: the distances measured back fall on both sides of guard."""
+    points = []
+    for d in (math.nextafter(guard, 0.0), guard, math.nextafter(guard, 1.0)):
+        z = point + d * direction
+        points += [complex(_ulps(z.real, i), _ulps(z.imag, k))
+                   for i in (nudges if direction.real else (0,))
+                   for k in (nudges if direction.imag else (0,))]
+    return points
+
+
 def _guard_points(atlas, sheets):
     """Points on every cut of the sheets, 5e-11 and 2e-10 off each (and
-    beyond its ends), within and just beyond BRANCH_POINT_GUARD of each
-    branch point, and within and just beyond CUT_GUARD of the origin."""
+    beyond its ends) and at CUT_GUARD +- 1-2 ulps; within, just beyond and
+    at BRANCH_POINT_GUARD +- 1 ulp of each branch point of the sheets and
+    its conjugate; within, just beyond and at CUT_GUARD +- 1 ulp of the
+    origin."""
+    cut_guard, point_guard = complex_plane.CUT_GUARD, complex_plane.BRANCH_POINT_GUARD
     points = []
     for cut in dict.fromkeys(c for k in sheets for c in atlas.cuts_for(k)):
         p, q = cut.endpoints
@@ -797,13 +820,35 @@ def _guard_points(atlas, sheets):
         for t in (0.0, 0.013, 0.5, 0.97, 1.0):
             on = p + t * (q - p)
             points += [on + d * normal for d in (0.0, 5e-11, -5e-11, 2e-10, -2e-10)]
+            for e in (normal, -normal):
+                points += _straddling(on, e, cut_guard, (-2, -1, 0, 1, 2))
         points += [p - 5e-11 * along, p - 2e-10 * along, q + 5e-11 * along, q + 2e-10 * along]
-    centres = [x for k in sheets for x in (atlas.branch_points[k - 1].x,
-                                           atlas.branch_points[k - 1].conjugate_x)]
-    for c, radii in [(c, (5e-4, 9.99e-4, 1.001e-3, 2e-3)) for c in centres] + [
-            (0j, (5e-11, 9.9e-11, 1.01e-10, 2e-10))]:
-        points += [c + cmath.rect(rho, 0.1 + k * math.pi / 3) for rho in radii for k in range(6)]
+        for end, e in ((p, -along), (q, along)):
+            points += _straddling(end, e, cut_guard, (-2, -1, 0, 1, 2))
+    centres = {x: None for k in sheets for j in (k - 1, k) if j >= 1
+               for x in (atlas._points(j).x, atlas._points(j).conjugate_x)}
+    for c, radii, guard in [(c, (5e-4, 9.99e-4, 1.001e-3, 2e-3), point_guard) for c in centres] + [
+            (0j, (5e-11, 9.9e-11, 1.01e-10, 2e-10), cut_guard)]:
+        for k in range(6):
+            e = cmath.rect(1.0, 0.1 + k * math.pi / 3)
+            points += [c + rho * e for rho in radii] + _straddling(c, e, guard, (-1, 0, 1))
     return points
+
+
+def _probe(monkeypatch, *members):
+    """Wrap each (owner, name) member to record its name when called; the
+    list of names called."""
+    calls = []
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return call
+
+    for owner, name in members:
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    return calls
 
 
 def _beside_the_band(m):
@@ -887,18 +932,35 @@ class TestFarBands:
             assert _within_eval_complex_bound(z, y), z
 
 
+def _assert_guard_fires_as_the_full_guard(sheets):
+    """eval_complex raises OnCut on the sheets' guard points exactly where
+    `_full_guard` fires, and samples each disk route, each guarded one on
+    both sides of its guard; the set of (route, fired) seen."""
+    atlas = SheetAtlas()
+    seen = set()
+    points = _guard_points(atlas, sheets)
+    for n in sheets + tuple(-k for k in sheets):
+        for z in points:
+            fired = _full_guard(atlas, z, n)
+            assert _raises_on_cut(z, n, atlas) == fired, (z, n, fired)
+            seen.add((_route(atlas, z, n), fired))
+    assert seen >= {("right", False), ("left", True), ("left", False),
+                    ("band", True), ("band", False)}
+    return seen
+
+
 class TestGuards:
-    def test_on_cut_exactly_where_the_full_guard_fires(self, atlas):
-        seen = set()
-        points = _guard_points(atlas, (1, 2, 3, 4))
-        for n in (1, 2, 3, 4, -1, -2, -3, -4):
-            for z in points:
-                fired = _full_guard(atlas, z, n)
-                assert _raises_on_cut(z, n, atlas) == fired, (z, n, fired)
-                seen.add((_route(atlas, z, n), fired))
-        # every route is sampled, each guarded one on both sides of its guard
-        assert seen == {("exterior", False), ("right", True), ("right", False),
-                        ("left", True), ("left", False), ("band", True), ("band", False)}
+    def test_on_cut_exactly_where_the_full_guard_fires(self):
+        # the guard reads the sheet record's floats, the reference each
+        # Cut's own distance: they agree at CUT_GUARD and BRANCH_POINT_GUARD
+        # +- 1 ulp too; right of the band only sheets +-1 have a cut, at
+        # the origin
+        seen = _assert_guard_fires_as_the_full_guard((1, 2, 3, 4))
+        assert {("exterior", False), ("right", True)} <= seen
+
+    @pytest.mark.parametrize("sheets", [(5, 6, 7, 8), (600,), (10 ** 6,)])
+    def test_on_cut_at_the_guards_of_far_sheets(self, sheets):
+        assert ("right", True) not in _assert_guard_fires_as_the_full_guard(sheets)
 
     @pytest.mark.parametrize("m", [600, 601])
     def test_left_of_band_beside_the_previous_branch_point(self, m):
@@ -924,27 +986,36 @@ class TestGuards:
         assert fired_left == 2 * (12 + 3)
 
     def test_exterior_route_runs_no_guard(self, atlas, monkeypatch):
-        calls = []
-
-        def probe(cls, name):
-            original = getattr(cls, name)
-
-            def counted(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, counted)
-
-        probe(SheetAtlas, "distance_to_cuts")
-        probe(SheetAtlas, "_guard")
-        probe(Cut, "distance")
+        calls = _probe(monkeypatch, (SheetAtlas, "_guard"), (complex_plane, "_cut_distances"))
         for n in (1, 2, 3, 4, -1, -2, -3, -4):
             r = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk * (1.0 + 1e-12)
             for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
                 eval_complex(z, n, atlas)
         assert not calls
         eval_complex(-1 + 1j, 1, atlas)   # a band point runs every guard
-        assert set(calls) == {"distance_to_cuts", "_guard", "distance"}
+        assert calls == ["_guard", "_cut_distances"]
+
+    def test_evaluation_builds_no_cut(self, monkeypatch):
+        # the guards and boundary values read the sheet record's floats:
+        # only cuts_for builds a Cut
+        atlas = SheetAtlas.build(4)
+        points = _guard_points(atlas, (1, 2, 3, 4))[::5]
+        cases = [(-1 + 0j, 1, Side.UPPER), (-1 + 0j, 1, Side.LOWER), (-1e-4 + 0j, 1, Side.UPPER)]
+        cases += [(point, n, side) for n in (2, 3, -2)
+                  for point, side, _ in _higher_sheet_cases(atlas, n)]
+        calls = _probe(monkeypatch, (Cut, "distance"), (SheetAtlas, "cuts_for"))
+        for n in (1, 2, 3, 4, -1, -2, -3, -4):
+            for z in points:
+                _raises_on_cut(z, n, atlas)
+        for point, n, side in cases:
+            boundary_value(point, n, side, atlas)
+        for point, side in ((1 + 0j, Side.UPPER), (-1 + 0j, Side.LEFT)):
+            with pytest.raises((NotOnCut, ValueError)):
+                boundary_value(point, 1, side, atlas)
+        discontinuity_delta0(-1.0, atlas)
+        discontinuity_delta1(1.0, atlas)
+        dispersion_eval(5 + 0j, SheetAtlas())
+        assert not calls
 
     def test_distance_to_cuts_rejects_non_finite_points(self, atlas):
         # a nan point gave nan, and inf gave inf; 1e308+1e308j has a finite
@@ -1111,6 +1182,25 @@ class TestTracePath:
         rec = trace_path(ContinuationPath((-1 + 0j, -1 + 0.5j)), 1, atlas)
         assert rec[-1][2] == 1
         assert abs(rec[-1][1] - eval_complex(-1 + 0.5j, 1, atlas).y) < 1e-12
+
+    def test_real_cut_start_is_the_limit_from_above(self):
+        # on the axis a root's conjugate is a root too: the start takes the
+        # one with Im >= 0 on every sheet (sheets 100 and 500 took -i*p at
+        # about 2 in 5 of these points), the limit boundary_value gives
+        atlas = SheetAtlas()
+        for m in (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 500, 600, 1000, 5000, 10 ** 4, 10 ** 6):
+            s = atlas._sheet(m)
+            for k in range(1, 40):
+                u = complex(s.lo + (s.hi - s.lo) * k / 40, 0.0)
+                for n in (m, -m):
+                    ref = boundary_value(u, n, Side.UPPER, atlas)
+                    y = atlas.continue_from_anchor(u, n)
+                    assert abs(y - ref) <= 2 * complex_plane.EPS * abs(ref), (u, n, y, ref)
+        # a path started there stays on its sheet: it ended labelled -100
+        u = -4.066495378807786
+        z, y, label = trace_path(ContinuationPath((u, u + 0.01j)), 100, atlas)[-1]
+        assert label == 100
+        assert abs(y - eval_complex(z, 100, atlas).y) < 1e-12
 
     def test_one_step_crosses_several_cut_lines(self, atlas):
         # between Re z = -1 and -3 lie the vertical cut lines of x_1..x_12,
