@@ -173,14 +173,14 @@ class TestLocalExpansion:
         # the anchor x_1 + 1e-8 lies in sheet 1's band; with no root placed
         # in the region it has no value: NoConvergence, reported as a
         # ContinuationFailure
-        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", lambda self, z, m: None)
+        monkeypatch.setattr(complex_plane, "_place", lambda z, s: None)
         with pytest.raises(ContinuationFailure):
             local_expansion_check(1, [1e-8, 1e-9])
 
     def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
-        def broken(self, z, m):
+        def broken(z, s):
             raise TypeError("broken")
 
-        monkeypatch.setattr(complex_plane.SheetAtlas, "_disk_root", broken)
+        monkeypatch.setattr(complex_plane, "_place", broken)
         with pytest.raises(TypeError):
             local_expansion_check(1, [1e-8, 1e-9])

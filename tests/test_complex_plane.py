@@ -463,6 +463,20 @@ class TestWindowRoute:
             monkeypatch.undo()
             assert abs(y - eval_complex(z, n, atlas).y) <= 1e-8, z
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_residual_refuses_a_root_off_its_point(self, atlas, monkeypatch, n):
+        # a disk root placed 1e-6 off the root, in, left and right of the
+        # band, fails the residual test and its conditioning floor alike
+        rng = np.random.default_rng(730 + n)
+        points = _band_points(atlas, n, rng, 10) + _off_band_points(atlas, n, rng, 20)
+        place = complex_plane._place
+        monkeypatch.setattr(complex_plane, "_place",
+                            lambda z, s, left=False: place(z, s, left) + 1e-6)
+        for z in points:
+            for sheet in (n, -n):
+                with pytest.raises(NoConvergence, match="residual"):
+                    eval_complex(z, sheet, atlas)
+
     def test_window_rejects_the_mirror_root(self, atlas, monkeypatch):
         # on sheet 1 right of the band g is odd, so the sheet -1 value -y is
         # a root with the same |g'|: the region of sheet 1 turns it away
@@ -551,7 +565,7 @@ class TestEscapeRoute:
         # placed in the region, or the exterior root refused, there is no
         # value, and nothing is continued
         z = atlas.branch_points[0].x - 0.05
-        monkeypatch.setattr(SheetAtlas, "_disk_root", lambda self, z, m: None)
+        monkeypatch.setattr(complex_plane, "_place", lambda z, s: None)
         monkeypatch.setattr(complex_plane, "_exterior_root", lambda x, c: None)
         calls = _count_continued(atlas, monkeypatch)
         for point in (z, 10.0 + 0j):
@@ -583,6 +597,9 @@ def _band_points(atlas, n, rng, count):
                 and _branch_distance(z, m) > 1e-3):
             points.append(z)
     return points
+
+
+_Q_SHEETS = [1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 1000, 10 ** 4, 10 ** 6, 10 ** 8]
 
 
 @pytest.fixture(scope="module")
@@ -673,6 +690,58 @@ class TestRegions:
             for dv in (-0.5 * tol, 0.0, 0.5 * tol):
                 assert complex_plane._in_arc(u, v + dv, s.bp, s.roots[-1]) is None, (u, dv)
             assert complex_plane._in_arc(u, 0.5 * v, s.bp, s.roots[-1]) is True, u
+
+    @pytest.mark.parametrize("j", _Q_SHEETS)
+    def test_one_tan_decides_the_right_half_as_the_level_solve(self, monkeypatch, j):
+        # on a 60 x 60 grid of Q = [Re w_j, u_j*] x [0, Im w_j] and at 0 to
+        # 64 root errors either side of A_j at 59 heights, the sign of
+        # Re f - a_j beyond its margin (the answer _in_arc gives with the
+        # solve stubbed out) is the Newton solve's in u wherever that one
+        # decides, and it decides nearly everywhere
+        bp = find_branch_point(j)
+        a, top, root = bp.x.real, bp.y, eval_real(bp.x.real, j)
+        level = complex_plane._level
+        vs = [float(v) for v in np.linspace(0.0, top.imag, 61)[:-1]]
+        points = [(float(u), v) for u in np.linspace(top.real, root, 62)[1:-1] for v in vs]
+        for v in vs[1:]:
+            arc, _ = level(complex(0.0, v), 1.0, root, a, math.inf, 0.0)
+            tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(arc, v))
+            points += [(arc + k * tol, v) for k in (-64, -16, -4, -1, 0, 1, 4, 16, 64)]
+        monkeypatch.setattr(complex_plane, "_level", lambda *args: None)
+        answers = [complex_plane._in_arc(u, v, bp, root) for u, v in points]
+        monkeypatch.undo()
+        compared = 0
+        for (u, v), answer in zip(points, answers):
+            tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(u, v))
+            found = level(complex(0.0, v), 1.0, root, a, u, tol)
+            if answer is not None and found is not None and abs(u - found[0]) > tol + found[1]:
+                compared += 1
+                assert answer == (u < found[0]), (u, v)
+        assert answers.count(None) <= 0.05 * len(points)
+        assert compared >= 0.9 * len(points)
+
+    @pytest.mark.parametrize("j", _Q_SHEETS)
+    def test_signs_on_the_edges_of_q(self, j):
+        # Q holds no pole of tan (Re w_j > (j - 1/2)*pi), and off its
+        # corners Re f < a_j on the bottom and left edges and Re f > a_j on
+        # the top and right ones: by the maximum principle each side of A_j
+        # in Q has one sign (the right edge is taken two ulps right of
+        # eval_real's u_j*, a faithful root, ~1.1 ulps low at j = 10**8,
+        # where Re f - a_j changes by ~18 over an ulp)
+        bp = find_branch_point(j)
+        a, top, root = bp.x.real, bp.y, eval_real(bp.x.real, j)
+        assert top.real > (j - 0.5) * math.pi
+        ts = [float(t) for t in np.linspace(0.01, 0.99, 200)]
+
+        def gap(u, v):
+            w = complex(u, v)
+            return (w * cmath.tan(w)).real - a
+
+        assert all(gap(top.real + t * (root - top.real), 0.0) < 0.0 for t in ts)
+        assert all(gap(top.real, t * top.imag) < 0.0 for t in ts)
+        assert all(gap(top.real + t * (root - top.real), top.imag) > 0.0 for t in ts)
+        right = math.nextafter(math.nextafter(root, math.inf), math.inf)
+        assert all(gap(right, t * top.imag) > 0.0 for t in ts)
 
     @pytest.mark.parametrize("n", [5, 8, 16, 64])
     def test_every_sheet_solved_directly(self, monkeypatch, n):
@@ -918,6 +987,35 @@ class TestFarBands:
             ref = _continued_from_far_anchor(z, m, big)
             assert abs(y - ref) <= 4e-15 * abs(ref), z
 
+    def test_above_the_branch_point_right_of_the_band(self, monkeypatch):
+        # Re z in [Re x_(m-1), 0] and Im z in [1, 1.02]*Im x_m: z/w ~ 1.02i
+        # lies beside the principal atan's cut, and on sheets from ~50 on
+        # both windows' roots and every Halley seed's can lie in other
+        # sheets' regions; the exterior form's Newton root, polished, is
+        # then the one R_m holds.  Each draw returns the value continued
+        # from 1.3*z, which stays on sheet m
+        atlas = SheetAtlas()
+        rng = random.Random(1900)
+        points = [(complex(-2.3031848881214803, 960.2709936299362), 300)]
+        for m in (300, 500, 1000, 2000, 5000, 10 ** 4):
+            s = atlas._sheet(m)
+            points += [(complex(rng.uniform(s.hi, 0.0), rng.uniform(1.0, 1.02) * s.bp.x.imag), m)
+                       for _ in range(400)]
+        calls = _probe(monkeypatch, (complex_plane, "_atan_form"))
+        last = set()
+        values = []
+        for z, m in points:
+            values.append(eval_complex(z, m, atlas).y)
+            assert eval_complex(z, -m, atlas).y == -values[-1], (z, m)
+            if calls:
+                last.add(z)
+                calls.clear()
+        monkeypatch.undo()
+        assert points[0][0] in last and len(last) >= 10
+        for (z, m), y in zip(points, values):
+            _, ref, label = trace_path(ContinuationPath((1.3 * z, z)), m, atlas)[-1]
+            assert label == m and abs(y - ref) <= 4e-15 * abs(ref), (z, m)
+
     def test_band_of_sheet_one_million(self):
         # the band is 5e-7 wide and the arcs' uncertainty wider: the side
         # rule places each root, and Halley from -i*z (whose denominator
@@ -984,6 +1082,28 @@ class TestGuards:
                 assert _raises_on_cut(z, n, big) == fired, (z, n, fired)
                 fired_left += fired and _route(big, z, n) == "left"
         assert fired_left == 2 * (12 + 3)
+
+    @pytest.mark.parametrize("sheets", [(1, 2, 3, 4, 5, 6, 7, 8), (600,), (10 ** 6,)])
+    def test_left_of_band_only_the_cut_at_x_m_is_measured(self, monkeypatch, sheets):
+        # left of the band the vertical cut at x_m is the nearest: at
+        # CUT_GUARD +- 1 ulp left of it OnCut fires exactly where the least
+        # of all the sheet's cut distances is below CUT_GUARD, and the
+        # guard measures no other
+        atlas = SheetAtlas()
+        cases = []
+        for m in sheets:
+            s = atlas._sheet(m)
+            for t in (0.0, 0.3, 0.7, 0.99, -0.5):
+                for z in _straddling(complex(s.lo, t * s.bp.x.imag), -1 + 0j,
+                                     complex_plane.CUT_GUARD, (-1, 0, 1)):
+                    near = min(complex_plane._cut_distances(z, s)) < complex_plane.CUT_GUARD
+                    cases += [(z, n, near) for n in (m, -m)]
+        calls = _probe(monkeypatch, (complex_plane, "_cut_distances"))
+        for z, n, near in cases:
+            assert _route(atlas, z, n) == "left", (z, n)
+            assert _raises_on_cut(z, n, atlas) == near, (z, n, near)
+        assert not calls
+        assert {near for _, _, near in cases} == {True, False}
 
     def test_exterior_route_runs_no_guard(self, atlas, monkeypatch):
         calls = _probe(monkeypatch, (SheetAtlas, "_guard"), (complex_plane, "_cut_distances"))
