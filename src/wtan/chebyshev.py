@@ -16,12 +16,16 @@ Coefficients come from Chebyshev-Gauss interpolation at order-matched
 nodes; since each prefactor-reduced target is analytic on its interval the
 interpolation coefficients converge geometrically to the expansion
 coefficients, and the magnitude of the last retained coefficient estimates
-the truncation error of the whole region.
+the truncation error of the whole region.  The three regions share their
+nodes, so each row of cosines cos(k pi (j + 1/2) / order) is computed once
+per fit and serves all three.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import mul, truediv
 from typing import NamedTuple
 
 from .core import eval_real
@@ -51,22 +55,34 @@ class ChebyshevModel(NamedTuple):
         }
 
 
-def _cheb_interp_coeffs(fun, order: int) -> tuple[float, ...]:
+def _cheb_interp_coeffs(funs, order: int) -> list[tuple[float, ...]]:
     """Chebyshev-Gauss interpolation coefficients for the plain sum
-    f(s) = sum_{k=0}^{order-1} c_k T_k(s) (the k = 0 term is not halved).
+    f(s) = sum_{k=0}^{order-1} c_k T_k(s) (the k = 0 term is not halved),
+    one tuple per function of `funs`.
 
-    An odd order samples f at exactly s = 0: the middle node cos(pi/2) is
-    set to 0.0, where floats give 6e-17 (2.8e-16 for order 15)."""
-    nodes = [math.cos(math.pi * (j + 0.5) / order) for j in range(order)]
+    Every function is sampled before any coefficient is formed, in the
+    order given.  Each row of cosines cos(k pi (j + 1/2) / order) over the
+    nodes j is computed once and shared by all functions; row 1 is the node
+    list.  An odd order samples f at exactly s = 0: the middle node
+    cos(pi/2) is set to 0.0, where floats give 6e-17 (2.8e-16 for order
+    15)."""
+    halves = [j + 0.5 for j in range(order)]
+
+    def row(k: int) -> list[float]:
+        return list(map(math.cos, map(truediv, map(mul, repeat(k * math.pi), halves),
+                                      repeat(order))))
+
+    nodes = row(1)
     if order % 2:
         nodes[order // 2] = 0.0
-    vals = [fun(s) for s in nodes]
-    coeffs = []
+    samples = [list(map(f, nodes)) for f in funs]
+    coeffs = [[] for _ in samples]
     for k in range(order):
-        acc = sum(v * math.cos(k * math.pi * (j + 0.5) / order)
-                  for j, v in enumerate(vals))
-        coeffs.append((1.0 if k == 0 else 2.0) * acc / order)
-    return tuple(coeffs)
+        cosines = row(k)
+        scale = 1.0 if k == 0 else 2.0
+        for vals, out in zip(samples, coeffs):
+            out.append(scale * sum(map(mul, vals, cosines)) / order)
+    return [tuple(c) for c in coeffs]
 
 
 def fit(split_a: float = 3.5, order: int = 15) -> ChebyshevModel:
@@ -97,9 +113,8 @@ def fit(split_a: float = 3.5, order: int = 15) -> ChebyshevModel:
         return eval_real(0.5 * a * (s - 1.0), 1) / math.pi
 
     try:
-        alpha = _cheb_interp_coeffs(alpha_target, order)
-        beta = _cheb_interp_coeffs(beta_target, order)
-        gamma = _cheb_interp_coeffs(gamma_target, order)
+        alpha, beta, gamma = _cheb_interp_coeffs(
+            (alpha_target, beta_target, gamma_target), order)
     except WtanError as exc:
         raise SamplingFailure(f"solver failed at a fit node: {exc}") from exc
     return ChebyshevModel(split_a=a, alpha=alpha, beta=beta, gamma=gamma)

@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable
@@ -75,12 +76,13 @@ def fmt(v: float, precision: int) -> str:
 
 
 def _emit(columns: tuple[str, ...], rows, args) -> None:
-    """Write one table: CSV with a header line, or a JSON list of objects."""
-    p = args.precision
+    """Write one table: CSV with a header line, or a JSON list of objects.
+    Each float is `fmt(v, args.precision)`, from one format spec per table."""
+    spec = f".{args.precision}g"
     if args.format == "csv":
         def render(v):
             if isinstance(v, float):
-                return fmt(v, p)
+                return format(v + 0.0, spec)   # + 0.0 turns -0.0 into 0.0
             return "" if v is None else str(v)
 
         text = "".join(",".join(map(render, row)) + "\n" for row in (columns, *rows))
@@ -89,8 +91,9 @@ def _emit(columns: tuple[str, ...], rows, args) -> None:
 
         def cell(v):
             if isinstance(v, float):
+                text = format(v + 0.0, spec)
                 # JSON has no token for inf or nan: those are the CSV's text
-                return float(fmt(v, p)) if math.isfinite(v) else fmt(v, p)
+                return float(text) if math.isfinite(v) else text
             return v
 
         text = json.dumps([{c: cell(v) for c, v in zip(columns, row)} for row in rows],
@@ -263,7 +266,10 @@ def cmd_grid(args):
         (x, _grid_value(x, args.branch)) for x in _linspace(lo, hi, args.points))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `wtan` argument parser, built once per process: parsing keeps no
+    state in it, so every `main` call in a process shares it."""
     ap = argparse.ArgumentParser(
         prog="wtan",
         description="Branch-aware evaluation of the solution of w*tan(w) = x.",
@@ -356,6 +362,9 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one `wtan` command on `argv` (default: the process's arguments)
+    with the process's one parser; returns the exit code, and usage errors
+    raise SystemExit(2)."""
     ap = build_parser()
     raw = list(argv) if argv is not None else sys.argv[1:]
     args = ap.parse_args(_merge_negative_values(raw))

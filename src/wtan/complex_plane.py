@@ -436,15 +436,7 @@ class SheetAtlas:
             raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
         return y, False
 
-    def _disk_root(self, z: complex, m: int, left: bool = False) -> complex | None:
-        """`_place` on the record of sheets +-m."""
-        return _place(z, self._sheet(m), left)
-
     # -- sheet regions -----------------------------------------------------
-
-    def _in_region(self, w: complex, m: int, z: complex) -> bool:
-        """`_holds` on the record of sheets +-m."""
-        return _holds(w, self._sheet(m), z)
 
     def _label(self, z: complex, y: complex, last: BranchIndex) -> BranchIndex:
         """The sheet whose value at z is y: the m with +-y inside A_m and
@@ -858,7 +850,7 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
     """Sheet-m (m > 0) limit at z on the vertical cut at x_j = bp.x from
     its right (else left) side (module docstring): the Halley root from
     the germ seed of the side's half of A_j, where the arcs accept it, else
-    `_disk_root`'s root placed by the side rule, polished; NoConvergence
+    `_place`'s root placed by the side rule, polished; NoConvergence
     where neither gives a root on the side's half.  At the foot Im z = 0
     the limits are taken from above."""
     x = z.conjugate() if z.imag < 0.0 else z
@@ -873,7 +865,7 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
             and _in_arc(y.real, abs(y.imag), outer.bp, outer.roots[-1]) is True
             and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
                                       inner.roots[0]) is False)):
-        y = atlas._disk_root(x, m, not right)
+        y = _place(x, atlas._sheet(m), not right)
         y = None if y is None else _refine(x, y)
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at {z!r}")

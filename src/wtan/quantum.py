@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from operator import itemgetter
 from typing import NamedTuple
 
 from .core import BranchIndex, eval_real
@@ -114,23 +115,23 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
         raise ValueError("count must be >= 1")
     a = model.width_a
     x = a / model.lam if model.lam else math.inf
-    entries = []
-    for n in range(1, count + 1):
-        if math.isinf(x):
-            k = (2.0 * n - 1.0) * math.pi / a
-        else:
-            k = 2.0 / a * eval_real(x, n)
-        entries.append((k, Parity.EVEN, n))
-    for m in range(1, count + 1):
-        entries.append((2.0 * m * math.pi / a, Parity.ODD, None))
-    entries.sort(key=lambda e: e[0])
+    even, odd = Parity.EVEN, Parity.ODD
+    levels = range(1, count + 1)
+    if math.isinf(x):
+        entries = [((2.0 * n - 1.0) * math.pi / a, even, n) for n in levels]
+    else:
+        scale = 2.0 / a
+        entries = [(scale * eval_real(x, n), even, n) for n in levels]
+    entries += [(2.0 * m * math.pi / a, odd, None) for m in levels]
+    entries.sort(key=itemgetter(0))
+    tiny, inf = sys.float_info.min, math.inf
     out = []
     for i, (k, parity, branch) in enumerate(entries[:count]):
         E = k * k
-        if not sys.float_info.min <= E < math.inf:
+        if not tiny <= E < inf:
             raise DomainViolation(f"level {i} of a well of width {a!r} has k = {k!r}, "
                                   f"E = {E!r}: outside the normal float range")
-        out.append(SpectrumEntry(index=i, parity=parity, k=k, E=E, branch=branch))
+        out.append(SpectrumEntry(i, parity, k, E, branch))
     return out
 
 

@@ -60,7 +60,7 @@ class TestFit:
         # an odd order samples s = 0 itself, so beta takes its exact limit 1
         # at t = 0; no order samples either end s = +-1
         nodes = []
-        _cheb_interp_coeffs(lambda s: nodes.append(s) or 0.0, order)
+        _cheb_interp_coeffs([lambda s: nodes.append(s) or 0.0], order)
         assert (0.0 in nodes) == (order % 2 == 1)
         assert all(-1.0 < s < 1.0 for s in nodes)
 
@@ -74,6 +74,52 @@ class TestFit:
         # the large-x region samples w at a/t, which overflows to inf here
         with pytest.raises(SamplingFailure):
             fit(1e308, 15)
+
+
+def _per_region_coeffs(fun, order):
+    """The per-region formula the shared cosine rows replaced: one generator
+    of cos(k pi (j + 1/2) / order) per coefficient."""
+    nodes = [math.cos(math.pi * (j + 0.5) / order) for j in range(order)]
+    if order % 2:
+        nodes[order // 2] = 0.0
+    vals = [fun(s) for s in nodes]
+    coeffs = []
+    for k in range(order):
+        acc = sum(v * math.cos(k * math.pi * (j + 0.5) / order)
+                  for j, v in enumerate(vals))
+        coeffs.append((1.0 if k == 0 else 2.0) * acc / order)
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("split_a", [0.7, 3.5, 12.0])
+def test_shared_rows_give_the_per_region_floats(split_a):
+    # fit's three targets, each fitted alone by the per-region formula
+    a = split_a
+    targets = (
+        lambda s: eval_real(0.5 * a * (s + 1.0), 1) / math.sqrt(0.5 * a * (s + 1.0)),
+        lambda t: 1.0 if t == 0.0 else eval_real(a / t, 1) * 2.0 / math.pi,
+        lambda s: eval_real(0.5 * a * (s - 1.0), 1) / math.pi,
+    )
+    for order in [*range(4, 41), 63, 127]:
+        model = fit(a, order)
+        expected = tuple(_per_region_coeffs(f, order) for f in targets)
+        assert (model.alpha, model.beta, model.gamma) == expected, order
+
+
+def test_regions_are_sampled_in_order_before_any_coefficient():
+    calls = []
+
+    def target(name, fail=False):
+        def f(s):
+            calls.append(name)
+            if fail:
+                raise SamplingFailure(name)
+            return s
+        return f
+
+    with pytest.raises(SamplingFailure, match="beta"):
+        _cheb_interp_coeffs([target("alpha"), target("beta", True), target("gamma")], 5)
+    assert calls == ["alpha"] * 5 + ["beta"]
 
 
 class TestEval:

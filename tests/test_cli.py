@@ -1,16 +1,20 @@
+import argparse
 import contextlib
 import functools
 import io
 import json
+import math
 import os
+import random
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from wtan.cli import main
+from wtan.cli import _emit, build_parser, main
 
 CMD = [sys.executable, "-m", "wtan"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -326,6 +330,85 @@ class TestDeterminism:
         rec = json.loads(cp.stdout)[0]
         assert list(rec.keys()) == ["x_re", "x_im", "y_re", "y_im",
                                     "branch", "scheme", "residual"]
+
+
+def _cells(seed):
+    """Signed zeros, infinities, nan, subnormals and random floats."""
+    rng = random.Random(seed)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308 / 3, 1.7976931348623157e308, 0.5, 1.0, 123456789.0]
+    drawn = [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0) for _ in range(60)]
+    drawn += [struct.unpack("d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+              for _ in range(60)]
+    return specials + drawn
+
+
+def _emitted(columns, rows, fmt_, precision):
+    out = io.StringIO()
+    args = argparse.Namespace(format=fmt_, precision=precision, output="-")
+    with contextlib.redirect_stdout(out):
+        _emit(columns, rows, args)
+    return out.getvalue()
+
+
+class TestCellRendering:
+    # each float cell is f"{v:.{p}g}" with -0.0 printed as 0; JSON holds
+    # that text as a number, or as a string where it is not finite
+    @staticmethod
+    def _text(v, p):
+        return f"{0.0 if v == 0.0 else v:.{p}g}"
+
+    @pytest.mark.parametrize("precision", range(1, 31))
+    def test_csv_cells(self, precision):
+        values = _cells(precision)
+        rows = [(v, i, None, "s") for i, v in enumerate(values)]
+        expected = "a,b,c,d\n" + "".join(
+            f"{self._text(v, precision)},{i},,s\n" for i, v in enumerate(values))
+        assert _emitted(("a", "b", "c", "d"), rows, "csv", precision) == expected
+
+    @pytest.mark.parametrize("precision", range(1, 31))
+    def test_json_cells(self, precision):
+        for i, v in enumerate(_cells(100 + precision)):
+            text = self._text(v, precision)
+            cell = float(text) if math.isfinite(v) else text
+            try:
+                expected = json.dumps([{"a": cell, "b": i, "c": None}],
+                                      separators=(",", ":"), allow_nan=False) + "\n"
+            except ValueError as exc:
+                # a finite float whose text rounds past the float range
+                # (1.8e+308) has no strict JSON number either way
+                with pytest.raises(ValueError, match=str(exc)):
+                    _emitted(("a", "b", "c"), [(v, i, None)], "json", precision)
+                continue
+            assert _emitted(("a", "b", "c"), [(v, i, None)], "json", precision) == expected, v
+
+
+class TestOneParserPerProcess:
+    CALLS = [
+        ["grid", "--branch", "-2", "--range", "-1.5:2.5", "--points", "9", "--precision", "3"],
+        ["eval", "--x", "2.5", "--branch", "2", "--format", "json"],
+        ["grid", "--points", "9"],   # no --range: a usage error
+        ["grid", "--branch", "-2", "--range", "-1.5:2.5", "--points", "9", "--precision", "3"],
+    ]
+
+    @staticmethod
+    def _in_process(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        return code, out.getvalue().encode(), err.getvalue().encode()
+
+    def test_calls_in_one_process_print_what_fresh_processes_print(self):
+        assert build_parser() is build_parser()
+        got = [self._in_process(argv) for argv in self.CALLS]
+        assert [code for code, _, _ in got] == [0, 0, 2, 0]
+        for argv, result in zip(self.CALLS, got):
+            cp = subprocess.run(CMD + argv, capture_output=True, env=child_env())
+            assert result == (cp.returncode, cp.stdout, cp.stderr), argv
+        assert got[0] == got[3]
 
 
 # The README's CLI examples, by the name of the file in tests/data/readme_cli

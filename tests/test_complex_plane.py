@@ -22,6 +22,8 @@ from wtan.complex_plane import (
     dispersion_eval,
     eval_complex,
     trace_path,
+    _holds,
+    _place,
     _walk_segment,
 )
 from wtan.branch_points import find_branch_point
@@ -245,7 +247,7 @@ def _solved_directly(atlas, z, n):
     the sheet's region."""
     m = abs(n)
     return (abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk
-            and atlas._disk_root(z, m) is not None)
+            and _place(z, atlas._sheet(m)) is not None)
 
 
 def _count_continued(atlas, monkeypatch):
@@ -457,9 +459,9 @@ class TestWindowRoute:
             g, d = complex_plane._window_form(z, n * math.pi, other)
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
-            assert not atlas._in_region(other, n, z), z
+            assert not _holds(other, atlas._sheet(n), z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (other, d))
-            y = atlas._disk_root(z, n)
+            y = _place(z, atlas._sheet(n))
             monkeypatch.undo()
             assert abs(y - eval_complex(z, n, atlas).y) <= 1e-8, z
 
@@ -487,9 +489,9 @@ class TestWindowRoute:
             y = eval_complex(z, 1, atlas).y
             g, d = complex_plane._window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
-            assert atlas._in_region(y, 1, z) and not atlas._in_region(-y, 1, z), z
+            assert _holds(y, atlas._sheet(1), z) and not _holds(-y, atlas._sheet(1), z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (-y, d))
-            mirror = atlas._disk_root(z, 1)
+            mirror = _place(z, atlas._sheet(1))
             monkeypatch.undo()
             assert abs(mirror - y) <= 1e-8, z
 
@@ -621,7 +623,7 @@ class TestRegions:
                 if (abs(g) <= 8 * complex_plane.EPS * abs(w)
                         and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
                     passed += 1
-                    assert not big_atlas._in_region(w, n, z), (z, k)
+                    assert not _holds(w, big_atlas._sheet(n), z), (z, k)
         assert passed >= 20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -633,9 +635,9 @@ class TestRegions:
             for z in points:
                 w = sign * eval_complex(z, sheet, atlas).y
                 # near an arc the side of the cut decides: every value is placed
-                assert big_atlas._in_region(w, n, z), (z, sheet)
+                assert _holds(w, big_atlas._sheet(n), z), (z, sheet)
                 for m in range(1, 8):
-                    assert m == n or not big_atlas._in_region(w, m, z), (z, sheet, m)
+                    assert m == n or not _holds(w, big_atlas._sheet(m), z), (z, sheet, m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -3])
     def test_band_values_match_continuation(self, atlas, monkeypatch, n):
@@ -819,7 +821,7 @@ class TestSideRule:
                 undecided += decided is None
                 halves.add((bp.n, right_half))
                 neighbour = n + 1 if bp.n == n else n - 1
-                assert not big._in_region(y, neighbour, z), (z, bp.n)
+                assert not _holds(y, big._sheet(neighbour), z), (z, bp.n)
         assert len(halves) == 4
         if n >= 600:
             assert undecided > 0
@@ -1026,7 +1028,7 @@ class TestFarBands:
         for t in (0.1, 0.45, 0.7, -0.95):
             z = complex(0.5 * (lo.real + hi.real), t * lo.imag)
             y = eval_complex(z, m, atlas).y
-            assert atlas._in_region(y.conjugate() if z.imag < 0 else y, m, z), z
+            assert _holds(y.conjugate() if z.imag < 0 else y, atlas._sheet(m), z), z
             assert _within_eval_complex_bound(z, y), z
 
 

@@ -25,6 +25,50 @@ def even_levels(entries):
     return [e for e in entries if e.parity is Parity.EVEN]
 
 
+def _spectrum_by_loop(model, count):
+    """The per-level loop `spectrum` was before its lists were built by
+    comprehension: the reference for its floats and its errors."""
+    import sys
+    a = model.width_a
+    x = a / model.lam if model.lam else math.inf
+    entries = []
+    for n in range(1, count + 1):
+        if math.isinf(x):
+            k = (2.0 * n - 1.0) * math.pi / a
+        else:
+            k = 2.0 / a * eval_real(x, n)
+        entries.append((k, Parity.EVEN, n))
+    for m in range(1, count + 1):
+        entries.append((2.0 * m * math.pi / a, Parity.ODD, None))
+    entries.sort(key=lambda e: e[0])
+    out = []
+    for i, (k, parity, branch) in enumerate(entries[:count]):
+        E = k * k
+        if not sys.float_info.min <= E < math.inf:
+            raise DomainViolation(f"level {i} of a well of width {a!r} has k = {k!r}, "
+                                  f"E = {E!r}: outside the normal float range")
+        out.append(SpectrumEntry(index=i, parity=parity, k=k, E=E, branch=branch))
+    return out
+
+
+@pytest.mark.parametrize("width", [1.0, math.pi, 1e-3])
+@pytest.mark.parametrize("lam", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1e8, -1e8])
+def test_spectrum_matches_the_loop_bit_for_bit(width, lam):
+    model = WellModel(width_a=width, lam=lam)
+    assert repr(spectrum(model, 300)) == repr(_spectrum_by_loop(model, 300))
+
+
+@pytest.mark.parametrize("width", [1e-153, 1e160, 1e-300])
+@pytest.mark.parametrize("lam", [0.0, 0.5, -1e8])
+def test_spectrum_raises_as_the_loop_does(width, lam):
+    model = WellModel(width_a=width, lam=lam)
+    with pytest.raises(DomainViolation) as expected:
+        _spectrum_by_loop(model, 40)
+    with pytest.raises(DomainViolation) as got:
+        spectrum(model, 40)
+    assert str(got.value) == str(expected.value)
+
+
 class TestSpectrum:
     @pytest.mark.parametrize("lam", [1e-320, -1e-320, 1e-300, -1e-300])
     def test_tiny_lambda_gives_the_unperturbed_levels(self, lam):
