@@ -33,6 +33,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
+from .core import _ordered_sum
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
@@ -204,14 +205,14 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
             raise ContinuationFailure(
                 f"double loop at r={r} failed to close: |dy|={abs(y_loop - y_start):.3e}"
             )
-        log_means.append(sum(logs) / len(logs))
+        log_means.append(_ordered_sum(logs) / len(logs))
 
     # least-squares line through (log r, mean log|dy|)
     xs = [math.log(r) for r in radii]
-    mx = sum(xs) / len(xs)
-    my = sum(log_means) / len(log_means)
-    sxx = sum((xi - mx) ** 2 for xi in xs)
-    sxy = sum((xi - mx) * (yi - my) for xi, yi in zip(xs, log_means))
+    mx = _ordered_sum(xs) / len(xs)
+    my = _ordered_sum(log_means) / len(log_means)
+    sxx = _ordered_sum((xi - mx) ** 2 for xi in xs)
+    sxy = _ordered_sum((xi - mx) * (yi - my) for xi, yi in zip(xs, log_means))
     kappa = sxy / sxx
     log_c = my - kappa * mx
     return kappa, math.exp(2.0 * log_c)

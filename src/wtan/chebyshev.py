@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .core import eval_real
+from .core import _ordered_sum, eval_real
 from .errors import NonFiniteArgument, SamplingFailure, WtanError
 
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
@@ -81,7 +81,7 @@ def _cheb_interp_coeffs(funs, order: int) -> list[tuple[float, ...]]:
         cosines = row(k)
         scale = 1.0 if k == 0 else 2.0
         for vals, out in zip(samples, coeffs):
-            out.append(scale * sum(map(mul, vals, cosines)) / order)
+            out.append(scale * _ordered_sum(map(mul, vals, cosines)) / order)
     return [tuple(c) for c in coeffs]
 
 

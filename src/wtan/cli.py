@@ -92,8 +92,10 @@ def _emit(columns: tuple[str, ...], rows, args) -> None:
         def cell(v):
             if isinstance(v, float):
                 text = format(v + 0.0, spec)
-                # JSON has no token for inf or nan: those are the CSV's text
-                return float(text) if math.isfinite(v) else text
+                # JSON has no token for inf or nan: those, and a finite v
+                # whose text rounds past the float range, are the CSV's text
+                number = float(text)
+                return number if math.isfinite(number) else text
             return v
 
         text = json.dumps([{c: cell(v) for c, v in zip(columns, row)} for row in rows],

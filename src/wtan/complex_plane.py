@@ -49,28 +49,36 @@ u_j*, u_j* tan u_j* = a_j, and R_m lies inside A_m and outside A_(m-1)
 (A_0 is the origin), as Lambert W branches lie between the images of
 their cuts (Corless et al., Adv. Comput. Math. 5, 1996).  So a root of
 w tan w = x in R_m (its conjugate, for Im x < 0) is the sheet-m value.
-A_j lies on the level curve Re f(w) = a_j, f = w tan w, as the graph of
-some v = phi_j(u) over [0, u_j*]: u + iv is inside A_j iff u < u_j* and
-v < phi_j(u).  Left of Re w_j, phi_j(u) is the highest solution of
-Re f(u + iv) = a_j, reached by Newton iteration in v (d/dv Re f = -Im f',
-f' = tan w + w sec^2 w) from v = ln(4(j+1)pi)/2 + |a_j| + 1 above it;
-above phi_j(u) Re f stays below a_j, so a point with Re f(w) > a_j, beyond
-its rounding and |f'| times the root's error, is inside with one tan.
-Right of Re w_j a point with v >= Im w_j is outside, and below that the
-sign of Re f(w) - a_j decides, beyond the same margin, with one tan.  Re f
-is harmonic on Q = [Re w_j, u_j*] x [0, Im w_j], which holds no pole of
-tan (Re w_j > (j-1/2)*pi), and the arc runs across Q from its corner w_j
-to its corner u_j*, where Re f = a_j.  Off those corners Re f < a_j on
-Q's bottom edge, where u tan u rises to a_j at u_j*, and on its left
-edge, along which f - x_j ~ (w - w_j)^2 < 0 near w_j; Re f > a_j on its
-top and right edges (the tests check all four edges on sheets 1 to 10**8).
-Re f = a_j has no other curve in Q (a closed one would make Re f constant
-inside it), so by the maximum principle Re f < a_j on the arc's inner
-side and Re f > a_j on its outer side.  Within the margin the arc's u at
-height v is found by Newton iteration in u from u_j* (the level curve's
-other branch through w_j lies above the arc).  A point nearer the arc
-than its root's own error, 8*eps*(1+|w|), plus the solve's rounding over
-the slope (which grows like 1/|w - w_j|) is undecided.
+A_j lies on the level curve Re f(w) = a_j, f = w tan w.  The lines
+u = Re w_j, v = Im w_j and u = j*pi cut the quadrant into rectangles on
+which at most one tan places a point against A_j: left of Re w_j and
+below Im w_j it is inside, right of Re w_j it is outside from Im w_j or
+j*pi on, and elsewhere it is inside where Re f(w) > a_j left of Re w_j and
+where Re f(w) < a_j right of it.  Re f is harmonic off the poles of tan,
+all on the real axis, so by the maximum principle Re f - a_j keeps one
+sign inside each of three regions whose boundary holds it:
+
+* D, left of Re w_j between v = Im w_j and A_j: Re f > a_j on its bottom
+  edge off the corner w_j, and on i*v below v_j (-v tanh v falls with v);
+* U, left of Re w_j above A_j: Re f < a_j on u = Re w_j above w_j, on
+  i*v above v_j, and as v -> oo, where tan w -> i and Re f ~ -v;
+* Q' = [Re w_j, j*pi] x [0, Im w_j], which holds no pole of tan
+  (Re w_j > (j-1/2)*pi): Re f < a_j on its left edge off w_j and on its
+  bottom edge left of u_j*, where u tan u rises through a_j, and Re f >
+  a_j on its top edge off w_j, on its bottom edge right of u_j*, and on
+  its right edge, where Re f = -v tanh v and v <= Im w_j < v_j.
+
+So A_j's left half, where Re f = a_j, never meets v = Im w_j left of w_j,
+and [0, Re w_j] x [0, Im w_j] lies inside.  On the boundary of Q' the
+sign changes only at w_j and u_j*, where one level line each enters Q'
+(f - x_j ~ (w - w_j)^2 at w_j; f' != 0 at u_j*), and a closed level curve
+would make Re f constant inside it: A_j's right half is the one curve of
+Re f = a_j in Q', from w_j to u_j*, with Re f < a_j on its inner side and
+Re f > a_j on its outer side, and every point right of Re w_j outside Q'
+is outside.  The tests check these edges' signs on sheets 1 to 10**8.  A
+root is taken within 8*eps*(1+|w|) of its own value: right of Re w_j the
+lines decide only beyond that, and the sign only beyond Re f's rounding
+and |f'| times that error.  A root nearer A_j is undecided.
 
 Sides.  An undecided root is placed by the side of the cut its point lies
 on, as for Lambert W.  f'(w_j) = 0 gives sec^2 w_j (1 + x_j) = 1, so
@@ -244,8 +252,8 @@ MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
 # Entries in each of an atlas's two caches, of x_j (~250 bytes) and of sheet
-# records (~1.1 kB with their x_j): an atlas stays under ~1.5 MB however many
-# sheets it uses (1.36 MB with both caches full).
+# records (~1.0 kB with their x_j): an atlas stays under ~1.5 MB however many
+# sheets it uses (~1.25 MB with both caches full).
 _CACHED = 1024
 
 
@@ -316,7 +324,6 @@ class _Sheet(NamedTuple):
     hi: float                       # Re x_(m-1) (0 on sheets +-1), its right end
     near: tuple[BranchPoint, ...]   # x_(m-1) (m > 1) and x_m, the guarded points
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
-    roots: tuple[float, ...]        # u_j* for each of near: A_j meets the real axis there
 
 
 def _sheet_record(points: Callable[[int], BranchPoint], m: int) -> _Sheet:
@@ -327,7 +334,7 @@ def _sheet_record(points: Callable[[int], BranchPoint], m: int) -> _Sheet:
     germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
              for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
     return _Sheet(bp, abs(bp.x), bp.x.real, near[0].x.real if m > 1 else 0.0, near,
-                  tuple(germs), tuple(core.eval_real(b.x.real, b.n) for b in near))
+                  tuple(germs))
 
 
 def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
@@ -449,9 +456,7 @@ class SheetAtlas:
         def inside(j: int) -> bool:
             if j > _LAST_POINT:
                 raise DomainViolation(f"the value {y!r} at z={z!r} lies past sheet 2**52")
-            bp = self._points(j)   # _in_arc reads u_j* right of Re w_j only
-            root = core.eval_real(bp.x.real, j) if u > bp.y.real else math.nan
-            return _inside(u, v, z.real, bp, root)
+            return _inside(u, v, z.real, self._points(j))
 
         lo, hi, step = abs(last), abs(last), 1
         if inside(hi):
@@ -603,76 +608,40 @@ def _holds(w: complex, s: _Sheet, z: complex) -> bool:
     the limit from above lies."""
     u, v = w.real, abs(w.imag)
     return ((u > 0.0 or (u == 0.0 and w.imag > 0.0))
-            and _inside(u, v, z.real, s.near[-1], s.roots[-1])
-            and (s.bp.n == 1 or not _inside(u, v, z.real, s.near[0], s.roots[0])))
+            and _inside(u, v, z.real, s.near[-1])
+            and (s.bp.n == 1 or not _inside(u, v, z.real, s.near[0])))
 
 
-def _in_arc(u: float, v: float, bp: BranchPoint, root: float) -> bool | None:
+def _in_arc(u: float, v: float, bp: BranchPoint) -> bool | None:
     """Whether u + iv (u > 0, v >= 0) lies inside A_j, j = bp.n, closed by
-    the axes (module docstring; root is u_j*), or None where it lies within
-    8*eps*(1 + |w|), a root's own error, plus the solve's uncertainty.  One
-    tan decides beyond Re f's rounding and |f'| times that error: left of
-    Re w_j a point where Re f > a_j, and right of it, below Im w_j, any
-    point; the level curve is solved only within that margin."""
+    the axes, on the rectangles of the lines u = Re w_j, v = Im w_j and
+    u = j*pi (module docstring): inside left of Re w_j and below Im w_j,
+    outside right of Re w_j from a root's own error, 8*eps*(1 + |w|), above
+    Im w_j or right of j*pi, and elsewhere by the sign of Re f - a_j, with
+    one tan, beyond its rounding and |f'| times that error; else None."""
     a, top = bp.x.real, bp.y
-    tol = 8.0 * EPS * (1.0 + math.hypot(u, v))
     left = u <= top.real
-    if not left and (u >= root + tol or v >= top.imag):
-        return False if u >= root + tol or v >= top.imag + tol else None
+    if left and v < top.imag:
+        return True
+    tol = 8.0 * EPS * (1.0 + math.hypot(u, v))
+    if not left and (v >= top.imag + tol or u >= bp.n * math.pi + tol):
+        return False
     w = complex(u, v)
     t = cmath.tan(w)
     gap = u * t.real - v * t.imag - a   # Re f(w) - a_j
-    margin = 4.0 * EPS * (abs(w) * abs(t) + abs(a)) + abs(t + w * (1.0 + t * t)) * tol
-    if left:
-        if gap > margin:
-            return True
-        start = 0.5 * math.log(4.0 * (bp.n + 1) * math.pi) - a + 1.0
-        at, found = v, _level(complex(u, 0.0), 1j, start, a, v, tol)
-    elif abs(gap) > margin:
-        return not gap > 0.0   # not, unlike a numpy float's >, gives a bool
-    else:
-        at, found = u, _level(complex(0.0, v), 1.0, root, a, u, tol)
-    if found is None or abs(at - found[0]) <= tol + found[1]:
+    if abs(gap) <= 4.0 * EPS * (abs(w) * abs(t) + abs(a)) + abs(t + w * (1.0 + t * t)) * tol:
         return None
-    return bool(at < found[0])   # a numpy float's comparison gives no bool
+    return bool(gap > 0.0) == left   # bool(): a numpy float's > gives no bool
 
 
-def _inside(u: float, v: float, x_re: float, bp: BranchPoint, root: float) -> bool:
+def _inside(u: float, v: float, x_re: float, bp: BranchPoint) -> bool:
     """Whether u + iv, a root at a point of real part x_re, lies inside
     A_j, j = bp.n: `_in_arc`'s answer, or where it has none the side rule
     (module docstring)."""
-    inside = _in_arc(u, v, bp, root)
+    inside = _in_arc(u, v, bp)
     if inside is None:
         return (x_re < bp.x.real) == (u > bp.y.real)
     return inside
-
-
-def _level(p: complex, d: complex, t: float, a: float,
-           at: float, tol: float) -> tuple[float, float] | None:
-    """Newton in t on Re f(p + d*t) = a, f = w*tan(w), d = 1 or 1j, from t:
-    the root and its uncertainty, the last step plus the rounding of t and
-    of Re f over the slope Re(d*f'), f' = tan(w) + w*sec^2(w); None unless
-    a step falls within that in 32 iterations.  It returns early once `at`
-    lies 4 steps plus tol from the iterate after a step at most half the
-    one before: the steps then shrink at least geometrically (by 1/2 even
-    at a double root), so the root lies within one step of the iterate."""
-    last = 0.0
-    try:
-        for _ in range(32):
-            w = p + d * t
-            tw = cmath.tan(w)
-            re, im = w.real * tw.real, w.imag * tw.imag
-            slope = (d * (tw + w * (1.0 + tw * tw))).real
-            step = (re - im - a) / slope
-            t -= step
-            size = abs(step)
-            cond = 4.0 * EPS * ((abs(re) + abs(im) + abs(a)) / abs(slope) + abs(t))
-            if size <= cond or (size <= 0.5 * last and abs(at - t) > 4.0 * size + cond + tol):
-                return t, size + cond
-            last = size
-    except (ZeroDivisionError, ValueError):
-        pass
-    return None
 
 
 def _refine(x: complex, y: complex) -> complex | None:
@@ -857,14 +826,12 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
     # the right half (u > Re w_j) is the left side's inside A_j (j = m) and
     # the right side's outside
     half = right != (bp.n == m)
-    inner, outer = atlas._sheet(bp.n), atlas._sheet(bp.n + 1)
     y = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
     # the germ of that half found A_j's root there: outside A_(j-1) and
     # inside A_(j+1) the cut point has no other
     if y is None or not (y.real > 0.0 and (y.real > bp.y.real) == half
-            and _in_arc(y.real, abs(y.imag), outer.bp, outer.roots[-1]) is True
-            and (bp.n == 1 or _in_arc(y.real, abs(y.imag), inner.near[0],
-                                      inner.roots[0]) is False)):
+            and _in_arc(y.real, abs(y.imag), atlas._points(bp.n + 1)) is True
+            and (bp.n == 1 or _in_arc(y.real, abs(y.imag), atlas._points(bp.n - 1)) is False)):
         y = _place(x, atlas._sheet(m), not right)
         y = None if y is None else _refine(x, y)
         if y is None:

@@ -367,6 +367,17 @@ def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
     return abs(y - rhs)
 
 
+def _ordered_sum(terms) -> float:
+    """The float terms added one at a time, left to right, from 0.0: the
+    floats sum() gives before Python 3.12.  From 3.12 on sum() compensates
+    its rounding, and a fit's or an integral's last bits, and the CLI's
+    bytes, would depend on the interpreter."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Gauss-Legendre rules (integrals and the dispersion reconstruction)
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, _panel_nodes, eval_real
+from .core import EPS, _ordered_sum, _panel_nodes, eval_real
 from .errors import QuadratureFailure
 
 __all__ = [
@@ -171,8 +171,8 @@ _LNSIN_TAIL = (-0.0, -0.0, -1.2337005501361697, 2.4674011002723395,
 
 def lnsin_tail(X: float) -> float:
     """Analytic tail int_X^inf ln sin w dx, leading term -pi^2/(8X)."""
-    return sum(qm / ((m - 1) * X ** (m - 1))
-               for m, qm in enumerate(_LNSIN_TAIL) if m >= 2 and qm != 0.0)
+    return _ordered_sum(qm / ((m - 1) * X ** (m - 1))
+                        for m, qm in enumerate(_LNSIN_TAIL) if m >= 2 and qm != 0.0)
 
 
 def definite_lnsin() -> float:

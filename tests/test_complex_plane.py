@@ -604,6 +604,27 @@ def _band_points(atlas, n, rng, count):
 _Q_SHEETS = [1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 1000, 10 ** 4, 10 ** 6, 10 ** 8]
 
 
+def _arc(a, p, d, t):
+    """The point of the level curve Re f(w) = a, f = w*tan(w), on the line
+    w = p + d*t (d = 1j: in v at u = Re p; d = 1: in u at v = Im p), by
+    Newton iteration in t from t, with Re f at 30 digits over the slope
+    Re(d*f') in floats, f' = tan(w) + w*sec^2(w), to a step below
+    1e-12*(1 + |t|): Newton's error after it, ~|f''/f'|*step^2, lies far
+    below an ulp.  Returns the point rounded to a float, and an ulp of it,
+    its uncertainty."""
+    with mp.workdps(30):
+        t = mp.mpf(t)
+        for _ in range(40):
+            w = p + d * float(t)
+            tw = cmath.tan(w)
+            wm = mp.mpc(p.real, p.imag) + d * t
+            step = (mp.re(wm * mp.tan(wm)) - a) / (d * (tw + w * (1.0 + tw * tw))).real
+            t -= step
+            if abs(step) <= 1e-12 * (1 + abs(t)):
+                return float(t), math.ulp(float(t))
+    raise AssertionError(f"no point of Re f = {a} found on {p} + {d}*t")
+
+
 @pytest.fixture(scope="module")
 def big_atlas():
     return SheetAtlas.build(9)
@@ -652,13 +673,12 @@ class TestRegions:
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
     def test_marched_nodes_lie_on_the_level_curve(self, j):
         # 2000 nodes a side, uniform in t, continued node to node down both
-        # sides of the vertical cut at x_j lie on the solved A_j: at height
-        # phi_j(Re w) left of Re w_j, and at the arc's Re w for their height
-        # right of it
+        # sides of the vertical cut at x_j lie on A_j, solved at 30 digits:
+        # at height phi_j(Re w) left of Re w_j, and at the arc's Re w for
+        # their height right of it
         big = SheetAtlas()
         s = big._sheet(j)
         a, b, top = s.bp.x.real, s.bp.x.imag, s.bp.y
-        start = 0.5 * math.log(4.0 * (j + 1) * math.pi) - a + 1.0
         worst = 0.0
         for side in (-1.0, 1.0):
             ts = np.sqrt(b) * np.arange(1, 2001) / 2000
@@ -669,54 +689,53 @@ class TestRegions:
                 w, cur = _walk_segment(cur, w, z), z
                 u, v = w.real, abs(w.imag)
                 if u <= top.real:
-                    edge, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, v, 0.0)
+                    edge, _ = _arc(a, complex(u, 0.0), 1j, v)
                     worst = max(worst, abs(edge - v))
                 else:
-                    edge, _ = complex_plane._level(complex(0.0, v), 1.0, s.roots[-1], a, u, 0.0)
+                    edge, _ = _arc(a, complex(0.0, v), 1.0, u)
                     worst = max(worst, abs(edge - u))
         assert worst <= 1e-12
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4, 8, 16])
     def test_points_within_the_margin_are_undecided(self, j):
         # on A_j left of Re w_j, and half a root's error above or below it,
-        # the one-tan shortcut (Re f > a_j beyond its rounding and |f'|
-        # times the root's error) decides nothing, nor does the solve
+        # the sign of Re f - a_j (beyond its rounding and |f'| times the
+        # root's error) decides nothing; well below it the point is inside
         s = SheetAtlas()._sheet(j)
         a, top = s.bp.x.real, s.bp.y
         start = 0.5 * math.log(4.0 * (j + 1) * math.pi) - a + 1.0
         for u in top.real * np.arange(1, 201) / 201:
             u = float(u)
-            # an infinite tol never stops the solve early: phi_j(u) to rounding
-            v, _ = complex_plane._level(complex(u, 0.0), 1j, start, a, 0.0, math.inf)
+            # from above the arc: phi_j(u), the highest solution, to rounding
+            v, _ = _arc(a, complex(u, 0.0), 1j, start)
             tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(u, v))
             for dv in (-0.5 * tol, 0.0, 0.5 * tol):
-                assert complex_plane._in_arc(u, v + dv, s.bp, s.roots[-1]) is None, (u, dv)
-            assert complex_plane._in_arc(u, 0.5 * v, s.bp, s.roots[-1]) is True, u
+                assert complex_plane._in_arc(u, v + dv, s.bp) is None, (u, dv)
+            assert complex_plane._in_arc(u, 0.5 * v, s.bp) is True, u
 
     @pytest.mark.parametrize("j", _Q_SHEETS)
-    def test_one_tan_decides_the_right_half_as_the_level_solve(self, monkeypatch, j):
+    def test_one_tan_decides_the_right_half_as_the_level_solve(self, j):
         # on a 60 x 60 grid of Q = [Re w_j, u_j*] x [0, Im w_j] and at 0 to
         # 64 root errors either side of A_j at 59 heights, the sign of
-        # Re f - a_j beyond its margin (the answer _in_arc gives with the
-        # solve stubbed out) is the Newton solve's in u wherever that one
-        # decides, and it decides nearly everywhere
+        # Re f - a_j beyond its margin (_in_arc's answer, with one tan) is
+        # the side of A_j solved at 30 digits in u for the point's height
+        # wherever the point lies beyond a root's error of it, and it
+        # decides nearly everywhere
         bp = find_branch_point(j)
         a, top, root = bp.x.real, bp.y, eval_real(bp.x.real, j)
-        level = complex_plane._level
         vs = [float(v) for v in np.linspace(0.0, top.imag, 61)[:-1]]
+        arcs = {v: _arc(a, complex(0.0, v), 1.0, root) for v in vs}
         points = [(float(u), v) for u in np.linspace(top.real, root, 62)[1:-1] for v in vs]
         for v in vs[1:]:
-            arc, _ = level(complex(0.0, v), 1.0, root, a, math.inf, 0.0)
+            arc, _ = arcs[v]
             tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(arc, v))
             points += [(arc + k * tol, v) for k in (-64, -16, -4, -1, 0, 1, 4, 16, 64)]
-        monkeypatch.setattr(complex_plane, "_level", lambda *args: None)
-        answers = [complex_plane._in_arc(u, v, bp, root) for u, v in points]
-        monkeypatch.undo()
+        answers = [complex_plane._in_arc(u, v, bp) for u, v in points]
         compared = 0
         for (u, v), answer in zip(points, answers):
             tol = 8.0 * complex_plane.EPS * (1.0 + math.hypot(u, v))
-            found = level(complex(0.0, v), 1.0, root, a, u, tol)
-            if answer is not None and found is not None and abs(u - found[0]) > tol + found[1]:
+            found = arcs[v]
+            if answer is not None and abs(u - found[0]) > tol + found[1]:
                 compared += 1
                 assert answer == (u < found[0]), (u, v)
         assert answers.count(None) <= 0.05 * len(points)
@@ -729,7 +748,11 @@ class TestRegions:
         # the top and right ones: by the maximum principle each side of A_j
         # in Q has one sign (the right edge is taken two ulps right of
         # eval_real's u_j*, a faithful root, ~1.1 ulps low at j = 10**8,
-        # where Re f - a_j changes by ~18 over an ulp)
+        # where Re f - a_j changes by ~18 over an ulp).  The module
+        # docstring's D, U and Q' need three more: Re f > a_j on D's
+        # bottom edge, v = Im w_j left of w_j; Re f < a_j on u = Re w_j
+        # above w_j (0.01 to 99 above it); and on the right edge u = j*pi of
+        # Q', where Re f = -v*tanh(v) falls with v, Re f > a_j at its top
         bp = find_branch_point(j)
         a, top, root = bp.x.real, bp.y, eval_real(bp.x.real, j)
         assert top.real > (j - 0.5) * math.pi
@@ -744,6 +767,9 @@ class TestRegions:
         assert all(gap(top.real + t * (root - top.real), top.imag) > 0.0 for t in ts)
         right = math.nextafter(math.nextafter(root, math.inf), math.inf)
         assert all(gap(right, t * top.imag) > 0.0 for t in ts)
+        assert all(gap(t * top.real, top.imag) > 0.0 for t in ts)
+        assert all(gap(top.real, top.imag + t / (1.0 - t)) < 0.0 for t in ts)
+        assert -top.imag * math.tanh(top.imag) > a
 
     @pytest.mark.parametrize("n", [5, 8, 16, 64])
     def test_every_sheet_solved_directly(self, monkeypatch, n):
@@ -796,7 +822,6 @@ class TestSideRule:
         gap = big.branch_points[n - 2].x.real - big.branch_points[n - 1].x.real
         halves, undecided = set(), 0
         for bp in big.branch_points[n - 2:n]:
-            root = big._sheet(bp.n).roots[-1]
             band_side = -1.0 if bp.n < n else 1.0
             picks = []
             for k in range(count):
@@ -816,7 +841,7 @@ class TestSideRule:
                 u, v = y.real, abs(y.imag)
                 right_half = u > bp.y.real
                 assert ((z.real < bp.x.real) == right_half) == (bp.n == n), (z, bp.n)
-                decided = complex_plane._in_arc(u, v, bp, root)
+                decided = complex_plane._in_arc(u, v, bp)
                 assert decided is None or decided == (bp.n == n), (z, bp.n)
                 undecided += decided is None
                 halves.add((bp.n, right_half))
