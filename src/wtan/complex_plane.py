@@ -424,15 +424,16 @@ class SheetAtlas:
     def _solve(self, z: complex, m: int, r: float,
                guarded: bool) -> tuple[complex, bool]:
         """Sheet-m (m > 0) value at z, r = |z|, and whether it took the
-        exterior route, whose root its last Newton step certifies: the
-        exterior root, or inside the disk `_place`'s, else NoConvergence;
-        `guarded` runs the guard wherever z can trip it (module docstring)."""
+        exterior route: the exterior root, taken only where the contraction
+        |h' - 1| <= 1/2 at its last iterate certifies it (`_exterior_root`),
+        or inside the disk `_place`'s, else NoConvergence; `guarded` runs
+        the guard wherever z can trip it (module docstring)."""
         s = self._sheet(m)
         if r >= EXTERIOR_FACTOR * s.disk:
-            y = _exterior_root(z, (m - 0.5) * math.pi)
-            if y is None:
+            found = _exterior_root(z, (m - 0.5) * math.pi)
+            if found is None or not abs(found[1] - 1.0) <= 0.5:
                 raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
-            return y, True
+            return found[0], True
         if m > _LAST_POINT:
             raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                                   "float64 no longer orders the branch points there")
@@ -480,7 +481,10 @@ class SheetAtlas:
 def _modulus(z: complex) -> float:
     """|z|, raising NonFiniteArgument where it is not finite (abs() raises a
     bare OverflowError when finite parts give a modulus above 1.8e308)."""
-    r = math.hypot(z.real, z.imag)
+    try:
+        r = abs(z)
+    except OverflowError:
+        r = math.inf
     if not math.isfinite(r):
         raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
     return r
@@ -492,39 +496,38 @@ def _reflect(y: complex, z: complex) -> complex:
     return y.conjugate() if z.imag < 0.0 or (z.imag == 0.0 and y.imag < 0.0) else y
 
 
-def _atan_form(x: complex, c: float, w: complex) -> tuple[complex, complex]:
-    """h(w) = w - c + atan(w/x) and h'(w) = 1 + 1/(x + w*(w/x))."""
-    u = w / x
-    return w - c + cmath.atan(u), 1.0 + 1.0 / (x + w * u)
+def _newton(form: str, x, c: float, w) -> tuple | None:
+    """Newton iteration from w on one of three pole-free forms of the point
+    x and the constant c, named by `form` and written out in the loop, so
+    that an iterate calls nothing but cmath.atan or math.tanh:
 
+    * "exterior": h(w) = w - c + atan(w/x), h'(w) = 1 + 1/(x + w*(w/x)),
+      c = (n-1/2)*pi on sheet n;
+    * "window": g(w) = w - c - atan(x/w), g'(w) = 1 + x/(w^2 + x^2), c = k*pi
+      on window k;
+    * "tanh": p*tanh(p) - x and tanh(p) + p*sech^2(p) at real w = p and x
+      (c unused).
 
-def _window_form(x: complex, k_pi: float, w: complex) -> tuple[complex, complex]:
-    """g(w) = w - k*pi - atan(x/w) and g'(w) = 1 + x/(w^2 + x^2)."""
-    return w - k_pi - cmath.atan(x / w), 1.0 + x / (w * w + x * x)
-
-
-def _tanh_form(s: float, _: float, p: float) -> tuple[float, float]:
-    """p*tanh(p) - s and its derivative tanh(p) + p*sech^2(p); `_newton`'s
-    constant is unused."""
-    t = math.tanh(p)
-    return p * t - s, t + p * (1.0 - t * t)
-
-
-def _newton(form: Callable, x: complex, k: float, w: complex) -> tuple[complex, complex] | None:
-    """Newton iteration from w on a form f of the point x and the constant
-    k, where form(x, k, w) gives (f(w), f'(w)).  Returns the root and f' at
-    the last iterate evaluated, the one before the root's final step, or
-    None if the steps did not fall below 2*eps*|w| within 16 iterations
-    (measured: at most 5 on the exterior form, 6 on the window form beyond
-    0.25 of x_n, and 5 on the tanh form for s up to 40) or an iterate hit a
-    singularity of the form (atan at +-i, w = 0, a vanishing denominator).
+    Returns the root and the derivative at the last iterate evaluated, the
+    one before the root's final step, or None if the steps did not fall
+    below 2*eps*|w| within 16 iterations (measured: at most 5 on the
+    exterior form, 6 on the window form beyond 0.25 of x_n, and 5 on the
+    tanh form for x up to 40) or an iterate hit a singularity of the form
+    (atan at +-i, w = 0, a vanishing denominator).
 
     The bound is relative: an absolute one passes a tiny iterate far from
-    any root, where f' is huge (x = 1.2e-38 on sheet 2 gave 9.7e-37 for
-    pi)."""
+    any root, where the derivative is huge (x = 1.2e-38 on sheet 2 gave
+    9.7e-37 for pi)."""
     try:
         for _ in range(16):
-            f, d = form(x, k, w)
+            if form == "exterior":
+                u = w / x
+                f, d = w - c + cmath.atan(u), 1.0 + 1.0 / (x + w * u)
+            elif form == "window":
+                f, d = w - c - cmath.atan(x / w), 1.0 + x / (w * w + x * x)
+            else:
+                t = math.tanh(w)
+                f, d = w * t - x, t + w * (1.0 - t * t)
             step = f / d
             w -= step
             if abs(step) <= 2.0 * EPS * abs(w):
@@ -534,26 +537,30 @@ def _newton(form: Callable, x: complex, k: float, w: complex) -> tuple[complex, 
     return None
 
 
-def _exterior_root(x: complex, c: float) -> complex | None:
-    """Newton root of h(w) = w - c + atan(w/x) from the overflow-safe seed
-    c/(1 + 1/x), or None unless it converged with contraction |h' - 1| <= 1/2
-    at the last iterate evaluated, which certifies the root to 8*eps*|y|
-    (module docstring).  h' = fl(1 + d), d = 1/(x + w^2/x), so h' - 1 is
-    exact there (Sterbenz) and differs from d only by the rounding of 1 + d."""
-    found = _newton(_atan_form, x, c, c / (1.0 + 1.0 / x))
-    return found[0] if found is not None and abs(found[1] - 1.0) <= 0.5 else None
+def _exterior_root(x: complex, c: float) -> tuple[complex, complex] | None:
+    """`_newton`'s root of the exterior form h(w) = w - c + atan(w/x) and h'
+    at its last iterate, from the overflow-safe seed c/(1 + 1/x); None where
+    Newton fails, or where the seed divides by 0 (x = 0 or x = -1).  A
+    contraction |h' - 1| <= 1/2 certifies the root to 8*eps*|y| (module
+    docstring): h' = fl(1 + d), d = 1/(x + w^2/x), so h' - 1 is exact there
+    (Sterbenz) and differs from d only by the rounding of 1 + d."""
+    try:
+        return _newton("exterior", x, c, c / (1.0 + 1.0 / x))
+    except ZeroDivisionError:
+        return None
 
 
 def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None:
-    """`_newton` on the window form g(w) = w - k*pi - atan(x/w) from the
-    sheet-n (n > 0) seed c/(1 + 1/x), c = (n-1/2)*pi, or for k = 0, where
-    w ~ sqrt(x) near the origin, from c*sqrt(x/(x + c^2)), the root with
-    tan(w) replaced by w/(1 - (w/c)^2): <= 5 Newton steps for |x| in
-    [3e-10, 3.2] where c/(1 + 1/x) ~ c*x takes up to 21.  For k >= 1 at
-    x = 0, where c/(1 + 1/x) ~ c*x squares to 0 (|x| below ~1e-163) and
-    g' - 1 = x/(w^2 + x^2) would divide by 0, or where it is not finite
-    (both parts of x subnormal, where 1/x overflows to inf - inf*j), the
-    seed is k*pi + x/(k*pi), the root to rounding there."""
+    """`_newton`'s root of the window form g(w) = w - k*pi - atan(x/w) and
+    g' at its last iterate, from the sheet-n (n > 0) seed c/(1 + 1/x),
+    c = (n-1/2)*pi, or for k = 0, where w ~ sqrt(x) near the origin, from
+    c*sqrt(x/(x + c^2)), the root with tan(w) replaced by w/(1 - (w/c)^2):
+    <= 5 Newton steps for |x| in [3e-10, 3.2] where c/(1 + 1/x) ~ c*x takes
+    up to 21.  For k >= 1 at x = 0, where c/(1 + 1/x) ~ c*x squares to 0
+    (|x| below ~1e-163) and g' - 1 = x/(w^2 + x^2) would divide by 0, or
+    where it is not finite (both parts of x subnormal, where 1/x overflows
+    to inf - inf*j), the seed is k*pi + x/(k*pi), the root to rounding
+    there."""
     c = (n - 0.5) * math.pi
     k_pi = k * math.pi
     try:
@@ -564,7 +571,7 @@ def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None
         seed = 0j
     if k and (seed * seed == 0 or not cmath.isfinite(seed)):
         seed = k_pi + x / k_pi
-    return _newton(_window_form, x, k_pi, seed)
+    return _newton("window", x, k_pi, seed)
 
 
 def _place(z: complex, s: _Sheet, left: bool = False) -> complex | None:
@@ -591,11 +598,7 @@ def _place(z: complex, s: _Sheet, left: bool = False) -> complex | None:
         y = _refine(x, seed)
         if y is not None and _holds(y, s, at):
             return _reflect(y, z)
-    c = (m - 0.5) * math.pi
-    try:
-        found = _newton(_atan_form, x, c, c / (1.0 + 1.0 / x))
-    except ZeroDivisionError:   # x = 0 or x = -1
-        return None
+    found = _exterior_root(x, (m - 0.5) * math.pi)
     y = None if found is None else _refine(x, found[0])
     return _reflect(y, z) if y is not None and _holds(y, s, at) else None
 
@@ -752,14 +755,14 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
         y = -y
     t = cmath.tan(y)
     res = abs(y * t - z)
-    if not certified and res > core.TOL * (1.0 + abs(z)):
+    if not certified and res > core.TOL * (1.0 + r):
         # near the tan pole (large real z on low sheets) the map y -> y*tan(y)
         # is so steep that a half-ulp of y already produces a large residual;
         # accept down to that conditioning floor, |d(y tan y)/dy| * ulp
         steepness = abs(y * (1.0 + t * t) + t)
         if res > 4.0 * EPS * steepness * (1.0 + abs(y)):
             raise NoConvergence(f"residual {res:.3e} above tolerance at z={z!r}")
-    return BranchedValue(z, y, n, res)
+    return tuple.__new__(BranchedValue, (z, y, n, res))   # skips the NamedTuple's Python __new__
 
 
 def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
@@ -803,12 +806,13 @@ def _check_on_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
 
 
 def _tanh_root(s: float) -> float:
-    """p >= 0 with p*tanh(p) = s (s >= 0), by `_newton` on the tanh form from
-    sqrt(s + s^2/3), the root to O(s^3) as s -> 0: at most 5 steps for s up
-    to 40 (200000 draws), past |Re x_j| for every j <= 2**52 (19.7)."""
+    """p >= 0 with p*tanh(p) = s (s >= 0), by `_newton` on the tanh form
+    p*tanh(p) - s from sqrt(s + s^2/3), the root to O(s^3) as s -> 0: at
+    most 5 steps for s up to 40 (200000 draws), past |Re x_j| for every
+    j <= 2**52 (19.7)."""
     if s <= 0.0:
         return 0.0
-    found = _newton(_tanh_form, s, 0.0, math.sqrt(s * (1.0 + s / 3.0)))
+    found = _newton("tanh", s, 0.0, math.sqrt(s * (1.0 + s / 3.0)))
     if found is None:
         raise NoConvergence(f"p*tanh(p) = {s!r} did not converge")
     return found[0]

@@ -310,13 +310,15 @@ def halley_step(x: complex, y: complex) -> complex:
     if abs(cmath.cos(y)) < POLE_GUARD:
         raise PoleProximity(f"|cos(y)| < {POLE_GUARD:g} at y={y!r}")
     t = cmath.tan(y)
-    f = x - y * t
+    yt = y * t
+    f = x - yt
     sec2 = 1.0 + t * t
-    den = y * sec2 + t
+    ysec2 = y * sec2
+    den = ysec2 + t
     # degenerate against its terms: where tan(y) ~ i, |den| ~ 1 is regular
-    if abs(den) < 1e-12 * (1.0 + abs(y * sec2) + abs(t)):
+    if abs(den) < 1e-12 * (1.0 + abs(ysec2) + abs(t)):
         raise PoleProximity(f"degenerate Halley denominator at y={y!r}")
-    return y + f / (den + (y * t + 1.0) * sec2 / den * f)
+    return y + f / (den + (yt + 1.0) * sec2 / den * f)
 
 
 def derivative(x: complex, y: complex) -> complex:

