@@ -634,7 +634,7 @@ def _in_arc(u: float, v: float, bp: BranchPoint) -> bool | None:
     gap = u * t.real - v * t.imag - a   # Re f(w) - a_j
     if abs(gap) <= 4.0 * EPS * (abs(w) * abs(t) + abs(a)) + abs(t + w * (1.0 + t * t)) * tol:
         return None
-    return bool(gap > 0.0) == left   # bool(): a numpy float's > gives no bool
+    return (gap > 0.0) == left
 
 
 def _inside(u: float, v: float, x_re: float, bp: BranchPoint) -> bool:

@@ -70,10 +70,6 @@ class ContinuationFailure(WtanError):
     """Analytic continuation near a branch point failed."""
 
 
-class DegenerateState(WtanError):
-    """sin and cos of k*a/2 both vanish numerically; amplitudes undefined."""
-
-
 class DomainViolation(WtanError):
     """Argument outside the stated validity domain."""
 

@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .core import BranchIndex, eval_real
-from .errors import DegenerateState, DomainViolation, NonFiniteArgument, NonPositiveNorm
+from .errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
 
 __all__ = [
     "Parity",
@@ -140,12 +140,12 @@ def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
     inner product <psi| 1 + lambda*delta(xi - a/2) |psi> = 1 (plain L^2 for
     odd states, whose center value vanishes).  Raises NonPositiveNorm for an
     even entry whose generalized norm is not positive, which no entry of
-    `spectrum(model, ...)` has."""
+    `spectrum(model, ...)` has, and NonFiniteArgument where k*a/2 is not
+    finite."""
     a, k = model.width_a, entry.k
     half = 0.5 * k * a
-    s, c = math.sin(half), math.cos(half)
-    if abs(s) < 1e-14 and abs(c) < 1e-14:
-        raise DegenerateState(f"sin and cos of k*a/2 both vanish at k={k}")
+    if not math.isfinite(half):
+        raise NonFiniteArgument(f"k*a/2 must be finite, got k={k!r}, a={a!r}")
     if entry.parity is Parity.ODD:
         # psi = A sin(k xi) globally; the mirrored amplitude carries the
         # sign flip sin(k(a - xi)) = -sin(k xi) at k = 2 m pi / a
@@ -155,6 +155,7 @@ def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
     # even: continuity at the center gives A_I = A_II.  At an eigenvalue the
     # generalized norm equals (a/2)(1 + sin(ka)/(ka)) > 0; a non-positive one
     # means the entry does not belong to this model
+    s = math.sin(half)
     norm_sq = 0.5 * a - math.sin(k * a) / (2.0 * k) + model.lam * s * s
     if norm_sq <= 0.0:
         raise NonPositiveNorm(

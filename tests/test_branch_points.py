@@ -4,13 +4,13 @@ import math
 import mpmath as mp
 import pytest
 
-from wtan import complex_plane
+from wtan import branch_points, complex_plane
 from wtan.branch_points import (
     asymptotic_branch_point,
     find_branch_point,
     local_expansion_check,
 )
-from wtan.errors import ContinuationFailure
+from wtan.errors import BracketFailure, ContinuationFailure, NoConvergence
 
 from conftest import BRANCH_POINT_TABLE
 
@@ -64,6 +64,21 @@ class TestFindBranchPoint:
     def test_invalid_index(self):
         with pytest.raises(ValueError):
             find_branch_point(0)
+
+    def test_nan_seed_does_not_converge(self, monkeypatch):
+        seed = asymptotic_branch_point(3)._replace(y_approx=complex(math.nan, 1.0))
+        monkeypatch.setattr(branch_points, "asymptotic_branch_point", lambda n: seed)
+        with pytest.raises(NoConvergence, match="did not settle in 50 steps"):
+            find_branch_point(3)
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_root_of_the_next_index_is_a_bracket_failure(self, monkeypatch, n):
+        # seeded at the (n+1)-th point, Newton settles there: outside the
+        # n-th point's bracket
+        seed = asymptotic_branch_point(n + 1)
+        monkeypatch.setattr(branch_points, "asymptotic_branch_point", lambda n: seed)
+        with pytest.raises(BracketFailure, match=f"branch point {n} settled"):
+            find_branch_point(n)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_paper_u_equation(self, n):

@@ -85,8 +85,10 @@ def _per_region_coeffs(fun, order):
     vals = [fun(s) for s in nodes]
     coeffs = []
     for k in range(order):
-        acc = sum(v * math.cos(k * math.pi * (j + 0.5) / order)
-                  for j, v in enumerate(vals))
+        # added left to right, as sum() did before Python 3.12 compensated it
+        acc = 0.0
+        for j, v in enumerate(vals):
+            acc += v * math.cos(k * math.pi * (j + 0.5) / order)
         coeffs.append((1.0 if k == 0 else 2.0) * acc / order)
     return tuple(coeffs)
 

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -28,9 +29,23 @@ def child_env():
     return env
 
 
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
 def run_cli(*args):
-    return subprocess.run(CMD + list(args), capture_output=True, text=True,
-                          env=child_env())
+    """`wtan <args>` run by `main` in this process: its exit code, stdout and
+    stderr, as a fresh `python -m wtan` prints them (TestOneParserPerProcess
+    checks that)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())
 
 
 class TestEval:
@@ -379,31 +394,40 @@ class TestCellRendering:
 
 
 class TestOneParserPerProcess:
+    # one call per subcommand, a usage error and a domain error; the grid
+    # call comes again last, after every other command has used the parser
     CALLS = [
         ["grid", "--branch", "-2", "--range", "-1.5:2.5", "--points", "9", "--precision", "3"],
         ["eval", "--x", "2.5", "--branch", "2", "--format", "json"],
+        ["eval", "--z", "2,2", "--branch", "1", "--scheme", "finite-cuts", "--derivative"],
+        ["series", "--kind", "small", "--order", "12"],
+        ["cheb", "--split", "3.5", "--order", "8", "--format", "json"],
+        ["branch-points", "--count", "3"],
+        ["qm", "--width", "1", "--lambda", "-0.7", "--levels", "4"],
+        ["integrals", "--range", "0.5:3"],
+        ["dispersion", "--at", "5,0.5"],
         ["grid", "--points", "9"],   # no --range: a usage error
+        ["eval", "--z", "-1.650611,2.059981", "--branch", "1",
+         "--scheme", "finite-cuts"],   # at a branch point: a domain error
         ["grid", "--branch", "-2", "--range", "-1.5:2.5", "--points", "9", "--precision", "3"],
     ]
 
-    @staticmethod
-    def _in_process(argv):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-        return code, out.getvalue().encode(), err.getvalue().encode()
-
     def test_calls_in_one_process_print_what_fresh_processes_print(self):
-        assert build_parser() is build_parser()
-        got = [self._in_process(argv) for argv in self.CALLS]
-        assert [code for code, _, _ in got] == [0, 0, 2, 0]
-        for argv, result in zip(self.CALLS, got):
-            cp = subprocess.run(CMD + argv, capture_output=True, env=child_env())
-            assert result == (cp.returncode, cp.stdout, cp.stderr), argv
-        assert got[0] == got[3]
+        # the fresh processes run while this one makes the same calls
+        with contextlib.ExitStack() as stack:
+            children = [stack.enter_context(subprocess.Popen(
+                CMD + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()))
+                for argv in self.CALLS]
+            assert build_parser() is build_parser()
+            got = [run_cli(*argv) for argv in self.CALLS]
+            fresh = [(*child.communicate(), child.returncode) for child in children]
+        assert [r.returncode for r in got] == [0] * 9 + [2, 2, 0]
+        for argv, r, (out, err, code) in zip(self.CALLS, got, fresh):
+            assert (r.returncode, r.stdout.encode(), r.stderr.encode()) == (code, out, err), argv
+        assert got[0] == got[-1]
+        assert {argv[0] for argv in self.CALLS} == {
+            "eval", "series", "cheb", "branch-points", "qm", "integrals",
+            "dispersion", "grid"}
 
 
 # The README's CLI examples, by the name of the file in tests/data/readme_cli
@@ -432,24 +456,18 @@ class TestReadmeExamples:
                   for line in block.splitlines() if line.startswith("wtan ")]
         assert listed == list(README_EXAMPLES.values())
 
-    @staticmethod
-    def _stdout(argv):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(argv) == 0
-        return out.getvalue().encode()
-
     @pytest.mark.parametrize("name", list(README_EXAMPLES))
     def test_stdout_is_byte_identical(self, name):
         expected = (ROOT / "tests" / "data" / "readme_cli" / f"{name}.out").read_bytes()
-        assert self._stdout(shlex.split(README_EXAMPLES[name])) == expected
+        cp = run_cli(*shlex.split(README_EXAMPLES[name]))
+        assert (cp.returncode, cp.stdout.encode()) == (0, expected), cp.stderr
 
     @pytest.mark.parametrize("name", [name for name, cmd in README_EXAMPLES.items()
                                       if "--format json" not in cmd])
     def test_json_stdout_is_byte_identical(self, name):
         expected = (ROOT / "tests" / "data" / "readme_cli" / f"{name}.json.out").read_bytes()
-        argv = shlex.split(README_EXAMPLES[name]) + ["--format", "json"]
-        assert self._stdout(argv) == expected
+        cp = run_cli(*shlex.split(README_EXAMPLES[name]), "--format", "json")
+        assert (cp.returncode, cp.stdout.encode()) == (0, expected), cp.stderr
 
 
 class TestIntegralsCommand:
@@ -485,21 +503,6 @@ OWN_MODULES = {
 }
 
 
-def _loaded(*args):
-    """Top-level modules a fresh `python -X importtime <args>` imported."""
-    cp = subprocess.run([sys.executable, "-X", "importtime", *args],
-                        capture_output=True, text=True, env=child_env())
-    assert cp.returncode == 0, cp.stderr
-    return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
-            if line.startswith("import time:")}
-
-
-@functools.cache
-def _bare_interpreter_modules():
-    """What `python -c pass` imports, found once per test session."""
-    return frozenset(_loaded("-c", "pass"))
-
-
 # Both order-300 tables with their residuals, radius estimates and fit, and
 # lagrange_b(1..30), as plain floats in `out`.
 SERIES_BUNDLE = (
@@ -515,6 +518,23 @@ SERIES_BUNDLE = (
 
 
 class TestImport:
+    # what a fresh process loads and does: these tests launch one each
+
+    @staticmethod
+    def _loaded(*args):
+        """Top-level modules a fresh `python -X importtime <args>` imported."""
+        cp = subprocess.run([sys.executable, "-X", "importtime", *args],
+                            capture_output=True, text=True, env=child_env())
+        assert cp.returncode == 0, cp.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
+                if line.startswith("import time:")}
+
+    @staticmethod
+    @functools.cache
+    def _bare_interpreter_modules():
+        """What `python -c pass` imports, found once per test session."""
+        return frozenset(TestImport._loaded("-c", "pass"))
+
     def test_import_loads_no_scipy(self):
         cp = subprocess.run(
             [sys.executable, "-c",
@@ -524,7 +544,7 @@ class TestImport:
         assert cp.stdout.strip() == "False"
 
     def test_import_loads_neither_numpy_nor_mpmath(self):
-        loaded = _loaded("-c", "import wtan")
+        loaded = self._loaded("-c", "import wtan")
         assert {m for m in loaded if m.startswith("wtan")} == {"wtan"}   # no submodule
         assert not {"numpy", "mpmath"} & loaded
 
@@ -542,9 +562,9 @@ class TestImport:
         # errors, plus the command's own modules; none loads numpy, mpmath,
         # dataclasses or inspect, and only --format json loads json
         argv = shlex.split(README_EXAMPLES[name])
-        loaded = _loaded("-m", "wtan", *argv)
+        loaded = self._loaded("-m", "wtan", *argv)
         assert not {"numpy", "mpmath", "dataclasses", "inspect"} & loaded
-        loaded -= _bare_interpreter_modules()
+        loaded -= self._bare_interpreter_modules()
         assert {m for m in loaded if m.startswith("wtan")} == {
             "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
         assert ("json" in loaded) == ("--format json" in README_EXAMPLES[name])
@@ -578,13 +598,14 @@ class TestImport:
         # floats when any mpmath import raises
         code = "import json, sys\nsys.modules['mpmath'] = None\n" + SERIES_BUNDLE + \
             "print(json.dumps(out))\n"
-        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=child_env())
-        assert cp.returncode == 0, cp.stderr
-        ns = {}
-        exec(SERIES_BUNDLE, ns)
+        with subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=child_env()) as child:
+            ns = {}
+            exec(SERIES_BUNDLE, ns)   # while the child computes the same
+            stdout, stderr = child.communicate()
         out = ns["out"]
-        assert json.loads(cp.stdout) == json.loads(json.dumps(out))
+        assert child.returncode == 0, stderr
+        assert json.loads(stdout) == json.loads(json.dumps(out))
         for kind in ("small", "large"):
             residual, radii, fit, _ = out[kind]
             assert residual < 1e-100

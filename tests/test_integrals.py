@@ -2,7 +2,6 @@ import math
 
 import mpmath
 import pytest
-from scipy.integrate import quad
 
 import wtan.integrals
 from wtan.core import eval_real
@@ -146,11 +145,17 @@ class TestDefiniteLnSin:
         assert CATALAN.hex() == float(mpmath.catalan).hex()
 
     def test_tail_against_quadrature(self):
-        # direct quadrature of the tail via x = 1/s
+        # direct quadrature of the tail via x = 1/s; ln sin w at 40 digits,
+        # since in floats sin w rounds to 1 from x ~ 1e8 on, where the
+        # quadrature's nodes crowd toward s = 0
         X = 50.0
-        val, err = quad(
-            lambda s: math.log(math.sin(eval_real(1.0 / s, 1))) / s ** 2,
-            1e-12, 1.0 / X, limit=200)
+
+        def integrand(s):
+            w = eval_real(1.0 / float(s), 1)
+            with mpmath.workdps(40):
+                return mpmath.log(mpmath.sin(w)) / mpmath.mpf(s) ** 2
+
+        val = float(mpmath.quad(integrand, [1e-12, 1.0 / X]))
         assert lnsin_tail(X) == pytest.approx(val, abs=1e-9)
 
     def test_cutoff_insensitivity(self, monkeypatch):
@@ -178,9 +183,8 @@ class TestDefiniteCatalan:
         # int_0^a w dx >= a pi/4 + (pi/8) ln 2 - G/2 for a <= pi/4,
         # equality exactly at a = pi/4
         def lhs(a):
-            val, _ = quad(lambda s: 2 * s * eval_real(s * s, 1), 0.0,
-                          math.sqrt(a), limit=200)
-            return val
+            return float(mpmath.quad(lambda s: 2 * s * eval_real(float(s) ** 2, 1),
+                                     [0.0, math.sqrt(a)]))
 
         offset = math.pi / 8 * math.log(2) - CATALAN / 2
         for a in (0.1, 0.3, 0.5, 0.7):
@@ -194,11 +198,10 @@ class TestSubstitutionIdentity:
     def test_square_integrand(self):
         # int w^2 dx = [x w^2] - int y*tan(y) * 2y dy under y = w(x)
         x1, x2 = 0.5, 2.0
-        direct, _ = quad(lambda x: eval_real(x, 1) ** 2, x1, x2, limit=200)
+        direct = float(mpmath.quad(lambda x: eval_real(float(x), 1) ** 2, [x1, x2]))
         w1, w2 = eval_real(x1, 1), eval_real(x2, 1)
         boundary = x2 * w2 ** 2 - x1 * w1 ** 2
-        transformed, _ = quad(lambda y: y * math.tan(y) * 2 * y, w1, w2,
-                              limit=200)
+        transformed = float(mpmath.quad(lambda y: y * mpmath.tan(y) * 2 * y, [w1, w2]))
         assert abs(direct - (boundary - transformed)) < 1e-9
 
 

@@ -3,8 +3,6 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
 
 from wtan.core import eval_real
 from wtan.errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
@@ -19,6 +17,24 @@ from wtan.quantum import (
     variational_bound_2,
     wavefunction,
 )
+
+
+def _golden_section_min(f, lo, hi, xatol):
+    """The least f found by golden-section search on [lo, hi], for a
+    unimodal f, once the bracket is no wider than xatol."""
+    r = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = hi - r * (hi - lo), lo + r * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > xatol:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - r * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + r * (hi - lo)
+            fd = f(d)
+    return min(fc, fd)
 
 
 def even_levels(entries):
@@ -161,7 +177,8 @@ class TestWavefunction:
         model = WellModel(width_a=math.pi, lam=1.3)
         entry = even_levels(spectrum(model, 4))[0]
         psi = wavefunction(model, entry)
-        l2, _ = quad(lambda xi: psi(xi) ** 2, 0, math.pi, limit=200)
+        # split at the centre, where psi has its kink
+        l2 = float(mp.quad(lambda xi: psi(float(xi)) ** 2, [0.0, 0.5 * math.pi, math.pi]))
         norm = l2 + model.lam * psi(0.5 * math.pi) ** 2
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -189,6 +206,16 @@ class TestWavefunction:
         entry = SpectrumEntry(index=0, parity=Parity.EVEN, k=math.pi,
                               E=math.pi ** 2, branch=1)
         with pytest.raises(NonPositiveNorm):
+            wavefunction(model, entry)
+
+    @pytest.mark.parametrize("parity", list(Parity))
+    @pytest.mark.parametrize("a, k", [(1.0, math.inf), (1.0, math.nan), (1e300, 1e10)])
+    def test_non_finite_k_a_raises(self, parity, a, k):
+        # a hand-built entry: math.sin(inf) raised a bare ValueError, k = nan
+        # gave nan amplitudes, and k*a/2 can overflow with k and a finite
+        model = WellModel(width_a=a, lam=0.5)
+        entry = SpectrumEntry(index=0, parity=parity, k=k, E=k * k, branch=None)
+        with pytest.raises(NonFiniteArgument):
             wavefunction(model, entry)
 
 
@@ -288,10 +315,8 @@ class TestRayleighQuotient:
 
     @pytest.mark.parametrize("x", [0.25, 1.0, 8.0, -3.0])
     def test_minimum_matches_second_bound(self, x):
-        res = minimize_scalar(lambda b: rayleigh_quotient(x, b),
-                              bounds=(-0.9, 0.9), method="bounded",
-                              options={"xatol": 1e-13})
-        assert res.fun == pytest.approx(variational_bound_2(x) ** 2, abs=1e-10)
+        fun = _golden_section_min(lambda b: rayleigh_quotient(x, b), -0.9, 0.9, xatol=1e-13)
+        assert fun == pytest.approx(variational_bound_2(x) ** 2, abs=1e-10)
 
     def test_upper_bound_property(self):
         rng = np.random.default_rng(5)

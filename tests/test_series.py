@@ -179,6 +179,8 @@ class TestEvalSeries:
 
     def test_zero(self):
         assert eval_series(0.0, small_x_coeffs(10)).value == 0.0
+        # 5e-324 / bound rounds to q = 0: c_0 alone is summed
+        assert eval_series(5e-324, small_x_coeffs(20)) == (math.sqrt(5e-324), 0.0)
 
     def test_radius_gating(self):
         with pytest.raises(OutsideConvergence):
@@ -194,9 +196,10 @@ class TestEvalSeries:
                 eval_series(math.nan, table)
 
     def test_infinity_on_large_table_is_the_limit(self):
-        table = large_x_coeffs(10)
-        for x in (math.inf, -math.inf):
-            assert eval_series(x, table) == (0.5 * math.pi, 0.0)
+        # t = +-0, so q = 0: c_0 alone is summed
+        for table in (large_x_coeffs(10), large_x_coeffs(20)):
+            for x in (math.inf, -math.inf):
+                assert eval_series(x, table) == (0.5 * math.pi, 0.0)
         with pytest.raises(OutsideConvergence):
             eval_series(math.inf, small_x_coeffs(10))
 
@@ -216,6 +219,22 @@ class TestEvalSeries:
             assert eval_series(x, table) == first
             assert first.value == want
             assert table.primary_floats() == coeffs
+
+    @pytest.mark.parametrize("primary", [
+        # c_0 = 0: no envelope relative to it
+        (0,) + tuple(Fraction(1, 2 ** (k - 1)) for k in range(1, 21)),
+        # r = 1 from c_2, and |c_1| r / |c_0| = 1e310 is past the float range
+        (1e-300, 1e10, 1),
+    ])
+    def test_infinite_envelope_sums_every_term(self, primary):
+        table = SeriesTable(SeriesKind.SMALL_X, len(primary) - 1, primary, (), 30)
+        assert table._envelope == math.inf
+        x = 0.5
+        coeffs = table.primary_floats()
+        got = eval_series(x, table)
+        assert got.value == math.sqrt(x) * full_horner(coeffs, x)
+        # the last term reaches the float result: a sum without it differs
+        assert got.value != math.sqrt(x) * full_horner(coeffs[:-1], x)
 
     def test_no_coefficient_past_c0_falls_back_to_rho_limit(self):
         # the root test has no order to read: the bound is RHO_LIMIT, not
