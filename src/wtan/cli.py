@@ -68,16 +68,10 @@ _WIDTH = _checked(float, "--width must be positive and finite", lambda a: 0.0 < 
 _LAMBDA = _checked(float, "--lambda must be finite", math.isfinite)
 
 
-def fmt(v: float, precision: int) -> str:
-    """Shortest representation of v capped at `precision` significant digits."""
-    if v == 0.0:
-        v = 0.0  # normalize -0.0
-    return f"{v:.{precision}g}"
-
-
 def _emit(columns: tuple[str, ...], rows, args) -> None:
     """Write one table: CSV with a header line, or a JSON list of objects.
-    Each float is `fmt(v, args.precision)`, from one format spec per table."""
+    Each float is rendered with `args.precision` significant digits, from
+    one format spec per table."""
     spec = f".{args.precision}g"
     if args.format == "csv":
         def render(v):
@@ -165,12 +159,8 @@ def cmd_eval(args):
         columns += ("dy_re", "dy_im")
         row += (d.real, d.imag)
     if args.check:
-        # re-parse the printed value and verify it still identifies the root
-        y_back = complex(float(fmt(y.real, args.precision)),
-                         float(fmt(y.imag, args.precision)))
-        drift = abs(y_back - y) / (1.0 + abs(y))
-        if drift > 10.0 ** (1 - args.precision):
-            raise _usage_error("printed value does not round-trip")
+        # the printed y always re-parses to within 10^(1-p)*(1 + |y|) of y
+        # (README), so the check column only states it
         columns += ("check",)
         row += ("ok",)
     return columns, [row]
@@ -289,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="limit side for x = 0 exactly")
     p.add_argument("--derivative", action="store_true")
     p.add_argument("--check", action="store_true",
-                   help="verify the printed value round-trips")
+                   help="add a column stating the printed value round-trips")
     _add_output_flags(p)
     p.set_defaults(func=cmd_eval)
 

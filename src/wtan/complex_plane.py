@@ -206,6 +206,7 @@ from .core import (
     EPS,
     BranchedValue,
     BranchIndex,
+    _ordered_sum,
     _panel_nodes,
     defining_residual,
     halley_step,
@@ -280,15 +281,12 @@ class Cut(NamedTuple):
         """Distance from z to the cut segment; NonFiniteArgument unless z is finite."""
         if not cmath.isfinite(z):
             raise NonFiniteArgument(f"z must be finite, got {z!r}")
+        a, b = self.endpoints
         if self.kind is CutKind.VERTICAL_SEGMENT:
-            a = self.endpoints[0].real
-            lo = min(self.endpoints[0].imag, self.endpoints[1].imag)
-            hi = max(self.endpoints[0].imag, self.endpoints[1].imag)
-            dy = 0.0 if lo <= z.imag <= hi else min(abs(z.imag - lo), abs(z.imag - hi))
-            return math.hypot(z.real - a, dy)
-        lo, hi = self.endpoints[0].real, self.endpoints[1].real
-        dx = 0.0 if lo <= z.real <= hi else min(abs(z.real - lo), abs(z.real - hi))
-        return math.hypot(dx, z.imag)
+            offset, t, lo, hi = z.real - a.real, z.imag, min(a.imag, b.imag), max(a.imag, b.imag)
+        else:
+            offset, t, lo, hi = z.imag, z.real, a.real, b.real
+        return math.hypot(offset, max(lo - t, t - hi, 0.0))
 
 
 class _PathFields(NamedTuple):
@@ -947,9 +945,9 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
 
 def _assemble(z: complex, tables, a: float) -> complex:
     us, w0, d0, vs, w1, d1 = tables
-    i0 = sum(w * d / (u - z) for u, w, d in zip(us, w0, d0))
-    i1 = sum(w * (d / (a + 1j * v - z) + d.conjugate() / (a - 1j * v - z))
-             for v, w, d in zip(vs, w1, d1))
+    i0 = _ordered_sum(w * d / (u - z) for u, w, d in zip(us, w0, d0))
+    i1 = _ordered_sum(w * (d / (a + 1j * v - z) + d.conjugate() / (a - 1j * v - z))
+                      for v, w, d in zip(vs, w1, d1))
     return 0.5 * math.pi + (i0 - i1) / math.pi
 
 

@@ -340,6 +340,11 @@ def second_derivative(x: complex, y: complex) -> complex:
     """d2w/dx2 for a consistent pair (x, y):
 
         -2*x*y/(y^2+x^2+x)^2 - 2*y^3/(y^2+x^2+x)^3
+
+    Where 2xy or y^3 leaves the float range (|x| past ~5.7e307 on the
+    real branches, |n| past ~1.8e102), and q = y^2+x^2+x squared or cubed
+    with it, each term is taken scaled by q first: -2*(x/q)*(y/q) -
+    2*(y/q)^3, finite where the plain form gives inf/inf = nan or raises.
     """
     q = y * y + x * x + x
     if abs(q) < BRANCH_POINT_GUARD:
@@ -347,7 +352,13 @@ def second_derivative(x: complex, y: complex) -> complex:
             f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
             "second derivative diverges at a branch point"
         )
-    return -2.0 * x * y / (q * q) - 2.0 * y ** 3 / (q * q * q)
+    try:
+        d2 = -2.0 * x * y / (q * q) - 2.0 * y ** 3 / (q * q * q)
+    except OverflowError:   # y ** 3 past the float range
+        d2 = math.inf
+    if cmath.isfinite(d2):
+        return d2
+    return -2.0 * (x / q) * (y / q) - 2.0 * (y / q) ** 3
 
 
 def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
@@ -370,10 +381,11 @@ def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
 
 
 def _ordered_sum(terms) -> float:
-    """The float terms added one at a time, left to right, from 0.0: the
-    floats sum() gives before Python 3.12.  From 3.12 on sum() compensates
-    its rounding, and a fit's or an integral's last bits, and the CLI's
-    bytes, would depend on the interpreter."""
+    """The float (or complex) terms added one at a time, left to right,
+    from 0.0: the floats sum() gives before Python 3.12.  From 3.12 on sum()
+    compensates its rounding of floats, and from 3.14 on of complex terms
+    too, and a fit's or an integral's last bits, and the CLI's bytes, would
+    depend on the interpreter."""
     total = 0.0
     for term in terms:
         total += term

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .core import EPS, _ordered_sum, _panel_nodes, eval_real
-from .errors import QuadratureFailure
+from .errors import NonFiniteArgument, OutsideConvergence, QuadratureFailure
 
 __all__ = [
     "CATALAN",
@@ -170,9 +170,17 @@ _LNSIN_TAIL = (-0.0, -0.0, -1.2337005501361697, 2.4674011002723395,
 
 
 def lnsin_tail(X: float) -> float:
-    """Analytic tail int_X^inf ln sin w dx, leading term -pi^2/(8X)."""
-    return _ordered_sum(qm / ((m - 1) * X ** (m - 1))
-                        for m, qm in enumerate(_LNSIN_TAIL) if m >= 2 and qm != 0.0)
+    """Analytic tail int_X^inf ln sin w dx, leading term -pi^2/(8X), for X
+    past 2.6397047612188325 (`series.RHO_LIMIT`, the radius of the 1/x
+    series), else OutsideConvergence; NaN raises NonFiniteArgument.  Past
+    the leading term, a term whose power of X would reach 2^1023 (and
+    soon overflow) is taken as 0: it is then below 2^-500 times the
+    leading term."""
+    if not X > 2.6397047612188325:
+        raise (NonFiniteArgument if math.isnan(X) else OutsideConvergence)(
+            f"X={X} must exceed 2.6397, the radius of the 1/x series")
+    return _ordered_sum(qm / ((m - 1) * X ** (m - 1)) for m, qm in enumerate(_LNSIN_TAIL[2:], 2)
+                        if m == 2 or (m - 1) * math.log2(X) < 1023.0)
 
 
 def definite_lnsin() -> float:

@@ -565,25 +565,27 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
     G = _SQRT_GUARD
     p_k, q_k = p ** k_min, q ** k_min
     w = []
+    # a detrended w_k, or a g^k of the amplitude step, past the float range
+    # raises OverflowError, or ZeroDivisionError where g^k underflows to 0
     try:
         for k in ks:
             n, d = table.primary[k].as_integer_ratio()
             w.append(n * k * math.isqrt(k << 2 * G) * p_k / (d * q_k << G))
             p_k *= p
             q_k *= q
-    except OverflowError:
-        raise FitDiverged("detrended coefficients are not finite") from None
-    alpha, beta = _lstsq2(w[1:-1], w[:-2], w[2:])
-    if beta >= 0.0:
-        raise FitDiverged(f"Prony step returned beta={beta}; no oscillation found")
-    g = math.sqrt(-beta)
-    cos_a = alpha / (2.0 * g)
-    if abs(cos_a) > 1.0 + 1e-9:
-        raise FitDiverged(f"|cos a| = {abs(cos_a)} > 1")
-    a = math.acos(max(-1.0, min(1.0, cos_a)))
-    rho = g * RHO_HAT if grows else RHO_HAT / g
-    # amplitude/phase: w_k g^(-k) = P sin(ak) + Q cos(ak)
-    s = [wk / g ** k for k, wk in zip(ks, w)]
+        alpha, beta = _lstsq2(w[1:-1], w[:-2], w[2:])
+        if beta >= 0.0:
+            raise FitDiverged(f"Prony step returned beta={beta}; no oscillation found")
+        g = math.sqrt(-beta)
+        cos_a = alpha / (2.0 * g)
+        if abs(cos_a) > 1.0 + 1e-9:
+            raise FitDiverged(f"|cos a| = {abs(cos_a)} > 1")
+        a = math.acos(max(-1.0, min(1.0, cos_a)))
+        rho = g * RHO_HAT if grows else RHO_HAT / g
+        # amplitude/phase: w_k g^(-k) = P sin(ak) + Q cos(ak)
+        s = [wk / g ** k for k, wk in zip(ks, w)]
+    except (OverflowError, ZeroDivisionError):
+        raise FitDiverged("detrended coefficients or g^k are past the float range") from None
     sin_ak = [math.sin(a * k) for k in ks]
     cos_ak = [math.cos(a * k) for k in ks]
     P, Q = _lstsq2(sin_ak, cos_ak, s)

@@ -192,6 +192,12 @@ class TestLocalExpansion:
         with pytest.raises(ContinuationFailure):
             local_expansion_check(1, [1e-8, 1e-9])
 
+    def test_loop_enclosing_more_than_x_n_fails_to_close(self):
+        # a circle of radius 4 about x_1 also encloses x_2 and the origin:
+        # the double loop does not return to its start
+        with pytest.raises(ContinuationFailure, match="failed to close"):
+            local_expansion_check(1, [4.0, 3.5])
+
     def test_programming_error_is_not_a_continuation_failure(self, monkeypatch):
         def broken(z, s):
             raise TypeError("broken")

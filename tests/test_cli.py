@@ -95,6 +95,23 @@ class TestEval:
         assert cp.returncode == 0
         assert "ok" in cp.stdout
 
+    @pytest.mark.parametrize("precision", range(1, 31))
+    def test_check_column_states_a_proved_round_trip(self, precision):
+        # --check re-parses nothing: each printed part is within half a unit
+        # of its last digit and float() adds at most 2^-53, so the re-parsed
+        # y is within 10^(1-p)*(1 + |y|) of y for every |y| < 4e307 (README)
+        rng = random.Random(precision)
+        spec = f".{precision}g"
+        for _ in range(300):
+            y = complex(*(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 307.6)
+                          for _ in range(2)))
+            back = complex(*(float(format(v + 0.0, spec)) for v in (y.real, y.imag)))
+            assert abs(back - y) <= 10.0 ** (1 - precision) * (1.0 + abs(y)), y
+        cp = run_cli("eval", "--x", "1e308", "--branch", "-7", "--check",
+                     "--precision", str(precision), "--format", "json")
+        assert cp.returncode == 0, cp.stderr
+        assert json.loads(cp.stdout)[0]["check"] == "ok"
+
     def test_zero_needs_side(self):
         cp = run_cli("eval", "--x", "0", "--branch", "1")
         assert cp.returncode == 2
@@ -335,6 +352,12 @@ class TestDeterminism:
         run_cli("series", "--kind", "large", "--order", "6",
                 "--output", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_unwritable_output_is_an_internal_error(self, tmp_path: Path):
+        cp = run_cli("eval", "--x", "1", "--output", str(tmp_path / "missing" / "out.csv"))
+        assert cp.returncode == 1
+        assert cp.stderr.startswith("internal error: [Errno 2] ")
+        assert cp.stdout == ""
 
     def test_precision_flag(self):
         cp = run_cli("eval", "--x", "1", "--branch", "1", "--precision", "15")
@@ -646,6 +669,12 @@ class TestPublicNames:
         assert wtan.definite_lnsin is wtan.integrals.definite_lnsin
         with pytest.raises(AttributeError):
             wtan.no_such_name
+
+    def test_submodule_loads_on_attribute_access(self, monkeypatch):
+        import wtan
+        import wtan.integrals
+        monkeypatch.delattr(wtan, "integrals")
+        assert wtan.integrals is sys.modules["wtan.integrals"]
 
     def test_star_import(self):
         ns = {}

@@ -20,8 +20,10 @@ from wtan.complex_plane import (
     dispersion_eval,
     eval_complex,
     trace_path,
+    _exterior_root,
     _holds,
     _place,
+    _predict,
     _walk_segment,
 )
 from wtan.branch_points import find_branch_point
@@ -34,6 +36,7 @@ from wtan.errors import (
     OnCut,
     OutOfCutRange,
     QuadratureFailure,
+    StepTooLarge,
     WtanError,
 )
 from wtan.series import eval_series, large_x_coeffs
@@ -655,6 +658,15 @@ class TestEscapeRoute:
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
                 y = sign * eval_complex(z, sheet, atlas).y
                 assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
+
+    def test_origin_seed_divides_by_zero(self):
+        # the exterior form's seed c/(1 + 1/x) divides by 0 at x = 0 and
+        # x = -1: no root; at the origin, where no window, germ or -i*z
+        # root lies in R_1 either, _place's last resort is refused too
+        for x in (0j, -1 + 0j):
+            assert _exterior_root(x, 0.5 * math.pi) is None
+        with pytest.raises(NoConvergence):
+            SheetAtlas().continue_from_anchor(0j, 1)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
         # z is 0.05 left of x_1 and 10 is beyond the disk; with no root
@@ -1487,6 +1499,21 @@ class TestTracePath:
         assert rec[-1][2] == 1
         assert abs(rec[-1][1] - eval_complex(2e6, 1, big).y) <= 4e-16 * abs(rec[-1][1])
 
+    def test_refused_steps_are_step_too_large(self, atlas, monkeypatch):
+        # the start at 50 is an exterior root; with every Halley polish
+        # refused each step halves until it falls below MIN_STEP
+        monkeypatch.setattr(complex_plane, "_refine", lambda x, y: None)
+        with pytest.raises(StepTooLarge, match="fell below"):
+            trace_path(ContinuationPath((50 + 0j, 60 + 1j)), 1, atlas)
+
+    def test_predictor_holds_still_at_a_branch_point(self):
+        # at x_1 the denominator of dw/dx = w/(x + x^2 + w^2) is 4e-15: the
+        # Euler predictor returns w_1 unmoved
+        bp = find_branch_point(1)
+        assert abs(bp.y * bp.y + bp.x * bp.x + bp.x) < 1e-12
+        for dz in (0.1, 1e-3j, -0.5 + 0.5j):
+            assert _predict(bp.x, bp.y, dz) == bp.y
+
     def test_waypoint_validation(self):
         with pytest.raises(ValueError):
             ContinuationPath(waypoints=(1 + 1j,))
@@ -1590,6 +1617,26 @@ class TestBoundaryValues:
         monkeypatch.setattr(complex_plane, "_refine", lambda x, y: None)
         with pytest.raises(NoConvergence):
             boundary_value(complex(bp.x.real, 0.5 * bp.x.imag), 1, Side.RIGHT, atlas)
+
+    def test_unsolved_real_cut_limit_is_no_convergence(self, atlas, monkeypatch):
+        monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: None)
+        with pytest.raises(NoConvergence, match="tanh"):
+            boundary_value(-1 + 0j, 1, Side.UPPER, atlas)
+
+    def test_limit_off_its_half_is_no_convergence(self, atlas, monkeypatch):
+        # every polished root mirrored across Re w_1: the germ's root and
+        # the placed one land on the other half of the cut's image, and the
+        # left limit of sheet 1 is refused
+        bp = find_branch_point(1)
+        refine = complex_plane._refine
+
+        def mirrored(x, y):
+            y = refine(x, y)
+            return None if y is None else complex(2.0 * bp.y.real - y.real, y.imag)
+
+        monkeypatch.setattr(complex_plane, "_refine", mirrored)
+        with pytest.raises(NoConvergence, match="off its half"):
+            boundary_value(complex(bp.x.real, 0.5 * bp.x.imag), 1, Side.LEFT, atlas)
 
     def test_side_validation(self, atlas):
         with pytest.raises(ValueError):

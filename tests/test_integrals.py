@@ -1,11 +1,12 @@
 import math
+import random
 
 import mpmath
 import pytest
 
 import wtan.integrals
 from wtan.core import eval_real
-from wtan.errors import QuadratureFailure
+from wtan.errors import NonFiniteArgument, OutsideConvergence, QuadratureFailure
 from wtan.integrals import (
     CATALAN,
     CATALAN_COMBINATION,
@@ -17,7 +18,7 @@ from wtan.integrals import (
     definite_lnsin,
     lnsin_tail,
 )
-from wtan.series import large_x_coeffs
+from wtan.series import RHO_LIMIT, large_x_coeffs
 
 
 class TestIndefiniteIdentities:
@@ -119,6 +120,39 @@ class TestDefiniteLnSin:
         assert t < 0.0
         assert abs(t) == pytest.approx(math.pi ** 2 / 800.0 * 0.99, rel=1e-3)
         assert abs(t) == pytest.approx(0.01234, abs=1.5e-4)
+
+    def test_tail_pinned_at_the_cutoff(self):
+        assert lnsin_tail(100.0) == float.fromhex("-0x1.903d8e9f6a6dfp-7")
+
+    def test_tail_unchanged_where_every_power_is_finite(self):
+        # the sum as written before the domain checks: the same floats from
+        # just past the series' radius to where X^5 nears the float range
+        def plain(X):
+            total = 0.0
+            for m, qm in enumerate(wtan.integrals._LNSIN_TAIL):
+                if m >= 2:
+                    total += qm / ((m - 1) * X ** (m - 1))
+            return total
+
+        rng = random.Random(3)
+        xs = [math.nextafter(RHO_LIMIT, math.inf), 100.0, 1e61]
+        xs += [10.0 ** rng.uniform(math.log10(RHO_LIMIT), 61.0) for _ in range(2000)]
+        for X in xs:
+            assert lnsin_tail(X) == plain(X), X
+
+    def test_tail_past_the_float_range_is_its_leading_term(self):
+        # X^5 overflows from ~1.5e61 on, X^2 from ~1.3e154
+        q2 = wtan.integrals._LNSIN_TAIL[2]
+        for X in (1e62, 1e154, 1e200, 1.7e308, 1.7976931348623157e308):
+            assert lnsin_tail(X) == q2 / X, X
+        assert lnsin_tail(math.inf) == 0.0
+
+    def test_tail_outside_the_series_radius_raises(self):
+        for X in (RHO_LIMIT, 2.0, 1e-60, 0.0, -0.0, -100.0, -math.inf):
+            with pytest.raises(OutsideConvergence):
+                lnsin_tail(X)
+        with pytest.raises(NonFiniteArgument):
+            lnsin_tail(math.nan)
 
     def test_literals_match_their_derivation(self):
         # the derivation the literals replaced: compose the large-argument

@@ -12,6 +12,7 @@ from wtan import series
 from wtan.core import derivative, eval_real
 from wtan.errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 from wtan.series import (
+    RHO_HAT,
     RHO_LIMIT,
     AsymptoticFit,
     SeriesKind,
@@ -340,6 +341,20 @@ class TestTruncation:
             value, full, K = self.check(x, table)
             assert K == table.order and value == full
 
+    def test_q_rounding_to_one_uses_every_term(self):
+        # a bound b read from c_3 = b^3; one ulp past it fl(fl(1/x)*b) = 1,
+        # where log2(1/q) = 0 leaves no truncation order (so does about one
+        # b in 20 of [2.64, 10]; never a small table's, where x < b gives
+        # fl(x/b) < 1)
+        b = 7.950534638028159
+        table = SeriesTable(SeriesKind.LARGE_X, 3,
+                            (1, Fraction(1, 2), Fraction(1, 4), Fraction(b) ** 3), (), 30)
+        x = math.nextafter(b, math.inf)
+        assert table._bound == b and (1.0 / x) * b == 1.0
+        for point in (x, -x):
+            value, full, K = self.check(point, table)
+            assert K == table.order and value == full
+
     def test_order_300_tables_use_few_terms(self, tables):
         # log2(2^63 / (1 - q)) / log2(1/q) with M = |c_0| = 1: q = 1/2.64
         # needs c_0..c_45, q = 2/2.64 c_0..c_162, q = 2.64/20 c_0..c_21
@@ -524,6 +539,51 @@ class TestAsymptoticFit:
         eval_series(100.0, table)
         assert table == table._replace()
         assert hash(table) == hash(table._replace())
+
+    @staticmethod
+    def _detrended(w, order):
+        """A large-x table whose coefficients detrend to about w[k], k >= 1."""
+        primary = [Fraction(1)] + [Fraction(0)] * order
+        for k, wk in w.items():
+            primary[k] = Fraction(wk) * Fraction(RHO_HAT) ** k / Fraction(k ** 1.5)
+        return SeriesTable(SeriesKind.LARGE_X, order, tuple(primary), (), 30)
+
+    def test_detrended_past_the_float_range_diverges(self):
+        table = self._detrended({k: Fraction(10) ** (290 + k) for k in range(10, 61)}, 60)
+        with pytest.raises(FitDiverged, match="past the float range"):
+            fit_asymptotic(table, 10, 60)
+
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_g_power_past_the_float_range_diverges(self, e):
+        # w_k = 2^(e(k - 2080)) 1e300^e sin(k), k = 1080..1110: finite, but
+        # g = 2^e, and g^k underflows to 0 (e = -1) or overflows (e = 1)
+        table = self._detrended({k: math.ldexp(1e300 ** e * math.sin(k), e * (k - 2080))
+                                 for k in range(1080, 1111)}, 1110)
+        with pytest.raises(FitDiverged, match="past the float range"):
+            fit_asymptotic(table, 1080, 1110)
+
+    @pytest.mark.parametrize("r1, r2, message", [
+        # w_k = r1^k + r2^k obeys w_(k+1) = (r1 + r2) w_k - r1 r2 w_(k-1):
+        # real roots of opposite signs give beta = -r1 r2 > 0, of one sign
+        # cos a = (r1 + r2) / (2 sqrt(r1 r2)) > 1
+        (1.1, -0.9, "no oscillation"),
+        (1.2, 0.8, "cos a"),
+    ])
+    def test_real_roots_diverge(self, r1, r2, message):
+        table = self._detrended({k: r1 ** k + r2 ** k for k in range(1, 61)}, 60)
+        with pytest.raises(FitDiverged, match=message):
+            fit_asymptotic(table, 10, 60)
+
+    def test_amplitude_below_the_float_range_diverges(self):
+        # w_k = 1e-80 * 350^(k-100) sin(k): g = 350, and every w_k / g^k
+        # (~1e-334) rounds to 0, so the amplitude fit is exactly 0
+        table = self._detrended({k: 1e-80 * 350.0 ** (k - 100) * math.sin(k)
+                                 for k in range(100, 121)}, 120)
+        with pytest.raises(FitDiverged, match="zero amplitude"):
+            fit_asymptotic(table, 100, 120)
+        fit = fit_asymptotic(table._replace(primary=tuple(c * 10 ** 80 for c in table.primary)),
+                             100, 120)
+        assert fit.rho == pytest.approx(350.0 * RHO_HAT) and fit.a == pytest.approx(1.0)
 
 
 class TestRecords:
