@@ -341,10 +341,8 @@ def second_derivative(x: complex, y: complex) -> complex:
 
         -2*x*y/(y^2+x^2+x)^2 - 2*y^3/(y^2+x^2+x)^3
 
-    Where 2xy or y^3 leaves the float range (|x| past ~5.7e307 on the
-    real branches, |n| past ~1.8e102), and q = y^2+x^2+x squared or cubed
-    with it, each term is taken scaled by q first: -2*(x/q)*(y/q) -
-    2*(y/q)^3, finite where the plain form gives inf/inf = nan or raises.
+    each term scaled by q = y^2+x^2+x first, -2*(x/q)*(y/q) - 2*(y/q)^3,
+    so that neither 2xy, y^3 nor q^2 leaves the float range.
     """
     q = y * y + x * x + x
     if abs(q) < BRANCH_POINT_GUARD:
@@ -352,12 +350,6 @@ def second_derivative(x: complex, y: complex) -> complex:
             f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
             "second derivative diverges at a branch point"
         )
-    try:
-        d2 = -2.0 * x * y / (q * q) - 2.0 * y ** 3 / (q * q * q)
-    except OverflowError:   # y ** 3 past the float range
-        d2 = math.inf
-    if cmath.isfinite(d2):
-        return d2
     return -2.0 * (x / q) * (y / q) - 2.0 * (y / q) ** 3
 
 

@@ -141,7 +141,7 @@ class TestDefiniteLnSin:
             assert lnsin_tail(X) == plain(X), X
 
     def test_tail_past_the_float_range_is_its_leading_term(self):
-        # X^5 overflows from ~1.5e61 on, X^2 from ~1.3e154
+        # X^5 overflows from ~4.5e61 on, X^2 from ~1.3e154
         q2 = wtan.integrals._LNSIN_TAIL[2]
         for X in (1e62, 1e154, 1e200, 1.7e308, 1.7976931348623157e308):
             assert lnsin_tail(X) == q2 / X, X
