@@ -33,7 +33,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .core import _ordered_sum
+from .core import EPS, _ordered_sum
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
@@ -100,7 +100,7 @@ def find_branch_point(n: int) -> BranchPoint:
     for _ in range(50):
         step = (cmath.sin(y) * cmath.cos(y) + y) / (cmath.cos(2 * y) + 1.0)
         y -= step
-        if abs(step) <= 2.220446049250313e-16 * abs(y):
+        if abs(step) <= EPS * abs(y):
             break
     else:
         raise NoConvergence(
@@ -168,7 +168,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     Raises ValueError, before any continuation, unless every radius is
     finite and positive and at least two differ.
     """
-    from .complex_plane import SheetAtlas, _walk_segment  # local import: avoids cycle
+    from .complex_plane import SheetAtlas, _point, _walk_segment  # local import: avoids cycle
 
     if n < 1:
         raise ValueError("branch point index must be >= 1")
@@ -176,7 +176,7 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
         raise ValueError("need at least two distinct radii for the fit, each finite and positive")
     radii = sorted(radii, reverse=True)
     atlas = SheetAtlas()
-    bp = find_branch_point(n)
+    bp = _point(n)
     try:
         # anchor on the circle of the largest radius, angle 0
         z0 = bp.x + radii[0]

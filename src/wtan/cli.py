@@ -369,7 +369,3 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # internal failure
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -252,10 +252,16 @@ MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
-# Entries in each of an atlas's two caches, of x_j (~250 bytes) and of sheet
-# records (~1.0 kB with their x_j): an atlas stays under ~1.5 MB however many
-# sheets it uses (~1.25 MB with both caches full).
+# Entries in the process's cache of x_j (~350 bytes each) and in each atlas's
+# cache of sheet records (~0.6 kB each, ~0.9 kB with their own x_j)
 _CACHED = 1024
+
+
+@functools.lru_cache(_CACHED)
+def _point(j: int) -> BranchPoint:
+    """x_j, found once per process: the branch points are constants of the
+    function, so every atlas shares them."""
+    return find_branch_point(j)
 
 
 class CutKind(enum.Enum):
@@ -317,6 +323,7 @@ class _Sheet(NamedTuple):
     """What sheets +-m need of their branch points x_(m-1) and x_m."""
 
     bp: BranchPoint                 # x_m
+    c: float                        # (m-1/2)*pi: w -> +-c at infinity on sheets +-m
     disk: float                     # |x_m|: every cut of the sheet lies within it
     lo: float                       # Re x_m, the real cut's left end
     hi: float                       # Re x_(m-1) (0 on sheets +-1), its right end
@@ -324,15 +331,14 @@ class _Sheet(NamedTuple):
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
 
 
-def _sheet_record(points: Callable[[int], BranchPoint], m: int) -> _Sheet:
-    """The record of sheets +-m (m >= 1) from an atlas's points(j) = x_j;
-    the atlas's `_sheet` caches it."""
-    bp = points(m)
-    near = (points(m - 1), bp) if m > 1 else (bp,)
+def _sheet_record(m: int) -> _Sheet:
+    """The record of sheets +-m (m >= 1); each atlas's `_sheet` caches it."""
+    bp = _point(m)
+    near = (_point(m - 1), bp) if m > 1 else (bp,)
     germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
              for b in reversed(near)] + [(0j, 0j, 2.0)] * (m == 1)
-    return _Sheet(bp, abs(bp.x), bp.x.real, near[0].x.real if m > 1 else 0.0, near,
-                  tuple(germs))
+    return _Sheet(bp, (m - 0.5) * math.pi, abs(bp.x), bp.x.real,
+                  near[0].x.real if m > 1 else 0.0, near, tuple(germs))
 
 
 def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
@@ -344,27 +350,45 @@ def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
               for b in s.near))
 
 
+def _guard(z: complex, s: _Sheet) -> None:
+    """OnCut if a cut of sheet s lies within CUT_GUARD of z, or x_(m-1),
+    x_m or a conjugate within BRANCH_POINT_GUARD of it.  Left of the band
+    only the vertical cut at x_m is measured: it is the nearest there."""
+    if z.real < s.lo:
+        d = math.hypot(z.real - s.lo, max(abs(z.imag) - s.bp.x.imag, 0.0))
+    else:
+        d = min(_cut_distances(z, s))
+    if d < CUT_GUARD:
+        raise OnCut(f"z={z!r} lies on a cut of sheet +-{s.bp.n}")
+    for bp in s.near:
+        # x_j or its conjugate, whichever lies on z's side of the axis:
+        # the same float as the nearer of |z - x_j| and |z - conj x_j|
+        if abs(complex(z.real - bp.x.real, abs(z.imag) - bp.x.imag)) < BRANCH_POINT_GUARD:
+            raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
+                        f"x_{bp.n}; too close for direct evaluation")
+
+
 class SheetAtlas:
-    """Branch points and cuts of every finite-cuts sheet.  x_j, and each
-    sheet's cuts, germs, disk radius and band edges, are found on first use
-    and kept in two least-recently-used caches of _CACHED entries each;
-    every cache fills idempotently, and no value depends on what an atlas
-    has evaluated or found before.  The origin x = 0 (w = 0, index 0) is a
-    branch point too, though no :class:`BranchPoint` record."""
+    """Branch points and cuts of every finite-cuts sheet.  x_j is found once
+    per process, in a least-recently-used cache of _CACHED entries that every
+    atlas shares; each sheet's cuts, germs, disk radius and band edges are
+    found on first use and kept in the atlas's own such cache, and its
+    dispersion tables beside them.  Every cache fills idempotently, and no
+    value depends on what an atlas or the process has evaluated or found
+    before.  The origin x = 0 (w = 0, index 0) is a branch point too, though
+    no :class:`BranchPoint` record."""
 
     def __init__(self):
         self.branch_points: list[BranchPoint] = []   # x_1..x_k of `build(k)`
         # no reference back to the atlas: a dropped atlas is freed at once
-        self._points = functools.lru_cache(_CACHED)(find_branch_point)
-        self._sheet = functools.lru_cache(_CACHED)(
-            functools.partial(_sheet_record, self._points))
+        self._sheet = functools.lru_cache(_CACHED)(_sheet_record)
         self._disp_tables: dict[tuple, tuple] = {}
 
     @classmethod
     def build(cls, sheets: int = 4) -> "SheetAtlas":
         """An atlas with x_1..x_sheets found up front, as `branch_points`."""
         atlas = cls()
-        atlas.branch_points = [atlas._points(j) for j in range(1, sheets + 1)]
+        atlas.branch_points = [_point(j) for j in range(1, sheets + 1)]
         return atlas
 
     # -- geometry ----------------------------------------------------------
@@ -384,23 +408,6 @@ class SheetAtlas:
         unless |z| is finite."""
         _modulus(z)
         return min(_cut_distances(z, self._sheet(abs(validate_branch(n)))))
-
-    def _guard(self, z: complex, s: _Sheet) -> None:
-        """OnCut if a cut of sheet s lies within CUT_GUARD of z, or x_(m-1),
-        x_m or a conjugate within BRANCH_POINT_GUARD of it.  Left of the band
-        only the vertical cut at x_m is measured: it is the nearest there."""
-        if z.real < s.lo:
-            d = math.hypot(z.real - s.lo, max(abs(z.imag) - s.bp.x.imag, 0.0))
-        else:
-            d = min(_cut_distances(z, s))
-        if d < CUT_GUARD:
-            raise OnCut(f"z={z!r} lies on a cut of sheet +-{s.bp.n}")
-        for bp in s.near:
-            # x_j or its conjugate, whichever lies on z's side of the axis:
-            # the same float as the nearer of |z - x_j| and |z - conj x_j|
-            if abs(complex(z.real - bp.x.real, abs(z.imag) - bp.x.imag)) < BRANCH_POINT_GUARD:
-                raise OnCut(f"z={z!r} is within {BRANCH_POINT_GUARD:g} of branch point "
-                            f"x_{bp.n}; too close for direct evaluation")
 
     # -- evaluation --------------------------------------------------------
 
@@ -428,7 +435,7 @@ class SheetAtlas:
         the guard wherever z can trip it (module docstring)."""
         s = self._sheet(m)
         if r >= EXTERIOR_FACTOR * s.disk:
-            found = _exterior_root(z, (m - 0.5) * math.pi)
+            found = _exterior_root(z, s.c)
             if found is None or not abs(found[1] - 1.0) <= 0.5:
                 raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
             return found[0], True
@@ -436,41 +443,11 @@ class SheetAtlas:
             raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                                   "float64 no longer orders the branch points there")
         if guarded and (z.real <= 0.0 or r < CUT_GUARD):
-            self._guard(z, s)
+            _guard(z, s)
         y = _place(z, s)
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
         return y, False
-
-    # -- sheet regions -----------------------------------------------------
-
-    def _label(self, z: complex, y: complex, last: BranchIndex) -> BranchIndex:
-        """The sheet whose value at z is y: the m with +-y inside A_m and
-        outside A_(m-1), by `_inside` (so an undecided root goes by the side
-        of the cut z lies on), searched from |last| by doubling, then
-        halving; DomainViolation past 2**52."""
-        sign = 1 if y.real > 0.0 or (y.real == 0.0 and y.imag > 0.0) else -1
-        u, v = sign * y.real, abs(y.imag)
-
-        def inside(j: int) -> bool:
-            if j > _LAST_POINT:
-                raise DomainViolation(f"the value {y!r} at z={z!r} lies past sheet 2**52")
-            return _inside(u, v, z.real, self._points(j))
-
-        lo, hi, step = abs(last), abs(last), 1
-        if inside(hi):
-            lo -= 1
-            while lo > 0 and inside(lo):
-                hi, lo, step = lo, max(lo - 2 * step, 0), 2 * step
-        else:
-            hi += 1
-            while not inside(hi):
-                lo, hi, step = hi, min(hi + 2 * step, _LAST_POINT + 1), 2 * step
-        while hi - lo > 1:   # inside A_hi, and outside A_lo (A_0: the origin)
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if inside(mid) else (mid, hi)
-        return sign * hi
-
 
 # ---------------------------------------------------------------------------
 # low-level continuation
@@ -548,7 +525,7 @@ def _exterior_root(x: complex, c: float) -> tuple[complex, complex] | None:
         return None
 
 
-def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None:
+def _window_newton(x: complex, c: float, k: int) -> tuple[complex, complex] | None:
     """`_newton`'s root of the window form g(w) = w - k*pi - atan(x/w) and
     g' at its last iterate, from the sheet-n (n > 0) seed c/(1 + 1/x),
     c = (n-1/2)*pi, or for k = 0, where w ~ sqrt(x) near the origin, from
@@ -559,7 +536,6 @@ def _window_newton(x: complex, n: int, k: int) -> tuple[complex, complex] | None
     where it is not finite (both parts of x subnormal, where 1/x overflows
     to inf - inf*j), the seed is k*pi + x/(k*pi), the root to rounding
     there."""
-    c = (n - 0.5) * math.pi
     k_pi = k * math.pi
     try:
         seed = c * cmath.sqrt(x / (x + c * c)) if k == 0 else c / (1.0 + 1.0 / x)
@@ -588,7 +564,7 @@ def _place(z: complex, s: _Sheet, left: bool = False) -> complex | None:
     m = s.bp.n
     first = m if at.real < s.lo else m - 1
     for k in (first, 2 * m - 1 - first):
-        found = _window_newton(x, m, k)
+        found = _window_newton(x, s.c, k)
         if found is not None and _holds(found[0], s, at):
             return _reflect(found[0], z)
     for seed in [w + e * cmath.sqrt(2.0 * (x - xj) / f2) for w, xj, f2 in s.germs
@@ -596,7 +572,7 @@ def _place(z: complex, s: _Sheet, left: bool = False) -> complex | None:
         y = _refine(x, seed)
         if y is not None and _holds(y, s, at):
             return _reflect(y, z)
-    found = _exterior_root(x, (m - 0.5) * math.pi)
+    found = _exterior_root(x, s.c)
     y = None if found is None else _refine(x, found[0])
     return _reflect(y, z) if y is not None and _holds(y, s, at) else None
 
@@ -643,6 +619,34 @@ def _inside(u: float, v: float, x_re: float, bp: BranchPoint) -> bool:
     if inside is None:
         return (x_re < bp.x.real) == (u > bp.y.real)
     return inside
+
+
+def _label(z: complex, y: complex, last: BranchIndex) -> BranchIndex:
+    """The sheet whose value at z is y: the m with +-y inside A_m and
+    outside A_(m-1), by `_inside` (so an undecided root goes by the side
+    of the cut z lies on), searched from |last| by doubling, then
+    halving; DomainViolation past 2**52."""
+    sign = 1 if y.real > 0.0 or (y.real == 0.0 and y.imag > 0.0) else -1
+    u, v = sign * y.real, abs(y.imag)
+
+    def inside(j: int) -> bool:
+        if j > _LAST_POINT:
+            raise DomainViolation(f"the value {y!r} at z={z!r} lies past sheet 2**52")
+        return _inside(u, v, z.real, _point(j))
+
+    lo, hi, step = abs(last), abs(last), 1
+    if inside(hi):
+        lo -= 1
+        while lo > 0 and inside(lo):
+            hi, lo, step = lo, max(lo - 2 * step, 0), 2 * step
+    else:
+        hi += 1
+        while not inside(hi):
+            lo, hi, step = hi, min(hi + 2 * step, _LAST_POINT + 1), 2 * step
+    while hi - lo > 1:   # inside A_hi, and outside A_lo (A_0: the origin)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if inside(mid) else (mid, hi)
+    return sign * hi
 
 
 def _refine(x: complex, y: complex) -> complex | None:
@@ -783,7 +787,7 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     records = [(z, y, start_sheet)]
 
     def on_step(za: complex, zb: complex, yb: complex) -> None:
-        records.append((zb, yb, atlas._label(zb, yb, records[-1][2])))
+        records.append((zb, yb, _label(zb, yb, records[-1][2])))
 
     for target in path.waypoints[1:]:
         y, z = _walk_segment(z, y, target, on_step), target
@@ -816,15 +820,15 @@ def _tanh_root(s: float) -> float:
     return found[0]
 
 
-def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
-                    right: bool) -> complex:
-    """Sheet-m (m > 0) limit at z on the vertical cut at x_j = bp.x from
-    its right (else left) side (module docstring): the Halley root from
-    the germ seed of the side's half of A_j, where the arcs accept it, else
-    `_place`'s root placed by the side rule, polished; NoConvergence
-    where neither gives a root on the side's half.  At the foot Im z = 0
-    the limits are taken from above."""
+def _vertical_limit(z: complex, s: _Sheet, bp: BranchPoint, right: bool) -> complex:
+    """Sheet-m limit at z, s = the record of sheets +-m, on the vertical cut
+    at x_j = bp.x (one of s.near) from its right (else left) side (module
+    docstring): the Halley root from the germ seed of the side's half of
+    A_j, where the arcs accept it, else `_place`'s root placed by the side
+    rule, polished; NoConvergence where neither gives a root on the side's
+    half.  At the foot Im z = 0 the limits are taken from above."""
     x = z.conjugate() if z.imag < 0.0 else z
+    m = s.bp.n
     # the right half (u > Re w_j) is the left side's inside A_j (j = m) and
     # the right side's outside
     half = right != (bp.n == m)
@@ -832,9 +836,9 @@ def _vertical_limit(atlas: SheetAtlas, z: complex, m: int, bp: BranchPoint,
     # the germ of that half found A_j's root there: outside A_(j-1) and
     # inside A_(j+1) the cut point has no other
     if y is None or not (y.real > 0.0 and (y.real > bp.y.real) == half
-            and _in_arc(y.real, abs(y.imag), atlas._points(bp.n + 1)) is True
-            and (bp.n == 1 or _in_arc(y.real, abs(y.imag), atlas._points(bp.n - 1)) is False)):
-        y = _place(x, atlas._sheet(m), not right)
+            and _in_arc(y.real, abs(y.imag), _point(bp.n + 1)) is True
+            and (bp.n == 1 or _in_arc(y.real, abs(y.imag), _point(bp.n - 1)) is False)):
+        y = _place(x, s, not right)
         y = None if y is None else _refine(x, y)
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at {z!r}")
@@ -865,13 +869,13 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
     if side in (Side.UPPER, Side.LOWER):
         y = (1j if side is Side.UPPER else -1j) * _tanh_root(-point.real)
     else:
-        m = abs(n)
-        bp = min(atlas._sheet(m).near, key=lambda b: abs(b.x.real - point.real))
+        s = atlas._sheet(abs(n))
+        bp = min(s.near, key=lambda b: abs(b.x.real - point.real))
         foot = complex(bp.x.real, min(max(point.imag, -bp.x.imag), bp.x.imag))
         if abs(foot.imag) == bp.x.imag:
             y = bp.y if foot.imag > 0.0 else bp.y.conjugate()
         else:
-            y = _vertical_limit(atlas, foot, m, bp, side is Side.RIGHT)
+            y = _vertical_limit(foot, s, bp, side is Side.RIGHT)
     return y if n > 0 else -y
 
 
@@ -924,7 +928,8 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
-    bp = atlas._sheet(1).bp
+    sheet = atlas._sheet(1)
+    bp = sheet.bp
     a, b = bp.x.real, bp.x.imag
     # real-cut table: nodes u = -s^2 (the s nodes ascend, so the u nodes
     # descend: 0- -> a), each D0 = p with p*tanh(p) = s^2
@@ -935,8 +940,8 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     # side's limit solved at its node
     t_nodes, t_wts = _panel_nodes(math.sqrt(b), panels, nodes)
     vs = [b - t * t for t in t_nodes]
-    d1 = [0.5 * (_vertical_limit(atlas, complex(a, v), 1, bp, True)
-                 - _vertical_limit(atlas, complex(a, v), 1, bp, False)) for v in vs]
+    d1 = [0.5 * (_vertical_limit(complex(a, v), sheet, bp, True)
+                 - _vertical_limit(complex(a, v), sheet, bp, False)) for v in vs]
     tables = (us, [2.0 * s * w for s, w in zip(s_nodes, s_wts)], d0,
               vs, [2.0 * t * w for t, w in zip(t_nodes, t_wts)], d1)
     atlas._disp_tables[key] = tables

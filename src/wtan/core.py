@@ -321,19 +321,26 @@ def halley_step(x: complex, y: complex) -> complex:
     return y + f / (den + (yt + 1.0) * sec2 / den * f)
 
 
+def _branch_denominator(x: complex, y: complex, what: str) -> complex:
+    """q = y^2 + x^2 + x, the denominator of every derivative of the pair
+    (x, y); AtBranchPoint, saying that `what` diverges, where |q| is below
+    BRANCH_POINT_GUARD."""
+    q = y * y + x * x + x
+    if abs(q) < BRANCH_POINT_GUARD:
+        raise AtBranchPoint(
+            f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
+            f"{what} diverges at a branch point"
+        )
+    return q
+
+
 def derivative(x: complex, y: complex) -> complex:
     """dw/dx given a consistent pair (x, y) with y*tan(y) = x.
 
     Equal to y / (x + x^2 + y^2); diverges exactly at the branch points,
     where y^2 + x^2 + x = 0.
     """
-    q = y * y + x * x + x
-    if abs(q) < BRANCH_POINT_GUARD:
-        raise AtBranchPoint(
-            f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
-            "derivative diverges at a branch point"
-        )
-    return y / q
+    return y / _branch_denominator(x, y, "derivative")
 
 
 def second_derivative(x: complex, y: complex) -> complex:
@@ -344,12 +351,7 @@ def second_derivative(x: complex, y: complex) -> complex:
     each term scaled by q = y^2+x^2+x first, -2*(x/q)*(y/q) - 2*(y/q)^3,
     so that neither 2xy, y^3 nor q^2 leaves the float range.
     """
-    q = y * y + x * x + x
-    if abs(q) < BRANCH_POINT_GUARD:
-        raise AtBranchPoint(
-            f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
-            "second derivative diverges at a branch point"
-        )
+    q = _branch_denominator(x, y, "second derivative")
     return -2.0 * (x / q) * (y / q) - 2.0 * (y / q) ** 3
 
 

@@ -530,7 +530,7 @@ def _lstsq2(u, v, rhs) -> tuple[float, float]:
     ur = math.fsum(x * r for x, r in zip(u, rhs))
     vr = math.fsum(y * r for y, r in zip(v, rhs))
     det = uu * vv - uv * uv
-    if not det > 4.0 * 2.220446049250313e-16 * uu * vv:
+    if not det > 4.0 * sys.float_info.epsilon * uu * vv:
         raise FitDiverged("least-squares columns are parallel (rank < 2)")
     return (vv * ur - uv * vr) / det, (uu * vr - uv * ur) / det
 

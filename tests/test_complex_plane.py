@@ -967,7 +967,7 @@ def _full_guard(atlas, z, n):
     m = abs(n)
     return any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
                for j in (m - 1, m) if j >= 1
-               for p in (atlas._points(j).x, atlas._points(j).conjugate_x))
+               for p in (complex_plane._point(j).x, complex_plane._point(j).conjugate_x))
 
 
 def _route(atlas, z, n):
@@ -976,7 +976,7 @@ def _route(atlas, z, n):
         return "exterior"
     if z.real > 0.0:
         return "right"
-    return "left" if z.real < atlas._points(m).x.real else "band"
+    return "left" if z.real < complex_plane._point(m).x.real else "band"
 
 
 def _raises_on_cut(z, n, atlas):
@@ -1028,7 +1028,7 @@ def _guard_points(atlas, sheets):
         for end, e in ((p, -along), (q, along)):
             points += _straddling(end, e, cut_guard, (-2, -1, 0, 1, 2))
     centres = {x: None for k in sheets for j in (k - 1, k) if j >= 1
-               for x in (atlas._points(j).x, atlas._points(j).conjugate_x)}
+               for x in (complex_plane._point(j).x, complex_plane._point(j).conjugate_x)}
     for c, radii, guard in [(c, (5e-4, 9.99e-4, 1.001e-3, 2e-3), point_guard) for c in centres] + [
             (0j, (5e-11, 9.9e-11, 1.01e-10, 2e-10), cut_guard)]:
         for k in range(6):
@@ -1247,7 +1247,7 @@ class TestGuards:
         assert {near for _, _, near in cases} == {True, False}
 
     def test_exterior_route_runs_no_guard(self, atlas, monkeypatch):
-        calls = _probe(monkeypatch, (SheetAtlas, "_guard"), (complex_plane, "_cut_distances"))
+        calls = _probe(monkeypatch, (complex_plane, "_guard"), (complex_plane, "_cut_distances"))
         for n in (1, 2, 3, 4, -1, -2, -3, -4):
             r = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk * (1.0 + 1e-12)
             for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
@@ -1361,16 +1361,42 @@ class TestAtlasRange:
                 assert values[0] == values[1] == values[2], (z, m, values)
 
     def test_caches_stay_bounded(self):
-        # ~1500 branch points and records of 1100 sheets: the atlas keeps at
-        # most _CACHED of each, and a branch point found before the cache
-        # dropped it is found again bit for bit
-        atlas, cap = SheetAtlas(), complex_plane._CACHED
-        first = [atlas._points(j) for j in range(1, 1500)]
-        assert atlas._points.cache_info().currsize <= cap
-        assert [atlas._points(j) for j in range(1, 51)] == first[:50]
+        # ~1500 branch points and records of 1100 sheets: the process keeps
+        # at most _CACHED branch points and the atlas at most _CACHED
+        # records, and a branch point found before the cache dropped it is
+        # found again bit for bit
+        atlas, cap, point = SheetAtlas(), complex_plane._CACHED, complex_plane._point
+        first = [point(j) for j in range(1, 1500)]
+        assert point.cache_info().currsize <= cap
+        assert [point(j) for j in range(1, 51)] == first[:50]
         for m in range(1, 1101):
             atlas.cuts_for(m)
         assert atlas._sheet.cache_info().currsize <= cap
+
+    def test_a_fresh_atlas_solves_no_branch_point_twice(self, monkeypatch):
+        # x_j are constants of the function: once one atlas has found those
+        # of sheets +-1..+-4, a vertical-cut limit on sheet 2 and a loop's
+        # labels around x_1, a second atlas doing the same finds them all in
+        # the process's cache.  A solve that refuses stands in for
+        # find_branch_point, so nothing found through it enters the cache
+        def use(atlas):
+            x1 = atlas.branch_points[0].x
+            values = [eval_complex(z, n, atlas).y for n in (1, 2, 3, 4, -1, -2, -3, -4)
+                      for z in (-1 + 1j, 30 - 40j)]
+            values.append(boundary_value(complex(x1.real, 0.5), 2, Side.LEFT, atlas))
+            loop = tuple(x1 + 1e-2 * cmath.exp(2j * math.pi * j / 32) for j in range(33))
+            return values, trace_path(ContinuationPath(loop), 1, atlas)
+
+        def refuse(j):
+            raise AssertionError(f"x_{j} solved again")
+
+        complex_plane._point.cache_clear()
+        first = use(SheetAtlas.build(4))
+        misses = complex_plane._point.cache_info().misses
+        assert misses > 0
+        monkeypatch.setattr(complex_plane, "find_branch_point", refuse)
+        assert use(SheetAtlas.build(4)) == first
+        assert complex_plane._point.cache_info().misses == misses
 
 
 class TestTracePath:

@@ -125,11 +125,17 @@ def test_eval_complex_far_imaginary(atlas):
 
 def _on_any_sheet(atlas, z, n):
     """eval_complex at z on sheets n and -n and at conj(z) on sheet n, and
-    the number of branch points the atlas had to find for them."""
-    with mock.patch.object(complex_plane, "find_branch_point",
-                           side_effect=find_branch_point) as found:
-        values = [eval_complex(z, n, atlas), eval_complex(z, -n, atlas),
-                  eval_complex(z.conjugate(), n, atlas)]
+    the number of branch points the atlas had to find for them.  The
+    process's cache of branch points is emptied before and after, so the
+    count starts cold and no point found through the patch stays in it."""
+    complex_plane._point.cache_clear()
+    try:
+        with mock.patch.object(complex_plane, "find_branch_point",
+                               side_effect=find_branch_point) as found:
+            values = [eval_complex(z, n, atlas), eval_complex(z, -n, atlas),
+                      eval_complex(z.conjugate(), n, atlas)]
+    finally:
+        complex_plane._point.cache_clear()
     return values, found.call_count
 
 
