@@ -32,8 +32,9 @@ _LAZY = {
         "variational_bound_2", "wavefunction"),
     "complex_plane": (
         "ContinuationPath", "Cut", "CutKind", "SheetAtlas", "Side",
-        "boundary_value", "discontinuity_delta0", "discontinuity_delta1",
-        "dispersion_eval", "eval_complex", "trace_path"),
+        "boundary_value", "continue_from_anchor", "cuts_for",
+        "discontinuity_delta0", "discontinuity_delta1", "dispersion_eval",
+        "distance_to_cuts", "eval_complex", "trace_path"),
     "series": (
         "AsymptoticFit", "RadiusEstimate", "SeriesKind", "SeriesTable",
         "eval_series", "fit_asymptotic", "lagrange_b", "large_x_coeffs",

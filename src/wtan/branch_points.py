@@ -31,9 +31,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from typing import NamedTuple, Sequence
 
-from .core import EPS, _ordered_sum
+from .core import EPS, _ordered_sum, validate_branch
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
@@ -45,6 +46,16 @@ __all__ = [
 
 # continuation points per loop around x_n in local_expansion_check
 SAMPLES_PER_LOOP = 128
+
+
+def _index(n: int) -> int:
+    """n as an int, checked as `core.validate_branch` checks a branch index:
+    TypeError unless an integer (bool excluded), ValueError below 1 and
+    DomainViolation past 2**1020."""
+    if type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool)):
+        if n < 1:
+            raise ValueError("branch point index must be >= 1")
+    return validate_branch(n)
 
 
 class BranchPoint(NamedTuple):
@@ -93,9 +104,10 @@ def find_branch_point(n: int) -> BranchPoint:
     x_n jumps by several units between neighbours.  Both still pass the
     bracket check, so nothing is raised here; `complex_plane` searches
     branch points only up to 2**52 and refuses in-disk points beyond it.
+
+    n is checked as `asymptotic_branch_point` checks it.
     """
-    if n < 1:
-        raise ValueError("branch point index must be >= 1")
+    n = _index(n)
     y = asymptotic_branch_point(n).y_approx
     for _ in range(50):
         step = (cmath.sin(y) * cmath.cos(y) + y) / (cmath.cos(2 * y) + 1.0)
@@ -137,9 +149,11 @@ def asymptotic_branch_point(n: int) -> AsymptoticBranchPoint:
     each with an O(ln n / n) error.  y is the seed of the Newton iteration
     in `find_branch_point`.  The approximation is crude at n = 1, but even
     there u lies inside [pi, 3*pi/2].
+
+    Raises TypeError unless n is an integer (a bool is not), ValueError
+    below 1 and DomainViolation past 2**1020, as `core.validate_branch`.
     """
-    if n < 1:
-        raise ValueError("branch point index must be >= 1")
+    n = _index(n)
     b = (2 * n - 0.5) * math.pi
     log2b = math.log(2.0 * b)
     u = b - log2b / b
@@ -166,21 +180,20 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     (kappa, c_squared)
 
     Raises ValueError, before any continuation, unless every radius is
-    finite and positive and at least two differ.
+    finite and positive and at least two differ; n is checked first, as
+    `asymptotic_branch_point` checks it.
     """
-    from .complex_plane import SheetAtlas, _point, _walk_segment  # local import: avoids cycle
+    from .complex_plane import _point, _walk_segment, continue_from_anchor  # avoids a cycle
 
-    if n < 1:
-        raise ValueError("branch point index must be >= 1")
+    n = _index(n)
     if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):
         raise ValueError("need at least two distinct radii for the fit, each finite and positive")
     radii = sorted(radii, reverse=True)
-    atlas = SheetAtlas()
     bp = _point(n)
     try:
         # anchor on the circle of the largest radius, angle 0
         z0 = bp.x + radii[0]
-        y0 = atlas.continue_from_anchor(z0, n)
+        y0 = continue_from_anchor(z0, n)
     except WtanError as exc:
         raise ContinuationFailure(f"could not anchor near x_{n}: {exc}") from exc
 

@@ -141,9 +141,9 @@ def cmd_eval(args):
         z = _parse_complex(args.z)
         if args.scheme == "real":
             raise _usage_error("--z requires --scheme finite-cuts")
-        from .complex_plane import SheetAtlas, eval_complex
+        from .complex_plane import eval_complex
 
-        bv = eval_complex(z, args.branch, SheetAtlas())
+        bv = eval_complex(z, args.branch)
         x, y, residual = bv.x, bv.y, bv.residual
     else:
         if args.scheme == "finite-cuts":
@@ -230,9 +230,8 @@ def cmd_dispersion(args):
     z = _parse_complex(args.at)
     from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
 
-    atlas = SheetAtlas()
-    d = dispersion_eval(z, atlas)
-    e = eval_complex(z, 1, atlas).y
+    d = dispersion_eval(z, SheetAtlas())
+    e = eval_complex(z, 1).y
     return ("z_re", "z_im", "disp_re", "disp_im", "direct_re", "direct_im", "abs_diff"), [
         (z.real, z.imag, d.real, d.imag, e.real, e.imag, abs(d - e))]
 

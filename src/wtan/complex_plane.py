@@ -230,6 +230,9 @@ __all__ = [
     "ContinuationPath",
     "SheetAtlas",
     "Side",
+    "continue_from_anchor",
+    "cuts_for",
+    "distance_to_cuts",
     "eval_complex",
     "trace_path",
     "boundary_value",
@@ -252,15 +255,15 @@ MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
 _LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
-# Entries in the process's cache of x_j (~350 bytes each) and in each atlas's
-# cache of sheet records (~0.6 kB each, ~0.9 kB with their own x_j)
+# Entries in the process's cache of x_j (~350 bytes each) and in its cache of
+# sheet records (~0.6 kB each, ~0.9 kB with their own x_j)
 _CACHED = 1024
 
 
 @functools.lru_cache(_CACHED)
 def _point(j: int) -> BranchPoint:
     """x_j, found once per process: the branch points are constants of the
-    function, so every atlas shares them."""
+    function."""
     return find_branch_point(j)
 
 
@@ -316,7 +319,7 @@ class ContinuationPath(_PathFields):
 
 
 # ---------------------------------------------------------------------------
-# atlas
+# sheets
 # ---------------------------------------------------------------------------
 
 class _Sheet(NamedTuple):
@@ -331,8 +334,10 @@ class _Sheet(NamedTuple):
     germs: tuple                    # (w_j, x_j, f''(w_j)), j = m, m-1; j = 0: origin
 
 
-def _sheet_record(m: int) -> _Sheet:
-    """The record of sheets +-m (m >= 1); each atlas's `_sheet` caches it."""
+@functools.lru_cache(_CACHED)
+def _sheet(m: int) -> _Sheet:
+    """The record of sheets +-m (m >= 1), built once per process, as the
+    x_j it holds are: it is a constant of the function too."""
     bp = _point(m)
     near = (_point(m - 1), bp) if m > 1 else (bp,)
     germs = [(b.y, b.x, 2.0 * (1.0 + (b.x / b.y) ** 2) * (1.0 + b.x))
@@ -369,19 +374,17 @@ def _guard(z: complex, s: _Sheet) -> None:
 
 
 class SheetAtlas:
-    """Branch points and cuts of every finite-cuts sheet.  x_j is found once
-    per process, in a least-recently-used cache of _CACHED entries that every
-    atlas shares; each sheet's cuts, germs, disk radius and band edges are
-    found on first use and kept in the atlas's own such cache, and its
-    dispersion tables beside them.  Every cache fills idempotently, and no
-    value depends on what an atlas or the process has evaluated or found
-    before.  The origin x = 0 (w = 0, index 0) is a branch point too, though
-    no :class:`BranchPoint` record."""
+    """A caller's dispersion tables (`dispersion_eval`), and with `build(k)`
+    the branch points x_1..x_k as `branch_points`.  Nothing else reads an
+    atlas: the x_j and each sheet's record of cuts, germs, disk radius and
+    band edges are constants of the function, found on first use in the
+    process's least-recently-used caches of _CACHED entries each.  The
+    tables fill idempotently, and no value depends on what an atlas or the
+    process has evaluated or found before.  The origin x = 0 (w = 0, index
+    0) is a branch point too, though no :class:`BranchPoint` record."""
 
     def __init__(self):
         self.branch_points: list[BranchPoint] = []   # x_1..x_k of `build(k)`
-        # no reference back to the atlas: a dropped atlas is freed at once
-        self._sheet = functools.lru_cache(_CACHED)(_sheet_record)
         self._disp_tables: dict[tuple, tuple] = {}
 
     @classmethod
@@ -391,63 +394,62 @@ class SheetAtlas:
         atlas.branch_points = [_point(j) for j in range(1, sheets + 1)]
         return atlas
 
-    # -- geometry ----------------------------------------------------------
 
-    def cuts_for(self, n: BranchIndex) -> tuple[Cut, ...]:
-        """The cuts of sheet n in the finite-cuts convention."""
-        n = validate_branch(n)
-        m, step = abs(n), 1 if n > 0 else -1
-        s = self._sheet(m)
-        # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
-        return (Cut(CutKind.REAL_SEGMENT, (complex(s.lo, 0.0), complex(s.hi, 0.0)), (n, -n)),
-                *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
-                      (n, n + step if b.n == m else n - step)) for b in s.near))
+def cuts_for(n: BranchIndex) -> tuple[Cut, ...]:
+    """The cuts of sheet n in the finite-cuts convention."""
+    n = validate_branch(n)
+    m, step = abs(n), 1 if n > 0 else -1
+    s = _sheet(m)
+    # crossing x_j's vertical cut leads from sheet +-j to +-(j+1)
+    return (Cut(CutKind.REAL_SEGMENT, (complex(s.lo, 0.0), complex(s.hi, 0.0)), (n, -n)),
+            *(Cut(CutKind.VERTICAL_SEGMENT, (b.conjugate_x, b.x),
+                  (n, n + step if b.n == m else n - step)) for b in s.near))
 
-    def distance_to_cuts(self, z: complex, n: BranchIndex) -> float:
-        """Distance from z to the nearest cut of sheet n; NonFiniteArgument
-        unless |z| is finite."""
-        _modulus(z)
-        return min(_cut_distances(z, self._sheet(abs(validate_branch(n)))))
 
-    # -- evaluation --------------------------------------------------------
+def distance_to_cuts(z: complex, n: BranchIndex) -> float:
+    """Distance from z to the nearest cut of sheet n; NonFiniteArgument
+    unless |z| is finite."""
+    _modulus(z)
+    return min(_cut_distances(z, _sheet(abs(validate_branch(n)))))
 
-    def continue_from_anchor(self, z: complex, n: BranchIndex) -> complex:
-        """Value of sheet n at z by the routes of `eval_complex`, with no
-        guards: on a real cut it gives the limit from above, on a vertical
-        one the side rule's limit from the right, and near a branch point
-        any root placed in the region.
 
-        Raises NonFiniteArgument if |z| is not finite, including finite
-        parts whose modulus overflows, and NoConvergence where no root is
-        found: the exterior root refused, or no root placed in the disk.
-        """
-        n = validate_branch(n)
-        z = complex(z)
-        y = self._solve(z, abs(n), _modulus(z), False)[0]
-        return y if n > 0 else -y
+def continue_from_anchor(z: complex, n: BranchIndex) -> complex:
+    """Value of sheet n at z by the routes of `eval_complex`, with no
+    guards: on a real cut it gives the limit from above, on a vertical
+    one the side rule's limit from the right, and near a branch point
+    any root placed in the region.
 
-    def _solve(self, z: complex, m: int, r: float,
-               guarded: bool) -> tuple[complex, bool]:
-        """Sheet-m (m > 0) value at z, r = |z|, and whether it took the
-        exterior route: the exterior root, taken only where the contraction
-        |h' - 1| <= 1/2 at its last iterate certifies it (`_exterior_root`),
-        or inside the disk `_place`'s, else NoConvergence; `guarded` runs
-        the guard wherever z can trip it (module docstring)."""
-        s = self._sheet(m)
-        if r >= EXTERIOR_FACTOR * s.disk:
-            found = _exterior_root(z, s.c)
-            if found is None or not abs(found[1] - 1.0) <= 0.5:
-                raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
-            return found[0], True
-        if m > _LAST_POINT:
-            raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
-                                  "float64 no longer orders the branch points there")
-        if guarded and (z.real <= 0.0 or r < CUT_GUARD):
-            _guard(z, s)
-        y = _place(z, s)
-        if y is None:
-            raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
-        return y, False
+    Raises NonFiniteArgument if |z| is not finite, including finite
+    parts whose modulus overflows, and NoConvergence where no root is
+    found: the exterior root refused, or no root placed in the disk.
+    """
+    n = validate_branch(n)
+    z = complex(z)
+    y = _solve(z, abs(n), _modulus(z), False)[0]
+    return y if n > 0 else -y
+
+
+def _solve(z: complex, m: int, r: float, guarded: bool) -> tuple[complex, bool]:
+    """Sheet-m (m > 0) value at z, r = |z|, and whether it took the
+    exterior route: the exterior root, taken only where the contraction
+    |h' - 1| <= 1/2 at its last iterate certifies it (`_exterior_root`),
+    or inside the disk `_place`'s, else NoConvergence; `guarded` runs
+    the guard wherever z can trip it (module docstring)."""
+    s = _sheet(m)
+    if r >= EXTERIOR_FACTOR * s.disk:
+        found = _exterior_root(z, s.c)
+        if found is None or not abs(found[1] - 1.0) <= 0.5:
+            raise NoConvergence(f"exterior root refused at z={z!r} on sheet {m}")
+        return found[0], True
+    if m > _LAST_POINT:
+        raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
+                              "float64 no longer orders the branch points there")
+    if guarded and (z.real <= 0.0 or r < CUT_GUARD):
+        _guard(z, s)
+    y = _place(z, s)
+    if y is None:
+        raise NoConvergence(f"no root placed in the region of sheet {m} at z={z!r}")
+    return y, False
 
 # ---------------------------------------------------------------------------
 # low-level continuation
@@ -709,8 +711,10 @@ def _walk_segment(z0: complex, y0: complex, z1: complex,
 # public operations
 # ---------------------------------------------------------------------------
 
-def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue:
-    """Sheet-n value at z in the finite-cuts convention.
+def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas | None = None) -> BranchedValue:
+    """Sheet-n value at z in the finite-cuts convention.  `atlas` is taken
+    for callers that pass one and is not read, here or by the other cut
+    operations: the value is a function of (z, n) alone.
 
     The route is picked once, from |z|, and only the guards z can trip
     run (module docstring).  From |z| = EXTERIOR_FACTOR*|x_|n|| on
@@ -752,7 +756,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
     n = validate_branch(n)
     z = complex(z)
     r = _modulus(z)
-    y, certified = atlas._solve(z, abs(n), r, True)
+    y, certified = _solve(z, abs(n), r, True)
     if n < 0:
         y = -y
     t = cmath.tan(y)
@@ -768,7 +772,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas) -> BranchedValue
 
 
 def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
-               atlas: SheetAtlas) -> list[tuple[complex, complex, BranchIndex]]:
+               atlas: SheetAtlas | None = None) -> list[tuple[complex, complex, BranchIndex]]:
     """Continue along a waypoint path, labelling each value with its sheet.
 
     The continued value is a single analytic germ; each accepted step is
@@ -783,7 +787,7 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     for point in path.waypoints:
         _modulus(point)
     z = path.waypoints[0]
-    y = atlas.continue_from_anchor(z, start_sheet)
+    y = continue_from_anchor(z, start_sheet)
     records = [(z, y, start_sheet)]
 
     def on_step(za: complex, zb: complex, yb: complex) -> None:
@@ -794,13 +798,12 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     return records
 
 
-def _check_on_cut(point: complex, n: BranchIndex, atlas: SheetAtlas,
-                  side: Side) -> None:
+def _check_on_cut(point: complex, n: BranchIndex, side: Side) -> None:
     """NotOnCut unless a cut of sheet n lies within 1e-9 of the point, and
     ValueError unless one of them is of the side's kind (UPPER/LOWER: the
     real segment, LEFT/RIGHT: a vertical one): near the junction of the two
     a point can sit on both, and the side picks one."""
-    d = _cut_distances(point, atlas._sheet(abs(n))) if cmath.isfinite(point) else (math.inf,)
+    d = _cut_distances(point, _sheet(abs(n))) if cmath.isfinite(point) else (math.inf,)
     if min(d) > 1e-9:
         raise NotOnCut(f"{point!r} is not on a cut of sheet {n}")
     if min(d[:1] if side in (Side.UPPER, Side.LOWER) else d[1:]) > 1e-9:
@@ -850,7 +853,7 @@ def _vertical_limit(z: complex, s: _Sheet, bp: BranchPoint, right: bool) -> comp
 
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
-                   atlas: SheetAtlas) -> complex:
+                   atlas: SheetAtlas | None = None) -> complex:
     """One-sided limit of sheet n on a cut, at the foot of the point on
     the cut line (the point must lie within 1e-9 of the cut).
 
@@ -865,11 +868,11 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
     """
     n = validate_branch(n)
     point = complex(point)
-    _check_on_cut(point, n, atlas, side)
+    _check_on_cut(point, n, side)
     if side in (Side.UPPER, Side.LOWER):
         y = (1j if side is Side.UPPER else -1j) * _tanh_root(-point.real)
     else:
-        s = atlas._sheet(abs(n))
+        s = _sheet(abs(n))
         bp = min(s.near, key=lambda b: abs(b.x.real - point.real))
         foot = complex(bp.x.real, min(max(point.imag, -bp.x.imag), bp.x.imag))
         if abs(foot.imag) == bp.x.imag:
@@ -879,31 +882,31 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
     return y if n > 0 else -y
 
 
-def discontinuity_delta0(u: float, atlas: SheetAtlas) -> float:
+def discontinuity_delta0(u: float, atlas: SheetAtlas | None = None) -> float:
     """Imaginary part of the upper boundary value on the sheet-1 real cut.
 
     Defined for Re x_1 <= u <= 0; equals (1/2i)[w(u+i0) - w(u-i0)] by
     reflection symmetry.  The value solves p*tanh(p) = -u for the purely
     imaginary boundary limit w = i*p.
     """
-    a = atlas._sheet(1).bp.x.real
+    a = _sheet(1).bp.x.real
     if not (a - 1e-12 <= u <= 0.0 + 1e-12):
         raise OutOfCutRange(f"u={u} outside the real cut [{a}, 0]")
-    return boundary_value(complex(u, 0.0), 1, Side.UPPER, atlas).imag
+    return boundary_value(complex(u, 0.0), 1, Side.UPPER).imag
 
 
-def discontinuity_delta1(v: float, atlas: SheetAtlas) -> complex:
+def discontinuity_delta1(v: float, atlas: SheetAtlas | None = None) -> complex:
     """Half the right-minus-left jump across the sheet-1 vertical cut at
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
     branch point where the two boundary values merge; at v = 0, the
     junction with the real cut, the limits are taken from above."""
-    bp = atlas._sheet(1).bp
+    bp = _sheet(1).bp
     a, b = bp.x.real, bp.x.imag
     if not (-1e-12 <= v <= b + 1e-12):
         raise OutOfCutRange(f"v={v} outside [0, {b}]")
     point = complex(a, min(max(v, 0.0), b))
-    right = boundary_value(point, 1, Side.RIGHT, atlas)
-    left = boundary_value(point, 1, Side.LEFT, atlas)
+    right = boundary_value(point, 1, Side.RIGHT)
+    left = boundary_value(point, 1, Side.LEFT)
     return 0.5 * (right - left)
 
 
@@ -928,7 +931,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
-    sheet = atlas._sheet(1)
+    sheet = _sheet(1)
     bp = sheet.bp
     a, b = bp.x.real, bp.x.imag
     # real-cut table: nodes u = -s^2 (the s nodes ascend, so the u nodes
@@ -959,7 +962,7 @@ def _assemble(z: complex, tables, a: float) -> complex:
 def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     """Sheet-1 value at z rebuilt from the cut discontinuities alone.
 
-    Matches `eval_complex(z, 1, atlas)` wherever z keeps a reasonable
+    Matches `eval_complex(z, 1)` wherever z keeps a reasonable
     distance from the cuts (the integrals' kernels are Cauchy-type); the
     large-|z| limit is pi/2 since the integral terms decay like 1/z.
 
@@ -968,7 +971,7 @@ def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     """
     z = complex(z)
     _modulus(z)
-    a = atlas._sheet(1).bp.x.real
+    a = _sheet(1).bp.x.real
     fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
     coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)
     if abs(fine - coarse) > DISPERSION_ABS_TOL:

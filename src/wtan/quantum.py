@@ -83,7 +83,8 @@ class SpectrumEntry(NamedTuple):
 
 class Wavefunction(NamedTuple):
     """Piecewise amplitudes: A_I sin(k xi) left of center, A_II sin(k (a - xi))
-    right of it."""
+    right of it, and 0 outside [0, a]; calling it with xi = nan raises
+    NonFiniteArgument."""
 
     A_I: float
     A_II: float
@@ -93,6 +94,8 @@ class Wavefunction(NamedTuple):
     def __call__(self, xi: float) -> float:
         a = self.width_a
         if not 0.0 <= xi <= a:
+            if math.isnan(xi):
+                raise NonFiniteArgument("xi must not be nan")
             return 0.0
         if xi < 0.5 * a:
             return self.A_I * math.sin(self.k * xi)

@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from wtan import branch_points, complex_plane
@@ -10,9 +11,38 @@ from wtan.branch_points import (
     find_branch_point,
     local_expansion_check,
 )
-from wtan.errors import BracketFailure, ContinuationFailure, NoConvergence
+from wtan.errors import BracketFailure, ContinuationFailure, DomainViolation, NoConvergence
 
 from conftest import BRANCH_POINT_TABLE
+
+
+@pytest.mark.parametrize("call", [
+    find_branch_point, asymptotic_branch_point,
+    lambda n: local_expansion_check(n, (1e-2, 1e-3))],
+    ids=["find_branch_point", "asymptotic_branch_point", "local_expansion_check"])
+class TestIndexChecked:
+    # checked as core.validate_branch checks a branch: 2**1100 raised a bare
+    # OverflowError, True gave BranchPoint(n=True, ...), 2.5 a
+    # BracketFailure and nan a NoConvergence after 50 Newton steps
+    @pytest.mark.parametrize("n", [True, False, 2.5, math.nan, "3"])
+    def test_non_integer_is_a_type_error(self, call, n):
+        with pytest.raises(TypeError):
+            call(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -2 ** 1100], ids=["0", "-1", "-2**1100"])
+    def test_below_one_is_a_value_error(self, call, n):
+        with pytest.raises(ValueError, match="branch point index must be >= 1"):
+            call(n)
+
+    @pytest.mark.parametrize("n", [2 ** 1020 + 1, 2 ** 1100], ids=["2**1020+1", "2**1100"])
+    def test_past_the_float_range_is_a_domain_violation(self, call, n):
+        with pytest.raises(DomainViolation):
+            call(n)
+
+
+def test_numpy_index_gives_a_python_int():
+    assert type(find_branch_point(np.int64(3)).n) is int
+    assert find_branch_point(np.int64(3)) == find_branch_point(3)
 
 
 class TestFindBranchPoint:
@@ -179,7 +209,7 @@ class TestLocalExpansion:
         def refused(*args, **kwargs):
             raise AssertionError("continued")
 
-        monkeypatch.setattr(complex_plane.SheetAtlas, "continue_from_anchor", refused)
+        monkeypatch.setattr(complex_plane, "continue_from_anchor", refused)
         monkeypatch.setattr(complex_plane, "_walk_segment", refused)
         with pytest.raises(ValueError):
             local_expansion_check(1, radii)

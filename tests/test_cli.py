@@ -84,6 +84,16 @@ class TestEval:
         assert rec["y_im"] == pytest.approx(0.2211773875, abs=1e-9)
         assert rec["scheme"] == "finite-cuts"
 
+    def test_complex_eval_builds_no_atlas(self, monkeypatch):
+        from wtan import complex_plane
+
+        def refuse(self):
+            raise AssertionError("an atlas was built")
+
+        monkeypatch.setattr(complex_plane.SheetAtlas, "__init__", refuse)
+        cp = run_cli("eval", "--z", "2,2", "--branch", "1", "--scheme", "finite-cuts")
+        assert cp.returncode == 0, cp.stderr
+
     def test_derivative_flag(self):
         cp = run_cli("eval", "--x", "2", "--branch", "1", "--derivative",
                      "--format", "json")

@@ -15,18 +15,23 @@ from wtan.complex_plane import (
     SheetAtlas,
     Side,
     boundary_value,
+    continue_from_anchor,
+    cuts_for,
     discontinuity_delta0,
     discontinuity_delta1,
     dispersion_eval,
+    distance_to_cuts,
     eval_complex,
     trace_path,
     _exterior_root,
     _holds,
     _place,
     _predict,
+    _sheet,
     _walk_segment,
 )
-from wtan.branch_points import find_branch_point
+import wtan
+from wtan.branch_points import find_branch_point, local_expansion_check
 from wtan.core import _gauss_legendre, _panel_nodes, eval_real
 from wtan.errors import (
     DomainViolation,
@@ -91,7 +96,7 @@ def _callable_newton(form, x, k, w):
 
 class TestAtlasGeometry:
     def test_first_sheet_cuts(self, atlas):
-        cuts = atlas.cuts_for(1)
+        cuts = cuts_for(1)
         kinds = sorted(c.kind.value for c in cuts)
         assert kinds == ["real", "vertical"]
         real = next(c for c in cuts if c.kind is CutKind.REAL_SEGMENT)
@@ -104,7 +109,7 @@ class TestAtlasGeometry:
         assert vert.connects == (1, 2)
 
     def test_higher_sheet_cuts(self, atlas):
-        cuts = atlas.cuts_for(3)
+        cuts = cuts_for(3)
         verts = [c for c in cuts if c.kind is CutKind.VERTICAL_SEGMENT]
         real = [c for c in cuts if c.kind is CutKind.REAL_SEGMENT][0]
         assert len(verts) == 2
@@ -118,7 +123,7 @@ class TestAtlasGeometry:
         assert by_point[x3] == (3, 4)
 
     def test_negative_sheet_connectivity(self, atlas):
-        cuts = atlas.cuts_for(-2)
+        cuts = cuts_for(-2)
         verts = {v.endpoints[1]: v.connects
                  for v in cuts if v.kind is CutKind.VERTICAL_SEGMENT}
         x1, x2 = atlas.branch_points[0].x, atlas.branch_points[1].x
@@ -130,7 +135,7 @@ class TestAtlasGeometry:
         for n in (1, 2, 3, 4):
             xn = atlas.branch_points[n - 1].x
             xprev_re = atlas.branch_points[n - 2].x.real if n >= 2 else 0.0
-            for cut in atlas.cuts_for(n):
+            for cut in cuts_for(n):
                 for p in cut.endpoints:
                     assert abs(p) <= abs(xn) + 1e-12
                     assert xn.real - 1e-12 <= p.real <= xprev_re + 1e-12
@@ -231,7 +236,7 @@ def _continued_from_far_anchor(z, n, atlas):
     if any(c.kind is CutKind.VERTICAL_SEGMENT and z.real < c.endpoints[1].real
            and abs(z.imag) * (R - c.endpoints[1].real)
            <= c.endpoints[1].imag * (R - z.real)
-           for c in atlas.cuts_for(n)):
+           for c in cuts_for(n)):
         top = atlas.branch_points[abs(n) - 1].x.imag + 1.0
         top = top if z.imag >= 0.0 else -top
         route[1:1] = [complex(R, top), complex(z.real, top)]
@@ -274,13 +279,13 @@ def _count_halley_steps(monkeypatch):
     return calls
 
 
-def _solved_directly(atlas, z, n):
+def _solved_directly(z, n):
     """True where continue_from_anchor solves z on sheet n inside the
     exterior disk: a window-form root or a germ seed's polished root lies in
     the sheet's region."""
     m = abs(n)
-    return (abs(z) < EXTERIOR_FACTOR * atlas._sheet(m).disk
-            and _place(z, atlas._sheet(m)) is not None)
+    return (abs(z) < EXTERIOR_FACTOR * _sheet(m).disk
+            and _place(z, _sheet(m)) is not None)
 
 
 def _count_continued(atlas, monkeypatch):
@@ -302,7 +307,7 @@ def _inner_points(atlas, n, rng):
     EXTERIOR_FACTOR*|x_n|, next to the sheet's branch points and just off
     its cuts, all outside the guards of eval_complex."""
     m = abs(n)
-    r0 = atlas._sheet(m).disk
+    r0 = _sheet(m).disk
     bps = [atlas.branch_points[j - 1].x for j in (m - 1, m) if j >= 1]
     bps += [x.conjugate() for x in bps]
     points = []
@@ -314,7 +319,7 @@ def _inner_points(atlas, n, rng):
         x = bps[rng.integers(len(bps))]
         points.append(x + cmath.rect(10.0 ** rng.uniform(-2.9, -1.0),
                                      rng.uniform(-math.pi, math.pi)))
-    for cut in atlas.cuts_for(n):
+    for cut in cuts_for(n):
         p, q = cut.endpoints
         normal = 1.0 if cut.kind is CutKind.VERTICAL_SEGMENT else 1j
         for _ in range(20):
@@ -329,7 +334,7 @@ class TestExteriorRoute:
     def test_matches_continuation(self, atlas, monkeypatch, n):
         # 2000 points per sheet pair +-n with EXTERIOR_FACTOR*|x_n| <= |z| <= 1e6
         rng = np.random.default_rng(500 + n)
-        r0 = EXTERIOR_FACTOR * atlas._sheet(n).disk
+        r0 = EXTERIOR_FACTOR * _sheet(n).disk
         moduli = 10.0 ** rng.uniform(math.log10(r0), 6.0, 2000)
         points = [cmath.rect(r, t) for r, t in zip(moduli, rng.uniform(-math.pi, math.pi, 2000))]
         calls = _count_halley_steps(monkeypatch)
@@ -352,8 +357,8 @@ class TestExteriorRoute:
         for z in _inner_points(atlas, n, np.random.default_rng(600 + abs(n))):
             y = eval_complex(z, n, atlas).y
             assert not calls, z
-            assert _solved_directly(atlas, z, n), z
-            band += _route(atlas, z, n) == "band"
+            assert _solved_directly(z, n), z
+            band += _route(z, n) == "band"
             # the continued reference picks the sheet and is itself held to
             # the rounding of w and z; the direct value is held to 4e-15 of
             # the 40-digit root, not of the reference, whose own error is
@@ -384,7 +389,7 @@ class TestExteriorRoute:
         # c = sgn(n)*(|n|-1/2)*pi, for |z| from EXTERIOR_FACTOR*|x_|n|| to 1e300
         atlas = SheetAtlas()
         rng = np.random.default_rng([540, abs(n), int(n < 0)])
-        r0 = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk
+        r0 = EXTERIOR_FACTOR * _sheet(abs(n)).disk
         moduli = 10.0 ** rng.uniform(math.log10(r0), 300.0, 40)
         moduli[:4] = r0 * np.array([1.0, 1.0 + 1e-12, 1.5, 4.0])
         with mp.workdps(40):
@@ -404,7 +409,7 @@ class TestExteriorRoute:
         # that into NonFiniteArgument, not a bare OverflowError
         for n in (1, -2):
             with pytest.raises(NonFiniteArgument):
-                atlas.continue_from_anchor(z, n)
+                continue_from_anchor(z, n)
         for waypoints in ((z, 1 + 1j), (1 + 1j, z)):
             with pytest.raises(NonFiniteArgument):
                 trace_path(ContinuationPath(waypoints), 1, atlas)
@@ -502,7 +507,7 @@ def _off_band_points(atlas, n, rng, count):
                         rng.uniform(-radius, radius))
         if (abs(z) < radius and not xn.real <= z.real <= 0.0
                 and min(abs(z - xn), abs(z - xn.conjugate())) > FLOOR_REACH
-                and atlas.distance_to_cuts(z, n) > complex_plane.CUT_GUARD):
+                and distance_to_cuts(z, n) > complex_plane.CUT_GUARD):
             points.append(z)
     return points
 
@@ -556,9 +561,9 @@ class TestWindowRoute:
             g, d = _window_form(z, n * math.pi, other)
             assert abs(g) <= 8 * complex_plane.EPS * abs(other), z
             assert -0.5 * math.pi < cmath.atan(z / other).real < 0.0, z
-            assert not _holds(other, atlas._sheet(n), z), z
+            assert not _holds(other, _sheet(n), z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (other, d))
-            y = _place(z, atlas._sheet(n))
+            y = _place(z, _sheet(n))
             monkeypatch.undo()
             assert abs(y - eval_complex(z, n, atlas).y) <= 1e-8, z
 
@@ -586,9 +591,9 @@ class TestWindowRoute:
             y = eval_complex(z, 1, atlas).y
             g, d = _window_form(z, 0.0, -y)
             assert abs(g) <= 8 * complex_plane.EPS * abs(y), z
-            assert _holds(y, atlas._sheet(1), z) and not _holds(-y, atlas._sheet(1), z), z
+            assert _holds(y, _sheet(1), z) and not _holds(-y, _sheet(1), z), z
             monkeypatch.setattr(complex_plane, "_newton", lambda form, x, k, w: (-y, d))
-            mirror = _place(z, atlas._sheet(1))
+            mirror = _place(z, _sheet(1))
             monkeypatch.undo()
             assert abs(mirror - y) <= 1e-8, z
 
@@ -652,9 +657,9 @@ class TestEscapeRoute:
         # eval_complex gives it on both sheets
         for z, clear in _beside_cut_lines(atlas, n, np.random.default_rng(740 + n), 16):
             ref = _walk_segment(clear, _continued_from_far_anchor(clear, n, atlas), z)
-            y = atlas.continue_from_anchor(z, n)
+            y = continue_from_anchor(z, n)
             _assert_continued_value(z, y, ref)
-            assert _solved_directly(atlas, z, n), z
+            assert _solved_directly(z, n), z
             for sheet, sign in ((n, 1.0), (-n, -1.0)):
                 y = sign * eval_complex(z, sheet, atlas).y
                 assert abs(y - ref) <= 4e-15 * abs(ref), (z, sheet)
@@ -666,7 +671,7 @@ class TestEscapeRoute:
         for x in (0j, -1 + 0j):
             assert _exterior_root(x, 0.5 * math.pi) is None
         with pytest.raises(NoConvergence):
-            SheetAtlas().continue_from_anchor(0j, 1)
+            continue_from_anchor(0j, 1)
 
     def test_refused_start_raises(self, atlas, monkeypatch):
         # z is 0.05 left of x_1 and 10 is beyond the disk; with no root
@@ -679,7 +684,7 @@ class TestEscapeRoute:
         for point in (z, 10.0 + 0j):
             for n in (1, -1):
                 with pytest.raises(NoConvergence):
-                    atlas.continue_from_anchor(point, n)
+                    continue_from_anchor(point, n)
                 with pytest.raises(NoConvergence):
                     eval_complex(point, n, atlas)
         assert not calls
@@ -697,11 +702,11 @@ def _band_points(atlas, n, rng, count):
     """Points in the band of sheet n inside its exterior disk, beyond 1e-3
     of its cuts and branch points."""
     m = abs(n)
-    lo, radius = atlas.branch_points[m - 1].x.real, EXTERIOR_FACTOR * atlas._sheet(m).disk
+    lo, radius = atlas.branch_points[m - 1].x.real, EXTERIOR_FACTOR * _sheet(m).disk
     points = []
     while len(points) < count:
         z = complex(rng.uniform(lo, 0.0), rng.uniform(-radius, radius))
-        if (abs(z) < radius and atlas.distance_to_cuts(z, n) > 1e-3
+        if (abs(z) < radius and distance_to_cuts(z, n) > 1e-3
                 and _branch_distance(z, m) > 1e-3):
             points.append(z)
     return points
@@ -750,11 +755,11 @@ class TestRegions:
                 if (abs(g) <= 8 * complex_plane.EPS * abs(w)
                         and -0.5 * math.pi < cmath.atan(z / w).real < 0.0):
                     passed += 1
-                    assert not _holds(w, big_atlas._sheet(n), z), (z, k)
+                    assert not _holds(w, _sheet(n), z), (z, k)
         assert passed >= 20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_values_lie_in_their_own_region_only(self, atlas, big_atlas, n):
+    def test_values_lie_in_their_own_region_only(self, atlas, n):
         rng = np.random.default_rng(770 + n)
         points = (_inner_points(atlas, n, rng) + _off_band_points(atlas, n, rng, 200)
                   + [z for z, _ in _beside_cut_lines(atlas, n, rng, 16)])
@@ -762,9 +767,9 @@ class TestRegions:
             for z in points:
                 w = sign * eval_complex(z, sheet, atlas).y
                 # near an arc the side of the cut decides: every value is placed
-                assert _holds(w, big_atlas._sheet(n), z), (z, sheet)
+                assert _holds(w, _sheet(n), z), (z, sheet)
                 for m in range(1, 8):
-                    assert m == n or not _holds(w, big_atlas._sheet(m), z), (z, sheet, m)
+                    assert m == n or not _holds(w, _sheet(m), z), (z, sheet, m)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, -3])
     def test_band_values_match_continuation(self, atlas, monkeypatch, n):
@@ -782,15 +787,14 @@ class TestRegions:
         # sides of the vertical cut at x_j lie on A_j, solved at 30 digits:
         # at height phi_j(Re w) left of Re w_j, and at the arc's Re w for
         # their height right of it
-        big = SheetAtlas()
-        s = big._sheet(j)
+        s = _sheet(j)
         a, b, top = s.bp.x.real, s.bp.x.imag, s.bp.y
         worst = 0.0
         for side in (-1.0, 1.0):
             ts = np.sqrt(b) * np.arange(1, 2001) / 2000
             zs = [complex(a, v) for v in np.maximum(b - ts * ts, 0.0)]
             cur = zs[0] + side * 1e-3
-            w = big.continue_from_anchor(cur, j)
+            w = continue_from_anchor(cur, j)
             for z in zs:
                 w, cur = _walk_segment(cur, w, z), z
                 u, v = w.real, abs(w.imag)
@@ -807,7 +811,7 @@ class TestRegions:
         # on A_j left of Re w_j, and half a root's error above or below it,
         # the sign of Re f - a_j (beyond its rounding and |f'| times the
         # root's error) decides nothing; well below it the point is inside
-        s = SheetAtlas()._sheet(j)
+        s = _sheet(j)
         a, top = s.bp.x.real, s.bp.y
         start = 0.5 * math.log(4.0 * (j + 1) * math.pi) - a + 1.0
         for u in top.real * np.arange(1, 201) / 201:
@@ -952,17 +956,17 @@ class TestSideRule:
                 undecided += decided is None
                 halves.add((bp.n, right_half))
                 neighbour = n + 1 if bp.n == n else n - 1
-                assert not _holds(y, big._sheet(neighbour), z), (z, bp.n)
+                assert not _holds(y, _sheet(neighbour), z), (z, bp.n)
         assert len(halves) == 4
         if n >= 600:
             assert undecided > 0
 
 
-def _full_guard(atlas, z, n):
+def _full_guard(z, n):
     """The full guard set, checked on every route: z within CUT_GUARD of a
     cut of sheet n, or within BRANCH_POINT_GUARD of x_(|n|-1), x_|n| or
     their conjugates.  eval_complex raises OnCut exactly where it fires."""
-    if min(cut.distance(z) for cut in atlas.cuts_for(n)) < complex_plane.CUT_GUARD:
+    if min(cut.distance(z) for cut in cuts_for(n)) < complex_plane.CUT_GUARD:
         return True
     m = abs(n)
     return any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
@@ -970,9 +974,9 @@ def _full_guard(atlas, z, n):
                for p in (complex_plane._point(j).x, complex_plane._point(j).conjugate_x))
 
 
-def _route(atlas, z, n):
+def _route(z, n):
     m = abs(n)
-    if abs(z) >= EXTERIOR_FACTOR * atlas._sheet(m).disk:
+    if abs(z) >= EXTERIOR_FACTOR * _sheet(m).disk:
         return "exterior"
     if z.real > 0.0:
         return "right"
@@ -1007,7 +1011,7 @@ def _straddling(point, direction, guard, nudges):
     return points
 
 
-def _guard_points(atlas, sheets):
+def _guard_points(sheets):
     """Points on every cut of the sheets, 5e-11 and 2e-10 off each (and
     beyond its ends) and at CUT_GUARD +- 1-2 ulps; within, just beyond and
     at BRANCH_POINT_GUARD +- 1 ulp of each branch point of the sheets and
@@ -1015,7 +1019,7 @@ def _guard_points(atlas, sheets):
     origin."""
     cut_guard, point_guard = complex_plane.CUT_GUARD, complex_plane.BRANCH_POINT_GUARD
     points = []
-    for cut in dict.fromkeys(c for k in sheets for c in atlas.cuts_for(k)):
+    for cut in dict.fromkeys(c for k in sheets for c in cuts_for(k)):
         p, q = cut.endpoints
         along = (q - p) / abs(q - p)
         normal = along * 1j
@@ -1131,7 +1135,7 @@ class TestFarBands:
         rng = random.Random(1900)
         points = [(complex(-2.3031848881214803, 960.2709936299362), 300)]
         for m in (300, 500, 1000, 2000, 5000, 10 ** 4):
-            s = atlas._sheet(m)
+            s = _sheet(m)
             points += [(complex(rng.uniform(s.hi, 0.0), rng.uniform(1.0, 1.02) * s.bp.x.imag), m)
                        for _ in range(400)]
         calls = []
@@ -1163,11 +1167,11 @@ class TestFarBands:
         # ~1 was once refused as degenerate against (1 + |y|)^2) finds it
         m = 10 ** 6
         atlas = SheetAtlas()
-        hi, lo = (atlas._sheet(m).near[k].x for k in (0, 1))
+        hi, lo = (_sheet(m).near[k].x for k in (0, 1))
         for t in (0.1, 0.45, 0.7, -0.95):
             z = complex(0.5 * (lo.real + hi.real), t * lo.imag)
             y = eval_complex(z, m, atlas).y
-            assert _holds(y.conjugate() if z.imag < 0 else y, atlas._sheet(m), z), z
+            assert _holds(y.conjugate() if z.imag < 0 else y, _sheet(m), z), z
             assert _within_eval_complex_bound(z, y), z
 
 
@@ -1177,12 +1181,12 @@ def _assert_guard_fires_as_the_full_guard(sheets):
     both sides of its guard; the set of (route, fired) seen."""
     atlas = SheetAtlas()
     seen = set()
-    points = _guard_points(atlas, sheets)
+    points = _guard_points(sheets)
     for n in sheets + tuple(-k for k in sheets):
         for z in points:
-            fired = _full_guard(atlas, z, n)
+            fired = _full_guard(z, n)
             assert _raises_on_cut(z, n, atlas) == fired, (z, n, fired)
-            seen.add((_route(atlas, z, n), fired))
+            seen.add((_route(z, n), fired))
     assert seen >= {("right", False), ("left", True), ("left", False),
                     ("band", True), ("band", False)}
     return seen
@@ -1219,9 +1223,9 @@ class TestGuards:
         fired_left = 0
         for n in (m, -m):
             for z in points:
-                fired = _full_guard(big, z, n)
+                fired = _full_guard(z, n)
                 assert _raises_on_cut(z, n, big) == fired, (z, n, fired)
-                fired_left += fired and _route(big, z, n) == "left"
+                fired_left += fired and _route(z, n) == "left"
         assert fired_left == 2 * (12 + 3)
 
     @pytest.mark.parametrize("sheets", [(1, 2, 3, 4, 5, 6, 7, 8), (600,), (10 ** 6,)])
@@ -1233,7 +1237,7 @@ class TestGuards:
         atlas = SheetAtlas()
         cases = []
         for m in sheets:
-            s = atlas._sheet(m)
+            s = _sheet(m)
             for t in (0.0, 0.3, 0.7, 0.99, -0.5):
                 for z in _straddling(complex(s.lo, t * s.bp.x.imag), -1 + 0j,
                                      complex_plane.CUT_GUARD, (-1, 0, 1)):
@@ -1241,7 +1245,7 @@ class TestGuards:
                     cases += [(z, n, near) for n in (m, -m)]
         calls = _probe(monkeypatch, (complex_plane, "_cut_distances"))
         for z, n, near in cases:
-            assert _route(atlas, z, n) == "left", (z, n)
+            assert _route(z, n) == "left", (z, n)
             assert _raises_on_cut(z, n, atlas) == near, (z, n, near)
         assert not calls
         assert {near for _, _, near in cases} == {True, False}
@@ -1249,7 +1253,7 @@ class TestGuards:
     def test_exterior_route_runs_no_guard(self, atlas, monkeypatch):
         calls = _probe(monkeypatch, (complex_plane, "_guard"), (complex_plane, "_cut_distances"))
         for n in (1, 2, 3, 4, -1, -2, -3, -4):
-            r = EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk * (1.0 + 1e-12)
+            r = EXTERIOR_FACTOR * _sheet(abs(n)).disk * (1.0 + 1e-12)
             for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
                 eval_complex(z, n, atlas)
         assert not calls
@@ -1260,11 +1264,11 @@ class TestGuards:
         # the guards and boundary values read the sheet record's floats:
         # only cuts_for builds a Cut
         atlas = SheetAtlas.build(4)
-        points = _guard_points(atlas, (1, 2, 3, 4))[::5]
+        points = _guard_points((1, 2, 3, 4))[::5]
         cases = [(-1 + 0j, 1, Side.UPPER), (-1 + 0j, 1, Side.LOWER), (-1e-4 + 0j, 1, Side.UPPER)]
         cases += [(point, n, side) for n in (2, 3, -2)
                   for point, side, _ in _higher_sheet_cases(atlas, n)]
-        calls = _probe(monkeypatch, (Cut, "distance"), (SheetAtlas, "cuts_for"))
+        calls = _probe(monkeypatch, (Cut, "distance"), (complex_plane, "cuts_for"))
         for n in (1, 2, 3, 4, -1, -2, -3, -4):
             for z in points:
                 _raises_on_cut(z, n, atlas)
@@ -1278,19 +1282,19 @@ class TestGuards:
         dispersion_eval(5 + 0j, SheetAtlas())
         assert not calls
 
-    def test_distance_to_cuts_rejects_non_finite_points(self, atlas):
+    def test_distance_to_cuts_rejects_non_finite_points(self):
         # a nan point gave nan, and inf gave inf; 1e308+1e308j has a finite
         # modulus, 1.41e308, and so a finite distance
         for z in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
                   complex(0.0, -math.inf), -1.7e308 + 1e308j):
             for n in (1, -4):
                 with pytest.raises(NonFiniteArgument):
-                    atlas.distance_to_cuts(z, n)
+                    distance_to_cuts(z, n)
         for n in (1, -4):
-            d = atlas.distance_to_cuts(1e308 + 1e308j, n)
+            d = distance_to_cuts(1e308 + 1e308j, n)
             assert abs(d - abs(1e308 + 1e308j)) <= 1e-15 * d
         # each cut's own distance: nan gave nan
-        for cut in atlas.cuts_for(2):
+        for cut in cuts_for(2):
             for z in (complex(math.nan, 0.0), complex(1.0, math.nan), complex(math.inf, 0.0),
                       complex(0.0, -math.inf)):
                 with pytest.raises(NonFiniteArgument):
@@ -1308,7 +1312,6 @@ class TestAtlasRange:
             # exterior, right and left of the band, in the band
             for z in (100, 1 + 1j, -3 + 1j, -1 + 1j):
                 assert eval_complex(z, n, atlas) == eval_complex(z, n, big)
-                assert atlas.continue_from_anchor(z, n) == big.continue_from_anchor(z, n)
             point = complex(x4.real, 1.0)
             assert (boundary_value(point, n, Side.LEFT, atlas)
                     == boundary_value(point, n, Side.LEFT, big))
@@ -1322,11 +1325,11 @@ class TestAtlasRange:
 
         x1 = atlas.branch_points[0].x
         for z, n in ((3 + 40j, 2), (2 + 2j, 1), (-1 + 1j, -1), (x1 - 0.05, 1)):
-            want = bits(atlas.continue_from_anchor(z, n))
+            want = bits(continue_from_anchor(z, n))
             assert want[0] is complex
-            assert bits(atlas.continue_from_anchor(np.complex128(z), n)) == want, z
-        assert (bits(atlas.continue_from_anchor(np.float64(3.0), 1))
-                == bits(atlas.continue_from_anchor(3.0, 1)))
+            assert bits(continue_from_anchor(np.complex128(z), n)) == want, z
+        assert (bits(continue_from_anchor(np.float64(3.0), 1))
+                == bits(continue_from_anchor(3.0, 1)))
         path = ContinuationPath(np.array([1 + 1j, 2 + 1j]))
         assert [type(z) for z in path.waypoints] == [complex, complex]
         got = trace_path(path, 1, atlas)
@@ -1336,10 +1339,10 @@ class TestAtlasRange:
 
     def test_values_do_not_depend_on_the_atlas_history(self):
         # values continued from the exterior root at Re z + iE, E =
-        # EXTERIOR_FACTOR*|x_m| on z's side, straight down onto z, in a fresh
-        # atlas, one that has evaluated sheet 16 and one that found only x_1
-        # up front: the anchor comes from the atlas, and the walk consults
-        # no atlas, so all three agree bit for bit
+        # EXTERIOR_FACTOR*|x_m| on z's side, straight down onto z, given a
+        # fresh atlas, one that has evaluated sheet 16 and one that found
+        # only x_1 up front: trace_path reads no atlas, so all three agree
+        # bit for bit
         used = SheetAtlas()
         x16 = find_branch_point(16).x
         eval_complex(complex(0.5 * x16.real, 0.5 * x16.imag), 16, used)
@@ -1352,33 +1355,87 @@ class TestAtlasRange:
                 z = cmath.rect(EXTERIOR_FACTOR * disk * math.sqrt(rng.uniform(0.0, 1.0)),
                                rng.uniform(-math.pi, math.pi))
                 if (_branch_distance(z, m) > 0.05
-                        and atlases[0].distance_to_cuts(z, m) > 1e-3):
+                        and distance_to_cuts(z, m) > 1e-3):
                     points.append(z)
             for z in points:
                 start = complex(z.real, math.copysign(EXTERIOR_FACTOR * disk, z.imag))
-                values = [_walk_segment(start, a.continue_from_anchor(start, m), z)
+                values = [trace_path(ContinuationPath((start, z)), m, a)[-1][1]
                           for a in atlases]
                 assert values[0] == values[1] == values[2], (z, m, values)
 
+    def test_the_atlas_selects_nothing(self, atlas):
+        # the five operations that take an atlas read none: each gives the
+        # same bits, or raises the same error, without one, given the
+        # conftest's or given an empty one
+        def outcome(f, *args):
+            try:
+                return repr(f(*args))
+            except WtanError as exc:
+                return type(exc).__name__, str(exc)
+
+        x1 = atlas.branch_points[0].x
+        cases = [(eval_complex, z, n) for z, n in (
+            (100, 5), (2 + 2j, 1), (1 + 1j, 2), (-3 + 1j, -3), (-1 + 1j, 1),
+            (x1 - 0.05, 1), (1 + 2262j, 600), (-1 + 0j, 1), (x1, 2))]
+        cases += [(trace_path, ContinuationPath((-1 - 0.5j, -1 + 0.5j)), 1),
+                  (trace_path, ContinuationPath((-1.4 + 0.8j, -1.9 + 0.8j)), 1)]
+        cases += [(boundary_value, point, n, side) for point, n, side in (
+            (-1 + 0j, 1, Side.UPPER), (-1 + 0j, -1, Side.LOWER),
+            (complex(x1.real, 0.5), 2, Side.LEFT), (complex(x1.real, -1.0), 1, Side.RIGHT),
+            (1 + 0j, 1, Side.UPPER))]
+        cases += [(discontinuity_delta0, u) for u in (-1.0, 0.0, 1.0)]
+        cases += [(discontinuity_delta1, v) for v in (0.0, 1.0, -1.0)]
+        for f, *args in cases:
+            assert (outcome(f, *args) == outcome(f, *args, atlas)
+                    == outcome(f, *args, SheetAtlas())), (f.__name__, args)
+
+    def test_moved_functions_are_public(self):
+        for name in ("continue_from_anchor", "cuts_for", "distance_to_cuts"):
+            assert name in complex_plane.__all__ and name in wtan.__all__
+            assert getattr(wtan, name) is getattr(complex_plane, name)
+
+    def test_no_operation_builds_an_atlas(self, monkeypatch):
+        # local_expansion_check builds no throwaway atlas, and trace_path
+        # runs without one
+        def refuse(self):
+            raise AssertionError("an atlas was built")
+
+        monkeypatch.setattr(SheetAtlas, "__init__", refuse)
+        kappa, c2 = local_expansion_check(2, [1e-2, 1e-3])
+        assert kappa == pytest.approx(0.5, abs=1e-3)
+        assert trace_path(ContinuationPath((-1 - 0.5j, -1 + 0.5j)), 1)[-1][2] == -1
+
+    def test_evaluations_keep_both_caches_bounded(self):
+        # in-disk values right of the band on 2*_CACHED sheets, each with
+        # its own record and branch points: neither process cache holds
+        # more than _CACHED entries
+        cap = complex_plane._CACHED
+        for m in range(1, 2 * cap + 1):
+            z = complex(1.0, m)
+            assert abs(z) < EXTERIOR_FACTOR * _sheet(m).disk
+            eval_complex(z, m)
+        assert complex_plane._point.cache_info().currsize <= cap
+        assert complex_plane._sheet.cache_info().currsize <= cap
+
     def test_caches_stay_bounded(self):
         # ~1500 branch points and records of 1100 sheets: the process keeps
-        # at most _CACHED branch points and the atlas at most _CACHED
-        # records, and a branch point found before the cache dropped it is
-        # found again bit for bit
-        atlas, cap, point = SheetAtlas(), complex_plane._CACHED, complex_plane._point
+        # at most _CACHED of each, and a branch point found before the cache
+        # dropped it is found again bit for bit
+        cap, point = complex_plane._CACHED, complex_plane._point
         first = [point(j) for j in range(1, 1500)]
         assert point.cache_info().currsize <= cap
         assert [point(j) for j in range(1, 51)] == first[:50]
         for m in range(1, 1101):
-            atlas.cuts_for(m)
-        assert atlas._sheet.cache_info().currsize <= cap
+            cuts_for(m)
+        assert complex_plane._sheet.cache_info().currsize <= cap
 
     def test_a_fresh_atlas_solves_no_branch_point_twice(self, monkeypatch):
-        # x_j are constants of the function: once one atlas has found those
-        # of sheets +-1..+-4, a vertical-cut limit on sheet 2 and a loop's
-        # labels around x_1, a second atlas doing the same finds them all in
-        # the process's cache.  A solve that refuses stands in for
-        # find_branch_point, so nothing found through it enters the cache
+        # x_j and the sheet records are constants of the function: once one
+        # atlas has found those of sheets +-1..+-4, a vertical-cut limit on
+        # sheet 2 and a loop's labels around x_1, a second atlas doing the
+        # same finds them all in the process's caches.  A solve that refuses
+        # stands in for find_branch_point, so nothing found through it
+        # enters a cache
         def use(atlas):
             x1 = atlas.branch_points[0].x
             values = [eval_complex(z, n, atlas).y for n in (1, 2, 3, 4, -1, -2, -3, -4)
@@ -1391,12 +1448,15 @@ class TestAtlasRange:
             raise AssertionError(f"x_{j} solved again")
 
         complex_plane._point.cache_clear()
+        complex_plane._sheet.cache_clear()
         first = use(SheetAtlas.build(4))
         misses = complex_plane._point.cache_info().misses
+        records = complex_plane._sheet.cache_info().misses
         assert misses > 0
         monkeypatch.setattr(complex_plane, "find_branch_point", refuse)
         assert use(SheetAtlas.build(4)) == first
         assert complex_plane._point.cache_info().misses == misses
+        assert complex_plane._sheet.cache_info().misses == records
 
 
 class TestTracePath:
@@ -1438,7 +1498,7 @@ class TestTracePath:
         # unguarded, a point on a real cut takes the limit from above, i*p
         # with p*tanh(p) = -u, on the edge u = 0 of the sheet's region
         for u, n in ((-1.0, 1), (-0.3, -1), (-1.8, 2), (-2.2, 3)):
-            y = atlas.continue_from_anchor(complex(u, 0.0), n)
+            y = continue_from_anchor(complex(u, 0.0), n)
             assert abs(y - math.copysign(1.0, n) * 1j * imaginary_boundary_oracle(u)) < 1e-12
         rec = trace_path(ContinuationPath((-1 + 0j, -1 + 0.5j)), 1, atlas)
         assert rec[-1][2] == 1
@@ -1450,12 +1510,12 @@ class TestTracePath:
         # about 2 in 5 of these points), the limit boundary_value gives
         atlas = SheetAtlas()
         for m in (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 500, 600, 1000, 5000, 10 ** 4, 10 ** 6):
-            s = atlas._sheet(m)
+            s = _sheet(m)
             for k in range(1, 40):
                 u = complex(s.lo + (s.hi - s.lo) * k / 40, 0.0)
                 for n in (m, -m):
                     ref = boundary_value(u, n, Side.UPPER, atlas)
-                    y = atlas.continue_from_anchor(u, n)
+                    y = continue_from_anchor(u, n)
                     assert abs(y - ref) <= 2 * complex_plane.EPS * abs(ref), (u, n, y, ref)
         # a path started there stays on its sheet: it ended labelled -100
         u = -4.066495378807786
@@ -1511,7 +1571,7 @@ class TestTracePath:
         # far from its branch points a step spans ~|z|/8: the sheet-600 walk
         # down 2261 units, and a walk from 1e6 to 2e6, take a few dozen
         big = SheetAtlas()
-        y0 = big.continue_from_anchor(1 + 2262j, 600)
+        y0 = continue_from_anchor(1 + 2262j, 600)
         calls = []
         refine = complex_plane._refine
         monkeypatch.setattr(complex_plane, "_refine",
@@ -1613,7 +1673,7 @@ class TestBoundaryValues:
         # root is refused at some feet, where the region holds the limit
         # from above and its conjugate alike
         atlas = SheetAtlas()
-        near = atlas._sheet(m).near
+        near = _sheet(m).near
         d = min(0.05 * (near[0].x.real - near[1].x.real), 1e-8)
         assert d >= 2 * complex_plane.CUT_GUARD
         for bp in near:

@@ -107,7 +107,7 @@ def test_eval_complex_whole_range(atlas, modulus, angle, n):
         cond = abs(z) * abs(y) / abs(y * y + z * z + z)
         assert abs(halley_step(z, y) - y) <= 8 * EPS * (1 + abs(y) + cond)
     # outside the cut disk the value is finite and labels its own sheet
-    if abs(z) >= EXTERIOR_FACTOR * atlas._sheet(abs(n)).disk:
+    if abs(z) >= EXTERIOR_FACTOR * complex_plane._sheet(abs(n)).disk:
         assert math.isfinite(y.real) and math.isfinite(y.imag)
         limit = math.copysign((abs(n) - 0.5) * math.pi, n)
         assert abs(y - limit) < 0.5 * math.pi
@@ -125,10 +125,11 @@ def test_eval_complex_far_imaginary(atlas):
 
 def _on_any_sheet(atlas, z, n):
     """eval_complex at z on sheets n and -n and at conj(z) on sheet n, and
-    the number of branch points the atlas had to find for them.  The
-    process's cache of branch points is emptied before and after, so the
-    count starts cold and no point found through the patch stays in it."""
+    the number of branch points they had to find.  The process's caches of
+    branch points and sheet records are emptied before and after, so the
+    count starts cold and nothing found through the patch stays in them."""
     complex_plane._point.cache_clear()
+    complex_plane._sheet.cache_clear()
     try:
         with mock.patch.object(complex_plane, "find_branch_point",
                                side_effect=find_branch_point) as found:
@@ -136,6 +137,7 @@ def _on_any_sheet(atlas, z, n):
                       eval_complex(z.conjugate(), n, atlas)]
     finally:
         complex_plane._point.cache_clear()
+        complex_plane._sheet.cache_clear()
     return values, found.call_count
 
 

@@ -199,6 +199,15 @@ class TestWavefunction:
         assert psi(0.5) != 0.0
         assert psi(-1e-9) == psi(1.0 + 1e-9) == psi(-5.0) == psi(7.0) == 0.0
 
+    @pytest.mark.parametrize("parity", list(Parity))
+    def test_nan_position_raises(self, parity):
+        # it returned 0.0, as for a point outside the well
+        model = WellModel(width_a=1.0, lam=0.5)
+        psi = wavefunction(model, next(e for e in spectrum(model, 4) if e.parity is parity))
+        with pytest.raises(NonFiniteArgument):
+            psi(math.nan)
+        assert psi(math.inf) == psi(-math.inf) == 0.0
+
     def test_inconsistent_entry_rejected(self):
         # k = pi is the lambda = 0 ground level; under lambda = -10 its
         # generalized norm is 1/2 - 10 < 0, so no normalization exists
