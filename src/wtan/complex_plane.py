@@ -105,16 +105,23 @@ root lies on B_j, inside at 225 degrees (u < Re w_j) and outside at 45
 outside A_(m-1), by `_in_arc` or, where it has no answer, by this rule.
 
 Disk, r < EXTERIOR_FACTOR*|x_m|.  One guard runs where Re x <= 0 or
-r < CUT_GUARD.  It raises OnCut where the least distance to the real cut
-[Re x_m, Re x_(m-1)] and the vertical cuts at x_(m-1) and x_m, taken from
-floats of the sheet record exactly as `Cut.distance` measures it, is below
-CUT_GUARD, or where x lies within BRANCH_POINT_GUARD of x_(m-1), x_m or a
-conjugate.  Left of the band, Re x < Re x_m, only the cut at x_m is
-measured: the real cut's distance has the same real gap and a vertical
-one at least as large, and the cut at x_(m-1) both gaps at least as
-large.  Elsewhere (Re x > 0, r >= CUT_GUARD) it cannot fire: every
-cut and branch point has Re <= Re x_1 ~ -1.65, save the end of the real
-cut of sheets +-1 at the origin, at distance r.  For Im x >= 0 (its
+r < CUT_GUARD, and there only inside its gaps: where |Im x| < CUT_GUARD,
+or |Re x - a| < BRANCH_POINT_GUARD for a = Re x_m or Re x_(m-1) (0 on
+sheets +-1), the record's floats lo and hi.  It raises OnCut where the
+least distance to the real cut [Re x_m, Re x_(m-1)] and the vertical cuts
+at x_(m-1) and x_m, taken from floats of the sheet record exactly as
+`Cut.distance` measures it, is below CUT_GUARD, or where x lies within
+BRANCH_POINT_GUARD of x_(m-1), x_m or a conjugate.  Outside the gaps it
+cannot fire: every distance it measures is at least one of them (the
+real cut's at least |Im x|, each vertical cut's and each branch point's
+at least |Re x - Re x_j|, and BRANCH_POINT_GUARD > CUT_GUARD), and a
+faithful hypot or abs() never rounds below its larger argument.  Left of
+the band, Re x < Re x_m, only the cut at x_m is measured: the real cut's
+distance has the same real gap and a vertical one at least as large, and
+the cut at x_(m-1) both gaps at least as large.  Elsewhere (Re x > 0,
+r >= CUT_GUARD) it cannot fire: every cut and branch point has Re <= Re
+x_1 ~ -1.65, save the end of the real cut of sheets +-1 at the origin, at
+distance r.  For Im x >= 0 (its
 conjugate otherwise, and on the axis the root with Im >= 0) the value is
 the first root placed in R_m of, in turn, the Newton roots of
 
@@ -358,7 +365,14 @@ def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
 def _guard(z: complex, s: _Sheet) -> None:
     """OnCut if a cut of sheet s lies within CUT_GUARD of z, or x_(m-1),
     x_m or a conjugate within BRANCH_POINT_GUARD of it.  Left of the band
-    only the vertical cut at x_m is measured: it is the nearest there."""
+    only the vertical cut at x_m is measured: it is the nearest there.
+
+    `_solve` calls it only inside its gaps, |Im z| < CUT_GUARD or
+    |Re z - a| < BRANCH_POINT_GUARD for a = s.lo or s.hi, since outside
+    them it cannot raise: the real cut's distance is at least |Im z|, each
+    vertical cut's and each branch point's at least |Re z - Re x_j|, with
+    Re x_j = s.lo or s.hi, and a faithful hypot or abs() never rounds below
+    its larger argument (module docstring)."""
     if z.real < s.lo:
         d = math.hypot(z.real - s.lo, max(abs(z.imag) - s.bp.x.imag, 0.0))
     else:
@@ -444,7 +458,10 @@ def _solve(z: complex, m: int, r: float, guarded: bool) -> tuple[complex, bool]:
     if m > _LAST_POINT:
         raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                               "float64 no longer orders the branch points there")
-    if guarded and (z.real <= 0.0 or r < CUT_GUARD):
+    # the gap screen: the guard runs only inside one of its gaps (`_guard`)
+    if guarded and (z.real <= 0.0 or r < CUT_GUARD) and (
+            abs(z.imag) < CUT_GUARD or abs(z.real - s.lo) < BRANCH_POINT_GUARD
+            or abs(z.real - s.hi) < BRANCH_POINT_GUARD):
         _guard(z, s)
     y = _place(z, s)
     if y is None:
@@ -494,21 +511,38 @@ def _newton(form: str, x, c: float, w) -> tuple | None:
 
     The bound is relative: an absolute one passes a tiny iterate far from
     any root, where the derivative is huge (x = 1.2e-38 on sheet 2 gave
-    9.7e-37 for pi)."""
+    9.7e-37 for pi).
+
+    The form is tested once per call, and what no iterate changes is
+    formed once: the stop's 2*eps, and the window form's x*x.  Each
+    iterate performs the same float operations, on the same operands and
+    in the same order, as one that formed them anew."""
+    tol = 2.0 * EPS
     try:
-        for _ in range(16):
-            if form == "exterior":
+        if form == "exterior":
+            for _ in range(16):
                 u = w / x
                 f, d = w - c + cmath.atan(u), 1.0 + 1.0 / (x + w * u)
-            elif form == "window":
-                f, d = w - c - cmath.atan(x / w), 1.0 + x / (w * w + x * x)
-            else:
+                step = f / d
+                w -= step
+                if abs(step) <= tol * abs(w):
+                    return w, d
+        elif form == "window":
+            xx = x * x
+            for _ in range(16):
+                f, d = w - c - cmath.atan(x / w), 1.0 + x / (w * w + xx)
+                step = f / d
+                w -= step
+                if abs(step) <= tol * abs(w):
+                    return w, d
+        else:
+            for _ in range(16):
                 t = math.tanh(w)
                 f, d = w * t - x, t + w * (1.0 - t * t)
-            step = f / d
-            w -= step
-            if abs(step) <= 2.0 * EPS * abs(w):
-                return w, d
+                step = f / d
+                w -= step
+                if abs(step) <= tol * abs(w):
+                    return w, d
     except (ZeroDivisionError, ValueError):
         pass
     return None
@@ -865,9 +899,13 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
     both limits are w_j (its conjugate below the axis; negated on negative
     sheets) exactly; close beside it, where the two roots nearly merge, a
     value is accurate to about the square root of working precision.
+
+    `side` is a `Side` or its value ("upper", "lower", "left", "right"),
+    taken as `Side(side)`: anything else raises ValueError before any solve.
     """
     n = validate_branch(n)
     point = complex(point)
+    side = Side(side)
     _check_on_cut(point, n, side)
     if side in (Side.UPPER, Side.LOWER):
         y = (1j if side is Side.UPPER else -1j) * _tanh_root(-point.real)

@@ -1,0 +1,263 @@
+"""Parent-against-change probe: do two trees' src/wtan give the same results?
+
+Run from anywhere, with the standard library only:
+
+    python tests/compare_trees.py [REF] [--routes]
+
+REF is a git commit of this repository (default HEAD), written out with
+`git archive` into a temporary directory, or a directory that holds
+src/wtan.  The working tree's src/wtan and REF's are loaded side by side
+in one process, under the module names wtan_change and wtan_parent.  A
+tree must have cuts_for and continue_from_anchor as module functions of
+complex_plane, as every tree has from commit 00069e9 on.
+
+The census is fixed and seeded.  It calls, in both trees:
+
+* eval_complex and continue_from_anchor on sheets +-1..8, +-20, +-100,
+  +-600, +-10**4, +-10**6 and +-2**52: points uniform in and around the
+  cut disk, in the band, beside the cut lines (1e-12..1e-2 off), beside
+  the branch points, on the axis with both signs of zero, at the exterior
+  radius, and at the guard's edges (CUT_GUARD and BRANCH_POINT_GUARD +- 2
+  ulps);
+* boundary_value on the real and vertical cuts of those sheets;
+* trace_path from sheets +-1..4 and 6, as record lists;
+* the sheet-1 dispersion tables, fine and coarse, and dispersion_eval;
+* local_expansion_check at x_1 and x_2.
+
+Each result is compared as repr(result), or as the exception's type name
+and message.  It prints the number of calls and each difference, and
+exits 1 on any difference, 0 otherwise.
+
+With --routes it then times eval_complex per route (exterior, left of the
+band, the band, right of the band) on sheets 1-4, the two trees alternated
+pass by pass, and prints one JSON block: per route the median us per
+call of each tree, the median ratio change/parent over the pass pairs, and
+the passes the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cmath
+import importlib.util
+import io
+import json
+import math
+import os
+import random
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHEETS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6, 2 ** 52)
+
+
+def load(src: str, name: str):
+    """The package in src/wtan (src a directory holding wtan/), imported as `name`."""
+    package = os.path.join(src, "wtan")
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def checkout(ref: str, into: str) -> str:
+    """src of REF: the directory's own src, or the commit's src/wtan written
+    out under `into`."""
+    if os.path.isdir(ref):
+        return os.path.join(ref, "src")
+    archive = subprocess.run(["git", "-C", ROOT, "archive", ref, "src/wtan"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        if hasattr(tarfile, "data_filter"):   # Python 3.11.4 on
+            tar.extractall(into, filter="data")
+        else:
+            tar.extractall(into)
+    return os.path.join(into, "src")
+
+
+def _ulps(x: float, k: int) -> float:
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _geometry(cp, m: int):
+    """(lo, hi, branch points x_(m-1) (m > 1) and x_m) of sheets +-m, from
+    the public cuts_for."""
+    real, *vertical = cp.cuts_for(m)
+    return real.endpoints[0].real, real.endpoints[1].real, [c.endpoints[1] for c in vertical]
+
+
+def _sheet_points(cp, m: int, rng: random.Random, scale: float) -> list[complex]:
+    lo, hi, points = _geometry(cp, m)
+    xm = points[-1]
+    outer = 1.2 * abs(xm)
+    count = max(1, round(scale * 200))
+    zs = [cmath.rect(1.6 * outer * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+          for _ in range(3 * count)]
+    zs += [complex(rng.uniform(lo, hi), rng.uniform(-1.1, 1.1) * xm.imag) for _ in range(count)]
+    lines = [(complex(lo, 0.0), complex(hi, 0.0))] + [(p.conjugate(), p) for p in points]
+    for _ in range(2 * count):   # beside a cut line, or beyond its end
+        p, q = rng.choice(lines)
+        on = p + rng.uniform(-0.05, 1.05) * (q - p)
+        normal = (q - p) / abs(q - p) * 1j
+        zs.append(on + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12, -2) * normal)
+    for _ in range(count):       # beside a branch point or its conjugate
+        p = rng.choice(points)
+        p = p if rng.random() < 0.5 else p.conjugate()
+        zs.append(p + cmath.rect(10.0 ** rng.uniform(-4, -1), rng.uniform(-math.pi, math.pi)))
+    for _ in range(count):       # on the axis, both zeros
+        zs.append(complex(rng.uniform(lo - 1.0, 1.0), rng.choice((0.0, -0.0))))
+    for _ in range(count):       # at the exterior radius
+        r = outer * (1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-16, -6))
+        zs.append(cmath.rect(r, rng.uniform(-math.pi, math.pi)))
+    for _ in range(count):       # at the guard's edges: CUT_GUARD off the axis,
+        # BRANCH_POINT_GUARD beside a branch point's real part, +- 2 ulps each
+        p = rng.choice(points)
+        im = rng.choice((rng.uniform(-1.1, 1.1) * p.imag, p.imag, -p.imag,
+                         rng.choice((-1.0, 1.0)) * cp.CUT_GUARD))
+        re = rng.choice((p.real + rng.choice((-1.0, 1.0)) * cp.BRANCH_POINT_GUARD,
+                         rng.uniform(lo, hi), hi))
+        zs.append(complex(_ulps(re, rng.randint(-2, 2)), _ulps(im, rng.randint(-2, 2))))
+    return zs
+
+
+def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
+    """The seeded census as (operation, arguments) pairs; `cp` (either tree's
+    complex_plane) supplies the cut geometry the points are drawn from."""
+    rng = random.Random(40)
+    calls = []
+    for m in SHEETS:
+        for z in _sheet_points(cp, m, rng, scale):
+            for n in (m, -m):
+                calls += [("eval_complex", (z, n)), ("continue_from_anchor", (z, n))]
+        lo, hi, points = _geometry(cp, m)
+        for _ in range(max(1, round(scale * 40))):
+            n = rng.choice((m, -m))
+            u = rng.uniform(lo, hi)
+            calls.append(("boundary_value", (complex(u, 0.0), n, rng.choice(("UPPER", "LOWER")))))
+            p = rng.choice(points)
+            point = complex(p.real + rng.uniform(-5e-10, 5e-10), rng.uniform(-1.0, 1.0) * p.imag)
+            calls.append(("boundary_value", (point, n, rng.choice(("LEFT", "RIGHT")))))
+    for _ in range(max(1, round(scale * 60))):
+        waypoints = tuple(complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
+                          for _ in range(rng.randint(2, 4)))
+        calls.append(("trace_path", (waypoints, rng.choice((1, -1, 2, -2, 3, 4, 6)))))
+    calls += [("dispersion_tables", ()), ("local_expansion_check", (1,)),
+              ("local_expansion_check", (2,))]
+    calls += [("dispersion_eval", (complex(rng.uniform(-6, 6), rng.uniform(-6, 6)),))
+              for _ in range(max(1, round(scale * 20)))]
+    return calls
+
+
+def _run(package, operation: str, args: tuple) -> str:
+    """repr of one census call's result, or its exception's type and message."""
+    cp = package.complex_plane
+    try:
+        if operation == "boundary_value":
+            point, n, side = args
+            out = cp.boundary_value(point, n, cp.Side[side])
+        elif operation == "trace_path":
+            waypoints, n = args
+            out = cp.trace_path(cp.ContinuationPath(waypoints), n)
+        elif operation == "dispersion_tables":
+            atlas = cp.SheetAtlas()
+            out = [cp._delta_tables(atlas, *layout)
+                   for layout in (cp.DISPERSION_FINE, cp.DISPERSION_COARSE)]
+        elif operation == "dispersion_eval":
+            out = cp.dispersion_eval(args[0], cp.SheetAtlas())
+        elif operation == "local_expansion_check":
+            out = package.branch_points.local_expansion_check(args[0], (0.02, 0.01, 0.005))
+        else:
+            out = getattr(cp, operation)(*args)
+    except Exception as exc:   # an outcome to compare, as a value is
+        return f"{type(exc).__name__}: {exc}"
+    return repr(out)
+
+
+def compare(change, parent, scale: float = 1.0) -> tuple[int, list[str]]:
+    """Run the census on both packages: (calls made per tree, differences)."""
+    calls = census(change.complex_plane, scale)
+    differences = []
+    for operation, args in calls:
+        a, b = _run(change, operation, args), _run(parent, operation, args)
+        if a != b:
+            differences.append(f"{operation}{args!r}: change {a} | parent {b}")
+    return len(calls), differences
+
+
+def _route_points(package, per_route: int = 300) -> dict[str, list[tuple[complex, int]]]:
+    """Seeded eval_complex points on sheets 1-4 that raise nothing, by route."""
+    cp = package.complex_plane
+    rng = random.Random(70)
+    routes = {"exterior": [], "left": [], "band": [], "right": []}
+    while min(len(v) for v in routes.values()) < per_route:
+        m = rng.randint(1, 4)
+        lo, _, points = _geometry(cp, m)
+        outer = 1.2 * abs(points[-1])
+        z = cmath.rect(1.6 * outer * math.sqrt(rng.random()), rng.uniform(-math.pi, math.pi))
+        route = ("exterior" if abs(z) >= outer else "right" if z.real > 0.0
+                 else "left" if z.real < lo else "band")
+        n = rng.choice((m, -m))
+        try:
+            cp.eval_complex(z, n)
+        except package.errors.OnCut:   # it would time the guard's raise
+            continue
+        if len(routes[route]) < per_route:
+            routes[route].append((z, n))
+    return routes
+
+
+def time_routes(change, parent, passes: int = 40) -> dict:
+    """Per route, each tree's median us per eval_complex call over `passes`
+    passes, alternated pass by pass, with the median ratio and passes won."""
+    routes = _route_points(change)
+    report = {}
+    for route, points in routes.items():
+        us = {"change": [], "parent": []}
+        for i in range(passes):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                ev = (change if side == "change" else parent).complex_plane.eval_complex
+                t0 = time.perf_counter()
+                for z, n in points:
+                    ev(z, n)
+                us[side].append(1e6 * (time.perf_counter() - t0) / len(points))
+        ratios = [c / p for c, p in zip(us["change"], us["parent"])]
+        report[route] = {
+            "parent_us": round(statistics.median(us["parent"]), 3),
+            "change_us": round(statistics.median(us["change"]), 3),
+            "median_ratio": round(statistics.median(ratios), 4),
+            "change_faster_passes": f"{sum(r < 1.0 for r in ratios)}/{passes}",
+        }
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", nargs="?", default="HEAD",
+                        help="git commit, or a directory holding src/wtan (default HEAD)")
+    parser.add_argument("--routes", action="store_true",
+                        help="time eval_complex per route too")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as scratch:
+        parent = load(checkout(args.ref, scratch), "wtan_parent")
+        change = load(os.path.join(ROOT, "src"), "wtan_change")
+        calls, differences = compare(change, parent)
+        for line in differences:
+            print(line)
+        print(f"{calls} calls per tree, {len(differences)} differences")
+        if args.routes:
+            print(json.dumps(time_routes(change, parent), indent=1))
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -966,12 +966,21 @@ def _full_guard(z, n):
     """The full guard set, checked on every route: z within CUT_GUARD of a
     cut of sheet n, or within BRANCH_POINT_GUARD of x_(|n|-1), x_|n| or
     their conjugates.  eval_complex raises OnCut exactly where it fires."""
-    if min(cut.distance(z) for cut in cuts_for(n)) < complex_plane.CUT_GUARD:
-        return True
+    return _full_guard_message(z, n) is not None
+
+
+def _full_guard_message(z, n):
+    """The OnCut message the full guard set gives z on sheet n, or None
+    where it does not fire: a cut first, then x_(|n|-1), then x_|n|."""
     m = abs(n)
-    return any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
-               for j in (m - 1, m) if j >= 1
-               for p in (complex_plane._point(j).x, complex_plane._point(j).conjugate_x))
+    if min(cut.distance(z) for cut in cuts_for(n)) < complex_plane.CUT_GUARD:
+        return f"z={z!r} lies on a cut of sheet +-{m}"
+    for j in (m - 1, m):
+        if j >= 1 and any(abs(z - p) < complex_plane.BRANCH_POINT_GUARD
+                          for p in (complex_plane._point(j).x, complex_plane._point(j).conjugate_x)):
+            return (f"z={z!r} is within {complex_plane.BRANCH_POINT_GUARD:g} of branch point "
+                    f"x_{j}; too close for direct evaluation")
+    return None
 
 
 def _route(z, n):
@@ -984,11 +993,16 @@ def _route(z, n):
 
 
 def _raises_on_cut(z, n, atlas):
+    return _on_cut_message(z, n, atlas) is not None
+
+
+def _on_cut_message(z, n, atlas):
+    """eval_complex's OnCut message at z on sheet n, or None."""
     try:
         eval_complex(z, n, atlas)
-    except OnCut:
-        return True
-    return False
+    except OnCut as exc:
+        return str(exc)
+    return None
 
 
 def _ulps(x, k):
@@ -1038,6 +1052,27 @@ def _guard_points(sheets):
         for k in range(6):
             e = cmath.rect(1.0, 0.1 + k * math.pi / 3)
             points += [c + rho * e for rho in radii] + _straddling(c, e, guard, (-1, 0, 1))
+    return points
+
+
+def _gap_points(sheets):
+    """Points at the edges of the guard's gaps: |Im z| = CUT_GUARD and
+    |Re z - Re x_j| = BRANCH_POINT_GUARD, for Re x_j the record's lo and hi
+    (Re x_(m-1), or 0 on sheets +-1), each coordinate nudged by -2..2 ulps
+    so that the gaps fall on both sides of the guards; at heights clear of
+    x_j and level with it, in and beside the band."""
+    cut_guard, point_guard = complex_plane.CUT_GUARD, complex_plane.BRANCH_POINT_GUARD
+    points = []
+    for m in sheets:
+        s = _sheet(m)
+        for a, b in ((s.lo, s.bp.x.imag), (s.hi, s.near[0].x.imag if m > 1 else 0.0)):
+            for im in (b, 0.5 * b, b + 0.5, 2e-4, cut_guard):
+                for re in (a - point_guard, a + point_guard):
+                    points += [complex(_ulps(re, i), _ulps(sign * im, k))
+                               for i in (-2, -1, 0, 1, 2) for k in (-1, 0, 1) for sign in (1, -1)]
+        for re in (s.lo - 0.5, 0.5 * (s.lo + s.hi), 0.5 * s.hi, s.lo + 5e-4, s.hi - 5e-4):
+            points += [complex(re, sign * _ulps(cut_guard, k)) for k in (-1, 0, 1)
+                       for sign in (1, -1)]
     return points
 
 
@@ -1176,16 +1211,20 @@ class TestFarBands:
 
 
 def _assert_guard_fires_as_the_full_guard(sheets):
-    """eval_complex raises OnCut on the sheets' guard points exactly where
-    `_full_guard` fires, and samples each disk route, each guarded one on
+    """eval_complex raises OnCut on the sheets' guard points and at the
+    edges of the guard's gaps exactly where `_full_guard` fires, with the
+    full guard's message, and samples each disk route, each guarded one on
     both sides of its guard; the set of (route, fired) seen."""
     atlas = SheetAtlas()
     seen = set()
-    points = _guard_points(sheets)
+    points = _guard_points(sheets) + _gap_points(sheets)
     for n in sheets + tuple(-k for k in sheets):
         for z in points:
-            fired = _full_guard(z, n)
-            assert _raises_on_cut(z, n, atlas) == fired, (z, n, fired)
+            expected = _full_guard_message(z, n)
+            fired = expected is not None
+            message = _on_cut_message(z, n, atlas)
+            assert (message is not None) == fired, (z, n, fired)
+            assert message == expected, (z, n)
             seen.add((_route(z, n), fired))
     assert seen >= {("right", False), ("left", True), ("left", False),
                     ("band", True), ("band", False)}
@@ -1257,8 +1296,13 @@ class TestGuards:
             for z in [cmath.rect(r, 0.3 + k * math.pi / 4) for k in range(8)] + [1e6, -1e300j]:
                 eval_complex(z, n, atlas)
         assert not calls
-        eval_complex(-1 + 1j, 1, atlas)   # a band point runs every guard
+        # a band point inside a gap of the guard runs every guard, and one
+        # outside them none: no cut or branch point lies within its gaps
+        eval_complex(complex(_sheet(1).lo + 5e-4, 1.0), 1, atlas)
         assert calls == ["_guard", "_cut_distances"]
+        calls.clear()
+        eval_complex(-1 + 1j, 1, atlas)
+        assert not calls
 
     def test_evaluation_builds_no_cut(self, monkeypatch):
         # the guards and boundary values read the sheet record's floats:
@@ -1729,6 +1773,32 @@ class TestBoundaryValues:
             boundary_value(-1 + 0j, 1, Side.LEFT, atlas)
         with pytest.raises(NotOnCut):
             boundary_value(5 + 0j, 1, Side.UPPER, atlas)
+
+    def test_side_given_by_its_value(self, monkeypatch):
+        # a side is taken as Side(side): "right" on the vertical cut gave
+        # the left limit, and "upper" on the real cut a bare AttributeError
+        x1 = _sheet(1).bp.x
+        vertical, real = complex(x1.real, 1.0), -1 + 0j
+        assert boundary_value(vertical, 1, "right") != boundary_value(vertical, 1, "left")
+        for point in (vertical, real, -1.5 + 0j):
+            for n in (1, -1, 2):
+                for side in Side:
+                    try:
+                        want = repr(boundary_value(point, n, side))
+                    except (ValueError, NotOnCut) as exc:
+                        want = f"{type(exc).__name__}: {exc}"
+                    try:
+                        got = repr(boundary_value(point, n, side.value))
+                    except (ValueError, NotOnCut) as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    assert got == want, (point, n, side)
+        calls = _probe(monkeypatch, (complex_plane, "_check_on_cut"),
+                       (complex_plane, "_tanh_root"), (complex_plane, "_vertical_limit"))
+        for point in (vertical, real):
+            for side in (None, 3, "Right", "UPPER", "up", 1.0):
+                with pytest.raises(ValueError, match="is not a valid Side"):
+                    boundary_value(point, 1, side)
+        assert not calls
 
 
 class TestDiscontinuities:
