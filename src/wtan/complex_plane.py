@@ -178,7 +178,13 @@ for the left (at the foot, on the axis, R_m holds the limit from above
 and its conjugate, and the limit from above is taken), polished by
 Halley.  It is solved at the cut point itself: the band between the cut
 lines is ~0.5/m wide, below 1e-4 from sheet ~5000 on, so a point a fixed
-step off one cut line can lie beyond the other.
+step off one cut line can lie beyond the other.  At x_j itself both limits
+are the double root w_j (its conjugate below the axis).  Close beside it
+Halley stalls within ~sqrt(eps)*(1+|w_j|) of w_j, possibly on the other
+half, where the arcs turn the germ's root away; where `_place` then gives
+no root either, the germ's root is the limit if it lies within
+sqrt(eps)*(1+|w_j|) of w_j, the distance within which a limit may lie on
+the other half at all.  `_vertical_limit` holds both rules.
 
 Dispersion reconstruction
 -------------------------
@@ -860,16 +866,21 @@ def _tanh_root(s: float) -> float:
 def _vertical_limit(z: complex, s: _Sheet, bp: BranchPoint, right: bool) -> complex:
     """Sheet-m limit at z, s = the record of sheets +-m, on the vertical cut
     at x_j = bp.x (one of s.near) from its right (else left) side (module
-    docstring): the Halley root from the germ seed of the side's half of
-    A_j, where the arcs accept it, else `_place`'s root placed by the side
-    rule, polished; NoConvergence where neither gives a root on the side's
-    half.  At the foot Im z = 0 the limits are taken from above."""
+    docstring): w_j at x_j itself, where both halves of A_j meet at the
+    double root (its conjugate below the axis); else the Halley root from
+    the germ seed of the side's half of A_j, where the arcs accept it, else
+    `_place`'s root placed by the side rule, polished, else the germ's root
+    if it lies within sqrt(eps)*(1 + |w_j|) of w_j; NoConvergence where
+    none gives a root on the side's half or that close to w_j.  At the foot
+    Im z = 0 the limits are taken from above."""
     x = z.conjugate() if z.imag < 0.0 else z
+    if x.imag == bp.x.imag:
+        return bp.y.conjugate() if z.imag < 0.0 else bp.y
     m = s.bp.n
     # the right half (u > Re w_j) is the left side's inside A_j (j = m) and
     # the right side's outside
     half = right != (bp.n == m)
-    y = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
+    y = germ = _refine(x, bp.y + (1.0 if half else -1.0) * cmath.sqrt(x - bp.x))
     # the germ of that half found A_j's root there: outside A_(j-1) and
     # inside A_(j+1) the cut point has no other
     if y is None or not (y.real > 0.0 and (y.real > bp.y.real) == half
@@ -877,13 +888,25 @@ def _vertical_limit(z: complex, s: _Sheet, bp: BranchPoint, right: bool) -> comp
             and (bp.n == 1 or _in_arc(y.real, abs(y.imag), _point(bp.n - 1)) is False)):
         y = _place(x, s, not right)
         y = None if y is None else _refine(x, y)
+        # a few ulps beside x_j the germ's root can stall on the other half,
+        # and no root is placed: it stands within the final check's distance
+        if y is None and germ is not None and (
+                abs(germ - bp.y) <= math.sqrt(EPS) * (1.0 + abs(bp.y))):
+            y = germ
         if y is None:
             raise NoConvergence(f"no root placed in the region of sheet {m} at {z!r}")
-    # at x_j both halves meet, and Halley stalls within ~sqrt(eps) of the
-    # double root
+    # near x_j both halves nearly meet, and Halley stalls within ~sqrt(eps)
+    # of the double root
     if (y.real > bp.y.real) != half and abs(y - bp.y) > math.sqrt(EPS) * (1.0 + abs(bp.y)):
         raise NoConvergence(f"limit at {z!r} on sheet {m} off its half of the cut's image")
     return y.conjugate() if z.imag < 0.0 else y
+
+
+def _half_jump(z: complex) -> complex:
+    """D1 at z = Re x_1 + iv, 0 <= v <= Im x_1, unchecked: half the
+    right-minus-left jump of sheet 1's limits on its vertical cut."""
+    s = _sheet(1)
+    return 0.5 * (_vertical_limit(z, s, s.bp, True) - _vertical_limit(z, s, s.bp, False))
 
 
 def boundary_value(point: complex, n: BranchIndex, side: Side,
@@ -913,10 +936,7 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
         s = _sheet(abs(n))
         bp = min(s.near, key=lambda b: abs(b.x.real - point.real))
         foot = complex(bp.x.real, min(max(point.imag, -bp.x.imag), bp.x.imag))
-        if abs(foot.imag) == bp.x.imag:
-            y = bp.y if foot.imag > 0.0 else bp.y.conjugate()
-        else:
-            y = _vertical_limit(foot, s, bp, side is Side.RIGHT)
+        y = _vertical_limit(foot, s, bp, side is Side.RIGHT)
     return y if n > 0 else -y
 
 
@@ -930,7 +950,7 @@ def discontinuity_delta0(u: float, atlas: SheetAtlas | None = None) -> float:
     a = _sheet(1).bp.x.real
     if not (a - 1e-12 <= u <= 0.0 + 1e-12):
         raise OutOfCutRange(f"u={u} outside the real cut [{a}, 0]")
-    return boundary_value(complex(u, 0.0), 1, Side.UPPER).imag
+    return _tanh_root(-float(u))
 
 
 def discontinuity_delta1(v: float, atlas: SheetAtlas | None = None) -> complex:
@@ -938,14 +958,10 @@ def discontinuity_delta1(v: float, atlas: SheetAtlas | None = None) -> complex:
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
     branch point where the two boundary values merge; at v = 0, the
     junction with the real cut, the limits are taken from above."""
-    bp = _sheet(1).bp
-    a, b = bp.x.real, bp.x.imag
-    if not (-1e-12 <= v <= b + 1e-12):
-        raise OutOfCutRange(f"v={v} outside [0, {b}]")
-    point = complex(a, min(max(v, 0.0), b))
-    right = boundary_value(point, 1, Side.RIGHT)
-    left = boundary_value(point, 1, Side.LEFT)
-    return 0.5 * (right - left)
+    x1 = _sheet(1).bp.x
+    if not (-1e-12 <= v <= x1.imag + 1e-12):
+        raise OutOfCutRange(f"v={v} outside [0, {x1.imag}]")
+    return _half_jump(complex(x1.real, min(max(v, 0.0), x1.imag)))
 
 
 # ---------------------------------------------------------------------------
@@ -969,8 +985,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     key = (panels, nodes)
     if key in atlas._disp_tables:
         return atlas._disp_tables[key]
-    sheet = _sheet(1)
-    bp = sheet.bp
+    bp = _sheet(1).bp
     a, b = bp.x.real, bp.x.imag
     # real-cut table: nodes u = -s^2 (the s nodes ascend, so the u nodes
     # descend: 0- -> a), each D0 = p with p*tanh(p) = s^2
@@ -981,8 +996,7 @@ def _delta_tables(atlas: SheetAtlas, panels: int, nodes: int):
     # side's limit solved at its node
     t_nodes, t_wts = _panel_nodes(math.sqrt(b), panels, nodes)
     vs = [b - t * t for t in t_nodes]
-    d1 = [0.5 * (_vertical_limit(complex(a, v), sheet, bp, True)
-                 - _vertical_limit(complex(a, v), sheet, bp, False)) for v in vs]
+    d1 = [_half_jump(complex(a, v)) for v in vs]
     tables = (us, [2.0 * s * w for s, w in zip(s_nodes, s_wts)], d0,
               vs, [2.0 * t * w for t, w in zip(t_nodes, t_wts)], d1)
     atlas._disp_tables[key] = tables

@@ -78,7 +78,7 @@ _PI_LO = 1.2246467991473532e-16
 POLE_GUARD = 1e-8
 
 # |w^2 + x^2 + x| below this means the derivative formulas are blowing up.
-BRANCH_POINT_GUARD = 1e-4
+DENOMINATOR_GUARD = 1e-4
 
 # Branch index: any nonzero signed integer.
 BranchIndex = int
@@ -324,11 +324,11 @@ def halley_step(x: complex, y: complex) -> complex:
 def _branch_denominator(x: complex, y: complex, what: str) -> complex:
     """q = y^2 + x^2 + x, the denominator of every derivative of the pair
     (x, y); AtBranchPoint, saying that `what` diverges, where |q| is below
-    BRANCH_POINT_GUARD."""
+    DENOMINATOR_GUARD."""
     q = y * y + x * x + x
-    if abs(q) < BRANCH_POINT_GUARD:
+    if abs(q) < DENOMINATOR_GUARD:
         raise AtBranchPoint(
-            f"|y^2 + x^2 + x| = {abs(q):.3e} < {BRANCH_POINT_GUARD:g}; "
+            f"|y^2 + x^2 + x| = {abs(q):.3e} < {DENOMINATOR_GUARD:g}; "
             f"{what} diverges at a branch point"
         )
     return q

@@ -22,6 +22,10 @@ The census is fixed and seeded.  It calls, in both trees:
 * boundary_value on the real and vertical cuts of those sheets;
 * trace_path from sheets +-1..4 and 6, as record lists;
 * the sheet-1 dispersion tables, fine and coarse, and dispersion_eval;
+* discontinuity_delta0 and discontinuity_delta1 at seeded u and v on the
+  sheet-1 cuts, at their range edges (u = Re x_1 - 1e-12, Re x_1, -0.0,
+  0.0, 1e-12; v = -1e-12, -0.0, 0.0, Im x_1, Im x_1 + 1e-12), one ulp
+  outside them, and at nan;
 * local_expansion_check at x_1 and x_2.
 
 Each result is compared as repr(result), or as the exception's type name
@@ -154,6 +158,15 @@ def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
               ("local_expansion_check", (2,))]
     calls += [("dispersion_eval", (complex(rng.uniform(-6, 6), rng.uniform(-6, 6)),))
               for _ in range(max(1, round(scale * 20)))]
+    x1 = _geometry(cp, 1)[2][0]
+    a, b = x1.real, x1.imag
+    us = [a - 1e-12, a, -0.0, 0.0, 1e-12, _ulps(a - 1e-12, -1), _ulps(1e-12, 1), math.nan]
+    vs = [-1e-12, -0.0, 0.0, b, b + 1e-12, _ulps(-1e-12, -1), _ulps(b + 1e-12, 1), math.nan]
+    for _ in range(max(1, round(scale * 40))):
+        us.append(rng.uniform(a, 0.0))
+        vs.append(rng.uniform(0.0, b))
+    calls += [("discontinuity_delta0", (u,)) for u in us]
+    calls += [("discontinuity_delta1", (v,)) for v in vs]
     return calls
 
 

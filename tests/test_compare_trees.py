@@ -32,6 +32,7 @@ def test_a_reassociated_newton_operation_reports_differences(tmp_path):
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
     assert all(line.startswith(("eval_complex(", "continue_from_anchor(", "trace_path(",
-                                "boundary_value(", "dispersion_", "local_expansion_check("))
+                                "boundary_value(", "dispersion_", "discontinuity_",
+                                "local_expansion_check("))
                for line in differences)
 

@@ -254,6 +254,21 @@ def _root_40(z, ref):
     return mp.findroot(lambda w: w * mp.tan(w) - zz, (seed, seed * (1 + mp.mpf(1e-12))))
 
 
+def _roots_beside_40(z, bp):
+    """The two 40-digit roots of w*tan(w) = z beside the double root w_j of
+    x_j = bp.x, both found at 40 digits, as (left, right) of Re w_j."""
+    with mp.workdps(40):
+        wj = mp.findroot(lambda w: mp.tan(w) + w / mp.cos(w) ** 2, mp.mpc(bp.y.real, bp.y.imag))
+        xj, zz = wj * mp.tan(wj), mp.mpc(z.real, z.imag)
+        # w - w_j ~ +-sqrt((z - x_j)/a_2), a_2 = f''(w_j)/2 = sec^2 w_j (1 + x_j)
+        step = mp.sqrt((zz - xj) * mp.cos(wj) ** 2 / (1 + xj))
+        roots = [mp.findroot(lambda w: w * mp.tan(w) - zz, (s, s * (1 + mp.mpf(10) ** -25)))
+                 for s in (wj - step, wj + step)]
+        left, right = sorted(roots, key=lambda r: r.real)
+        assert left.real < wj.real < right.real
+    return left, right
+
+
 def _assert_continued_value(z, y, ref):
     """y, a continued value at z, is on the reference's sheet (within 1e-8
     of it) and within 4*eps*(|r| + |z|/|tan r + r sec^2 r|) of the 40-digit
@@ -1739,6 +1754,48 @@ class TestBoundaryValues:
                             assert abs(near_y - (y if n > 0 else -y)) <= 1e-6 * (1 + abs(y)), \
                                 (point, side, n)
 
+    def test_beside_the_branch_points(self):
+        # 1-64 ulps below x_(m-1) and x_m, and as far above their conjugates,
+        # both limits return on sheets +-m.  At six of these points the
+        # germ's Halley root stalls 5e-12 to 6e-9 times (1+|w_j|) from w_j,
+        # on the other half of A_j, and no root is placed in R_m: they
+        # raised NoConvergence.  There the germ's root stands, within
+        # sqrt(eps)*(1+|w_j|) of the 40-digit root on the side's half
+        stalled = {(3, 2, 2, Side.RIGHT), (3, 3, 1, Side.LEFT), (4, 3, 1, Side.RIGHT),
+                   (100, 100, 1, Side.RIGHT), (10 ** 4, 9999, 2, Side.RIGHT),
+                   (10 ** 6, 999999, 1, Side.RIGHT)}
+        checked = set()
+        for m in (2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6):
+            for bp in _sheet(m).near:
+                im = bp.x.imag
+                for k in range(1, 65):
+                    im = math.nextafter(im, -math.inf)
+                    point = complex(bp.x.real, im)
+                    for side in (Side.LEFT, Side.RIGHT):
+                        y = boundary_value(point, m, side)
+                        assert boundary_value(point, -m, side) == -y
+                        assert boundary_value(point.conjugate(), m, side) == y.conjugate()
+                        if (m, bp.n, k, side) in stalled:
+                            checked.add((m, bp.n, k, side))
+                            # right side: the left half on sheet j, the
+                            # right half on sheet j+1
+                            left, right = _roots_beside_40(point, bp)
+                            r = right if (side is Side.RIGHT) == (bp.n == m - 1) else left
+                            tol = math.sqrt(complex_plane.EPS) * (1 + abs(bp.y))
+                            assert abs(mp.mpc(y.real, y.imag) - r) <= tol, (m, bp.n, k, side)
+        assert checked == stalled
+
+    @pytest.mark.parametrize("m", [1, 2, 600])
+    def test_vertical_limit_at_the_branch_points(self, m):
+        # the solver itself gives the double root w_j at x_j and its
+        # conjugate at the conjugate, from both sides
+        s = _sheet(m)
+        for bp in s.near:
+            for point, w in ((bp.x, bp.y), (bp.x.conjugate(), bp.y.conjugate())):
+                for right in (False, True):
+                    assert repr(complex_plane._vertical_limit(point, s, bp, right)) == repr(w), \
+                        (bp.n, point, right)
+
     def test_failed_polish_is_no_convergence(self, atlas, monkeypatch):
         # when no Halley polish succeeds, neither the germ seed's nor the
         # one of the root placed in the sheet's region, the vertical-cut
@@ -1834,11 +1891,30 @@ class TestDiscontinuities:
         d1 = discontinuity_delta1(1e-6, atlas)
         assert abs(d0 - d1) < 1e-4
 
+    def test_the_boundary_values_bit_for_bit(self):
+        # D0 is Im of the upper limit on the real cut, and D1 half the
+        # right-minus-left jump of the limits on the vertical cut at the
+        # clamped height: the floats boundary_value gives, on a seeded
+        # sample and at the range edges
+        a, b = _sheet(1).bp.x.real, _sheet(1).bp.x.imag
+        rng = random.Random(41)
+        us = [a - 1e-12, a, -0.0, 0.0, 1e-12] + [rng.uniform(a, 0.0) for _ in range(100)]
+        vs = [-1e-12, -0.0, 0.0, b, b + 1e-12] + [rng.uniform(0.0, b) for _ in range(100)]
+        for u in us:
+            want = boundary_value(complex(u, 0.0), 1, Side.UPPER).imag
+            assert repr(discontinuity_delta0(u)) == repr(want), u
+        for v in vs:
+            point = complex(a, min(max(v, 0.0), b))
+            want = 0.5 * (boundary_value(point, 1, Side.RIGHT) - boundary_value(point, 1, Side.LEFT))
+            assert repr(discontinuity_delta1(v)) == repr(want), v
+
     def test_delta0_range(self, atlas):
-        with pytest.raises(OutOfCutRange):
-            discontinuity_delta0(0.5, atlas)
-        with pytest.raises(OutOfCutRange):
-            discontinuity_delta0(-2.0, atlas)
+        a = atlas.branch_points[0].x.real
+        for u in (0.5, -2.0, math.nextafter(a - 1e-12, -math.inf), math.nextafter(1e-12, math.inf),
+                  math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfCutRange) as info:
+                discontinuity_delta0(u, atlas)
+            assert str(info.value) == f"u={u} outside the real cut [{a}, 0]"
 
     def test_delta1_vanishes_at_branch_point(self, atlas):
         b = atlas.branch_points[0].x.imag
@@ -1869,10 +1945,12 @@ class TestDiscontinuities:
         assert (coarse.imag > 0) == (d.imag > 0)
 
     def test_delta1_range(self, atlas):
-        with pytest.raises(OutOfCutRange):
-            discontinuity_delta1(5.0, atlas)
-        with pytest.raises(OutOfCutRange):
-            discontinuity_delta1(-0.1, atlas)
+        b = atlas.branch_points[0].x.imag
+        for v in (5.0, -0.1, math.nextafter(-1e-12, -math.inf), math.nextafter(b + 1e-12, math.inf),
+                  math.nan, math.inf, -math.inf):
+            with pytest.raises(OutOfCutRange) as info:
+                discontinuity_delta1(v, atlas)
+            assert str(info.value) == f"v={v} outside [0, {b}]"
 
 
 class TestDispersion:
