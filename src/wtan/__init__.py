@@ -36,12 +36,13 @@ _LAZY = {
         "discontinuity_delta0", "discontinuity_delta1", "dispersion_eval",
         "distance_to_cuts", "eval_complex", "trace_path"),
     "series": (
-        "AsymptoticFit", "RadiusEstimate", "SeriesKind", "SeriesTable",
-        "eval_series", "fit_asymptotic", "lagrange_b", "large_x_coeffs",
-        "radius_estimates", "small_x_coeffs"),
+        "AsymptoticFit", "RadiusEstimate", "SeriesEval", "SeriesKind",
+        "SeriesTable", "eval_series", "fit_asymptotic", "lagrange_b",
+        "large_x_coeffs", "radius_estimates", "small_x_coeffs"),
     "integrals": (
+        "CATALAN", "CATALAN_COMBINATION", "LOG_SIN_TOTAL",
         "check_indefinite_log", "check_indefinite_logsin", "definite_catalan",
-        "definite_lnsin"),
+        "definite_lnsin", "lnsin_tail"),
 }
 
 

@@ -115,14 +115,11 @@ BRANCH_POINT_GUARD of x_(m-1), x_m or a conjugate.  Outside the gaps it
 cannot fire: every distance it measures is at least one of them (the
 real cut's at least |Im x|, each vertical cut's and each branch point's
 at least |Re x - Re x_j|, and BRANCH_POINT_GUARD > CUT_GUARD), and a
-faithful hypot or abs() never rounds below its larger argument.  Left of
-the band, Re x < Re x_m, only the cut at x_m is measured: the real cut's
-distance has the same real gap and a vertical one at least as large, and
-the cut at x_(m-1) both gaps at least as large.  Elsewhere (Re x > 0,
-r >= CUT_GUARD) it cannot fire: every cut and branch point has Re <= Re
-x_1 ~ -1.65, save the end of the real cut of sheets +-1 at the origin, at
-distance r.  For Im x >= 0 (its
-conjugate otherwise, and on the axis the root with Im >= 0) the value is
+faithful hypot or abs() never rounds below its larger argument.
+Elsewhere (Re x > 0, r >= CUT_GUARD) it cannot fire: every cut and
+branch point has Re <= Re x_1 ~ -1.65, save the end of the real cut of
+sheets +-1 at the origin, at distance r.  For Im x >= 0 (its conjugate
+otherwise, and on the axis the root with Im >= 0) the value is
 the first root placed in R_m of, in turn, the Newton roots of
 
     g(w) = w - k*pi - atan(x/w),   g'(w) = 1 + x/(w^2 + x^2),
@@ -151,6 +148,14 @@ Where no root is placed, or the exterior root is refused, NoConvergence
 is raised: no test or benchmark point reaches it, nor any of 36400 drawn
 on 14 sheets from 2 to 10**8 (2000 in each disk, 200 in its band and 400
 within 5% above x_m right of the band), on both signs of the sheet.
+Far out it is reached: of 4000 eval_complex calls at points drawn as
+tests/compare_trees.py draws a sheet's, on both signs, none raise it on
+sheets 2**30 and 2**40, 12 on 2**44, 18 on 2**48, 614 on 2**49 and 740
+on 2**52 (continue_from_anchor: 16, 18, 704 and 826).  There the floats
+of x_j drift too: from sheet ~2**32 on Re x_j errs by more than an ulp,
+by 1.1e-10 (16 band widths) at 2**36: w*tan(w) is stationary at w_j
+(f' = 0, f'' = 2), so at the float root y it misses x_j by about
+(y - w_j)^2, which is about ulp(w_j)^2.
 Past sheet 2**52, where float64 no longer orders the branch points, a
 point in the disk raises DomainViolation.  Only `trace_path` and
 `local_expansion_check`, which ask about a path, continue, and only the
@@ -267,7 +272,11 @@ STEP_SHRINK = 0.5
 MAX_DY = 0.2
 MIN_STEP = 1e-9
 BP_FACTOR = 0.5
-_LAST_POINT = 2 ** 52   # past it float64 no longer keeps Im x_j rising with j
+# Past _LAST_POINT float64 no longer keeps Im x_j rising with j.  Below it
+# the disk route already raises NoConvergence at some points from ~2**44 on
+# (12 of 4000 eval_complex calls on sheet 2**44, 740 on 2**52; module
+# docstring), and Re x_j errs by more than CUT_GUARD from ~2**36 on.
+_LAST_POINT = 2 ** 52
 # Entries in the process's cache of x_j (~350 bytes each) and in its cache of
 # sheet records (~0.6 kB each, ~0.9 kB with their own x_j)
 _CACHED = 1024
@@ -370,8 +379,7 @@ def _cut_distances(z: complex, s: _Sheet) -> tuple[float, ...]:
 
 def _guard(z: complex, s: _Sheet) -> None:
     """OnCut if a cut of sheet s lies within CUT_GUARD of z, or x_(m-1),
-    x_m or a conjugate within BRANCH_POINT_GUARD of it.  Left of the band
-    only the vertical cut at x_m is measured: it is the nearest there.
+    x_m or a conjugate within BRANCH_POINT_GUARD of it.
 
     `_solve` calls it only inside its gaps, |Im z| < CUT_GUARD or
     |Re z - a| < BRANCH_POINT_GUARD for a = s.lo or s.hi, since outside
@@ -379,11 +387,7 @@ def _guard(z: complex, s: _Sheet) -> None:
     vertical cut's and each branch point's at least |Re z - Re x_j|, with
     Re x_j = s.lo or s.hi, and a faithful hypot or abs() never rounds below
     its larger argument (module docstring)."""
-    if z.real < s.lo:
-        d = math.hypot(z.real - s.lo, max(abs(z.imag) - s.bp.x.imag, 0.0))
-    else:
-        d = min(_cut_distances(z, s))
-    if d < CUT_GUARD:
+    if min(_cut_distances(z, s)) < CUT_GUARD:
         raise OnCut(f"z={z!r} lies on a cut of sheet +-{s.bp.n}")
     for bp in s.near:
         # x_j or its conjugate, whichever lies on z's side of the axis:
@@ -464,7 +468,10 @@ def _solve(z: complex, m: int, r: float, guarded: bool) -> tuple[complex, bool]:
     if m > _LAST_POINT:
         raise DomainViolation(f"z={z!r} lies inside the cut disk of sheet {m}, past 2**52: "
                               "float64 no longer orders the branch points there")
-    # the gap screen: the guard runs only inside one of its gaps (`_guard`)
+    # the gap screen: the guard runs only inside one of its gaps (`_guard`).
+    # The half-plane test is not needed for the values, but it spares right
+    # of the band the gap tests: without it that route ran 4.5% slower,
+    # faster in only 6 of 40 alternated passes.
     if guarded and (z.real <= 0.0 or r < CUT_GUARD) and (
             abs(z.imag) < CUT_GUARD or abs(z.real - s.lo) < BRANCH_POINT_GUARD
             or abs(z.real - s.hi) < BRANCH_POINT_GUARD):
@@ -820,8 +827,10 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     w-plane region holds it (module docstring), so the label changes as the
     path crosses cuts.  Returns the accepted steps as (point, value, sheet)
     records, starting with the initial point.  Raises NonFiniteArgument if
-    a waypoint's modulus is not finite, and DomainViolation where a value
-    lies past sheet 2**52.
+    a waypoint's modulus is not finite, NoConvergence where no root is
+    found at the first waypoint (at the origin on sheet 1, say), StepTooLarge
+    where a continuation step would fall below MIN_STEP, and
+    DomainViolation where a value lies past sheet 2**52.
     """
     start_sheet = validate_branch(start_sheet)
     for point in path.waypoints:

@@ -26,7 +26,12 @@ The census is fixed and seeded.  It calls, in both trees:
   sheet-1 cuts, at their range edges (u = Re x_1 - 1e-12, Re x_1, -0.0,
   0.0, 1e-12; v = -1e-12, -0.0, 0.0, Im x_1, Im x_1 + 1e-12), one ulp
   outside them, and at nan;
-* local_expansion_check at x_1 and x_2.
+* local_expansion_check at x_1 and x_2;
+* eval_complex and continue_from_anchor on sheets +-300, +-500, +-1000
+  and +-2000 in the strip just above x_m right of the band, Re z in
+  [Re x_(m-1), 0] and Im z in [1, 1.02]*Im x_m, where the disk route
+  places some roots only by its last resort, the exterior form.  This
+  strip is drawn last, so the calls before it stay as they were.
 
 Each result is compared as repr(result), or as the exception's type name
 and message.  It prints the number of calls and each difference, and
@@ -58,6 +63,7 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHEETS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6, 2 ** 52)
+STRIP_SHEETS = (300, 500, 1000, 2000)
 
 
 def load(src: str, name: str):
@@ -167,6 +173,12 @@ def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
         vs.append(rng.uniform(0.0, b))
     calls += [("discontinuity_delta0", (u,)) for u in us]
     calls += [("discontinuity_delta1", (v,)) for v in vs]
+    for m in STRIP_SHEETS:
+        _, hi, points = _geometry(cp, m)
+        for _ in range(max(1, round(scale * 250))):
+            z = complex(rng.uniform(hi, 0.0), rng.uniform(1.0, 1.02) * points[-1].imag)
+            for n in (m, -m):
+                calls += [("eval_complex", (z, n)), ("continue_from_anchor", (z, n))]
     return calls
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import functools
+import importlib
 import io
 import json
 import math
@@ -679,6 +680,13 @@ class TestPublicNames:
         assert wtan.definite_lnsin is wtan.integrals.definite_lnsin
         with pytest.raises(AttributeError):
             wtan.no_such_name
+
+    def test_each_lazy_entry_is_its_modules_all(self):
+        # every name a module exports is a name of the package, and no other
+        import wtan
+        for module, names in wtan._LAZY.items():
+            exported = getattr(importlib.import_module(f"wtan.{module}"), "__all__", ())
+            assert sorted(names) == sorted(exported), module
 
     def test_submodule_loads_on_attribute_access(self, monkeypatch):
         import wtan
