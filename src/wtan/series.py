@@ -23,8 +23,9 @@ of the implicit equation (Lagrange's expansion theorem),
 
     b_k = -(pi/2)^k (1/k!) d^(k-1)/dv^(k-1) [ v(1-v)/tan(pi v/2) ]^k |_(v=0)
 
-realized here with truncated power-series arithmetic; it cross-checks the
-recursion to working precision.
+realized here by raising the Taylor series of v(1-v)/tan(pi v/2) to the
+k-th power with J.C.P. Miller's recurrence (`lagrange_b`); its floats
+equal the recursion's bit for bit.
 
 Both coefficient sequences eventually oscillate under a power-law envelope,
 
@@ -40,14 +41,18 @@ k ~ 300; P bits (1.41 K + 200 for small x, so that the smallest a_k keeps
 ~200 bits; 256 + K/2 for large x) remove the question entirely.  pi comes
 from Machin's formula on integers.  Tables hold exact dyadic Fractions;
 a coefficient's float and a root test |c|^(+-1/k) are correctly rounded
-from the exact value, and each detrended value of the fit is one integer
-quotient, rounded once.
+from the exact value (`_root` corrects a float estimate by a power cut to
+its top bits, and decides by an exact power only near a midpoint between
+floats), and each detrended value of the fit is one integer quotient,
+rounded once.  Orders are Python ints: numpy integers are converted, and
+a bool or a non-integer raises TypeError.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import cached_property
@@ -76,6 +81,8 @@ RHO_LIMIT = 2.6397047612188325
 RHO_HAT = 2.64
 # working bits of lagrange_b
 _LAGRANGE_BITS = 400
+# bits _root keeps of the power m^k it corrects its estimate by
+_TOP_BITS = 160
 # guard bits of the detrending's k^(3/2) = k * isqrt(k * 4^G) / 2^G
 _SQRT_GUARD = 256
 
@@ -98,6 +105,16 @@ def _div(n: int, d: int) -> int:
     return q
 
 
+def _order(K, name: str) -> int:
+    """K as a Python int: numpy integers are converted, so that shifts and
+    powers by K do not wrap; TypeError for a bool or a non-integer."""
+    if type(K) is not int:
+        if isinstance(K, bool) or not isinstance(K, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {K!r}")
+        K = int(K)
+    return K
+
+
 def _pi(P: int) -> int:
     """pi * 2^P rounded to nearest: pi = 16 atan(1/5) - 4 atan(1/239), each
     arctangent summed on integers with 32 guard bits (every truncated term
@@ -116,14 +133,37 @@ def _pi(P: int) -> int:
     return _div(16 * atan_inv(5) - 4 * atan_inv(239), 1 << 32)
 
 
-def _power_gap(n: int, d: int, k: int, m: int, e: int) -> tuple[int, int]:
-    """n/d - (m * 2^e)^k and (m * 2^e)^k, both times one positive integer."""
-    lhs, rhs = n, d * m ** k
-    if e * k >= 0:
-        rhs <<= e * k
+def _power_gap(n: int, d: int, power: int, s: int) -> tuple[int, int]:
+    """n/d - power * 2^s and power * 2^s, both times one positive integer."""
+    lhs, rhs = n, d * power
+    if s >= 0:
+        rhs <<= s
     else:
-        lhs <<= -e * k
+        lhs <<= -s
     return lhs - rhs, rhs
+
+
+def _top_power(m: int, k: int) -> tuple[int, int]:
+    """(M, t) with m^k (1 - (k-1) 2^(1-B)) <= M 2^t <= m^k, B = _TOP_BITS,
+    for 1 <= m < 2^B and k >= 1.
+
+    Binary powering from the top bit of k, cutting each square (times m
+    where the bit is set) to its top B bits.  A cut errs by less than
+    2^(1-B) of its value; squaring doubles the error so far, so e_j, the
+    error after reaching m^j, obeys e_1 = 0, e_2j <= 2 e_j + 2^(1-B) and
+    e_(2j+1) <= 2 e_j + 2^(1-B), hence e_k <= (k-1) 2^(1-B).
+    """
+    M, t = m, 0
+    for bit in bin(k)[3:]:
+        M *= M
+        t *= 2
+        if bit == "1":
+            M *= m
+        cut = M.bit_length() - _TOP_BITS
+        if cut > 0:
+            M >>= cut
+            t += cut
+    return M, t
 
 
 def _root(n: int, d: int, k: int) -> float:
@@ -131,13 +171,15 @@ def _root(n: int, d: int, k: int) -> float:
     n, d, k.
 
     A float estimate y = m 2^e from the top bits of n and d, a few ulp
-    off, is corrected once: with n/d = y^k (1 + u) from one exact power,
-    the root lies x = m ((1+u)^(1/k) - 1) units of 2^e above y, which
-    floats give to ~1e-14 units, and the float nearest m + x is the
-    answer.  Only where m + x falls within 1e-9 units of a midpoint
-    between floats does a second exact power, of that midpoint, decide.
-    Beyond the normal range the estimate is returned as it is: inf, or a
-    subnormal or zero.
+    off, is corrected once: with n/d = y^k (1 + u), the root lies
+    x = m ((1+u)^(1/k) - 1) units of 2^e above y.  u comes from one exact
+    integer difference against m^k cut to its top 160 bits
+    (`_top_power`), whose relative error below (k-1) 2^-159 moves x by
+    less than 2^-105 units; floats give x to ~1e-14 units, and the float
+    nearest m + x is the answer.  Only where m + x falls within 1e-9
+    units of a midpoint between floats does an exact power, of that
+    midpoint, decide.  Beyond the normal range the estimate is returned
+    as it is: inf, or a subnormal or zero.
     """
     E = n.bit_length() - d.bit_length()
     t, r = divmod(E, k)
@@ -150,7 +192,8 @@ def _root(n: int, d: int, k: int) -> float:
         return y
     f, e = math.frexp(y)
     m, e = int(f * 2.0 ** 53), e - 53                 # 2^52 <= m < 2^53
-    gap, power = _power_gap(n, d, k, m, e)
+    top, cut = _top_power(m, k)
+    gap, power = _power_gap(n, d, top, cut + e * k)
     x = m * math.expm1(math.log1p(gap / power) / k)
     s = m + x                                         # rounded to the nearest float
     miss = (m - s) + x
@@ -160,7 +203,8 @@ def _root(n: int, d: int, k: int) -> float:
     if abs(miss) < half - 1e-9:
         return y
     other = math.nextafter(y, math.copysign(math.inf, miss))
-    gap = _power_gap(n, d, k, int(4.0 * s) + int(math.copysign(4.0 * half, miss)), e - 2)[0]
+    mid = int(4.0 * s) + int(math.copysign(4.0 * half, miss))
+    gap = _power_gap(n, d, mid ** k, (e - 2) * k)[0]
     if gap == 0:                                      # a tie: the even last bit
         return y if int(math.frexp(y)[0] * 2.0 ** 53) % 2 == 0 else other
     return other if (gap > 0) == (miss > 0) else y
@@ -326,6 +370,7 @@ def small_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = floor(1.41 K) + 200 bits: a_K ~ 2.64^(-K) keeps ~200.
     """
+    K = _order(K, "order")
     if K < 0:
         raise ValueError("order must be >= 0")
     P = 141 * K // 100 + 200
@@ -345,6 +390,7 @@ def large_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = 256 + K//2 bits.
     """
+    K = _order(K, "order")
     if K < 0:
         raise ValueError("order must be >= 0")
     P = 256 + K // 2
@@ -375,15 +421,22 @@ def lagrange_b(k: int) -> float:
     """b_k by series inversion, independent of the recursion route.
 
     Raises the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
-    v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- to the k-th power by
-    arithmetic truncated after v^(k-1), and reads off
+    v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- to the k-th power and
+    reads off
 
         b_k = -(pi/2)^k * (1/k) * [v^(k-1)] phi(v)^k ,   b_0 = 1 .
 
+    The power p = phi^k comes from J.C.P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7), which p' phi = k phi' p gives: p_0 = phi_0^k and
+
+        p_n = sum_(j=1..n) ((k+1) j - n) phi_j p_(n-j) / (n phi_0) ,
+
+    one pass over n = 1..k-1, each p_n one integer sum rounded once.
     phi's series is built once, at twice the highest order asked so far, and
     sliced: its coefficients depend only on lower ones, so each slice is
     bit-identical to a fresh build.  Works on integers scaled by 2^400.
     """
+    k = _order(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -411,15 +464,13 @@ def lagrange_b(k: int) -> float:
         ci = _series_mul(cc, inv, M)
         # times (1 - v)
         _PHI[:] = ci[:1] + [ci[i] - ci[i - 1] for i in range(1, M + 1)]
-    power = [one] + [0] * N
-    base, e = _PHI[:N + 1], k
-    while e:
-        if e & 1:
-            power = _series_mul(power, base, N)
-        e >>= 1
-        if e:
-            base = _series_mul(base, base, N)
-    return -(half_pi ** k * power[N]) / (k << P * (k + 1))
+    phi, f0 = _PHI[1:N + 1], _PHI[0]
+    power = [_div(f0 ** k, 1 << P * (k - 1))]        # p_(n-1), ..., p_0: newest first
+    for n in range(1, N + 1):
+        # the weights (k+1) j - n, j = 1..n, times phi_j: small by big integers
+        weighted = map(mul, range(k + 1 - n, k * n + 1, k + 1), phi)
+        power.insert(0, _div(sum(map(mul, weighted, power)), n * f0))
+    return -(half_pi ** k * power[0]) / (k << P * (k + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +601,7 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
     equations costs at most a digit.  The phase is normalized to c > 0 and
     b in (-2*pi, 0].
     """
+    k_min, k_max = _order(k_min, "k_min"), _order(k_max, "k_max")
     if k_min < 1:
         raise ValueError("need k_min >= 1: the envelope k^(-3/2) is infinite at k = 0")
     if k_max - k_min < 20:

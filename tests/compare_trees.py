@@ -2,7 +2,7 @@
 
 Run from anywhere, with the standard library only:
 
-    python tests/compare_trees.py [REF] [--routes]
+    python tests/compare_trees.py [REF] [--routes] [--series]
 
 REF is a git commit of this repository (default HEAD), written out with
 `git archive` into a temporary directory, or a directory that holds
@@ -30,8 +30,12 @@ The census is fixed and seeded.  It calls, in both trees:
 * eval_complex and continue_from_anchor on sheets +-300, +-500, +-1000
   and +-2000 in the strip just above x_m right of the band, Re z in
   [Re x_(m-1), 0] and Im z in [1, 1.02]*Im x_m, where the disk route
-  places some roots only by its last resort, the exterior form.  This
-  strip is drawn last, so the calls before it stay as they were.
+  places some roots only by its last resort, the exterior form;
+* the series pool, drawn after the strip so that the calls before it
+  stay as they were: lagrange_b(0..300), and recursion_residuals,
+  radius_estimates and (at orders 100 and 300) fit_asymptotic over
+  k = 50..order for both kinds of table at orders 1, 2, 12, 40, 41, 100
+  and 300.  Each tree builds its own tables, once per process.
 
 Each result is compared as repr(result), or as the exception's type name
 and message.  It prints the number of calls and each difference, and
@@ -42,12 +46,19 @@ band, the band, right of the band) on sheets 1-4, the two trees alternated
 pass by pass, and prints one JSON block: per route the median us per
 call of each tree, the median ratio change/parent over the pass pairs, and
 the passes the change won.
+
+With --series it times lagrange_b(1..30) and radius_estimates of both
+order-300 tables, the series steps whose costs the tables bundle of
+perfbench/tables.py times, the trees alternated pass by pass, and prints
+one JSON block of the same form: per step the median ms per pass of each
+tree, the median ratio and the passes the change won.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import importlib.util
 import io
 import json
@@ -64,10 +75,16 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHEETS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6, 2 ** 52)
 STRIP_SHEETS = (300, 500, 1000, 2000)
+SERIES_ORDERS = (1, 2, 12, 40, 41, 100, 300)
+LAGRANGE_K = 300
 
 
 def load(src: str, name: str):
-    """The package in src/wtan (src a directory holding wtan/), imported as `name`."""
+    """The package in src/wtan (src a directory holding wtan/), imported as
+    `name`; submodules left in sys.modules by an earlier load under `name`
+    are dropped first, so that none of them is reused."""
+    for stale in [key for key in sys.modules if key.startswith(name + ".")]:
+        del sys.modules[stale]
     package = os.path.join(src, "wtan")
     spec = importlib.util.spec_from_file_location(
         name, os.path.join(package, "__init__.py"), submodule_search_locations=[package])
@@ -179,7 +196,21 @@ def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
             z = complex(rng.uniform(hi, 0.0), rng.uniform(1.0, 1.02) * points[-1].imag)
             for n in (m, -m):
                 calls += [("eval_complex", (z, n)), ("continue_from_anchor", (z, n))]
+    calls += [("lagrange_b", (k,)) for k in range(round(scale * LAGRANGE_K) + 1)]
+    # a census scaled below 1 leaves out order 300, whose tables cost the most
+    for order in SERIES_ORDERS if scale >= 1 else SERIES_ORDERS[:-1]:
+        for kind in ("small", "large"):
+            calls += [("recursion_residuals", (kind, order)), ("radius_estimates", (kind, order))]
+            if order >= 70:
+                calls.append(("fit_asymptotic", (kind, order, 50, order)))
     return calls
+
+
+@functools.lru_cache(maxsize=None)
+def _series_table(package, kind: str, order: int):
+    """One tree's series table of `kind` ("small" or "large") and order."""
+    series = package.series
+    return (series.small_x_coeffs if kind == "small" else series.large_x_coeffs)(order)
 
 
 def _run(package, operation: str, args: tuple) -> str:
@@ -200,6 +231,13 @@ def _run(package, operation: str, args: tuple) -> str:
             out = cp.dispersion_eval(args[0], cp.SheetAtlas())
         elif operation == "local_expansion_check":
             out = package.branch_points.local_expansion_check(args[0], (0.02, 0.01, 0.005))
+        elif operation == "lagrange_b":
+            out = package.series.lagrange_b(*args)
+        elif operation == "recursion_residuals":
+            out = _series_table(package, *args).recursion_residuals()
+        elif operation in ("radius_estimates", "fit_asymptotic"):
+            kind, order, *window = args
+            out = getattr(package.series, operation)(_series_table(package, kind, order), *window)
         else:
             out = getattr(cp, operation)(*args)
     except Exception as exc:   # an outcome to compare, as a value is
@@ -240,29 +278,66 @@ def _route_points(package, per_route: int = 300) -> dict[str, list[tuple[complex
     return routes
 
 
-def time_routes(change, parent, passes: int = 40) -> dict:
-    """Per route, each tree's median us per eval_complex call over `passes`
-    passes, alternated pass by pass, with the median ratio and passes won."""
-    routes = _route_points(change)
+def _paired(steps: dict, passes: int, unit: str, scale: float) -> dict:
+    """Time each step's two sides (steps maps a name to {"parent": run,
+    "change": run}) over `passes` passes, alternated pass by pass: per step
+    each side's median time per pass, times `scale` and in `unit`, the
+    median ratio change/parent over the pass pairs and the passes the
+    change won."""
     report = {}
-    for route, points in routes.items():
-        us = {"change": [], "parent": []}
+    for name, sides in steps.items():
+        times = {"change": [], "parent": []}
         for i in range(passes):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                ev = (change if side == "change" else parent).complex_plane.eval_complex
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 t0 = time.perf_counter()
-                for z, n in points:
-                    ev(z, n)
-                us[side].append(1e6 * (time.perf_counter() - t0) / len(points))
-        ratios = [c / p for c, p in zip(us["change"], us["parent"])]
-        report[route] = {
-            "parent_us": round(statistics.median(us["parent"]), 3),
-            "change_us": round(statistics.median(us["change"]), 3),
+                sides[side]()
+                times[side].append(scale * (time.perf_counter() - t0))
+        ratios = [c / p for c, p in zip(times["change"], times["parent"])]
+        report[name] = {
+            f"parent_{unit}": round(statistics.median(times["parent"]), 3),
+            f"change_{unit}": round(statistics.median(times["change"]), 3),
             "median_ratio": round(statistics.median(ratios), 4),
             "change_faster_passes": f"{sum(r < 1.0 for r in ratios)}/{passes}",
         }
     return report
+
+
+def time_routes(change, parent, passes: int = 40, per_route: int = 300) -> dict:
+    """Per route, each tree's median us per eval_complex call, as `_paired`
+    times it."""
+    def run(package, points):
+        ev = package.complex_plane.eval_complex
+
+        def one_pass():
+            for z, n in points:
+                ev(z, n)
+        return one_pass
+
+    steps = {route: {"parent": run(parent, points), "change": run(change, points)}
+             for route, points in _route_points(change, per_route).items()}
+    return _paired(steps, passes, "us", 1e6 / per_route)
+
+
+def time_series(change, parent, passes: int = 40) -> dict:
+    """lagrange_b(1..30) and radius_estimates of each order-300 table: each
+    tree's median ms per pass, as `_paired` times it.  Every step runs once
+    on both trees first, so that phi's series and the tables are built
+    outside the timing."""
+    def lagrange(package):
+        return lambda: [package.series.lagrange_b(k) for k in range(1, 31)]
+
+    def radii(package, kind):
+        table = _series_table(package, kind, 300)
+        return lambda: package.series.radius_estimates(table)
+
+    steps = {"lagrange_b(1..30)": {"parent": lagrange(parent), "change": lagrange(change)}}
+    for kind in ("small", "large"):
+        steps[f"radius_estimates({kind}, 300)"] = {"parent": radii(parent, kind),
+                                                   "change": radii(change, kind)}
+    for sides in steps.values():
+        for run in sides.values():
+            run()
+    return _paired(steps, passes, "ms", 1e3)
 
 
 def main(argv=None) -> int:
@@ -271,6 +346,8 @@ def main(argv=None) -> int:
                         help="git commit, or a directory holding src/wtan (default HEAD)")
     parser.add_argument("--routes", action="store_true",
                         help="time eval_complex per route too")
+    parser.add_argument("--series", action="store_true",
+                        help="time lagrange_b and radius_estimates too")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         parent = load(checkout(args.ref, scratch), "wtan_parent")
@@ -281,6 +358,8 @@ def main(argv=None) -> int:
         print(f"{calls} calls per tree, {len(differences)} differences")
         if args.routes:
             print(json.dumps(time_routes(change, parent), indent=1))
+        if args.series:
+            print(json.dumps(time_series(change, parent), indent=1))
     return 1 if differences else 0
 
 

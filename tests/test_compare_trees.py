@@ -4,6 +4,8 @@ on a small share of its census."""
 import os
 import shutil
 
+import pytest
+
 import compare_trees
 
 SRC = os.path.join(compare_trees.ROOT, "src")
@@ -36,3 +38,23 @@ def test_a_reassociated_newton_operation_reports_differences(tmp_path):
                                 "local_expansion_check("))
                for line in differences)
 
+
+
+@pytest.mark.parametrize("old, new, operations", [
+    # Miller's weights (k+1) j - n off by one: every lagrange_b past k = 1
+    ("range(k + 1 - n, k * n + 1, k + 1)", "range(k + 2 - n, k * n + 2, k + 1)",
+     ("lagrange_b(",)),
+    # 20 bits of m^k: corrections off by up to ~2^35 units
+    ("_TOP_BITS = 160", "_TOP_BITS = 20", ("radius_estimates(",)),
+])
+def test_a_mutated_series_step_reports_its_differences(tmp_path, old, new, operations):
+    shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
+    path = tmp_path / "wtan" / "series.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    change = compare_trees.load(SRC, "wtan_smoke_change")
+    mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
+    calls, differences = compare_trees.compare(change, mutated, scale=0.02)
+    assert differences
+    assert all(line.startswith(operations) for line in differences)

@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -114,6 +116,30 @@ class TestRecursions:
         with pytest.raises(ValueError):
             make(-1)
 
+    @pytest.mark.parametrize("to", [np.int64, np.int32, np.uint16])
+    def test_numpy_orders_give_the_python_int_tables(self, to):
+        for make in (small_x_coeffs, large_x_coeffs):
+            got, want = make(to(12)), make(12)
+            assert got == want and type(got.order) is int
+            assert got.primary_floats() == want.primary_floats()
+        assert [lagrange_b(to(k)) for k in (0, 3, 17)] == [lagrange_b(k) for k in (0, 3, 17)]
+
+    def test_numpy_fit_window_gives_the_python_int_fit(self, tables):
+        large = tables[1]
+        assert fit_asymptotic(large, np.int64(50), np.int32(300)) == \
+            fit_asymptotic(large, 50, 300)
+
+    @pytest.mark.parametrize("order", [True, False, np.bool_(True), 2.0, np.float64(3.0),
+                                       Fraction(3), "3", None])
+    def test_non_integer_orders_raise_type_error(self, order, tables):
+        for make in (small_x_coeffs, large_x_coeffs, lagrange_b):
+            with pytest.raises(TypeError, match="must be an integer"):
+                make(order)
+        with pytest.raises(TypeError, match="k_min must be an integer"):
+            fit_asymptotic(tables[1], order, 300)
+        with pytest.raises(TypeError, match="k_max must be an integer"):
+            fit_asymptotic(tables[1], 50, order)
+
     def test_order_zero_seeds(self):
         ts = small_x_coeffs(0)
         assert float(ts.primary[0]) == 1.0 and float(ts.secondary[0]) == 1.0
@@ -153,6 +179,11 @@ class TestLagrange:
     def test_same_floats_as_plain_sums(self):
         for k in range(1, 61):
             assert lagrange_b(k) == reference_lagrange_b(k), k
+
+    def test_every_order_to_300_is_the_recursion_float(self, tables):
+        # the two routes round to the same floats, bit for bit, with no
+        # mpmath in the comparison
+        assert [lagrange_b(k) for k in range(301)] == tables[1].primary_floats()
 
     def test_cached_series_gives_the_fresh_floats(self):
         # phi's series is built once and sliced: any order of calls gives
@@ -459,6 +490,81 @@ class TestRadiusEstimates:
             n, d = power(2 ** 54 - 1, e - 2)                        # below 2^52 2^e
             assert _root(n, d, k) == math.ldexp(2 ** 52, e)
             assert _root(n * big - n, d * big, k) == math.ldexp(2 ** 52 - 0.5, e)
+
+
+def exact_power_root(n, d, k):
+    """_root as it stood with one exact power m^k for its correction: the
+    oracle of the truncated-power route."""
+    E = n.bit_length() - d.bit_length()
+    t, r = divmod(E, k)
+    q = (n << max(0, -E)) / (d << max(0, E))
+    try:
+        y = math.ldexp(2.0 ** (r / k) * q ** (1.0 / k), t)
+    except OverflowError:
+        return math.inf
+    if y < sys.float_info.min:
+        return y
+
+    def power_gap(m, e):
+        lhs, rhs = n, d * m ** k
+        if e * k >= 0:
+            rhs <<= e * k
+        else:
+            lhs <<= -e * k
+        return lhs - rhs, rhs
+
+    f, e = math.frexp(y)
+    m, e = int(f * 2.0 ** 53), e - 53
+    gap, power = power_gap(m, e)
+    x = m * math.expm1(math.log1p(gap / power) / k)
+    s = m + x
+    miss = (m - s) + x
+    half = math.ulp(s) / (4.0 if miss < 0 and math.frexp(s)[0] == 0.5 else 2.0)
+    y = math.ldexp(s, e)
+    if abs(miss) < half - 1e-9:
+        return y
+    other = math.nextafter(y, math.copysign(math.inf, miss))
+    gap = power_gap(int(4.0 * s) + int(math.copysign(4.0 * half, miss)), e - 2)[0]
+    if gap == 0:
+        return y if int(math.frexp(y)[0] * 2.0 ** 53) % 2 == 0 else other
+    return other if (gap > 0) == (miss > 0) else y
+
+
+class TestTruncatedPower:
+    def test_bound_against_the_exact_power(self):
+        # m^k (1 - (k-1) 2^(1-B)) <= M 2^t <= m^k, with M of at most B bits
+        rng = random.Random(43)
+        B = series._TOP_BITS
+        cases = [(2 ** 52, 1000), (2 ** 53 - 1, 1000), (2 ** 53 - 1, 1), (2 ** 52 + 1, 2)]
+        cases += [(rng.randrange(2 ** 52, 2 ** 53), rng.randint(1, 1000)) for _ in range(400)]
+        for m, k in cases:
+            M, t = series._top_power(m, k)
+            exact = m ** k
+            assert M.bit_length() <= B and t >= 0
+            assert 0 <= exact - (M << t)
+            assert (exact - (M << t)) << (B - 1) <= (k - 1) * exact, (m, k)
+
+    def test_root_matches_the_exact_power_oracle(self, tables):
+        rng = random.Random(4343)
+        cases = []
+        for table in tables:
+            small = table.kind is SeriesKind.SMALL_X
+            for k, c in enumerate(table.primary[1:], start=1):
+                n, d = abs(c).as_integer_ratio()
+                cases.append((d, n, k) if small else (n, d, k))
+        for _ in range(1500):
+            cases.append((rng.getrandbits(rng.randint(1, 3000)) | 1,
+                          rng.getrandbits(rng.randint(1, 3000)) | 1, rng.randint(1, 1000)))
+        # (mid 2^e)^k (1 +- 2^-j) for j around the 1e-9-unit margin and past it
+        for _ in range(300):
+            k = rng.randint(1, 400)
+            mid, e = 2 * rng.randrange(2 ** 52, 2 ** 53) + 1, rng.randint(-60, 10)
+            n, d = mid ** k, 1 << 53 * k
+            n, d = (n << e * k, d) if e >= 0 else (n, d << -e * k)
+            j = rng.randint(60, 140)
+            cases.append((n * ((1 << j) + rng.choice((-1, 1))), d << j, k))
+        assert [series._root(n, d, k) for n, d, k in cases] == \
+            [exact_power_root(n, d, k) for n, d, k in cases]
 
 
 @pytest.fixture(scope="module")
