@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from typing import NamedTuple, Sequence
 
-from .core import EPS, _ordered_sum, validate_branch
+from .core import EPS, _integer, _ordered_sum, validate_branch
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
@@ -52,9 +51,9 @@ def _index(n: int) -> int:
     """n as an int, checked as `core.validate_branch` checks a branch index:
     TypeError unless an integer (bool excluded), ValueError below 1 and
     DomainViolation past 2**1020."""
-    if type(n) is int or (isinstance(n, numbers.Integral) and not isinstance(n, bool)):
-        if n < 1:
-            raise ValueError("branch point index must be >= 1")
+    n = _integer(n, "branch index")
+    if n < 1:
+        raise ValueError("branch point index must be >= 1")
     return validate_branch(n)
 
 

@@ -85,16 +85,24 @@ BranchIndex = int
 _MAX_BRANCH = 2 ** 1020   # keeps (2|n| - 1/2)*pi, the largest multiple formed, finite
 
 
+def _integer(value, name: str) -> int:
+    """value as a Python int: numpy integers are converted, so that shifts,
+    powers and negation do not wrap; TypeError "<name> must be an integer"
+    for a bool or a non-integer."""
+    # exact int first: the Integral check is an ABC lookup
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def validate_branch(n: int) -> int:
     """Return n as a Python int if it is a valid branch label (nonzero
     integer, numpy integers included; bool is rejected; DomainViolation
-    past _MAX_BRANCH).  Fixed-width integers are converted because negating
-    the most negative one wraps."""
-    # exact int first: the Integral check is an ABC lookup, slow on the hot path
-    if type(n) is not int:
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise TypeError(f"branch index must be an integer, got {n!r}")
-        n = int(n)
+    past _MAX_BRANCH)."""
+    if type(n) is not int:   # inline: a call costs on the hot path
+        n = _integer(n, "branch index")
     if not 0 < abs(n) <= _MAX_BRANCH:   # one test on the hot path for both limits
         if n == 0:
             raise ValueError("branch index 0 does not exist; branches are +-1, +-2, ...")

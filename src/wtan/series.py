@@ -21,11 +21,11 @@ f^3 = sum_k d_k x^k (the cube enters through f*(f^3)' = 3 f^3 f'):
 An independent route to the large-argument coefficients is series inversion
 of the implicit equation (Lagrange's expansion theorem),
 
-    b_k = -(pi/2)^k (1/k!) d^(k-1)/dv^(k-1) [ v(1-v)/tan(pi v/2) ]^k |_(v=0)
+    b_k = -(1/k) [v^(k-1)] psi(v)^k ,   psi(v) = (1-v) (pi v/2) cot(pi v/2) ,
 
-realized here by raising the Taylor series of v(1-v)/tan(pi v/2) to the
-k-th power with J.C.P. Miller's recurrence (`lagrange_b`); its floats
-equal the recursion's bit for bit.
+realized here by raising the Taylor series of psi (psi(0) = 1) to the k-th
+power with J.C.P. Miller's recurrence (`lagrange_b`); its floats equal the
+recursion's bit for bit, +-inf past float64's range included.
 
 Both coefficient sequences eventually oscillate under a power-law envelope,
 
@@ -38,8 +38,9 @@ held as N ~ v * 2^P, so every sum of products is exact and each
 convolution is rounded once, to nearest with ties to even, by one integer
 division (`_div`).  Plain float64 loses only a couple of digits by
 k ~ 300; P bits (1.41 K + 200 for small x, so that the smallest a_k keeps
-~200 bits; 256 + K/2 for large x) remove the question entirely.  pi comes
-from Machin's formula on integers.  Tables hold exact dyadic Fractions;
+~200 bits; 256 + K/2 for large x) remove the question entirely.  The one
+constant, pi^2/4, is squared from pi by Machin's formula on integers
+(`_pi2_4`).  Tables hold exact dyadic Fractions;
 a coefficient's float and a root test |c|^(+-1/k) are correctly rounded
 from the exact value (`_root` corrects a float estimate by a power cut to
 its top bits, and decides by an exact power only near a midpoint between
@@ -52,13 +53,13 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 import sys
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
+from .core import _integer
 from .errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 
 __all__ = [
@@ -105,20 +106,11 @@ def _div(n: int, d: int) -> int:
     return q
 
 
-def _order(K, name: str) -> int:
-    """K as a Python int: numpy integers are converted, so that shifts and
-    powers by K do not wrap; TypeError for a bool or a non-integer."""
-    if type(K) is not int:
-        if isinstance(K, bool) or not isinstance(K, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {K!r}")
-        K = int(K)
-    return K
-
-
-def _pi(P: int) -> int:
-    """pi * 2^P rounded to nearest: pi = 16 atan(1/5) - 4 atan(1/239), each
-    arctangent summed on integers with 32 guard bits (every truncated term
-    errs by less than one unit)."""
+def _pi2_4(P: int) -> int:
+    """pi^2/4 * 2^P rounded to nearest, from pi * 2^P rounded to nearest:
+    pi = 16 atan(1/5) - 4 atan(1/239) (Machin), each arctangent summed on
+    integers with 32 guard bits (every truncated term errs by less than
+    one unit)."""
     one = 1 << (P + 32)
 
     def atan_inv(x):
@@ -130,7 +122,8 @@ def _pi(P: int) -> int:
             total += (power // k) if k % 4 == 1 else -(power // k)
         return total
 
-    return _div(16 * atan_inv(5) - 4 * atan_inv(239), 1 << 32)
+    pi = _div(16 * atan_inv(5) - 4 * atan_inv(239), 1 << 32)
+    return _div(pi * pi, 4 << P)
 
 
 def _power_gap(n: int, d: int, power: int, s: int) -> tuple[int, int]:
@@ -327,7 +320,7 @@ class SeriesTable(_TableFields):
         else:
             b, c = values[:K + 1], values[K + 1:]
             Q = one.bit_length() + 64
-            pi2_4 = _div(_pi(Q) ** 2, 4 << Q)               # pi^2/4 at 2^Q
+            pi2_4 = _pi2_4(Q)
             for k in range(K + 1):
                 terms = list(map(mul, b[k::-1], c[:k + 1]))
                 conv = sum(terms) - (one * one if k == 0 else 0)
@@ -370,7 +363,7 @@ def small_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = floor(1.41 K) + 200 bits: a_K ~ 2.64^(-K) keeps ~200.
     """
-    K = _order(K, "order")
+    K = _integer(K, "order")
     if K < 0:
         raise ValueError("order must be >= 0")
     P = 141 * K // 100 + 200
@@ -390,12 +383,12 @@ def large_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = 256 + K//2 bits.
     """
-    K = _order(K, "order")
+    K = _integer(K, "order")
     if K < 0:
         raise ValueError("order must be >= 0")
     P = 256 + K // 2
     one = 1 << P
-    pi2_4 = _div(_pi(P) ** 2, 4 << P)
+    pi2_4 = _pi2_4(P)
     b = [one]
     c = [one, one]          # c_1 = c_0 from the k = 0 relation
     for k in range(1, K + 1):
@@ -408,69 +401,61 @@ def large_x_coeffs(K: int) -> SeriesTable:
 # Lagrange-inversion oracle for the large-argument coefficients
 # ---------------------------------------------------------------------------
 
-def _series_mul(p, q, N):
-    """Product of two series of at least N+1 terms, truncated after v^N."""
-    return [_div(sum(map(mul, p[:n + 1], q[n::-1])), 1 << _LAGRANGE_BITS)
-            for n in range(N + 1)]
-
-
-_PHI: list = []   # phi's Taylor coefficients, to the highest order built so far
+_PSI: list = []   # psi's Taylor coefficients, to the highest order built so far
 
 
 def lagrange_b(k: int) -> float:
     """b_k by series inversion, independent of the recursion route.
 
-    Raises the Taylor series of phi(v) = v(1-v)/tan(pi v/2) -- regular at
-    v = 0 since tan(pi v/2) = (pi v/2)(1 + ...) -- to the k-th power and
-    reads off
+    Raises the Taylor series of psi(v) = (1-v) (pi v/2) cot(pi v/2), with
+    psi(0) = 1, to the k-th power and reads off
 
-        b_k = -(pi/2)^k * (1/k) * [v^(k-1)] phi(v)^k ,   b_0 = 1 .
+        b_k = -(1/k) * [v^(k-1)] psi(v)^k ,   b_0 = 1 .
 
-    The power p = phi^k comes from J.C.P. Miller's recurrence (Knuth,
-    TAOCP vol. 2, 4.7), which p' phi = k phi' p gives: p_0 = phi_0^k and
+    psi's series is one series division, (1-v) cos(x) / (sin(x)/x) at
+    x = pi v/2, whose even coefficients (-1)^m (pi^2/4)^m / (2m)! and
+    / (2m+1)! come from pi^2/4 alone.  It is built once, at twice the
+    highest order asked so far, and sliced: its coefficients depend only on
+    lower ones, so each slice is bit-identical to a fresh build.  The power
+    p = psi^k comes from J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2,
+    4.7), which p' psi = k psi' p gives: p_0 = 1 and
 
-        p_n = sum_(j=1..n) ((k+1) j - n) phi_j p_(n-j) / (n phi_0) ,
+        p_n = (1/n) sum_(j=1..n) ((k+1) j - n) psi_j p_(n-j) ,
 
-    one pass over n = 1..k-1, each p_n one integer sum rounded once.
-    phi's series is built once, at twice the highest order asked so far, and
-    sliced: its coefficients depend only on lower ones, so each slice is
-    bit-identical to a fresh build.  Works on integers scaled by 2^400.
+    one pass over n = 1..k-1, each p_n one integer sum rounded once.  Works
+    on integers scaled by 2^400; b_k is rounded once from the exact
+    quotient, to +-inf past float64's range.
     """
-    k = _order(k, "k")
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return 1.0
-    N = k - 1
     P = _LAGRANGE_BITS
     one = 1 << P
-    half_pi = _pi(P - 1)
-    if len(_PHI) <= N:
-        M = max(N, 2 * len(_PHI))
-        # (pi v/2)^j / j!, then sin(pi v/2)/v and cos(pi v/2) as series in v
-        t = [one]
-        for j in range(1, M + 2):
-            t.append(_div(t[-1] * half_pi, j << P))
-        s = [0] * (M + 1)
-        cc = [0] * (M + 1)
+    if len(_PSI) < k:
+        M = max(k - 1, 2 * len(_PSI))
+        # cos(x) and sin(x)/x as series in v, odd terms 0
+        pi2_4 = _pi2_4(P)
+        cos, sinc = [0] * (M + 1), [0] * (M + 1)
+        term = one
         for m in range(M // 2 + 1):
-            sign = -1 if m % 2 else 1
-            s[2 * m] = sign * t[2 * m + 1]
-            cc[2 * m] = sign * t[2 * m]
-        # reciprocal of s
-        inv = [_div(one << P, s[0])]
-        for i in range(1, M + 1):
-            inv.append(_div(-sum(map(mul, s[1:i + 1], inv[i - 1::-1])), s[0]))
-        ci = _series_mul(cc, inv, M)
-        # times (1 - v)
-        _PHI[:] = ci[:1] + [ci[i] - ci[i - 1] for i in range(1, M + 1)]
-    phi, f0 = _PHI[1:N + 1], _PHI[0]
-    power = [_div(f0 ** k, 1 << P * (k - 1))]        # p_(n-1), ..., p_0: newest first
-    for n in range(1, N + 1):
-        # the weights (k+1) j - n, j = 1..n, times phi_j: small by big integers
-        weighted = map(mul, range(k + 1 - n, k * n + 1, k + 1), phi)
-        power.insert(0, _div(sum(map(mul, weighted, power)), n * f0))
-    return -(half_pi ** k * power[0]) / (k << P * (k + 1))
+            cos[2 * m], sinc[2 * m] = term, _div(term, 2 * m + 1)
+            term = _div(-term * pi2_4, (2 * m + 1) * (2 * m + 2) << P)
+        # (1 - v) cos(x) / (sin(x)/x), whose divisor starts with 1; assigned
+        # whole, so that no other thread slices a part-built list
+        new = []
+        for n in range(M + 1):
+            top = cos[n] - (cos[n - 1] if n else 0) << P
+            new.append(_div(top - sum(map(mul, sinc[1:n + 1], new[::-1])), one))
+        _PSI[:] = new
+    psi = _PSI[1:k]
+    power = [one]                                   # p_(n-1), ..., p_0: newest first
+    for n in range(1, k):
+        # the weights (k+1) j - n, j = 1..n, times psi_j: small by big integers
+        weighted = map(mul, range(k + 1 - n, k * n + 1, k + 1), psi)
+        power.insert(0, _div(sum(map(mul, weighted, power)), n << P))
+    return _float(Fraction(-power[0], k << P))
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +586,7 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
     equations costs at most a digit.  The phase is normalized to c > 0 and
     b in (-2*pi, 0].
     """
-    k_min, k_max = _order(k_min, "k_min"), _order(k_max, "k_max")
+    k_min, k_max = _integer(k_min, "k_min"), _integer(k_max, "k_max")
     if k_min < 1:
         raise ValueError("need k_min >= 1: the envelope k^(-3/2) is infinite at k = 0")
     if k_max - k_min < 20:

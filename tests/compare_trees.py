@@ -47,11 +47,12 @@ pass by pass, and prints one JSON block: per route the median us per
 call of each tree, the median ratio change/parent over the pass pairs, and
 the passes the change won.
 
-With --series it times lagrange_b(1..30) and radius_estimates of both
-order-300 tables, the series steps whose costs the tables bundle of
-perfbench/tables.py times, the trees alternated pass by pass, and prints
-one JSON block of the same form: per step the median ms per pass of each
-tree, the median ratio and the passes the change won.
+With --series it times lagrange_b(1..30), large_x_coeffs(300), and
+recursion_residuals and radius_estimates of both order-300 tables, the
+series steps whose costs the tables bundle of perfbench/tables.py times,
+the trees alternated pass by pass, and prints one JSON block of the same
+form: per step the median ms per pass of each tree, the median ratio and
+the passes the change won.
 """
 
 from __future__ import annotations
@@ -319,19 +320,29 @@ def time_routes(change, parent, passes: int = 40, per_route: int = 300) -> dict:
 
 
 def time_series(change, parent, passes: int = 40) -> dict:
-    """lagrange_b(1..30) and radius_estimates of each order-300 table: each
-    tree's median ms per pass, as `_paired` times it.  Every step runs once
-    on both trees first, so that phi's series and the tables are built
-    outside the timing."""
+    """lagrange_b(1..30), large_x_coeffs(300), and recursion_residuals and
+    radius_estimates of each order-300 table: each tree's median ms per
+    pass, as `_paired` times it.  Every step runs once on both trees first,
+    so that lagrange_b's series and the tables it reads are built outside
+    the timing."""
     def lagrange(package):
         return lambda: [package.series.lagrange_b(k) for k in range(1, 31)]
+
+    def large(package):
+        return lambda: package.series.large_x_coeffs(300)
+
+    def residuals(package, kind):
+        return _series_table(package, kind, 300).recursion_residuals
 
     def radii(package, kind):
         table = _series_table(package, kind, 300)
         return lambda: package.series.radius_estimates(table)
 
-    steps = {"lagrange_b(1..30)": {"parent": lagrange(parent), "change": lagrange(change)}}
+    steps = {"lagrange_b(1..30)": {"parent": lagrange(parent), "change": lagrange(change)},
+             "large_x_coeffs(300)": {"parent": large(parent), "change": large(change)}}
     for kind in ("small", "large"):
+        steps[f"recursion_residuals({kind}, 300)"] = {"parent": residuals(parent, kind),
+                                                      "change": residuals(change, kind)}
         steps[f"radius_estimates({kind}, 300)"] = {"parent": radii(parent, kind),
                                                    "change": radii(change, kind)}
     for sides in steps.values():
@@ -347,7 +358,7 @@ def main(argv=None) -> int:
     parser.add_argument("--routes", action="store_true",
                         help="time eval_complex per route too")
     parser.add_argument("--series", action="store_true",
-                        help="time lagrange_b and radius_estimates too")
+                        help="time the series steps too")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         parent = load(checkout(args.ref, scratch), "wtan_parent")

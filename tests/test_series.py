@@ -185,6 +185,15 @@ class TestLagrange:
         # mpmath in the comparison
         assert [lagrange_b(k) for k in range(301)] == tables[1].primary_floats()
 
+    def test_orders_past_the_float_range_are_the_recursion_floats(self):
+        # every order keeps the working precision, up to b_744 = inf; a
+        # power scaled by (2/pi)^k loses ~0.65 bits per order and drifts
+        # from k = 534 on
+        ks = (534, 600, 700, 744)
+        want = large_x_coeffs(744).primary_floats()
+        assert [lagrange_b(k) for k in ks] == [want[k] for k in ks]
+        assert want[744] == math.inf
+
     def test_cached_series_gives_the_fresh_floats(self):
         # phi's series is built once and sliced: any order of calls gives
         # the floats of a series built for each k alone
@@ -192,9 +201,9 @@ class TestLagrange:
 
         fresh = {}
         for k in (5, 30):
-            series._PHI.clear()
+            series._PSI.clear()
             fresh[k] = lagrange_b(k)
-        series._PHI.clear()
+        series._PSI.clear()
         assert [lagrange_b(k) for k in (30, 5, 30)] == [fresh[30], fresh[5], fresh[30]]
 
 
