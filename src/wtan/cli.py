@@ -71,12 +71,13 @@ _LAMBDA = _checked(float, "--lambda must be finite", math.isfinite)
 def _emit(columns: tuple[str, ...], rows, args) -> None:
     """Write one table: CSV with a header line, or a JSON list of objects.
     Each float is rendered with `args.precision` significant digits, from
-    one format spec per table."""
-    spec = f".{args.precision}g"
+    one %-template per table, whose text is format(v, f".{p}g")'s, byte for
+    byte, and quicker to apply."""
+    spec = f"%.{args.precision}g"
     if args.format == "csv":
         def render(v):
             if isinstance(v, float):
-                return format(v + 0.0, spec)   # + 0.0 turns -0.0 into 0.0
+                return spec % (v + 0.0)   # + 0.0 turns -0.0 into 0.0
             return "" if v is None else str(v)
 
         text = "".join(",".join(map(render, row)) + "\n" for row in (columns, *rows))
@@ -85,7 +86,7 @@ def _emit(columns: tuple[str, ...], rows, args) -> None:
 
         def cell(v):
             if isinstance(v, float):
-                text = format(v + 0.0, spec)
+                text = spec % (v + 0.0)
                 # JSON has no token for inf or nan: those, and a finite v
                 # whose text rounds past the float range, are the CSV's text
                 number = float(text)

@@ -28,7 +28,7 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import BranchIndex, eval_real
+from .core import BranchIndex, _integer, eval_real
 from .errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
 
 __all__ = [
@@ -107,19 +107,30 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     with the unaffected odd levels k = 2*m*pi/a, sorted by energy
     E = k^2 (units of hbar^2/2m).
 
+    Only the first h + 2 levels of each family are built (all `count` if
+    fewer), h = floor(count/2).  Even level n lies in [2(n-1)pi/a, 2n*pi/a],
+    beside odd levels n - 1 and n, so the families interleave and the
+    lowest `count` states hold at most h + 1 of either.  Floats can
+    reorder only neighbours, and only at a tie: as a/lambda -> 0+ even
+    level n rounds onto odd level n - 1 and sorts first, which takes the
+    one level past h.  The second extra level is slack.
+
     lambda = 0 is the unperturbed well: even levels reduce to their
     (2n-1)*pi/a limits (the branch value at infinity).  So does a lambda
     so small that a/lambda overflows.
 
-    Raises DomainViolation where a returned level's k or E is not finite,
-    or E is below the smallest normal float (extreme widths).
+    Raises TypeError for a bool or non-integer count (numpy integers are
+    converted), ValueError for count < 1, and DomainViolation where a
+    returned level's k or E is not finite, or E is below the smallest
+    normal float (extreme widths).
     """
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError("count must be >= 1")
     a = model.width_a
     x = a / model.lam if model.lam else math.inf
     even, odd = Parity.EVEN, Parity.ODD
-    levels = range(1, count + 1)
+    levels = range(1, min(count, count // 2 + 2) + 1)
     if math.isinf(x):
         entries = [((2.0 * n - 1.0) * math.pi / a, even, n) for n in levels]
     else:
@@ -127,14 +138,15 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
         entries = [(scale * eval_real(x, n), even, n) for n in levels]
     entries += [(2.0 * m * math.pi / a, odd, None) for m in levels]
     entries.sort(key=itemgetter(0))
-    tiny, inf = sys.float_info.min, math.inf
+    tiny, inf, new = sys.float_info.min, math.inf, tuple.__new__
     out = []
     for i, (k, parity, branch) in enumerate(entries[:count]):
         E = k * k
         if not tiny <= E < inf:
             raise DomainViolation(f"level {i} of a well of width {a!r} has k = {k!r}, "
                                   f"E = {E!r}: outside the normal float range")
-        out.append(SpectrumEntry(i, parity, k, E, branch))
+        # skips the NamedTuple's Python __new__
+        out.append(new(SpectrumEntry, (i, parity, k, E, branch)))
     return out
 
 

@@ -35,11 +35,23 @@ The census is fixed and seeded.  It calls, in both trees:
   stay as they were: lagrange_b(0..300), and recursion_residuals,
   radius_estimates and (at orders 100 and 300) fit_asymptotic over
   k = 50..order for both kinds of table at orders 1, 2, 12, 40, 41, 100
-  and 300.  Each tree builds its own tables, once per process.
+  and 300.  Each tree builds its own tables, once per process;
+* the real-axis pool, drawn after the series pool from its own seeded
+  Random, so that every call before it stays as it was: spectrum at
+  widths 1, pi, 1e-3, 1e-300 and 1e300 and lambda 0, +-1e-300, +-1e-8,
+  +-0.5, +-1e8, +-1e20, +-1e200 and +-1e300 (the last three where an
+  even level rounds onto its odd neighbour) at counts 1..10, 300 and
+  3000; seeded eval_real(x, n) over the float64 range, and at x = +-0.0
+  with each side; chebyshev.fit(3.5, order) at orders 4, 15, 31 and 127;
+  and the exit code, stdout and stderr of cli.main for grid (seeded
+  ranges, several precisions, CSV and JSON), qm (the default 6 levels,
+  the spectrum and a wavefunction) and series --format json.
 
 Each result is compared as repr(result), or as the exception's type name
-and message.  It prints the number of calls and each difference, and
-exits 1 on any difference, 0 otherwise.
+and message.  A scale below 1 (the smoke tests') shrinks every seeded
+draw and leaves out the order-300 tables and the 3000-level spectra.  It
+prints the number of calls and each difference, and exits 1 on any
+difference, 0 otherwise.
 
 With --routes it then times eval_complex per route (exterior, left of the
 band, the band, right of the band) on sheets 1-4, the two trees alternated
@@ -59,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import functools
 import importlib.util
 import io
@@ -78,6 +91,11 @@ SHEETS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6, 2 ** 52)
 STRIP_SHEETS = (300, 500, 1000, 2000)
 SERIES_ORDERS = (1, 2, 12, 40, 41, 100, 300)
 LAGRANGE_K = 300
+SPECTRUM_WIDTHS = (1.0, math.pi, 1e-3, 1e-300, 1e300)
+SPECTRUM_LAMBDAS = (0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1e8, -1e8,
+                    1e20, -1e20, 1e200, -1e200, 1e300, -1e300)
+SPECTRUM_COUNTS = (*range(1, 11), 300, 3000)
+FIT_ORDERS = (4, 15, 31, 127)
 
 
 def load(src: str, name: str):
@@ -204,7 +222,54 @@ def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
             calls += [("recursion_residuals", (kind, order)), ("radius_estimates", (kind, order))]
             if order >= 70:
                 calls.append(("fit_asymptotic", (kind, order, 50, order)))
+    return calls + _real_axis_calls(scale)
+
+
+def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
+    """The real-axis pool: spectrum, eval_real, chebyshev.fit and cli.main."""
+    rng = random.Random(45)
+    counts = SPECTRUM_COUNTS if scale >= 1 else SPECTRUM_COUNTS[:-1]
+    calls = [("spectrum", (width, lam, count)) for width in SPECTRUM_WIDTHS
+             for lam in SPECTRUM_LAMBDAS for count in counts]
+    for _ in range(max(1, round(scale * 2000))):
+        if rng.random() < 0.9:
+            x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)
+            n = rng.choice((-1, 1)) * rng.randint(1, 8)
+        else:
+            x = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-323.0, 308.0)
+            n = rng.choice((-1, 1)) * int(10.0 ** rng.uniform(0.0, 6.0))
+        calls.append(("eval_real", (x, n, None)))
+    calls += [("eval_real", (x, n, side)) for x in (0.0, -0.0) for n in (1, -1, 2, -3, 1000)
+              for side in (1, -1, None)]
+    calls += [("fit", (3.5, order)) for order in FIT_ORDERS]
+    points = str(max(11, round(scale * 2001)))
+    for precision in (12, 1, 6, 17, 30):
+        lo, hi = -rng.uniform(2.0, 5.0), rng.uniform(2.0, 50.0)
+        for fmt in ("csv", "json"):
+            calls.append(("cli", ("grid", "--branch", str(rng.choice((-3, -2, -1, 1, 2, 3))),
+                                  "--range", f"{lo!r}:{hi!r}", "--points", points,
+                                  "--precision", str(precision), "--format", fmt)))
+    for lam in ("0.5", "-0.5", "1e8", "-2"):
+        calls += [("cli", ("qm", "--lambda", lam)),
+                  ("cli", ("qm", "--lambda", lam, "--width", "1", "--format", "json")),
+                  ("cli", ("qm", "--lambda", lam, "--wavefunction", "3", "--points", "21"))]
+    for kind in ("small", "large"):
+        for order, precision in ((40, "12"), (100, "17")):
+            calls.append(("cli", ("series", "--kind", kind, "--order", str(order),
+                                  "--format", "json", "--precision", precision)))
     return calls
+
+
+def _cli_output(package, argv: tuple) -> tuple:
+    """(exit code, stdout, stderr) of one tree's cli.main(argv)."""
+    main = importlib.import_module(f"{package.__name__}.cli").main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @functools.lru_cache(maxsize=None)
@@ -239,6 +304,16 @@ def _run(package, operation: str, args: tuple) -> str:
         elif operation in ("radius_estimates", "fit_asymptotic"):
             kind, order, *window = args
             out = getattr(package.series, operation)(_series_table(package, kind, order), *window)
+        elif operation == "spectrum":
+            width, lam, count = args
+            out = package.quantum.spectrum(package.quantum.WellModel(width, lam), count)
+        elif operation == "eval_real":
+            x, n, side = args
+            out = package.core.eval_real(x, n, side=side)
+        elif operation == "fit":
+            out = package.chebyshev.fit(*args)
+        elif operation == "cli":
+            out = _cli_output(package, args)
         else:
             out = getattr(cp, operation)(*args)
     except Exception as exc:   # an outcome to compare, as a value is

@@ -427,6 +427,31 @@ class TestCellRendering:
             assert _emitted(("a", "b", "c"), [(v, i, None)], "json", precision) == expected, v
 
 
+class TestTemplate:
+    # _emit renders a float v as "%.<p>g" % (v + 0.0): the same text as
+    # format(v + 0.0, ".<p>g"), which the README pins were written with
+    @pytest.mark.parametrize("precision", range(1, 31))
+    def test_percent_template_is_formats_text(self, precision):
+        import numpy as np
+
+        rng = random.Random(300 + precision)
+        values = _cells(200 + precision) + [np.float64(1.0) / 3.0, np.float64(-0.0),
+                                            np.float64(5e-324), np.float64(math.nan)]
+        values += [struct.unpack("d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+                   for _ in range(2000)]
+        spec = f"%.{precision}g"
+        for v in values:
+            assert spec % (v + 0.0) == format(v + 0.0, f".{precision}g"), v
+
+    def test_numpy_float_cell(self):
+        import numpy as np
+
+        rows = [(np.float64(-0.0), np.float64(2.0) / 3.0, np.float64(-math.inf))]
+        assert _emitted(("a", "b", "c"), rows, "csv", 12) == "a,b,c\n0,0.666666666667,-inf\n"
+        assert _emitted(("a", "b", "c"), rows, "json", 12) == \
+            '[{"a":0.0,"b":0.666666666667,"c":"-inf"}]\n'
+
+
 class TestOneParserPerProcess:
     # one call per subcommand, a usage error and a domain error; the grid
     # call comes again last, after every other command has used the parser

@@ -44,8 +44,9 @@ def test_a_reassociated_newton_operation_reports_differences(tmp_path):
     # Miller's weights (k+1) j - n off by one: every lagrange_b past k = 1
     ("range(k + 1 - n, k * n + 1, k + 1)", "range(k + 2 - n, k * n + 2, k + 1)",
      ("lagrange_b(",)),
-    # 20 bits of m^k: corrections off by up to ~2^35 units
-    ("_TOP_BITS = 160", "_TOP_BITS = 20", ("radius_estimates(",)),
+    # 20 bits of m^k: corrections off by up to ~2^35 units; `wtan series`
+    # prints the radius estimates too
+    ("_TOP_BITS = 160", "_TOP_BITS = 20", ("radius_estimates(", "cli('series',")),
 ])
 def test_a_mutated_series_step_reports_its_differences(tmp_path, old, new, operations):
     shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
@@ -58,3 +59,21 @@ def test_a_mutated_series_step_reports_its_differences(tmp_path, old, new, opera
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
     assert all(line.startswith(operations) for line in differences)
+
+
+def test_a_mutated_spectrum_margin_reports_its_differences(tmp_path):
+    # no level past half solved: odd counts lose their top even level, and
+    # even counts theirs wherever an even level ties its odd neighbour
+    shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
+    path = tmp_path / "wtan" / "quantum.py"
+    text = path.read_text()
+    assert text.count("count // 2 + 2") == 1
+    path.write_text(text.replace("count // 2 + 2", "count // 2"))
+    change = compare_trees.load(SRC, "wtan_smoke_change")
+    mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
+    assert mutated.quantum.__file__ == str(path)
+    calls, differences = compare_trees.compare(change, mutated, scale=0.02)
+    assert differences
+    assert all(line.startswith("spectrum(") for line in differences)
+    # and the ties, at even counts, are among them
+    assert any(line.startswith("spectrum(1.0, 1e+300, 4):") for line in differences)

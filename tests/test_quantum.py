@@ -67,11 +67,39 @@ def _spectrum_by_loop(model, count):
     return out
 
 
+# odd and even counts, small and large: `spectrum` solves about half of each
+SPECTRUM_COUNTS = (*range(1, 11), 51, 300, 301)
+
+
 @pytest.mark.parametrize("width", [1.0, math.pi, 1e-3])
-@pytest.mark.parametrize("lam", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1e8, -1e8])
+# a/lambda at 1e-20 and below: even level n rounds onto odd level n - 1
+# (lambda > 0) or n (lambda < 0), the ties the extra solved level covers
+@pytest.mark.parametrize("lam", [0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1e8, -1e8,
+                                 1e300, -1e300, 1e200, -1e200, 1e20, -1e20])
 def test_spectrum_matches_the_loop_bit_for_bit(width, lam):
     model = WellModel(width_a=width, lam=lam)
     assert repr(spectrum(model, 300)) == repr(_spectrum_by_loop(model, 300))
+    for count in SPECTRUM_COUNTS:
+        assert repr(spectrum(model, count)) == repr(_spectrum_by_loop(model, count)), count
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.5, 1e300, -1e300, 1e20])
+def test_spectrum_solves_about_half_its_levels(monkeypatch, lam):
+    import wtan.quantum as quantum
+
+    calls = []
+
+    def counted(x, n):
+        calls.append(n)
+        return eval_real(x, n)
+
+    monkeypatch.setattr(quantum, "eval_real", counted)
+    model = WellModel(width_a=1.0, lam=lam)
+    for count in (*SPECTRUM_COUNTS, 3000):
+        calls.clear()
+        levels = spectrum(model, count)
+        assert len(levels) == count
+        assert calls == list(range(1, min(count, count // 2 + 2) + 1)), count
 
 
 @pytest.mark.parametrize("width", [1e-153, 1e160, 1e-300])
@@ -400,3 +428,19 @@ class TestModelValidation:
     def test_count_positive(self):
         with pytest.raises(ValueError):
             spectrum(WellModel(width_a=1.0, lam=1.0), 0)
+
+    @pytest.mark.parametrize("count", [True, False, np.True_, 2.5, 3.0, "3", None,
+                                       np.float64(3.0)])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(TypeError, match="^count must be an integer, got "):
+            spectrum(WellModel(width_a=1.0, lam=1.0), count)
+
+    @pytest.mark.parametrize("count", [np.int64(7), np.int32(7), np.uint16(7)])
+    def test_numpy_count_gives_the_int_spectrum(self, count):
+        model = WellModel(width_a=1.0, lam=1.0)
+        assert repr(spectrum(model, count)) == repr(spectrum(model, 7))
+
+    @pytest.mark.parametrize("count", [0, -1, np.int64(0)])
+    def test_count_below_one_raises_value_error(self, count):
+        with pytest.raises(ValueError, match="^count must be >= 1$"):
+            spectrum(WellModel(width_a=1.0, lam=1.0), count)
