@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .core import _ordered_sum, eval_real
+from .core import HALF_PI, _float, _ordered_sum, eval_real
 from .errors import NonFiniteArgument, SamplingFailure, WtanError
 
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
@@ -120,26 +120,26 @@ def fit(split_a: float = 3.5, order: int = 15) -> ChebyshevModel:
     return ChebyshevModel(split_a=a, alpha=alpha, beta=beta, gamma=gamma)
 
 
-def _clenshaw(s: float, coeffs: tuple[float, ...]) -> float:
-    d1 = d2 = 0.0
-    for ck in reversed(coeffs[1:]):
-        d1, d2 = 2.0 * s * d1 - d2 + ck, d1
-    return s * d1 - d2 + coeffs[0]
-
-
 def eval_cheb(x: float, model: ChebyshevModel) -> float:
     """Evaluate the piecewise model at real x (branch 1, real-axis
     convention for x < 0).  x = 0 belongs to the positive region, whose
     value there is 0; the negative region is one-sided at 0-.  x = +-inf
     gives the limit (pi/2) * sum_k beta_k T_k(0); NaN raises
-    NonFiniteArgument."""
+    NonFiniteArgument.  Any real other than a Python float (a numpy
+    scalar, an int) is rounded to the nearest float first, to +-inf past
+    float64's range.  The region picks (s, coefficients, prefactor), and
+    one Clenshaw loop sums the series at s."""
+    x = x if type(x) is float else _float(x)
     a = model.split_a
     if 0.0 <= x <= a:
-        s = 2.0 * x / a - 1.0
-        return math.sqrt(x) * _clenshaw(s, model.alpha)
-    if x < -a or x > a:
-        return 0.5 * math.pi * _clenshaw(a / x, model.beta)
-    if math.isnan(x):   # NaN fails both comparisons above
+        s, coeffs, scale = 2.0 * x / a - 1.0, model.alpha, math.sqrt(x)
+    elif x < -a or x > a:
+        s, coeffs, scale = a / x, model.beta, HALF_PI
+    elif x != x:   # NaN fails both comparisons above
         raise NonFiniteArgument("x is NaN")
-    s = 2.0 * x / a + 1.0
-    return math.pi * _clenshaw(s, model.gamma)
+    else:
+        s, coeffs, scale = 2.0 * x / a + 1.0, model.gamma, math.pi
+    s2, d1, d2 = 2.0 * s, 0.0, 0.0
+    for ck in coeffs[:0:-1]:
+        d1, d2 = s2 * d1 - d2 + ck, d1
+    return scale * (s * d1 - d2 + coeffs[0])

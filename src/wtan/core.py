@@ -97,6 +97,18 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _float(v) -> float:
+    """v rounded to the nearest float, +-inf past float64's range as IEEE
+    rounding to nearest gives it (float() raises OverflowError there): a
+    Python float from numpy scalars, ints, bools and Fractions alike.  Read
+    through math's own conversion, so a str raises TypeError as it does in
+    math.sqrt."""
+    try:
+        return math.ldexp(v, 0)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def validate_branch(n: int) -> int:
     """Return n as a Python int if it is a valid branch label (nonzero
     integer, numpy integers included; bool is rejected; DomainViolation
@@ -211,7 +223,7 @@ def _window_end_root(x: float, n: int) -> float:
             w = E + s * e
             step = (e - math.atan(a / w)) / (1.0 + s / (w * (w / a) + a))
             e -= step
-            if abs(step) <= 4.0 * EPS * e:
+            if abs(step) <= 2.0 ** -50 * e:   # 4*EPS, folded at compile time
                 return E + s * e
     raise NoConvergence(
         f"no convergence after {MAX_ITER} iterations (last step "
@@ -257,7 +269,9 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
     Parameters
     ----------
     x : float
-        Finite real argument.
+        Finite real argument.  Any other real (a numpy scalar, an int past
+        the float range) is rounded to the nearest float first, to +-inf
+        past float64's range.
     n : int
         Branch label, nonzero.  Negative branches follow from the odd
         symmetry w(x, -n) = -w(x, n).
@@ -277,6 +291,7 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         rounded root (the error before that rounding is below ~1e-4 ulp).
     """
     n = validate_branch(n)
+    x = x if type(x) is float else _float(x)
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x == 0.0:

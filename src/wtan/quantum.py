@@ -28,7 +28,7 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import BranchIndex, _integer, eval_real
+from .core import BranchIndex, _float, _integer, eval_real
 from .errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
 
 __all__ = [
@@ -57,11 +57,14 @@ class _WellFields(NamedTuple):
 class WellModel(_WellFields):
     """Well of width a with contact strength lambda (positive = attractive,
     the strength scales with the state's energy).  Energies are in units of
-    hbar^2/2m.  The width must be positive and finite, lambda finite."""
+    hbar^2/2m.  The width must be positive and finite, lambda finite.  Both
+    are kept as Python floats: any other real (a numpy scalar, an int) is
+    rounded to the nearest float, to +-inf past float64's range."""
 
     __slots__ = ()
 
     def __new__(cls, width_a: float, lam: float):
+        width_a, lam = _float(width_a), _float(lam)
         if not 0.0 < width_a < math.inf:
             raise ValueError(f"well width must be positive and finite, got {width_a!r}")
         if not math.isfinite(lam):
@@ -117,7 +120,10 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
 
     lambda = 0 is the unperturbed well: even levels reduce to their
     (2n-1)*pi/a limits (the branch value at infinity).  So does a lambda
-    so small that a/lambda overflows.
+    so small that a/lambda overflows.  Where a/lambda underflows to a
+    signed zero, the even levels are eval_real's one-sided limit on the
+    zero's side: 2n*pi/a at 0-, and (2n-2)*pi/a at 0+, whose first level
+    E = 0 raises DomainViolation below.
 
     Raises TypeError for a bool or non-integer count (numpy integers are
     converted), ValueError for count < 1, and DomainViolation where a
@@ -133,6 +139,8 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     levels = range(1, min(count, count // 2 + 2) + 1)
     if math.isinf(x):
         entries = [((2.0 * n - 1.0) * math.pi / a, even, n) for n in levels]
+    elif x == 0.0:   # a/lambda underflowed: the one-sided limit on the zero's side
+        entries = [(2.0 / a * eval_real(x, n, side=math.copysign(1, x)), even, n) for n in levels]
     else:
         scale = 2.0 / a
         entries = [(scale * eval_real(x, n), even, n) for n in levels]
@@ -179,20 +187,6 @@ def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
         )
     A = 1.0 / math.sqrt(norm_sq)
     return Wavefunction(A_I=A, A_II=A, k=k, width_a=a)
-
-
-def jump_residual(model: WellModel, entry: SpectrumEntry,
-                  psi: Wavefunction) -> float:
-    """Defect of the derivative-jump condition across the contact term,
-
-        |(A_II + A_I) k cos(ka/2) - k^2 lambda A_I sin(ka/2)| ,
-
-    identically zero for exact eigenstates (odd states satisfy it with both
-    sides vanishing)."""
-    k, a = entry.k, model.width_a
-    half = 0.5 * k * a
-    return abs((psi.A_II + psi.A_I) * k * math.cos(half)
-               - k * k * model.lam * psi.A_I * math.sin(half))
 
 
 def variational_bound_1(x: float) -> float:

@@ -59,7 +59,7 @@ from functools import cached_property
 from operator import mul
 from typing import NamedTuple
 
-from .core import _integer
+from .core import HALF_PI, _float, _integer
 from .errors import FitDiverged, NonFiniteArgument, OutsideConvergence
 
 __all__ = [
@@ -86,16 +86,13 @@ _LAGRANGE_BITS = 400
 _TOP_BITS = 160
 # guard bits of the detrending's k^(3/2) = k * isqrt(k * 4^G) / 2^G
 _SQRT_GUARD = 256
+# eval_series' limit: one global lookup, where math.inf takes two
+_INF = math.inf
 
 
 class SeriesKind(enum.Enum):
     SMALL_X = "small"
     LARGE_X = "large"
-
-
-# eval_series' test reads this global: SeriesKind.SMALL_X is an attribute
-# lookup through the Enum's metaclass on every call (~0.1 us)
-_SMALL_X = SeriesKind.SMALL_X
 
 
 def _div(n: int, d: int) -> int:
@@ -209,15 +206,6 @@ def _root_test(coeff, k: int, small: bool) -> float:
     return _root(d, abs(n), k) if small else _root(abs(n), d, k)
 
 
-def _float(v) -> float:
-    """v rounded to the nearest float; past float64's range +-inf, as IEEE
-    rounding to nearest gives (float() raises OverflowError there)."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def _scaled(values) -> tuple[list[int], int]:
     """Integers N_i and their common denominator D, values[i] = N_i / D."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -242,11 +230,19 @@ class SeriesTable(_TableFields):
     once, and `precision_digits` is floor(P * log10 2), the decimal digits
     of that working precision.  A table built by hand may hold any exact
     rationals with `as_integer_ratio` (int, float, Fraction).  The float
-    coefficients, the convergence bound and the envelope constant that
-    `eval_series` uses are computed on first use and kept in the instance
-    dict (the class has no __slots__ for this); they are not fields, so
-    equality, hashing and repr ignore them.
+    coefficients, the convergence bound and the envelope constant are
+    computed on first use and kept in the instance dict (the class has no
+    __slots__ for this); so is `_constants`, the one tuple `eval_series`
+    reads: those three, whether the table is SMALL_X, the order and
+    |c_0|/2.  None is a field, so equality, hashing and repr ignore them.
     """
+
+    @cached_property
+    def _constants(self) -> tuple[tuple[float, ...], float, bool, int, float, float]:
+        """(floats, bound, small, order, envelope, |c_0|/2): one attribute
+        read per `eval_series` call, where five cost ~0.1 us more."""
+        return (self._floats, self._bound, self.kind is SeriesKind.SMALL_X, self.order,
+                self._envelope, 0.5 * abs(self._floats[0]))
 
     @cached_property
     def _floats(self) -> tuple[float, ...]:
@@ -462,17 +458,18 @@ def lagrange_b(k: int) -> float:
 # evaluation and analysis
 # ---------------------------------------------------------------------------
 
-def _last_order(table: SeriesTable, q: float) -> int:
-    """The highest order Horner needs at q = |t|/r: K = floor(n) for
+def _last_order(q: float, order: int, envelope: float) -> int:
+    """The highest order Horner needs at q = |t|/r on a table of `order`
+    with envelope constant E (`SeriesTable._envelope`): K = floor(n) for
     n = log2(E/(1-q)) / log2(1/q), so that M q^(K+1)/(1-q) <= 2^-63 |c_0|;
-    the table's order where that is no smaller.  (log2, not log: math.log
-    parses an optional base and costs three times as much.)"""
+    `order` where that is no smaller.  (log2, not log: math.log parses an
+    optional base and costs three times as much.)"""
     if q == 0.0:
         return 0
     if q >= 1.0:
-        return table.order
-    n = math.log2(table._envelope / (1.0 - q)) / -math.log2(q)
-    return int(n) if n < table.order else table.order
+        return order
+    n = math.log2(envelope / (1.0 - q)) / -math.log2(q)
+    return int(n) if n < order else order
 
 
 def eval_series(x: float, table: SeriesTable) -> SeriesEval:
@@ -482,9 +479,14 @@ def eval_series(x: float, table: SeriesTable) -> SeriesEval:
     Small-argument tables require 0 <= x below the convergence bound
     min(root-test estimate, 2.6397); large-argument tables require |x|
     above max(root-test estimate, 2.6397).  The root-test estimate is
-    taken at the highest nonzero stored order.  The float coefficients,
-    the bound and the envelope constant are computed once per table, on
-    its first evaluation, so later calls do float arithmetic only.
+    taken at the highest nonzero stored order.  x is taken as a Python
+    float: any other real (a numpy scalar, an int) is rounded to the
+    nearest float first, to +-inf past float64's range.  The float
+    coefficients, the bound, the envelope constant, the kind test, the
+    order and |c_0|/2 are computed once per table, on its first
+    evaluation, into one cached tuple (`SeriesTable._constants`), so later
+    calls read one attribute and do float arithmetic only.  The record is built with
+    tuple.__new__, which skips the NamedTuple's Python-level __new__.
 
     Tail bound.  With t = x (small) or 1/x (large), r the bound in t (1/bound
     for large tables) and q = |t|/r < 1, every term obeys
@@ -504,43 +506,43 @@ def eval_series(x: float, table: SeriesTable) -> SeriesEval:
     raises NonFiniteArgument; on a large-argument table x = +-inf returns
     the limit pi/2 (times c_0) with truncation estimate 0.
     """
-    if math.isnan(x):
+    x = x if type(x) is float else _float(x)
+    if x != x:
         raise NonFiniteArgument("x is NaN")
-    coeffs, bound = table._floats, table._bound
-    if table.kind is _SMALL_X:
+    coeffs, bound, small, order, envelope, half_c0 = table._constants
+    if small:
         if x < 0:
             raise OutsideConvergence("small-argument series requires x >= 0")
         if x >= bound:
             raise OutsideConvergence(
-                f"x={x} is outside the small-argument radius bound {bound:.4f}"
-            )
+                f"x={x} is outside the small-argument radius bound {bound:.4f}")
         if x == 0.0:
-            return SeriesEval(0.0, 0.0)
+            return tuple.__new__(SeriesEval, (0.0, 0.0))
         t, q, scale = x, x / bound, math.sqrt(x)
     else:
         if abs(x) <= bound:
             raise OutsideConvergence(
-                f"|x|={abs(x)} is inside the large-argument radius bound {bound:.4f}"
-            )
+                f"|x|={abs(x)} is inside the large-argument radius bound {bound:.4f}")
         t = 1.0 / x
-        q, scale = abs(t) * bound, 0.5 * math.pi
-    K = _last_order(table, q)
+        q, scale = abs(t) * bound, HALF_PI
+    K = _last_order(q, order, envelope)
     acc = 0.0
     for c in coeffs[K::-1]:
         acc = acc * t + c
-    if not 0.5 * abs(coeffs[0]) <= abs(acc) < math.inf and K < table.order:
+    if not half_c0 <= abs(acc) < _INF and K < order:
         acc = 0.0
         for c in reversed(coeffs):
             acc = acc * t + c
-    if not abs(acc) < math.inf:
+    if not abs(acc) < _INF:
         raise OutsideConvergence(f"x={x} needs a coefficient past float64's range")
     try:
-        last = abs(coeffs[-1] * t ** table.order)
+        last = abs(coeffs[-1] * t ** order)
     except OverflowError:
-        last = math.inf
-    if not last < math.inf:     # rounded once from the exact coefficient
-        last = _float(abs(table.primary[-1]) * Fraction(t) ** table.order)
-    return SeriesEval(scale * acc, scale * last)
+        last = _INF
+    if not last < _INF:     # rounded once from the exact coefficient
+        last = _float(abs(table.primary[-1]) * Fraction(t) ** order)
+    # skips the NamedTuple's Python __new__
+    return tuple.__new__(SeriesEval, (scale * acc, scale * last))
 
 
 def radius_estimates(table: SeriesTable) -> list[RadiusEstimate]:

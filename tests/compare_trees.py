@@ -45,7 +45,17 @@ The census is fixed and seeded.  It calls, in both trees:
   with each side; chebyshev.fit(3.5, order) at orders 4, 15, 31 and 127;
   and the exit code, stdout and stderr of cli.main for grid (seeded
   ranges, several precisions, CSV and JSON), qm (the default 6 levels,
-  the spectrum and a wavefunction) and series --format json.
+  the spectrum and a wavefunction) and series --format json;
+* the table-evaluation pool, drawn after the real-axis pool from its own
+  seeded Random, so that every call before it stays as it was:
+  eval_series on both kinds of table at orders 0, 1, 12, 40 and 300, at
+  x drawn over each table's domain and past it, at q = |t|/r near 1, and
+  at +-0.0, 5e-324, the convergence bound (read from radius_estimates
+  and RHO_LIMIT) and one ulp on each side of it, +-inf and nan; and
+  eval_cheb on chebyshev.fit(3.5, order) at orders 4, 15, 31 and 127, at
+  +-10**U with U uniform in [-320, 308], at +-a = +-3.5 and one ulp on
+  each side, +-0.0, +-inf and nan.  Each tree builds its own tables and
+  fits, once per process.
 
 Each result is compared as repr(result), or as the exception's type name
 and message.  A scale below 1 (the smoke tests') shrinks every seeded
@@ -62,9 +72,12 @@ the passes the change won.
 With --series it times lagrange_b(1..30), large_x_coeffs(300), and
 recursion_residuals and radius_estimates of both order-300 tables, the
 series steps whose costs the tables bundle of perfbench/tables.py times,
-the trees alternated pass by pass, and prints one JSON block of the same
-form: per step the median ms per pass of each tree, the median ratio and
-the passes the change won.
+then eval_series on both order-300 tables and eval_cheb on the order-15
+fit, per call, over the table-evaluation pool's draws that return a
+value: the point evaluations of its closed loop.  The trees alternate
+pass by pass, and it prints one JSON block of the same form: per step
+the median ms per pass (us per call for the evaluations) of each tree,
+the median ratio and the passes the change won.
 """
 
 from __future__ import annotations
@@ -96,6 +109,8 @@ SPECTRUM_LAMBDAS = (0.0, 1e-300, -1e-300, 1e-8, -1e-8, 0.5, -0.5, 1e8, -1e8,
                     1e20, -1e20, 1e200, -1e200, 1e300, -1e300)
 SPECTRUM_COUNTS = (*range(1, 11), 300, 3000)
 FIT_ORDERS = (4, 15, 31, 127)
+TABLE_EVAL_ORDERS = (0, 1, 12, 40, 300)
+CHEB_SPLIT = 3.5
 
 
 def load(src: str, name: str):
@@ -175,9 +190,11 @@ def _sheet_points(cp, m: int, rng: random.Random, scale: float) -> list[complex]
     return zs
 
 
-def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
-    """The seeded census as (operation, arguments) pairs; `cp` (either tree's
-    complex_plane) supplies the cut geometry the points are drawn from."""
+def census(package, scale: float = 1.0) -> list[tuple[str, tuple]]:
+    """The seeded census as (operation, arguments) pairs; `package` (either
+    tree) supplies the cut geometry and the series bounds the points are
+    drawn from."""
+    cp = package.complex_plane
     rng = random.Random(40)
     calls = []
     for m in SHEETS:
@@ -222,7 +239,7 @@ def census(cp, scale: float = 1.0) -> list[tuple[str, tuple]]:
             calls += [("recursion_residuals", (kind, order)), ("radius_estimates", (kind, order))]
             if order >= 70:
                 calls.append(("fit_asymptotic", (kind, order, 50, order)))
-    return calls + _real_axis_calls(scale)
+    return calls + _real_axis_calls(scale) + _table_eval_calls(package, scale)
 
 
 def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
@@ -260,6 +277,50 @@ def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
     return calls
 
 
+def _series_bound(package, kind: str, order: int) -> float:
+    """eval_series' convergence bound of one tree's table, from public
+    names: the root-test estimate at the highest nonzero order, capped by
+    RHO_LIMIT; RHO_LIMIT where no coefficient past c_0 is nonzero."""
+    series = package.series
+    rhos = series.radius_estimates(_series_table(package, kind, order)) if order else []
+    if not rhos:
+        return series.RHO_LIMIT
+    return (min if kind == "small" else max)(rhos[-1].rho, series.RHO_LIMIT)
+
+
+def _table_eval_calls(package, scale: float) -> list[tuple[str, tuple]]:
+    """The table-evaluation pool: eval_series and eval_cheb, Python floats
+    only."""
+    rng = random.Random(46)
+    calls = []
+    count = max(1, round(scale * 300))
+    for order in TABLE_EVAL_ORDERS if scale >= 1 else TABLE_EVAL_ORDERS[:-1]:
+        for kind in ("small", "large"):
+            bound = _series_bound(package, kind, order)
+            edges = [bound, math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)]
+            xs = [0.0, -0.0, 5e-324, math.inf, -math.inf, math.nan] + edges
+            if kind == "small":
+                xs += [rng.uniform(0.0, 2.7) for _ in range(count)]
+                xs += [10.0 ** rng.uniform(-320.0, 0.0) for _ in range(count)]
+                xs += [bound * (1.0 - 10.0 ** rng.uniform(-16.0, -1.0)) for _ in range(count)]
+            else:
+                xs += [-x for x in edges]
+                xs += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 308.0)
+                       for _ in range(2 * count)]
+                xs += [rng.choice((-1.0, 1.0)) * bound * (1.0 + 10.0 ** rng.uniform(-16.0, -1.0))
+                       for _ in range(count)]
+            calls += [("eval_series", (kind, order, x)) for x in xs]
+    a = CHEB_SPLIT
+    for order in FIT_ORDERS:
+        xs = [0.0, -0.0, math.inf, -math.inf, math.nan]
+        xs += [s * e for s in (1.0, -1.0)
+               for e in (a, math.nextafter(a, 0.0), math.nextafter(a, math.inf))]
+        xs += [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+               for _ in range(2 * count)]
+        calls += [("eval_cheb", (order, x)) for x in xs]
+    return calls
+
+
 def _cli_output(package, argv: tuple) -> tuple:
     """(exit code, stdout, stderr) of one tree's cli.main(argv)."""
     main = importlib.import_module(f"{package.__name__}.cli").main
@@ -277,6 +338,12 @@ def _series_table(package, kind: str, order: int):
     """One tree's series table of `kind` ("small" or "large") and order."""
     series = package.series
     return (series.small_x_coeffs if kind == "small" else series.large_x_coeffs)(order)
+
+
+@functools.lru_cache(maxsize=None)
+def _cheb_model(package, order: int):
+    """One tree's chebyshev.fit(CHEB_SPLIT, order)."""
+    return package.chebyshev.fit(CHEB_SPLIT, order)
 
 
 def _run(package, operation: str, args: tuple) -> str:
@@ -312,6 +379,12 @@ def _run(package, operation: str, args: tuple) -> str:
             out = package.core.eval_real(x, n, side=side)
         elif operation == "fit":
             out = package.chebyshev.fit(*args)
+        elif operation == "eval_series":
+            kind, order, x = args
+            out = package.series.eval_series(x, _series_table(package, kind, order))
+        elif operation == "eval_cheb":
+            order, x = args
+            out = package.chebyshev.eval_cheb(x, _cheb_model(package, order))
         elif operation == "cli":
             out = _cli_output(package, args)
         else:
@@ -323,7 +396,7 @@ def _run(package, operation: str, args: tuple) -> str:
 
 def compare(change, parent, scale: float = 1.0) -> tuple[int, list[str]]:
     """Run the census on both packages: (calls made per tree, differences)."""
-    calls = census(change.complex_plane, scale)
+    calls = census(change, scale)
     differences = []
     for operation, args in calls:
         a, b = _run(change, operation, args), _run(parent, operation, args)
@@ -394,6 +467,60 @@ def time_routes(change, parent, passes: int = 40, per_route: int = 300) -> dict:
     return _paired(steps, passes, "us", 1e6 / per_route)
 
 
+def _eval_steps(package) -> dict[str, tuple]:
+    """The timed point evaluations: name -> (evaluator, table or model)."""
+    return {
+        "eval_series(small, 300)": (package.series.eval_series,
+                                    _series_table(package, "small", 300)),
+        "eval_series(large, 300)": (package.series.eval_series,
+                                    _series_table(package, "large", 300)),
+        "eval_cheb(15)": (package.chebyshev.eval_cheb, _cheb_model(package, 15)),
+    }
+
+
+def _eval_points(package) -> dict[str, list[float]]:
+    """Per timed evaluation, the table-evaluation pool's x that return a
+    value on `package`."""
+    steps = _eval_steps(package)
+    points = {name: [] for name in steps}
+    for operation, args in _table_eval_calls(package, 1.0):
+        if operation == "eval_series" and args[1] == 300:
+            name = f"eval_series({args[0]}, 300)"
+        elif operation == "eval_cheb" and args[0] == 15:
+            name = "eval_cheb(15)"
+        else:
+            continue
+        ev, model = steps[name]
+        try:
+            ev(args[-1], model)
+        except package.errors.WtanError:
+            continue
+        points[name].append(args[-1])
+    return points
+
+
+def time_evals(change, parent, passes: int = 40) -> dict:
+    """eval_series on both order-300 tables and eval_cheb on the order-15
+    fit, over the pool's draws that return a value: each tree's median us
+    per call, as `_paired` times it.  Each pass runs once on both trees
+    first, outside the timing."""
+    def run(package, name, xs):
+        ev, model = _eval_steps(package)[name]
+
+        def one_pass():
+            for x in xs:
+                ev(x, model)
+        return one_pass
+
+    report = {}
+    for name, xs in _eval_points(change).items():
+        sides = {"parent": run(parent, name, xs), "change": run(change, name, xs)}
+        for one_pass in sides.values():
+            one_pass()
+        report.update(_paired({name: sides}, passes, "us", 1e6 / len(xs)))
+    return report
+
+
 def time_series(change, parent, passes: int = 40) -> dict:
     """lagrange_b(1..30), large_x_coeffs(300), and recursion_residuals and
     radius_estimates of each order-300 table: each tree's median ms per
@@ -445,7 +572,8 @@ def main(argv=None) -> int:
         if args.routes:
             print(json.dumps(time_routes(change, parent), indent=1))
         if args.series:
-            print(json.dumps(time_series(change, parent), indent=1))
+            print(json.dumps({**time_series(change, parent), **time_evals(change, parent)},
+                             indent=1))
     return 1 if differences else 0
 
 

@@ -54,6 +54,20 @@ def imaginary_boundary_oracle(u):
     return bisect(lambda p: p * math.tanh(p) + u, 1e-12, max(10.0, -2.0 * u))
 
 
+def jump_residual(model, entry, psi):
+    """Defect of the square well's derivative-jump condition across the
+    contact term,
+
+        |(A_II + A_I) k cos(ka/2) - k^2 lambda A_I sin(ka/2)| ,
+
+    identically zero for exact eigenstates (odd states satisfy it with both
+    sides vanishing)."""
+    k, a = entry.k, model.width_a
+    half = 0.5 * k * a
+    return abs((psi.A_II + psi.A_I) * k * math.cos(half)
+               - k * k * model.lam * psi.A_I * math.sin(half))
+
+
 # printed branch-point table used by several suites (frozen reference data)
 BRANCH_POINT_TABLE = [
     # n, x_re, x_im, |x|, y_re, y_im

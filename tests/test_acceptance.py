@@ -31,7 +31,6 @@ from wtan.integrals import (
 from wtan.quantum import (
     Parity,
     WellModel,
-    jump_residual,
     spectrum,
     variational_bound_1,
     variational_bound_2,
@@ -45,7 +44,7 @@ from wtan.series import (
     small_x_coeffs,
 )
 
-from conftest import BRANCH_POINT_TABLE
+from conftest import BRANCH_POINT_TABLE, jump_residual
 
 PI2 = math.pi ** 2
 

@@ -45,8 +45,9 @@ def test_a_reassociated_newton_operation_reports_differences(tmp_path):
     ("range(k + 1 - n, k * n + 1, k + 1)", "range(k + 2 - n, k * n + 2, k + 1)",
      ("lagrange_b(",)),
     # 20 bits of m^k: corrections off by up to ~2^35 units; `wtan series`
-    # prints the radius estimates too
-    ("_TOP_BITS = 160", "_TOP_BITS = 20", ("radius_estimates(", "cli('series',")),
+    # prints the radius estimates too, and eval_series' bound is a root test
+    ("_TOP_BITS = 160", "_TOP_BITS = 20",
+     ("radius_estimates(", "cli('series',", "eval_series(")),
 ])
 def test_a_mutated_series_step_reports_its_differences(tmp_path, old, new, operations):
     shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
@@ -77,3 +78,25 @@ def test_a_mutated_spectrum_margin_reports_its_differences(tmp_path):
     assert all(line.startswith("spectrum(") for line in differences)
     # and the ties, at even counts, are among them
     assert any(line.startswith("spectrum(1.0, 1e+300, 4):") for line in differences)
+
+
+@pytest.mark.parametrize("module, old, new, operation", [
+    # sqrt(x) by exp and log: the small-argument prefactor, other roundings
+    ("series.py", "t, q, scale = x, x / bound, math.sqrt(x)",
+     "t, q, scale = x, x / bound, math.exp(0.5 * math.log(x))", "eval_series("),
+    # Clenshaw's step reassociated: the same sum in exact arithmetic
+    ("chebyshev.py", "d1, d2 = s2 * d1 - d2 + ck, d1", "d1, d2 = s2 * d1 + (ck - d2), d1",
+     "eval_cheb("),
+])
+def test_a_mutated_table_evaluator_reports_its_differences(tmp_path, module, old, new,
+                                                           operation):
+    shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
+    path = tmp_path / "wtan" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    change = compare_trees.load(SRC, "wtan_smoke_change")
+    mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
+    calls, differences = compare_trees.compare(change, mutated, scale=0.02)
+    assert differences
+    assert all(line.startswith(operation) for line in differences)

@@ -13,6 +13,10 @@ log10|z| spread over [-2, 308.23]; and on sheets up to 1e6, and at 2^53
 and 1e18, on the routes that solve directly: outside the cut disk and
 right of the band of cuts inside it.  Past |n| = 2^1020, where (|n|-1/2)*pi
 overflows, both solvers raise DomainViolation.
+
+Any real: eval_real, eval_series, eval_cheb and WellModel take numpy
+float16, float32 and float64 scalars, ints (past float64's range
+included) and bools as the float nearest them, +-inf past the range.
 """
 
 import cmath
@@ -20,6 +24,7 @@ import math
 from unittest import mock
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -27,9 +32,12 @@ from hypothesis import strategies as st
 import wtan.core
 from wtan import complex_plane
 from wtan.branch_points import find_branch_point
+from wtan.chebyshev import eval_cheb, fit
 from wtan.complex_plane import EXTERIOR_FACTOR, eval_complex
 from wtan.core import eval_real, halley_step
 from wtan.errors import DomainViolation, OnCut, WtanError
+from wtan.quantum import WellModel, spectrum
+from wtan.series import eval_series, large_x_coeffs, small_x_coeffs
 
 EPS = 2.220446049250313e-16
 
@@ -210,3 +218,50 @@ def test_branch_index_at_the_float_limit(atlas, n):
                 call()
             except WtanError:
                 pass
+
+
+def _nearest_float(v) -> float:
+    """float(v), or +-inf where v is past float64's range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def _outcome(call, *args) -> str:
+    """repr of call(*args), whose type shows, or its WtanError or ValueError."""
+    try:
+        return repr(call(*args))
+    except (WtanError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+reals = st.one_of(
+    st.floats(width=16).map(np.float16),
+    st.floats(width=32).map(np.float32),
+    st.floats().map(np.float64),
+    st.integers(min_value=-(2 ** 1100), max_value=2 ** 1100),
+    st.booleans(),
+)
+_TABLES = (small_x_coeffs(40), large_x_coeffs(40))
+_MODEL = fit(3.5, 15)
+
+
+@settings(max_examples=300)
+@given(reals, st.sampled_from([1, -1, 2, 7]))
+@example(np.float32(0.5), 1)          # NoConvergence when computed in float32
+@example(np.float32(3.0), 2)          # a float32 value, 1e-7 off
+@example(10 ** 400, 1)                # a bare OverflowError
+@example(-(2 ** 1024 - 2 ** 970), 1)  # rounds to -inf
+@example(2 ** 1024 - 2 ** 970 - 1, 1)  # rounds to the largest float
+@example(np.float16(-0.0), 3)
+def test_any_real_is_its_nearest_float(x, n):
+    f = _nearest_float(x)
+    assert _outcome(eval_real, x, n) == _outcome(eval_real, f, n)
+    for table in _TABLES:
+        assert _outcome(eval_series, x, table) == _outcome(eval_series, f, table)
+    assert _outcome(eval_cheb, x, _MODEL) == _outcome(eval_cheb, f, _MODEL)
+    for args, floats in (((x, 0.5), (f, 0.5)), ((1.0, x), (1.0, f)), ((x, x), (f, f))):
+        assert _outcome(WellModel, *args) == _outcome(WellModel, *floats)
+        assert _outcome(lambda *a: spectrum(WellModel(*a), 3), *args) == \
+            _outcome(lambda *a: spectrum(WellModel(*a), 3), *floats)

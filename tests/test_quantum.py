@@ -10,13 +10,14 @@ from wtan.quantum import (
     Parity,
     SpectrumEntry,
     WellModel,
-    jump_residual,
     rayleigh_quotient,
     spectrum,
     variational_bound_1,
     variational_bound_2,
     wavefunction,
 )
+
+from conftest import jump_residual
 
 
 def _golden_section_min(f, lo, hi, xatol):
@@ -120,6 +121,24 @@ class TestSpectrum:
         # +-1e300 already round to the same floats
         assert spectrum(WellModel(width_a=1.0, lam=lam), 8) == \
             spectrum(WellModel(width_a=1.0, lam=0.0), 8)
+
+    @pytest.mark.parametrize("width, lam", [(1e-150, -1e300), (1e-152, -1e180)])
+    def test_ratio_underflowing_to_minus_zero_gives_the_0_minus_limit(self, width, lam):
+        # a/lambda rounds to -0.0: even level n is eval_real's x -> 0- limit
+        # n*pi, so k = 2n*pi/a, tied with odd level n and sorted before it
+        assert width / lam == 0.0
+        levels = spectrum(WellModel(width_a=width, lam=lam), 7)
+        assert [e.parity for e in levels] == [Parity.EVEN, Parity.ODD] * 3 + [Parity.EVEN]
+        for n, entry in enumerate(even_levels(levels), start=1):
+            assert entry.branch == n and entry.k == 2.0 / width * (n * math.pi)
+
+    @pytest.mark.parametrize("width, lam", [(1e-150, 1e300), (1e-152, 1e180)])
+    def test_ratio_underflowing_to_plus_zero_raises_on_its_zero_level(self, width, lam):
+        # the x -> 0+ limit (n-1)*pi puts the first even level at k = E = 0,
+        # below the smallest normal float: DomainViolation by the docstring's rule
+        assert width / lam == 0.0
+        with pytest.raises(DomainViolation, match="level 0 .* has k = 0.0, E = 0.0"):
+            spectrum(WellModel(width_a=width, lam=lam), 3)
 
     def test_weak_coupling_limit(self):
         model = WellModel(width_a=1.0, lam=1e-8)

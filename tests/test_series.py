@@ -17,6 +17,7 @@ from wtan.series import (
     RHO_HAT,
     RHO_LIMIT,
     AsymptoticFit,
+    SeriesEval,
     SeriesKind,
     SeriesTable,
     eval_series,
@@ -352,7 +353,7 @@ class TestTruncation:
         full = scale * full_horner(coeffs, t)
         assert abs(got.value - full) <= math.ulp(full)
         assert got.truncation_estimate == scale * abs(coeffs[-1] * t ** table.order)
-        K = series._last_order(table, q)
+        K = series._last_order(q, table.order, table._envelope)
         tail, head = tail_and_head(table, t, K)
         assert tail <= head
         return got.value, full, K
@@ -399,9 +400,10 @@ class TestTruncation:
         # log2(2^63 / (1 - q)) / log2(1/q) with M = |c_0| = 1: q = 1/2.64
         # needs c_0..c_45, q = 2/2.64 c_0..c_162, q = 2.64/20 c_0..c_21
         small, large = tables
-        assert [series._last_order(small, x / small._bound) for x in (1.0, 2.0)] == [45, 162]
-        assert series._last_order(large, large._bound / 20.0) == 21
-        assert series._last_order(large, 0.0) == 0
+        assert [series._last_order(x / small._bound, 300, small._envelope)
+                for x in (1.0, 2.0)] == [45, 162]
+        assert series._last_order(large._bound / 20.0, 300, large._envelope) == 21
+        assert series._last_order(0.0, 300, large._envelope) == 0
 
     def test_envelope_is_not_a_field(self, tables):
         for table in tables:
@@ -709,8 +711,19 @@ class TestRecords:
             "SeriesTable(kind=<SeriesKind.LARGE_X: 'large'>, order=1, "
             "primary=(Fraction(1, 1), Fraction(-1, 1)), "
             "secondary=(Fraction(1, 1), Fraction(1, 1)), precision_digits=77)")
-        eval_series(100.0, table)   # caches floats and bound beside the fields
+        inside = eval_series(100.0, table)   # caches floats and bound beside the fields
         assert repr(table).endswith("precision_digits=77)")
+        # built by tuple.__new__, at x = 0 too: still the record, field for field
+        at_zero = eval_series(0.0, small_x_coeffs(1))
+        assert repr(inside) == (
+            "SeriesEval(value=1.5550883635269477, truncation_estimate=0.015707963267948967)")
+        assert repr(at_zero) == "SeriesEval(value=0.0, truncation_estimate=0.0)"
+        for value in (inside, at_zero):
+            assert type(value) is SeriesEval
+            assert value._fields == ("value", "truncation_estimate")
+            for field in value._fields:
+                with pytest.raises(AttributeError):
+                    setattr(value, field, 0.0)
         assert repr(radius_estimates(table)) == (
             "[RadiusEstimate(k=1, rho=1.0, kind=<SeriesKind.LARGE_X: 'large'>)]")
         assert repr(AsymptoticFit(c=0.5, a=2.25, b=-3.5, rho=2.64, residual=0.001)) == (
