@@ -28,7 +28,7 @@ from itertools import repeat
 from operator import mul, truediv
 from typing import NamedTuple
 
-from .core import HALF_PI, _float, _ordered_sum, eval_real
+from .core import HALF_PI, _float, _integer, _ordered_sum, eval_real
 from .errors import NonFiniteArgument, SamplingFailure, WtanError
 
 __all__ = ["ChebyshevModel", "fit", "eval_cheb"]
@@ -92,13 +92,15 @@ def fit(split_a: float = 3.5, order: int = 15) -> ChebyshevModel:
     (2/pi) w(a/t) against t on [-1, 1] (t = 0 is the limit value 1 at
     infinity, sampled exactly at an odd order's middle node); w/pi on
     [-a, 0).  The Gauss nodes never reach s = +-1, so neither x = 0 end is
-    sampled.
+    sampled.  Any real split (a numpy scalar, an int) is rounded to the
+    nearest float first, +-inf past float64's range, and the order is taken
+    as a Python int (TypeError for a bool or a non-integer).
     """
-    if split_a <= 0:
+    a, order = _float(split_a), _integer(order, "order")
+    if a <= 0:
         raise ValueError("split point must be positive")
     if order < 4:
         raise ValueError("order must be >= 4")
-    a = split_a
 
     def alpha_target(s: float) -> float:
         x = 0.5 * a * (s + 1.0)

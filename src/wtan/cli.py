@@ -16,23 +16,29 @@ overridable with --precision); None is an empty CSV cell or JSON null,
 and JSON holds a non-finite float as the CSV's text: "inf", "-inf" or
 "nan", so the output is strict JSON.
 
+The command line is read from one table, `_COMMANDS`: each command's
+function, help line and flags, and each flag's converter (a `_checked`
+rule, a range parser or a list of choices), default or required mark and
+help line; every command also takes the output flags.  A short loop reads
+it, with no argparse: `--flag value` and `--flag=value`, switches, unique
+prefixes of a flag, the last of a repeated flag winning.  A value-taking
+flag takes the next token as its value whatever it begins with, so
+`--x -1e-3` and `--range -3.5:3.5` need no '=' form.  Each usage error
+writes one `error: ...` line to stderr, nothing to stdout, and raises
+SystemExit(2); -h/--help (at the top level and per command) and
+--version print to stdout and raise SystemExit(0).
+
 Exit codes: 0 success, 2 domain/usage error, 1 internal failure.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import math
 import sys
-from typing import Callable
+from types import SimpleNamespace
 
 from . import __version__
-from .core import (
-    defining_residual,
-    derivative as dw_dx,
-    eval_real,
-)
+from .core import defining_residual, derivative as dw_dx, eval_real
 from .errors import WtanError
 
 __all__ = ["main"]
@@ -43,16 +49,15 @@ def _usage_error(msg: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _checked(convert: Callable[[str], object], rule: str,
-             ok: Callable) -> Callable[[str], object]:
-    """argparse type: convert(text) (int, float or a range) satisfying `ok`,
-    else a usage error stating `rule`."""
+def _checked(convert, rule: str, ok):
+    """A flag's converter: convert(text) (int, float or a range) satisfying
+    `ok`, else a usage error stating `rule`."""
     def parse(text: str):
         value = convert(text)
         if not ok(value):
             raise _usage_error(f"{rule}, got {text}")
         return value
-    parse.__name__ = convert.__name__  # argparse's message: "invalid int value"
+    parse.__name__ = convert.__name__  # for the message "invalid int value"
     return parse
 
 
@@ -102,34 +107,20 @@ def _emit(columns: tuple[str, ...], rows, args) -> None:
             fh.write(text)
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--precision", type=_PRECISION, default=12,
-                   help="significant digits for floats (default 12)")
-    p.add_argument("--output", default="-", metavar="PATH",
-                   help="output file, '-' for stdout")
-
-
-def _parse_complex(text: str) -> complex:
+def _parse_pair(text: str, form: str = "lo:hi") -> tuple[float, float]:
+    """The two floats of `text` written as `form` ('lo:hi' or 're,im'), else
+    a usage error."""
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        a, b = text.split(form[2])
+        return float(a), float(b)
     except ValueError:
-        raise _usage_error(f"expected 're,im', got {text!r}")
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    try:
-        lo_s, hi_s = text.split(":")
-        return float(lo_s), float(hi_s)
-    except ValueError:
-        raise _usage_error(f"expected 'lo:hi', got {text!r}")
+        raise _usage_error(f"expected {form!r}, got {text!r}") from None
 
 
 # grid spaces its points by (hi - lo)/(points - 1): that must be finite
-_GRID_RANGE = _checked(_parse_range, "--range needs finite lo, hi and hi - lo",
+_GRID_RANGE = _checked(_parse_pair, "--range needs finite lo, hi and hi - lo",
                        lambda r: math.isfinite(r[1] - r[0]))
-_QUAD_RANGE = _checked(_parse_range, "--range needs 0 < lo <= hi < inf",
+_QUAD_RANGE = _checked(_parse_pair, "--range needs 0 < lo <= hi < inf",
                        lambda r: 0.0 < r[0] <= r[1] < math.inf)
 
 
@@ -139,7 +130,7 @@ _QUAD_RANGE = _checked(_parse_range, "--range needs 0 < lo <= hi < inf",
 
 def cmd_eval(args):
     if args.z is not None:
-        z = _parse_complex(args.z)
+        z = complex(*_parse_pair(args.z, "re,im"))
         if args.scheme == "real":
             raise _usage_error("--z requires --scheme finite-cuts")
         from .complex_plane import eval_complex
@@ -207,28 +198,21 @@ def cmd_qm(args):
 
 
 def cmd_integrals(args):
-    from .integrals import (
-        CATALAN_COMBINATION,
-        LOG_SIN_TOTAL,
-        check_indefinite_log,
-        check_indefinite_logsin,
-        definite_catalan,
-        definite_lnsin,
-    )
+    from .integrals import (CATALAN_COMBINATION, LOG_SIN_TOTAL, check_indefinite_log,
+                            check_indefinite_logsin, definite_catalan, definite_lnsin)
 
     lo, hi = args.range
     checks = (
         ("definite_lnsin", definite_lnsin(), LOG_SIN_TOTAL),
         ("definite_catalan", definite_catalan(), CATALAN_COMBINATION),
         ("indefinite_log_residual", check_indefinite_log(lo, hi), 0.0),
-        ("indefinite_logsin_residual", check_indefinite_logsin(lo, hi), 0.0),
-    )
+        ("indefinite_logsin_residual", check_indefinite_logsin(lo, hi), 0.0))
     return ("name", "value", "reference", "abs_error"), (
         (name, value, ref, abs(value - ref)) for name, value, ref in checks)
 
 
 def cmd_dispersion(args):
-    z = _parse_complex(args.at)
+    z = complex(*_parse_pair(args.at, "re,im"))
     from .complex_plane import SheetAtlas, dispersion_eval, eval_complex
 
     d = dispersion_eval(z, SheetAtlas())
@@ -244,10 +228,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 def _grid_value(x: float, branch: int) -> float | None:
     """eval_real(x, branch), or None (an empty cell) at 0 and on a domain error."""
-    if x == 0.0:
-        return None
     try:
-        return eval_real(x, branch)
+        return eval_real(x, branch) if x != 0.0 else None
     except WtanError:
         return None
 
@@ -258,108 +240,150 @@ def cmd_grid(args):
         (x, _grid_value(x, args.branch)) for x in _linspace(lo, hi, args.points))
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `wtan` argument parser, built once per process: parsing keeps no
-    state in it, so every `main` call in a process shares it."""
-    ap = argparse.ArgumentParser(
-        prog="wtan",
-        description="Branch-aware evaluation of the solution of w*tan(w) = x.",
-    )
-    ap.add_argument("--version", action="version", version=f"wtan {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+# ---------------------------------------------------------------------------
+# the command table and its parser
+# ---------------------------------------------------------------------------
 
-    p = sub.add_parser("eval", help="evaluate one branch at a point")
-    where = p.add_mutually_exclusive_group(required=True)
-    where.add_argument("--x", type=float)
-    where.add_argument("--z", metavar="RE,IM")
-    p.add_argument("--branch", type=_BRANCH, default=1)
-    p.add_argument("--scheme", choices=("real", "finite-cuts"), default="real")
-    p.add_argument("--side", choices=("pos", "neg"), default=None,
-                   help="limit side for x = 0 exactly")
-    p.add_argument("--derivative", action="store_true")
-    p.add_argument("--check", action="store_true",
-                   help="add a column stating the printed value round-trips")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_eval)
+# flag -> (converter, default, help).  A tuple converter lists the choices,
+# None makes a switch (default False), and any other maps the value text to
+# the attribute, raising ValueError or a usage error.  A default of ... marks
+# a flag that must be given.
+_OUTPUT_FLAGS = {
+    "--format": (("csv", "json"), "csv", "csv or json (default csv)"),
+    "--precision": (_PRECISION, 12, "significant digits of floats, 1..30 (default 12)"),
+    "--output": (str, "-", "output file, '-' for stdout (default)")}
 
-    p = sub.add_parser("series", help="expansion coefficient tables")
-    p.add_argument("--kind", choices=("small", "large"), required=True)
-    p.add_argument("--order", type=_ORDER, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_series)
-
-    p = sub.add_parser("cheb", help="piecewise Chebyshev coefficients")
-    p.add_argument("--split", type=_SPLIT, default=3.5)
-    p.add_argument("--order", type=_CHEB_ORDER, default=15)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_cheb)
-
-    p = sub.add_parser("branch-points", help="branch point table")
-    p.add_argument("--count", type=_COUNT, default=6)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_branch_points)
-
-    p = sub.add_parser("qm", help="square-well spectrum / wavefunctions")
-    p.add_argument("--width", type=_WIDTH, default=math.pi)
-    p.add_argument("--lambda", type=_LAMBDA, required=True, dest="lambda")
-    p.add_argument("--levels", type=_LEVELS, default=6)
-    p.add_argument("--wavefunction", type=int, default=None, metavar="INDEX",
-                   help="emit samples of one eigenfunction instead")
-    p.add_argument("--points", type=_POINTS, default=101)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_qm)
-
-    p = sub.add_parser("integrals", help="integral identity checks")
-    p.add_argument("--range", type=_QUAD_RANGE, default=(0.5, 2.0),
-                   help="interval lo:hi for the indefinite checks")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_integrals)
-
-    p = sub.add_parser("dispersion", help="cut-reconstruction vs direct value")
-    p.add_argument("--at", required=True, metavar="RE,IM")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_dispersion)
-
-    p = sub.add_parser("grid", help="sample one real branch on a range")
-    p.add_argument("--branch", type=_BRANCH, default=1)
-    p.add_argument("--range", type=_GRID_RANGE, required=True)
-    p.add_argument("--points", type=_POINTS, default=101)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_grid)
-
-    return ap
+# command -> (function, help, the flags of which exactly one must be given,
+# flags); every command also takes the output flags, and -h/--help
+_COMMANDS = {
+    "eval": (cmd_eval, "evaluate one branch at a point", ("--x", "--z"), {
+        "--x": (float, None, "real point"),
+        "--z": (str, None, "complex point re,im (with --scheme finite-cuts)"),
+        "--branch": (_BRANCH, 1, "nonzero branch index (default 1)"),
+        "--scheme": (("real", "finite-cuts"), "real", "real or finite-cuts (default real)"),
+        "--side": (("pos", "neg"), None, "pos or neg: limit side for x = 0 exactly"),
+        "--derivative": (None, False, "add the columns of dy/dx"),
+        "--check": (None, False, "add a column stating the printed value round-trips")}),
+    "series": (cmd_series, "expansion coefficient tables", (), {
+        "--kind": (("small", "large"), ..., "small or large: expansion at 0 or infinity"),
+        "--order": (_ORDER, ..., "highest order, >= 0")}),
+    "cheb": (cmd_cheb, "piecewise Chebyshev coefficients", (), {
+        "--split": (_SPLIT, 3.5, "split point a of the regions (default 3.5)"),
+        "--order": (_CHEB_ORDER, 15, "coefficients per region, >= 4 (default 15)")}),
+    "branch-points": (cmd_branch_points, "branch point table", (), {
+        "--count": (_COUNT, 6, "rows x_1 .. x_count (default 6)")}),
+    "qm": (cmd_qm, "square-well spectrum / wavefunctions", (), {
+        "--width": (_WIDTH, math.pi, "well width a (default pi)"),
+        "--lambda": (_LAMBDA, ..., "contact strength"),
+        "--levels": (_LEVELS, 6, "levels, >= 1 (default 6)"),
+        "--wavefunction": (int, None, "emit samples of eigenfunction INDEX instead"),
+        "--points": (_POINTS, 101, "wavefunction samples, >= 2 (default 101)")}),
+    "integrals": (cmd_integrals, "integral identity checks", (), {
+        "--range": (_QUAD_RANGE, (0.5, 2.0), "lo:hi of the indefinite checks (default 0.5:2)")}),
+    "dispersion": (cmd_dispersion, "cut-reconstruction vs direct value", (), {
+        "--at": (str, ..., "complex point re,im")}),
+    "grid": (cmd_grid, "sample one real branch on a range", (), {
+        "--branch": (_BRANCH, 1, "nonzero branch index (default 1)"),
+        "--range": (_GRID_RANGE, ..., "lo:hi"),
+        "--points": (_POINTS, 101, "samples, >= 2 (default 101)")}),
+}
 
 
-# value-taking flags whose arguments can begin with '-': argparse only
-# accepts such values in '--flag=value' form, so merge the pairs up front
-_NEGATIVE_VALUE_FLAGS = {"--x", "--z", "--at", "--range", "--lambda",
-                         "--width", "--split"}
+def _help(command: str | None, flags: dict) -> str:
+    """The help text of the top level (command None) or of one command."""
+    rows = [] if command else [(name, spec[1]) for name, spec in _COMMANDS.items()]
+    rows += [(flag, text + " (required)" * (d is ...)) for flag, (_, d, text) in flags.items()]
+    head = (f"wtan {command} [FLAGS]\n\n{_COMMANDS[command][1]}\n\nflags:" if command else
+            "wtan [-h] [--version] COMMAND [FLAGS]\n\nBranch-aware evaluation of the solution"
+            " of w*tan(w) = x.\n\ncommands and flags:")
+    return "\n".join([f"usage: {head}", *(f"  {left:<16}{text}" for left, text in rows),
+                      "  -h, --help      print this help and exit\n"])
 
 
-def _merge_negative_values(argv: list[str]) -> list[str]:
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if (tok in _NEGATIVE_VALUE_FLAGS and i + 1 < len(argv)
-                and argv[i + 1].startswith("-")
-                and not argv[i + 1].startswith("--")):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+def _resolve(token: str, names) -> str | None:
+    """The flag `token` names: itself, or the one flag it abbreviates; None
+    for no flag, and a usage error for the prefix of several."""
+    found = [token] if token in names else [
+        name for name in names if name.startswith(token)] if token[:2] == "--" else []
+    if len(found) > 1:
+        raise _usage_error(f"ambiguous option: {token} could match {', '.join(found)}")
+    return found[0] if found else None
+
+
+def _convert(flag: str, convert, text: str):
+    """One value from its text: a choice of the tuple `convert`, or convert(text)."""
+    if type(convert) is tuple:
+        if text not in convert:
+            raise _usage_error(f"argument {flag}: invalid choice: {text!r} "
+                               f"(choose from {', '.join(map(repr, convert))})")
+        return text
+    try:
+        return convert(text)
+    except ValueError:
+        raise _usage_error(f"argument {flag}: invalid {convert.__name__} value: {text!r}") from None
+
+
+def _read(tokens, flags: dict, one_of, command: str | None, stray: list) -> dict:
+    """One level's attributes from its tokens, in two passes.  The first
+    pairs each flag with its value text: a value-taking flag takes the next
+    token, whatever it begins with, and what names no flag goes to `stray`.
+    The second converts the pairs in order, the last of a repeated flag
+    winning; -h, --help and --version print to stdout and raise
+    SystemExit(0) when their turn comes."""
+    names, pairs, tokens = (*flags, "-h", "--help"), [], iter(tokens)
+    for token in tokens:
+        name, eq, text = token.partition("=")
+        flag = _resolve(name, names) if name[:1] == "-" else None
+        if flag is None:
+            stray.append(token)
             continue
-        out.append(tok)
-        i += 1
-    return out
+        convert = flags.get(flag, (None,))[0]
+        pairs.append((flag, convert, eq, text if eq or convert is None else next(tokens, None)))
+    values = {flag[2:]: spec[1] for flag, spec in flags.items()}
+    for flag, convert, eq, text in pairs:
+        if convert is None and eq:
+            raise _usage_error(f"argument {flag}: ignored explicit argument {text!r}")
+        if flag not in flags or flag == "--version":
+            sys.stdout.write(f"wtan {__version__}\n" if flag == "--version" else
+                             _help(command, flags))
+            raise SystemExit(0)
+        if text is None:
+            raise _usage_error(f"argument {flag}: expected one argument")
+        value = True if convert is None else _convert(flag, convert, text)
+        other = [f for f in one_of if f != flag and values[f[2:]] is not None]
+        if flag in one_of and other:
+            raise _usage_error(f"argument {flag}: not allowed with argument {other[0]}")
+        values[flag[2:]] = value
+    missing = [flag for flag in flags if values[flag[2:]] is ...]
+    if missing:
+        raise _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if one_of and all(values[flag[2:]] is None for flag in one_of):
+        raise _usage_error(f"one of the arguments {' '.join(one_of)} is required")
+    return values
+
+
+def _parse(argv) -> SimpleNamespace:
+    """The attributes of one command line: the top level's flags, up to the
+    first token not beginning with "-", then the command's.  A usage error
+    raises SystemExit(2); so do tokens naming no flag, once all else parsed."""
+    stray = []
+    top = next((i for i, token in enumerate(argv) if token[:1] != "-"), len(argv))
+    _read(argv[:top], {"--version": (None, False, "print the version and exit")}, (), None, stray)
+    if top == len(argv):
+        raise _usage_error("the following arguments are required: command")
+    command = _convert("command", tuple(_COMMANDS), argv[top])
+    func, _, one_of, flags = _COMMANDS[command]
+    values = _read(argv[top + 1:], {**flags, **_OUTPUT_FLAGS}, one_of, command, stray)
+    if stray:
+        raise _usage_error(f"unrecognized arguments: {' '.join(stray)}")
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one `wtan` command on `argv` (default: the process's arguments)
-    with the process's one parser; returns the exit code, and usage errors
-    raise SystemExit(2)."""
-    ap = build_parser()
-    raw = list(argv) if argv is not None else sys.argv[1:]
-    args = ap.parse_args(_merge_negative_values(raw))
+    """Run one `wtan` command on `argv` (default: the process's arguments):
+    returns the exit code; a usage error raises SystemExit(2), and -h,
+    --help and --version SystemExit(0)."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _emit(*args.func(args), args)
         return 0

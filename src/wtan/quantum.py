@@ -192,7 +192,9 @@ def wavefunction(model: WellModel, entry: SpectrumEntry) -> Wavefunction:
 def variational_bound_1(x: float) -> float:
     """Ground-branch upper bound (pi/2) sqrt(x/(x+2)) from the unperturbed
     ground trial state; valid for 1/x > -1/2, i.e. x >= 0 or x < -2.
-    NaN and +-inf raise NonFiniteArgument."""
+    Any real x is taken as its nearest float, as in eval_real; NaN and +-inf
+    raise NonFiniteArgument."""
+    x = _float(x)
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x < 0.0 and x >= -2.0:
@@ -214,7 +216,9 @@ def variational_bound_2(x: float) -> float:
     where den cancels, x/den is (5x + 10 + 2 sqrt(...))/(9(x + 4)) instead.
     Where 4x^2 overflows, |x| beyond ~6.7e153, x/den is divided through by
     x: 1/(5 + 10/x + 2 sqrt(4 + 16/x + 25/x^2)), whose limit gives pi/2.
-    NaN and +-inf raise NonFiniteArgument."""
+    Any real x is taken as its nearest float; NaN and +-inf raise
+    NonFiniteArgument."""
+    x = _float(x)
     if not math.isfinite(x):
         raise NonFiniteArgument(f"x must be finite, got {x!r}")
     if x == 0.0:
@@ -238,8 +242,10 @@ def rayleigh_quotient(x: float, b: float) -> float:
     Q(x, b) >= W^(1)(x)^2 for every admissible b; minimizing over b and
     taking the square root reproduces `variational_bound_2`, and b = 0
     reproduces the square of `variational_bound_1`.  For |b| > 1 it is
-    divided through by b^2, so a huge b gives its limit; NaN and +-inf
-    raise NonFiniteArgument."""
+    divided through by b^2, so a huge b gives its limit.  Any real x and b
+    are taken as their nearest floats; NaN and +-inf raise
+    NonFiniteArgument."""
+    x, b = _float(x), _float(b)
     if not (math.isfinite(x) and math.isfinite(b)):
         raise NonFiniteArgument(f"x and b must be finite, got x={x!r}, b={b!r}")
     if x == 0.0:

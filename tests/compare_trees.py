@@ -55,7 +55,14 @@ The census is fixed and seeded.  It calls, in both trees:
   eval_cheb on chebyshev.fit(3.5, order) at orders 4, 15, 31 and 127, at
   +-10**U with U uniform in [-320, 308], at +-a = +-3.5 and one ulp on
   each side, +-0.0, +-inf and nan.  Each tree builds its own tables and
-  fits, once per process.
+  fits, once per process;
+* the CLI pool, after the table-evaluation pool and drawing nothing, so
+  that every call before it stays as it was: the exit code, stdout and
+  stderr of cli.main on every example of README.md's CLI section, with
+  and without --format json; on --version and --help, at the top level and
+  for each command; and on CLI_USAGE_ERRORS, the usage errors that
+  tests/test_cli.py makes.  A scale below 1 runs the first two README
+  examples only.
 
 Each result is compared as repr(result), or as the exception's type name
 and message.  A scale below 1 (the smoke tests') shrinks every seeded
@@ -95,6 +102,7 @@ import random
 import statistics
 import subprocess
 import sys
+import shlex
 import tarfile
 import tempfile
 import time
@@ -111,6 +119,42 @@ SPECTRUM_COUNTS = (*range(1, 11), 300, 3000)
 FIT_ORDERS = (4, 15, 31, 127)
 TABLE_EVAL_ORDERS = (0, 1, 12, 40, 300)
 CHEB_SPLIT = 3.5
+CLI_COMMANDS = ("eval", "series", "cheb", "branch-points", "qm", "integrals", "dispersion",
+                "grid")
+# The argv of every usage error tests/test_cli.py makes (TestEval, TestTables
+# and TestOneParserPerProcess); test_cli.py checks that each is one.
+CLI_USAGE_ERRORS = (
+    ("eval", "--branch", "1"),
+    ("eval", "--x", "1", "--branch", "0"),
+    ("eval", "--x", "1", "--z", "2,2", "--scheme", "finite-cuts"),
+    ("eval", "--x", "-1", "--branch", "1", "--scheme", "finite-cuts"),
+    ("eval", "--z", "1,1"),
+    ("eval", "--z", "1"),
+    ("series", "--kind", "small", "--order", "-1"),
+    ("grid", "--range", "0.5:2", "--points", "0"),
+    ("grid", "--range", "0.5:2", "--points", "-5"),
+    ("grid", "--range", "0.5:2", "--points", "1"),
+    ("qm", "--width", "1", "--lambda", "0.5", "--wavefunction", "0", "--points", "1"),
+    ("cheb", "--order", "0"),
+    ("cheb", "--split", "-1"),
+    ("qm", "--lambda", "1", "--levels", "0"),
+    ("qm", "--lambda", "1", "--width", "0"),
+    ("qm", "--lambda", "1", "--width", "nan"),
+    ("integrals", "--range", "0:1"),
+    ("integrals", "--range", "2:1"),
+    ("integrals", "--range", "1:nan"),
+    ("grid", "--range", "0:inf"),
+    ("grid", "--range", "nan:1"),
+    ("grid", "--range", "-1e308:1e308"),
+    ("branch-points", "--count", "-1"),
+    ("qm", "--lambda", "nan"),
+    ("qm", "--lambda", "inf"),
+    ("qm", "--lambda", "-inf"),
+    ("grid", "--range", "1"),
+    ("qm", "--lambda", "0.5", "--levels", "2", "--wavefunction", "5"),
+    ("grid", "--branch", "0", "--range", "0.5:2"),
+    ("grid", "--points", "9"),
+)
 
 
 def load(src: str, name: str):
@@ -239,7 +283,8 @@ def census(package, scale: float = 1.0) -> list[tuple[str, tuple]]:
             calls += [("recursion_residuals", (kind, order)), ("radius_estimates", (kind, order))]
             if order >= 70:
                 calls.append(("fit_asymptotic", (kind, order, 50, order)))
-    return calls + _real_axis_calls(scale) + _table_eval_calls(package, scale)
+    return (calls + _real_axis_calls(scale) + _table_eval_calls(package, scale)
+            + _cli_calls(scale))
 
 
 def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
@@ -319,6 +364,25 @@ def _table_eval_calls(package, scale: float) -> list[tuple[str, tuple]]:
                for _ in range(2 * count)]
         calls += [("eval_cheb", (order, x)) for x in xs]
     return calls
+
+
+def readme_examples() -> list[tuple[str, ...]]:
+    """The argv of each `wtan ...` line of README.md's CLI section."""
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [tuple(shlex.split(line.split("#", 1)[0]))[1:]
+            for line in block.splitlines() if line.startswith("wtan ")]
+
+
+def _cli_calls(scale: float) -> list[tuple[str, tuple]]:
+    """The CLI pool: README examples, help and version texts, usage errors."""
+    examples = readme_examples() if scale >= 1 else readme_examples()[:2]
+    calls = [("cli", argv) for argv in examples]
+    calls += [("cli", (*argv, "--format", "json")) for argv in examples
+              if "--format" not in argv]
+    calls += [("cli", argv) for argv in (("--version",), ("--help",))]
+    calls += [("cli", (command, "--help")) for command in CLI_COMMANDS]
+    return calls + [("cli", argv) for argv in CLI_USAGE_ERRORS]
 
 
 def _cli_output(package, argv: tuple) -> tuple:

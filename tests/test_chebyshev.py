@@ -70,6 +70,18 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(3.5, 3)
 
+    def test_order_is_an_integer(self, model):
+        # numpy integers are the int they hold; a bool is not an order
+        assert fit(3.5, np.int64(15)) == model
+        for order in (True, 15.0):
+            with pytest.raises(TypeError):
+                fit(3.5, order)
+
+    def test_split_past_the_float_range_is_a_sampling_failure(self):
+        # 10**400 is +inf as a float: no bare OverflowError
+        with pytest.raises(SamplingFailure):
+            fit(10 ** 400, 15)
+
     def test_node_past_the_float_range_is_a_sampling_failure(self):
         # the large-x region samples w at a/t, which overflows to inf here
         with pytest.raises(SamplingFailure):

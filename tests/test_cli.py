@@ -14,9 +14,13 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
+import compare_trees
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wtan.cli import _emit, build_parser, main
+from wtan import __version__, cli
+from wtan.cli import _emit, main
 
 CMD = [sys.executable, "-m", "wtan"]
 ROOT = Path(__file__).resolve().parents[1]
@@ -477,7 +481,6 @@ class TestOneParserPerProcess:
             children = [stack.enter_context(subprocess.Popen(
                 CMD + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()))
                 for argv in self.CALLS]
-            assert build_parser() is build_parser()
             got = [run_cli(*argv) for argv in self.CALLS]
             fresh = [(*child.communicate(), child.returncode) for child in children]
         assert [r.returncode for r in got] == [0] * 9 + [2, 2, 0]
@@ -487,6 +490,284 @@ class TestOneParserPerProcess:
         assert {argv[0] for argv in self.CALLS} == {
             "eval", "series", "cheb", "branch-points", "qm", "integrals",
             "dispersion", "grid"}
+
+
+# The argparse parser `wtan` had before its command table, kept as the
+# reference of TestParserParity: build_parser and _merge_negative_values as
+# they were, reading the converters and subcommands from wtan.cli.
+
+@functools.cache
+def reference_parser() -> argparse.ArgumentParser:
+    def add_output_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--precision", type=cli._PRECISION, default=12,
+                       help="significant digits for floats (default 12)")
+        p.add_argument("--output", default="-", metavar="PATH",
+                       help="output file, '-' for stdout")
+
+    ap = argparse.ArgumentParser(
+        prog="wtan",
+        description="Branch-aware evaluation of the solution of w*tan(w) = x.",
+    )
+    ap.add_argument("--version", action="version", version=f"wtan {__version__}")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("eval", help="evaluate one branch at a point")
+    where = p.add_mutually_exclusive_group(required=True)
+    where.add_argument("--x", type=float)
+    where.add_argument("--z", metavar="RE,IM")
+    p.add_argument("--branch", type=cli._BRANCH, default=1)
+    p.add_argument("--scheme", choices=("real", "finite-cuts"), default="real")
+    p.add_argument("--side", choices=("pos", "neg"), default=None,
+                   help="limit side for x = 0 exactly")
+    p.add_argument("--derivative", action="store_true")
+    p.add_argument("--check", action="store_true",
+                   help="add a column stating the printed value round-trips")
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_eval)
+
+    p = sub.add_parser("series", help="expansion coefficient tables")
+    p.add_argument("--kind", choices=("small", "large"), required=True)
+    p.add_argument("--order", type=cli._ORDER, required=True)
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_series)
+
+    p = sub.add_parser("cheb", help="piecewise Chebyshev coefficients")
+    p.add_argument("--split", type=cli._SPLIT, default=3.5)
+    p.add_argument("--order", type=cli._CHEB_ORDER, default=15)
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_cheb)
+
+    p = sub.add_parser("branch-points", help="branch point table")
+    p.add_argument("--count", type=cli._COUNT, default=6)
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_branch_points)
+
+    p = sub.add_parser("qm", help="square-well spectrum / wavefunctions")
+    p.add_argument("--width", type=cli._WIDTH, default=math.pi)
+    p.add_argument("--lambda", type=cli._LAMBDA, required=True, dest="lambda")
+    p.add_argument("--levels", type=cli._LEVELS, default=6)
+    p.add_argument("--wavefunction", type=int, default=None, metavar="INDEX",
+                   help="emit samples of one eigenfunction instead")
+    p.add_argument("--points", type=cli._POINTS, default=101)
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_qm)
+
+    p = sub.add_parser("integrals", help="integral identity checks")
+    p.add_argument("--range", type=cli._QUAD_RANGE, default=(0.5, 2.0),
+                   help="interval lo:hi for the indefinite checks")
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_integrals)
+
+    p = sub.add_parser("dispersion", help="cut-reconstruction vs direct value")
+    p.add_argument("--at", required=True, metavar="RE,IM")
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_dispersion)
+
+    p = sub.add_parser("grid", help="sample one real branch on a range")
+    p.add_argument("--branch", type=cli._BRANCH, default=1)
+    p.add_argument("--range", type=cli._GRID_RANGE, required=True)
+    p.add_argument("--points", type=cli._POINTS, default=101)
+    add_output_flags(p)
+    p.set_defaults(func=cli.cmd_grid)
+
+    return ap
+
+
+# value-taking flags whose arguments can begin with '-': argparse only
+# accepts such values in '--flag=value' form, so merge the pairs up front
+NEGATIVE_VALUE_FLAGS = {"--x", "--z", "--at", "--range", "--lambda", "--width", "--split"}
+
+
+def merge_negative_values(argv: list[str]) -> list[str]:
+    out = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if (tok in NEGATIVE_VALUE_FLAGS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-")
+                and not argv[i + 1].startswith("--")):
+            out.append(f"{tok}={argv[i + 1]}")
+            i += 2
+            continue
+        out.append(tok)
+        i += 1
+    return out
+
+
+def reference_subparsers() -> dict[str, argparse.ArgumentParser]:
+    return reference_parser()._subparsers._group_actions[0].choices
+
+
+def _attributes(ns) -> str:
+    # repr, so that nan equals nan and -0.0 differs from 0.0
+    return repr(sorted(vars(ns).items()))
+
+
+def reference_outcome(argv: list[str]) -> tuple:
+    """The reference's parse of argv: ("values", its attributes), or ("exit",
+    code) for a usage error (2) or a help or version text (0)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            ns = reference_parser().parse_args(merge_negative_values(argv))
+        except SystemExit as exc:
+            return "exit", exc.code
+    return "values", _attributes(ns)
+
+
+def table_outcome(argv: list[str]) -> tuple:
+    """cli._parse's outcome in the form of reference_outcome; a usage error
+    writes one "error: " line to stderr and nothing to stdout, and help and
+    version texts go to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            outcome = "values", _attributes(cli._parse(argv))
+        except SystemExit as exc:
+            outcome = "exit", exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if outcome == ("exit", 2):
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    elif outcome == ("exit", 0):
+        assert out.endswith("\n") and err == "", argv
+    else:
+        assert out == err == "", argv
+    return outcome
+
+
+def joined(argv: list[str]) -> list[str]:
+    """argv with every value-taking flag of its command, named in full or by
+    a unique prefix, written in '=' form with a next token that begins with
+    '-': the form in which the reference takes any value."""
+    top = next((i for i, token in enumerate(argv) if token[:1] != "-"), len(argv))
+    sub = reference_subparsers().get(argv[top] if top < len(argv) else None)
+    if sub is None:
+        return argv
+    takes = {name: action.nargs != 0 for name, action in sub._option_string_actions.items()}
+    out, rest = argv[:top + 1], iter(argv[top + 1:])
+    for token in rest:
+        found = [token] if token in takes else [
+            name for name in takes if name.startswith(token) and token[:2] == "--"]
+        value = next(rest, None) if len(found) == 1 and takes[found[0]] else None
+        if value is not None and value[:1] == "-":
+            out.append(f"{token}={value}")
+        else:
+            out += [token] if value is None else [token, value]
+    return out
+
+
+# Value texts for any flag: valid, negative, out of range, malformed and
+# flag-like ones.
+VALUE_TEXTS = ["1", "0", "-0", "2", "-2", "7", "-1", "2.5", "-0.5", "1e-8", "-1e-3", "3.5",
+               "15", "101", "nan", "inf", "-inf", "abc", "", "1,1", "-1,2", "2,-2.5", "0.5:2",
+               "-3.5:3.5", "-1:1", "1:nan", "2:1", "csv", "json", "xml", "small", "large",
+               "real", "finite-cuts", "pos", "neg", "-", "-x", "--x", "--derivative", "-h",
+               "a=b", "2 3"]
+# and valid ones, by flag
+VALID_TEXTS = {
+    "--x": ["1", "-1", "2.5", "-1e-3", "0", "1e300"], "--z": ["1,1", "-1,2", "2,-2"],
+    "--branch": ["1", "-2", "3"], "--scheme": ["real", "finite-cuts"], "--side": ["pos", "neg"],
+    "--kind": ["small", "large"], "--order": ["0", "4", "12"], "--split": ["3.5", "1"],
+    "--count": ["1", "6"], "--width": ["1", "3.14"], "--lambda": ["0.5", "-0.5", "1e-8", "0"],
+    "--levels": ["2", "6"], "--wavefunction": ["0", "1", "-1"], "--points": ["2", "11"],
+    "--range": ["0.5:2", "-3.5:3.5", "-1:1"], "--at": ["5,0", "-1,2"],
+    "--format": ["csv", "json"], "--precision": ["1", "12", "30"],
+    "--output": ["-", "out.csv", "-out"],
+}
+
+
+@st.composite
+def command_lines(draw) -> list[str]:
+    """A `wtan` argv: now and then a top-level flag, a command (rarely none
+    or a wrong one), then flags in any order (in half the lines the
+    required ones among them), named in full or by a prefix, in '=' or
+    spaced form, with valid and invalid values, repeats, switches given a
+    value, values left out, unknown flags and stray tokens, -h and
+    --version."""
+    subs = reference_subparsers()
+    top = draw(st.sampled_from(["--version", "-h", "--vers", "--bogus"] + [None] * 20))
+    command = draw(st.sampled_from([*subs] * 4 + ["evl", None]))
+    argv = [top] * (top is not None) + [command] * (command is not None)
+    if command is None:
+        return argv
+    actions = [a for a in subs.get(command, subs["eval"])._actions
+               if a.option_strings and a.dest != "help"]
+    names = [a.option_strings[-1] for a in actions]
+    items = []
+    if draw(st.booleans()):   # the required flags, or one of --x and --z
+        items += [[name, draw(st.sampled_from(VALID_TEXTS[name]))] for name, a in
+                  zip(names, actions) if a.required or a.dest == draw(st.sampled_from("xz"))]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 29))
+        if kind == 0:
+            items.append([draw(st.sampled_from(["-h", "--help", "--he", "--version", "--bogus",
+                                                "stray", "-1"]))])
+            continue
+        name = draw(st.sampled_from(names))
+        form = name[:draw(st.integers(3, len(name)))] if kind % 3 == 0 else name
+        if name not in VALID_TEXTS:   # a switch
+            items.append([form + "=1" * (kind == 1)])
+            continue
+        value = draw(st.sampled_from(VALID_TEXTS[name] if kind > 6 else VALUE_TEXTS))
+        items.append([form] if kind == 2 else [f"{form}={value}"] if kind % 2 else [form, value])
+    return argv + [token for item in draw(st.permutations(items)) for token in item]
+
+
+class TestParserParity:
+    # the table's parser against the argparse reference: the same attribute
+    # values where the reference accepts, the same help or version exit, a
+    # usage error (exit 2, one "error: " line, empty stdout) where it
+    # refuses.  The one difference allowed: a value that begins with "-",
+    # which the reference took only in '=' form for most flags.
+
+    @settings(max_examples=2000)
+    @given(command_lines())
+    @example(["eval", "--x", "1", "--output", "-out"])
+    @example(["eval", "--x", "1", "--output", "--derivative", "-h"])
+    @example(["grid", "--ra", "-3.5:3.5", "--p", "5"])
+    @example(["eval", "--x", "1", "--z", "1,1"])
+    @example(["eval", "--z", "1,1", "--x", "abc"])
+    @example(["eval", "--s", "pos", "--x", "1"])
+    @example(["--bogus", "eval", "-h"])
+    @example(["eval", "-h", "--x"])
+    @example(["qm", "--lambda", "-1", "--lambda=2", "--width", "-1"])
+    @example(["series", "--order", "3", "--kind"])
+    def test_same_attributes_as_the_argparse_reference(self, argv):
+        got, ref = table_outcome(argv), reference_outcome(argv)
+        if got != ref:
+            both = joined(argv)
+            assert both != argv and got == reference_outcome(both), (argv, got, ref)
+
+    @pytest.mark.parametrize("argv, name, value", [
+        (["eval", "--x", "1", "--output", "-out"], "output", "-out"),
+        (["eval", "--x", "1", "--output", "--derivative"], "output", "--derivative"),
+        (["grid", "--ra", "-3.5:3.5"], "range", (-3.5, 3.5)),
+        (["dispersion", "--a", "-1,2"], "at", "-1,2"),
+        (["qm", "--lam", "-1e-8"], "lambda", -1e-8),
+    ])
+    def test_a_value_may_begin_with_a_dash(self, argv, name, value):
+        # the reference refused these; the table takes the next token
+        assert reference_outcome(argv) == ("exit", 2)
+        assert getattr(cli._parse(argv), name) == value
+
+    @pytest.mark.parametrize("argv", compare_trees.CLI_USAGE_ERRORS)
+    def test_the_census_usage_errors_are_usage_errors(self, argv):
+        # tests/compare_trees.py's CLI pool runs these against a parent tree
+        cp = run_cli(*argv)
+        assert (cp.returncode, cp.stdout) == (2, ""), argv
+        assert cp.stderr.startswith("error: ") and cp.stderr.count("\n") == 1, cp.stderr
+
+    @pytest.mark.parametrize("argv", [[], ["eval"], ["qm"]])
+    def test_help_lists_every_flag_of_the_table(self, argv):
+        cp = run_cli(*argv, "--help")
+        assert (cp.returncode, cp.stderr) == (0, "")
+        assert cp.stdout.startswith(f"usage: wtan {argv[0] if argv else '[-h]'}")
+        flags = (cli._COMMANDS[argv[0]][3] | cli._OUTPUT_FLAGS) if argv else cli._COMMANDS
+        assert all(f"\n  {name} " in cp.stdout for name in flags)
+        assert cp.stdout.endswith("  -h, --help      print this help and exit\n")
+
+    def test_version(self):
+        assert run_cli("--version") == (0, f"wtan {__version__}\n", "")
 
 
 # The README's CLI examples, by the name of the file in tests/data/readme_cli
@@ -619,11 +900,13 @@ class TestImport:
     def test_each_command_loads_only_what_it_runs(self, name):
         # beyond what a bare interpreter loads: wtan, its cli, core and
         # errors, plus the command's own modules; none loads numpy, mpmath,
-        # dataclasses or inspect, and only --format json loads json
+        # dataclasses, inspect, argparse, gettext or locale, and only
+        # --format json loads json
         argv = shlex.split(README_EXAMPLES[name])
         loaded = self._loaded("-m", "wtan", *argv)
         assert not {"numpy", "mpmath", "dataclasses", "inspect"} & loaded
         loaded -= self._bare_interpreter_modules()
+        assert not {"argparse", "gettext", "locale"} & loaded
         assert {m for m in loaded if m.startswith("wtan")} == {
             "wtan", "wtan.cli", "wtan.core", "wtan.errors", *OWN_MODULES.get(name, ())}
         assert ("json" in loaded) == ("--format json" in README_EXAMPLES[name])

@@ -14,9 +14,10 @@ and 1e18, on the routes that solve directly: outside the cut disk and
 right of the band of cuts inside it.  Past |n| = 2^1020, where (|n|-1/2)*pi
 overflows, both solvers raise DomainViolation.
 
-Any real: eval_real, eval_series, eval_cheb and WellModel take numpy
-float16, float32 and float64 scalars, ints (past float64's range
-included) and bools as the float nearest them, +-inf past the range.
+Any real: eval_real, eval_series, eval_cheb, chebyshev.fit, WellModel and
+the variational bounds take numpy float16, float32 and float64 scalars,
+ints (past float64's range included) and bools as the float nearest them,
++-inf past the range.
 """
 
 import cmath
@@ -36,7 +37,8 @@ from wtan.chebyshev import eval_cheb, fit
 from wtan.complex_plane import EXTERIOR_FACTOR, eval_complex
 from wtan.core import eval_real, halley_step
 from wtan.errors import DomainViolation, OnCut, WtanError
-from wtan.quantum import WellModel, spectrum
+from wtan.quantum import (WellModel, rayleigh_quotient, spectrum, variational_bound_1,
+                          variational_bound_2)
 from wtan.series import eval_series, large_x_coeffs, small_x_coeffs
 
 EPS = 2.220446049250313e-16
@@ -229,7 +231,8 @@ def _nearest_float(v) -> float:
 
 
 def _outcome(call, *args) -> str:
-    """repr of call(*args), whose type shows, or its WtanError or ValueError."""
+    """repr of call(*args), whose type shows (numpy 2 writes np.float32(...)),
+    or its WtanError or ValueError."""
     try:
         return repr(call(*args))
     except (WtanError, ValueError) as exc:
@@ -255,9 +258,16 @@ _MODEL = fit(3.5, 15)
 @example(-(2 ** 1024 - 2 ** 970), 1)  # rounds to -inf
 @example(2 ** 1024 - 2 ** 970 - 1, 1)  # rounds to the largest float
 @example(np.float16(-0.0), 3)
+@example(np.float32(3.5), 1)          # a float32 fit and its float32 values
+@example(np.float64(3.5), 1)          # a numpy split_a in the fit
+@example(True, 1)
 def test_any_real_is_its_nearest_float(x, n):
     f = _nearest_float(x)
     assert _outcome(eval_real, x, n) == _outcome(eval_real, f, n)
+    assert _outcome(fit, x, 15) == _outcome(fit, f, 15)
+    for call in (variational_bound_1, variational_bound_2,
+                 lambda v: rayleigh_quotient(v, 0.5), lambda v: rayleigh_quotient(1.5, v)):
+        assert _outcome(call, x) == _outcome(call, f)
     for table in _TABLES:
         assert _outcome(eval_series, x, table) == _outcome(eval_series, f, table)
     assert _outcome(eval_cheb, x, _MODEL) == _outcome(eval_cheb, f, _MODEL)
