@@ -186,10 +186,13 @@ lines is ~0.5/m wide, below 1e-4 from sheet ~5000 on, so a point a fixed
 step off one cut line can lie beyond the other.  At x_j itself both limits
 are the double root w_j (its conjugate below the axis).  Close beside it
 Halley stalls within ~sqrt(eps)*(1+|w_j|) of w_j, possibly on the other
-half, where the arcs turn the germ's root away; where `_place` then gives
-no root either, the germ's root is the limit if it lies within
-sqrt(eps)*(1+|w_j|) of w_j, the distance within which a limit may lie on
-the other half at all.  `_vertical_limit` holds both rules.
+half, where the arcs turn the germ's root away.  The stall is often an
+exact 2- or 3-cycle of iterates, and `_refine` ends the solve once an
+iterate repeats, with the iterate 16 steps would have left (its
+docstring).  Where `_place` then gives no root either, the germ's root
+is the limit if it lies within sqrt(eps)*(1+|w_j|) of w_j, the distance
+within which a limit may lie on the other half at all.  `_vertical_limit`
+holds both rules.
 
 Dispersion reconstruction
 -------------------------
@@ -702,13 +705,29 @@ def _refine(x: complex, y: complex) -> complex | None:
     """Polish y toward the root of w*tan(w) = x by Halley iteration: the
     value once a step falls to 1e-15 relative, or after 16 steps with the
     residual within TOL; None where it fails, a stall, a step at a tan
-    pole, or cos overflowing (far up, where tan y -> i)."""
+    pole, or cos overflowing (far up, where tan y -> i).
+
+    A stall is often a cycle: beside a branch point Halley's iterates fall
+    into an exact 2- or 3-cycle.  Iterates are kept from the 4th on; once
+    one repeats a kept one bit for bit (signed zeros differ, nan repeats
+    nothing), every later step repeats a step already taken, which failed
+    the 1e-15 test, so the 16th iterate is read off the cycle,
+    y_(s + (16 - s) mod p) for first index s and period p, and the
+    residual test decides on it as it would after 16 steps."""
+    kept = []   # (y, sign of Re y, sign of Im y): equal where the bits of y are
     try:
-        for _ in range(16):
+        for i in range(1, 17):
             y_new = halley_step(x, y)
             if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
                 return y_new
             y = y_new
+            if i >= 4:
+                key = (y, math.copysign(1.0, y.real), math.copysign(1.0, y.imag))
+                if key in kept:
+                    s = kept.index(key)
+                    y = kept[s + (12 - s) % (i - 4 - s)][0]
+                    break
+                kept.append(key)
     except (PoleProximity, OverflowError):
         return None
     return y if defining_residual(x, y) <= core.TOL * (1.0 + abs(x)) else None

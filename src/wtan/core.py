@@ -322,6 +322,16 @@ def halley_step(x: complex, y: complex) -> complex:
 
     Fixed points are exactly the roots of the defining equation.
 
+    The pole guard is |cos y| < POLE_GUARD = 1e-8, and tan decides it
+    first: |cos y|^2 * |1 + tan^2 y| = 1, so the guard can fire only where
+    |1 + tan^2 y| > 1e16.  cmath.cos is called only where the computed
+    |1 + t^2| (t = tan y) exceeds 2.5e15, a factor 4 of room for the
+    roundings of t, or is not positive: it is 0 wherever |Im y| >= ~373,
+    where t is +-i exactly, so at every |Im y| >= 700, where cos can
+    overflow (from ~709.8 on), and nan or 0 where y is not finite.  tan
+    raises only where cos raises the same error, so every value and
+    exception is the one a guard that forms cos first gives.
+
     Raises
     ------
     PoleProximity
@@ -330,12 +340,12 @@ def halley_step(x: complex, y: complex) -> complex:
     OverflowError
         Where cmath.cos overflows, at |Im y| beyond ~710 (there tan y ~ +-i).
     """
-    if abs(cmath.cos(y)) < POLE_GUARD:
-        raise PoleProximity(f"|cos(y)| < {POLE_GUARD:g} at y={y!r}")
     t = cmath.tan(y)
+    sec2 = 1.0 + t * t
+    if not 0.0 < abs(sec2) <= 2.5e15 and abs(cmath.cos(y)) < POLE_GUARD:
+        raise PoleProximity(f"|cos(y)| < {POLE_GUARD:g} at y={y!r}")
     yt = y * t
     f = x - yt
-    sec2 = 1.0 + t * t
     ysec2 = y * sec2
     den = ysec2 + t
     # degenerate against its terms: where tan(y) ~ i, |den| ~ 1 is regular

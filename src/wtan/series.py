@@ -206,6 +206,13 @@ def _root_test(coeff, k: int, small: bool) -> float:
     return _root(d, abs(n), k) if small else _root(abs(n), d, k)
 
 
+def _dyadic(v: float) -> tuple[int, int]:
+    """(m, e) with v = m / 2^e exactly, e >= 0: a float's integer ratio has
+    a power of 2 below, so v^k = m^k / 2^(e k) scales by a shift."""
+    m, s = v.as_integer_ratio()
+    return m, s.bit_length() - 1
+
+
 def _scaled(values) -> tuple[list[int], int]:
     """Integers N_i and their common denominator D, values[i] = N_i / D."""
     ratios = [v.as_integer_ratio() for v in values]
@@ -273,15 +280,14 @@ class SeriesTable(_TableFields):
         if n0 == 0:
             return math.inf
         try:
-            p, s = self._bound.as_integer_ratio()
-            if self.kind is SeriesKind.LARGE_X:
-                p, s = s, p
-            rk, sk, top = d0, n0, 0.0
-            for c in self.primary:
+            m, e = _dyadic(self._bound)   # r^k = m^k / 2^(e k), or its inverse
+            large = self.kind is SeriesKind.LARGE_X
+            m_k, top = 1, 0.0
+            for k, c in enumerate(self.primary):
                 n, d = c.as_integer_ratio()
-                top = max(top, abs(n) * rk / (d * sk))
-                rk *= p
-                sk *= s
+                n, d = abs(n) * d0, d * n0
+                top = max(top, (n << e * k) / (d * m_k) if large else n * m_k / (d << e * k))
+                m_k *= m
             return math.nextafter(top, math.inf) * (2.0 ** 63 + 2.0 ** 31)
         except OverflowError:
             return math.inf
@@ -320,7 +326,7 @@ class SeriesTable(_TableFields):
             for k in range(K + 1):
                 terms = list(map(mul, b[k::-1], c[:k + 1]))
                 conv = sum(terms) - (one * one if k == 0 else 0)
-                worst = max(worst, abs(conv) / (one * one + max(map(abs, terms))))
+                worst = max(worst, abs(conv) / (one * one + max(max(terms), -min(terms))))
                 if k + 1 <= K:
                     r1 = ((k + 1) * c[k + 1] + (k - 1) * c[k] << Q) - \
                         (pi2_4 * (k - 1) * b[k - 1] if k else 0)
@@ -578,15 +584,16 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
 
     The envelope is removed with the fixed scale 2.64: each detrended
     coefficient is one exact integer quotient rounded to a float, so no
-    order overflows; the detrended sequence w_k = c g^k sin(ak+b)
+    order overflows.  Since 2.64 = m / 2^e exactly, its k-th power is m^k
+    and a shift by e*k bits.  The detrended sequence w_k = c g^k sin(ak+b)
     obeys the exact three-term recurrence w_(k+1) = 2 g cos(a) w_k - g^2
     w_(k-1), so a linear least-squares solve (Prony's method for one damped
-    sinusoid) yields g and a; amplitude and phase follow from a second
-    linear solve.  Both are two-column solves in closed form (`_lstsq2`);
-    their columns are far from parallel (condition numbers ~2.1 and ~1.005
-    for the order-300 tables over k = 50..300), so forming the normal
-    equations costs at most a digit.  The phase is normalized to c > 0 and
-    b in (-2*pi, 0].
+    sinusoid) yields g and a;
+    amplitude and phase follow from a second linear solve.  Both are
+    two-column solves in closed form (`_lstsq2`); their columns are far
+    from parallel (condition numbers ~2.1 and ~1.005 for the order-300
+    tables over k = 50..300), so forming the normal equations costs at
+    most a digit.  The phase is normalized to c > 0 and b in (-2*pi, 0].
     """
     k_min, k_max = _integer(k_min, "k_min"), _integer(k_max, "k_max")
     if k_min < 1:
@@ -597,21 +604,19 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
         raise ValueError(f"table order {table.order} < k_max {k_max}")
     grows = table.kind is SeriesKind.LARGE_X
     ks = range(k_min, k_max + 1)
-    # w_k = coeff_k k^(3/2) (p/q)^k with p/q = 2.64^(-1) (LARGE_X) or 2.64
-    p, q = RHO_HAT.as_integer_ratio()
-    if grows:
-        p, q = q, p
+    # w_k = coeff_k k^(3/2) 2.64^(-k) (LARGE_X) or 2.64^k, 2.64 = m / 2^e
+    m, e = _dyadic(RHO_HAT)
     G = _SQRT_GUARD
-    p_k, q_k = p ** k_min, q ** k_min
+    m_k = m ** k_min
     w = []
     # a detrended w_k, or a g^k of the amplitude step, past the float range
     # raises OverflowError, or ZeroDivisionError where g^k underflows to 0
     try:
         for k in ks:
             n, d = table.primary[k].as_integer_ratio()
-            w.append(n * k * math.isqrt(k << 2 * G) * p_k / (d * q_k << G))
-            p_k *= p
-            q_k *= q
+            n *= k * math.isqrt(k << 2 * G)
+            w.append((n << e * k) / (d * m_k << G) if grows else n * m_k / (d << G + e * k))
+            m_k *= m
         alpha, beta = _lstsq2(w[1:-1], w[:-2], w[2:])
         if beta >= 0.0:
             raise FitDiverged(f"Prony step returned beta={beta}; no oscillation found")

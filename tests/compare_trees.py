@@ -62,7 +62,15 @@ The census is fixed and seeded.  It calls, in both trees:
   and without --format json; on --version and --help, at the top level and
   for each command; and on CLI_USAGE_ERRORS, the usage errors that
   tests/test_cli.py makes.  A scale below 1 runs the first two README
-  examples only.
+  examples only;
+* the near-branch-point pool, after the CLI pool from its own seeded
+  Random, so that every call before it stays as it was: boundary_value
+  1..256 ulps below x_j on the vertical cut, from both sides, on sheets
+  j, j+1 and -j, for j in NEAR_BRANCH_POINTS; continue_from_anchor on
+  the same sheets at 1e-3..1e-11 from x_j; local_expansion_check(n,
+  (1e-2, 1e-4, 1e-6)) for n = 1, 2 and 5; and trace_path loops, one or
+  two turns, of radius 1e-2..1e-6 around x_1, x_2 and x_5.  Here Halley
+  stalls, and its iterates fall into cycles.
 
 Each result is compared as repr(result), or as the exception's type name
 and message.  A scale below 1 (the smoke tests') shrinks every seeded
@@ -76,10 +84,11 @@ pass by pass, and prints one JSON block: per route the median us per
 call of each tree, the median ratio change/parent over the pass pairs, and
 the passes the change won.
 
-With --series it times lagrange_b(1..30), large_x_coeffs(300), and
-recursion_residuals and radius_estimates of both order-300 tables, the
-series steps whose costs the tables bundle of perfbench/tables.py times,
-then eval_series on both order-300 tables and eval_cheb on the order-15
+With --series it times lagrange_b(1..30), large_x_coeffs(300),
+recursion_residuals and radius_estimates of both order-300 tables,
+fit_asymptotic(large, 50, 300) and local_expansion_check(1, (1e-2, 1e-3,
+1e-4)), the steps whose costs the tables bundle of perfbench/tables.py
+times, then eval_series on both order-300 tables and eval_cheb on the order-15
 fit, per call, over the table-evaluation pool's draws that return a
 value: the point evaluations of its closed loop.  The trees alternate
 pass by pass, and it prints one JSON block of the same form: per step
@@ -119,6 +128,7 @@ SPECTRUM_COUNTS = (*range(1, 11), 300, 3000)
 FIT_ORDERS = (4, 15, 31, 127)
 TABLE_EVAL_ORDERS = (0, 1, 12, 40, 300)
 CHEB_SPLIT = 3.5
+NEAR_BRANCH_POINTS = (1, 2, 3, 8, 100, 600, 10 ** 4, 10 ** 6)
 CLI_COMMANDS = ("eval", "series", "cheb", "branch-points", "qm", "integrals", "dispersion",
                 "grid")
 # The argv of every usage error tests/test_cli.py makes (TestEval, TestTables
@@ -257,8 +267,8 @@ def census(package, scale: float = 1.0) -> list[tuple[str, tuple]]:
         waypoints = tuple(complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
                           for _ in range(rng.randint(2, 4)))
         calls.append(("trace_path", (waypoints, rng.choice((1, -1, 2, -2, 3, 4, 6)))))
-    calls += [("dispersion_tables", ()), ("local_expansion_check", (1,)),
-              ("local_expansion_check", (2,))]
+    calls += [("dispersion_tables", ()), ("local_expansion_check", (1, (0.02, 0.01, 0.005))),
+              ("local_expansion_check", (2, (0.02, 0.01, 0.005)))]
     calls += [("dispersion_eval", (complex(rng.uniform(-6, 6), rng.uniform(-6, 6)),))
               for _ in range(max(1, round(scale * 20)))]
     x1 = _geometry(cp, 1)[2][0]
@@ -284,7 +294,7 @@ def census(package, scale: float = 1.0) -> list[tuple[str, tuple]]:
             if order >= 70:
                 calls.append(("fit_asymptotic", (kind, order, 50, order)))
     return (calls + _real_axis_calls(scale) + _table_eval_calls(package, scale)
-            + _cli_calls(scale))
+            + _cli_calls(scale) + _near_branch_point_calls(package, scale))
 
 
 def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
@@ -385,6 +395,33 @@ def _cli_calls(scale: float) -> list[tuple[str, tuple]]:
     return calls + [("cli", argv) for argv in CLI_USAGE_ERRORS]
 
 
+def _near_branch_point_calls(package, scale: float) -> list[tuple[str, tuple]]:
+    """The near-branch-point pool: boundary_value, continue_from_anchor,
+    local_expansion_check and trace_path within 1e-2 of x_j."""
+    cp = package.complex_plane
+    rng = random.Random(48)
+    calls = []
+    count = max(1, round(scale * 12))
+    for j in NEAR_BRANCH_POINTS:
+        xj = _geometry(cp, j)[2][-1]
+        for n in (j, j + 1, -j):
+            for _ in range(count):
+                point = complex(xj.real, _ulps(xj.imag, -rng.randint(1, 256)))
+                calls += [("boundary_value", (point, n, side)) for side in ("LEFT", "RIGHT")]
+                d = cmath.rect(10.0 ** rng.uniform(-11.0, -3.0), rng.uniform(-math.pi, math.pi))
+                calls.append(("continue_from_anchor", (xj + d, n)))
+    calls += [("local_expansion_check", (n, (1e-2, 1e-4, 1e-6))) for n in (1, 2, 5)]
+    for j in (1, 2, 5):
+        xj = _geometry(cp, j)[2][-1]
+        for _ in range(max(1, round(scale * 4))):
+            r, start = 10.0 ** rng.uniform(-6.0, -2.0), rng.uniform(-math.pi, math.pi)
+            turns = rng.choice((1, 2))
+            waypoints = tuple(xj + cmath.rect(r, start + 0.25 * math.pi * i)
+                              for i in range(8 * turns + 1))
+            calls.append(("trace_path", (waypoints, rng.choice((j, j + 1, -j)))))
+    return calls
+
+
 def _cli_output(package, argv: tuple) -> tuple:
     """(exit code, stdout, stderr) of one tree's cli.main(argv)."""
     main = importlib.import_module(f"{package.__name__}.cli").main
@@ -427,7 +464,7 @@ def _run(package, operation: str, args: tuple) -> str:
         elif operation == "dispersion_eval":
             out = cp.dispersion_eval(args[0], cp.SheetAtlas())
         elif operation == "local_expansion_check":
-            out = package.branch_points.local_expansion_check(args[0], (0.02, 0.01, 0.005))
+            out = package.branch_points.local_expansion_check(*args)
         elif operation == "lagrange_b":
             out = package.series.lagrange_b(*args)
         elif operation == "recursion_residuals":
@@ -586,9 +623,10 @@ def time_evals(change, parent, passes: int = 40) -> dict:
 
 
 def time_series(change, parent, passes: int = 40) -> dict:
-    """lagrange_b(1..30), large_x_coeffs(300), and recursion_residuals and
-    radius_estimates of each order-300 table: each tree's median ms per
-    pass, as `_paired` times it.  Every step runs once on both trees first,
+    """lagrange_b(1..30), large_x_coeffs(300), recursion_residuals and
+    radius_estimates of each order-300 table, fit_asymptotic(large, 50,
+    300) and local_expansion_check(1, (1e-2, 1e-3, 1e-4)): each tree's
+    median ms per pass, as `_paired` times it.  Every step runs once on both trees first,
     so that lagrange_b's series and the tables it reads are built outside
     the timing."""
     def lagrange(package):
@@ -604,6 +642,13 @@ def time_series(change, parent, passes: int = 40) -> dict:
         table = _series_table(package, kind, 300)
         return lambda: package.series.radius_estimates(table)
 
+    def fit(package):
+        table = _series_table(package, "large", 300)
+        return lambda: package.series.fit_asymptotic(table, 50, 300)
+
+    def local(package):
+        return lambda: package.branch_points.local_expansion_check(1, (1e-2, 1e-3, 1e-4))
+
     steps = {"lagrange_b(1..30)": {"parent": lagrange(parent), "change": lagrange(change)},
              "large_x_coeffs(300)": {"parent": large(parent), "change": large(change)}}
     for kind in ("small", "large"):
@@ -611,6 +656,9 @@ def time_series(change, parent, passes: int = 40) -> dict:
                                                       "change": residuals(change, kind)}
         steps[f"radius_estimates({kind}, 300)"] = {"parent": radii(parent, kind),
                                                    "change": radii(change, kind)}
+    steps["fit_asymptotic(large, 50, 300)"] = {"parent": fit(parent), "change": fit(change)}
+    steps["local_expansion_check(1, (1e-2, 1e-3, 1e-4))"] = {"parent": local(parent),
+                                                            "change": local(change)}
     for sides in steps.values():
         for run in sides.values():
             run()

@@ -13,13 +13,19 @@ code objects included (co_consts, dis.findlinestarts); module and class
 bodies are skipped, since they run at import, before any test.  Child
 processes that some tests start are not traced.
 
+The lines it reports are read from the files after the run, so it hashes
+every file under src/wtan before the run and refuses to report if any
+was added, removed or changed meanwhile: lines traced in the old text
+would be mapped onto the new one.
+
 Exit status: 0 when every function line ran and tier-1 passed, 1
-otherwise.  Line tables depend on the interpreter: from Python 3.12 on,
-comprehensions are inlined into their function (PEP 709), so the census
-is meant for 3.11.
+otherwise, 2 when src/wtan changed during the run.  Line tables depend
+on the interpreter: from Python 3.12 on, comprehensions are inlined
+into their function (PEP 709), so the census is meant for 3.11.
 """
 
 import dis
+import hashlib
 import inspect
 import os
 import sys
@@ -63,7 +69,20 @@ def function_lines(path: str) -> dict[int, str]:
     return lines
 
 
+def package_hashes() -> dict[str, str]:
+    """sha256 of every file under src/wtan, by path relative to it."""
+    hashes = {}
+    for folder, dirs, files in os.walk(PACKAGE):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        for name in files:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                hashes[os.path.relpath(path, PACKAGE)] = hashlib.sha256(fh.read()).hexdigest()
+    return hashes
+
+
 def main() -> int:
+    before = package_hashes()
     sys.path.insert(0, os.path.join(ROOT, "src"))
     threading.settrace(_global)
     sys.settrace(_global)
@@ -73,6 +92,14 @@ def main() -> int:
                           os.path.join(ROOT, "tests")])
     sys.settrace(None)
     threading.settrace(None)
+    after = package_hashes()
+    changed = sorted(name for name in before.keys() | after.keys()
+                     if before.get(name) != after.get(name))
+    if changed:
+        print(f"src/wtan changed while the suite ran ({', '.join(changed)}): the traced "
+              "lines no longer match the files, so no unrun lines are reported; "
+              "run the census again on an unchanged tree", file=sys.stderr)
+        return 2
     unrun = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):

@@ -862,12 +862,23 @@ class TestImport:
 
     @staticmethod
     def _loaded(*args):
-        """Top-level modules a fresh `python -X importtime <args>` imported."""
-        cp = subprocess.run([sys.executable, "-X", "importtime", *args],
+        """The names in sys.modules of a fresh interpreter after it ran
+        `-c CODE` or `-m MODULE ARGS...` (args), read at exit.  This sees
+        what importlib.import_module loads (wtan's lazy attributes), which
+        `-X importtime` does not log.  A bare interpreter runs the same
+        prelude, so its imports cancel."""
+        option, target, *argv = args
+        run = (f"exec(compile({target!r}, '<string>', 'exec'), {{'__name__': '__main__'}})"
+               if option == "-c" else
+               f"import runpy; sys.argv[1:] = {argv!r}; "
+               f"runpy.run_module({target!r}, run_name='__main__', alter_sys=True)")
+        code = ("import atexit, sys\n"
+                "atexit.register(lambda: print('\\0', *sys.modules, file=sys.stderr))\n"
+                + run)
+        cp = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True, env=child_env())
         assert cp.returncode == 0, cp.stderr
-        return {line.rsplit("|", 1)[1].strip() for line in cp.stderr.splitlines()
-                if line.startswith("import time:")}
+        return set(cp.stderr.rsplit("\0", 1)[1].split())
 
     @staticmethod
     @functools.cache
@@ -887,6 +898,11 @@ class TestImport:
         loaded = self._loaded("-c", "import wtan")
         assert {m for m in loaded if m.startswith("wtan")} == {"wtan"}   # no submodule
         assert not {"numpy", "mpmath"} & loaded
+
+    def test_a_lazy_attribute_counts_as_a_load(self):
+        # wtan's __getattr__ imports through importlib.import_module, which
+        # `-X importtime` does not log; sys.modules holds it all the same
+        assert "wtan.integrals" in self._loaded("-c", "import wtan; wtan.integrals")
 
     def test_complex_plane_loads_on_first_use(self):
         code = ("import sys, wtan; print('wtan.complex_plane' in sys.modules); "

@@ -27,12 +27,13 @@ from wtan.complex_plane import (
     _holds,
     _place,
     _predict,
+    _refine,
     _sheet,
     _walk_segment,
 )
 import wtan
 from wtan.branch_points import find_branch_point, local_expansion_check
-from wtan.core import _gauss_legendre, _panel_nodes, eval_real
+from wtan.core import _gauss_legendre, _panel_nodes, defining_residual, eval_real
 from wtan.errors import (
     DomainViolation,
     NoConvergence,
@@ -40,6 +41,7 @@ from wtan.errors import (
     NotOnCut,
     OnCut,
     OutOfCutRange,
+    PoleProximity,
     QuadratureFailure,
     StepTooLarge,
     WtanError,
@@ -1853,6 +1855,61 @@ class TestBoundaryValues:
                 with pytest.raises(ValueError, match="is not a valid Side"):
                     boundary_value(point, 1, side)
         assert not calls
+
+
+def refine_16_steps(x, y):
+    """`_refine` as it was written before it read cycles, with the number of
+    Halley steps (core's, unwrapped) it took: every stall runs out all 16."""
+    try:
+        for i in range(1, 17):
+            y_new = wtan.core.halley_step(x, y)
+            if abs(y_new - y) <= 1e-15 * (1.0 + abs(y_new)):
+                return y_new, i
+            y = y_new
+    except (PoleProximity, OverflowError):
+        return None, i
+    return (y if defining_residual(x, y) <= wtan.core.TOL * (1.0 + abs(x)) else None), 16
+
+
+def _stalled_seeds():
+    """(x, germ seed) pairs where Halley stalls beside x_j: 1..256 ulps
+    below x_j on sheets 1, 2, 8, 100 and 10^4, then the vertical-cut nodes
+    of both dispersion layouts with t < 0.05*sqrt(Im x_1); both halves."""
+    points = []
+    for j in (1, 2, 8, 100, 10 ** 4):
+        bp = complex_plane._point(j)
+        im = bp.x.imag
+        for _ in range(256):
+            im = math.nextafter(im, 0.0)
+            points.append((complex(bp.x.real, im), bp))
+    bp = complex_plane._point(1)
+    b = bp.x.imag
+    for layout in (complex_plane.DISPERSION_FINE, complex_plane.DISPERSION_COARSE):
+        points += [(complex(bp.x.real, b - t * t), bp)
+                   for t in _panel_nodes(math.sqrt(b), *layout)[0] if t < 0.05 * math.sqrt(b)]
+    return [(x, bp.y + half * cmath.sqrt(x - bp.x)) for x, bp in points for half in (1.0, -1.0)]
+
+
+class TestRefineCycles:
+    def test_same_root_as_sixteen_steps(self, monkeypatch):
+        # bit for bit, None included; where the iterates repeat, fewer steps
+        # than the reference's 16
+        seeds = _stalled_seeds()
+        assert len(seeds) == 2 * (5 * 256 + 13)
+        calls = _count_halley_steps(monkeypatch)
+        cut_short = []
+        for x, y in seeds:
+            del calls[:]
+            got = _refine(x, y)
+            want, steps = refine_16_steps(x, y)
+            assert (got is None) == (want is None), (x, y)
+            if got is not None:
+                assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), \
+                    (x, y)
+            cut_short.append(len(calls) < steps)
+        assert sum(cut_short) > 300
+        # a cold dispersion build meets the cycle at these nodes
+        assert sum(cut_short[-26:]) >= 10
 
 
 class TestDiscontinuities:

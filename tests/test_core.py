@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import struct
 
 import mpmath
 import numpy as np
@@ -263,7 +265,77 @@ class TestEvalReal:
         assert count > 4000
 
 
+def cos_first_halley_step(x, y):
+    """`halley_step` as it was written before its guard read tan: |cos y|
+    is formed first on every step."""
+    if abs(cmath.cos(y)) < wtan.core.POLE_GUARD:
+        raise PoleProximity("pole")
+    t = cmath.tan(y)
+    yt = y * t
+    f = x - yt
+    sec2 = 1.0 + t * t
+    ysec2 = y * sec2
+    den = ysec2 + t
+    if abs(den) < 1e-12 * (1.0 + abs(ysec2) + abs(t)):
+        raise PoleProximity("degenerate")
+    return y + f / (den + (yt + 1.0) * sec2 / den * f)
+
+
+def _step_outcome(step, x, y):
+    """The float bits of step(x, y), or the type of what it raised."""
+    try:
+        v = step(x, y)
+    except Exception as exc:
+        return type(exc)
+    return struct.pack("<dd", v.real, v.imag)
+
+
 class TestHalleyStep:
+    @staticmethod
+    def _assert_as_cos_first(cases):
+        for x, y in cases:
+            assert _step_outcome(halley_step, x, y) == \
+                _step_outcome(cos_first_halley_step, x, y), (x, y)
+
+    def test_guard_as_cos_first_beside_the_poles(self):
+        # |cos y| ~ |y - (k + 1/2) pi| from 10^-9.5 to 1e-7: across both the
+        # guard's 1e-8 and the switch |1 + tan^2 y| = 2.5e15 (|cos y| = 2e-8)
+        rng = random.Random(4801)
+        cases = []
+        for _ in range(20000):
+            k = rng.choice((rng.randint(-40, 40), rng.randint(-10 ** 6, 10 ** 6)))
+            d = cmath.rect(10.0 ** rng.uniform(-9.5, -7.0), rng.uniform(-math.pi, math.pi))
+            x = complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0))
+            cases.append((x, (k + 0.5) * math.pi + d))
+        self._assert_as_cos_first(cases)
+        cos = [abs(cmath.cos(y)) for _, y in cases]
+        sec2 = [abs(1.0 + cmath.tan(y) ** 2) for _, y in cases]
+        assert sum(c < 1e-8 for c in cos) > 3000                        # raised
+        assert sum(c >= 1e-8 and s > 2.5e15 for c, s in zip(cos, sec2)) > 1000  # cos read
+        assert sum(s <= 2.5e15 for s in sec2) > 3000                    # cos not read
+
+    def test_guard_as_cos_first_where_cos_overflows(self):
+        # |Im y| in [690, 720] with both signs: cos overflows from ~709.8;
+        # then |Im y| up to 1e308
+        rng = random.Random(4802)
+        ims = [rng.uniform(690.0, 720.0) for _ in range(4000)]
+        ims += [10.0 ** rng.uniform(2.5, 308.0) for _ in range(1000)]
+        cases = [(complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)),
+                  complex(rng.uniform(-100.0, 100.0), rng.choice((-1.0, 1.0)) * im))
+                 for im in ims]
+        self._assert_as_cos_first(cases)
+        raised = [_step_outcome(halley_step, x, y) is OverflowError for x, y in cases[:4000]]
+        assert 1000 < sum(raised) < 3000
+
+    def test_guard_as_cos_first_off_the_finite_numbers(self):
+        rng = random.Random(4803)
+        parts = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1.0, -1.0, 1e300]
+        cases = [(complex(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0)), complex(a, b))
+                 for a in parts for b in parts if not (math.isfinite(a) and math.isfinite(b))]
+        cases += [(x, complex(rng.uniform(-10.0, 10.0), b)) for x, _ in cases[:8]
+                  for b in (math.inf, -math.inf, math.nan)]
+        self._assert_as_cos_first(cases)
+
     def test_fixed_point(self):
         root = 0.8603335890193797
         assert abs(halley_step(1.0, root) - root) < 1e-12

@@ -605,6 +605,61 @@ def test_tables_same_floats_as_plain_sums(order):
             reference_radii(b, False, large.precision_digits)
 
 
+def detrended_by_products(table, k_min, k_max):
+    """fit_asymptotic's detrended w_k as they were formed before its powers
+    of 2 became shifts: p^k / q^k from 2.64 = p / q, as products."""
+    p, q = RHO_HAT.as_integer_ratio()
+    if table.kind is SeriesKind.LARGE_X:
+        p, q = q, p
+    G = series._SQRT_GUARD
+    p_k, q_k = p ** k_min, q ** k_min
+    w = []
+    for k in range(k_min, k_max + 1):
+        n, d = table.primary[k].as_integer_ratio()
+        w.append(n * k * math.isqrt(k << 2 * G) * p_k / (d * q_k << G))
+        p_k *= p
+        q_k *= q
+    return w
+
+
+def envelope_by_products(table):
+    """`SeriesTable._envelope` as it was formed before its powers of 2
+    became shifts."""
+    n0, d0 = abs(table.primary[0]).as_integer_ratio()
+    p, s = table._bound.as_integer_ratio()
+    if table.kind is SeriesKind.LARGE_X:
+        p, s = s, p
+    rk, sk, top = d0, n0, 0.0
+    for c in table.primary:
+        n, d = c.as_integer_ratio()
+        top = max(top, abs(n) * rk / (d * sk))
+        rk *= p
+        sk *= s
+    return math.nextafter(top, math.inf) * (2.0 ** 63 + 2.0 ** 31)
+
+
+@pytest.mark.parametrize("order", [100, 300])
+def test_powers_of_two_as_shifts_give_the_same_floats(order, monkeypatch):
+    # the fit reads only its detrended w_k, passed whole to its first
+    # two-column solve; the envelope sets eval_series' K
+    solves = []
+
+    def recorded(u, v, rhs):
+        solves.append((u, v, rhs))
+        return lstsq2(u, v, rhs)
+
+    lstsq2 = series._lstsq2
+    monkeypatch.setattr(series, "_lstsq2", recorded)
+    for table in (small_x_coeffs(order), large_x_coeffs(order)):
+        assert table._envelope.hex() == envelope_by_products(table).hex()
+        for k_min in range(21, 51):
+            del solves[:]
+            fit_asymptotic(table, k_min, order)
+            _, previous, following = solves[0]
+            assert [v.hex() for v in previous + following[-2:]] == \
+                [v.hex() for v in detrended_by_products(table, k_min, order)]
+
+
 class TestAsymptoticFit:
 
     def test_large_x_parameters(self, tables):
