@@ -33,7 +33,7 @@ import cmath
 import math
 from typing import NamedTuple, Sequence
 
-from .core import EPS, _integer, _ordered_sum, validate_branch
+from .core import EPS, _float, _integer, _ordered_sum, validate_branch
 from .errors import BracketFailure, ContinuationFailure, NoConvergence, WtanError
 
 __all__ = [
@@ -178,13 +178,14 @@ def local_expansion_check(n: int, radii: Sequence[float]) -> tuple[float, float]
     -------
     (kappa, c_squared)
 
-    Raises ValueError, before any continuation, unless every radius is
-    finite and positive and at least two differ; n is checked first, as
-    `asymptotic_branch_point` checks it.
+    Raises ValueError, before any continuation, unless every radius, taken
+    as `_float` gives it, is finite and positive and at least two differ;
+    n is checked first, as `asymptotic_branch_point` checks it.
     """
     from .complex_plane import _point, _walk_segment, continue_from_anchor  # avoids a cycle
 
     n = _index(n)
+    radii = [_float(r) for r in radii]
     if len(set(radii)) < 2 or not all(0.0 < r < math.inf for r in radii):
         raise ValueError("need at least two distinct radii for the fit, each finite and positive")
     radii = sorted(radii, reverse=True)

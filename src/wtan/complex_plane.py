@@ -227,6 +227,9 @@ from .core import (
     EPS,
     BranchedValue,
     BranchIndex,
+    _complex,
+    _float,
+    _number,
     _ordered_sum,
     _panel_nodes,
     defining_residual,
@@ -312,7 +315,9 @@ class Cut(NamedTuple):
     connects: tuple[BranchIndex, BranchIndex]
 
     def distance(self, z: complex) -> float:
-        """Distance from z to the cut segment; NonFiniteArgument unless z is finite."""
+        """Distance from z, taken as `_number` gives it, to the cut segment;
+        NonFiniteArgument unless z is finite."""
+        z = _number(z)
         if not cmath.isfinite(z):
             raise NonFiniteArgument(f"z must be finite, got {z!r}")
         a, b = self.endpoints
@@ -328,12 +333,13 @@ class _PathFields(NamedTuple):
 
 
 class ContinuationPath(_PathFields):
-    """Waypoints for `trace_path`, each converted with complex()."""
+    """Waypoints for `trace_path`, each converted with complex(), a real
+    past float64's range to the +-inf it rounds to (`_number`)."""
 
     __slots__ = ()
 
     def __new__(cls, waypoints):
-        waypoints = tuple(complex(z) for z in waypoints)
+        waypoints = tuple(complex(_number(z)) for z in waypoints)
         if len(waypoints) < 2:
             raise ValueError("a path needs at least two waypoints")
         return super().__new__(cls, waypoints)
@@ -435,9 +441,8 @@ def cuts_for(n: BranchIndex) -> tuple[Cut, ...]:
 
 def distance_to_cuts(z: complex, n: BranchIndex) -> float:
     """Distance from z to the nearest cut of sheet n; NonFiniteArgument
-    unless |z| is finite."""
-    _modulus(z)
-    return min(_cut_distances(z, _sheet(abs(validate_branch(n)))))
+    unless |z| is finite (`_complex`)."""
+    return min(_cut_distances(_complex(z)[0], _sheet(abs(validate_branch(n)))))
 
 
 def continue_from_anchor(z: complex, n: BranchIndex) -> complex:
@@ -451,8 +456,8 @@ def continue_from_anchor(z: complex, n: BranchIndex) -> complex:
     found: the exterior root refused, or no root placed in the disk.
     """
     n = validate_branch(n)
-    z = complex(z)
-    y = _solve(z, abs(n), _modulus(z), False)[0]
+    z, r = _complex(z)
+    y = _solve(z, abs(n), r, False)[0]
     return y if n > 0 else -y
 
 
@@ -487,18 +492,6 @@ def _solve(z: complex, m: int, r: float, guarded: bool) -> tuple[complex, bool]:
 # ---------------------------------------------------------------------------
 # low-level continuation
 # ---------------------------------------------------------------------------
-
-def _modulus(z: complex) -> float:
-    """|z|, raising NonFiniteArgument where it is not finite (abs() raises a
-    bare OverflowError when finite parts give a modulus above 1.8e308)."""
-    try:
-        r = abs(z)
-    except OverflowError:
-        r = math.inf
-    if not math.isfinite(r):
-        raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
-    return r
-
 
 def _reflect(y: complex, z: complex) -> complex:
     """y, a root placed for z folded to Im z >= 0, back at z: its conjugate
@@ -807,6 +800,9 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas | None = None) ->
 
     Raises
     ------
+    NonFiniteArgument
+        If |z| is not finite (`_complex`): an infinite or NaN part, finite
+        parts whose modulus overflows, or a real past float64's range.
     OnCut
         If z lies within 1e-10 of a cut of sheet n, or within 1e-3 of one of
         the sheet's branch points (where the sheets' roots merge; use
@@ -820,8 +816,7 @@ def eval_complex(z: complex, n: BranchIndex, atlas: SheetAtlas | None = None) ->
         bounds.  No point of the tests or of the benchmark reaches it.
     """
     n = validate_branch(n)
-    z = complex(z)
-    r = _modulus(z)
+    z, r = _complex(z)
     y, certified = _solve(z, abs(n), r, True)
     if n < 0:
         y = -y
@@ -853,7 +848,7 @@ def trace_path(path: ContinuationPath, start_sheet: BranchIndex,
     """
     start_sheet = validate_branch(start_sheet)
     for point in path.waypoints:
-        _modulus(point)
+        _complex(point)
     z = path.waypoints[0]
     y = continue_from_anchor(z, start_sheet)
     records = [(z, y, start_sheet)]
@@ -953,9 +948,11 @@ def boundary_value(point: complex, n: BranchIndex, side: Side,
 
     `side` is a `Side` or its value ("upper", "lower", "left", "right"),
     taken as `Side(side)`: anything else raises ValueError before any solve.
+    The point is converted with complex(), a real past float64's range to
+    the +-inf it rounds to (`_number`), which no cut holds.
     """
     n = validate_branch(n)
-    point = complex(point)
+    point = complex(_number(point))
     side = Side(side)
     _check_on_cut(point, n, side)
     if side in (Side.UPPER, Side.LOWER):
@@ -973,20 +970,21 @@ def discontinuity_delta0(u: float, atlas: SheetAtlas | None = None) -> float:
 
     Defined for Re x_1 <= u <= 0; equals (1/2i)[w(u+i0) - w(u-i0)] by
     reflection symmetry.  The value solves p*tanh(p) = -u for the purely
-    imaginary boundary limit w = i*p.
+    imaginary boundary limit w = i*p.  u is taken as `_float` gives it.
     """
-    a = _sheet(1).bp.x.real
+    a, u = _sheet(1).bp.x.real, _float(u)
     if not (a - 1e-12 <= u <= 0.0 + 1e-12):
         raise OutOfCutRange(f"u={u} outside the real cut [{a}, 0]")
-    return _tanh_root(-float(u))
+    return _tanh_root(-u)
 
 
 def discontinuity_delta1(v: float, atlas: SheetAtlas | None = None) -> complex:
     """Half the right-minus-left jump across the sheet-1 vertical cut at
     height v, 0 <= v <= Im x_1.  Vanishes like sqrt(Im x_1 - v) at the
     branch point where the two boundary values merge; at v = 0, the
-    junction with the real cut, the limits are taken from above."""
-    x1 = _sheet(1).bp.x
+    junction with the real cut, the limits are taken from above.  v is
+    taken as `_float` gives it."""
+    x1, v = _sheet(1).bp.x, _float(v)
     if not (-1e-12 <= v <= x1.imag + 1e-12):
         raise OutOfCutRange(f"v={v} outside [0, {x1.imag}]")
     return _half_jump(complex(x1.real, min(max(v, 0.0), x1.imag)))
@@ -1049,8 +1047,7 @@ def dispersion_eval(z: complex, atlas: SheetAtlas) -> complex:
     Raises NonFiniteArgument if |z| is not finite, and QuadratureFailure
     when the fine/coarse quadrature disagreement exceeds DISPERSION_ABS_TOL.
     """
-    z = complex(z)
-    _modulus(z)
+    z = _complex(z)[0]
     a = _sheet(1).bp.x.real
     fine = _assemble(z, _delta_tables(atlas, *DISPERSION_FINE), a)
     coarse = _assemble(z, _delta_tables(atlas, *DISPERSION_COARSE), a)

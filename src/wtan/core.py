@@ -85,16 +85,19 @@ BranchIndex = int
 _MAX_BRANCH = 2 ** 1020   # keeps (2|n| - 1/2)*pi, the largest multiple formed, finite
 
 
-def _integer(value, name: str) -> int:
+def _integer(value, name: str, least: int | None = None) -> int:
     """value as a Python int: numpy integers are converted, so that shifts,
     powers and negation do not wrap; TypeError "<name> must be an integer"
-    for a bool or a non-integer."""
+    for a bool or a non-integer, and ValueError "<name> must be >= <least>"
+    below `least`."""
     # exact int first: the Integral check is an ABC lookup
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def _float(v) -> float:
@@ -107,6 +110,38 @@ def _float(v) -> float:
         return math.ldexp(v, 0)
     except OverflowError:
         return math.inf if v > 0 else -math.inf
+
+
+def _finite(v, name: str) -> float:
+    """v as `_float` gives it; NonFiniteArgument "<name> must be finite"
+    unless that float is finite."""
+    x = _float(v)
+    if not math.isfinite(x):
+        raise NonFiniteArgument(f"{name} must be finite, got {x!r}")
+    return x
+
+
+def _number(v) -> float | complex:
+    """v as a Python float where it is real, as `_float` gives it (+-inf
+    past float64's range, where complex() raises OverflowError), else as
+    complex() gives it: the Python number nearest a numpy scalar, an int,
+    a bool or a Fraction."""
+    return _float(v) if isinstance(v, numbers.Real) else complex(v)
+
+
+def _complex(z) -> tuple[complex, float]:
+    """(complex(z), |z|); NonFiniteArgument unless |z| is finite.  A real
+    past float64's range (complex() raises OverflowError) is shown as the
+    +-inf it rounds to, and finite parts whose modulus passes 1.8e308
+    (abs() raises OverflowError) are refused too."""
+    try:
+        z = complex(z)
+        r = abs(z)
+    except OverflowError:
+        z, r = complex(_number(z)), math.inf
+    if not math.isfinite(r):
+        raise NonFiniteArgument(f"z must have a finite modulus, got {z!r}")
+    return z, r
 
 
 def validate_branch(n: int) -> int:
@@ -134,7 +169,10 @@ class BranchedValue(NamedTuple):
 
 def defining_residual(x: complex, y: complex) -> float:
     """|y*tan(y) - x|, the defining-equation residual, real or complex; inf
-    where it exceeds float64 (abs() of a complex raises OverflowError)."""
+    where it exceeds float64 (abs() of a complex raises OverflowError).
+    x and y are taken as `_number` gives them."""
+    if type(x) is not complex or type(y) is not complex:   # two tests on the hot path
+        x, y = _number(x), _number(y)
     r = y * cmath.tan(y) - x   # for real y, cmath.tan gives math.tan's bits
     return math.hypot(r.real, r.imag)
 
@@ -291,9 +329,8 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
         rounded root (the error before that rounding is below ~1e-4 ulp).
     """
     n = validate_branch(n)
-    x = x if type(x) is float else _float(x)
-    if not math.isfinite(x):
-        raise NonFiniteArgument(f"x must be finite, got {x!r}")
+    if type(x) is not float or not math.isfinite(x):   # the two tests of a float
+        x = _finite(x, "x")
     if x == 0.0:
         if side is None:
             raise SignedZeroRequired(
@@ -314,6 +351,7 @@ def eval_real(x: float, n: BranchIndex, *, side: int | None = None) -> float:
 def halley_step(x: complex, y: complex) -> complex:
     """One Halley update toward a root of f(w) = x - w*tan(w), at fixed x,
     in complex arithmetic (cmath): the update is complex for real x, y too.
+    x and y are taken as `_number` gives them.
 
     Third-order one-point refinement:
 
@@ -340,6 +378,8 @@ def halley_step(x: complex, y: complex) -> complex:
     OverflowError
         Where cmath.cos overflows, at |Im y| beyond ~710 (there tan y ~ +-i).
     """
+    if type(x) is not complex or type(y) is not complex:   # two tests on the hot path
+        x, y = _number(x), _number(y)
     t = cmath.tan(y)
     sec2 = 1.0 + t * t
     if not 0.0 < abs(sec2) <= 2.5e15 and abs(cmath.cos(y)) < POLE_GUARD:
@@ -371,8 +411,9 @@ def derivative(x: complex, y: complex) -> complex:
     """dw/dx given a consistent pair (x, y) with y*tan(y) = x.
 
     Equal to y / (x + x^2 + y^2); diverges exactly at the branch points,
-    where y^2 + x^2 + x = 0.
+    where y^2 + x^2 + x = 0.  x and y are taken as `_number` gives them.
     """
+    x, y = _number(x), _number(y)
     return y / _branch_denominator(x, y, "derivative")
 
 
@@ -382,8 +423,10 @@ def second_derivative(x: complex, y: complex) -> complex:
         -2*x*y/(y^2+x^2+x)^2 - 2*y^3/(y^2+x^2+x)^3
 
     each term scaled by q = y^2+x^2+x first, -2*(x/q)*(y/q) - 2*(y/q)^3,
-    so that neither 2xy, y^3 nor q^2 leaves the float range.
+    so that neither 2xy, y^3 nor q^2 leaves the float range.  x and y are
+    taken as `_number` gives them.
     """
+    x, y = _number(x), _number(y)
     q = _branch_denominator(x, y, "second derivative")
     return -2.0 * (x / q) * (y / q) - 2.0 * (y / q) ** 3
 
@@ -396,9 +439,11 @@ def branch_identity_residual(x: float, n: BranchIndex, y: float) -> float:
         y = sgn(n)*(|n|-1/2)*pi + Theta(-x)*sgn(y)*pi + arg(x - i*y)
 
     with the principal argument and the step convention Theta(0) = 0.
-    Returns |lhs - rhs|; a correct (x, n, y) triple gives ~0.
+    Returns |lhs - rhs|; a correct (x, n, y) triple gives ~0.  x and y
+    are taken as `_float` gives them.
     """
     n = validate_branch(n)
+    x, y = _float(x), _float(y)
     sgn_n = 1.0 if n > 0 else -1.0
     rhs = sgn_n * (abs(n) - 0.5) * math.pi
     if x < 0.0:

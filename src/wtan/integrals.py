@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .core import EPS, _ordered_sum, _panel_nodes, eval_real
+from .core import EPS, _float, _ordered_sum, _panel_nodes, eval_real
 from .errors import NonFiniteArgument, OutsideConvergence, QuadratureFailure
 
 __all__ = [
@@ -119,7 +119,9 @@ def _quad(f, lo, hi):
 
 
 def _check_indefinite(integrand, anti, x_lo: float, x_hi: float) -> float:
-    """|quadrature of integrand - difference of anti| on [x_lo, x_hi]."""
+    """|quadrature of integrand - difference of anti| on [x_lo, x_hi], each
+    end taken as `_float` gives it."""
+    x_lo, x_hi = _float(x_lo), _float(x_hi)
     if not 0 < x_lo <= x_hi < math.inf:
         raise ValueError("need 0 < x_lo <= x_hi < inf")
     if x_lo == x_hi:
@@ -175,7 +177,9 @@ def lnsin_tail(X: float) -> float:
     series), else OutsideConvergence; NaN raises NonFiniteArgument.  Past
     the leading term, a term whose power of X would reach 2^1023 (and
     soon overflow) is taken as 0: it is then below 2^-500 times the
-    leading term."""
+    leading term.  X is taken as `_float` gives it: past float64's range,
+    +-inf."""
+    X = _float(X)
     if not X > 2.6397047612188325:
         raise (NonFiniteArgument if math.isnan(X) else OutsideConvergence)(
             f"X={X} must exceed 2.6397, the radius of the 1/x series")

@@ -28,7 +28,7 @@ import sys
 from operator import itemgetter
 from typing import NamedTuple
 
-from .core import BranchIndex, _float, _integer, eval_real
+from .core import BranchIndex, _finite, _float, _integer, eval_real
 from .errors import DomainViolation, NonFiniteArgument, NonPositiveNorm
 
 __all__ = [
@@ -87,7 +87,7 @@ class SpectrumEntry(NamedTuple):
 class Wavefunction(NamedTuple):
     """Piecewise amplitudes: A_I sin(k xi) left of center, A_II sin(k (a - xi))
     right of it, and 0 outside [0, a]; calling it with xi = nan raises
-    NonFiniteArgument."""
+    NonFiniteArgument.  xi is taken as `_float` gives it."""
 
     A_I: float
     A_II: float
@@ -95,7 +95,7 @@ class Wavefunction(NamedTuple):
     width_a: float
 
     def __call__(self, xi: float) -> float:
-        a = self.width_a
+        a, xi = self.width_a, _float(xi)
         if not 0.0 <= xi <= a:
             if math.isnan(xi):
                 raise NonFiniteArgument("xi must not be nan")
@@ -130,9 +130,7 @@ def spectrum(model: WellModel, count: int) -> list[SpectrumEntry]:
     returned level's k or E is not finite, or E is below the smallest
     normal float (extreme widths).
     """
-    count = _integer(count, "count")
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _integer(count, "count", 1)
     a = model.width_a
     x = a / model.lam if model.lam else math.inf
     even, odd = Parity.EVEN, Parity.ODD
@@ -194,9 +192,7 @@ def variational_bound_1(x: float) -> float:
     ground trial state; valid for 1/x > -1/2, i.e. x >= 0 or x < -2.
     Any real x is taken as its nearest float, as in eval_real; NaN and +-inf
     raise NonFiniteArgument."""
-    x = _float(x)
-    if not math.isfinite(x):
-        raise NonFiniteArgument(f"x must be finite, got {x!r}")
+    x = _finite(x, "x")
     if x < 0.0 and x >= -2.0:
         raise DomainViolation(f"bound valid for 1/x > -1/2; x={x} is outside")
     if x == 0.0:
@@ -218,9 +214,7 @@ def variational_bound_2(x: float) -> float:
     x: 1/(5 + 10/x + 2 sqrt(4 + 16/x + 25/x^2)), whose limit gives pi/2.
     Any real x is taken as its nearest float; NaN and +-inf raise
     NonFiniteArgument."""
-    x = _float(x)
-    if not math.isfinite(x):
-        raise NonFiniteArgument(f"x must be finite, got {x!r}")
+    x = _finite(x, "x")
     if x == 0.0:
         return 0.0
     xx = 4.0 * x * x
@@ -245,9 +239,7 @@ def rayleigh_quotient(x: float, b: float) -> float:
     divided through by b^2, so a huge b gives its limit.  Any real x and b
     are taken as their nearest floats; NaN and +-inf raise
     NonFiniteArgument."""
-    x, b = _float(x), _float(b)
-    if not (math.isfinite(x) and math.isfinite(b)):
-        raise NonFiniteArgument(f"x and b must be finite, got x={x!r}, b={b!r}")
+    x, b = _finite(x, "x"), _finite(b, "b")
     if x == 0.0:
         raise DomainViolation("x = 0 is outside the quotient's domain")
     p, q = (1.0 / b, 1.0) if abs(b) > 1.0 else (1.0, b)   # (1, b), or (1, b)/b

@@ -206,11 +206,17 @@ def _root_test(coeff, k: int, small: bool) -> float:
     return _root(d, abs(n), k) if small else _root(abs(n), d, k)
 
 
-def _dyadic(v: float) -> tuple[int, int]:
-    """(m, e) with v = m / 2^e exactly, e >= 0: a float's integer ratio has
-    a power of 2 below, so v^k = m^k / 2^(e k) scales by a shift."""
-    m, s = v.as_integer_ratio()
-    return m, s.bit_length() - 1
+def _detrended(ratios, r: float, k: int, shrink: bool):
+    """n/d * r^-k (shrink) or n/d * r^k for each (n, d) of `ratios`, k
+    counting up from `k`: one correctly rounded quotient of integers each,
+    OverflowError past float64's range.  A float's integer ratio has a
+    power of 2 below, r = m / 2^e, so r^k is m^k and a shift by e*k bits."""
+    m, s = r.as_integer_ratio()
+    e, m_k = s.bit_length() - 1, m ** k
+    for n, d in ratios:
+        yield (n << e * k) / (d * m_k) if shrink else n * m_k / (d << e * k)
+        m_k *= m
+        k += 1
 
 
 def _scaled(values) -> tuple[list[int], int]:
@@ -279,15 +285,10 @@ class SeriesTable(_TableFields):
         n0, d0 = abs(self.primary[0]).as_integer_ratio()
         if n0 == 0:
             return math.inf
+        ratios = (c.as_integer_ratio() for c in self.primary)
         try:
-            m, e = _dyadic(self._bound)   # r^k = m^k / 2^(e k), or its inverse
-            large = self.kind is SeriesKind.LARGE_X
-            m_k, top = 1, 0.0
-            for k, c in enumerate(self.primary):
-                n, d = c.as_integer_ratio()
-                n, d = abs(n) * d0, d * n0
-                top = max(top, (n << e * k) / (d * m_k) if large else n * m_k / (d << e * k))
-                m_k *= m
+            top = max(_detrended(((abs(n) * d0, d * n0) for n, d in ratios), self._bound, 0,
+                                 self.kind is SeriesKind.LARGE_X))
             return math.nextafter(top, math.inf) * (2.0 ** 63 + 2.0 ** 31)
         except OverflowError:
             return math.inf
@@ -365,9 +366,7 @@ def small_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = floor(1.41 K) + 200 bits: a_K ~ 2.64^(-K) keeps ~200.
     """
-    K = _integer(K, "order")
-    if K < 0:
-        raise ValueError("order must be >= 0")
+    K = _integer(K, "order", 0)
     P = 141 * K // 100 + 200
     one = 1 << P
     a, d = [one], [one]
@@ -385,9 +384,7 @@ def large_x_coeffs(K: int) -> SeriesTable:
 
     Works at P = 256 + K//2 bits.
     """
-    K = _integer(K, "order")
-    if K < 0:
-        raise ValueError("order must be >= 0")
+    K = _integer(K, "order", 0)
     P = 256 + K // 2
     one = 1 << P
     pi2_4 = _pi2_4(P)
@@ -428,9 +425,7 @@ def lagrange_b(k: int) -> float:
     on integers scaled by 2^400; b_k is rounded once from the exact
     quotient, to +-inf past float64's range.
     """
-    k = _integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _integer(k, "k", 0)
     if k == 0:
         return 1.0
     P = _LAGRANGE_BITS
@@ -604,19 +599,13 @@ def fit_asymptotic(table: SeriesTable, k_min: int, k_max: int) -> AsymptoticFit:
         raise ValueError(f"table order {table.order} < k_max {k_max}")
     grows = table.kind is SeriesKind.LARGE_X
     ks = range(k_min, k_max + 1)
-    # w_k = coeff_k k^(3/2) 2.64^(-k) (LARGE_X) or 2.64^k, 2.64 = m / 2^e
-    m, e = _dyadic(RHO_HAT)
-    G = _SQRT_GUARD
-    m_k = m ** k_min
-    w = []
+    # w_k = coeff_k k^(3/2) 2.64^(-k) (LARGE_X) or 2.64^k, k^(3/2) to _SQRT_GUARD bits
+    ratios = ((n * k * math.isqrt(k << 2 * _SQRT_GUARD), d << _SQRT_GUARD)
+              for k, (n, d) in zip(ks, (c.as_integer_ratio() for c in table.primary[k_min:])))
     # a detrended w_k, or a g^k of the amplitude step, past the float range
     # raises OverflowError, or ZeroDivisionError where g^k underflows to 0
     try:
-        for k in ks:
-            n, d = table.primary[k].as_integer_ratio()
-            n *= k * math.isqrt(k << 2 * G)
-            w.append((n << e * k) / (d * m_k << G) if grows else n * m_k / (d << G + e * k))
-            m_k *= m
+        w = list(_detrended(ratios, RHO_HAT, k_min, grows))
         alpha, beta = _lstsq2(w[1:-1], w[:-2], w[2:])
         if beta >= 0.0:
             raise FitDiverged(f"Prony step returned beta={beta}; no oscillation found")

@@ -70,10 +70,17 @@ The census is fixed and seeded.  It calls, in both trees:
   the same sheets at 1e-3..1e-11 from x_j; local_expansion_check(n,
   (1e-2, 1e-4, 1e-6)) for n = 1, 2 and 5; and trace_path loops, one or
   two turns, of radius 1e-2..1e-6 around x_1, x_2 and x_5.  Here Halley
-  stalls, and its iterates fall into cycles.
+  stalls, and its iterates fall into cycles;
+* the surface pool, after the near-branch-point pool and drawing nothing,
+  so that every call before it stays as it was: each public function that
+  takes a real or complex value, called with SURFACE_VALUES (ints past
+  float64's range, True, a Fraction, +-inf, nan, +-0.0 and 5e-324) in
+  each argument that takes one, the others fixed.  Each result there is
+  compared as its type name and repr, and each exception as its type name
+  alone.
 
-Each result is compared as repr(result), or as the exception's type name
-and message.  A scale below 1 (the smoke tests') shrinks every seeded
+Each other result is compared as repr(result), or as the exception's type
+name and message.  A scale below 1 (the smoke tests') shrinks every seeded
 draw and leaves out the order-300 tables and the 3000-level spectra.  It
 prints the number of calls and each difference, and exits 1 on any
 difference, 0 otherwise.
@@ -115,6 +122,7 @@ import shlex
 import tarfile
 import tempfile
 import time
+from fractions import Fraction
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHEETS = (1, 2, 3, 4, 5, 6, 7, 8, 20, 100, 600, 10 ** 4, 10 ** 6, 2 ** 52)
@@ -165,6 +173,10 @@ CLI_USAGE_ERRORS = (
     ("grid", "--branch", "0", "--range", "0.5:2"),
     ("grid", "--points", "9"),
 )
+# the surface pool's values, by the name its calls show
+SURFACE_VALUES = {"10**400": 10 ** 400, "-10**400": -(10 ** 400), "True": True,
+                  "Fraction(1, 3)": Fraction(1, 3), "inf": math.inf, "-inf": -math.inf,
+                  "nan": math.nan, "0.0": 0.0, "-0.0": -0.0, "5e-324": 5e-324}
 
 
 def load(src: str, name: str):
@@ -294,7 +306,8 @@ def census(package, scale: float = 1.0) -> list[tuple[str, tuple]]:
             if order >= 70:
                 calls.append(("fit_asymptotic", (kind, order, 50, order)))
     return (calls + _real_axis_calls(scale) + _table_eval_calls(package, scale)
-            + _cli_calls(scale) + _near_branch_point_calls(package, scale))
+            + _cli_calls(scale) + _near_branch_point_calls(package, scale)
+            + _surface_calls(package))
 
 
 def _real_axis_calls(scale: float) -> list[tuple[str, tuple]]:
@@ -422,6 +435,65 @@ def _near_branch_point_calls(package, scale: float) -> list[tuple[str, tuple]]:
     return calls
 
 
+@functools.lru_cache(maxsize=None)
+def _surface(package) -> dict[str, tuple]:
+    """One tree's value-taking public functions: per name, one call per
+    argument that takes the value, the others fixed.  A record class that
+    converts what it takes is called as built; Cut stands for its
+    distance method, and Wavefunction, built by hand, for its call."""
+    core, cp, q = package.core, package.complex_plane, package.quantum
+    bp, ch, se, ig = package.branch_points, package.chebyshev, package.series, package.integrals
+    atlas, model = cp.SheetAtlas(), _cheb_model(package, 15)
+    tables = (_series_table(package, "small", 40), _series_table(package, "large", 40))
+    return {
+        "eval_real": (lambda v: core.eval_real(v, 1), lambda v: core.eval_real(v, -3)),
+        "halley_step": (lambda v: core.halley_step(v, 1 + 0.5j),
+                        lambda v: core.halley_step(1 + 1j, v)),
+        "derivative": (lambda v: core.derivative(v, 1.0), lambda v: core.derivative(1.0, v)),
+        "second_derivative": (lambda v: core.second_derivative(v, 1.0),
+                              lambda v: core.second_derivative(1.0, v)),
+        "defining_residual": (lambda v: core.defining_residual(v, 1.0),
+                              lambda v: core.defining_residual(1.0, v)),
+        "branch_identity_residual": (lambda v: core.branch_identity_residual(v, 1, 1.0),
+                                     lambda v: core.branch_identity_residual(1.0, 1, v)),
+        "local_expansion_check": (lambda v: bp.local_expansion_check(1, (1e-2, v)),),
+        "eval_cheb": (lambda v: ch.eval_cheb(v, model),),
+        "fit": (lambda v: ch.fit(v, 4),),
+        "Wavefunction": (q.Wavefunction(0.8, 0.8, 1.2, math.pi),),
+        "WellModel": (lambda v: q.WellModel(v, 0.5), lambda v: q.WellModel(1.0, v)),
+        "rayleigh_quotient": (lambda v: q.rayleigh_quotient(v, 0.5),
+                              lambda v: q.rayleigh_quotient(1.0, v)),
+        "variational_bound_1": (q.variational_bound_1,),
+        "variational_bound_2": (q.variational_bound_2,),
+        "ContinuationPath": (lambda v: cp.ContinuationPath([2 + 1j, v]),),
+        "Cut": tuple(cut.distance for cut in cp.cuts_for(2)),
+        "boundary_value": (lambda v: cp.boundary_value(v, 1, cp.Side.UPPER),
+                           lambda v: cp.boundary_value(v, 1, cp.Side.LOWER)),
+        "continue_from_anchor": (lambda v: cp.continue_from_anchor(v, 1),
+                                 lambda v: cp.continue_from_anchor(v, -2)),
+        "discontinuity_delta0": (cp.discontinuity_delta0,),
+        "discontinuity_delta1": (cp.discontinuity_delta1,),
+        "dispersion_eval": (lambda v: cp.dispersion_eval(v, atlas),),
+        "distance_to_cuts": (lambda v: cp.distance_to_cuts(v, 2),),
+        "eval_complex": (lambda v: cp.eval_complex(v, 1), lambda v: cp.eval_complex(v, -2)),
+        "trace_path": (lambda v: cp.trace_path(cp.ContinuationPath([v, 2 + 1j]), 1),
+                       lambda v: cp.trace_path(cp.ContinuationPath([2 + 1j, v]), 1)),
+        "eval_series": tuple(lambda v, t=t: se.eval_series(v, t) for t in tables),
+        "check_indefinite_log": (lambda v: ig.check_indefinite_log(v, 2.0),
+                                 lambda v: ig.check_indefinite_log(0.5, v)),
+        "check_indefinite_logsin": (lambda v: ig.check_indefinite_logsin(v, 2.0),
+                                    lambda v: ig.check_indefinite_logsin(0.5, v)),
+        "lnsin_tail": (ig.lnsin_tail,),
+    }
+
+
+def _surface_calls(package) -> list[tuple[str, tuple]]:
+    """The surface pool: every value of SURFACE_VALUES in every argument of
+    `_surface` that takes one."""
+    return [("surface", (name, slot, value)) for name, calls in _surface(package).items()
+            for slot in range(len(calls)) for value in SURFACE_VALUES]
+
+
 def _cli_output(package, argv: tuple) -> tuple:
     """(exit code, stdout, stderr) of one tree's cli.main(argv)."""
     main = importlib.import_module(f"{package.__name__}.cli").main
@@ -448,8 +520,16 @@ def _cheb_model(package, order: int):
 
 
 def _run(package, operation: str, args: tuple) -> str:
-    """repr of one census call's result, or its exception's type and message."""
+    """repr of one census call's result, or its exception's type and message;
+    in the surface pool the result's type and repr, or the exception's type."""
     cp = package.complex_plane
+    if operation == "surface":
+        name, slot, value = args
+        try:
+            out = _surface(package)[name][slot](SURFACE_VALUES[value])
+        except Exception as exc:   # an outcome to compare, as a value is
+            return type(exc).__name__
+        return f"{type(out).__name__} {out!r}"
     try:
         if operation == "boundary_value":
             point, n, side = args

@@ -11,6 +11,14 @@ import compare_trees
 SRC = os.path.join(compare_trees.ROOT, "src")
 
 
+def _operation(line: str) -> str:
+    """A difference line as its operation shows it: a surface-pool line,
+    surface('name', slot, value): ..., as name(..."""
+    if line.startswith("surface('"):
+        return line[len("surface('"):].split("'", 1)[0] + "("
+    return line
+
+
 def test_the_tree_against_itself_reports_nothing():
     change = compare_trees.load(SRC, "wtan_smoke_change")
     parent = compare_trees.load(SRC, "wtan_smoke_parent")
@@ -33,9 +41,9 @@ def test_a_reassociated_newton_operation_reports_differences(tmp_path):
     assert mutated.complex_plane.__file__ == str(path)
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
-    assert all(line.startswith(("eval_complex(", "continue_from_anchor(", "trace_path(",
-                                "boundary_value(", "dispersion_", "discontinuity_",
-                                "local_expansion_check("))
+    assert all(_operation(line).startswith(("eval_complex(", "continue_from_anchor(",
+                                            "trace_path(", "boundary_value(", "dispersion_",
+                                            "discontinuity_", "local_expansion_check("))
                for line in differences)
 
 
@@ -59,7 +67,7 @@ def test_a_mutated_series_step_reports_its_differences(tmp_path, old, new, opera
     mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
-    assert all(line.startswith(operations) for line in differences)
+    assert all(_operation(line).startswith(operations) for line in differences)
 
 
 def test_a_mutated_spectrum_margin_reports_its_differences(tmp_path):
@@ -75,7 +83,7 @@ def test_a_mutated_spectrum_margin_reports_its_differences(tmp_path):
     assert mutated.quantum.__file__ == str(path)
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
-    assert all(line.startswith("spectrum(") for line in differences)
+    assert all(_operation(line).startswith("spectrum(") for line in differences)
     # and the ties, at even counts, are among them
     assert any(line.startswith("spectrum(1.0, 1e+300, 4):") for line in differences)
 
@@ -99,4 +107,20 @@ def test_a_mutated_table_evaluator_reports_its_differences(tmp_path, module, old
     mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
     calls, differences = compare_trees.compare(change, mutated, scale=0.02)
     assert differences
-    assert all(line.startswith(operation) for line in differences)
+    assert all(_operation(line).startswith(operation) for line in differences)
+
+
+def test_the_surface_pool_reports_a_bare_overflow_error(tmp_path):
+    # Wavefunction's point compared raw, not as its nearest float: an int
+    # past float64's range reaches math.isnan and raises OverflowError
+    shutil.copytree(os.path.join(SRC, "wtan"), tmp_path / "wtan")
+    path = tmp_path / "wtan" / "quantum.py"
+    text = path.read_text()
+    assert text.count("a, xi = self.width_a, _float(xi)") == 1
+    path.write_text(text.replace("a, xi = self.width_a, _float(xi)", "a = self.width_a"))
+    change = compare_trees.load(SRC, "wtan_smoke_change")
+    mutated = compare_trees.load(str(tmp_path), "wtan_smoke_mutated")
+    calls, differences = compare_trees.compare(change, mutated, scale=0.02)
+    assert differences == [
+        f"surface('Wavefunction', 0, '{value}'): change float 0.0 | parent OverflowError"
+        for value in ("10**400", "-10**400")]

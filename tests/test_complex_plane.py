@@ -420,19 +420,34 @@ class TestExteriorRoute:
                 assert abs(seed - root) <= 8 * complex_plane.EPS * (1 + abs(y)), (z, n)
 
     @pytest.mark.parametrize("z", [-1.7e308 + 1e308j, complex(math.inf, 0.0),
-                                   complex(1.0, math.nan)])
+                                   complex(1.0, math.nan), 10 ** 400, -(10 ** 400)])
     def test_non_finite_modulus_raises_wtan_error(self, atlas, z):
-        # abs(z) overflows for the first point: each entry point must turn
-        # that into NonFiniteArgument, not a bare OverflowError
+        # abs(z) overflows for the first point, and complex() for the ints
+        # past float64's range: each entry point must turn that into
+        # NonFiniteArgument, not a bare OverflowError
         for n in (1, -2):
             with pytest.raises(NonFiniteArgument):
                 continue_from_anchor(z, n)
+            with pytest.raises(NonFiniteArgument):
+                eval_complex(z, n, atlas)
+            with pytest.raises(NonFiniteArgument):
+                distance_to_cuts(z, n)
+        with pytest.raises(NonFiniteArgument):
+            dispersion_eval(z, atlas)
         for waypoints in ((z, 1 + 1j), (1 + 1j, z)):
             with pytest.raises(NonFiniteArgument):
                 trace_path(ContinuationPath(waypoints), 1, atlas)
         # no cut lies out there: boundary_value rejects the point as such
         with pytest.raises(NotOnCut):
             boundary_value(z, 1, Side.UPPER, atlas)
+
+    @pytest.mark.parametrize("z, shown", [(10 ** 400, "(inf+0j)"), (-(10 ** 400), "(-inf+0j)")])
+    def test_a_real_past_the_float_range_is_shown_as_its_inf(self, atlas, z, shown):
+        # the message shows the point as floats give it, not 400 digits
+        with pytest.raises(NonFiniteArgument) as raised:
+            eval_complex(z, 1, atlas)
+        assert str(raised.value) == f"z must have a finite modulus, got {shown}"
+        assert ContinuationPath((z, 1 + 1j)).waypoints[0] == complex(shown)
 
 
 # within this distance of x_n, where the germs of sheets n and n+1 merge and

@@ -18,9 +18,17 @@ Any real: eval_real, eval_series, eval_cheb, chebyshev.fit, WellModel and
 the variational bounds take numpy float16, float32 and float64 scalars,
 ints (past float64's range included) and bools as the float nearest them,
 +-inf past the range.
+
+The public surface: every public callable that takes a real or complex
+value (SURFACE, checked against wtan.__all__) is called at ints past
+float64's range, True, numpy scalars, +-inf, nan, +-0.0 and 5e-324.  Each
+returns Python floats or complex numbers, or records of them, or raises a
+WtanError, ValueError or TypeError; and each value gives what the Python
+float nearest it gives (+-inf past the range).
 """
 
 import cmath
+import enum
 import math
 from unittest import mock
 
@@ -30,15 +38,21 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import wtan
 import wtan.core
 from wtan import complex_plane
-from wtan.branch_points import find_branch_point
+from wtan.branch_points import find_branch_point, local_expansion_check
 from wtan.chebyshev import eval_cheb, fit
-from wtan.complex_plane import EXTERIOR_FACTOR, eval_complex
-from wtan.core import eval_real, halley_step
+from wtan.complex_plane import (EXTERIOR_FACTOR, ContinuationPath, SheetAtlas, boundary_value,
+                                continue_from_anchor, cuts_for, discontinuity_delta0,
+                                discontinuity_delta1, dispersion_eval, distance_to_cuts,
+                                eval_complex, trace_path)
+from wtan.core import (branch_identity_residual, defining_residual, derivative, eval_real,
+                       halley_step, second_derivative)
 from wtan.errors import DomainViolation, OnCut, WtanError
+from wtan.integrals import check_indefinite_log, check_indefinite_logsin, lnsin_tail
 from wtan.quantum import (WellModel, rayleigh_quotient, spectrum, variational_bound_1,
-                          variational_bound_2)
+                          variational_bound_2, wavefunction)
 from wtan.series import eval_series, large_x_coeffs, small_x_coeffs
 
 EPS = 2.220446049250313e-16
@@ -275,3 +289,109 @@ def test_any_real_is_its_nearest_float(x, n):
         assert _outcome(WellModel, *args) == _outcome(WellModel, *floats)
         assert _outcome(lambda *a: spectrum(WellModel(*a), 3), *args) == \
             _outcome(lambda *a: spectrum(WellModel(*a), 3), *floats)
+
+
+_WELL = WellModel(math.pi, 0.5)
+
+# Every public callable that takes a real or complex value: its name in
+# wtan.__all__, and one call per argument that takes the value, the others
+# fixed.  A record class that converts what it takes is called as built; one
+# that converts nothing stands for the methods that take a value.
+SURFACE = {
+    "eval_real": (lambda v: eval_real(v, 1), lambda v: eval_real(v, -3)),
+    "halley_step": (lambda v: halley_step(v, 1 + 0.5j), lambda v: halley_step(1 + 1j, v)),
+    "derivative": (lambda v: derivative(v, 1.0), lambda v: derivative(1.0, v)),
+    "second_derivative": (lambda v: second_derivative(v, 1.0),
+                          lambda v: second_derivative(1.0, v)),
+    "defining_residual": (lambda v: defining_residual(v, 1.0),
+                          lambda v: defining_residual(1.0, v)),
+    "branch_identity_residual": (lambda v: branch_identity_residual(v, 1, 1.0),
+                                 lambda v: branch_identity_residual(1.0, 1, v)),
+    "local_expansion_check": (lambda v: local_expansion_check(1, (1e-2, v)),),
+    "eval_cheb": (lambda v: eval_cheb(v, _MODEL),),
+    "fit": (lambda v: fit(v, 4),),
+    "Wavefunction": (wavefunction(_WELL, spectrum(_WELL, 1)[0]),),
+    "WellModel": (lambda v: WellModel(v, 0.5), lambda v: WellModel(1.0, v)),
+    "rayleigh_quotient": (lambda v: rayleigh_quotient(v, 0.5),
+                          lambda v: rayleigh_quotient(1.0, v)),
+    "variational_bound_1": (variational_bound_1,),
+    "variational_bound_2": (variational_bound_2,),
+    "ContinuationPath": (lambda v: ContinuationPath([2 + 1j, v]),),
+    "Cut": tuple(cut.distance for cut in cuts_for(2)),
+    "boundary_value": (lambda v: boundary_value(v, 1, "upper"),
+                       lambda v: boundary_value(v, 1, "lower")),
+    "continue_from_anchor": (lambda v: continue_from_anchor(v, 1),
+                             lambda v: continue_from_anchor(v, -2)),
+    "discontinuity_delta0": (discontinuity_delta0,),
+    "discontinuity_delta1": (discontinuity_delta1,),
+    "dispersion_eval": (lambda v: dispersion_eval(v, SheetAtlas()),),
+    "distance_to_cuts": (lambda v: distance_to_cuts(v, 2),),
+    "eval_complex": (lambda v: eval_complex(v, 1), lambda v: eval_complex(v, -2)),
+    "trace_path": (lambda v: trace_path(ContinuationPath([v, 2 + 1j]), 1),
+                   lambda v: trace_path(ContinuationPath([2 + 1j, v]), 1)),
+    "eval_series": (lambda v: eval_series(v, _TABLES[0]), lambda v: eval_series(v, _TABLES[1])),
+    "check_indefinite_log": (lambda v: check_indefinite_log(v, 2.0),
+                             lambda v: check_indefinite_log(0.5, v)),
+    "check_indefinite_logsin": (lambda v: check_indefinite_logsin(v, 2.0),
+                                lambda v: check_indefinite_logsin(0.5, v)),
+    "lnsin_tail": (lnsin_tail,),
+}
+
+# The public names that take no real or complex value
+NO_VALUE = {
+    # modules
+    "errors", "core", "branch_points", "chebyshev", "quantum", "complex_plane", "series",
+    "integrals",
+    # integers only, as core._integer takes them, or a record and integers
+    "validate_branch", "find_branch_point", "asymptotic_branch_point", "cuts_for",
+    "SheetAtlas", "spectrum", "small_x_coeffs", "large_x_coeffs", "lagrange_b",
+    "fit_asymptotic",
+    # records only, or nothing
+    "wavefunction", "radius_estimates", "definite_lnsin", "definite_catalan",
+    # records that the library builds and that convert nothing, types and
+    # enums, and constants
+    "BranchedValue", "BranchPoint", "ChebyshevModel", "SpectrumEntry", "SeriesTable",
+    "SeriesEval", "RadiusEstimate", "AsymptoticFit", "BranchIndex", "CutKind", "Side",
+    "Parity", "SeriesKind", "CATALAN", "LOG_SIN_TOTAL", "CATALAN_COMBINATION",
+}
+
+# ints past the float range first: at the parent of this table they raised
+# a bare OverflowError before any float32 value could be computed
+EDGE_VALUES = (10 ** 400, -(10 ** 400), True, np.float32(0.5), np.float32(10.0),
+               np.float64(0.5), np.float64(10.0), math.inf, -math.inf, math.nan, 0.0, -0.0,
+               5e-324)
+
+
+def _plain(value, field: bool = False) -> bool:
+    """value is a Python float or complex, or a record (tuple or list) of
+    them, whose fields may also be ints, None and enum members (labels)."""
+    if type(value) in (float, complex):
+        return True
+    if isinstance(value, (tuple, list)):
+        return all(_plain(v, True) for v in value)
+    return field and (type(value) is int or value is None or isinstance(value, enum.Enum))
+
+
+def _surface_outcome(call, v) -> str:
+    """repr of call(v), which must be plain, or the name of its WtanError,
+    ValueError or TypeError; any other exception fails the test."""
+    try:
+        out = call(v)
+    except (WtanError, ValueError, TypeError) as exc:
+        return type(exc).__name__
+    assert _plain(out), out
+    return repr(out)
+
+
+def test_the_surface_table_lists_every_public_name():
+    assert set(SURFACE) | NO_VALUE == set(wtan.__all__)
+    assert not set(SURFACE) & NO_VALUE
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_the_surface_returns_python_numbers_or_raises_a_wtan_error(name):
+    for call in SURFACE[name]:
+        for v in EDGE_VALUES:
+            got = _surface_outcome(call, v)
+            if type(v) is not float:
+                assert got == _surface_outcome(call, _nearest_float(v)), (name, v)
